@@ -26,6 +26,7 @@ from .presentations import Presentation, QMove, NielsenMove, apply_nielsen, appl
 from .words import (
     InputError,
     Word,
+    _content_lines,
     commutator,
     equal,
     format_word,
@@ -222,13 +223,11 @@ def build_instance(
     l = Presentation(n_generators, (("S", s_word),) + tuple(l_aux))
     k_probe = Presentation(n_generators, (("R", Word()),) + tuple(k_aux))
     probe = CriterionInstance(k_probe, l, "R", "S", tuple(factors))
-    prod: tuple = ()
-    for rw, sw in reversed(probe.expanded()):
-        prod = prod + tuple(commutator(rw, sw))
-    r_word = reduce(prod + tuple(s_word))
+    r_word = reduce(tuple(product_sides(probe)[1]) + tuple(s_word))
     k = Presentation(n_generators, (("R", r_word),) + tuple(k_aux))
     inst = CriterionInstance(k, l, "R", "S", tuple(factors))
-    assert verify(inst)
+    if not verify(inst):
+        raise RuntimeError("drawn instance fails the commutator criterion")
     return inst
 
 
@@ -331,7 +330,7 @@ def nielsen_transport(
 def parse_decomposition(text: str) -> Tuple[Factor, ...]:
     """Lines: ``factor wR=<word> R=<name>^<+1|-1> wS=<word> S=<name>^<+1|-1>``."""
     factors = []
-    for lineno, parts in pres._content_lines(text):
+    for lineno, parts in _content_lines(text):
         if parts[0] != "factor" or len(parts) != 5:
             raise InputError("line %d: bad factor line" % lineno)
         fields = {}
@@ -383,7 +382,7 @@ def parse_instance(text: str, base_dir: str = ".") -> CriterionInstance:
     """Instance file: ``K <path>``, ``L <path>``, ``R <name>``, ``S <name>``,
     ``decomp <path>`` (paths resolved against the instance file's directory)."""
     fields = {}
-    for lineno, parts in pres._content_lines(text):
+    for lineno, parts in _content_lines(text):
         if len(parts) != 2 or parts[0] not in ("K", "L", "R", "S", "decomp"):
             raise InputError("line %d: bad instance directive" % lineno)
         if parts[0] in fields:

@@ -28,7 +28,7 @@ from .slicing import (
     Token,
     build_abstract,
 )
-from .words import InputError, Word, format_word, invert
+from .words import InputError, Word, _content_lines, _line_ints, format_word, invert
 
 DIAGONAL = "diagonal"
 POLY_IN_M = "poly"
@@ -229,7 +229,7 @@ def perturbed_invariant(aseq: AbstractSequence, b: Backend) -> np.ndarray:
     The perturbed level endomorphism composes, separately for each factor
     index, the commutator matrix with that factor's spherical-element
     matrices, on top of the plain cells.  Telescoping leaves exactly the
-    product of the spherical-element matrices, which is asserted against
+    product of the spherical-element matrices, which is checked against
     the brute-force composition.
     """
     sm = state_modules(aseq, b)
@@ -252,7 +252,8 @@ def perturbed_invariant(aseq: AbstractSequence, b: Backend) -> np.ndarray:
     maps = list(fs)
     maps[k] = f_pert
     total = compose(maps, b.p, b.dim)
-    assert modmat.equal(total, spel_product(aseq, b), b.p)
+    if not modmat.equal(total, spel_product(aseq, b), b.p):
+        raise RuntimeError("perturbed composition does not telescope to the spherical-element product")
     return total
 
 
@@ -390,7 +391,8 @@ def global_combine(mats: Sequence[np.ndarray], mode: str, p: int, dim: Optional[
             fact = 1
             for i in range(2, len(mats) + 1):
                 fact = (fact * i) % p
-            assert modmat.equal(total, (fact * prod) % p, p)
+            if not modmat.equal(total, (fact * prod) % p, p):
+                raise RuntimeError("permutation sum of commuting matrices is not n! times their product")
         return total
     raise InputError("unknown combination mode %r" % mode)
 
@@ -452,7 +454,9 @@ def stabilization_demo(
     """Why sphere stabilization cannot rescue the invariant: both sides
     pick up the same invertible factor Z(S²)^v, so equality after
     stabilization forces equality before it; and over a field no nonzero
-    weight annihilates Z(S²)."""
+    weight annihilates Z(S²).  That last fact needs no search: the
+    backend's check has proved p prime and Z(S²) nonzero, and inverting
+    Z(S²)^v below fails if it were singular."""
     if v < 1:
         raise InputError("stabilization count must be >= 1")
     if inv_k is None or inv_l is None:
@@ -468,11 +472,6 @@ def stabilization_demo(
     recovered_l = modmat.mul(stab_l, s2v_inv, b.p)
     if not modmat.equal(recovered_k, inv_k, b.p) or not modmat.equal(recovered_l, inv_l, b.p):
         raise RuntimeError("stabilization factor failed to divide out")
-    annihilators = [
-        w for w in range(1, b.p) if not np.any((w * b.sphere) % b.p)
-    ]
-    if annihilators:
-        raise RuntimeError("field produced a zero divisor")
     witness = (
         "I_K.Z(S2)^%d = I_L.Z(S2)^%d forces I_K = I_L since Z(S2)^%d is invertible; "
         "no nonzero weight annihilates Z(S2) over GF(%d)" % (v, v, v, b.p)
@@ -495,21 +494,21 @@ def dump_backend(b: Backend) -> str:
 
 
 def load_backend(text: str) -> Backend:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("p "):
-        raise InputError("backend dump must start with 'p <p> d <d>'")
-    head = lines[0].split()
-    try:
-        p, d = int(head[1]), int(head[3])
-    except (IndexError, ValueError):
-        raise InputError("bad backend header %r" % lines[0]) from None
+    lines = _content_lines(text)
+    lineno, head = next(lines, (1, []))
+    if len(head) != 4 or head[0] != "p" or head[2] != "d":
+        raise InputError("line %d: backend dump must start with 'p <p> d <d>'" % lineno)
+    p, d = _line_ints(lineno, (head[1], head[3]))
+    if d < 1:
+        raise InputError("line %d: dimension must be positive" % lineno)
     assignment: Dict[str, np.ndarray] = {}
-    for ln in lines[1:]:
-        parts = ln.split()
+    for lineno, parts in lines:
         if parts[0] != "tok" or len(parts) != 2 + d * d:
-            raise InputError("bad backend line %r" % ln)
-        vals = np.array([int(x) for x in parts[2:]], dtype=np.int64).reshape(d, d)
+            raise InputError("line %d: bad backend line" % lineno)
+        vals = np.array(_line_ints(lineno, parts[2:]), dtype=np.int64).reshape(d, d)
         assignment[parts[1]] = vals % p
+    if SPHERE_LABEL not in assignment:
+        raise InputError("backend dump has no %s token" % SPHERE_LABEL)
     b = Backend(p, d, "loaded", assignment)
     b.check()
     return b

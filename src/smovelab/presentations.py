@@ -27,6 +27,7 @@ from typing import Iterable, Tuple, Union
 from .words import (
     InputError,
     Word,
+    _content_lines,
     format_word,
     invert,
     max_generator,
@@ -202,13 +203,6 @@ def apply_move(p: Presentation, m: Move) -> Presentation:
 
 
 # --- text format ---------------------------------------------------------
-
-
-def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
 
 
 def parse_presentation(text: str) -> Presentation:

@@ -188,15 +188,17 @@ def _coerce(v) -> Polynomial:
 # --- univariate toolkit -----------------------------------------------------
 
 
-def _univar(p: Polynomial, var: Optional[str]) -> str:
-    names = p.variables()
-    if len(names) > 1 or (var and names and names != (var,)):
+def _univar(var: Optional[str], *polys: Polynomial) -> str:
+    """The one indeterminate shared by ``polys``; a zero or constant
+    operand contributes none, so it cannot hide the other's variable."""
+    names = sorted({n for p in polys for n in p.variables()})
+    if len(names) > 1 or (var and names and names != [var]):
         raise InputError("expected a univariate polynomial in %s" % (var or "one variable"))
     return var or (names[0] if names else "x")
 
 
 def poly_divmod(a: Polynomial, b: Polynomial, var: Optional[str] = None) -> Tuple[Polynomial, Polynomial]:
-    var = _univar(a * b, var)
+    var = _univar(var, a, b)
     if b.is_zero():
         raise InputError("polynomial division by zero")
     q = Polynomial()
@@ -218,13 +220,13 @@ def poly_mod(a: Polynomial, g: Polynomial, var: Optional[str] = None) -> Polynom
 def poly_monic(a: Polynomial, var: Optional[str] = None) -> Polynomial:
     if a.is_zero():
         return a
-    var = _univar(a, var)
+    var = _univar(var, a)
     lead = a.coeff(var, a.degree(var)).constant_value()
     return a * (Fraction(1) / lead)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial, var: Optional[str] = None) -> Polynomial:
-    var = _univar(a * b, var)
+    var = _univar(var, a, b)
     while not b.is_zero():
         a, b = b, poly_mod(a, b, var)
     return poly_monic(a, var) if not a.is_zero() else a
@@ -232,7 +234,7 @@ def poly_gcd(a: Polynomial, b: Polynomial, var: Optional[str] = None) -> Polynom
 
 def poly_xgcd(a: Polynomial, b: Polynomial, var: Optional[str] = None):
     """(g, u, v) with u·a + v·b = g, g monic."""
-    var = _univar(a * b, var)
+    var = _univar(var, a, b)
     r0, r1 = a, b
     u0, u1 = Polynomial.const(1), Polynomial()
     v0, v1 = Polynomial(), Polynomial.const(1)
@@ -249,7 +251,7 @@ def poly_xgcd(a: Polynomial, b: Polynomial, var: Optional[str] = None):
 
 
 def poly_inverse_mod(a: Polynomial, g: Polynomial, var: Optional[str] = None) -> Polynomial:
-    var = _univar(a * g, var)
+    var = _univar(var, a, g)
     d, u, _ = poly_xgcd(a, g, var)
     if d != Polynomial.const(1):
         raise InputError("polynomial is not invertible modulo the ideal")

@@ -6,7 +6,9 @@ circles (closed components, carrying the labels fused into them) and arcs
 sequence records every intermediate slice together with the local move
 taken between consecutive levels; ``validate`` replays every move and
 compares, ``boundary_trace`` reads the attaching word back out of the
-circulation letters.
+circulation letters.  The piece builders apply each move once as they
+record it, so their output is validated at build time and is not replayed
+again; hand-made or copied sequences are replayed before they are read.
 
 Readout convention: every builder registers its relator strands in the
 cyclic order of the attaching curve.  A positively labelled strand
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from .words import InputError, Word, format_word, invert, parse_word, reduce
+from .words import InputError, Word, format_word, invert, reduce
 from . import criterion as crit
 from .words import commutator as comm_word
 
@@ -42,7 +44,7 @@ class Circle:
 class Arc:
     left: str
     right: str
-    trace: Word = Word()
+    trace: Tuple[int, ...] = ()
 
 
 Component = Union[Circle, Arc]
@@ -176,13 +178,12 @@ def apply_move(components: Tuple[Component, ...], m: LocalMove) -> Tuple[Compone
     elif isinstance(m, CirculateStep):
         a = at(m.index, Arc)
         _need(m.letter != 0, "circulation letter must be nonzero")
-        cs[m.index] = Arc(a.left, a.right, Word(tuple(a.trace) + (m.letter,)))
+        cs[m.index] = Arc(a.left, a.right, a.trace + (m.letter,))
     elif isinstance(m, MergeArcs):
         a = at(m.index, Arc)
         b = at(m.other, Arc)
         _need(m.other != m.index, "merge needs two distinct arcs")
-        trace = Word(tuple(a.trace) + tuple(b.trace))
-        merged = Arc(a.left, a.right if m.absorb else b.right, trace)
+        merged = Arc(a.left, a.right if m.absorb else b.right, a.trace + b.trace)
         lo, hi = sorted((m.index, m.other))
         cs[lo] = merged
         del cs[hi]
@@ -235,6 +236,8 @@ class SliceSequence:
     slices: Tuple[Slice, ...]
     moves: Tuple[LocalMove, ...]
     readout: Tuple[ReadoutStrand, ...] = ()
+    # Set by _Builder.done only: every move was applied as it was recorded.
+    _built: bool = field(default=False, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -271,10 +274,12 @@ def inverse_trace(w) -> Word:
 
 def boundary_trace(seq: SliceSequence) -> Word:
     """Concatenate the strand contributions in attaching-curve order and
-    freely reduce.  Requires a validated sequence."""
-    v = validate(seq)
-    if not v:
-        raise SliceError("sequence invalid at slice %s: %s" % (v.index, v.reason))
+    freely reduce.  Builder output was validated at build time; any other
+    sequence is replayed first and rejected if it does not validate."""
+    if not seq._built:
+        v = validate(seq)
+        if not v:
+            raise SliceError("sequence invalid at slice %s: %s" % (v.index, v.reason))
     collected: dict[str, list[int]] = {}
     for m in seq.moves:
         if isinstance(m, CirculateStep):
@@ -305,7 +310,9 @@ class _Builder:
         self.slices.append(Slice(len(self.slices), self.components))
 
     def done(self, readout=()) -> SliceSequence:
-        return SliceSequence(tuple(self.slices), tuple(self.moves), tuple(readout))
+        seq = SliceSequence(tuple(self.slices), tuple(self.moves), tuple(readout))
+        object.__setattr__(seq, "_built", True)
+        return seq
 
 
 # --- piece builders -------------------------------------------------------
@@ -459,7 +466,7 @@ def connect(pieces) -> SliceSequence:
     if not pieces:
         raise InputError("connect needs at least one piece")
     for p in pieces:
-        if not validate(p):
+        if not p._built and not validate(p):
             raise SliceError("connect requires validated pieces")
     b = _Builder()
     b.push(BirthCircle(("root",)))

@@ -9,13 +9,14 @@ symbolic expansion shows where multiplicativity of that product breaks.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ring import Polynomial, parse_scalar, poly_gcd, poly_inverse_mod, poly_mod
-from .words import InputError
+from .words import InputError, _content_lines, _line_ints
 
 Value = Union[Fraction, Polynomial]
 Triple = Tuple[int, int, int]
@@ -284,18 +285,15 @@ def parse_table(text: str) -> ThreeJTable:
     an indeterminate name."""
     rows: List[Tuple[Triple, Value]] = []
     top = -1
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        parts = [p.strip() for p in ln.split(",")]
+    for lineno, parts in _content_lines(text, ","):
         if len(parts) != 4:
-            raise InputError("3j line needs a,b,c,value: %r" % ln)
+            raise InputError("line %d: 3j line needs a,b,c,value" % lineno)
+        a, b, c = _line_ints(lineno, parts[:3])
         try:
-            a, b, c = (int(p) for p in parts[:3])
-        except ValueError:
-            raise InputError("bad colors in %r" % ln) from None
-        rows.append(((a, b, c), parse_scalar(parts[3])))
+            value = parse_scalar(parts[3])
+        except InputError as e:
+            raise InputError("line %d: %s" % (lineno, e)) from None
+        rows.append(((a, b, c), value))
         top = max(top, a, b, c)
     return complete_table(rows, max(top + 1, 1))
 
@@ -310,22 +308,53 @@ def parse_graph(text: str) -> TrivalentGraph:
     vertices: List[int] = []
     edges: List[Tuple[int, int]] = []
     circles = 0
-    for ln in text.splitlines():
-        ln = ln.split("#", 1)[0].strip()
-        if not ln:
-            continue
-        parts = ln.split()
+    for lineno, parts in _content_lines(text):
         if parts[0] == "v" and len(parts) == 2:
-            vertices.append(int(parts[1]))
+            vertices += _line_ints(lineno, parts[1:])
         elif parts[0] == "e" and len(parts) in (3, 5):
-            edges.append((int(parts[1]), int(parts[2])))
+            edges.append(tuple(_line_ints(lineno, parts[1:3])))
         elif parts[0] == "circle" and len(parts) == 1:
             circles += 1
         else:
-            raise InputError("bad graph line %r" % ln)
+            raise InputError("line %d: bad graph line %r" % (lineno, " ".join(parts)))
     return TrivalentGraph(tuple(vertices), tuple(edges), circles)
 
 
 def load_graph(path: str) -> TrivalentGraph:
     with open(path) as fh:
         return parse_graph(fh.read())
+
+
+def _graph_pairs(lineno: int, names: Sequence[str], base: str) -> Tuple[MovePair, ...]:
+    if len(names) % 2:
+        raise InputError("line %d: need before/after graph path pairs" % lineno)
+    graphs = [load_graph(os.path.join(base, n)) for n in names]
+    return tuple(zip(graphs[0::2], graphs[1::2]))
+
+
+def load_moves(path: str) -> Tuple[MovePair, ...]:
+    """One ``<before> <after>`` graph-path pair per line; paths resolve
+    against the file's directory."""
+    base = os.path.dirname(os.path.abspath(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    moves: List[MovePair] = []
+    for lineno, names in _content_lines(text):
+        if len(names) != 2:
+            raise InputError("line %d: move line needs two graph paths" % lineno)
+        moves += _graph_pairs(lineno, names, base)
+    return tuple(moves)
+
+
+def load_relations(path: str):
+    """``<pairs> = <pairs>`` per line, each side a run of before/after
+    graph-path pairs."""
+    base = os.path.dirname(os.path.abspath(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    relations = []
+    for lineno, sides in _content_lines(text, "="):
+        if len(sides) != 2:
+            raise InputError("line %d: relation line needs one '='" % lineno)
+        relations.append(tuple(_graph_pairs(lineno, side.split(), base) for side in sides))
+    return tuple(relations)

@@ -13,7 +13,7 @@ pushdown suffices.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class InputError(ValueError):
@@ -158,3 +158,19 @@ def max_generator(w: Iterable[int]) -> int:
 
 
 Letters = Tuple[int, ...]
+
+
+def _content_lines(text: str, sep: Optional[str] = None):
+    """(line number, fields) for each line left nonblank once its ``#``
+    comment is cut; fields split on whitespace, or on ``sep`` if given."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split(sep)
+
+
+def _line_ints(lineno: int, fields: Sequence[str]) -> List[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise InputError("line %d: expected integers, got %r" % (lineno, " ".join(fields))) from None

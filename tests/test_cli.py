@@ -151,8 +151,9 @@ def test_inv_playground_qmove_and_gauge(capsys):
     assert code == 0 and "verdict: Pass" in out
     code, out = _run(capsys, ["inv", "playground", "--seed", "4", "--gauge", "--type", "mer"])
     assert code == 0 and "verdict: Pass" in out
-    code, out = _run(capsys, ["inv", "playground", "--seed", "4", "--qmove", "twist R"])
-    assert code == 2
+    for bad in ("twist R", "prolong", "conj S ab", "inv R\ninv S"):
+        code, out = _run(capsys, ["inv", "playground", "--seed", "4", "--qmove", bad])
+        assert code == 2 and out.startswith("error: ")
 
 
 def test_inv_playground_obstruction_exit_3(capsys):
@@ -266,3 +267,46 @@ def test_csv_block_is_well_formed(capsys):
     lines = csv_part.splitlines()
     assert lines[0] == "key,value"
     assert all("," in ln for ln in lines[1:])
+
+
+def test_inv_statesum_zero_valued_move_with_polynomial_relation(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("0,0,0,S\n", encoding="utf-8")
+    (tmp_path / "empty.txt").write_text("# nothing\n", encoding="utf-8")
+    (tmp_path / "circle.txt").write_text("circle\n", encoding="utf-8")
+    # the second move leaves the state sum unchanged, so its value is 0
+    (tmp_path / "moves.txt").write_text("empty.txt circle.txt\ncircle.txt circle.txt\n", encoding="utf-8")
+    (tmp_path / "rels.txt").write_text("empty.txt circle.txt = circle.txt empty.txt\n", encoding="utf-8")
+    code, out = _run(
+        capsys,
+        [
+            "inv",
+            "statesum",
+            "--graphs",
+            str(tmp_path / "circle.txt"),
+            "--table",
+            str(tmp_path / "t.csv"),
+            "--moves",
+            str(tmp_path / "moves.txt"),
+            "--relations",
+            str(tmp_path / "rels.txt"),
+        ],
+    )
+    assert code == 0
+    assert "move invariant: 0" in out
+
+
+def test_malformed_graph_line_exits_2(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("0,0,0,1\n", encoding="utf-8")
+    (tmp_path / "g.txt").write_text("v 0\nv x\n", encoding="utf-8")
+    code, out = _run(
+        capsys, ["inv", "statesum", "--graphs", str(tmp_path / "g.txt"), "--table", str(tmp_path / "t.csv")]
+    )
+    assert code == 2
+    assert out.startswith("error: line 2: ")
+
+
+def test_malformed_backend_value_exits_2(tmp_path, capsys):
+    (tmp_path / "b.txt").write_text("p 101 d 1\ntok S2 x\n", encoding="utf-8")
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(tmp_path / "b.txt")])
+    assert code == 2
+    assert out.startswith("error: line 2: ")

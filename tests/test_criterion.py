@@ -285,3 +285,11 @@ def test_instance_requires_known_relator_names():
     )
     with pytest.raises(InputError):
         CriterionInstance(inst.k, inst.l, "R", "S", (bad_factor,))
+
+
+def test_build_instance_raises_if_the_draw_does_not_verify(monkeypatch):
+    import smovelab.criterion as criterion
+
+    monkeypatch.setattr(criterion, "verify", lambda inst: False)
+    with pytest.raises(RuntimeError):
+        criterion.build_instance(0)

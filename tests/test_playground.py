@@ -210,6 +210,20 @@ def test_dump_load_round_trip():
         load_backend("p 12 d 2\ntok S2 1 0 0 1\n")
 
 
+def test_load_backend_errors_name_the_line():
+    for text, lineno in (
+        ("# dump\np 101 d 1\ntok S2 x\n", 3),
+        ("p 101 d x\n", 1),
+        ("p 101 d -1\ntok S2 1\n", 1),
+        ("p 101 d 1\ntok S2 2\ntok cell:a 1 2\n", 3),
+        ("\n\n", 1),
+    ):
+        with pytest.raises(InputError, match="^line %d: " % lineno):
+            load_backend(text)
+    with pytest.raises(InputError, match="S2"):
+        load_backend("p 101 d 1\ntok cell:a 3\n")
+
+
 def test_load_backend_rejects_noncommuting_or_singular():
     head = "p 5 d 2\n"
     singular = head + "tok S2 2 0 0 2\ntok cell:a 0 0 0 0\n"
@@ -409,3 +423,15 @@ def test_other_type_swaps():
     assert other_type(MERIDIAN) == LONGITUDINAL
     with pytest.raises(InputError):
         other_type("radial")
+
+
+def test_perturbed_invariant_raises_when_telescoping_fails(monkeypatch):
+    import smovelab.playground as playground
+
+    inst, b = _backend(5)
+    aseq = build_abstract(inst, LONGITUDINAL)
+    right = spel_product(aseq, b)
+    wrong = (right + modmat.identity(b.dim)) % b.p
+    monkeypatch.setattr(playground, "spel_product", lambda seq, backend: wrong)
+    with pytest.raises(RuntimeError, match="telescope"):
+        perturbed_invariant(aseq, b)

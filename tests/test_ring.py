@@ -155,3 +155,15 @@ def test_parse_scalar():
         parse_scalar("3x")
     with pytest.raises(InputError):
         parse_scalar("")
+
+
+def test_zero_operand_keeps_the_other_operands_variable():
+    t = Polynomial.var("t")
+    assert poly_divmod(Polynomial(), t - 1) == (Polynomial(), Polynomial())
+    assert poly_mod(Polynomial.const(3), t - 1) == Polynomial.const(3)
+    assert poly_gcd(Polynomial(), t - 1) == t - 1
+    assert poly_gcd(t**2 - 1, Polynomial()) == t**2 - 1
+    g, u, v = poly_xgcd(Polynomial(), 2 * t - 2)
+    assert g == t - 1 and u * Polynomial() + v * (2 * t - 2) == g
+    with pytest.raises(InputError):
+        poly_divmod(t, Polynomial.var("y") + 1)

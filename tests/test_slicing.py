@@ -351,3 +351,70 @@ def test_format_abstract_marks_perturbation():
     assert lines[1] == "slice 0: (empty)"
     assert "<- perturbation" in lines[4]
     assert "S2 S2" in lines[2]
+
+
+def _built_pieces():
+    r, s = parse_word("abA"), parse_word("bb")
+    return {
+        "bag": (slice_bag(r), Word()),
+        "bag identify": (slice_bag(r, identify=True), Word()),
+        "inverse pair": (slice_inverse_pair(r), Word()),
+        "commutator R": (slice_commutator(r, s, dominant="R"), parse_word("abAbbaBABB")),
+        "commutator S": (slice_commutator(r, s, dominant="S"), parse_word("abAbbaBABB")),
+        "product": (slice_product(r, s), parse_word("abABB")),
+        "connect": (
+            connect([slice_product(r, s), slice_commutator(r, s, identify=True)]),
+            parse_word("abABBabAbbaBABB"),
+        ),
+    }
+
+
+def test_builder_output_is_read_without_replay(monkeypatch):
+    import dataclasses
+
+    import smovelab.slicing as slicing
+
+    pieces = _built_pieces()
+    replayed = {name: boundary_trace(dataclasses.replace(seq)) for name, (seq, _) in pieces.items()}
+    calls = []
+    real = slicing.apply_move
+    monkeypatch.setattr(slicing, "apply_move", lambda cs, m: calls.append(m) or real(cs, m))
+    for name, (seq, want) in pieces.items():
+        assert boundary_trace(seq) == want == replayed[name], name
+    assert calls == []
+
+
+def test_connect_does_not_revalidate_built_pieces(monkeypatch):
+    import smovelab.slicing as slicing
+
+    pieces = [slice_bag(parse_word("ab")), slice_product(parse_word("a"), parse_word("b"))]
+
+    def refuse(seq):
+        raise AssertionError("built piece was replayed")
+
+    monkeypatch.setattr(slicing, "validate", refuse)
+    assert boundary_trace(connect(pieces)) == parse_word("aB")
+
+
+def test_copies_of_builder_output_are_replayed():
+    import dataclasses
+
+    seq = slice_commutator(parse_word("ab"), parse_word("b"))
+    copy = dataclasses.replace(seq)
+    assert copy == seq and repr(copy) == repr(seq)
+    assert "_built" not in repr(seq)
+    with pytest.raises(SliceError):
+        boundary_trace(dataclasses.replace(seq, moves=seq.moves[:-1]))
+    with pytest.raises(SliceError):
+        connect([dataclasses.replace(seq, moves=seq.moves[:-1])])
+    bad = list(seq.slices)
+    bad[4] = Slice(4, ())
+    with pytest.raises(SliceError):
+        boundary_trace(dataclasses.replace(seq, slices=tuple(bad)))
+
+
+def test_arc_traces_are_plain_int_tuples():
+    seq = slice_product(parse_word("ab"), parse_word("a"))
+    traces = [c.trace for sl in seq.slices for c in sl.components if isinstance(c, Arc)]
+    assert traces and all(type(t) is tuple for t in traces)
+    assert (1, 2) in traces and (1, 2, -1) in traces

@@ -17,6 +17,8 @@ from smovelab.statesum import (
     invariant,
     isomorphic,
     load_graph,
+    load_moves,
+    load_relations,
     load_table,
     move_value,
     nonmult_check,
@@ -254,3 +256,47 @@ def test_parse_errors():
         parse_graph("v 0\ne 0\n")
     with pytest.raises(InputError):
         parse_graph("w 1\n")
+
+
+def test_ideal_reduce_zero_value_by_polynomial_generator():
+    t = Polynomial.var("t")
+    assert ideal_reduce(Fraction(0), [t - 1]) == Polynomial()
+    assert ideal_reduce(Polynomial(), [2 * t - 2, t**2 - 1]) == Polynomial()
+
+
+def test_parse_errors_name_the_line():
+    for parse, text, lineno in (
+        (parse_table, "# head\n0,0,0,1\n0,0\n", 3),
+        (parse_table, "0,0,0,1\n\nx,0,0,1\n", 3),
+        (parse_table, "0,0,0,1 2\n", 1),
+        (parse_graph, "v 0\nv x\n", 2),
+        (parse_graph, "v 0\n# c\ne 0 y\n", 3),
+        (parse_graph, "circle\nw 1\n", 2),
+    ):
+        with pytest.raises(InputError, match="^line %d: " % lineno):
+            parse(text)
+
+
+def test_load_moves_and_relations(tmp_path):
+    (tmp_path / "e.g").write_text("", encoding="utf-8")
+    (tmp_path / "c.g").write_text("circle\n", encoding="utf-8")
+    moves = tmp_path / "moves.txt"
+    moves.write_text("# chain\ne.g c.g\nc.g e.g  # back\n", encoding="utf-8")
+    assert load_moves(str(moves)) == ((_EMPTY, _CIRCLE), (_CIRCLE, _EMPTY))
+    rels = tmp_path / "rels.txt"
+    rels.write_text("e.g c.g c.g e.g = c.g e.g\n=\n", encoding="utf-8")
+    assert load_relations(str(rels)) == (
+        (((_EMPTY, _CIRCLE), (_CIRCLE, _EMPTY)), ((_CIRCLE, _EMPTY),)),
+        ((), ()),
+    )
+    for loader, text, lineno in (
+        (load_moves, "e.g c.g\ne.g\n", 2),
+        (load_moves, "\ne.g c.g e.g\n", 2),
+        (load_relations, "e.g c.g\n", 1),
+        (load_relations, "e.g c.g = c.g\n", 1),
+        (load_relations, "e.g c.g = c.g e.g = e.g c.g\n", 1),
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="^line %d: " % lineno):
+            loader(str(bad))
