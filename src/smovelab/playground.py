@@ -87,6 +87,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_field(p: int, d: int):
+    """p prime and every d×d product of residues exact in int64: one entry
+    of ``a @ b`` sums d terms below (p-1)², so d·(p-1)² must stay below
+    2^63.  The bound is checked first; it also keeps the trial division
+    in ``is_prime`` short."""
+    if d < 1:
+        raise InputError("dimension must be positive")
+    if p >= 2 and d * (p - 1) ** 2 >= 2**63:
+        raise InputError(
+            "p = %d with d = %d overflows int64 matrix products: need d*(p-1)^2 < 2^63" % (p, d)
+        )
+    if not is_prime(p):
+        raise InputError("p must be prime, got %d" % p)
+
+
 @dataclass(frozen=True)
 class Backend:
     p: int
@@ -109,10 +124,7 @@ class Backend:
         return self.assignment[lab]
 
     def check(self):
-        if not is_prime(self.p):
-            raise InputError("p must be prime, got %d" % self.p)
-        if self.dim < 1:
-            raise InputError("dimension must be positive")
+        _check_field(self.p, self.dim)
         mats = [self.assignment[k] for k in sorted(self.assignment)]
         for m in mats:
             modmat.inverse(m, self.p)  # raises when singular
@@ -139,10 +151,7 @@ def make_backend(
     (the vacuous-perturbation control); ``alias=False`` keys matrices by
     raw words, deliberately breaking Z(V) = Z(V⁻¹) for negative tests.
     """
-    if not is_prime(p):
-        raise InputError("p must be prime, got %d" % p)
-    if d < 1:
-        raise InputError("dimension must be positive")
+    _check_field(p, d)
     rng = random.Random(seed)
     base = None
     if family == POLY_IN_M:
@@ -499,14 +508,16 @@ def load_backend(text: str) -> Backend:
     if len(head) != 4 or head[0] != "p" or head[2] != "d":
         raise InputError("line %d: backend dump must start with 'p <p> d <d>'" % lineno)
     p, d = _line_ints(lineno, (head[1], head[3]))
-    if d < 1:
-        raise InputError("line %d: dimension must be positive" % lineno)
+    try:
+        _check_field(p, d)
+    except InputError as e:
+        raise InputError("line %d: %s" % (lineno, e)) from None
     assignment: Dict[str, np.ndarray] = {}
     for lineno, parts in lines:
         if parts[0] != "tok" or len(parts) != 2 + d * d:
             raise InputError("line %d: bad backend line" % lineno)
-        vals = np.array(_line_ints(lineno, parts[2:]), dtype=np.int64).reshape(d, d)
-        assignment[parts[1]] = vals % p
+        vals = [x % p for x in _line_ints(lineno, parts[2:])]  # reduced before int64 holds them
+        assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
     if SPHERE_LABEL not in assignment:
         raise InputError("backend dump has no %s token" % SPHERE_LABEL)
     b = Backend(p, d, "loaded", assignment)

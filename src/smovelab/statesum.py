@@ -10,9 +10,10 @@ symbolic expansion shows where multiplicativity of that product breaks.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ring import Polynomial, parse_scalar, poly_gcd, poly_inverse_mod, poly_mod
@@ -82,15 +83,48 @@ class TrivalentGraph:
         return len(self.edges) + self.circles
 
 
+def _refine(adj: Sequence[Sequence[int]], colour: Sequence[int]) -> List[int]:
+    """Colour refinement to a stable partition.  A vertex's new colour is
+    the rank of (old colour, sorted neighbour colours), with a neighbour
+    listed once per edge end, so colours depend on structure alone and
+    cells keep their order."""
+    cells = len(set(colour))
+    while True:
+        sig = [(colour[v], tuple(sorted(colour[u] for u in nbrs))) for v, nbrs in enumerate(adj)]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        colour = [rank[s] for s in sig]
+        if len(rank) == cells:
+            return colour
+        cells = len(rank)
+
+
 def certificate(g: TrivalentGraph):
-    """Brute-force canonical form under vertex relabeling (desk scale)."""
-    n = len(g.vertices)
+    """Canonical form under vertex relabeling: refine colours, then branch
+    on every vertex of the first non-singleton cell and refine again
+    (individualisation-refinement, as in McKay & Piperno's nauty/Traces).
+    Each discrete leaf orders the vertices; the least relabelled edge list
+    over all leaves is the form."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(index)
+    edges = [(index[a], index[b]) for a, b in g.edges]
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
     best = None
-    for perm in permutations(range(n)):
-        relabel = {v: perm[i] for i, v in enumerate(g.vertices)}
-        edges = tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in g.edges))
-        if best is None or edges < best:
-            best = edges
+    stack = [_refine(adj, [0] * n)]
+    while stack:
+        colour = stack.pop()
+        sizes = Counter(colour)
+        split = min((c for c, k in sizes.items() if k > 1), default=None)
+        if split is None:
+            form = tuple(sorted((min(colour[a], colour[b]), max(colour[a], colour[b])) for a, b in edges))
+            if best is None or form < best:
+                best = form
+            continue
+        for v in range(n):
+            if colour[v] == split:
+                stack.append(_refine(adj, [2 * c + (u != v) for u, c in enumerate(colour)]))
     return (n, best or (), g.circles, g.points)
 
 
@@ -117,11 +151,91 @@ def eval_coloring(g: TrivalentGraph, coloring: Sequence[int], t: ThreeJTable) ->
     return total
 
 
+def _exact(v: Value) -> Value:
+    """An integral Fraction as an int: sums over integer tables then run
+    on ints, several times faster than Fraction arithmetic."""
+    return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+
+
+_Factor = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], Value]]
+
+
+def _multiply(f: _Factor, h: _Factor) -> _Factor:
+    """Pointwise product over the union of the two scopes."""
+    (fs, ft), (hs, ht) = f, h
+    shared = [j for j, e in enumerate(hs) if e in fs]
+    at = [fs.index(hs[j]) for j in shared]
+    rest = [j for j, e in enumerate(hs) if e not in fs]
+    by_shared: Dict[Tuple[int, ...], list] = {}
+    for key, val in ht.items():
+        by_shared.setdefault(tuple(key[j] for j in shared), []).append((tuple(key[j] for j in rest), val))
+    out = {}
+    for key, val in ft.items():
+        for tail, other in by_shared.get(tuple(key[i] for i in at), ()):
+            out[key + tail] = val * other
+    return fs + tuple(hs[j] for j in rest), out
+
+
+def _sum_out(f: _Factor, e: int) -> _Factor:
+    scope, table = f
+    i = scope.index(e)
+    out: Dict[Tuple[int, ...], Value] = {}
+    for key, val in table.items():
+        k = key[:i] + key[i + 1 :]
+        out[k] = out[k] + val if k in out else val
+    return scope[:i] + scope[i + 1 :], {k: v for k, v in out.items() if v != 0}
+
+
 def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
-    total: Value = Fraction(0)
-    for coloring in product(range(t.color_count), repeat=g.slots()):
-        total = total + eval_coloring(g, coloring, t)
-    return total
+    """Sum over all edge/circle colorings of the vertex-weight product,
+    by variable elimination: one sparse factor per vertex (a dict from
+    the colours of its distinct edges to a nonzero weight), then edges
+    summed out one at a time, cheapest merged scope first (Markov & Shi,
+    arXiv:quant-ph/0511069).  The result is a Polynomial exactly when
+    some coloring meets a polynomial table entry, as with enumeration."""
+    colors = range(t.color_count)
+    symbolic = False
+    templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Value]] = {}
+    factors: List[_Factor] = []
+    ends: Dict[int, List[int]] = {v: [] for v in g.vertices}
+    for i, (a, b) in enumerate(g.edges):
+        ends[a].append(i)
+        ends[b].append(i)
+    for v in g.vertices:
+        scope = tuple(sorted(set(ends[v])))
+        pattern = tuple(scope.index(e) for e in sorted(ends[v]))  # a loop repeats an index
+        if pattern not in templates:
+            weights = {}
+            for key in product(colors, repeat=len(scope)):
+                w = t.lookup(*(key[j] for j in pattern))
+                symbolic = symbolic or isinstance(w, Polynomial)
+                if w != 0:
+                    weights[key] = _exact(w)
+            templates[pattern] = weights
+        factors.append((scope, templates[pattern]))
+    remaining = set(range(len(g.edges)))
+    while remaining:
+        e = min(remaining, key=lambda e: (len({x for s, _ in factors if e in s for x in s}), e))
+        remaining.discard(e)
+        touching = [f for f in factors if e in f[0]]
+        factors = [f for f in factors if e not in f[0]]
+        joint = touching[0]
+        for f in touching[1:]:
+            joint = _multiply(joint, f)
+        factors.append(_sum_out(joint, e))
+    total: Value = 1
+    for _, table in factors:
+        total = total * table.get((), 0)
+    if g.circles:
+        loop_sum: Value = 0
+        for c in colors:
+            w = t.lookup(c, c, c)
+            symbolic = symbolic or isinstance(w, Polynomial)
+            loop_sum = loop_sum + _exact(w)
+        total = total * loop_sum**g.circles
+    if symbolic:
+        return total if isinstance(total, Polynomial) else Polynomial.const(total)
+    return Fraction(total)
 
 
 def wedge(g1: TrivalentGraph, g2: TrivalentGraph, t: Optional[ThreeJTable] = None) -> TrivalentGraph:
@@ -155,13 +269,6 @@ class MoveSequence:
     relations: Tuple[Tuple[Tuple[MovePair, ...], Tuple[MovePair, ...]], ...] = ()
 
 
-def _moves_product(moves: Sequence[MovePair], t: ThreeJTable) -> Value:
-    total: Value = Fraction(1)
-    for before, after in moves:
-        total = total * move_value(before, after, t)
-    return total
-
-
 def ideal_reduce(value: Value, generators: Sequence[Value]) -> Value:
     """Reduce modulo the ideal the generators span: numeric generators
     collapse everything to 0 unless all vanish; univariate polynomial
@@ -192,11 +299,19 @@ def invariant(ms: MoveSequence, t: ThreeJTable) -> Value:
     for k in range(len(ms.moves) - 1):
         if not isomorphic(ms.moves[k][1], ms.moves[k + 1][0]):
             raise InputError("move list breaks the chain at step %d" % k)
-    total = _moves_product(ms.moves, t)
-    generators = [
-        _moves_product(a, t) - _moves_product(b, t) for a, b in ms.relations
-    ]
-    return ideal_reduce(total, generators)
+    sums: Dict[TrivalentGraph, Value] = {}  # a graph recurs across moves and relations
+
+    def moves_product(moves: Sequence[MovePair]) -> Value:
+        total: Value = Fraction(1)
+        for before, after in moves:
+            for g in (before, after):
+                if g not in sums:
+                    sums[g] = state_sum(g, t)
+            total = total * (sums[after] - sums[before])
+        return total
+
+    generators = [moves_product(a) - moves_product(b) for a, b in ms.relations]
+    return ideal_reduce(moves_product(ms.moves), generators)
 
 
 # --- the non-multiplicativity computation ----------------------------------
@@ -298,9 +413,18 @@ def parse_table(text: str) -> ThreeJTable:
     return complete_table(rows, max(top + 1, 1))
 
 
+def _read(path: str, parse):
+    """``parse`` applied to the file's text; an input error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except InputError as e:
+        raise InputError("%s: %s" % (path, e)) from None
+
+
 def load_table(path: str) -> ThreeJTable:
-    with open(path) as fh:
-        return parse_table(fh.read())
+    return _read(path, parse_table)
 
 
 def parse_graph(text: str) -> TrivalentGraph:
@@ -321,40 +445,45 @@ def parse_graph(text: str) -> TrivalentGraph:
 
 
 def load_graph(path: str) -> TrivalentGraph:
-    with open(path) as fh:
-        return parse_graph(fh.read())
+    return _read(path, parse_graph)
 
 
-def _graph_pairs(lineno: int, names: Sequence[str], base: str) -> Tuple[MovePair, ...]:
-    if len(names) % 2:
-        raise InputError("line %d: need before/after graph path pairs" % lineno)
+def _load_pairs(path: str, names: Sequence[str]) -> Tuple[MovePair, ...]:
+    base = os.path.dirname(os.path.abspath(path))
     graphs = [load_graph(os.path.join(base, n)) for n in names]
     return tuple(zip(graphs[0::2], graphs[1::2]))
+
+
+def _parse_moves(text: str) -> List[str]:
+    names: List[str] = []
+    for lineno, fields in _content_lines(text):
+        if len(fields) != 2:
+            raise InputError("line %d: move line needs two graph paths" % lineno)
+        names += fields
+    return names
 
 
 def load_moves(path: str) -> Tuple[MovePair, ...]:
     """One ``<before> <after>`` graph-path pair per line; paths resolve
     against the file's directory."""
-    base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    moves: List[MovePair] = []
-    for lineno, names in _content_lines(text):
-        if len(names) != 2:
-            raise InputError("line %d: move line needs two graph paths" % lineno)
-        moves += _graph_pairs(lineno, names, base)
-    return tuple(moves)
+    return _load_pairs(path, _read(path, _parse_moves))
+
+
+def _parse_relations(text: str) -> List[Tuple[List[str], List[str]]]:
+    relations = []
+    for lineno, sides in _content_lines(text, "="):
+        if len(sides) != 2:
+            raise InputError("line %d: relation line needs one '='" % lineno)
+        names = tuple(side.split() for side in sides)
+        if any(len(side) % 2 for side in names):
+            raise InputError("line %d: need before/after graph path pairs" % lineno)
+        relations.append(names)
+    return relations
 
 
 def load_relations(path: str):
     """``<pairs> = <pairs>`` per line, each side a run of before/after
     graph-path pairs."""
-    base = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    relations = []
-    for lineno, sides in _content_lines(text, "="):
-        if len(sides) != 2:
-            raise InputError("line %d: relation line needs one '='" % lineno)
-        relations.append(tuple(_graph_pairs(lineno, side.split(), base) for side in sides))
-    return tuple(relations)
+    return tuple(
+        tuple(_load_pairs(path, side) for side in sides) for sides in _read(path, _parse_relations)
+    )

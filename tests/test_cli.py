@@ -302,7 +302,54 @@ def test_malformed_graph_line_exits_2(tmp_path, capsys):
         capsys, ["inv", "statesum", "--graphs", str(tmp_path / "g.txt"), "--table", str(tmp_path / "t.csv")]
     )
     assert code == 2
-    assert out.startswith("error: line 2: ")
+    assert out.startswith("error: %s: line 2: " % (tmp_path / "g.txt"))
+
+
+def test_bad_graph_named_in_a_moves_file_names_that_graph_file(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("0,0,0,1\n", encoding="utf-8")
+    (tmp_path / "c.g").write_text("circle\n", encoding="utf-8")
+    (tmp_path / "bad.g").write_text("v 0\n# ports\n\ne 0 x\n", encoding="utf-8")
+    (tmp_path / "moves.txt").write_text("c.g bad.g\n", encoding="utf-8")
+    argv = ["inv", "statesum", "--graphs", str(tmp_path / "c.g"), "--table", str(tmp_path / "t.csv")]
+    code, out = _run(capsys, argv + ["--moves", str(tmp_path / "moves.txt")])
+    assert code == 2
+    assert out == "error: %s: line 4: expected integers, got '0 x'\n" % (tmp_path / "bad.g")
+    (tmp_path / "moves.txt").write_text("c.g c.g\nc.g\n", encoding="utf-8")
+    code, out = _run(capsys, argv + ["--moves", str(tmp_path / "moves.txt")])
+    assert code == 2
+    assert out.startswith("error: %s: line 2: " % (tmp_path / "moves.txt"))
+    (tmp_path / "t.csv").write_text("0,0,0,1\n0,0\n", encoding="utf-8")
+    code, out = _run(capsys, argv)
+    assert code == 2
+    assert out.startswith("error: %s: line 2: " % (tmp_path / "t.csv"))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--p", "4294967311"],
+        ["--family", "poly", "--p", "2147483647"],
+        ["--d", "2", "--p", "3037000507"],
+    ],
+)
+def test_inv_playground_rejects_fields_that_overflow_int64(capsys, flags):
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1"] + flags)
+    assert code == 2
+    assert out.startswith("error: ") and "d*(p-1)^2 < 2^63" in out
+
+
+def test_inv_playground_backend_file_beyond_the_int64_bound_exits_2(tmp_path, capsys):
+    for p in (4294967311, 2**64 + 13):
+        (tmp_path / "b.txt").write_text("p %d d 1\ntok S2 5\n" % p, encoding="utf-8")
+        code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(tmp_path / "b.txt")])
+        assert code == 2
+        assert out.startswith("error: line 1: ") and "d*(p-1)^2 < 2^63" in out
+
+
+def test_inv_playground_large_dimension_below_the_bound_still_runs(capsys):
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--d", "32", "--p", "100003"])
+    assert code == 0 and out.startswith("invariant: ")
+    assert "p,100003" in out and "d,32" in out
 
 
 def test_malformed_backend_value_exits_2(tmp_path, capsys):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smovelab.ring import Polynomial
 from smovelab.statesum import (
@@ -35,6 +39,30 @@ _EMPTY = TrivalentGraph()
 _CIRCLE = TrivalentGraph(circles=1)
 _THETA = TrivalentGraph((0, 1), ((0, 1), (0, 1), (0, 1)))
 _DUMBBELL = TrivalentGraph((0, 1), ((0, 0), (0, 1), (1, 1)))
+
+
+_PRISM3 = TrivalentGraph(tuple(range(6)), ((0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)))
+_K33 = TrivalentGraph(tuple(range(6)), tuple((i, 3 + j) for i in range(3) for j in range(3)))
+
+
+def _brute_state_sum(g, t):
+    """Oracle: every edge/circle coloring, one at a time."""
+    total = Fraction(0)
+    for coloring in product(range(t.color_count), repeat=g.slots()):
+        total = total + eval_coloring(g, coloring, t)
+    return total
+
+
+def _brute_certificate(g):
+    """Oracle: the least sorted edge list over all n! relabelings."""
+    n = len(g.vertices)
+    best = None
+    for perm in permutations(range(n)):
+        relabel = {v: perm[i] for i, v in enumerate(g.vertices)}
+        edges = tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in g.edges))
+        if best is None or edges < best:
+            best = edges
+    return (n, best or (), g.circles, g.points)
 
 
 def _table01(v000=1, v111=1, **extra):
@@ -298,5 +326,136 @@ def test_load_moves_and_relations(tmp_path):
     ):
         bad = tmp_path / "bad.txt"
         bad.write_text(text, encoding="utf-8")
-        with pytest.raises(InputError, match="^line %d: " % lineno):
+        with pytest.raises(InputError, match="^%s: line %d: " % (re.escape(str(bad)), lineno)):
             loader(str(bad))
+
+
+# --- elimination and refinement against the brute-force oracles ----------------
+
+
+@st.composite
+def _graph_and_table(draw):
+    """A trivalent multigraph (loops, multi-edges, circles, scattered
+    vertex ids) from a random pairing of half-edges, with a table of
+    1-3 colours holding rationals, zeros, or polynomials in q.  The
+    slot count is capped so the brute-force sum stays near 10^3 colorings."""
+    k = draw(st.integers(1, 3))
+    budget = {1: 11, 2: 10, 3: 6}[k]
+    n = draw(st.sampled_from([n for n in (0, 2, 4, 6) if 3 * n // 2 <= budget]))
+    circles = draw(st.integers(0, min(2, budget - 3 * n // 2)))
+    ends = draw(st.permutations(range(3 * n)))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    edges = tuple((ids[ends[i] // 3], ids[ends[i + 1] // 3]) for i in range(0, 3 * n, 2))
+    value = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+    if draw(st.booleans()):
+        q = Polynomial.var("q")
+        value = st.one_of(value, st.builds(lambda a, b: a + b * q, value, value))
+    rows = [(tr, draw(value)) for tr in combinations_with_replacement(range(k), 3)]
+    return TrivalentGraph(tuple(ids), edges, circles), complete_table(rows, k)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(_graph_and_table())
+def test_state_sum_matches_enumeration_in_value_and_type(case):
+    g, t = case
+    got, want = state_sum(g, t), _brute_state_sum(g, t)
+    assert isinstance(got, Fraction) == isinstance(want, Fraction)
+    assert got == want
+
+
+def test_state_sum_with_zero_entries_and_parity_table():
+    # only even colour sums carry weight: zero entries prune whole branches
+    t = complete_table(
+        [((0, 0, 0), Fraction(1)), ((0, 1, 1), Fraction(2)), ((0, 0, 1), Fraction(0)), ((1, 1, 1), Fraction(0))], 2
+    )
+    for g in (_EMPTY, _CIRCLE, _THETA, _DUMBBELL, _PRISM3, _K33, wedge(_THETA, _DUMBBELL)):
+        got = state_sum(g, t)
+        assert isinstance(got, Fraction) and got == _brute_state_sum(g, t)
+    # an all-zero table gives an exact zero of the right type
+    zero = complete_table([], 2)
+    assert state_sum(_THETA, zero) == 0 and isinstance(state_sum(_THETA, zero), Fraction)
+    q = Polynomial.var("q")
+    symbolic_zero = complete_table([((0, 0, 0), q - q), ((1, 1, 1), Fraction(0))], 2)
+    got = state_sum(_THETA, symbolic_zero)
+    assert isinstance(got, Polynomial) and got.is_zero()
+
+
+def test_state_sum_of_a_large_prism_is_exact():
+    # 16-prism: 48 edges, 3**48 colorings; each vertex weight is 1 on
+    # colour triples of even sum, so the sum counts the cycle space mod 2
+    n = 16
+    edges = []
+    for i in range(n):
+        edges += [(i, (i + 1) % n), (n + i, n + (i + 1) % n), (i, n + i)]
+    g = TrivalentGraph(tuple(range(2 * n)), tuple(edges))
+    t = complete_table([((0, 0, 0), Fraction(1)), ((0, 1, 1), Fraction(1))], 2)
+    assert state_sum(g, t) == 2 ** (len(edges) - 2 * n + 1)
+
+
+def _labelled_trivalent(n):
+    """Every degree-3 multigraph on vertices 0..n-1 (loops allowed), each
+    once, as a sorted tuple of sorted edges."""
+    out, deg, edges = [], [3] * n, []
+
+    def grow():
+        v = next((i for i in range(n) if deg[i]), None)
+        if v is None:
+            out.append(tuple(edges))
+            return
+        lo = edges[-1][1] if edges and edges[-1][0] == v else v
+        for u in range(lo, n):
+            if deg[u] >= (2 if u == v else 1):
+                deg[v] -= 1
+                deg[u] -= 1
+                edges.append((v, u))
+                grow()
+                edges.pop()
+                deg[v] += 1
+                deg[u] += 1
+
+    grow()
+    return out
+
+
+def test_isomorphic_agrees_with_brute_force_on_every_graph_up_to_six_vertices():
+    rng = random.Random(6)
+    for n, classes in ((0, 1), (2, 2), (4, 8), (6, 31)):
+        remaining = set(_labelled_trivalent(n))
+        forms = []
+        while remaining:
+            edges = min(remaining)
+            g = TrivalentGraph(tuple(range(n)), edges)
+            brute = _brute_certificate(g)
+            # the n! relabelings of one graph: its whole isomorphism class
+            orbit = {tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges)) for p in permutations(range(n))}
+            assert brute == (n, min(orbit), 0, 0)
+            assert orbit <= remaining
+            remaining -= orbit
+            form = certificate(g)
+            members = sorted(orbit)
+            if len(members) > 24:  # the 4720 labelled 6-vertex graphs: 24 of each class
+                members = rng.sample(members, 24)
+            assert all(certificate(TrivalentGraph(tuple(range(n)), e)) == form for e in members)
+            forms.append(form)
+        assert len(forms) == classes
+        assert len(set(forms)) == len(forms)  # non-isomorphic graphs never share a form
+
+
+def test_isomorphic_on_relabelled_copies_and_prism_versus_k33():
+    rng = random.Random(5)
+    graphs = [_PRISM3, _K33, _THETA, _DUMBBELL, wedge(_THETA, _THETA), wedge(_PRISM3, _DUMBBELL)]
+    for g in graphs:
+        for _ in range(5):
+            ids = rng.sample(range(-100, 100), len(g.vertices))
+            new = dict(zip(g.vertices, ids))
+            edges = [(new[b], new[a]) if rng.random() < 0.5 else (new[a], new[b]) for a, b in g.edges]
+            rng.shuffle(edges)
+            copy = TrivalentGraph(tuple(sorted(ids)), tuple(edges), g.circles)
+            assert isomorphic(g, copy) and certificate(copy) == certificate(g)
+    # same degree sequence, both vertex-transitive, one has triangles
+    assert not isomorphic(_PRISM3, _K33)
+    brute = [_brute_certificate(g) for g in graphs]
+    assert brute[0] != brute[1]
+    for g1, b1 in zip(graphs, brute):
+        for g2, b2 in zip(graphs, brute):
+            assert isomorphic(g1, g2) == (b1 == b2)
