@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import criterion as crit
 from . import modmat
@@ -20,7 +20,7 @@ from . import playground as pg
 from . import presentations as pres
 from . import slicing
 from . import statesum as ss
-from .words import InputError, Word, commutator, format_word, invert, multiply, parse_word, reduce
+from .words import InputError, Word, _read, commutator, format_word, invert, multiply, parse_word, reduce
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -233,8 +233,7 @@ def _parse_qmove_spec(spec: str) -> pres.QMove:
 
 def _backend_for(args, *aseqs) -> pg.Backend:
     if getattr(args, "backend", None):
-        with open(args.backend, "r", encoding="utf-8") as fh:
-            return pg.load_backend(fh.read())
+        return _read(args.backend, pg.load_backend)
     labels = pg.collect_labels(*aseqs)
     return pg.make_backend(labels, p=args.p, d=args.d, seed=args.seed, family=args.family)
 
@@ -357,6 +356,8 @@ def cmd_demo_stabilization(args) -> Report:
 
 def cmd_test_three(args) -> Report:
     r = Report()
+    if args.pairs < 1:
+        raise InputError("--pairs must be at least 1")
     instances = [crit.build_instance(args.seed + i) for i in range(args.pairs)]
     k_side = [(inst, slicing.LONGITUDINAL) for inst in instances]
     l_side = [(inst, slicing.MERIDIAN) for inst in instances]
@@ -392,30 +393,27 @@ def _add_backend_args(sp):
     sp.add_argument("--dump-backend", help="write the backend used to this path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="smovelab", description=__doc__)
-    sub = ap.add_subparsers(dest="cmd", required=True)
+def _word_args(sp):
+    sp.add_argument("op", choices=("reduce", "invert", "multiply", "comm"))
+    sp.add_argument("words", nargs="+")
+    sp.set_defaults(fn=cmd_word)
 
-    w = sub.add_parser("word", help="free word operations")
-    w.add_argument("op", choices=("reduce", "invert", "multiply", "comm"))
-    w.add_argument("words", nargs="+")
-    w.set_defaults(fn=cmd_word)
 
-    p = sub.add_parser("pres", help="load a presentation and apply a moves file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--moves")
-    p.set_defaults(fn=cmd_pres)
+def _pres_args(sp):
+    sp.add_argument("--file", required=True)
+    sp.add_argument("--moves")
+    sp.set_defaults(fn=cmd_pres)
 
-    c = sub.add_parser("crit", help="criterion instance checks")
-    c.add_argument("action", choices=("verify", "residual", "gauge", "check"))
-    c.add_argument("--instance")
-    c.add_argument("--R", help="relator word for residual computations")
-    c.add_argument("--move", help="inv | mulr:<word> | conj:<letter>")
-    c.set_defaults(fn=cmd_crit)
 
-    s = sub.add_parser("slice", help="piece slicings")
-    ssub = s.add_subparsers(dest="what", required=True)
-    sp = ssub.add_parser("piece")
+def _crit_args(sp):
+    sp.add_argument("action", choices=("verify", "residual", "gauge", "check"))
+    sp.add_argument("--instance")
+    sp.add_argument("--R", help="relator word for residual computations")
+    sp.add_argument("--move", help="inv | mulr:<word> | conj:<letter>")
+    sp.set_defaults(fn=cmd_crit)
+
+
+def _slice_piece_args(sp):
     sp.add_argument("--type", required=True, choices=("bag", "invpair", "comm", "prod"))
     sp.add_argument("--R", required=True)
     sp.add_argument("--S")
@@ -423,60 +421,121 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dominant", choices=("R", "S"), default="R")
     sp.set_defaults(fn=cmd_slice)
 
-    sm = sub.add_parser("smove", help="abstract slice sequences")
-    smsub = sm.add_subparsers(dest="what", required=True)
-    sb = smsub.add_parser("build")
-    sb.add_argument("--type", required=True, choices=("long", "mer"))
-    sb.add_argument("--instance")
-    sb.add_argument("--seed", type=int, default=None)
-    sb.add_argument("--factors", type=int, default=2)
-    sb.set_defaults(fn=cmd_smove)
 
-    inv = sub.add_parser("inv", help="invariants")
-    invsub = inv.add_subparsers(dest="what", required=True)
-    ip = invsub.add_parser("playground")
-    ip.add_argument("--instance")
-    ip.add_argument("--type", choices=("long", "mer"), default="long")
-    ip.add_argument("--factors", type=int, default=2)
-    ip.add_argument("--qmove")
-    ip.add_argument("--gauge", action="store_true")
-    ip.add_argument("--obstruction", action="store_true")
-    _add_backend_args(ip)
-    ip.set_defaults(fn=cmd_inv_playground)
-    ist = invsub.add_parser("statesum")
-    ist.add_argument("--graphs", nargs="+", required=True)
-    ist.add_argument("--table", required=True)
-    ist.add_argument("--moves")
-    ist.add_argument("--relations")
-    ist.set_defaults(fn=cmd_inv_statesum)
+def _smove_build_args(sp):
+    sp.add_argument("--type", required=True, choices=("long", "mer"))
+    sp.add_argument("--instance")
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--factors", type=int, default=2)
+    sp.set_defaults(fn=cmd_smove)
 
-    d = sub.add_parser("demo", help="executable demonstrations")
-    dsub = d.add_subparsers(dest="what", required=True)
-    dn = dsub.add_parser("nonmult")
-    dn.add_argument("--table")
-    dn.set_defaults(fn=cmd_demo_nonmult)
-    dst = dsub.add_parser("stabilization")
-    dst.add_argument("--v", type=int, default=1)
-    _add_backend_args(dst)
-    dst.set_defaults(fn=cmd_demo_stabilization)
 
-    t = sub.add_parser("test", help="multi-part test protocols")
-    tsub = t.add_subparsers(dest="what", required=True)
-    tt = tsub.add_parser("three-tests")
-    tt.add_argument("--pairs", type=int, default=1)
-    tt.add_argument("--combine", choices=("product", "permsum"), default="product")
-    _add_backend_args(tt)
-    tt.set_defaults(fn=cmd_test_three)
+def _inv_playground_args(sp):
+    sp.add_argument("--instance")
+    sp.add_argument("--type", choices=("long", "mer"), default="long")
+    sp.add_argument("--factors", type=int, default=2)
+    sp.add_argument("--qmove")
+    sp.add_argument("--gauge", action="store_true")
+    sp.add_argument("--obstruction", action="store_true")
+    _add_backend_args(sp)
+    sp.set_defaults(fn=cmd_inv_playground)
 
+
+def _inv_statesum_args(sp):
+    sp.add_argument("--graphs", nargs="+", required=True)
+    sp.add_argument("--table", required=True)
+    sp.add_argument("--moves")
+    sp.add_argument("--relations")
+    sp.set_defaults(fn=cmd_inv_statesum)
+
+
+def _demo_nonmult_args(sp):
+    sp.add_argument("--table")
+    sp.set_defaults(fn=cmd_demo_nonmult)
+
+
+def _demo_stabilization_args(sp):
+    sp.add_argument("--v", type=int, default=1)
+    _add_backend_args(sp)
+    sp.set_defaults(fn=cmd_demo_stabilization)
+
+
+def _three_tests_args(sp):
+    sp.add_argument("--pairs", type=int, default=1)
+    sp.add_argument("--combine", choices=("product", "permsum"), default="product")
+    _add_backend_args(sp)
+    sp.set_defaults(fn=cmd_test_three)
+
+
+# The command tree: name -> (help, child).  A child is the function that
+# adds a leaf's arguments, or a nested table of subcommands.  Help is
+# None where a subcommand is not listed in its group's help.
+COMMANDS = {
+    "word": ("free word operations", _word_args),
+    "pres": ("load a presentation and apply a moves file", _pres_args),
+    "crit": ("criterion instance checks", _crit_args),
+    "slice": ("piece slicings", {"piece": (None, _slice_piece_args)}),
+    "smove": ("abstract slice sequences", {"build": (None, _smove_build_args)}),
+    "inv": (
+        "invariants",
+        {"playground": (None, _inv_playground_args), "statesum": (None, _inv_statesum_args)},
+    ),
+    "demo": (
+        "executable demonstrations",
+        {"nonmult": (None, _demo_nonmult_args), "stabilization": (None, _demo_stabilization_args)},
+    ),
+    "test": ("multi-part test protocols", {"three-tests": (None, _three_tests_args)}),
+}
+
+
+def _add_commands(parser, table, dest, path):
+    # When only the ``path`` parsers are built, the metavar keeps every
+    # name in the usage line that an unrecognised argument prints.  It is
+    # left unset otherwise: argparse also names a subcommand action by its
+    # metavar in "required" and "invalid choice" errors, which a complete
+    # path cannot raise.
+    metavar = "{%s}" % ",".join(table) if path else None
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in path[:1] or table:
+        help_text, child = table[name]
+        sp = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        if callable(child):
+            child(sp)
+        else:
+            _add_commands(sp, child, "what", path[1:])
+
+
+def _leaf_path(argv: Sequence[str]) -> Tuple[str, ...]:
+    """The command names that open ``argv`` when they reach a leaf of
+    ``COMMANDS`` (``("inv", "statesum")``), else ``()``."""
+    table, path = COMMANDS, []
+    for arg in argv:
+        if arg not in table:
+            break
+        path.append(arg)
+        child = table[arg][1]
+        if callable(child):
+            return tuple(path)
+        table = child
+    return ()
+
+
+def build_parser(path: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for the whole command tree or, given a leaf ``path``,
+    for the parsers along it only.  Both parse the path's argv alike and
+    print the same usage, help and error text for it."""
+    ap = argparse.ArgumentParser(prog="smovelab", description=__doc__)
+    _add_commands(ap, COMMANDS, "cmd", path)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_leaf_path(argv)).parse_args(argv)
     try:
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
         report = args.fn(args)
     except (InputError, crit.InvalidInstance, slicing.SliceError) as e:
         sys.stdout.write("error: %s\n" % e)

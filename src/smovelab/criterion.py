@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import presentations as pres
 from .presentations import Presentation, QMove, NielsenMove, apply_nielsen, apply_qmove
@@ -27,6 +27,7 @@ from .words import (
     InputError,
     Word,
     _content_lines,
+    _read,
     commutator,
     equal,
     format_word,
@@ -378,9 +379,7 @@ def format_decomposition(factors) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def parse_instance(text: str, base_dir: str = ".") -> CriterionInstance:
-    """Instance file: ``K <path>``, ``L <path>``, ``R <name>``, ``S <name>``,
-    ``decomp <path>`` (paths resolved against the instance file's directory)."""
+def _instance_fields(text: str) -> Dict[str, str]:
     fields = {}
     for lineno, parts in _content_lines(text):
         if len(parts) != 2 or parts[0] not in ("K", "L", "R", "S", "decomp"):
@@ -391,13 +390,23 @@ def parse_instance(text: str, base_dir: str = ".") -> CriterionInstance:
     missing = {"K", "L", "R", "S", "decomp"} - set(fields)
     if missing:
         raise InputError("instance file missing %s" % ", ".join(sorted(missing)))
+    return fields
+
+
+def _instance_from(fields: Dict[str, str], base_dir: str) -> CriterionInstance:
+    # Each named file is read on its own, so an error names the file that holds it.
     k = pres.load_presentation(os.path.join(base_dir, fields["K"]))
     l = pres.load_presentation(os.path.join(base_dir, fields["L"]))
-    with open(os.path.join(base_dir, fields["decomp"]), "r", encoding="utf-8") as fh:
-        factors = parse_decomposition(fh.read())
+    factors = _read(os.path.join(base_dir, fields["decomp"]), parse_decomposition)
     return CriterionInstance(k, l, fields["R"], fields["S"], factors)
 
 
+def parse_instance(text: str, base_dir: str = ".") -> CriterionInstance:
+    """Instance file: ``K <path>``, ``L <path>``, ``R <name>``, ``S <name>``,
+    ``decomp <path>`` (paths resolved against ``base_dir``)."""
+    return _instance_from(_instance_fields(text), base_dir)
+
+
 def load_instance(path) -> CriterionInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read(), os.path.dirname(os.path.abspath(path)))
+    """An instance file; its paths resolve against the file's directory."""
+    return _instance_from(_read(path, _instance_fields), os.path.dirname(os.path.abspath(path)))

@@ -28,6 +28,7 @@ from .words import (
     InputError,
     Word,
     _content_lines,
+    _read,
     format_word,
     invert,
     max_generator,
@@ -233,8 +234,7 @@ def format_presentation(p: Presentation) -> str:
 
 
 def load_presentation(path) -> Presentation:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_presentation(fh.read())
+    return _read(path, parse_presentation)
 
 
 def _one_letter(tok: str, lineno: int, positive=False) -> int:
@@ -278,5 +278,4 @@ def parse_moves(text: str):
 
 
 def load_moves(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_moves(fh.read())
+    return _read(path, parse_moves)

@@ -15,6 +15,8 @@ from .words import InputError
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     exps: Dict[str, int] = dict(a)
@@ -49,34 +51,48 @@ class Polynomial:
             raise InputError("negative exponent")
         return cls({((name, exp),): Fraction(1)}) if exp else cls.const(1)
 
+    @classmethod
+    def _of(cls, terms: Dict[Monomial, Fraction]) -> "Polynomial":
+        """Wrap terms already in canonical form but for zero coefficients."""
+        p = object.__new__(cls)
+        p.terms = {m: c for m, c in terms.items() if c}
+        return p
+
     # -- ring operations --
+    # Operands are canonical, so results are merged as they stand: no
+    # coefficient is re-wrapped and no monomial re-sorted.
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
         merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            merged[mono] = merged.get(mono, Fraction(0)) + c
-        return Polynomial(merged)
+        if isinstance(other, Polynomial):
+            for mono, c in other.terms.items():
+                merged[mono] = merged.get(mono, _ZERO) + c
+        else:
+            merged[()] = merged.get((), _ZERO) + other
+        return Polynomial._of(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({m: -c for m, c in self.terms.items()})
+        return Polynomial._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + -_operand(other)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return -self + _operand(other)
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if not isinstance(other, Polynomial):
+            return Polynomial._of({m: c * other for m, c in self.terms.items()})
         out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+                m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
+                out[m] = out.get(m, _ZERO) + c1 * c2
+        return Polynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -177,12 +193,16 @@ class Polynomial:
         return "Polynomial(%s)" % self
 
 
-def _coerce(v) -> Polynomial:
-    if isinstance(v, Polynomial):
+def _operand(v):
+    """``v`` itself if it is a polynomial or an exact scalar."""
+    if isinstance(v, (Polynomial, int, Fraction)):
         return v
-    if isinstance(v, (int, Fraction)):
-        return Polynomial.const(v)
     raise InputError("cannot coerce %r to a polynomial" % (v,))
+
+
+def _coerce(v) -> Polynomial:
+    v = _operand(v)
+    return v if isinstance(v, Polynomial) else Polynomial.const(v)
 
 
 # --- univariate toolkit -----------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ring import Polynomial, parse_scalar, poly_gcd, poly_inverse_mod, poly_mod
-from .words import InputError, _content_lines, _line_ints
+from .words import InputError, _content_lines, _line_ints, _read
 
 Value = Union[Fraction, Polynomial]
 Triple = Tuple[int, int, int]
@@ -411,16 +411,6 @@ def parse_table(text: str) -> ThreeJTable:
         rows.append(((a, b, c), value))
         top = max(top, a, b, c)
     return complete_table(rows, max(top + 1, 1))
-
-
-def _read(path: str, parse):
-    """``parse`` applied to the file's text; an input error names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse(text)
-    except InputError as e:
-        raise InputError("%s: %s" % (path, e)) from None
 
 
 def load_table(path: str) -> ThreeJTable:

@@ -169,6 +169,16 @@ def _content_lines(text: str, sep: Optional[str] = None):
             yield lineno, line.split(sep)
 
 
+def _read(path, parse):
+    """``parse`` applied to the file's text; an input error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except InputError as e:
+        raise InputError("%s: %s" % (path, e)) from None
+
+
 def _line_ints(lineno: int, fields: Sequence[str]) -> List[int]:
     try:
         return [int(f) for f in fields]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from smovelab import cli
@@ -189,6 +191,16 @@ def test_smove_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SMOVE_SEED", "not-a-number")
     code, out = _run(capsys, ["word", "reduce", "a"])  # commands without seeds ignore it
     assert code == 0
+    code, out = _run(capsys, ["smove", "build", "--type", "long"])
+    assert (code, out) == (2, "error: SMOVE_SEED must be an integer\n")
+    code, out = _run(capsys, ["smove", "build", "--type", "long", "--seed", "5"])  # an explicit seed wins
+    assert code == 0
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_three_tests_rejects_fewer_than_one_pair(capsys, pairs):
+    code, out = _run(capsys, ["test", "three-tests", "--pairs", pairs])
+    assert (code, out) == (2, "error: --pairs must be at least 1\n")
 
 
 def test_inv_statesum(tmp_path, capsys):
@@ -343,7 +355,7 @@ def test_inv_playground_backend_file_beyond_the_int64_bound_exits_2(tmp_path, ca
         (tmp_path / "b.txt").write_text("p %d d 1\ntok S2 5\n" % p, encoding="utf-8")
         code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(tmp_path / "b.txt")])
         assert code == 2
-        assert out.startswith("error: line 1: ") and "d*(p-1)^2 < 2^63" in out
+        assert out.startswith("error: %s: line 1: " % (tmp_path / "b.txt")) and "d*(p-1)^2 < 2^63" in out
 
 
 def test_inv_playground_large_dimension_below_the_bound_still_runs(capsys):
@@ -356,4 +368,214 @@ def test_malformed_backend_value_exits_2(tmp_path, capsys):
     (tmp_path / "b.txt").write_text("p 101 d 1\ntok S2 x\n", encoding="utf-8")
     code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(tmp_path / "b.txt")])
     assert code == 2
-    assert out.startswith("error: line 2: ")
+    assert out.startswith("error: %s: line 2: " % (tmp_path / "b.txt"))
+
+
+def test_presentation_instance_and_decomposition_errors_name_their_file(tmp_path, capsys):
+    _write_instance(tmp_path)
+    (tmp_path / "bad_p.txt").write_text("gens 2\nfoo bar\n", encoding="utf-8")
+    (tmp_path / "bad_m.txt").write_text("inv R\nspin R\n", encoding="utf-8")
+    (tmp_path / "bad_d.txt").write_text("factor wR=a\n", encoding="utf-8")
+    (tmp_path / "i_bad.txt").write_text("K K.txt\nQ x\n", encoding="utf-8")
+    (tmp_path / "i_bad_k.txt").write_text("K bad_p.txt\nL L.txt\nR R\nS S\ndecomp d.txt\n", encoding="utf-8")
+    (tmp_path / "i_bad_d.txt").write_text("K K.txt\nL L.txt\nR R\nS S\ndecomp bad_d.txt\n", encoding="utf-8")
+    cases = [
+        (["pres", "--file", str(tmp_path / "bad_p.txt")], "bad_p.txt", 2),
+        (["pres", "--file", str(tmp_path / "K.txt"), "--moves", str(tmp_path / "bad_m.txt")], "bad_m.txt", 2),
+        (["crit", "verify", "--instance", str(tmp_path / "i_bad.txt")], "i_bad.txt", 2),
+        (["crit", "verify", "--instance", str(tmp_path / "i_bad_k.txt")], "bad_p.txt", 2),
+        (["smove", "build", "--type", "mer", "--instance", str(tmp_path / "i_bad_d.txt")], "bad_d.txt", 1),
+    ]
+    for argv, name, lineno in cases:
+        code, out = _run(capsys, argv)
+        assert code == 2
+        assert out.startswith("error: %s: line %d: " % (tmp_path / name, lineno)), out
+
+
+# --- the parser: the whole tree, or only the argv's path ---------------------
+
+# (argv, exit code, stdout, stderr) from the parser that built the whole
+# tree on every call, at COLUMNS=80 with Python 3.11's argparse.
+_PARSER_GOLDENS = [
+    (
+        ["-h"],
+        0,
+        (
+            "usage: smovelab [-h] {word,pres,crit,slice,smove,inv,demo,test} ...\n"
+            "\n"
+            "Command-line front end. Every command prints a plain-text report followed by a\n"
+            "machine-readable CSV block behind a ``---csv---`` line. Exit codes: 0\n"
+            "pass/success, 1 fail/false, 2 input error, 3 obstructed. ``SMOVE_SEED``\n"
+            "supplies the default seed.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {word,pres,crit,slice,smove,inv,demo,test}\n"
+            "    word                free word operations\n"
+            "    pres                load a presentation and apply a moves file\n"
+            "    crit                criterion instance checks\n"
+            "    slice               piece slicings\n"
+            "    smove               abstract slice sequences\n"
+            "    inv                 invariants\n"
+            "    demo                executable demonstrations\n"
+            "    test                multi-part test protocols\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (
+        [],
+        2,
+        "",
+        (
+            "usage: smovelab [-h] {word,pres,crit,slice,smove,inv,demo,test} ...\n"
+            "smovelab: error: the following arguments are required: cmd\n"
+        ),
+    ),
+    (
+        ["inv", "-h"],
+        0,
+        (
+            "usage: smovelab inv [-h] {playground,statesum} ...\n"
+            "\n"
+            "positional arguments:\n"
+            "  {playground,statesum}\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+        ),
+        "",
+    ),
+    (
+        ["inv", "statesum", "-h"],
+        0,
+        (
+            "usage: smovelab inv statesum [-h] --graphs GRAPHS [GRAPHS ...] --table TABLE\n"
+            "                             [--moves MOVES] [--relations RELATIONS]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --graphs GRAPHS [GRAPHS ...]\n"
+            "  --table TABLE\n"
+            "  --moves MOVES\n"
+            "  --relations RELATIONS\n"
+        ),
+        "",
+    ),
+    (
+        ["inv", "statsum"],
+        2,
+        "",
+        (
+            "usage: smovelab inv [-h] {playground,statesum} ...\n"
+            "smovelab inv: error: argument what: invalid choice: "
+            "'statsum' (choose from 'playground', 'statesum')\n"
+        ),
+    ),
+    (
+        ["inv", "statesum", "--graphs", "g.txt"],
+        2,
+        "",
+        (
+            "usage: smovelab inv statesum [-h] --graphs GRAPHS [GRAPHS ...] --table TABLE\n"
+            "                             [--moves MOVES] [--relations RELATIONS]\n"
+            "smovelab inv statesum: error: the following arguments are required: --table\n"
+        ),
+    ),
+    (
+        ["word", "frob", "x"],
+        2,
+        "",
+        (
+            "usage: smovelab word [-h] {reduce,invert,multiply,comm} words [words ...]\n"
+            "smovelab word: error: argument op: invalid choice: 'frob' "
+            "(choose from 'reduce', 'invert', 'multiply', 'comm')\n"
+        ),
+    ),
+    (
+        ["word", "reduce", "ab", "--bogus"],
+        2,
+        "",
+        (
+            "usage: smovelab [-h] {word,pres,crit,slice,smove,inv,demo,test} ...\n"
+            "smovelab: error: unrecognized arguments: --bogus\n"
+        ),
+    ),
+    (
+        ["test", "three-tests", "--pairs", "x"],
+        2,
+        "",
+        (
+            "usage: smovelab test three-tests [-h] [--pairs PAIRS]\n"
+            "                                 [--combine {product,permsum}] [--seed SEED]\n"
+            "                                 [--p P] [--d D] [--family {diagonal,poly}]\n"
+            "                                 [--backend BACKEND]\n"
+            "                                 [--dump-backend DUMP_BACKEND]\n"
+            "smovelab test three-tests: error: argument --pairs: invalid int value: 'x'\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err", _PARSER_GOLDENS, ids=[" ".join(g[0]) or "<none>" for g in _PARSER_GOLDENS]
+)
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+_LEAF_ARGV = {
+    ("word",): ["word", "multiply", "ab", "BA", "ab"],
+    ("pres",): ["pres", "--file", "p.txt", "--moves", "m.txt"],
+    ("crit",): ["crit", "residual", "--R", "ab", "--move", "mulr:b"],
+    ("slice", "piece"): ["slice", "piece", "--type", "comm", "--R", "ab", "--S", "ba", "--dominant", "S", "--identify"],
+    ("smove", "build"): ["smove", "build", "--type", "long", "--seed", "5"],
+    ("inv", "playground"): ["inv", "playground", "--seed", "4", "--qmove", "inv R", "--p", "103", "--gauge"],
+    ("inv", "statesum"): ["inv", "statesum", "--graphs", "a.txt", "b.txt", "--table", "t.csv", "--moves", "m.txt"],
+    ("demo", "nonmult"): ["demo", "nonmult", "--table", "t.csv"],
+    ("demo", "stabilization"): ["demo", "stabilization", "--v", "2", "--p", "100003"],
+    ("test", "three-tests"): ["test", "three-tests", "--pairs", "2", "--combine", "permsum", "--family", "poly"],
+}
+
+
+def _leaves(table, prefix=()):
+    for name, (_, child) in table.items():
+        if callable(child):
+            yield prefix + (name,)
+        else:
+            yield from _leaves(child, prefix + (name,))
+
+
+def test_every_leaf_parses_alike_on_its_own_path():
+    assert sorted(_leaves(cli.COMMANDS)) == sorted(_LEAF_ARGV)
+    for path, argv in _LEAF_ARGV.items():
+        assert cli._leaf_path(argv) == path
+        assert cli.build_parser(path).parse_args(argv) == cli.build_parser().parse_args(argv)
+    for argv in ([], ["-h"], ["inv"], ["inv", "-h", "statesum"], ["inv", "statsum"], ["words", "reduce"]):
+        assert cli._leaf_path(argv) == ()
+
+
+def test_main_builds_only_the_parsers_on_the_argv_path(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["demo", "nonmult"]) == 0
+    assert built == ["smovelab", "smovelab demo", "smovelab demo nonmult"]
+    built.clear()
+    assert cli.main(["word", "reduce", "abBA"]) == 0
+    assert built == ["smovelab", "smovelab word"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["inv", "statsum"])
+    assert len(built) == 16  # a misspelt name gets the whole tree
+    capsys.readouterr()

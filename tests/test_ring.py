@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smovelab.ring import (
     Polynomial,
@@ -167,3 +169,129 @@ def test_zero_operand_keeps_the_other_operands_variable():
     assert g == t - 1 and u * Polynomial() + v * (2 * t - 2) == g
     with pytest.raises(InputError):
         poly_divmod(t, Polynomial.var("y") + 1)
+
+
+# --- the arithmetic kernel against naive term dicts --------------------------
+# The oracle keeps terms as {(exponent of q, exponent of r): coefficient},
+# combines them the schoolbook way, and hands the result to the public
+# constructor, which normalises whatever it is given.
+
+_VARS = ("q", "r")
+_coeffs = st.fractions(-4, 4, max_denominator=5)
+_scalars = st.one_of(st.integers(-5, 5), _coeffs)
+
+
+@st.composite
+def _sparse_polys(draw):
+    """A polynomial in q and r built through the constructor from raw
+    terms: zero coefficients, zero exponents, unsorted and repeated
+    monomials are all allowed in the input."""
+    raw = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        mono = tuple(zip(_VARS, exps))
+        if draw(st.booleans()):
+            mono = mono[::-1]
+        raw[mono] = draw(st.one_of(st.just(0), st.integers(-3, 3), _coeffs))
+    return Polynomial(raw)
+
+
+def _dense(p) -> dict:
+    if not isinstance(p, Polynomial):
+        return {(0, 0): Fraction(p)}
+    out = {}
+    for mono, c in p.terms.items():
+        exps = dict(mono)
+        out[tuple(exps.get(v, 0) for v in _VARS)] = c
+    return out
+
+
+def _from_dense(terms: dict) -> Polynomial:
+    return Polynomial({tuple(zip(_VARS, exps)): c for exps, c in terms.items()})
+
+
+def _naive_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return out
+
+
+def _naive_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+def _naive_pow(a: dict, e: int) -> dict:
+    out = {(0, 0): Fraction(1)}
+    for _ in range(e):
+        out = _naive_mul(out, a)
+    return out
+
+
+def _assert_canonical(p: Polynomial):
+    for mono, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert list(mono) == sorted(mono)
+        assert len({n for n, _ in mono}) == len(mono)
+        assert all(type(e) is int and e > 0 for _, e in mono)
+
+
+def _check(got, want_dense):
+    assert isinstance(got, Polynomial)
+    _assert_canonical(got)
+    want = _from_dense(want_dense)
+    assert got.terms == want.terms
+    assert got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_sparse_polys(), _sparse_polys(), _scalars, st.integers(0, 4))
+def test_ring_operations_match_naive_term_dicts(a, b, s, e):
+    da, db, ds = _dense(a), _dense(b), _dense(s)
+    _assert_canonical(a)
+    _check(a + b, _naive_add(da, db))
+    _check(a - b, _naive_add(da, {k: -c for k, c in db.items()}))
+    _check(-a, {k: -c for k, c in da.items()})
+    _check(a * b, _naive_mul(da, db))
+    _check(a**e, _naive_pow(da, e))
+    _check(a + s, _naive_add(da, ds))
+    _check(s + a, _naive_add(da, ds))
+    _check(a - s, _naive_add(da, {k: -c for k, c in ds.items()}))
+    _check(s - a, _naive_add(ds, {k: -c for k, c in da.items()}))
+    _check(a * s, _naive_mul(da, ds))
+    _check(s * a, _naive_mul(da, ds))
+    # equal values hash alike however they were reached
+    assert a + b == b + a and hash(a + b) == hash(b + a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a - a).is_zero() and a - a == Polynomial() and hash(a - a) == hash(Polynomial())
+    assert (a + b == a) == (not db)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_sparse_polys(), st.one_of(_sparse_polys(), _scalars), st.one_of(_sparse_polys(), _scalars))
+def test_subs_matches_naive_term_dicts(a, for_q, for_r):
+    dq, dr = _dense(for_q), _dense(for_r)
+    want = {}
+    for (i, j), c in _dense(a).items():
+        term = _naive_mul(_naive_pow(dq, i), _naive_pow(dr, j))
+        want = _naive_add(want, {k: c * v for k, v in term.items()})
+    _check(a.subs({"q": for_q, "r": for_r}), want)
+    # a variable left out of the mapping stays as it is
+    q_only = {}
+    for (i, j), c in _dense(a).items():
+        term = _naive_mul(_naive_pow(dq, i), {(0, j): Fraction(1)})
+        q_only = _naive_add(q_only, {k: c * v for k, v in term.items()})
+    _check(a.subs({"q": for_q}), q_only)
+
+
+def test_operands_that_are_not_exact_scalars_are_rejected():
+    x = Polynomial.var("x")
+    for bad in (1.5, "x", None):
+        for op in (lambda: x + bad, lambda: x - bad, lambda: x * bad, lambda: bad - x):
+            with pytest.raises(InputError):
+                op()
