@@ -9,8 +9,9 @@ sequence is what survives perturbing the spherical-element transition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import permutations
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from .slicing import (
     Token,
     build_abstract,
 )
-from .words import InputError, Word, _content_lines, _line_ints, format_word, invert
+from .words import InputError, Word, _content_lines, _line_ints, format_word
 
 DIAGONAL = "diagonal"
 POLY_IN_M = "poly"
@@ -47,9 +48,9 @@ def other_type(identification: str) -> str:
     raise InputError("unknown identification type %r" % identification)
 
 
-def _canonical(w: Word) -> Word:
-    wi = invert(w)
-    return w if tuple(w) <= tuple(wi) else wi
+def _canonical(w: Word) -> Tuple[int, ...]:
+    wi = tuple(-x for x in reversed(w))
+    return w if w <= wi else wi
 
 
 def token_label(t: Token, alias: bool = True) -> str:
@@ -88,27 +89,35 @@ def is_prime(n: int) -> bool:
 
 
 def _check_field(p: int, d: int):
-    """p prime and every d×d product of residues exact in int64: one entry
-    of ``a @ b`` sums d terms below (p-1)², so d·(p-1)² must stay below
-    2^63.  The bound is checked first; it also keeps the trial division
-    in ``is_prime`` short."""
+    """p prime and every d×d product of residues exact in int64
+    (``modmat._check_bound``).  The bound is checked first; it also keeps
+    the trial division in ``is_prime`` short."""
     if d < 1:
         raise InputError("dimension must be positive")
-    if p >= 2 and d * (p - 1) ** 2 >= 2**63:
-        raise InputError(
-            "p = %d with d = %d overflows int64 matrix products: need d*(p-1)^2 < 2^63" % (p, d)
-        )
+    if p >= 2:
+        modmat._check_bound(p, d)
     if not is_prime(p):
         raise InputError("p must be prime, got %d" % p)
 
 
 @dataclass(frozen=True)
 class Backend:
+    """A commuting assignment of invertible matrices over GF(p).
+
+    Construction validates it (``check``) and keeps every matrix's
+    inverse in ``inverses``; ``known_inverses`` hands over inverses the
+    caller has already computed, so they are not computed again."""
+
     p: int
     dim: int
     family: str
     assignment: Dict[str, np.ndarray]
     alias: bool = True
+    known_inverses: InitVar[Optional[Dict[str, np.ndarray]]] = None
+    inverses: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, known_inverses):
+        object.__setattr__(self, "inverses", self.check(known_inverses))
 
     @property
     def sphere(self) -> np.ndarray:
@@ -118,22 +127,33 @@ class Backend:
         return token_label(t, self.alias)
 
     def value(self, t: Token) -> np.ndarray:
-        lab = self.label(t)
+        return self._lookup(t)[1]
+
+    def _lookup(self, t: Token) -> Tuple[str, np.ndarray, np.ndarray]:
+        """A token's label, matrix and inverse, the label formatted once."""
+        lab = token_label(t, self.alias)
         if lab not in self.assignment:
             raise InputError("token %s has no assigned matrix" % lab)
-        return self.assignment[lab]
+        return lab, self.assignment[lab], self.inverses[lab]
 
-    def check(self):
+    def check(self, known_inverses=None) -> Dict[str, np.ndarray]:
+        """Field bound, then every matrix invertible, then pairwise
+        commutation, then a nonzero sphere; returns the inverses.
+        Construction runs this once."""
         _check_field(self.p, self.dim)
-        mats = [self.assignment[k] for k in sorted(self.assignment)]
-        for m in mats:
-            modmat.inverse(m, self.p)  # raises when singular
+        known = known_inverses or {}
+        labels = sorted(self.assignment)
+        mats = [self.assignment[k] for k in labels]
+        inverses = {k: known[k] if k in known else modmat.inverse(m, self.p) for k, m in zip(labels, mats)}
         for i, a in enumerate(mats):
             for b in mats[i + 1 :]:
                 if not modmat.equal(modmat.mul(a, b, self.p), modmat.mul(b, a, self.p), self.p):
                     raise InputError("assigned matrices do not commute")
+        if SPHERE_LABEL not in self.assignment:
+            raise InputError("backend has no %s matrix" % SPHERE_LABEL)
         if not np.any(self.sphere % self.p):
             raise InputError("sphere value must be nonzero")
+        return inverses
 
 
 def make_backend(
@@ -169,6 +189,7 @@ def make_backend(
         raise InputError("unknown backend family %r" % family)
 
     assignment: Dict[str, np.ndarray] = {}
+    known: Dict[str, np.ndarray] = {}
     for lab in sorted(set(labels) | {SPHERE_LABEL}):
         if lab == SPHERE_LABEL:
             assignment[lab] = (rng.randrange(2, p) * modmat.identity(d)) % p
@@ -177,20 +198,32 @@ def make_backend(
         elif family == DIAGONAL:
             assignment[lab] = modmat.random_invertible_diagonal(rng, d, p)
         else:
-            assignment[lab] = modmat.random_poly_in(rng, base, p)
-    b = Backend(p, d, family, assignment, alias)
-    b.check()
-    return b
+            assignment[lab], known[lab] = modmat.random_poly_with_inverse(rng, base, p)
+    return Backend(p, d, family, assignment, alias, known)
 
 
 # --- state modules and transitions -----------------------------------------
 
 
+def _entries(tokens: Iterable[Token], b: Backend):
+    """(label, matrix, inverse) per token, in sorted-label order."""
+    return sorted((b._lookup(t) for t in tokens), key=itemgetter(0))
+
+
+def _with_inverse(tokens: Iterable[Token], b: Backend) -> Tuple[np.ndarray, np.ndarray]:
+    """The tokens' product and its inverse, the product of their inverses:
+    the backend's matrices commute, so the order is immaterial."""
+    entries = _entries(tokens, b)
+    return (
+        modmat.product((m for _, m, _ in entries), b.p, b.dim),
+        modmat.product((i for _, _, i in entries), b.p, b.dim),
+    )
+
+
 def slice_endo(aslice, b: Backend) -> np.ndarray:
     """Product of the token matrices; empty slice gives the identity.
     Backend commutativity makes the fixed (sorted-label) order immaterial."""
-    mats = sorted(((b.label(t), b.value(t)) for t in aslice.tokens), key=lambda kv: kv[0])
-    return modmat.product((m for _, m in mats), b.p, b.dim)
+    return modmat.product((m for _, m, _ in _entries(aslice.tokens, b)), b.p, b.dim)
 
 
 @dataclass(frozen=True)
@@ -198,26 +231,21 @@ class StateModuleSeq:
     endos: Tuple[np.ndarray, ...]
     p: int
     dim: int
+    inverses: Tuple[np.ndarray, ...]
 
 
 def state_modules(aseq: AbstractSequence, b: Backend) -> StateModuleSeq:
-    endos = tuple(slice_endo(sl, b) for sl in aseq.slices)
+    pairs = [_with_inverse(sl.tokens, b) for sl in aseq.slices]
+    endos = tuple(e for e, _ in pairs)
     if not modmat.is_identity(endos[0], b.p) or not modmat.is_identity(endos[-1], b.p):
         raise InputError("state module sequence must start and end at the identity")
-    return StateModuleSeq(endos, b.p, b.dim)
+    return StateModuleSeq(endos, b.p, b.dim, tuple(i for _, i in pairs))
 
 
 def transitions(sm: StateModuleSeq) -> List[np.ndarray]:
     """F_k with F_k·A_k = A_{k+1}; their full composition telescopes to
     the identity."""
-    out = []
-    for k in range(len(sm.endos) - 1):
-        try:
-            inv_k = modmat.inverse(sm.endos[k], sm.p)
-        except InputError:
-            raise InputError("slice endomorphism %d is singular" % k) from None
-        out.append(modmat.mul(sm.endos[k + 1], inv_k, sm.p))
-    return out
+    return [modmat.mul(sm.endos[k + 1], sm.inverses[k], sm.p) for k in range(len(sm.endos) - 1)]
 
 
 def compose(maps: Sequence[np.ndarray], p: int, dim: int) -> np.ndarray:
@@ -225,10 +253,12 @@ def compose(maps: Sequence[np.ndarray], p: int, dim: int) -> np.ndarray:
     return modmat.product(reversed(list(maps)), p, dim)
 
 
+def _spel_tokens(aseq: AbstractSequence) -> List[SpElToken]:
+    return [t for t in aseq.slices[aseq.perturbation_index].tokens if isinstance(t, SpElToken)]
+
+
 def spel_product(aseq: AbstractSequence, b: Backend) -> np.ndarray:
-    toks = [t for t in aseq.slices[aseq.perturbation_index].tokens if isinstance(t, SpElToken)]
-    mats = sorted(((b.label(t), b.value(t)) for t in toks), key=lambda kv: kv[0])
-    return modmat.product((m for _, m in mats), b.p, b.dim)
+    return modmat.product((m for _, m, _ in _entries(_spel_tokens(aseq), b)), b.p, b.dim)
 
 
 def perturbed_invariant(aseq: AbstractSequence, b: Backend) -> np.ndarray:
@@ -257,7 +287,7 @@ def perturbed_invariant(aseq: AbstractSequence, b: Backend) -> np.ndarray:
         perturbed = modmat.mul(perturbed, comm_by_index[idx], b.p)
         for m in spel_by_index.get(idx, ()):
             perturbed = modmat.mul(perturbed, m, b.p)
-    f_pert = modmat.mul(perturbed, modmat.inverse(sm.endos[k], b.p), b.p)
+    f_pert = modmat.mul(perturbed, sm.inverses[k], b.p)
     maps = list(fs)
     maps[k] = f_pert
     total = compose(maps, b.p, b.dim)
@@ -331,29 +361,29 @@ def between_type_obstruction(inst, b: Backend, identification: str = LONGITUDINA
     own_seq = build_abstract(inst, identification)
     other_seq = build_abstract(inst, other_type(identification))
     p, d = b.p, b.dim
-    e_own = spel_product(own_seq, b)
-    e_other = spel_product(other_seq, b)
-    comm = modmat.product(
-        (b.value(t) for t in own_seq.slices[4].tokens if isinstance(t, CommutatorToken)), p, d
-    )
-    z_empty = b.value(CellToken(Word()))
-    cell = modmat.product(
-        (b.value(t) for t in own_seq.slices[3].tokens if isinstance(t, CellToken)), p, d
-    )
-    s2 = b.sphere
-    u = modmat.mul(s2, s2, p)
+    # each factor as a (matrix, inverse) pair; the inverse of a product of
+    # commuting factors is the product of their inverses
+    e_own = _with_inverse(_spel_tokens(own_seq), b)
+    e_other = _with_inverse(_spel_tokens(other_seq), b)
+    comm = _with_inverse((t for t in own_seq.slices[4].tokens if isinstance(t, CommutatorToken)), b)
+    z_empty = b._lookup(CellToken(Word()))[1:]
+    cell = _with_inverse((t for t in own_seq.slices[3].tokens if isinstance(t, CellToken)), b)
+    s2 = b._lookup(SphereToken())[1:]
 
     def m3(x, y, z):
-        return modmat.mul(modmat.mul(x, y, p), z, p)
+        return tuple(modmat.mul(modmat.mul(x[i], y[i], p), z[i], p) for i in (0, 1))
 
+    u = tuple(modmat.mul(s2[i], s2[i], p) for i in (0, 1))
     a1 = m3(z_empty, e_own, s2)
     mid = m3(z_empty, e_own, e_other)
     a2 = m3(z_empty, e_own, cell)
     a3 = m3(z_empty, comm, cell)
-    f_states = [u, a1, a2, a3, u]
-    h_states = [a1, mid, a2, a3, u]
-    f = transitions(StateModuleSeq(tuple(f_states), p, d))
-    h = transitions(StateModuleSeq(tuple(h_states), p, d))
+
+    def seq(*states):
+        return StateModuleSeq(tuple(m for m, _ in states), p, d, tuple(i for _, i in states))
+
+    f = transitions(seq(u, a1, a2, a3, u))
+    h = transitions(seq(a1, mid, a2, a3, u))
     checks = (
         modmat.equal(f[2], h[2], p),
         modmat.equal(f[3], h[3], p),
@@ -361,8 +391,8 @@ def between_type_obstruction(inst, b: Backend, identification: str = LONGITUDINA
     )
     if not all(checks):
         raise RuntimeError("thread chain equalities failed to recompute")
-    f2_perturbed = modmat.mul(f[2], e_other, p)
-    if modmat.is_identity(e_other, p):
+    f2_perturbed = modmat.mul(f[2], e_other[0], p)
+    if modmat.is_identity(e_other[0], p):
         return InvarianceReport("Pass", detail="switched spherical elements are trivial")
     return InvarianceReport(
         "Obstructed",
@@ -463,9 +493,9 @@ def stabilization_demo(
     """Why sphere stabilization cannot rescue the invariant: both sides
     pick up the same invertible factor Z(S²)^v, so equality after
     stabilization forces equality before it; and over a field no nonzero
-    weight annihilates Z(S²).  That last fact needs no search: the
-    backend's check has proved p prime and Z(S²) nonzero, and inverting
-    Z(S²)^v below fails if it were singular."""
+    weight annihilates Z(S²).  That last fact needs no search: building
+    the backend proved p prime and Z(S²) invertible, and it kept Z(S²)⁻¹,
+    whose v-th power divides the factor out below."""
     if v < 1:
         raise InputError("stabilization count must be >= 1")
     if inv_k is None or inv_l is None:
@@ -476,7 +506,7 @@ def stabilization_demo(
     s2v = modmat.matpow(b.sphere, v, b.p)
     stab_k = modmat.mul(inv_k, s2v, b.p)
     stab_l = modmat.mul(inv_l, s2v, b.p)
-    s2v_inv = modmat.inverse(s2v, b.p)
+    s2v_inv = modmat.matpow(b.inverses[SPHERE_LABEL], v, b.p)
     recovered_k = modmat.mul(stab_k, s2v_inv, b.p)
     recovered_l = modmat.mul(stab_l, s2v_inv, b.p)
     if not modmat.equal(recovered_k, inv_k, b.p) or not modmat.equal(recovered_l, inv_l, b.p):
@@ -520,6 +550,4 @@ def load_backend(text: str) -> Backend:
         assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
     if SPHERE_LABEL not in assignment:
         raise InputError("backend dump has no %s token" % SPHERE_LABEL)
-    b = Backend(p, d, "loaded", assignment)
-    b.check()
-    return b
+    return Backend(p, d, "loaded", assignment)

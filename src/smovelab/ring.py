@@ -112,6 +112,8 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.is_constant():  # equals its scalar, so hashes as it
+            return hash(self.terms.get((), 0))
         return hash(tuple(sorted(self.terms.items())))
 
     # -- queries --

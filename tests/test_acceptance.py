@@ -2,12 +2,13 @@
 
 Every check is exact — no tolerances.  Where a guarantee needs an
 independent cross-check, the oracle is implemented here from scratch
-(plain numpy compositions, an einsum contraction for large state sums,
-exhaustive word enumeration) rather than by calling the code under test
-twice.
+(plain numpy compositions, pure-Python Gauss-Jordan inverses, an einsum
+contraction for large state sums, exhaustive word enumeration) rather
+than by calling the code under test twice.
 """
 from __future__ import annotations
 
+import math
 import random
 import string
 from fractions import Fraction
@@ -15,6 +16,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smovelab.modmat as modmat
 from smovelab.criterion import (
@@ -88,6 +92,24 @@ def _np_product(mats, p, d):
     for m in mats:
         out = (out @ m) % p
     return out
+
+
+def _py_inverse(rows, p):
+    """Gauss-Jordan on Python ints, row by row; None when singular mod p."""
+    n = len(rows)
+    work = [[int(x) % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        scale = pow(work[col][col], -1, p)
+        work[col] = [x * scale % p for x in work[col]]
+        for r in range(n):
+            f = work[r][col]
+            if r != col and f:
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
 
 
 def _own_endo(aslice, b):
@@ -180,14 +202,52 @@ def test_perturbed_invariant_matches_brute_force_composition():
             level = _np_product(cells, p, d)
             for idx in sorted(comms):
                 level = _np_product([level, comms[idx]] + spels_by.get(idx, []), p, d)
-            maps = [(endos[i + 1] @ modmat.inverse(endos[i], p)) % p for i in range(len(endos) - 1)]
-            maps[k] = (level @ modmat.inverse(endos[k], p)) % p
+            invs = [np.array(_py_inverse(e.tolist(), p), dtype=np.int64) for e in endos]
+            maps = [(endos[i + 1] @ invs[i]) % p for i in range(len(endos) - 1)]
+            maps[k] = (level @ invs[k]) % p
             brute = np.eye(d, dtype=np.int64)
             for m in maps:
                 brute = (m @ brute) % p
 
             assert modmat.equal(got, closed, p)
             assert modmat.equal(got, brute, p)
+
+
+def _largest_prime_in_bound(d):
+    """The largest prime p with d·(p-1)² < 2^63, where int64 still holds
+    every product of residues exactly."""
+    return sympy.prevprime(math.isqrt((2**63 - 1) // d) + 2)
+
+
+def _inverse_cases(rng, d, p):
+    """Dense (often singular for small p), diagonal (singular when a zero
+    is drawn), permuted triangular (invertible, needs row swaps) and
+    singular (one row a combination of the others) d×d matrices."""
+    yield [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+    yield [[rng.randrange(p) if i == j else 0 for j in range(d)] for i in range(d)]
+    upper = [[rng.randrange(1, p) if i == j else rng.randrange(p) * (j > i) for j in range(d)] for i in range(d)]
+    yield rng.sample(upper, d)
+    rows = [[rng.randrange(p) for _ in range(d)] for _ in range(d - 1)]
+    coeffs = [rng.randrange(p) for _ in rows]
+    rows.insert(rng.randrange(d), [sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(d)])
+    yield rows
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_modmat_inverse_matches_python_gauss_jordan(seed):
+    rng = random.Random(seed)
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 32):
+        for p in (2, 101, 100003, _largest_prime_in_bound(d)):
+            for rows in _inverse_cases(rng, d, p):
+                want = _py_inverse(rows, p)
+                a = np.array(rows, dtype=np.int64)
+                if want is None:
+                    with pytest.raises(InputError, match="singular"):
+                        modmat.inverse(a, p)
+                else:
+                    assert modmat.inverse(a, p).tolist() == want
+                assert a.tolist() == rows  # the input is left alone
 
 
 _QMOVES = (

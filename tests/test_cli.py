@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 
 import pytest
 
@@ -579,3 +580,86 @@ def test_main_builds_only_the_parsers_on_the_argv_path(monkeypatch, capsys):
         cli.main(["inv", "statsum"])
     assert len(built) == 16  # a misspelt name gets the whole tree
     capsys.readouterr()
+
+
+# Stdout (as a sha256 digest) and exit code of playground commands, captured
+# before the inverses moved into the backend; d = 32 outputs run to 6 kB.
+_PLAYGROUND_GOLDENS = [
+    (
+        ["inv", "playground", "--seed", "3", "--type", "long"],
+        0,
+        "27ab4a9ee3bad3886f19441a4e25a11684325b9eae6851edee49582f8e3f8087",
+    ),
+    (
+        ["inv", "playground", "--seed", "3", "--type", "long", "--qmove", "conj R a"],
+        0,
+        "abf5ffc31959e2b91c34ecac21abbf17ed0b852ea762c1307ad3ab18bde69de6",
+    ),
+    (
+        ["inv", "playground", "--seed", "3", "--type", "long", "--gauge"],
+        0,
+        "51ac6c12ae66647d181daea9c0e8550e1fac804b134f1e0fd5be2c850d4af4d0",
+    ),
+    (
+        ["inv", "playground", "--seed", "3", "--type", "long", "--obstruction"],
+        3,
+        "74d368526c55158083d53782267d57d2f14bbf51cf445e99c7c536da04c79489",
+    ),
+    (
+        ["inv", "playground", "--seed", "5", "--type", "mer", "--d", "32", "--family", "poly"],
+        0,
+        "5021aed5594f61f8585570bba0af90785d1154e586bab882a6d8494fd8246160",
+    ),
+    (
+        ["inv", "playground", "--seed", "5", "--type", "mer", "--d", "32", "--family", "poly", "--qmove", "mulr S y1"],
+        0,
+        "29a030c162df056098db918f0bff49eacb8507af56213c13298d73c0d3ff3435",
+    ),
+    (
+        ["inv", "playground", "--seed", "5", "--type", "mer", "--d", "32", "--family", "poly", "--gauge"],
+        0,
+        "51ac6c12ae66647d181daea9c0e8550e1fac804b134f1e0fd5be2c850d4af4d0",
+    ),
+    (
+        ["inv", "playground", "--seed", "5", "--type", "mer", "--d", "32", "--family", "poly", "--obstruction"],
+        3,
+        "f5e05a50191d0196378c45f022975cc93004ee85fee2da19501fd42c645d609e",
+    ),
+    (
+        ["test", "three-tests", "--pairs", "3", "--combine", "product", "--seed", "2"],
+        1,
+        "1c9898f945cdc6c90af2f403b7516ac56e1bdf270f5c09a87b603d3693227dd8",
+    ),
+    (
+        ["test", "three-tests", "--pairs", "3", "--combine", "permsum", "--seed", "2"],
+        1,
+        "1c9898f945cdc6c90af2f403b7516ac56e1bdf270f5c09a87b603d3693227dd8",
+    ),
+    (
+        ["demo", "stabilization", "--p", "100003", "--seed", "1"],
+        3,
+        "34293349ff9c1986edd367c6b09f0c7057e3e9b37e32be9911f19cff1d7bc9d3",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest", _PLAYGROUND_GOLDENS, ids=[" ".join(g[0][1:]) for g in _PLAYGROUND_GOLDENS]
+)
+def test_playground_outputs_are_unchanged(capsys, argv, code, digest):
+    assert cli.main(list(argv)) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_dumped_d32_backend_reloads_to_the_same_outputs(tmp_path, capsys):
+    path = str(tmp_path / "b.txt")
+    argv = ["inv", "playground", "--seed", "4", "--d", "32", "--family", "poly", "--dump-backend", path]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.replace(path, "<dump>")
+    assert hashlib.sha256(out.encode()).hexdigest() == "b9d71b8008663084a5b7ad475f501349f5b626a853a0ae54f97720beebd9e557"
+    for extra, code, digest in (
+        ([], 0, "db0c0e459c866366d880b6530126f9878e4b87e0afe2bb9650508fd907fdf119"),
+        (["--obstruction"], 3, "8fc31439268baef5b73616cbd4d0e5c00dd79ad831e1584f65f55b25e6510473"),
+    ):
+        assert cli.main(["inv", "playground", "--seed", "4", "--backend", path] + extra) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

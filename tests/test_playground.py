@@ -119,6 +119,53 @@ def test_random_poly_in_commutes_with_base():
     modmat.inverse(m, p)  # must not raise
 
 
+# p = 4294967311 is prime and (p-1)² alone is past 2^63; 2^31 - 1 is the
+# largest prime with 2·(p-1)² < 2^63, so d = 2 products are still exact.
+_PAST_BOUND = 4294967311
+_AT_BOUND_D2 = 2147483647
+
+
+def _py_mul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_modmat_raises_past_the_int64_bound():
+    p = _PAST_BOUND
+    a = np.array([[p - 1, p - 2], [p - 3, p - 4]], dtype=np.int64)
+    rng = random.Random(0)
+    for call in (
+        lambda: modmat.mul(a, a, p),
+        lambda: modmat.matpow(a, 2, p),
+        lambda: modmat.matpow(a, 0, p),
+        lambda: modmat.matpow(a, -1, p),
+        lambda: modmat.product([a, a], p, 2),
+        lambda: modmat.product([], p, 2),
+        lambda: modmat.inverse(a, p),
+        lambda: modmat.random_poly_in(rng, modmat.identity(2), p),
+    ):
+        with pytest.raises(InputError, match=r"p = 4294967311 with d = 2 overflows int64"):
+            call()
+    # the bound is d·(p-1)² < 2^63, so one more dimension can cross it
+    q = _AT_BOUND_D2
+    modmat.mul(modmat.identity(2), modmat.identity(2), q)
+    with pytest.raises(InputError, match="d = 3 overflows"):
+        modmat.mul(modmat.identity(3), modmat.identity(3), q)
+
+
+def test_modmat_is_exact_at_the_int64_bound():
+    p = _AT_BOUND_D2
+    rows = [[p - 1, p - 2], [p - 3, p - 4]]
+    a = np.array(rows, dtype=np.int64)
+    square = _py_mul(rows, rows, p)
+    assert square == [[7, 10], [15, 22]]
+    assert modmat.mul(a, a, p).tolist() == square
+    assert modmat.matpow(a, 2, p).tolist() == square
+    assert modmat.product([a, a, a], p, 2).tolist() == _py_mul(square, rows, p)
+    inv = modmat.inverse(a, p)
+    assert _py_mul(rows, inv.tolist(), p) == [[1, 0], [0, 1]]
+    assert modmat.matpow(a, -2, p).tolist() == _py_mul(inv.tolist(), inv.tolist(), p)
+
+
 # --- backends ---------------------------------------------------------------
 
 
@@ -222,6 +269,66 @@ def test_load_backend_errors_name_the_line():
             load_backend(text)
     with pytest.raises(InputError, match="S2"):
         load_backend("p 101 d 1\ntok cell:a 3\n")
+
+
+def test_backend_is_checked_when_built():
+    p, i = 5, modmat.identity(2)
+    s2 = 2 * i
+    cases = (
+        ({SPHERE_LABEL: s2, "cell:a": 0 * i}, "^matrix is singular mod 5$"),
+        (
+            {SPHERE_LABEL: s2, "cell:a": np.array([[1, 1], [0, 1]]), "cell:b": np.array([[1, 0], [1, 1]])},
+            "^assigned matrices do not commute$",
+        ),
+        ({SPHERE_LABEL: 0 * i, "cell:a": i}, "^matrix is singular mod 5$"),
+    )
+    for assignment, message in cases:
+        with pytest.raises(InputError, match=message):
+            Backend(p, 2, "direct", assignment)
+        text = "p 5 d 2\n" + "".join(
+            "tok %s %s\n" % (lab, " ".join(str(int(x)) for x in m.ravel())) for lab, m in assignment.items()
+        )
+        with pytest.raises(InputError, match=message):
+            load_backend(text)
+    with pytest.raises(InputError, match="p must be prime"):
+        Backend(4, 2, "direct", {SPHERE_LABEL: i})
+    with pytest.raises(InputError, match="no S2"):
+        Backend(5, 2, "direct", {"cell:a": i})
+
+
+def test_backend_keeps_every_inverse():
+    inst = build_instance(3)
+    labels = _labels_for(inst)
+    for family, d in ((DIAGONAL, 4), (POLY_IN_M, 6)):
+        b = make_backend(labels, d=d, seed=5, family=family)
+        assert set(b.inverses) == set(b.assignment)
+        for lab, m in b.assignment.items():
+            assert modmat.is_identity(modmat.mul(m, b.inverses[lab], b.p), b.p)
+            assert modmat.equal(b.inverses[lab], modmat.inverse(m, b.p), b.p)
+    # a handed-over inverse is kept as it is, not computed again
+    m = np.array([[2, 1], [0, 2]], dtype=np.int64)
+    inv = modmat.inverse(m, 5)
+    assignment = {SPHERE_LABEL: 2 * modmat.identity(2), "cell:a": m}
+    b = Backend(5, 2, "direct", assignment, known_inverses={"cell:a": inv})
+    assert b.inverses["cell:a"] is inv
+
+
+def test_invariants_run_no_gauss_jordan(monkeypatch):
+    inst = build_instance(6)
+    b = make_backend(_labels_for(inst), d=5, seed=6, family=POLY_IN_M)
+    calls = []
+    real = modmat.inverse
+    monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(1) or real(a, p))
+    for t in (LONGITUDINAL, MERIDIAN):
+        aseq = build_abstract(inst, t)
+        sm = state_modules(aseq, b)
+        for e, inv in zip(sm.endos, sm.inverses):
+            assert modmat.is_identity(modmat.mul(e, inv, b.p), b.p)
+        perturbed_invariant(aseq, b)
+        between_type_obstruction(inst, b, t)
+        check_gauge(inst, b, t)
+        stabilization_demo(b, 2)
+    assert calls == []
 
 
 def test_load_backend_rejects_noncommuting_or_singular():

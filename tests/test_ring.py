@@ -270,6 +270,13 @@ def test_ring_operations_match_naive_term_dicts(a, b, s, e):
     assert a * b == b * a and hash(a * b) == hash(b * a)
     assert (a - a).is_zero() and a - a == Polynomial() and hash(a - a) == hash(Polynomial())
     assert (a + b == a) == (not db)
+    # a constant equals its int or Fraction scalar and hashes alike
+    for c, scalar in ((Polynomial.const(s), s), ((a - a) + s, s), (a - a, 0), (a - a, Fraction(0))):
+        assert c == scalar and hash(c) == hash(scalar) and len({c, scalar}) == 1
+    if a.is_constant():
+        assert a == a.constant_value() and hash(a) == hash(a.constant_value())
+    else:
+        assert a != s and len({a, s}) == 2
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
