@@ -372,6 +372,14 @@ def test_malformed_backend_value_exits_2(tmp_path, capsys):
     assert out.startswith("error: %s: line 2: " % (tmp_path / "b.txt"))
 
 
+def test_duplicate_backend_label_exits_2(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_text("p 101 d 1\ntok S2 2\ntok S2 3\n", encoding="utf-8")
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(path)])
+    assert code == 2
+    assert out == "error: %s: line 3: duplicate token label S2\n" % path
+
+
 def test_presentation_instance_and_decomposition_errors_name_their_file(tmp_path, capsys):
     _write_instance(tmp_path)
     (tmp_path / "bad_p.txt").write_text("gens 2\nfoo bar\n", encoding="utf-8")

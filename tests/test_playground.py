@@ -271,6 +271,13 @@ def test_load_backend_errors_name_the_line():
         load_backend("p 101 d 1\ntok cell:a 3\n")
 
 
+def test_load_backend_rejects_a_duplicate_token_label():
+    """A repeated ``tok`` label used to keep its last matrix silently."""
+    text = "p 101 d 1\ntok S2 2\ntok cell:a 3\n# again\ntok cell:a 5\n"
+    with pytest.raises(InputError, match="^line 5: duplicate token label cell:a$"):
+        load_backend(text)
+
+
 def test_backend_is_checked_when_built():
     p, i = 5, modmat.identity(2)
     s2 = 2 * i
