@@ -6,21 +6,30 @@ CSV block behind a ``---csv---`` line.  Exit codes: 0 pass/success,
 default seed.
 """
 
+# The docstring above is the root parser's description.  Each command
+# imports the library layers it runs inside its handler, so that ``word``
+# loads no other layer and only the three playground commands load numpy.
+
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from . import criterion as crit
-from . import modmat
-from . import playground as pg
-from . import presentations as pres
-from . import slicing
-from . import statesum as ss
-from .words import InputError, Word, _read, commutator, format_word, invert, multiply, parse_word, reduce
+from .words import (
+    InputError,
+    InvalidInstance,
+    SliceError,
+    Word,
+    _read,
+    commutator,
+    format_word,
+    invert,
+    multiply,
+    parse_word,
+    reduce,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -95,6 +104,8 @@ def cmd_word(args) -> Report:
 
 
 def cmd_pres(args) -> Report:
+    from . import presentations as pres
+
     r = Report()
     p = pres.load_presentation(args.file)
     moves = pres.load_moves(args.moves) if args.moves else []
@@ -124,6 +135,8 @@ def _residual_move_word(base: Word, spec: str) -> Word:
 
 
 def cmd_crit(args) -> Report:
+    from . import criterion as crit
+
     r = Report()
     if args.action == "residual":
         if not args.R or not args.move:
@@ -169,6 +182,8 @@ def cmd_crit(args) -> Report:
 
 
 def cmd_slice(args) -> Report:
+    from . import slicing
+
     r = Report()
     rw = parse_word(args.R)
     if args.type == "bag":
@@ -199,16 +214,23 @@ def cmd_slice(args) -> Report:
 # --- smove ------------------------------------------------------------------
 
 
-_TYPES = {"long": slicing.LONGITUDINAL, "mer": slicing.MERIDIAN}
+# ``--type`` values -> slicing.LONGITUDINAL / slicing.MERIDIAN, spelled
+# here so that building the parser imports no layer (a test pins them).
+_TYPES = {"long": "longitudinal", "mer": "meridian"}
 
 
-def _load_or_build_instance(args) -> crit.CriterionInstance:
+def _load_or_build_instance(args):
+    """The ``--instance`` file's criterion instance, or one built from the seed."""
+    from . import criterion as crit
+
     if getattr(args, "instance", None):
         return crit.load_instance(args.instance)
     return crit.build_instance(args.seed, n_factors=getattr(args, "factors", 2))
 
 
 def cmd_smove(args) -> Report:
+    from . import slicing
+
     r = Report()
     inst = _load_or_build_instance(args)
     aseq = slicing.build_abstract(inst, _TYPES[args.type])
@@ -223,15 +245,20 @@ def cmd_smove(args) -> Report:
 # --- inv playground -----------------------------------------------------------
 
 
-def _parse_qmove_spec(spec: str) -> pres.QMove:
+def _parse_qmove_spec(spec: str):
     """One relator move, written as a line of a presentation moves file."""
+    from . import presentations as pres
+
     moves = pres.parse_moves(spec)
     if len(moves) != 1 or not isinstance(moves[0], (pres.InvertRelator, pres.MultiplyRight, pres.ConjugateRelator)):
         raise InputError("qmove spec must be 'inv <rel>', 'mulr <rel> <rel>' or 'conj <rel> <letter>'")
     return moves[0]
 
 
-def _backend_for(args, *aseqs) -> pg.Backend:
+def _backend_for(args, *aseqs):
+    """The ``--backend`` file's backend, or one drawn for the sequences' labels."""
+    from . import playground as pg
+
     if getattr(args, "backend", None):
         return _read(args.backend, pg.load_backend)
     labels = pg.collect_labels(*aseqs)
@@ -239,6 +266,11 @@ def _backend_for(args, *aseqs) -> pg.Backend:
 
 
 def cmd_inv_playground(args) -> Report:
+    from . import criterion as crit
+    from . import modmat
+    from . import playground as pg
+    from . import slicing
+
     r = Report()
     inst = _load_or_build_instance(args)
     ident = _TYPES[args.type]
@@ -283,12 +315,16 @@ def cmd_inv_playground(args) -> Report:
 
 
 def _fmt_value(v) -> str:
+    from fractions import Fraction
+
     if isinstance(v, Fraction):
         return str(v.numerator) if v.denominator == 1 else str(v)
     return str(v)
 
 
 def cmd_inv_statesum(args) -> Report:
+    from . import statesum as ss
+
     r = Report()
     table = ss.load_table(args.table)
     graphs = [ss.load_graph(p) for p in args.graphs]
@@ -322,6 +358,8 @@ def cmd_inv_statesum(args) -> Report:
 
 
 def cmd_demo_nonmult(args) -> Report:
+    from . import statesum as ss
+
     r = Report()
     quartic = ss.nonmult_expand()
     r.say(str(quartic))
@@ -335,6 +373,10 @@ def cmd_demo_nonmult(args) -> Report:
 
 
 def cmd_demo_stabilization(args) -> Report:
+    from . import criterion as crit
+    from . import playground as pg
+    from . import slicing
+
     r = Report()
     inst = crit.build_instance(args.seed)
     seqs = [
@@ -355,6 +397,10 @@ def cmd_demo_stabilization(args) -> Report:
 
 
 def cmd_test_three(args) -> Report:
+    from . import criterion as crit
+    from . import playground as pg
+    from . import slicing
+
     r = Report()
     if args.pairs < 1:
         raise InputError("--pairs must be at least 1")
@@ -384,11 +430,17 @@ def cmd_test_three(args) -> Report:
 # --- parser -------------------------------------------------------------------
 
 
+# ``--family`` values: playground.DIAGONAL and playground.POLY_IN_M,
+# spelled here so that building the parser imports no numpy (a test pins
+# them).
+_FAMILIES = ("diagonal", "poly")
+
+
 def _add_backend_args(sp):
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--p", type=int, default=101)
     sp.add_argument("--d", type=int, default=4)
-    sp.add_argument("--family", choices=(pg.DIAGONAL, pg.POLY_IN_M), default=pg.DIAGONAL)
+    sp.add_argument("--family", choices=_FAMILIES, default=_FAMILIES[0])
     sp.add_argument("--backend", help="load a backend dump instead of drawing one")
     sp.add_argument("--dump-backend", help="write the backend used to this path")
 
@@ -488,7 +540,7 @@ COMMANDS = {
 }
 
 
-def _add_commands(parser, table, dest, path):
+def _add_commands(parser, table, dest, path, formatter_class):
     # When only the ``path`` parsers are built, the metavar keeps every
     # name in the usage line that an unrecognised argument prints.  It is
     # left unset otherwise: argparse also names a subcommand action by its
@@ -498,11 +550,12 @@ def _add_commands(parser, table, dest, path):
     sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
     for name in path[:1] or table:
         help_text, child = table[name]
-        sp = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        kwargs = {} if help_text is None else {"help": help_text}
+        sp = sub.add_parser(name, formatter_class=formatter_class, **kwargs)
         if callable(child):
             child(sp)
         else:
-            _add_commands(sp, child, "what", path[1:])
+            _add_commands(sp, child, "what", path[1:], formatter_class)
 
 
 def _leaf_path(argv: Sequence[str]) -> Tuple[str, ...]:
@@ -524,8 +577,14 @@ def build_parser(path: Sequence[str] = ()) -> argparse.ArgumentParser:
     """The parser for the whole command tree or, given a leaf ``path``,
     for the parsers along it only.  Both parse the path's argv alike and
     print the same usage, help and error text for it."""
-    ap = argparse.ArgumentParser(prog="smovelab", description=__doc__)
-    _add_commands(ap, COMMANDS, "cmd", path)
+    import functools
+    import shutil
+
+    # argparse's default formatter reads the terminal width each time it
+    # is made, which is on every add_argument; read it once, as it does.
+    formatter_class = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    ap = argparse.ArgumentParser(prog="smovelab", description=__doc__, formatter_class=formatter_class)
+    _add_commands(ap, COMMANDS, "cmd", path, formatter_class)
     return ap
 
 
@@ -537,10 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
         report = args.fn(args)
-    except (InputError, crit.InvalidInstance, slicing.SliceError) as e:
-        sys.stdout.write("error: %s\n" % e)
-        return EXIT_INPUT
-    except OSError as e:
+    except (InputError, InvalidInstance, SliceError, OSError) as e:
         sys.stdout.write("error: %s\n" % e)
         return EXIT_INPUT
     return report.emit()

@@ -23,8 +23,9 @@ from typing import Dict, Optional, Tuple
 
 from . import presentations as pres
 from .presentations import Presentation, QMove, NielsenMove, apply_nielsen, apply_qmove
-from .words import (
+from .words import (  # InvalidInstance is defined in words and re-exported here
     InputError,
+    InvalidInstance,
     Word,
     _content_lines,
     _read,
@@ -36,10 +37,6 @@ from .words import (
     reduce,
     substitute,
 )
-
-
-class InvalidInstance(ValueError):
-    """A precondition on a criterion instance does not hold."""
 
 
 @dataclass(frozen=True)

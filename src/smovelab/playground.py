@@ -69,12 +69,10 @@ def token_label(t: Token, alias: bool = True) -> str:
 
 
 def collect_labels(*aseqs: AbstractSequence, alias: bool = True) -> List[str]:
-    labels = {SPHERE_LABEL, "cell:1"}
-    for aseq in aseqs:
-        for sl in aseq.slices:
-            for t in sl.tokens:
-                labels.add(token_label(t, alias))
-    return sorted(labels)
+    """The sorted labels of the sequences' tokens, each distinct token
+    labelled once."""
+    tokens = {t for aseq in aseqs for sl in aseq.slices for t in sl.tokens}
+    return sorted({SPHERE_LABEL, "cell:1"}.union(token_label(t, alias) for t in tokens))
 
 
 def is_prime(n: int) -> bool:
@@ -106,7 +104,8 @@ class Backend:
 
     Construction validates it (``check``) and keeps every matrix's
     inverse in ``inverses``; ``known_inverses`` hands over inverses the
-    caller has already computed, so they are not computed again."""
+    caller has already computed, so they are not computed again.
+    Tokens are resolved to (label, matrix, inverse) once per backend."""
 
     p: int
     dim: int
@@ -115,6 +114,9 @@ class Backend:
     alias: bool = True
     known_inverses: InitVar[Optional[Dict[str, np.ndarray]]] = None
     inverses: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _resolved: Dict[Token, Tuple[str, np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self, known_inverses):
         object.__setattr__(self, "inverses", self.check(known_inverses))
@@ -130,25 +132,32 @@ class Backend:
         return self._lookup(t)[1]
 
     def _lookup(self, t: Token) -> Tuple[str, np.ndarray, np.ndarray]:
-        """A token's label, matrix and inverse, the label formatted once."""
-        lab = token_label(t, self.alias)
-        if lab not in self.assignment:
-            raise InputError("token %s has no assigned matrix" % lab)
-        return lab, self.assignment[lab], self.inverses[lab]
+        """A token's label, matrix and inverse; its label is formatted on
+        the first lookup only."""
+        hit = self._resolved.get(t)
+        if hit is None:
+            lab = token_label(t, self.alias)
+            if lab not in self.assignment:
+                raise InputError("token %s has no assigned matrix" % lab)
+            hit = self._resolved[t] = (lab, self.assignment[lab], self.inverses[lab])
+        return hit
 
     def check(self, known_inverses=None) -> Dict[str, np.ndarray]:
         """Field bound, then every matrix invertible, then pairwise
         commutation, then a nonzero sphere; returns the inverses.
-        Construction runs this once."""
+        Construction runs this once.  Diagonal matrices commute over any
+        commutative ring, so the pairwise products are only formed when
+        some matrix has a nonzero entry off its diagonal."""
         _check_field(self.p, self.dim)
         known = known_inverses or {}
         labels = sorted(self.assignment)
         mats = [self.assignment[k] for k in labels]
         inverses = {k: known[k] if k in known else modmat.inverse(m, self.p) for k, m in zip(labels, mats)}
-        for i, a in enumerate(mats):
-            for b in mats[i + 1 :]:
-                if not modmat.equal(modmat.mul(a, b, self.p), modmat.mul(b, a, self.p), self.p):
-                    raise InputError("assigned matrices do not commute")
+        if any(np.count_nonzero(m) != np.count_nonzero(m.diagonal()) for m in mats):
+            for i, a in enumerate(mats):
+                for b in mats[i + 1 :]:
+                    if not modmat.equal(modmat.mul(a, b, self.p), modmat.mul(b, a, self.p), self.p):
+                        raise InputError("assigned matrices do not commute")
         if SPHERE_LABEL not in self.assignment:
             raise InputError("backend has no %s matrix" % SPHERE_LABEL)
         if not np.any(self.sphere % self.p):
@@ -546,6 +555,8 @@ def load_backend(text: str) -> Backend:
     for lineno, parts in lines:
         if parts[0] != "tok" or len(parts) != 2 + d * d:
             raise InputError("line %d: bad backend line" % lineno)
+        if parts[1] in assignment:
+            raise InputError("line %d: duplicate token label %s" % (lineno, parts[1]))
         vals = [x % p for x in _line_ints(lineno, parts[2:])]  # reduced before int64 holds them
         assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
     if SPHERE_LABEL not in assignment:

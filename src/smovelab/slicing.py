@@ -23,13 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from .words import InputError, Word, format_word, invert, reduce
+from .words import InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
 from . import criterion as crit
 from .words import commutator as comm_word
-
-
-class SliceError(ValueError):
-    """Structurally invalid slice sequence or move application."""
 
 
 # --- components -----------------------------------------------------------

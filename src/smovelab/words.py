@@ -20,6 +20,19 @@ class InputError(ValueError):
     """Malformed surface input (word literals, file formats, CLI args)."""
 
 
+# The two error kinds below belong to ``criterion`` and ``slicing``, which
+# re-export them.  They live here so that ``cli.main`` can catch them
+# without importing either module.
+
+
+class InvalidInstance(ValueError):
+    """A precondition on a criterion instance does not hold."""
+
+
+class SliceError(ValueError):
+    """Structurally invalid slice sequence or move application."""
+
+
 class Word(tuple):
     """An immutable word; not necessarily freely reduced."""
 

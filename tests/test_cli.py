@@ -538,6 +538,24 @@ def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, argv, code, ou
     assert capsys.readouterr() == (out, err)
 
 
+@pytest.mark.parametrize("columns", ["50", "200"])
+@pytest.mark.parametrize("argv", [["-h"], ["inv", "playground", "-h"]])
+def test_help_wraps_as_with_argparses_default_formatter(monkeypatch, capsys, columns, argv):
+    """The width is read once per parser build, as argparse reads it."""
+    monkeypatch.setenv("COLUMNS", columns)
+    reference = argparse.ArgumentParser(prog="smovelab", description=cli.__doc__)
+    cli._add_commands(reference, cli.COMMANDS, "cmd", (), argparse.HelpFormatter)
+    outputs = []
+    for parse in (cli.main, reference.parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        assert exc.value.code == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    widest = max(map(len, outputs[0].out.splitlines()))
+    assert (widest > 80) == (columns == "200")
+
+
 _LEAF_ARGV = {
     ("word",): ["word", "multiply", "ab", "BA", "ab"],
     ("pres",): ["pres", "--file", "p.txt", "--moves", "m.txt"],

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import smovelab.modmat as modmat
+import smovelab.playground as pg
 from smovelab.criterion import build_instance, gauge, transport_qmove
 from smovelab.presentations import ConjugateRelator, InvertRelator, MultiplyRight
 from smovelab.playground import (
@@ -301,6 +302,44 @@ def test_backend_is_checked_when_built():
         Backend(4, 2, "direct", {SPHERE_LABEL: i})
     with pytest.raises(InputError, match="no S2"):
         Backend(5, 2, "direct", {"cell:a": i})
+
+
+def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
+    calls = []
+    real = modmat.mul
+    monkeypatch.setattr(modmat, "mul", lambda a, b, p: calls.append(1) or real(a, b, p))
+    p, i = 5, modmat.identity(2)
+    diagonal = {SPHERE_LABEL: 2 * i, "cell:a": np.diag([1, 2]), "cell:b": np.diag([3, 4])}
+    Backend(p, 2, "direct", diagonal)
+    assert calls == []  # diagonal matrices commute: no pairwise products
+    # one non-diagonal matrix among diagonal ones brings the proof back
+    with pytest.raises(InputError, match="^assigned matrices do not commute$"):
+        Backend(p, 2, "direct", dict(diagonal, **{"cell:c": np.array([[1, 1], [0, 1]])}))
+    assert calls
+    calls.clear()
+    commuting = {SPHERE_LABEL: 2 * i, "cell:a": np.array([[1, 1], [0, 1]]), "cell:b": np.array([[1, 2], [0, 1]])}
+    Backend(p, 2, "direct", commuting)
+    assert len(calls) == 2 * 3  # both orders of each of the three pairs
+    calls.clear()
+    make_backend(_labels_for(build_instance(2)), d=3, seed=2, family=POLY_IN_M)
+    assert calls
+
+
+def test_backend_formats_each_token_label_once(monkeypatch):
+    inst = build_instance(4)
+    b = make_backend(_labels_for(inst), seed=4)
+    aseq = build_abstract(inst, LONGITUDINAL)
+    expected = perturbed_invariant(aseq, b)
+    labelled = []
+    real = pg.token_label
+    monkeypatch.setattr(pg, "token_label", lambda t, alias=True: labelled.append(t) or real(t, alias))
+    for _ in range(3):
+        assert modmat.equal(perturbed_invariant(aseq, b), expected, b.p)
+    assert labelled == []  # every token was resolved by the first call
+    fresh = make_backend(_labels_for(inst), seed=4)
+    labelled.clear()
+    assert modmat.equal(perturbed_invariant(aseq, fresh), expected, fresh.p)
+    assert sorted(map(repr, labelled)) == sorted(map(repr, {t for sl in aseq.slices for t in sl.tokens}))
 
 
 def test_backend_keeps_every_inverse():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,13 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``python -c code *args`` in a fresh interpreter that imports this
+    checkout's smovelab."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=True)
+
+
 def test_importing_the_cli_builds_no_parser():
     """A module-level parser would be a cache that outlives one
     ``cli.main`` call; a shell user pays for the parser on every run."""
@@ -38,8 +46,93 @@ def test_importing_the_cli_builds_no_parser():
         "print(smovelab.cli.__file__)\n"
         "print(len(built))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    path, count = res.stdout.splitlines()
+    path, count = _fresh(code).stdout.splitlines()
     assert Path(path).resolve().parent == SRC
     assert count == "0"
+
+
+# Runs one command through ``cli.main`` in a fresh interpreter, then prints
+# its exit code and the loaded numpy and smovelab modules as the last line.
+_LOADED_AFTER = (
+    "import io, json, sys, contextlib\n"
+    "import smovelab.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = smovelab.cli.main(sys.argv[1:])\n"
+    "mods = sorted(m for m in sys.modules if m == 'numpy' or m.split('.')[0] == 'smovelab')\n"
+    "print(json.dumps([code, mods]))\n"
+)
+
+
+def _loaded_after(*argv: str):
+    code, mods = json.loads(_fresh(_LOADED_AFTER, *argv).stdout.splitlines()[-1])
+    return code, set(mods)
+
+
+def test_word_commands_load_no_other_layer_and_no_numpy():
+    assert _loaded_after("word", "reduce", "ab") == (0, {"smovelab", "smovelab.words", "smovelab.cli"})
+
+
+def test_only_the_playground_commands_load_numpy():
+    code, mods = _loaded_after("demo", "nonmult")
+    assert code == 0 and "numpy" not in mods
+    assert {"smovelab.statesum", "smovelab.ring"} <= mods
+    code, mods = _loaded_after("inv", "playground", "--seed", "1")
+    assert code == 0 and {"numpy", "smovelab.modmat", "smovelab.playground"} <= mods
+
+
+def _option(path, dest):
+    """The argparse action behind ``dest`` on the leaf parser at ``path``."""
+    import argparse
+
+    from smovelab import cli
+
+    parser = cli.build_parser(path)
+    for name in path:
+        parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return next(a for a in parser._actions if a.dest == dest)
+
+
+def test_cli_spells_the_library_constants():
+    """The parser's values, spelled in cli so that it imports no layer,
+    are the library's own."""
+    from smovelab import cli, playground, slicing
+
+    for path in (("inv", "playground"), ("demo", "stabilization"), ("test", "three-tests")):
+        family = _option(path, "family")
+        assert tuple(family.choices) == (playground.DIAGONAL, playground.POLY_IN_M)
+        assert family.default == playground.DIAGONAL
+    assert cli._TYPES == {"long": slicing.LONGITUDINAL, "mer": slicing.MERIDIAN}
+    for path in (("inv", "playground"), ("smove", "build")):
+        assert tuple(_option(path, "type").choices) == tuple(cli._TYPES)
+
+
+def test_instance_and_slice_errors_exit_2_through_main(tmp_path):
+    """``cli.main`` catches both without importing criterion or slicing."""
+    from smovelab import criterion, slicing, words
+    from smovelab.presentations import format_presentation
+
+    assert criterion.InvalidInstance is words.InvalidInstance
+    assert slicing.SliceError is words.SliceError
+    inst = criterion.build_instance(0)
+    (tmp_path / "K.txt").write_text(format_presentation(inst.k), encoding="utf-8")
+    (tmp_path / "L.txt").write_text(format_presentation(inst.l), encoding="utf-8")
+    decomp = criterion.format_decomposition(criterion.mutate_conjugator(inst, 7).factors)
+    (tmp_path / "d.txt").write_text(decomp, encoding="utf-8")
+    path = tmp_path / "inst.txt"
+    path.write_text("K K.txt\nL L.txt\nR R\nS S\ndecomp d.txt\n", encoding="utf-8")
+    res = _fresh(
+        "import sys, smovelab.cli\n"
+        "code = smovelab.cli.main(sys.argv[1:])\n"
+        "print(code)\n",
+        "smove", "build", "--type", "long", "--instance", str(path),
+    )
+    assert res.stdout == "error: instance fails the commutator criterion\n2\n"
+    # a slice sequence missing its last move fails validation
+    res = _fresh(
+        "import smovelab.cli, smovelab.slicing as s\n"
+        "bag = s.slice_bag\n"
+        "s.slice_bag = lambda w, identify=False: s.SliceSequence(bag(w).slices, bag(w).moves[:-1], bag(w).readout)\n"
+        "print(smovelab.cli.main(['slice', 'piece', '--type', 'bag', '--R', 'ab']))\n"
+    )
+    first, code = res.stdout.splitlines()
+    assert first.startswith("error: sequence invalid at slice ") and code == "2"
