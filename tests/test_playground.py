@@ -223,6 +223,18 @@ def test_make_backend_scalar_dimension():
         assert a.shape == (1, 1) and int(a[0, 0]) % b.p != 0
 
 
+def test_dimension_is_bounded_by_max_dim():
+    # d·(p-1)² < 2^63 alone lets p = 2 through with any d, and the identity
+    # matrix of a backend with d = 10^6 would take 8 TB
+    pg._check_field(101, 256)
+    for d in (257, 10**6):
+        with pytest.raises(InputError, match="dimension must be at most 256, got %d" % d):
+            pg._check_field(2, d)
+    with pytest.raises(InputError, match="^line 1: dimension must be at most 256, got 1000000$"):
+        load_backend("p 2 d 1000000\n")
+    assert pg.MAX_DIM == 256
+
+
 def test_backend_sphere_is_nonidentity_scalar():
     inst, b = _backend(4)
     s = b.sphere
