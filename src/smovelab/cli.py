@@ -266,7 +266,6 @@ def _backend_for(args, *aseqs):
 
 
 def cmd_inv_playground(args) -> Report:
-    from . import criterion as crit
     from . import modmat
     from . import playground as pg
     from . import slicing
@@ -275,25 +274,21 @@ def cmd_inv_playground(args) -> Report:
     inst = _load_or_build_instance(args)
     ident = _TYPES[args.type]
     base = slicing.build_abstract(inst, ident)
-    sequences = [base, slicing.build_abstract(inst, pg.other_type(ident))]
-    gauged = slicing.build_abstract(crit.gauge(inst), pg.other_type(ident), orientation=-1)
-    sequences.append(gauged)
-    qmove = None
-    if args.qmove:
-        qmove = _parse_qmove_spec(args.qmove)
-        sequences.append(pg.qmove_rider(inst, qmove, ident))
-    b = _backend_for(args, *sequences)
+    other = slicing.build_abstract(inst, pg.other_type(ident))
+    gauged = pg.gauged_sequence(inst, ident)
+    rider = pg.qmove_rider(inst, _parse_qmove_spec(args.qmove), ident) if args.qmove else None
+    b = _backend_for(args, *(seq for seq in (base, other, gauged, rider) if seq is not None))
     if args.dump_backend:
         with open(args.dump_backend, "w", encoding="utf-8") as fh:
             fh.write(pg.dump_backend(b))
         r.say("backend written to %s" % args.dump_backend)
 
     if args.obstruction:
-        rep = pg.between_type_obstruction(inst, b, ident)
+        rep = pg.between_type_obstruction(base, other, b)
     elif args.gauge:
-        rep = pg.check_gauge(inst, b, ident)
-    elif qmove is not None:
-        rep = pg.check_inside_invariance(inst, qmove, b, ident)
+        rep = pg.check_gauge(base, gauged, b)
+    elif rider is not None:
+        rep = pg.check_inside_invariance(base, rider, b)
     else:
         inv = pg.perturbed_invariant(base, b)
         r.say("invariant: %s" % modmat.to_text(inv))
@@ -405,15 +400,11 @@ def cmd_test_three(args) -> Report:
     if args.pairs < 1:
         raise InputError("--pairs must be at least 1")
     instances = [crit.build_instance(args.seed + i) for i in range(args.pairs)]
-    k_side = [(inst, slicing.LONGITUDINAL) for inst in instances]
-    l_side = [(inst, slicing.MERIDIAN) for inst in instances]
-    seqs = []
-    for inst in instances:
-        seqs.append(slicing.build_abstract(inst, slicing.LONGITUDINAL))
-        seqs.append(slicing.build_abstract(inst, slicing.MERIDIAN))
-        seqs.append(slicing.build_abstract(crit.gauge(inst), slicing.MERIDIAN, orientation=-1))
-        seqs.append(slicing.build_abstract(crit.gauge(inst), slicing.LONGITUDINAL, orientation=-1))
-    b = _backend_for(args, *seqs)
+    k_side, l_side = (
+        [(slicing.build_abstract(inst, t), pg.gauged_sequence(inst, t)) for inst in instances]
+        for t in (slicing.LONGITUDINAL, slicing.MERIDIAN)
+    )
+    b = _backend_for(args, *(seq for pair in k_side + l_side for seq in pair))
     mode = pg.PRODUCT if args.combine == "product" else pg.PERMUTATION_SUM
     res = pg.three_tests(k_side, l_side, b, mode)
     names = ("I(K)=I(L)", "I_gauge(K)=I(L)", "I(K)=I_gauge(L)")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import InitVar, dataclass, field
-from itertools import permutations
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -86,12 +85,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# The largest matrix dimension a backend may have.  The int64 bound alone
+# lets p = 2 through with any d.
+MAX_DIM = 256
+
+
 def _check_field(p: int, d: int):
-    """p prime and every d×d product of residues exact in int64
-    (``modmat._check_bound``).  The bound is checked first; it also keeps
-    the trial division in ``is_prime`` short."""
+    """1 ≤ d ≤ MAX_DIM, p prime and every d×d product of residues exact
+    in int64 (``modmat._check_bound``).  The bound is checked first; it
+    also keeps the trial division in ``is_prime`` short."""
     if d < 1:
         raise InputError("dimension must be positive")
+    if d > MAX_DIM:
+        raise InputError("dimension must be at most %d, got %d" % (MAX_DIM, d))
     if p >= 2:
         modmat._check_bound(p, d)
     if not is_prime(p):
@@ -322,61 +328,61 @@ def _eq_witness(name: str, a: np.ndarray, b_mat: np.ndarray) -> str:
     return "%s: %s != %s" % (name, modmat.to_text(a), modmat.to_text(b_mat))
 
 
+def gauged_sequence(inst, identification: str) -> AbstractSequence:
+    """The side-swapped instance read with the opposite identification
+    and reversed orientation: the gauge of ``identification``'s reading."""
+    return build_abstract(crit.gauge(inst), other_type(identification), orientation=-1)
+
+
 def qmove_rider(inst, qmove, identification: str) -> AbstractSequence:
-    """The transported instance's sequence with the leftover cell riding.
-    Exposed so callers can collect its labels before drawing a backend."""
+    """The sequence of the instance a relator move transports, with the
+    leftover cell riding; it carries that cell as ``residual``."""
     t = crit.transport_qmove(inst, qmove)
-    if not t.ok:
-        raise crit.InvalidInstance("transported instance does not satisfy the corrected criterion")
     return build_abstract(t.instance, identification, residual=t.residual, residual_side=t.side.lower())
 
 
-def check_inside_invariance(inst, qmove, b: Backend, identification: str = LONGITUDINAL) -> InvarianceReport:
-    """Transport a relator move through the instance and compare the
-    perturbed invariants without and with the residual token riding."""
-    base = build_abstract(inst, identification)
-    t = crit.transport_qmove(inst, qmove)
-    if not t.ok:
-        return InvarianceReport("Fail", "transported instance does not satisfy the corrected criterion")
-    rider = build_abstract(t.instance, identification, residual=t.residual, residual_side=t.side.lower())
+def check_inside_invariance(base: AbstractSequence, rider: AbstractSequence, b: Backend) -> InvarianceReport:
+    """Compare the perturbed invariants of an instance's sequence and of
+    its ``qmove_rider``: without and with the residual token riding."""
+    if rider.residual is None:
+        raise InputError("the rider sequence carries no residual")
     plain = perturbed_invariant(base, b)
     carried = perturbed_invariant(rider, b)
     if modmat.equal(plain, carried, b.p):
-        return InvarianceReport("Pass", detail="residual %s cancels" % format_word(t.residual))
+        return InvarianceReport("Pass", detail="residual %s cancels" % format_word(rider.residual))
     return InvarianceReport("Fail", _eq_witness("invariant", plain, carried))
 
 
-def check_gauge(inst, b: Backend, identification: str = LONGITUDINAL) -> InvarianceReport:
-    """Compare against the side-swapped instance read with the opposite
-    identification and reversed orientation; equal exactly when the
-    backend aliases inverse words."""
-    own = perturbed_invariant(build_abstract(inst, identification), b)
-    gauged_seq = build_abstract(crit.gauge(inst), other_type(identification), orientation=-1)
-    gauged = perturbed_invariant(gauged_seq, b)
-    if modmat.equal(own, gauged, b.p):
+def check_gauge(own: AbstractSequence, gauged: AbstractSequence, b: Backend) -> InvarianceReport:
+    """Compare a sequence with its ``gauged_sequence``; their invariants
+    are equal exactly when the backend aliases inverse words."""
+    own_inv = perturbed_invariant(own, b)
+    gauged_inv = perturbed_invariant(gauged, b)
+    if modmat.equal(own_inv, gauged_inv, b.p):
         return InvarianceReport("Pass")
-    return InvarianceReport("Fail", _eq_witness("gauge", own, gauged))
+    return InvarianceReport("Fail", _eq_witness("gauge", own_inv, gauged_inv))
 
 
-def between_type_obstruction(inst, b: Backend, identification: str = LONGITUDINAL) -> InvarianceReport:
-    """Attempt to carry the perturbed invariant across identification
-    types along two readings of the joined picture.
+def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: Backend) -> InvarianceReport:
+    """Attempt to carry the perturbed invariant of ``own`` across to
+    ``other``, the same instance read with the other identification type,
+    along two readings of the joined picture.
 
     The longer reading refines one step of the shorter one through the
     switched-type spherical elements; the chain equalities are recomputed
     as matrices, and the leftover forced equality F'2 = F2 can only hold
     when the switched spherical-element product is the identity.
     """
-    own_seq = build_abstract(inst, identification)
-    other_seq = build_abstract(inst, other_type(identification))
+    if other.identification != other_type(own.identification):
+        raise InputError("the two sequences must have different identification types")
     p, d = b.p, b.dim
     # each factor as a (matrix, inverse) pair; the inverse of a product of
     # commuting factors is the product of their inverses
-    e_own = _with_inverse(_spel_tokens(own_seq), b)
-    e_other = _with_inverse(_spel_tokens(other_seq), b)
-    comm = _with_inverse((t for t in own_seq.slices[4].tokens if isinstance(t, CommutatorToken)), b)
+    e_own = _with_inverse(_spel_tokens(own), b)
+    e_other = _with_inverse(_spel_tokens(other), b)
+    comm = _with_inverse((t for t in own.slices[4].tokens if isinstance(t, CommutatorToken)), b)
     z_empty = b._lookup(CellToken(Word()))[1:]
-    cell = _with_inverse((t for t in own_seq.slices[3].tokens if isinstance(t, CellToken)), b)
+    cell = _with_inverse((t for t in own.slices[3].tokens if isinstance(t, CellToken)), b)
     s2 = b._lookup(SphereToken())[1:]
 
     def m3(x, y, z):
@@ -421,27 +427,23 @@ def global_combine(mats: Sequence[np.ndarray], mode: str, p: int, dim: Optional[
         dim = mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise InputError("dimension mismatch in global combination")
-    prod = modmat.product(mats, p, dim)
     if mode == PRODUCT:
-        return prod
+        return modmat.product(mats, p, dim)
     if mode == PERMUTATION_SUM:
         if len(mats) > 6:
             raise InputError("permutation sum limited to 6 factors")
-        total = np.zeros((dim, dim), dtype=np.int64)
-        for perm in permutations(range(len(mats))):
-            total = (total + modmat.product((mats[i] for i in perm), p, dim)) % p
-        commuting = all(
-            modmat.equal(modmat.mul(a, c, p), modmat.mul(c, a, p), p)
-            for i, a in enumerate(mats)
-            for c in mats[i + 1 :]
-        )
-        if commuting:
-            fact = 1
-            for i in range(2, len(mats) + 1):
-                fact = (fact * i) % p
-            if not modmat.equal(total, (fact * prod) % p, p):
-                raise RuntimeError("permutation sum of commuting matrices is not n! times their product")
-        return total
+        # F(T), the sum over the orderings of the factors in the subset T
+        # (a bitmask), is the sum over its last factor i of F(T∖{i})·M_i:
+        # n·2^(n-1) products in all, where multiplying out every ordering
+        # takes n·n!.
+        sums = [modmat.identity(dim)]
+        for subset in range(1, 1 << len(mats)):
+            total = np.zeros((dim, dim), dtype=np.int64)
+            for i, m in enumerate(mats):
+                if subset >> i & 1:
+                    total = (total + modmat.mul(sums[subset ^ 1 << i], m, p)) % p
+            sums.append(total)
+        return sums[-1]
     raise InputError("unknown combination mode %r" % mode)
 
 
@@ -454,31 +456,25 @@ class ThreeTestsResult:
         return iter(self.matches)
 
 
-def three_tests(k_pairs, l_pairs, b: Backend, mode: str = PRODUCT) -> ThreeTestsResult:
+def three_tests(k_side, l_side, b: Backend, mode: str = PRODUCT) -> ThreeTestsResult:
     """Compare the combined invariants of the two presentations directly
     and through either gauge; an all-negative triple is flagged.
 
-    Each side is a sequence of (instance, identification) pairs, one per
-    relator pair; the gauged reading swaps each pair's identification.
+    Each side is a sequence of (sequence, gauged sequence) pairs, one per
+    relator pair; the gauged one is the first's ``gauged_sequence``.
     """
-    k_pairs, l_pairs = list(k_pairs), list(l_pairs)
-    if len(k_pairs) != len(l_pairs):
-        raise InputError("relator pairing mismatch: %d vs %d" % (len(k_pairs), len(l_pairs)))
+    k_side, l_side = list(k_side), list(l_side)
+    if len(k_side) != len(l_side):
+        raise InputError("relator pairing mismatch: %d vs %d" % (len(k_side), len(l_side)))
 
-    def combined(pairs, gauged=False):
-        locals_ = []
-        for inst, identification in pairs:
-            if gauged:
-                seq = build_abstract(crit.gauge(inst), other_type(identification), orientation=-1)
-            else:
-                seq = build_abstract(inst, identification)
-            locals_.append(perturbed_invariant(seq, b))
-        return global_combine(locals_, mode, b.p, b.dim)
+    def combined(side, gauge=False):
+        invariants = [perturbed_invariant(gauged if gauge else own, b) for own, gauged in side]
+        return global_combine(invariants, mode, b.p, b.dim)
 
-    i_k = combined(k_pairs)
-    i_l = combined(l_pairs)
-    i_k_gauge = combined(k_pairs, gauged=True)
-    i_l_gauge = combined(l_pairs, gauged=True)
+    i_k = combined(k_side)
+    i_l = combined(l_side)
+    i_k_gauge = combined(k_side, gauge=True)
+    i_l_gauge = combined(l_side, gauge=True)
     flags = (
         modmat.equal(i_k, i_l, b.p),
         modmat.equal(i_k_gauge, i_l, b.p),

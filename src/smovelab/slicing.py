@@ -594,6 +594,7 @@ class AbstractSequence:
     factor_count: int
     perturbation_index: int = 3
     transitions: Tuple[str, ...] = _TRANSITIONS
+    residual: Optional[Word] = None  # the leftover cell riding with the product cell
 
 
 def spel_kinds(identification: str) -> Tuple[str, str]:
@@ -623,23 +624,13 @@ def build_abstract(
     """
     if orientation not in (1, -1):
         raise InputError("orientation must be +1 or -1")
-    if residual is None:
-        ok = crit.verify(inst)
-    elif residual_side == "r":
-        ok = reduce(tuple(residual) + tuple(crit.verification_word(inst))) == ()
-    elif residual_side == "s":
-        ok = (
-            reduce(
-                tuple(inst.r_word)
-                + tuple(invert(inst.s_word))
-                + tuple(residual)
-                + tuple(crit.commutator_product(inst))
-            )
-            == ()
-        )
-    else:
+    if residual_side not in ("r", "s"):
         raise InputError("residual_side must be 'r' or 's'")
-    if not ok:
+    # R.S^-1.[S_1,R_1]...[S_n,R_n] = 1, with the residual in front of R
+    # (side r) or behind S^-1 (side s)
+    res = tuple(residual or ())
+    head, mid = (res, ()) if residual_side == "r" else ((), res)
+    if reduce(head + inst.r_word + invert(inst.s_word) + mid + crit.commutator_product(inst)):
         raise crit.InvalidInstance("instance fails the commutator criterion")
     orient = (lambda w: w) if orientation == 1 else invert
     kind_r, kind_s = spel_kinds(identification)
@@ -664,7 +655,7 @@ def build_abstract(
         (),
     )
     slices = tuple(AbstractSlice(k, toks) for k, toks in enumerate(seq))
-    return AbstractSequence(slices, identification, len(inst.factors))
+    return AbstractSequence(slices, identification, len(inst.factors), residual=residual)
 
 
 def abstract_ok(aseq: AbstractSequence) -> bool:

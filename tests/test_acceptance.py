@@ -267,8 +267,8 @@ def test_inside_type_invariance_under_all_relator_moves():
         seqs = [build_abstract(inst, t)]
         seqs += [qmove_rider(inst, m, t) for m in _QMOVES]
         b = make_backend(collect_labels(*seqs), seed=seed + 13)
-        for m in _QMOVES:
-            report = check_inside_invariance(inst, m, b, t)
+        for m, rider in zip(_QMOVES, seqs[1:]):
+            report = check_inside_invariance(seqs[0], rider, b)
             assert report.verdict == "Pass", (seed, m, report.witness)
 
 
@@ -282,7 +282,7 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
             build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN)
         )
         b = make_backend(labels, seed=seed, spel_identity=identity_control)
-        report = between_type_obstruction(inst, b, t)
+        report = between_type_obstruction(build_abstract(inst, t), build_abstract(inst, other_type(t)), b)
 
         other = build_abstract(inst, other_type(t))
         spels = [tok for tok in other.slices[3].tokens if isinstance(tok, SpElToken)]

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import sys
 
 import pytest
 
-from smovelab import cli
+import smovelab.playground  # noqa: F401  (binds build_abstract; loaded before counting)
+from smovelab import cli, criterion, slicing
 from smovelab.criterion import build_instance, format_decomposition
 from smovelab.presentations import format_presentation
 
@@ -274,6 +276,38 @@ def test_three_tests_protocol(capsys):
         assert code == 0
 
 
+def _count_calls(monkeypatch, fn):
+    """Count the calls to ``fn`` made through any smovelab module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("smovelab") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, sequences, transports",
+    [
+        (["inv", "playground", "--seed", "4"], 3, 0),
+        (["inv", "playground", "--seed", "4", "--gauge"], 3, 0),
+        (["inv", "playground", "--seed", "4", "--obstruction"], 3, 0),
+        (["inv", "playground", "--seed", "4", "--qmove", "inv R"], 4, 1),
+        (["test", "three-tests", "--seed", "4", "--pairs", "3"], 12, 0),
+    ],
+)
+def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, argv, sequences, transports):
+    built = _count_calls(monkeypatch, slicing.build_abstract)
+    moved = _count_calls(monkeypatch, criterion.transport_qmove)
+    code, out = _run(capsys, argv)
+    assert code in (0, 1, 3) and "---csv---" in out
+    assert (len(built), len(moved)) == (sequences, transports)
+
+
 def test_csv_block_is_well_formed(capsys):
     code, out = _run(capsys, ["word", "comm", "ab", "ba"])
     text_part, csv_part = out.split("---csv---\n")
@@ -363,6 +397,15 @@ def test_inv_playground_large_dimension_below_the_bound_still_runs(capsys):
     code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--d", "32", "--p", "100003"])
     assert code == 0 and out.startswith("invariant: ")
     assert "p,100003" in out and "d,32" in out
+
+
+def test_dimension_beyond_max_dim_exits_2(tmp_path, capsys):
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--p", "2", "--d", "1000000"])
+    assert (code, out) == (2, "error: dimension must be at most 256, got 1000000\n")
+    path = tmp_path / "b.txt"
+    path.write_text("p 2 d 1000000\ntok S2 1\n", encoding="utf-8")
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(path)])
+    assert (code, out) == (2, "error: %s: line 1: dimension must be at most 256, got 1000000\n" % path)
 
 
 def test_malformed_backend_value_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -25,6 +26,7 @@ from smovelab.playground import (
     collect_labels,
     compose,
     dump_backend,
+    gauged_sequence,
     global_combine,
     is_prime,
     load_backend,
@@ -58,6 +60,11 @@ def _labels_for(*instances, types=(LONGITUDINAL, MERIDIAN)):
             seqs.append(build_abstract(inst, t))
             seqs.append(build_abstract(gauge(inst), other_type(t), orientation=-1))
     return collect_labels(*seqs)
+
+
+def _readings(inst, t):
+    """An instance's sequence of type ``t`` and its gauged sequence."""
+    return build_abstract(inst, t), gauged_sequence(inst, t)
 
 
 def _backend(seed=0, **kw):
@@ -383,8 +390,8 @@ def test_invariants_run_no_gauss_jordan(monkeypatch):
         for e, inv in zip(sm.endos, sm.inverses):
             assert modmat.is_identity(modmat.mul(e, inv, b.p), b.p)
         perturbed_invariant(aseq, b)
-        between_type_obstruction(inst, b, t)
-        check_gauge(inst, b, t)
+        between_type_obstruction(aseq, build_abstract(inst, other_type(t)), b)
+        check_gauge(*_readings(inst, t), b)
         stabilization_demo(b, 2)
     assert calls == []
 
@@ -470,20 +477,32 @@ def test_inside_invariance_all_qmove_kinds(qmove):
     for seed in (0, 5, 11):
         inst = build_instance(seed)
         for t in (LONGITUDINAL, MERIDIAN):
-            labels = collect_labels(
-                build_abstract(inst, t), qmove_rider(inst, qmove, t)
-            )
+            base, rider = build_abstract(inst, t), qmove_rider(inst, qmove, t)
+            labels = collect_labels(base, rider)
             b = make_backend(labels, seed=seed)
-            rep = check_inside_invariance(inst, qmove, b, identification=t)
+            rep = check_inside_invariance(base, rider, b)
             assert rep.verdict == "Pass", rep.witness
             assert bool(rep)
+
+
+def test_analyses_check_the_sequences_they_are_handed():
+    inst, b = _backend(4)
+    lon, mer = build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN)
+    rider = qmove_rider(inst, InvertRelator("R"), LONGITUDINAL)
+    assert rider.residual == transport_qmove(inst, InvertRelator("R")).residual
+    assert lon.residual is None
+    with pytest.raises(InputError, match="carries no residual"):
+        check_inside_invariance(lon, lon, b)
+    with pytest.raises(InputError, match="different identification types"):
+        between_type_obstruction(lon, lon, b)
+    assert between_type_obstruction(mer, lon, b).verdict in ("Pass", "Obstructed")
 
 
 def test_gauge_equality_and_negative_control():
     inst = build_instance(9)
     b = make_backend(_labels_for(inst), seed=9)
-    assert check_gauge(inst, b).verdict == "Pass"
-    assert check_gauge(inst, b, identification=MERIDIAN).verdict == "Pass"
+    assert check_gauge(*_readings(inst, LONGITUDINAL), b).verdict == "Pass"
+    assert check_gauge(*_readings(inst, MERIDIAN), b).verdict == "Pass"
     # broken backend: no inverse aliasing, so Z(V) != Z(V^-1) in general
     seqs = [
         build_abstract(inst, t)
@@ -493,7 +512,7 @@ def test_gauge_equality_and_negative_control():
         for t in (LONGITUDINAL, MERIDIAN)
     ]
     broken = make_backend(collect_labels(*seqs, alias=False), seed=9, alias=False)
-    rep = check_gauge(inst, broken)
+    rep = check_gauge(*_readings(inst, LONGITUDINAL), broken)
     assert rep.verdict == "Fail"
     assert rep.witness
 
@@ -501,16 +520,17 @@ def test_gauge_equality_and_negative_control():
 def test_gauge_trivial_for_empty_decomposition():
     inst = build_instance(1, n_factors=0)
     b = make_backend(_labels_for(inst), seed=2)
-    assert check_gauge(inst, b).verdict == "Pass"
+    assert check_gauge(*_readings(inst, LONGITUDINAL), b).verdict == "Pass"
 
 
 def test_between_type_obstruction_iff_spel_product_nontrivial():
     for seed in range(6):
         inst = build_instance(seed)
         b = make_backend(_labels_for(inst), seed=seed + 50)
-        rep = between_type_obstruction(inst, b)
         aseq = build_abstract(inst, LONGITUDINAL)
-        forced = spel_product(build_abstract(inst, other_type(LONGITUDINAL)), b)
+        other = build_abstract(inst, other_type(LONGITUDINAL))
+        rep = between_type_obstruction(aseq, other, b)
+        forced = spel_product(other, b)
         if modmat.is_identity(forced, b.p):
             assert rep.verdict == "Pass"
         else:
@@ -519,7 +539,8 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
     # identity controls must pass
     inst = build_instance(2)
     b = make_backend(_labels_for(inst), seed=1, spel_identity=True)
-    assert between_type_obstruction(inst, b).verdict == "Pass"
+    lon, mer = build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN)
+    assert between_type_obstruction(lon, mer, b).verdict == "Pass"
 
 
 def test_global_combine_modes():
@@ -534,6 +555,22 @@ def test_global_combine_modes():
     # for commuting matrices the permutation sum collapses to n! copies
     psum = global_combine(mats, PERMUTATION_SUM, p, d)
     assert modmat.equal(psum, math.factorial(len(mats)) * prod % p, p)
+    diag = [modmat.random_invertible_diagonal(rng, d, p) for _ in range(6)]
+    for n in range(7):
+        want = math.factorial(n) * modmat.product(diag[:n], p, d) % p
+        assert modmat.equal(global_combine(diag[:n], PERMUTATION_SUM, p, d), want, p)
+    # in general it is the sum over every ordering, multiplied out by brute force
+    full = [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(6)]
+    assert _py_mul(full[0], full[1], p) != _py_mul(full[1], full[0], p)
+    for n in range(7):
+        brute = [[0] * d for _ in range(d)]
+        for order in itertools.permutations(full[:n]):
+            term = [[int(i == j) for j in range(d)] for i in range(d)]
+            for m in order:
+                term = _py_mul(term, m, p)
+            brute = [[(x + y) % p for x, y in zip(u, v)] for u, v in zip(brute, term)]
+        got = global_combine([np.array(m, dtype=np.int64) for m in full[:n]], PERMUTATION_SUM, p, d)
+        assert got.tolist() == brute
     with pytest.raises(InputError):
         global_combine([modmat.identity(2), modmat.identity(3)], PRODUCT, p)
     with pytest.raises(InputError):
@@ -545,7 +582,7 @@ def test_global_combine_modes():
 def test_three_tests_identical_sides():
     inst = build_instance(4)
     b = make_backend(_labels_for(inst), seed=4)
-    side = [(inst, LONGITUDINAL)]
+    side = [_readings(inst, LONGITUDINAL)]
     res = three_tests(side, side, b)
     assert res.matches == (True, True, True)
     assert res.report is None
@@ -554,19 +591,19 @@ def test_three_tests_identical_sides():
 def test_three_tests_distinct_types_flags():
     inst = build_instance(4)
     b = make_backend(_labels_for(inst), seed=4)
-    res = three_tests([(inst, LONGITUDINAL)], [(inst, MERIDIAN)], b)
+    res = three_tests([_readings(inst, LONGITUDINAL)], [_readings(inst, MERIDIAN)], b)
     t1, t2, t3 = res
     assert not t1
     if not any(res.matches):
         assert "counterexample" in res.report
     with pytest.raises(InputError):
-        three_tests([(inst, LONGITUDINAL)], [], b)
+        three_tests([_readings(inst, LONGITUDINAL)], [], b)
 
 
 def test_three_tests_gauge_matches_direct_for_compliant_backend():
     inst = build_instance(7)
     b = make_backend(_labels_for(inst), seed=7)
-    res = three_tests([(inst, MERIDIAN)], [(inst, MERIDIAN)], b, mode=PERMUTATION_SUM)
+    res = three_tests([_readings(inst, MERIDIAN)], [_readings(inst, MERIDIAN)], b, mode=PERMUTATION_SUM)
     assert res.matches == (True, True, True)
 
 
