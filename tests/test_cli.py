@@ -285,7 +285,7 @@ def _count_calls(monkeypatch, fn):
         return fn(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
-        if mod.__name__.startswith("smovelab") and getattr(mod, fn.__name__, None) is fn:
+        if getattr(mod, "__name__", "").startswith("smovelab") and getattr(mod, fn.__name__, None) is fn:
             monkeypatch.setattr(mod, fn.__name__, counted)
     return calls
 
