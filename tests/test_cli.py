@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import random
 import sys
 
 import pytest
@@ -732,3 +733,59 @@ def test_dumped_d32_backend_reloads_to_the_same_outputs(tmp_path, capsys):
     ):
         assert cli.main(["inv", "playground", "--seed", "4", "--backend", path] + extra) == code
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _long_word(seed, n=256):
+    rng = random.Random(seed)
+    return "".join(rng.choice(("a", "b", "c", "d", "g27", "A", "B", "C", "D", "G27")) for _ in range(n))
+
+
+_R256, _S256 = _long_word(1), _long_word(2)
+
+# Exact stdout of `slice piece`: (argv after "slice piece", exit code, bytes, sha256).
+_SLICE_GOLDENS = [
+    (["--type", "bag", "--R", "abAcb"], 0, 743, "b9ad92b82393e4d7ff168bb45eac58a3402e0ca097efc77042336816b69dca93"),
+    (["--type", "bag", "--R", "abAcb", "--identify"], 0, 836, "666f59556824431f5e801355ef0bf0c2e30a7c739c95aec10fe97bfdf63e2094"),
+    (["--type", "bag", "--R", "1"], 0, 394, "42a845f2c20abe4bf2df2d41d7af1f5c8423dd288e82f877c14b1809a4d1241f"),
+    (["--type", "invpair", "--R", "aBg27cG30"], 0, 1264, "eaeffb6a8a91cf06cc4f7a05ccf35e88d92af0ae691d4641a3f135548d267037"),
+    (["--type", "comm", "--R", "abA", "--S", "bbc"], 0, 2072, "044672d2aa3291a82af0cb427ee647006f47089f1c0359b27dac658fe5766214"),
+    (
+        ["--type", "comm", "--R", "abA", "--S", "bbc", "--dominant", "S"],
+        0,
+        2072,
+        "be307a804684025112b4d4dd5d34b548d123fcc36108f2194968a887d96a9254",
+    ),
+    (
+        ["--type", "comm", "--R", "abA", "--S", "bbc", "--identify"],
+        0,
+        2416,
+        "0cdde4dfd335b75b76f2b5e8e76088387101303f19d3fc09dd275b0dce54b4fa",
+    ),
+    (
+        ["--type", "comm", "--R", "g27aB", "--S", "1", "--dominant", "S", "--identify"],
+        0,
+        1806,
+        "d67465f85c1f8d55a63532806a94bbee9271d4dc98dc172cb0e1e8ae0d22120d",
+    ),
+    (["--type", "prod", "--R", "abA", "--S", "G30b"], 0, 788, "e641ff30391990142e477211b80866b9ad289c67a44b9303df267156a3093294"),
+    (["--type", "prod", "--R", "1", "--S", "1"], 0, 442, "a3dc2bed6683bff0ec0ede1703ea87bdac63e46a10ed8faa2f80af5cab72bd45"),
+    (["--type", "comm", "--R", "ab"], 2, 45, "00f32285fcd3549e24c4d003fabbb15bddc95b4ac7d71df3bf8ca2256aa2e3c2"),
+    (
+        ["--type", "comm", "--R", _R256, "--S", _S256, "--dominant", "S", "--identify"],
+        0,
+        802044,
+        "510bd79f9df0d295ea6531b983e5b2f792dd6515c9d3f37c381c92a82f6fae50",
+    ),
+    (["--type", "prod", "--R", _R256, "--S", _S256], 0, 214927, "785ae819db3d164235fbfca749e05500eb3bcb7efe8b64266675f5339f7fcdd4"),
+]
+
+
+def _golden_id(argv):
+    return " ".join(a if len(a) < 20 else "<%d chars>" % len(a) for a in argv)
+
+
+@pytest.mark.parametrize("argv,code,size,digest", _SLICE_GOLDENS, ids=[_golden_id(g[0]) for g in _SLICE_GOLDENS])
+def test_slice_piece_outputs_are_unchanged(capsys, argv, code, size, digest):
+    assert cli.main(["slice", "piece"] + argv) == code
+    out = capsys.readouterr().out.encode()
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
