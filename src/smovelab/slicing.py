@@ -143,78 +143,126 @@ def _need(cond: bool, msg: str):
         raise SliceError(msg)
 
 
+# Each move handler checks every precondition before it edits the live
+# component list in place.
+
+
+def _at(cs: list, i: int, kind=None) -> Component:
+    if not 0 <= i < len(cs):
+        raise SliceError("component index %d out of range" % i)
+    c = cs[i]
+    if kind is not None and not isinstance(c, kind):
+        raise SliceError("component %d is not a %s" % (i, kind.__name__))
+    return c
+
+
+def _birth_circle(cs: list, m: BirthCircle):
+    cs.append(Circle(tuple(m.marks)))
+
+
+def _death_circle(cs: list, m: DeathCircle):
+    _at(cs, m.index, Circle)
+    del cs[m.index]
+
+
+def _split_circle_to_arc(cs: list, m: SplitCircleToArc):
+    _at(cs, m.index, Circle)
+    cs[m.index] = Arc(m.left, m.right)
+
+
+def _join_arcs_to_circle(cs: list, m: JoinArcsToCircle):
+    a = _at(cs, m.index, Arc)
+    if m.other is None:
+        cs[m.index] = Circle((a.left, a.right))
+        return
+    b = _at(cs, m.other, Arc)
+    _need(m.other != m.index, "join needs two distinct arcs")
+    lo, hi = sorted((m.index, m.other))
+    cs[lo] = Circle((a.left, a.right, b.left, b.right))
+    del cs[hi]
+
+
+def _circulate_step(cs: list, m: CirculateStep):
+    a = _at(cs, m.index, Arc)
+    _need(m.letter != 0, "circulation letter must be nonzero")
+    cs[m.index] = Arc(a.left, a.right, a.trace + (m.letter,))
+
+
+def _merge_arcs(cs: list, m: MergeArcs):
+    a = _at(cs, m.index, Arc)
+    b = _at(cs, m.other, Arc)
+    _need(m.other != m.index, "merge needs two distinct arcs")
+    lo, hi = sorted((m.index, m.other))
+    cs[lo] = Arc(a.left, a.right if m.absorb else b.right, a.trace + b.trace)
+    del cs[hi]
+
+
+def _identify_edges(cs: list, m: IdentifyEdges):
+    def rn(label):
+        return m.keep if label == m.drop else label
+
+    cs[:] = [
+        Circle(tuple(rn(x) for x in c.marks))
+        if isinstance(c, Circle)
+        else Arc(rn(c.left), rn(c.right), c.trace)
+        for c in cs
+    ]
+
+
+def _reorder_step(cs: list, m: ReorderStep):
+    a = _at(cs, m.index, Arc)
+    cs[m.index] = Arc(a.right, a.left, a.trace)
+
+
+def _saddle_pair(cs: list, m: SaddlePair):
+    _at(cs, m.index)
+
+
+def _join_cells(cs: list, m: JoinCells):
+    a = _at(cs, m.index, Circle)
+    b = _at(cs, m.other, Circle)
+    _need(m.other != m.index, "cell join needs two distinct circles")
+    lo, hi = sorted((m.index, m.other))
+    cs[lo] = Circle(a.marks + b.marks)
+    del cs[hi]
+
+
+def _split_cells(cs: list, m: SplitCells):
+    a = _at(cs, m.index, Circle)
+    _need(
+        a.marks == tuple(m.marks_first) + tuple(m.marks_second),
+        "cell split must partition the marks in order",
+    )
+    cs[m.index] = Circle(tuple(m.marks_first))
+    cs.append(Circle(tuple(m.marks_second)))
+
+
+_MOVES = {
+    BirthCircle: _birth_circle,
+    DeathCircle: _death_circle,
+    SplitCircleToArc: _split_circle_to_arc,
+    JoinArcsToCircle: _join_arcs_to_circle,
+    CirculateStep: _circulate_step,
+    MergeArcs: _merge_arcs,
+    IdentifyEdges: _identify_edges,
+    ReorderStep: _reorder_step,
+    SaddlePair: _saddle_pair,
+    JoinCells: _join_cells,
+    SplitCells: _split_cells,
+}
+
+
+def _apply(cs: list, m: LocalMove):
+    """Apply ``m`` to the live list ``cs`` through the move table."""
+    handler = _MOVES.get(type(m))
+    if handler is None:
+        raise SliceError("unknown move %r" % (m,))
+    handler(cs, m)
+
+
 def apply_move(components: Tuple[Component, ...], m: LocalMove) -> Tuple[Component, ...]:
     cs = list(components)
-
-    def at(i, want=None):
-        _need(0 <= i < len(cs), "component index %d out of range" % i)
-        c = cs[i]
-        if want is not None:
-            _need(isinstance(c, want), "component %d is not a %s" % (i, want.__name__))
-        return c
-
-    if isinstance(m, BirthCircle):
-        cs.append(Circle(tuple(m.marks)))
-    elif isinstance(m, DeathCircle):
-        at(m.index, Circle)
-        del cs[m.index]
-    elif isinstance(m, SplitCircleToArc):
-        at(m.index, Circle)
-        cs[m.index] = Arc(m.left, m.right)
-    elif isinstance(m, JoinArcsToCircle):
-        a = at(m.index, Arc)
-        if m.other is None:
-            cs[m.index] = Circle((a.left, a.right))
-        else:
-            b = at(m.other, Arc)
-            _need(m.other != m.index, "join needs two distinct arcs")
-            lo, hi = sorted((m.index, m.other))
-            cs[lo] = Circle((a.left, a.right, b.left, b.right))
-            del cs[hi]
-    elif isinstance(m, CirculateStep):
-        a = at(m.index, Arc)
-        _need(m.letter != 0, "circulation letter must be nonzero")
-        cs[m.index] = Arc(a.left, a.right, a.trace + (m.letter,))
-    elif isinstance(m, MergeArcs):
-        a = at(m.index, Arc)
-        b = at(m.other, Arc)
-        _need(m.other != m.index, "merge needs two distinct arcs")
-        merged = Arc(a.left, a.right if m.absorb else b.right, a.trace + b.trace)
-        lo, hi = sorted((m.index, m.other))
-        cs[lo] = merged
-        del cs[hi]
-    elif isinstance(m, IdentifyEdges):
-        def rn(label):
-            return m.keep if label == m.drop else label
-
-        cs = [
-            Circle(tuple(rn(x) for x in c.marks))
-            if isinstance(c, Circle)
-            else Arc(rn(c.left), rn(c.right), c.trace)
-            for c in cs
-        ]
-    elif isinstance(m, ReorderStep):
-        a = at(m.index, Arc)
-        cs[m.index] = Arc(a.right, a.left, a.trace)
-    elif isinstance(m, SaddlePair):
-        at(m.index)
-    elif isinstance(m, JoinCells):
-        a = at(m.index, Circle)
-        b = at(m.other, Circle)
-        _need(m.other != m.index, "cell join needs two distinct circles")
-        lo, hi = sorted((m.index, m.other))
-        cs[lo] = Circle(a.marks + b.marks)
-        del cs[hi]
-    elif isinstance(m, SplitCells):
-        a = at(m.index, Circle)
-        _need(
-            a.marks == tuple(m.marks_first) + tuple(m.marks_second),
-            "cell split must partition the marks in order",
-        )
-        cs[m.index] = Circle(tuple(m.marks_first))
-        cs.append(Circle(tuple(m.marks_second)))
-    else:
-        raise SliceError("unknown move %r" % (m,))
+    _apply(cs, m)
     return tuple(cs)
 
 
@@ -295,13 +343,18 @@ def boundary_trace(seq: SliceSequence) -> Word:
 
 
 class _Builder:
+    """Applies each move to one live component list as it is recorded and
+    keeps a tuple snapshot per slice."""
+
     def __init__(self):
+        self._live: list[Component] = []
         self.components: Tuple[Component, ...] = ()
         self.slices = [Slice(0, ())]
         self.moves: list[LocalMove] = []
 
     def push(self, m: LocalMove):
-        self.components = apply_move(self.components, m)
+        _apply(self._live, m)
+        self.components = tuple(self._live)
         self.moves.append(m)
         self.slices.append(Slice(len(self.slices), self.components))
 
@@ -520,15 +573,43 @@ def _move_text(m: LocalMove) -> str:
     return "-- %s %s" % (name, " ".join(vals))
 
 
+def _letters(t: Tuple[int, ...]) -> str:
+    return format_word(t) if t else ""
+
+
 def format_sequence(seq: SliceSequence) -> str:
+    """The dump prints every arc's whole trace at every level, so it grows
+    quadratically with the word; it is produced in time linear in its
+    length.  Within one call each component and each trace object is
+    formatted once, keyed by identity (``seq`` keeps them all alive); a
+    trace extending the trace of the arc at the same index one slice up
+    is that arc's text plus its new letters."""
     lines = []
+    line_of: dict[int, str] = {}  # id(component) -> its line
+    text_of: dict[int, str] = {}  # id(trace) -> its letters, "" when empty
+    above: Tuple[Component, ...] = ()
     for k, s in enumerate(seq.slices):
         lines.append("slice %d" % s.level)
-        for c in s.components:
-            if isinstance(c, Circle):
-                lines.append("C[%s]" % ",".join(c.marks))
-            else:
-                lines.append("A[%s,%s;trace=%s]" % (c.left, c.right, format_word(c.trace)))
+        for i, c in enumerate(s.components):
+            line = line_of.get(id(c))
+            if line is None:
+                if isinstance(c, Circle):
+                    line = "C[%s]" % ",".join(c.marks)
+                else:
+                    t = c.trace
+                    text = text_of.get(id(t))
+                    if text is None:
+                        up = above[i] if i < len(above) else None
+                        n = len(up.trace) if isinstance(up, Arc) else 0
+                        if n and t[:n] == up.trace:
+                            text = text_of[id(up.trace)] + _letters(t[n:])
+                        else:
+                            text = _letters(t)
+                        text_of[id(t)] = text
+                    line = "A[%s,%s;trace=%s]" % (c.left, c.right, text or "1")
+                line_of[id(c)] = line
+            lines.append(line)
+        above = s.components
         if k < len(seq.moves):
             lines.append(_move_text(seq.moves[k]))
     return "\n".join(lines) + "\n"

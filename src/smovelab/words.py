@@ -37,10 +37,9 @@ class Word(tuple):
     """An immutable word; not necessarily freely reduced."""
 
     def __new__(cls, letters: Iterable[int] = ()):
-        letters = tuple(int(x) for x in letters)
-        for x in letters:
-            if x == 0:
-                raise InputError("word letters must be nonzero integers")
+        letters = tuple(map(int, letters))
+        if 0 in letters:
+            raise InputError("word letters must be nonzero integers")
         return super().__new__(cls, letters)
 
     def __repr__(self):
@@ -68,6 +67,22 @@ EMPTY = Word()
 _TOKEN = re.compile(r"\s+|g(\d+)|G(\d+)|[a-z]|[A-Z]|.", re.DOTALL)
 
 
+class _LetterText(dict):
+    """Letter -> surface text; indices past 26 fall through to the escapes."""
+
+    def __missing__(self, x):
+        return ("g%d" if x > 0 else "G%d") % abs(x)
+
+
+# One table for both directions: a..z are generators 1..26, A..Z their inverses.
+_LETTER_TEXT = _LetterText(
+    (sign * k, c if sign > 0 else c.upper())
+    for k, c in enumerate("abcdefghijklmnopqrstuvwxyz", start=1)
+    for sign in (1, -1)
+)
+_TEXT_LETTER = {c: x for x, c in _LETTER_TEXT.items()}
+
+
 def parse_word(text: str, n_generators: int | None = None) -> Word:
     """Parse a word literal; ``1`` (or an all-whitespace string) is empty."""
     stripped = text.strip()
@@ -76,18 +91,16 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
     letters = []
     for m in _TOKEN.finditer(text):
         tok = m.group(0)
-        if tok.isspace():
-            continue
-        if m.group(1) is not None:
-            x = int(m.group(1))
-        elif m.group(2) is not None:
-            x = -int(m.group(2))
-        elif "a" <= tok <= "z":
-            x = ord(tok) - ord("a") + 1
-        elif "A" <= tok <= "Z":
-            x = -(ord(tok) - ord("A") + 1)
-        else:
-            raise InputError("bad word token %r in %r" % (tok, text))
+        x = _TEXT_LETTER.get(tok)
+        if x is None:
+            if tok.isspace():
+                continue
+            if m.group(1) is not None:
+                x = int(m.group(1))
+            elif m.group(2) is not None:
+                x = -int(m.group(2))
+            else:
+                raise InputError("bad word token %r in %r" % (tok, text))
         if x == 0:
             raise InputError("generator index must be >= 1 in %r" % text)
         if n_generators is not None and abs(x) > n_generators:
@@ -100,15 +113,7 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
 
 
 def format_word(w: Iterable[int]) -> str:
-    out = []
-    for x in w:
-        k = abs(x)
-        if k <= 26:
-            c = chr(ord("a") + k - 1)
-            out.append(c if x > 0 else c.upper())
-        else:
-            out.append(("g%d" if x > 0 else "G%d") % k)
-    return "".join(out) if out else "1"
+    return "".join(map(_LETTER_TEXT.__getitem__, w)) or "1"
 
 
 def reduce(w: Iterable[int]) -> Word:

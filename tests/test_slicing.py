@@ -418,3 +418,229 @@ def test_arc_traces_are_plain_int_tuples():
     traces = [c.trace for sl in seq.slices for c in sl.components if isinstance(c, Arc)]
     assert traces and all(type(t) is tuple for t in traces)
     assert (1, 2) in traces and (1, 2, -1) in traces
+
+
+# --- format_sequence against the per-arc formatter --------------------------
+
+
+def _oracle_word(w):
+    out = []
+    for x in w:
+        k = abs(x)
+        if k <= 26:
+            c = chr(ord("a") + k - 1)
+            out.append(c if x > 0 else c.upper())
+        else:
+            out.append(("g%d" if x > 0 else "G%d") % k)
+    return "".join(out) if out else "1"
+
+
+def _oracle_format_sequence(seq):
+    """Every arc's trace formatted from scratch, letter by letter."""
+    from smovelab.slicing import _move_text
+
+    lines = []
+    for k, s in enumerate(seq.slices):
+        lines.append("slice %d" % s.level)
+        for c in s.components:
+            if isinstance(c, Circle):
+                lines.append("C[%s]" % ",".join(c.marks))
+            else:
+                lines.append("A[%s,%s;trace=%s]" % (c.left, c.right, _oracle_word(c.trace)))
+        if k < len(seq.moves):
+            lines.append(_move_text(seq.moves[k]))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_pieces():
+    rng = __import__("random").Random(11)
+
+    def word(n):
+        return Word(rng.choice((1, 2, 3, 27, 30)) * rng.choice((1, -1)) for _ in range(n))
+
+    r, s, e = word(23), word(17), Word()
+    esc = parse_word("g27aG30g27")
+    out = {}
+    for w_name, w in (("r", r), ("empty", e), ("escapes", esc)):
+        out["bag %s" % w_name] = slice_bag(w)
+        out["bag identify %s" % w_name] = slice_bag(w, identify=True)
+        out["invpair %s" % w_name] = slice_inverse_pair(w)
+    for (r_name, rw), (s_name, sw) in (
+        (("r", r), ("s", s)),
+        (("empty", e), ("s", s)),
+        (("r", r), ("empty", e)),
+        (("escapes", esc), ("escapes", esc)),
+    ):
+        for dom in ("R", "S"):
+            for identify in (False, True):
+                key = "comm %s %s dominant %s%s" % (r_name, s_name, dom, " identify" if identify else "")
+                out[key] = slice_commutator(rw, sw, dominant=dom, identify=identify)
+        out["prod %s %s" % (r_name, s_name)] = slice_product(rw, sw)
+    out["connect two"] = connect([slice_product(r, s), slice_commutator(esc, s, identify=True)])
+    out["connect three"] = connect(
+        [slice_bag(r, identify=True), slice_inverse_pair(esc), slice_commutator(s, r, dominant="S")]
+    )
+    out["connect one"] = connect([slice_commutator(r, s)])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_pieces()))
+def test_format_sequence_matches_the_per_arc_formatter_on_built_pieces(name):
+    seq = _oracle_pieces()[name]
+    assert format_sequence(seq) == _oracle_format_sequence(seq)
+
+
+def _hand_made(*levels, moves=None):
+    """An unbuilt sequence with the given component tuples per level; its
+    moves default to saddles and need not replay."""
+    slices = tuple(Slice(k, tuple(cs)) for k, cs in enumerate(levels))
+    if moves is None:
+        moves = tuple(SaddlePair(0) for _ in levels[1:])
+    return SliceSequence(slices, tuple(moves))
+
+
+def _fresh(letters):
+    """A trace equal to ``letters`` but a distinct tuple object."""
+    return tuple(list(letters))
+
+
+def test_format_sequence_matches_the_per_arc_formatter_on_hand_made_sequences():
+    t1, t2 = (1, -2), (27, 3)
+    cases = {
+        # the merged arc sits at the higher index, another arc below it
+        "merge kept high": _hand_made(
+            (Arc("p", "q", t1), Arc("u", "v", t2)),
+            (Arc("x", "y", (5,)), Arc("p", "v", t1 + t2)),
+            moves=(MergeArcs(0, 1),),
+        ),
+        # the first operand is at the higher index and the merge lands low
+        "merge from high": _hand_made(
+            (Arc("p", "q", t1), Arc("u", "v", t2)),
+            (Arc("u", "q", t2 + t1),),
+            moves=(MergeArcs(1, 0),),
+        ),
+        "identify renames": _hand_made(
+            (Arc("R", "R^-1", t1), Circle(("R^-1", "x"))),
+            (Arc("R", "R", t1), Circle(("R", "x"))),
+            moves=(IdentifyEdges("R", "R^-1"),),
+        ),
+        "reorder swaps": _hand_made(
+            (Arc("a", "b", t2),),
+            (Arc("b", "a", t2),),
+            (Arc("b", "a", t2 + (-30,)),),
+            moves=(ReorderStep(0), CirculateStep(0, -30, "a")),
+        ),
+        "equal but distinct traces": _hand_made(
+            (Arc("a", "b", t1),),
+            (Arc("a", "b", _fresh(t1)),),
+            (Arc("a", "b", _fresh(t1) + (4,)),),
+        ),
+        "shrink, diverge, empty": _hand_made(
+            (Arc("a", "b", (1, 2, 3)),),
+            (Arc("a", "b", (1, 2)),),
+            (Arc("a", "b", (1, -2, 3)),),
+            (Arc("a", "b", ()),),
+            (Arc("a", "b", (7,)),),
+        ),
+        "arc under a circle or nothing": _hand_made(
+            (Circle(("m",)),),
+            (Arc("a", "b", (1,)), Arc("c", "d", (1, 2))),
+            (Circle(()), Arc("c", "d", (1, 2, 3)), Arc("e", "f", (1, 2, 3, 4))),
+        ),
+    }
+    for name, seq in cases.items():
+        assert format_sequence(seq) == _oracle_format_sequence(seq), name
+
+
+def test_format_sequence_matches_the_per_arc_formatter_on_random_hand_made_sequences():
+    import random
+
+    rng = random.Random(2024)
+    letters = (1, -1, 2, -2, 26, -26, 27, -27, 40)
+    for _ in range(300):
+        levels = [[]]
+        for _ in range(rng.randint(1, 9)):
+            cs = list(levels[-1])
+            for _ in range(rng.randint(1, 3)):
+                op = rng.randrange(7)
+                i = rng.randrange(len(cs)) if cs else None
+                arc = cs[i] if i is not None and isinstance(cs[i], Arc) else None
+                if op == 0 or arc is None:
+                    cs.insert(rng.randint(0, len(cs)), Arc("l", "r", tuple(rng.choices(letters, k=rng.randint(0, 3)))))
+                elif op == 1:
+                    cs[i] = Arc(arc.left, arc.right, arc.trace + tuple(rng.choices(letters, k=rng.randint(1, 3))))
+                elif op == 2:
+                    cs[i] = Arc(arc.right, arc.left, _fresh(arc.trace))
+                elif op == 3:
+                    cs[i] = Arc(arc.left, arc.right, arc.trace[: rng.randint(0, len(arc.trace))])
+                elif op == 4:
+                    j = rng.randrange(len(cs))
+                    cs[i], cs[j] = cs[j], cs[i]
+                elif op == 5:
+                    cs[i] = Circle((arc.left,))
+                else:
+                    del cs[i]
+            levels.append(cs)
+        seq = _hand_made(*levels)
+        assert format_sequence(seq) == _oracle_format_sequence(seq)
+
+
+@pytest.mark.parametrize("dominant", ["R", "S"])
+@pytest.mark.parametrize("identify", [False, True])
+def test_format_sequence_formats_each_letter_a_bounded_number_of_times(monkeypatch, dominant, identify):
+    import smovelab.slicing as slicing
+
+    handed = []
+    real = slicing.format_word
+    monkeypatch.setattr(slicing, "format_word", lambda w: handed.append(len(w)) or real(w))
+    for n in (16, 64):
+        r = Word((1, 2, -3, 27) * (n // 4))
+        s = Word((-2, 30, 1, 1) * (n // 4))
+        seq = slice_commutator(r, s, dominant=dominant, identify=identify)
+        handed.clear()
+        text = slicing.format_sequence(seq)
+        assert sum(handed) <= 4 * (len(r) + len(s)) + 8, (n, sum(handed))
+        assert text == _oracle_format_sequence(seq)
+
+
+# --- the move table --------------------------------------------------------
+
+
+class _UnknownMove:
+    index = 0
+
+
+def test_unknown_move_type_is_a_slice_error():
+    with pytest.raises(SliceError, match="unknown move"):
+        apply_move((Circle(("x",)),), _UnknownMove())
+    seq = SliceSequence((Slice(0, ()), Slice(1, ())), (_UnknownMove(),))
+    v = validate(seq)
+    assert not v and v.index == 1 and v.reason.startswith("unknown move")
+    with pytest.raises(SliceError, match="unknown move"):
+        boundary_trace(seq)
+
+
+def test_join_cells_needs_two_distinct_circles():
+    with pytest.raises(SliceError, match="two distinct circles"):
+        apply_move((Circle(("a",)), Circle(("b",))), JoinCells(1, 1))
+
+
+def test_negative_indices_are_out_of_range():
+    cs = (Circle(("a",)), Arc("p", "q", (1,)))
+    for m in (DeathCircle(-2), CirculateStep(-1, 1, "p"), SaddlePair(-1), ReorderStep(-1)):
+        with pytest.raises(SliceError, match="out of range"):
+            apply_move(cs, m)
+
+
+def test_failed_moves_leave_the_builder_unchanged():
+    from smovelab.slicing import _Builder
+
+    b = _Builder()
+    b.push(BirthCircle(("a",)))
+    b.push(SplitCircleToArc(0, "a", "b"))
+    before = (b.components, list(b.slices), list(b.moves))
+    for m in (MergeArcs(0, 0), CirculateStep(0, 0, "a"), JoinCells(0, 0), SplitCells(0, ("a",), ())):
+        with pytest.raises(SliceError):
+            b.push(m)
+    assert (b.components, b.slices, b.moves) == before
+    assert tuple(b._live) == b.components

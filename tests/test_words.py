@@ -168,3 +168,53 @@ def test_max_generator():
     assert max_generator(EMPTY) == 0
     assert max_generator(parse_word("aBc")) == 3
     assert max_generator(parse_word("g40a")) == 40
+
+
+@pytest.mark.parametrize(
+    "make,kind,message",
+    [
+        (lambda: Word([1, 0]), InputError, "word letters must be nonzero integers"),
+        (lambda: reduce([2, 0]), InputError, "word letters must be nonzero integers"),
+        (lambda: Word(["x"]), ValueError, "invalid literal for int() with base 10: 'x'"),
+        (lambda: Word([None]), TypeError, None),
+        (lambda: Word(5), TypeError, None),
+    ],
+    ids=["zero letter", "zero through reduce", "non-numeric letter", "None letter", "not iterable"],
+)
+def test_word_construction_errors_keep_their_types(make, kind, message):
+    with pytest.raises(Exception) as info:
+        make()
+    assert type(info.value) is kind
+    if message is not None:
+        assert str(info.value) == message
+
+
+def test_word_converts_letters_to_int():
+    w = Word(["3", -2.0, True])
+    assert tuple(w) == (3, -2, 1) and all(type(x) is int for x in w)
+    assert Word(iter([1, -1])) == (1, -1)
+
+
+def test_letter_table_matches_the_surface_syntax():
+    for k in range(1, 61):
+        name = chr(ord("a") + k - 1) if k <= 26 else "g%d" % k
+        inverse = name.upper() if k <= 26 else "G%d" % k
+        assert format_word([k]) == name and format_word([-k]) == inverse
+        assert parse_word(name) == Word([k]) and parse_word(inverse) == Word([-k])
+    assert format_word(()) == "1" and format_word(iter([2, -27])) == "bG27"
+
+
+@pytest.mark.parametrize(
+    "text,n_generators,message",
+    [
+        ("a-b", None, "bad word token '-' in 'a-b'"),
+        ("g0", None, "generator index must be >= 1 in 'g0'"),
+        ("2", None, "bad word token '2' in '2'"),
+        ("abc", 2, "generator index 3 out of range (alphabet has 2)"),
+        ("G9", 8, "generator index 9 out of range (alphabet has 8)"),
+    ],
+)
+def test_parse_error_messages(text, n_generators, message):
+    with pytest.raises(InputError) as info:
+        parse_word(text, n_generators)
+    assert str(info.value) == message
