@@ -580,35 +580,30 @@ def _letters(t: Tuple[int, ...]) -> str:
 def format_sequence(seq: SliceSequence) -> str:
     """The dump prints every arc's whole trace at every level, so it grows
     quadratically with the word; it is produced in time linear in its
-    length.  Within one call each component and each trace object is
-    formatted once, keyed by identity (``seq`` keeps them all alive); a
-    trace extending the trace of the arc at the same index one slice up
-    is that arc's text plus its new letters."""
+    length.  Within one call each trace object is formatted once, keyed by
+    identity (``seq`` keeps every trace alive); a trace extending the trace
+    of the arc at the same index one slice up is that arc's text plus its
+    new letters."""
     lines = []
-    line_of: dict[int, str] = {}  # id(component) -> its line
     text_of: dict[int, str] = {}  # id(trace) -> its letters, "" when empty
     above: Tuple[Component, ...] = ()
     for k, s in enumerate(seq.slices):
         lines.append("slice %d" % s.level)
         for i, c in enumerate(s.components):
-            line = line_of.get(id(c))
-            if line is None:
-                if isinstance(c, Circle):
-                    line = "C[%s]" % ",".join(c.marks)
+            if isinstance(c, Circle):
+                lines.append("C[%s]" % ",".join(c.marks))
+                continue
+            t = c.trace
+            text = text_of.get(id(t))
+            if text is None:
+                up = above[i] if i < len(above) else None
+                n = len(up.trace) if isinstance(up, Arc) else 0
+                if n and t[:n] == up.trace:
+                    text = text_of[id(up.trace)] + _letters(t[n:])
                 else:
-                    t = c.trace
-                    text = text_of.get(id(t))
-                    if text is None:
-                        up = above[i] if i < len(above) else None
-                        n = len(up.trace) if isinstance(up, Arc) else 0
-                        if n and t[:n] == up.trace:
-                            text = text_of[id(up.trace)] + _letters(t[n:])
-                        else:
-                            text = _letters(t)
-                        text_of[id(t)] = text
-                    line = "A[%s,%s;trace=%s]" % (c.left, c.right, text or "1")
-                line_of[id(c)] = line
-            lines.append(line)
+                    text = _letters(t)
+                text_of[id(t)] = text
+            lines.append("A[%s,%s;trace=%s]" % (c.left, c.right, text or "1"))
         above = s.components
         if k < len(seq.moves):
             lines.append(_move_text(seq.moves[k]))
