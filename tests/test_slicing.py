@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from smovelab.criterion import InvalidInstance, build_instance, gauge, transport_qmove
@@ -453,7 +455,7 @@ def _oracle_format_sequence(seq):
 
 
 def _oracle_pieces():
-    rng = __import__("random").Random(11)
+    rng = random.Random(11)
 
     def word(n):
         return Word(rng.choice((1, 2, 3, 27, 30)) * rng.choice((1, -1)) for _ in range(n))
@@ -553,8 +555,6 @@ def test_format_sequence_matches_the_per_arc_formatter_on_hand_made_sequences():
 
 
 def test_format_sequence_matches_the_per_arc_formatter_on_random_hand_made_sequences():
-    import random
-
     rng = random.Random(2024)
     letters = (1, -1, 2, -2, 26, -26, 27, -27, 40)
     for _ in range(300):
@@ -607,7 +607,7 @@ def test_format_sequence_formats_each_letter_a_bounded_number_of_times(monkeypat
 
 
 class _UnknownMove:
-    index = 0
+    pass
 
 
 def test_unknown_move_type_is_a_slice_error():
