@@ -222,6 +222,109 @@ def test_make_backend_families_and_validation():
         make_backend(labels, family="hilbert")
 
 
+_CELLS = tuple("cell:%d" % i for i in range(14))
+
+# sha256 of dump_backend(make_backend(labels, p=101, d=d, seed=seed,
+# family=family, spel_identity=spel)), recorded from the draw-and-invert
+# loop that redrew a label as soon as its draw was singular.
+_PINNED_BACKENDS = (
+    # d, seed, family, spel_identity, labels, one draw is singular
+    (32, 0, POLY_IN_M, False, _CELLS, True, "40ad3a6dd882478d15167ea5ffec59c18fffdbabaccada2e15cfd0eaf6ae0d69"),
+    (32, 21, POLY_IN_M, False, _CELLS, True, "91a319a74c7cc8e918891464c875a4d35426041708925d8d68936eed45e9dc2f"),
+    (4, 2, POLY_IN_M, False, _CELLS, True, "8e76a5b36e84a0cd58a9bace3a5b322c8f9852da5a195824cddf3d81608cad74"),
+    (4, 4, POLY_IN_M, False, _CELLS, True, "65cd3fbd259416c7cb76f051e3c1664b863b7c75a74525616129eb334e29be45"),
+    (32, 1, POLY_IN_M, False, _CELLS, False, "2d3edef54f3d8a5a02b3ce834cab6ffede9caffe5edb1205afe0468e3a365497"),
+    (4, 0, POLY_IN_M, False, _CELLS, False, "9b39ac1182189ec6f26f527211f07153a7fbd176ae959ed342e7e26080b53f63"),
+    (4, 3, DIAGONAL, False, _CELLS, False, "9fb8bbf3cf65c34401d4eb49992666fa3deaf1e228998eda73d662108f455195"),
+    (
+        4,
+        4,
+        POLY_IN_M,
+        True,
+        _CELLS + ("spel:bag:a", "spel:bag:ab", "comm:ab"),
+        True,
+        "40a865e126f7f7f17dc1f3d6b29fadfa718b9747852c1880a938a8931d4b6e49",
+    ),
+    # A:5 sorts before S2 and is redrawn, so the sphere's draw is replayed too
+    (
+        4,
+        9,
+        POLY_IN_M,
+        False,
+        tuple("A:%d" % i for i in range(7)) + _CELLS[:7],
+        True,
+        "8e85afc9e57e5944a6e23ac3b682edf2c7ea6ea901c1ff7e1c0d0e006e4bd2ab",
+    ),
+)
+
+
+def test_drawn_backends_replay_every_redraw():
+    """A singular draw is redrawn from the random stream right after it,
+    so drawn backends stay the same however the draws are inverted."""
+    import hashlib
+
+    for d, seed, family, spel, labels, _, digest in _PINNED_BACKENDS:
+        b = make_backend(labels, p=101, d=d, seed=seed, family=family, spel_identity=spel)
+        assert hashlib.sha256(dump_backend(b).encode()).hexdigest() == digest, (d, seed, family)
+    # the pins cover redraws: each flagged draw has a singular polynomial
+    # among the matrices drawn from its seed
+    for d, seed, family, spel, labels, redraws, _ in _PINNED_BACKENDS:
+        rng = random.Random(seed)
+        if family != POLY_IN_M:
+            continue
+        base = np.array([[rng.randrange(101) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+        modmat.inverse(base, 101)  # no pinned seed draws a singular base
+        singular = False
+        for lab in sorted(set(labels) | {SPHERE_LABEL}):
+            if lab == SPHERE_LABEL:
+                rng.randrange(2, 101)
+            elif not (spel and lab.startswith("spel:")):
+                coeffs = [rng.randrange(101) for _ in range(4)]
+                m = sum(c * modmat.matpow(base, e, 101) for e, c in enumerate(coeffs)) % 101
+                singular = singular or _py_singular(m.tolist(), 101)
+                if singular:
+                    break
+        assert singular == redraws, (d, seed)
+
+
+def _py_singular(rows, p):
+    """Row reduction on Python ints: True when the rows are dependent mod p."""
+    rows = [[x % p for x in row] for row in rows]
+    for col in range(len(rows)):
+        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            return True
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = pow(rows[col][col], -1, p)
+        for r in range(col + 1, len(rows)):
+            f = rows[r][col] * scale % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
+    return False
+
+
+def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
+    """Stub the coefficient draw to give zero coefficients, so every
+    polynomial is the zero matrix: the label is drawn 64 times, then the
+    draw fails."""
+    coeff_calls = []
+
+    class ZeroCoefficients(random.Random):
+        base_entries = [1, 0, 0, 1]  # the base matrix is the identity
+
+        def randrange(self, start, stop=None):
+            if stop is not None:  # the sphere's scalar
+                return super().randrange(start, stop)
+            if self.base_entries:
+                return self.base_entries.pop(0)
+            coeff_calls.append(start)
+            return 0
+
+    monkeypatch.setattr(pg.random, "Random", ZeroCoefficients)
+    with pytest.raises(InputError, match="^could not draw an invertible polynomial$"):
+        make_backend(["cell:a"], p=101, d=2, seed=0, family=POLY_IN_M)
+    assert coeff_calls == [101] * (64 * 4)  # 64 draws of four coefficients
+
+
 def test_make_backend_scalar_dimension():
     inst = build_instance(2)
     b = make_backend(_labels_for(inst), seed=3, d=1)
