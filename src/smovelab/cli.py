@@ -261,8 +261,8 @@ def _backend_for(args, *aseqs):
 
     if getattr(args, "backend", None):
         return _read(args.backend, pg.load_backend)
-    labels = pg.collect_labels(*aseqs)
-    return pg.make_backend(labels, p=args.p, d=args.d, seed=args.seed, family=args.family)
+    tokens = pg.label_tokens(*aseqs)
+    return pg.make_backend(tokens.values(), p=args.p, d=args.d, seed=args.seed, family=args.family, token_labels=tokens)
 
 
 def cmd_inv_playground(args) -> Report:

@@ -1,7 +1,9 @@
 """Small exact matrices over a prime field, on top of numpy int64.
 
 Everything is kept reduced mod p; inverses run Gauss-Jordan with modular
-scalar inverses, so all arithmetic is exact.  Exactness needs int64 to
+scalar inverses, so all arithmetic is exact.  ``inverse_all`` inverts a
+list of matrices with one Gauss-Jordan, which is how a playground backend
+inverts all its matrices.  Exactness needs int64 to
 hold every intermediate: one entry of a d×d product of residues sums d
 terms below (p-1)², so d·(p-1)² must stay below 2^63.  Every kernel
 raises ``InputError`` past that bound instead of wrapping.
@@ -79,6 +81,31 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     return work[:, n:]
 
 
+def inverse_all(mats, p: int):
+    """The inverses of a list of matrices, with one Gauss-Jordan and
+    3(k-1) products (Montgomery's trick): invert the product
+    P_k = A_1 ⋯ A_k, then walk back from i = k, reading
+    A_i⁻¹ = P_i⁻¹·P_(i-1) and P_(i-1)⁻¹ = A_i·P_i⁻¹.  No commutativity
+    is needed.  Raises if any matrix is singular, since then P_k is."""
+    mats = [_as_mod(m, p) for m in mats]
+    if not mats:
+        return []
+    if any(m.shape != mats[0].shape for m in mats):
+        raise InputError("matrices of different shapes")
+    prefix = [mats[0]]
+    for m in mats[1:]:
+        prefix.append(mul(prefix[-1], m, p))
+    inv = inverse(prefix.pop(), p)
+    out = []
+    for m in reversed(mats[1:]):
+        out.append(mul(inv, prefix[-1], p))
+        inv = mul(m, inv, p)
+        prefix.pop()
+    out.append(inv)
+    out.reverse()
+    return out
+
+
 def is_identity(a: np.ndarray, p: int) -> bool:
     return bool(np.array_equal(a % p, identity(a.shape[0])))
 
@@ -101,28 +128,27 @@ def random_invertible_diagonal(rng, dim: int, p: int) -> np.ndarray:
     return np.diag(np.array(d, dtype=np.int64))
 
 
+def powers(a: np.ndarray, count: int, p: int):
+    """I, a, a², …: the first ``count`` powers of a."""
+    out = [identity(a.shape[0])]
+    for _ in range(count - 1):
+        out.append(mul(out[-1], a, p))
+    return out
+
+
+def random_poly(rng, powers, p: int) -> np.ndarray:
+    """Σ c_i·powers[i], the coefficients c_i drawn uniformly mod p in
+    order.  Polynomials in one matrix all commute with each other; the
+    result may be singular."""
+    out = np.zeros_like(powers[0])
+    for power in powers:
+        out = (out + rng.randrange(p) * power) % p
+    return out
+
+
 def random_poly_in(rng, base: np.ndarray, p: int, max_degree: int = 3) -> np.ndarray:
-    """A random invertible polynomial in one fixed matrix; such matrices
-    all commute with each other."""
-    return random_poly_with_inverse(rng, base, p, max_degree)[0]
-
-
-def random_poly_with_inverse(rng, base: np.ndarray, p: int, max_degree: int = 3):
-    """``random_poly_in`` together with the inverse that proves the drawn
-    matrix invertible."""
-    dim = base.shape[0]
-    for _ in range(64):
-        coeffs = [rng.randrange(p) for _ in range(max_degree + 1)]
-        out = np.zeros((dim, dim), dtype=np.int64)
-        power = identity(dim)
-        for c in coeffs:
-            out = (out + c * power) % p
-            power = mul(power, base, p)
-        try:
-            return out, inverse(out, p)
-        except InputError:
-            continue
-    raise InputError("could not draw an invertible polynomial")
+    """A random polynomial of degree at most ``max_degree`` in ``base``."""
+    return random_poly(rng, powers(base, max_degree + 1, p), p)
 
 
 def to_text(a: np.ndarray) -> str:
@@ -130,9 +156,14 @@ def to_text(a: np.ndarray) -> str:
 
 
 def from_text(text: str, p: int) -> np.ndarray:
+    """Rows split by ';', entries by ','; any integer is read, reduced mod
+    p before int64 holds it."""
+    rows = text.strip().split(";")
+    _check_bound(p, len(rows))
     try:
-        rows = [[int(x) for x in row.split(",")] for row in text.strip().split(";")]
+        rows = [[int(x) % p for x in row.split(",")] for row in rows]
     except ValueError as e:
         raise InputError("bad matrix text: %s" % e) from None
-    a = np.array(rows, dtype=np.int64)
-    return _as_mod(a, p)
+    if any(len(row) != len(rows) for row in rows):
+        raise InputError("bad matrix text: expected a square matrix")
+    return np.array(rows, dtype=np.int64)

@@ -67,11 +67,18 @@ def token_label(t: Token, alias: bool = True) -> str:
     raise InputError("unknown token %r" % (t,))
 
 
+def label_tokens(*aseqs: AbstractSequence, alias: bool = True) -> Dict[Token, str]:
+    """Every distinct token of the sequences with its label, each
+    labelled once; the sphere and the empty cell, which
+    ``between_type_obstruction`` looks up, are always among them."""
+    tokens = {SphereToken(), CellToken(Word())}
+    tokens.update(t for aseq in aseqs for sl in aseq.slices for t in sl.tokens)
+    return {t: token_label(t, alias) for t in tokens}
+
+
 def collect_labels(*aseqs: AbstractSequence, alias: bool = True) -> List[str]:
-    """The sorted labels of the sequences' tokens, each distinct token
-    labelled once."""
-    tokens = {t for aseq in aseqs for sl in aseq.slices for t in sl.tokens}
-    return sorted({SPHERE_LABEL, "cell:1"}.union(token_label(t, alias) for t in tokens))
+    """The sorted labels of ``label_tokens``."""
+    return sorted(set(label_tokens(*aseqs, alias=alias).values()))
 
 
 def is_prime(n: int) -> bool:
@@ -111,7 +118,9 @@ class Backend:
     Construction validates it (``check``) and keeps every matrix's
     inverse in ``inverses``; ``known_inverses`` hands over inverses the
     caller has already computed, so they are not computed again.
-    Tokens are resolved to (label, matrix, inverse) once per backend."""
+    Tokens are resolved to (label, matrix, inverse) once per backend;
+    ``token_labels`` hands over labels already formatted with this
+    backend's ``alias``, so those tokens are not labelled again."""
 
     p: int
     dim: int
@@ -119,13 +128,18 @@ class Backend:
     assignment: Dict[str, np.ndarray]
     alias: bool = True
     known_inverses: InitVar[Optional[Dict[str, np.ndarray]]] = None
+    token_labels: InitVar[Optional[Dict[Token, str]]] = None
     inverses: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _resolved: Dict[Token, Tuple[str, np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
-    def __post_init__(self, known_inverses):
-        object.__setattr__(self, "inverses", self.check(known_inverses))
+    def __post_init__(self, known_inverses, token_labels):
+        inverses = self.check(known_inverses)
+        object.__setattr__(self, "inverses", inverses)
+        for t, lab in (token_labels or {}).items():
+            if lab in inverses:
+                self._resolved[t] = (lab, self.assignment[lab], inverses[lab])
 
     @property
     def sphere(self) -> np.ndarray:
@@ -139,7 +153,7 @@ class Backend:
 
     def _lookup(self, t: Token) -> Tuple[str, np.ndarray, np.ndarray]:
         """A token's label, matrix and inverse; its label is formatted on
-        the first lookup only."""
+        the first lookup only, unless it was handed over."""
         hit = self._resolved.get(t)
         if hit is None:
             lab = token_label(t, self.alias)
@@ -151,14 +165,18 @@ class Backend:
     def check(self, known_inverses=None) -> Dict[str, np.ndarray]:
         """Field bound, then every matrix invertible, then pairwise
         commutation, then a nonzero sphere; returns the inverses.
-        Construction runs this once.  Diagonal matrices commute over any
-        commutative ring, so the pairwise products are only formed when
-        some matrix has a nonzero entry off its diagonal."""
+        Construction runs this once.  The matrices without a handed-over
+        inverse are inverted together in one ``modmat.inverse_all`` call,
+        one Gauss-Jordan for all of them.  Diagonal matrices commute over
+        any commutative ring, so the pairwise products are only formed
+        when some matrix has a nonzero entry off its diagonal."""
         _check_field(self.p, self.dim)
         known = known_inverses or {}
         labels = sorted(self.assignment)
         mats = [self.assignment[k] for k in labels]
-        inverses = {k: known[k] if k in known else modmat.inverse(m, self.p) for k, m in zip(labels, mats)}
+        todo = [k for k in labels if k not in known]
+        batch = dict(zip(todo, modmat.inverse_all([self.assignment[k] for k in todo], self.p)))
+        inverses = {k: known[k] if k in known else batch[k] for k in labels}
         if any(np.count_nonzero(m) != np.count_nonzero(m.diagonal()) for m in mats):
             for i, a in enumerate(mats):
                 for b in mats[i + 1 :]:
@@ -179,42 +197,74 @@ def make_backend(
     family: str = DIAGONAL,
     spel_identity: bool = False,
     alias: bool = True,
+    token_labels: Optional[Dict[Token, str]] = None,
 ) -> Backend:
     """Deterministic commuting assignment for a finite label set.
 
     ``spel_identity`` pins every spherical-element label to the identity
     (the vacuous-perturbation control); ``alias=False`` keys matrices by
     raw words, deliberately breaking Z(V) = Z(V⁻¹) for negative tests.
+    ``token_labels`` is handed to the backend (see ``Backend``).
+
+    Labels are drawn from one random stream in sorted order.  The ``poly``
+    family's draws are inverted in one batch; when one is singular, the
+    draws before it stand and the stream resumes right after it, with
+    that label drawn again, up to 64 times per label.
     """
     _check_field(p, d)
     rng = random.Random(seed)
-    base = None
     if family == POLY_IN_M:
         for _ in range(64):
             cand = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
-            try:
-                modmat.inverse(cand, p)
-            except InputError:
-                continue
-            base = cand
-            break
-        if base is None:
+            if _invertible(cand, p):
+                break
+        else:
             raise InputError("could not draw an invertible base matrix")
+        powers = modmat.powers(cand, 4, p)
     elif family != DIAGONAL:
         raise InputError("unknown backend family %r" % family)
 
+    order = sorted(set(labels) | {SPHERE_LABEL})
     assignment: Dict[str, np.ndarray] = {}
     known: Dict[str, np.ndarray] = {}
-    for lab in sorted(set(labels) | {SPHERE_LABEL}):
-        if lab == SPHERE_LABEL:
-            assignment[lab] = (rng.randrange(2, p) * modmat.identity(d)) % p
-        elif spel_identity and lab.startswith("spel:"):
-            assignment[lab] = modmat.identity(d)
-        elif family == DIAGONAL:
-            assignment[lab] = modmat.random_invertible_diagonal(rng, d, p)
-        else:
-            assignment[lab], known[lab] = modmat.random_poly_with_inverse(rng, base, p)
-    return Backend(p, d, family, assignment, alias, known)
+    after = {}  # the stream's state right after each polynomial's draw
+    start = tries = 0
+    while True:
+        for lab in order[start:]:
+            if lab == SPHERE_LABEL:
+                s = rng.randrange(2, p)
+                assignment[lab] = s * modmat.identity(d)
+                known[lab] = pow(s, -1, p) * modmat.identity(d)
+            elif spel_identity and lab.startswith("spel:"):
+                assignment[lab], known[lab] = modmat.identity(d), modmat.identity(d)
+            elif family == DIAGONAL:
+                assignment[lab] = modmat.random_invertible_diagonal(rng, d, p)
+            else:
+                assignment[lab] = modmat.random_poly(rng, powers, p)
+                after[lab] = rng.getstate()
+        polys = [lab for lab in order if lab in after]
+        try:
+            known.update(zip(polys, modmat.inverse_all([assignment[lab] for lab in polys], p)))
+            break
+        except InputError:  # some draw is singular: redraw from the first one
+            pass
+        j = next(
+            i for i in range(start, len(order)) if order[i] in after and not _invertible(assignment[order[i]], p)
+        )
+        tries = tries + 1 if j == start else 1
+        if tries == 64:
+            raise InputError("could not draw an invertible polynomial")
+        rng.setstate(after[order[j]])
+        start = j
+    return Backend(p, d, family, assignment, alias, known, token_labels)
+
+
+def _invertible(a: np.ndarray, p: int) -> bool:
+    try:
+        modmat.inverse(a, p)
+    except InputError:
+        return False
+    return True
 
 
 # --- state modules and transitions -----------------------------------------

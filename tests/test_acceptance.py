@@ -250,6 +250,31 @@ def test_modmat_inverse_matches_python_gauss_jordan(seed):
                 assert a.tolist() == rows  # the input is left alone
 
 
+@settings(max_examples=4, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_modmat_inverse_all_matches_python_gauss_jordan(seed):
+    rng = random.Random(seed)
+    for d in (1, 2, 3, 4, 5, 6, 7, 8, 32):
+        for p in (2, 101, 100003, _largest_prime_in_bound(d)):
+            invertible, singular = [], []
+            while len(invertible) < 7 or not singular:
+                for rows in _inverse_cases(rng, d, p):
+                    want = _py_inverse(rows, p)
+                    (singular if want is None else invertible).append((rows, want))
+            for k in (0, 1, 2, 7):
+                mats = [np.array(rows, dtype=np.int64) for rows, _ in invertible[:k]]
+                got = modmat.inverse_all(mats, p)
+                assert [g.tolist() for g in got] == [want for _, want in invertible[:k]]
+                assert [m.tolist() for m in mats] == [rows for rows, _ in invertible[:k]]  # left alone
+            for at in (0, 3, 6):
+                rows = [rows for rows, _ in invertible[:6]]
+                rows.insert(at, singular[0][0])
+                with pytest.raises(InputError, match="singular"):
+                    modmat.inverse_all([np.array(r, dtype=np.int64) for r in rows], p)
+            with pytest.raises(InputError, match="different shapes"):
+                modmat.inverse_all([modmat.identity(d), modmat.identity(d - 1)], p)
+
+
 _QMOVES = (
     InvertRelator("R"),
     InvertRelator("S"),

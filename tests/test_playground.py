@@ -118,6 +118,19 @@ def test_modmat_product_and_text_round_trip():
     assert modmat.equal(modmat.from_text(modmat.to_text(a), p), a % p, p)
 
 
+def test_from_text_reads_any_integer_and_raises_only_input_errors():
+    """A 30-digit entry used to raise OverflowError from numpy."""
+    p = 101
+    big = 10**29 + 7
+    assert modmat.from_text("%d,1;1,1" % big, p).tolist() == [[big % p, 1], [1, 1]]
+    assert modmat.from_text("-5,0;0,-%d" % big, p).tolist() == [[96, 0], [0, -big % p]]
+    for text in ("1,2;3", "1;2,3", "1,2,3;4,5,6", "1,x;2,3", ""):
+        with pytest.raises(InputError):
+            modmat.from_text(text, p)
+    with pytest.raises(InputError, match="overflows int64"):
+        modmat.from_text("1,0;0,1", _PAST_BOUND)
+
+
 def test_random_poly_in_commutes_with_base():
     p = 101
     rng = random.Random(9)
@@ -427,21 +440,25 @@ def test_backend_is_checked_when_built():
 
 
 def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
-    calls = []
-    real = modmat.mul
-    monkeypatch.setattr(modmat, "mul", lambda a, b, p: calls.append(1) or real(a, b, p))
+    calls, compared = [], []
+    real_mul, real_equal = modmat.mul, modmat.equal
+    monkeypatch.setattr(modmat, "mul", lambda a, b, p: calls.append(1) or real_mul(a, b, p))
+    monkeypatch.setattr(modmat, "equal", lambda a, b, p: compared.append(1) or real_equal(a, b, p))
     p, i = 5, modmat.identity(2)
+    # inverting k matrices in one batch takes 3·(k-1) products
+    batch = 3 * (3 - 1)
     diagonal = {SPHERE_LABEL: 2 * i, "cell:a": np.diag([1, 2]), "cell:b": np.diag([3, 4])}
     Backend(p, 2, "direct", diagonal)
-    assert calls == []  # diagonal matrices commute: no pairwise products
+    assert len(calls) == batch  # diagonal matrices commute: no pairwise products
+    assert compared == []
     # one non-diagonal matrix among diagonal ones brings the proof back
     with pytest.raises(InputError, match="^assigned matrices do not commute$"):
         Backend(p, 2, "direct", dict(diagonal, **{"cell:c": np.array([[1, 1], [0, 1]])}))
-    assert calls
+    assert compared
     calls.clear()
     commuting = {SPHERE_LABEL: 2 * i, "cell:a": np.array([[1, 1], [0, 1]]), "cell:b": np.array([[1, 2], [0, 1]])}
     Backend(p, 2, "direct", commuting)
-    assert len(calls) == 2 * 3  # both orders of each of the three pairs
+    assert len(calls) == batch + 2 * 3  # and both orders of each of the three pairs
     calls.clear()
     make_backend(_labels_for(build_instance(2)), d=3, seed=2, family=POLY_IN_M)
     assert calls
@@ -462,6 +479,15 @@ def test_backend_formats_each_token_label_once(monkeypatch):
     labelled.clear()
     assert modmat.equal(perturbed_invariant(aseq, fresh), expected, fresh.p)
     assert sorted(map(repr, labelled)) == sorted(map(repr, {t for sl in aseq.slices for t in sl.tokens}))
+    # a whole command labels each distinct token once: the labels that drew
+    # the backend are the ones its lookups read
+    from smovelab import cli
+
+    labelled.clear()
+    assert cli.main(["inv", "playground", "--seed", "4", "--type", "long", "--obstruction"]) == 3  # Obstructed
+    seqs = (build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN), gauged_sequence(inst, LONGITUDINAL))
+    tokens = {t for seq in seqs for sl in seq.slices for t in sl.tokens} | {SphereToken(), CellToken(Word())}
+    assert sorted(map(repr, labelled)) == sorted(map(repr, tokens))
 
 
 def test_backend_keeps_every_inverse():
@@ -479,6 +505,31 @@ def test_backend_keeps_every_inverse():
     assignment = {SPHERE_LABEL: 2 * modmat.identity(2), "cell:a": m}
     b = Backend(5, 2, "direct", assignment, known_inverses={"cell:a": inv})
     assert b.inverses["cell:a"] is inv
+
+
+def test_a_backend_runs_one_gauss_jordan_for_all_its_inverses(monkeypatch):
+    """Drawn without a singular draw, a backend inverts its matrices in
+    one batch; the poly family also proves its base matrix invertible."""
+    labels = _labels_for(build_instance(5))
+    calls = []
+    real = modmat.inverse
+    monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(1) or real(a, p))
+    for kw, gauss_jordans in (
+        (dict(family=DIAGONAL), 1),
+        (dict(family=POLY_IN_M), 2),
+        (dict(family=POLY_IN_M, d=32), 2),
+        (dict(family=POLY_IN_M, spel_identity=True), 2),
+        (dict(family=DIAGONAL, spel_identity=True), 1),
+    ):
+        calls.clear()
+        b = make_backend(labels, seed=1, **kw)
+        assert len(calls) == gauss_jordans, kw
+        assert set(b.inverses) == set(b.assignment)
+        calls.clear()
+        loaded = load_backend(dump_backend(b))
+        assert len(calls) == 1, kw
+        for lab, inv in loaded.inverses.items():
+            assert np.array_equal(inv, b.inverses[lab]), (kw, lab)
 
 
 def test_invariants_run_no_gauss_jordan(monkeypatch):
