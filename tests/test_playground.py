@@ -322,7 +322,9 @@ def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
     coeff_calls = []
 
     class ZeroCoefficients(random.Random):
-        base_entries = [1, 0, 0, 1]  # the base matrix is the identity
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.base_entries = [1, 0, 0, 1]  # the base matrix is the identity
 
         def randrange(self, start, stop=None):
             if stop is not None:  # the sphere's scalar
