@@ -315,6 +315,16 @@ def _py_singular(rows, p):
     return False
 
 
+def test_the_64_draw_limit_holds_per_label():
+    """Over GF(5) about half of the 2×2 draws are singular: 200 labels
+    redraw about a hundred times in all, but no label 64 times."""
+    import hashlib
+
+    b = make_backend(["cell:%d" % i for i in range(200)], p=5, d=2, seed=1, family=POLY_IN_M)
+    digest = hashlib.sha256(dump_backend(b).encode()).hexdigest()
+    assert digest == "66291099a7d3f13c82dec0bbaa32b979ddb8c3b6f9cbefa7d4031ad6e802b18c"
+
+
 def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
     """Stub the coefficient draw to give zero coefficients, so every
     polynomial is the zero matrix: the label is drawn 64 times, then the
