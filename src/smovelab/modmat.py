@@ -2,11 +2,11 @@
 
 Everything is kept reduced mod p; inverses run Gauss-Jordan with modular
 scalar inverses, so all arithmetic is exact.  ``inverse_all`` inverts a
-list of matrices with one Gauss-Jordan, which is how a playground backend
-inverts all its matrices.  Exactness needs int64 to
-hold every intermediate: one entry of a d×d product of residues sums d
-terms below (p-1)², so d·(p-1)² must stay below 2^63.  Every kernel
-raises ``InputError`` past that bound instead of wrapping.
+list of matrices with one Gauss-Jordan; a playground backend inverts all
+its matrices that way.  Exactness needs int64 to hold every
+intermediate: one entry of a d×d product of residues sums d terms below
+(p-1)², so d·(p-1)² must stay below 2^63.  Every kernel raises
+``InputError`` past that bound instead of wrapping.
 """
 
 from __future__ import annotations

@@ -242,15 +242,20 @@ def make_backend(
             else:
                 assignment[lab] = modmat.random_poly(rng, powers, p)
                 after[lab] = rng.getstate()
-        polys = [lab for lab in order if lab in after]
+        polys = [lab for lab in order if lab in after and lab not in known]
         try:
             known.update(zip(polys, modmat.inverse_all([assignment[lab] for lab in polys], p)))
             break
-        except InputError:  # some draw is singular: redraw from the first one
+        except InputError:  # some draw is singular: keep the ones before it
             pass
-        j = next(
-            i for i in range(start, len(order)) if order[i] in after and not _invertible(assignment[order[i]], p)
-        )
+        for j in range(start, len(order)):
+            if order[j] in after and order[j] not in known:
+                try:
+                    known[order[j]] = modmat.inverse(assignment[order[j]], p)
+                except InputError:
+                    break
+        else:
+            raise RuntimeError("a batch of invertible matrices failed to invert")
         tries = tries + 1 if j == start else 1
         if tries == 64:
             raise InputError("could not draw an invertible polynomial")
