@@ -323,6 +323,17 @@ def test_the_64_draw_limit_holds_per_label():
     b = make_backend(["cell:%d" % i for i in range(200)], p=5, d=2, seed=1, family=POLY_IN_M)
     digest = hashlib.sha256(dump_backend(b).encode()).hexdigest()
     assert digest == "66291099a7d3f13c82dec0bbaa32b979ddb8c3b6f9cbefa7d4031ad6e802b18c"
+    _assert_inverses(b)
+
+
+def _assert_inverses(b):
+    for lab, m in b.assignment.items():
+        assert modmat.is_identity(modmat.mul(m, b.inverses[lab], b.p), b.p), lab
+
+
+def test_redrawn_backends_keep_exact_inverses():
+    for d, seed, family, spel, labels, _, _ in _PINNED_BACKENDS:
+        _assert_inverses(make_backend(labels, p=101, d=d, seed=seed, family=family, spel_identity=spel))
 
 
 def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
