@@ -343,9 +343,7 @@ def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
     coeff_calls = []
 
     class ZeroCoefficients(random.Random):
-        def __init__(self, seed):
-            super().__init__(seed)
-            self.base_entries = [1, 0, 0, 1]  # the base matrix is the identity
+        base_entries = [1, 0, 0, 1]  # the base matrix is the identity
 
         def randrange(self, start, stop=None):
             if stop is not None:  # the sphere's scalar
@@ -475,16 +473,18 @@ def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
     assert len(calls) == batch  # diagonal matrices commute: no pairwise products
     assert compared == []
     # one non-diagonal matrix among diagonal ones brings the proof back
+    calls.clear()
     with pytest.raises(InputError, match="^assigned matrices do not commute$"):
         Backend(p, 2, "direct", dict(diagonal, **{"cell:c": np.array([[1, 1], [0, 1]])}))
-    assert compared
+    assert len(calls) > 3 * (4 - 1) and compared
     calls.clear()
     commuting = {SPHERE_LABEL: 2 * i, "cell:a": np.array([[1, 1], [0, 1]]), "cell:b": np.array([[1, 2], [0, 1]])}
     Backend(p, 2, "direct", commuting)
     assert len(calls) == batch + 2 * 3  # and both orders of each of the three pairs
     calls.clear()
+    compared.clear()
     make_backend(_labels_for(build_instance(2)), d=3, seed=2, family=POLY_IN_M)
-    assert calls
+    assert calls and compared
 
 
 def test_backend_formats_each_token_label_once(monkeypatch):
