@@ -267,6 +267,26 @@ def test_demo_stabilization_exit_3(capsys):
     assert "Z(S2)^2 is invertible" in out
 
 
+def test_a_drawn_backend_needs_p_at_least_3(capsys):
+    """Over GF(2) the only nonzero scalar is the identity, so no drawn
+    backend has a non-identity sphere: bad input, not a traceback."""
+    from smovelab.playground import make_backend
+    from smovelab.words import InputError
+
+    for argv in (
+        ["inv", "playground", "--seed", "1", "--p", "2"],
+        ["demo", "stabilization", "--p", "2"],
+        ["test", "three-tests", "--p", "2"],
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out.startswith("error:") and "p >= 3" in captured.out, argv
+        assert "Traceback" not in captured.out + captured.err, argv
+    with pytest.raises(InputError, match="p >= 3"):
+        make_backend(["cell:a"], p=2)
+
+
 def test_three_tests_protocol(capsys):
     code, out = _run(capsys, ["test", "three-tests", "--seed", "2"])
     # the demo pits the two identification types against each other
