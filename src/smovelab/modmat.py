@@ -146,11 +146,6 @@ def random_poly(rng, powers, p: int) -> np.ndarray:
     return out
 
 
-def random_poly_in(rng, base: np.ndarray, p: int, max_degree: int = 3) -> np.ndarray:
-    """A random polynomial of degree at most ``max_degree`` in ``base``."""
-    return random_poly(rng, powers(base, max_degree + 1, p), p)
-
-
 def to_text(a: np.ndarray) -> str:
     return ";".join(",".join(str(int(x)) for x in row) for row in a)
 

@@ -4,6 +4,10 @@ Cell tokens get pairwise-commuting invertible matrices over a prime
 field; slices multiply out to endomorphisms A_k, levels are connected by
 transition maps F_k with F_k · A_k = A_{k+1}, and the invariant of a
 sequence is what survives perturbing the spherical-element transition.
+
+A backend is checked where it enters: ``make_backend`` draws one that is
+valid by construction, with every inverse in hand, and ``load_backend``
+proves a dump valid with ``checked_inverses``, the one validation path.
 """
 
 from __future__ import annotations
@@ -113,33 +117,28 @@ def _check_field(p: int, d: int):
 
 @dataclass(frozen=True)
 class Backend:
-    """A commuting assignment of invertible matrices over GF(p).
-
-    Construction validates it (``check``) and keeps every matrix's
-    inverse in ``inverses``; ``known_inverses`` hands over inverses the
-    caller has already computed, so they are not computed again.
-    Tokens are resolved to (label, matrix, inverse) once per backend;
-    ``token_labels`` hands over labels already formatted with this
-    backend's ``alias``, so those tokens are not labelled again."""
+    """A commuting assignment of invertible matrices over GF(p), with
+    every matrix's inverse in ``inverses``; it checks nothing itself
+    (see the module docstring).  Tokens are resolved to (label, matrix,
+    inverse) once per backend; ``token_labels`` hands over labels already
+    formatted with this backend's ``alias``, so those tokens are not
+    labelled again."""
 
     p: int
     dim: int
     family: str
     assignment: Dict[str, np.ndarray]
+    inverses: Dict[str, np.ndarray] = field(repr=False, compare=False)
     alias: bool = True
-    known_inverses: InitVar[Optional[Dict[str, np.ndarray]]] = None
     token_labels: InitVar[Optional[Dict[Token, str]]] = None
-    inverses: Dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _resolved: Dict[Token, Tuple[str, np.ndarray, np.ndarray]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
-    def __post_init__(self, known_inverses, token_labels):
-        inverses = self.check(known_inverses)
-        object.__setattr__(self, "inverses", inverses)
+    def __post_init__(self, token_labels):
         for t, lab in (token_labels or {}).items():
-            if lab in inverses:
-                self._resolved[t] = (lab, self.assignment[lab], inverses[lab])
+            if lab in self.inverses:
+                self._resolved[t] = (lab, self.assignment[lab], self.inverses[lab])
 
     @property
     def sphere(self) -> np.ndarray:
@@ -162,31 +161,29 @@ class Backend:
             hit = self._resolved[t] = (lab, self.assignment[lab], self.inverses[lab])
         return hit
 
-    def check(self, known_inverses=None) -> Dict[str, np.ndarray]:
-        """Field bound, then every matrix invertible, then pairwise
-        commutation, then a nonzero sphere; returns the inverses.
-        Construction runs this once.  The matrices without a handed-over
-        inverse are inverted together in one ``modmat.inverse_all`` call,
-        one Gauss-Jordan for all of them.  Diagonal matrices commute over
-        any commutative ring, so the pairwise products are only formed
-        when some matrix has a nonzero entry off its diagonal."""
-        _check_field(self.p, self.dim)
-        known = known_inverses or {}
-        labels = sorted(self.assignment)
-        mats = [self.assignment[k] for k in labels]
-        todo = [k for k in labels if k not in known]
-        batch = dict(zip(todo, modmat.inverse_all([self.assignment[k] for k in todo], self.p)))
-        inverses = {k: known[k] if k in known else batch[k] for k in labels}
-        if any(np.count_nonzero(m) != np.count_nonzero(m.diagonal()) for m in mats):
-            for i, a in enumerate(mats):
-                for b in mats[i + 1 :]:
-                    if not modmat.equal(modmat.mul(a, b, self.p), modmat.mul(b, a, self.p), self.p):
-                        raise InputError("assigned matrices do not commute")
-        if SPHERE_LABEL not in self.assignment:
-            raise InputError("backend has no %s matrix" % SPHERE_LABEL)
-        if not np.any(self.sphere % self.p):
-            raise InputError("sphere value must be nonzero")
-        return inverses
+
+def checked_inverses(p: int, d: int, assignment: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """Prove an assignment from outside a valid backend and return its
+    inverses: field bound, then ``S2`` present, then every matrix
+    invertible, then pairwise commutation, then a nonzero sphere.  All
+    matrices are inverted together in one ``modmat.inverse_all`` call,
+    one Gauss-Jordan for all of them.  Diagonal matrices commute over
+    any commutative ring, so the pairwise products are only formed when
+    some matrix has a nonzero entry off its diagonal."""
+    _check_field(p, d)
+    if SPHERE_LABEL not in assignment:
+        raise InputError("backend dump has no %s token" % SPHERE_LABEL)
+    labels = sorted(assignment)
+    mats = [assignment[k] for k in labels]
+    inverses = dict(zip(labels, modmat.inverse_all(mats, p)))
+    if any(np.count_nonzero(m) != np.count_nonzero(m.diagonal()) for m in mats):
+        for i, a in enumerate(mats):
+            for b in mats[i + 1 :]:
+                if not modmat.equal(modmat.mul(a, b, p), modmat.mul(b, a, p), p):
+                    raise InputError("assigned matrices do not commute")
+    if not np.any(assignment[SPHERE_LABEL] % p):
+        raise InputError("sphere value must be nonzero")
+    return inverses
 
 
 def make_backend(
@@ -206,18 +203,28 @@ def make_backend(
     raw words, deliberately breaking Z(V) = Z(V⁻¹) for negative tests.
     ``token_labels`` is handed to the backend (see ``Backend``).
 
-    Labels are drawn from one random stream in sorted order.  The ``poly``
-    family's draws are inverted in one batch; when one is singular, the
-    draws before it stand and the stream resumes right after it, with
-    that label drawn again, up to 64 times per label.
+    The backend is valid by construction, so no check is replayed on it:
+    diagonal matrices with nonzero entries, or polynomials in one
+    invertible base matrix, commute; the sphere is s·I with 2 ≤ s < p,
+    which needs p ≥ 3.  Labels are drawn from one random stream in
+    sorted order.  The sphere's inverse is s⁻¹·I and a pinned identity's
+    is I; every other draw is inverted in one batch.  When a ``poly``
+    draw is singular, the draws before it stand and the stream resumes
+    right after it, with that label drawn again, up to 64 times per
+    label.
     """
     _check_field(p, d)
+    if p < 3:
+        raise InputError("a drawn backend needs p >= 3: over GF(2) the only nonzero scalar is the identity")
     rng = random.Random(seed)
     if family == POLY_IN_M:
         for _ in range(64):
             cand = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
-            if _invertible(cand, p):
+            try:
+                modmat.inverse(cand, p)
                 break
+            except InputError:
+                pass
         else:
             raise InputError("could not draw an invertible base matrix")
         powers = modmat.powers(cand, 4, p)
@@ -226,7 +233,7 @@ def make_backend(
 
     order = sorted(set(labels) | {SPHERE_LABEL})
     assignment: Dict[str, np.ndarray] = {}
-    known: Dict[str, np.ndarray] = {}
+    inverses: Dict[str, np.ndarray] = {}
     after = {}  # the stream's state right after each polynomial's draw
     start = tries = 0
     while True:
@@ -234,24 +241,24 @@ def make_backend(
             if lab == SPHERE_LABEL:
                 s = rng.randrange(2, p)
                 assignment[lab] = s * modmat.identity(d)
-                known[lab] = pow(s, -1, p) * modmat.identity(d)
+                inverses[lab] = pow(s, -1, p) * modmat.identity(d)
             elif spel_identity and lab.startswith("spel:"):
-                assignment[lab], known[lab] = modmat.identity(d), modmat.identity(d)
+                assignment[lab], inverses[lab] = modmat.identity(d), modmat.identity(d)
             elif family == DIAGONAL:
                 assignment[lab] = modmat.random_invertible_diagonal(rng, d, p)
             else:
                 assignment[lab] = modmat.random_poly(rng, powers, p)
                 after[lab] = rng.getstate()
-        polys = [lab for lab in order if lab in after and lab not in known]
+        todo = [lab for lab in order if lab not in inverses]
         try:
-            known.update(zip(polys, modmat.inverse_all([assignment[lab] for lab in polys], p)))
+            inverses.update(zip(todo, modmat.inverse_all([assignment[lab] for lab in todo], p)))
             break
-        except InputError:  # some draw is singular: keep the ones before it
+        except InputError:  # some polynomial is singular: keep the ones before it
             pass
         for j in range(start, len(order)):
-            if order[j] in after and order[j] not in known:
+            if order[j] not in inverses:
                 try:
-                    known[order[j]] = modmat.inverse(assignment[order[j]], p)
+                    inverses[order[j]] = modmat.inverse(assignment[order[j]], p)
                 except InputError:
                     break
         else:
@@ -261,15 +268,7 @@ def make_backend(
             raise InputError("could not draw an invertible polynomial")
         rng.setstate(after[order[j]])
         start = j
-    return Backend(p, d, family, assignment, alias, known, token_labels)
-
-
-def _invertible(a: np.ndarray, p: int) -> bool:
-    try:
-        modmat.inverse(a, p)
-    except InputError:
-        return False
-    return True
+    return Backend(p, d, family, assignment, inverses, alias, token_labels)
 
 
 # --- state modules and transitions -----------------------------------------
@@ -553,8 +552,8 @@ def stabilization_demo(
     """Why sphere stabilization cannot rescue the invariant: both sides
     pick up the same invertible factor Z(S²)^v, so equality after
     stabilization forces equality before it; and over a field no nonzero
-    weight annihilates Z(S²).  That last fact needs no search: building
-    the backend proved p prime and Z(S²) invertible, and it kept Z(S²)⁻¹,
+    weight annihilates Z(S²).  That last fact needs no search: every
+    backend has p prime and Z(S²) invertible, and it keeps Z(S²)⁻¹,
     whose v-th power divides the factor out below."""
     if v < 1:
         raise InputError("stabilization count must be >= 1")
@@ -610,6 +609,4 @@ def load_backend(text: str) -> Backend:
             raise InputError("line %d: duplicate token label %s" % (lineno, parts[1]))
         vals = [x % p for x in _line_ints(lineno, parts[2:])]  # reduced before int64 holds them
         assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
-    if SPHERE_LABEL not in assignment:
-        raise InputError("backend dump has no %s token" % SPHERE_LABEL)
-    return Backend(p, d, "loaded", assignment)
+    return Backend(p, d, "loaded", assignment, checked_inverses(p, d, assignment))

@@ -23,6 +23,7 @@ from smovelab.playground import (
     between_type_obstruction,
     check_gauge,
     check_inside_invariance,
+    checked_inverses,
     collect_labels,
     compose,
     dump_backend,
@@ -135,7 +136,7 @@ def test_random_poly_in_commutes_with_base():
     p = 101
     rng = random.Random(9)
     base = modmat.random_invertible_diagonal(rng, 4, p)
-    m = modmat.random_poly_in(rng, base, p)
+    m = modmat.random_poly(rng, modmat.powers(base, 4, p), p)
     assert modmat.equal(modmat.mul(m, base, p), modmat.mul(base, m, p), p)
     modmat.inverse(m, p)  # must not raise
 
@@ -162,7 +163,7 @@ def test_modmat_raises_past_the_int64_bound():
         lambda: modmat.product([a, a], p, 2),
         lambda: modmat.product([], p, 2),
         lambda: modmat.inverse(a, p),
-        lambda: modmat.random_poly_in(rng, modmat.identity(2), p),
+        lambda: modmat.random_poly(rng, modmat.powers(modmat.identity(2), 4, p), p),
     ):
         with pytest.raises(InputError, match=r"p = 4294967311 with d = 2 overflows int64"):
             call()
@@ -332,8 +333,19 @@ def _assert_inverses(b):
 
 
 def test_redrawn_backends_keep_exact_inverses():
-    for d, seed, family, spel, labels, _, _ in _PINNED_BACKENDS:
-        _assert_inverses(make_backend(labels, p=101, d=d, seed=seed, family=family, spel_identity=spel))
+    """A drawn backend is valid by construction and is not checked when
+    drawn: the proof that its matrices commute and that its sphere is a
+    non-identity scalar is made here."""
+    small = [(d, seed, family, False, _CELLS) for d in (1, 2) for seed in (0, 1) for family in (DIAGONAL, POLY_IN_M)]
+    for d, seed, family, spel, labels in [pin[:5] for pin in _PINNED_BACKENDS] + small:
+        b = make_backend(labels, p=101, d=d, seed=seed, family=family, spel_identity=spel)
+        _assert_inverses(b)
+        mats = [b.assignment[lab] for lab in sorted(b.assignment)]
+        for i, a in enumerate(mats):
+            for c in mats[i + 1 :]:
+                assert np.array_equal(_py_mul(a.tolist(), c.tolist(), 101), _py_mul(c.tolist(), a.tolist(), 101))
+        s = int(b.sphere[0, 0])
+        assert np.array_equal(b.sphere, s * np.eye(d, dtype=np.int64)) and 2 <= s < b.p, (d, seed, family)
 
 
 def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
@@ -448,16 +460,16 @@ def test_backend_is_checked_when_built():
     )
     for assignment, message in cases:
         with pytest.raises(InputError, match=message):
-            Backend(p, 2, "direct", assignment)
+            checked_inverses(p, 2, assignment)
         text = "p 5 d 2\n" + "".join(
             "tok %s %s\n" % (lab, " ".join(str(int(x)) for x in m.ravel())) for lab, m in assignment.items()
         )
         with pytest.raises(InputError, match=message):
             load_backend(text)
     with pytest.raises(InputError, match="p must be prime"):
-        Backend(4, 2, "direct", {SPHERE_LABEL: i})
+        checked_inverses(4, 2, {SPHERE_LABEL: i})
     with pytest.raises(InputError, match="no S2"):
-        Backend(5, 2, "direct", {"cell:a": i})
+        checked_inverses(5, 2, {"cell:a": i})
 
 
 def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
@@ -469,22 +481,26 @@ def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
     # inverting k matrices in one batch takes 3·(k-1) products
     batch = 3 * (3 - 1)
     diagonal = {SPHERE_LABEL: 2 * i, "cell:a": np.diag([1, 2]), "cell:b": np.diag([3, 4])}
-    Backend(p, 2, "direct", diagonal)
+    checked_inverses(p, 2, diagonal)
     assert len(calls) == batch  # diagonal matrices commute: no pairwise products
     assert compared == []
     # one non-diagonal matrix among diagonal ones brings the proof back
     calls.clear()
     with pytest.raises(InputError, match="^assigned matrices do not commute$"):
-        Backend(p, 2, "direct", dict(diagonal, **{"cell:c": np.array([[1, 1], [0, 1]])}))
+        checked_inverses(p, 2, dict(diagonal, **{"cell:c": np.array([[1, 1], [0, 1]])}))
     assert len(calls) > 3 * (4 - 1) and compared
     calls.clear()
     commuting = {SPHERE_LABEL: 2 * i, "cell:a": np.array([[1, 1], [0, 1]]), "cell:b": np.array([[1, 2], [0, 1]])}
-    Backend(p, 2, "direct", commuting)
+    checked_inverses(p, 2, commuting)
     assert len(calls) == batch + 2 * 3  # and both orders of each of the three pairs
-    calls.clear()
-    compared.clear()
-    make_backend(_labels_for(build_instance(2)), d=3, seed=2, family=POLY_IN_M)
-    assert calls and compared
+    # a drawn backend commutes by construction and forms no pairwise
+    # product: three for the powers M, M², M³ and the batch of 14 cells
+    for d, seed in ((4, 0), (32, 1)):
+        calls.clear()
+        compared.clear()
+        make_backend(_CELLS, d=d, seed=seed, family=POLY_IN_M)
+        assert len(calls) == 3 + 3 * (14 - 1)
+        assert compared == []
 
 
 def test_backend_formats_each_token_label_once(monkeypatch):
@@ -526,7 +542,7 @@ def test_backend_keeps_every_inverse():
     m = np.array([[2, 1], [0, 2]], dtype=np.int64)
     inv = modmat.inverse(m, 5)
     assignment = {SPHERE_LABEL: 2 * modmat.identity(2), "cell:a": m}
-    b = Backend(5, 2, "direct", assignment, known_inverses={"cell:a": inv})
+    b = Backend(5, 2, "direct", assignment, inverses={SPHERE_LABEL: 3 * modmat.identity(2), "cell:a": inv})
     assert b.inverses["cell:a"] is inv
 
 

@@ -27,6 +27,29 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _calls_of(name: str, node: ast.AST, where=None):
+    """The enclosing function (None at module level) of every call of
+    ``name`` under ``node``."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _calls_of(name, child, where)
+
+
+def test_backends_enter_only_where_they_are_drawn_or_loaded():
+    """``Backend`` itself checks nothing: a drawn backend is valid by
+    construction and a loaded one is proved by ``checked_inverses``, so
+    no third place may build one."""
+    found = sorted(
+        (path.name, where)
+        for path in SRC.glob("*.py")
+        for where in _calls_of("Backend", ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    )
+    assert found == [("playground.py", "load_backend"), ("playground.py", "make_backend")]
+
+
 def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     """``python -c code *args`` in a fresh interpreter that imports this
     checkout's smovelab."""
