@@ -163,8 +163,8 @@ class Backend:
 
 
 def checked_inverses(p: int, d: int, assignment: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Prove an assignment from outside a valid backend and return its
-    inverses: field bound, then ``S2`` present, then every matrix
+    """Prove that an assignment read from outside is a valid backend and
+    return its inverses: field bound, then ``S2`` present, then every matrix
     invertible, then pairwise commutation, then a nonzero sphere.  All
     matrices are inverted together in one ``modmat.inverse_all`` call,
     one Gauss-Jordan for all of them.  Diagonal matrices commute over
