@@ -185,6 +185,32 @@ def test_inv_playground_instance_file(tmp_path, capsys):
     assert code == 0 and out.startswith("invariant: ")
 
 
+def _write_factor_on_r_instance(tmp_path):
+    """A valid instance whose one factor conjugates R itself:
+    R·S⁻¹·[y1, R] = ab·aBAA·aabABA = 1."""
+    (tmp_path / "K.txt").write_text("gens 2\nrel R ab\nrel x1 b\n", encoding="utf-8")
+    (tmp_path / "L.txt").write_text("gens 2\nrel S aabA\nrel y1 a\n", encoding="utf-8")
+    (tmp_path / "d.txt").write_text("factor wR=1 R=R^+1 wS=1 S=y1^+1\n", encoding="utf-8")
+    path = tmp_path / "inst.txt"
+    path.write_text("K K.txt\nL L.txt\nR R\nS S\ndecomp d.txt\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("qmove", ["inv R", "conj R a", "conj R B"])
+def test_a_relator_move_keeps_a_factor_on_the_moved_relator_valid(tmp_path, capsys, qmove):
+    path = _write_factor_on_r_instance(tmp_path)
+    code, out = _run(capsys, ["crit", "verify", "--instance", path])
+    assert code == 0
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--instance", path, "--qmove", qmove])
+    assert (code, out.splitlines()[0]) == (0, "verdict: Pass")
+
+
+def test_right_multiplying_a_relator_a_factor_conjugates_is_bad_input(tmp_path, capsys):
+    path = _write_factor_on_r_instance(tmp_path)
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--instance", path, "--qmove", "mulr R x1"])
+    assert (code, out) == (2, "error: cannot right-multiply R: a decomposition factor conjugates R itself\n")
+
+
 def test_smove_seed_env_default(monkeypatch, capsys):
     monkeypatch.setenv("SMOVE_SEED", "13")
     code, env_out = _run(capsys, ["inv", "playground"])
