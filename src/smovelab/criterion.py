@@ -19,10 +19,18 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from . import presentations as pres
-from .presentations import Presentation, QMove, NielsenMove, apply_nielsen, apply_qmove
+from .presentations import (
+    ConjugateRelator,
+    InvertRelator,
+    NielsenMove,
+    Presentation,
+    QMove,
+    apply_nielsen,
+    apply_qmove,
+)
 from .words import (  # InvalidInstance is defined in words and re-exported here
     InputError,
     InvalidInstance,
@@ -99,13 +107,14 @@ def commutator_product(inst: CriterionInstance) -> Word:
     return reduce(out)
 
 
-def verification_word(inst: CriterionInstance) -> Word:
-    """R.S^-1.[S_1,R_1]...[S_n,R_n], freely reduced."""
-    return reduce(
-        tuple(inst.r_word)
-        + tuple(invert(inst.s_word))
-        + tuple(commutator_product(inst))
-    )
+def verification_word(inst: CriterionInstance, residual=(), side: str = "r") -> Word:
+    """R.S^-1.[S_1,R_1]...[S_n,R_n], freely reduced; a ``residual`` left
+    by a relator move goes in front of R (side r) or behind S^-1 (side s)."""
+    if side not in ("r", "s"):
+        raise InputError("residual side must be 'r' or 's'")
+    res = tuple(residual)
+    head, mid = (res, ()) if side == "r" else ((), res)
+    return reduce(head + inst.r_word + invert(inst.s_word) + mid + commutator_product(inst))
 
 
 def verify(inst: CriterionInstance) -> bool:
@@ -229,42 +238,6 @@ def build_instance(
     return inst
 
 
-def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
-    """Change one letter of one decomposition conjugator (test helper).
-
-    A letter change can be absorbed when it lies in the centralizer of the
-    base relator (conjugating ``a`` by ``a`` does nothing), so candidates
-    are redrawn until the expanded decomposition actually differs.
-    """
-    if not inst.factors:
-        raise InvalidInstance("no factors to mutate")
-    rng = random.Random(seed)
-    for _ in range(64):
-        i = rng.randrange(len(inst.factors))
-        f = inst.factors[i]
-        side = rng.choice(("r", "s"))
-        c = f.r if side == "r" else f.s
-        letters = list(c.conjugator)
-        x = rng.choice(
-            [g for g in range(1, inst.k.generator_count + 1)]
-            + [-g for g in range(1, inst.k.generator_count + 1)]
-        )
-        if letters:
-            j = rng.randrange(len(letters))
-            if letters[j] == x:
-                x = -x
-            letters[j] = x
-        else:
-            letters.append(x)
-        c2 = ConjugatedRelator(Word(letters), c.base, c.exponent)
-        f2 = Factor(r=c2, s=f.s) if side == "r" else Factor(r=f.r, s=c2)
-        factors = tuple(f2 if j == i else g for j, g in enumerate(inst.factors))
-        mutated = replace(inst, factors=factors)
-        if mutated.expanded() != inst.expanded():
-            return mutated
-    raise InvalidInstance("could not find a non-absorbed mutation")
-
-
 # --- transport under relator moves and substitutions ---------------------
 
 
@@ -273,33 +246,39 @@ class QMoveTransport:
     instance: CriterionInstance  # carries the moved relator
     residual: Word  # L' (move on R) or M'^-1 (move on S)
     side: str  # "R" | "S"
-    ok: bool  # the transported equation reduces to 1
+
+
+def _rebased(c: ConjugatedRelator, m: QMove) -> ConjugatedRelator:
+    """``c`` rewritten to expand as before once ``m`` has moved its base:
+    R' = R^-1 flips the exponent, and R' = g.R.g^-1 turns the conjugator
+    w into w.g^-1."""
+    if c.base != m.target:
+        return c
+    if isinstance(m, InvertRelator):
+        return ConjugatedRelator(c.conjugator, c.base, -c.exponent)
+    if isinstance(m, ConjugateRelator):
+        return ConjugatedRelator(reduce(c.conjugator + (-m.gen,)), c.base, c.exponent)
+    raise InputError("cannot right-multiply %s: a decomposition factor conjugates %s itself" % (m.target, m.target))
 
 
 def transport_qmove(inst: CriterionInstance, m: QMove) -> QMoveTransport:
     """Apply a relator move to R or S and record the leftover cell.
 
-    The transported equation prepends L' to the product (move on R) or
-    splices M'^-1 behind the moved S (move on S); either way it must
-    still reduce to the empty word.
+    Every factor that conjugates the moved relator itself is rewritten to
+    expand as before, so the moved instance satisfies the criterion with
+    the residual spliced in (``verification_word`` with its side) by
+    construction.  A right-multiplied relator cannot be rewritten that way.
     """
-    comm = commutator_product(inst)
     if m.target == inst.r_name:
         k2 = apply_qmove(inst.k, m)
-        new = k2.word(inst.r_name)
-        res = residual_r(inst.r_word, new)
-        eqn = reduce(
-            tuple(res) + tuple(new) + tuple(invert(inst.s_word)) + tuple(comm)
-        )
-        return QMoveTransport(replace(inst, k=k2), res, "R", len(eqn) == 0)
+        factors = tuple(Factor(r=_rebased(f.r, m), s=f.s) for f in inst.factors)
+        res = residual_r(inst.r_word, k2.word(inst.r_name))
+        return QMoveTransport(replace(inst, k=k2, factors=factors), res, "R")
     if m.target == inst.s_name:
         l2 = apply_qmove(inst.l, m)
-        new = l2.word(inst.s_name)
-        res = residual_s(inst.s_word, new)
-        eqn = reduce(
-            tuple(inst.r_word) + tuple(invert(new)) + tuple(res) + tuple(comm)
-        )
-        return QMoveTransport(replace(inst, l=l2), res, "S", len(eqn) == 0)
+        factors = tuple(Factor(r=f.r, s=_rebased(f.s, m)) for f in inst.factors)
+        res = residual_s(inst.s_word, l2.word(inst.s_name))
+        return QMoveTransport(replace(inst, l=l2, factors=factors), res, "S")
     raise InvalidInstance(
         "move target %r is neither %s nor %s" % (m.target, inst.r_name, inst.s_name)
     )
@@ -390,20 +369,14 @@ def _instance_fields(text: str) -> Dict[str, str]:
     return fields
 
 
-def _instance_from(fields: Dict[str, str], base_dir: str) -> CriterionInstance:
-    # Each named file is read on its own, so an error names the file that holds it.
+def load_instance(path) -> CriterionInstance:
+    """An instance file: ``K <path>``, ``L <path>``, ``R <name>``,
+    ``S <name>``, ``decomp <path>``, its paths resolved against the file's
+    directory.  Each named file is read on its own, so an error names the
+    file that holds it."""
+    fields = _read(path, _instance_fields)
+    base_dir = os.path.dirname(os.path.abspath(path))
     k = pres.load_presentation(os.path.join(base_dir, fields["K"]))
     l = pres.load_presentation(os.path.join(base_dir, fields["L"]))
     factors = _read(os.path.join(base_dir, fields["decomp"]), parse_decomposition)
     return CriterionInstance(k, l, fields["R"], fields["S"], factors)
-
-
-def parse_instance(text: str, base_dir: str = ".") -> CriterionInstance:
-    """Instance file: ``K <path>``, ``L <path>``, ``R <name>``, ``S <name>``,
-    ``decomp <path>`` (paths resolved against ``base_dir``)."""
-    return _instance_from(_instance_fields(text), base_dir)
-
-
-def load_instance(path) -> CriterionInstance:
-    """An instance file; its paths resolve against the file's directory."""
-    return _instance_from(_read(path, _instance_fields), os.path.dirname(os.path.abspath(path)))

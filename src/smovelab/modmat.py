@@ -148,17 +148,3 @@ def random_poly(rng, powers, p: int) -> np.ndarray:
 
 def to_text(a: np.ndarray) -> str:
     return ";".join(",".join(str(int(x)) for x in row) for row in a)
-
-
-def from_text(text: str, p: int) -> np.ndarray:
-    """Rows split by ';', entries by ','; any integer is read, reduced mod
-    p before int64 holds it."""
-    rows = text.strip().split(";")
-    _check_bound(p, len(rows))
-    try:
-        rows = [[int(x) % p for x in row.split(",")] for row in rows]
-    except ValueError as e:
-        raise InputError("bad matrix text: %s" % e) from None
-    if any(len(row) != len(rows) for row in rows):
-        raise InputError("bad matrix text: expected a square matrix")
-    return np.array(rows, dtype=np.int64)

@@ -31,6 +31,7 @@ from .slicing import (
     SphereToken,
     Token,
     build_abstract,
+    token_text,
 )
 from .words import InputError, Word, _content_lines, _line_ints, format_word
 
@@ -40,7 +41,7 @@ POLY_IN_M = "poly"
 PRODUCT = "product"
 PERMUTATION_SUM = "permutation_sum"
 
-SPHERE_LABEL = "S2"
+SPHERE_LABEL = token_text(SphereToken())
 
 
 def other_type(identification: str) -> str:
@@ -51,38 +52,13 @@ def other_type(identification: str) -> str:
     raise InputError("unknown identification type %r" % identification)
 
 
-def _canonical(w: Word) -> Tuple[int, ...]:
-    wi = tuple(-x for x in reversed(w))
-    return w if w <= wi else wi
-
-
-def token_label(t: Token, alias: bool = True) -> str:
-    """Stable assignment key.  With ``alias`` a word and its inverse get
-    the same key, which is how Z(V) = Z(V⁻¹) is enforced."""
-    canon = _canonical if alias else (lambda w: w)
-    if isinstance(t, SphereToken):
-        return SPHERE_LABEL
-    if isinstance(t, CellToken):
-        return "cell:%s" % format_word(canon(t.word))
-    if isinstance(t, SpElToken):
-        return "spel:%s:%s" % (t.kind, format_word(canon(t.word)))
-    if isinstance(t, CommutatorToken):
-        return "comm:%s" % format_word(canon(t.word))
-    raise InputError("unknown token %r" % (t,))
-
-
 def label_tokens(*aseqs: AbstractSequence, alias: bool = True) -> Dict[Token, str]:
     """Every distinct token of the sequences with its label, each
     labelled once; the sphere and the empty cell, which
     ``between_type_obstruction`` looks up, are always among them."""
     tokens = {SphereToken(), CellToken(Word())}
     tokens.update(t for aseq in aseqs for sl in aseq.slices for t in sl.tokens)
-    return {t: token_label(t, alias) for t in tokens}
-
-
-def collect_labels(*aseqs: AbstractSequence, alias: bool = True) -> List[str]:
-    """The sorted labels of ``label_tokens``."""
-    return sorted(set(label_tokens(*aseqs, alias=alias).values()))
+    return {t: token_text(t, alias) for t in tokens}
 
 
 def is_prime(n: int) -> bool:
@@ -144,9 +120,6 @@ class Backend:
     def sphere(self) -> np.ndarray:
         return self.assignment[SPHERE_LABEL]
 
-    def label(self, t: Token) -> str:
-        return token_label(t, self.alias)
-
     def value(self, t: Token) -> np.ndarray:
         return self._lookup(t)[1]
 
@@ -155,7 +128,7 @@ class Backend:
         the first lookup only, unless it was handed over."""
         hit = self._resolved.get(t)
         if hit is None:
-            lab = token_label(t, self.alias)
+            lab = token_text(t, self.alias)
             if lab not in self.assignment:
                 raise InputError("token %s has no assigned matrix" % lab)
             hit = self._resolved[t] = (lab, self.assignment[lab], self.inverses[lab])
@@ -165,7 +138,7 @@ class Backend:
 def checked_inverses(p: int, d: int, assignment: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
     """Prove that an assignment read from outside is a valid backend and
     return its inverses: field bound, then ``S2`` present, then every matrix
-    invertible, then pairwise commutation, then a nonzero sphere.  All
+    invertible (so ``S2`` is nonzero), then pairwise commutation.  All
     matrices are inverted together in one ``modmat.inverse_all`` call,
     one Gauss-Jordan for all of them.  Diagonal matrices commute over
     any commutative ring, so the pairwise products are only formed when
@@ -181,8 +154,6 @@ def checked_inverses(p: int, d: int, assignment: Dict[str, np.ndarray]) -> Dict[
             for b in mats[i + 1 :]:
                 if not modmat.equal(modmat.mul(a, b, p), modmat.mul(b, a, p), p):
                     raise InputError("assigned matrices do not commute")
-    if not np.any(assignment[SPHERE_LABEL] % p):
-        raise InputError("sphere value must be nonzero")
     return inverses
 
 
@@ -287,12 +258,6 @@ def _with_inverse(tokens: Iterable[Token], b: Backend) -> Tuple[np.ndarray, np.n
         modmat.product((m for _, m, _ in entries), b.p, b.dim),
         modmat.product((i for _, _, i in entries), b.p, b.dim),
     )
-
-
-def slice_endo(aslice, b: Backend) -> np.ndarray:
-    """Product of the token matrices; empty slice gives the identity.
-    Backend commutativity makes the fixed (sorted-label) order immaterial."""
-    return modmat.product((m for _, m, _ in _entries(aslice.tokens, b)), b.p, b.dim)
 
 
 @dataclass(frozen=True)

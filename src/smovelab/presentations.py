@@ -170,14 +170,6 @@ def apply_nielsen(p: Presentation, m: NielsenMove) -> Presentation:
     return Presentation(p.generator_count, rels)
 
 
-def apply_nielsen_pair(pair, m: NielsenMove):
-    """Apply the same substitution to both presentations of a pair."""
-    k, l = pair
-    if k.generator_count != l.generator_count:
-        raise InputError("paired presentations must share one alphabet")
-    return apply_nielsen(k, m), apply_nielsen(l, m)
-
-
 @dataclass(frozen=True)
 class Prolong:
     pass

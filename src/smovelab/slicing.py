@@ -311,11 +311,6 @@ def validate(seq: SliceSequence) -> ValidationResult:
     return ValidationResult(True)
 
 
-def inverse_trace(w) -> Word:
-    """Letterwise-inverted reading: flip every letter, keep the order."""
-    return Word(-x for x in w)
-
-
 def boundary_trace(seq: SliceSequence) -> Word:
     """Concatenate the strand contributions in attaching-curve order and
     freely reduce.  Builder output was validated at build time; any other
@@ -642,16 +637,24 @@ LONGITUDINAL = "longitudinal"
 MERIDIAN = "meridian"
 
 
-def token_text(t: Token) -> str:
+def token_text(t: Token, alias: bool = False) -> str:
+    """The token's text, which is also its backend label.  With ``alias``
+    a word and its inverse read as the lesser of the two, which is how a
+    backend enforces Z(V) = Z(V⁻¹)."""
     if isinstance(t, SphereToken):
         return "S2"
     if isinstance(t, CellToken):
-        return "cell:%s" % format_word(t.word)
-    if isinstance(t, SpElToken):
-        return "spel:%s:%s" % (t.kind, format_word(t.word))
-    if isinstance(t, CommutatorToken):
-        return "comm:%s" % format_word(t.word)
-    raise InputError("unknown token %r" % (t,))
+        head = "cell"
+    elif isinstance(t, SpElToken):
+        head = "spel:" + t.kind
+    elif isinstance(t, CommutatorToken):
+        head = "comm"
+    else:
+        raise InputError("unknown token %r" % (t,))
+    w = t.word
+    if alias:
+        w = min(w, tuple(-x for x in reversed(w)))
+    return "%s:%s" % (head, format_word(w))
 
 
 @dataclass(frozen=True)
@@ -700,13 +703,7 @@ def build_abstract(
     """
     if orientation not in (1, -1):
         raise InputError("orientation must be +1 or -1")
-    if residual_side not in ("r", "s"):
-        raise InputError("residual_side must be 'r' or 's'")
-    # R.S^-1.[S_1,R_1]...[S_n,R_n] = 1, with the residual in front of R
-    # (side r) or behind S^-1 (side s)
-    res = tuple(residual or ())
-    head, mid = (res, ()) if residual_side == "r" else ((), res)
-    if reduce(head + inst.r_word + invert(inst.s_word) + mid + crit.commutator_product(inst)):
+    if crit.verification_word(inst, residual or (), residual_side):
         raise crit.InvalidInstance("instance fails the commutator criterion")
     orient = (lambda w: w) if orientation == 1 else invert
     kind_r, kind_s = spel_kinds(identification)

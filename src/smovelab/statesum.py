@@ -132,25 +132,6 @@ def isomorphic(g1: TrivalentGraph, g2: TrivalentGraph) -> bool:
     return certificate(g1) == certificate(g2)
 
 
-def eval_coloring(g: TrivalentGraph, coloring: Sequence[int], t: ThreeJTable) -> Value:
-    """Product of |abc| over vertices and |ccc| over circles."""
-    if len(coloring) != g.slots():
-        raise InputError("coloring must assign every edge and circle")
-    total: Value = Fraction(1)
-    for v in g.vertices:
-        incident = []
-        for i, (a, b) in enumerate(g.edges):
-            if a == v:
-                incident.append(coloring[i])
-            if b == v:
-                incident.append(coloring[i])
-        total = total * t.lookup(*incident)
-    for j in range(g.circles):
-        c = coloring[len(g.edges) + j]
-        total = total * t.lookup(c, c, c)
-    return total
-
-
 def _exact(v: Value) -> Value:
     """An integral Fraction as an int: sums over integer tables then run
     on ints, several times faster than Fraction arithmetic."""
@@ -238,26 +219,15 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     return Fraction(total)
 
 
-def wedge(g1: TrivalentGraph, g2: TrivalentGraph, t: Optional[ThreeJTable] = None) -> TrivalentGraph:
-    """Disjoint union; the wedge point carries no weight.  With a table
-    given, multiplicativity of the state sum is checked on the spot."""
+def wedge(g1: TrivalentGraph, g2: TrivalentGraph) -> TrivalentGraph:
+    """Disjoint union; the wedge point carries no weight."""
     offset = max(g1.vertices, default=-1) + 1
-    g = TrivalentGraph(
+    return TrivalentGraph(
         g1.vertices + tuple(v + offset for v in g2.vertices),
         g1.edges + tuple((a + offset, b + offset) for a, b in g2.edges),
         g1.circles + g2.circles,
         g1.points + g2.points,
     )
-    if t is not None:
-        combined = state_sum(g, t)
-        split = state_sum(g1, t) * state_sum(g2, t)
-        if not _value_eq(combined, split):
-            raise InputError("state sum failed multiplicativity: %s vs %s" % (combined, split))
-    return g
-
-
-def move_value(before: TrivalentGraph, after: TrivalentGraph, t: ThreeJTable) -> Value:
-    return state_sum(after, t) - state_sum(before, t)
 
 
 MovePair = Tuple[TrivalentGraph, TrivalentGraph]

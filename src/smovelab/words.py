@@ -13,7 +13,7 @@ pushdown suffices.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 
 class InputError(ValueError):
@@ -54,10 +54,6 @@ class Word(tuple):
 
     def __invert__(self):
         return invert(self)
-
-    @property
-    def is_reduced(self) -> bool:
-        return all(a != -b for a, b in zip(self, self[1:]))
 
 
 EMPTY = Word()
@@ -173,9 +169,6 @@ def substitute(w: Iterable[int], gen: int, repl: Iterable[int]) -> Word:
 def max_generator(w: Iterable[int]) -> int:
     """Largest generator index used (0 for the empty word)."""
     return max((abs(x) for x in w), default=0)
-
-
-Letters = Tuple[int, ...]
 
 
 def _content_lines(text: str, sep: Optional[str] = None):

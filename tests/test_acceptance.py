@@ -24,7 +24,6 @@ import smovelab.modmat as modmat
 from smovelab.criterion import (
     build_instance,
     gauge,
-    mutate_conjugator,
     nielsen_transport,
     product_sides,
     residual_commutator_check,
@@ -37,7 +36,6 @@ from smovelab.playground import (
     MERIDIAN,
     between_type_obstruction,
     check_inside_invariance,
-    collect_labels,
     compose,
     make_backend,
     other_type,
@@ -55,10 +53,10 @@ from smovelab.slicing import (
     SpElToken,
     boundary_trace,
     build_abstract,
-    inverse_trace,
     slice_bag,
     slice_commutator,
     slice_product,
+    token_text,
 )
 from smovelab.statesum import (
     TrivalentGraph,
@@ -71,6 +69,8 @@ from smovelab.statesum import (
     wedge,
 )
 from smovelab.words import InputError, Word, commutator, invert, multiply, parse_word, reduce
+
+from helpers import backend_labels, mutate_conjugator
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -113,8 +113,8 @@ def _py_inverse(rows, p):
 
 
 def _own_endo(aslice, b):
-    # sorted-label product, recomputed without slice_endo
-    pairs = sorted(((b.label(t), b.value(t)) for t in aslice.tokens), key=lambda kv: kv[0])
+    # sorted-label product of the token matrices, in raw numpy
+    pairs = sorted(((token_text(t, b.alias), b.value(t)) for t in aslice.tokens), key=lambda kv: kv[0])
     return _np_product((m for _, m in pairs), b.p, b.dim)
 
 
@@ -170,7 +170,7 @@ def test_unperturbed_transitions_telescope_to_identity():
         inst = build_instance(seed)
         t = LONGITUDINAL if seed % 2 == 0 else MERIDIAN
         aseq = build_abstract(inst, t)
-        b = make_backend(collect_labels(aseq), p=101, d=4, seed=seed)
+        b = make_backend(backend_labels(aseq), p=101, d=4, seed=seed)
         maps = transitions(state_modules(aseq, b))
         assert modmat.is_identity(compose(maps, b.p, b.dim), b.p)
 
@@ -180,13 +180,13 @@ def test_perturbed_invariant_matches_brute_force_composition():
         inst = build_instance(seed)
         for t in (LONGITUDINAL, MERIDIAN):
             aseq = build_abstract(inst, t)
-            b = make_backend(collect_labels(aseq), seed=seed * 7 + 1)
+            b = make_backend(backend_labels(aseq), seed=seed * 7 + 1)
             p, d = b.p, b.dim
             got = perturbed_invariant(aseq, b)
 
             # closed form: product of the spherical-element matrices, raw numpy
             spels = [tok for tok in aseq.slices[3].tokens if isinstance(tok, SpElToken)]
-            ordered = sorted(((b.label(tk), b.value(tk)) for tk in spels), key=lambda kv: kv[0])
+            ordered = sorted(((token_text(tk, b.alias), b.value(tk)) for tk in spels), key=lambda kv: kv[0])
             closed = _np_product((m for _, m in ordered), p, d)
 
             # brute force: compose all eight level maps with the third one perturbed
@@ -291,7 +291,7 @@ def test_inside_type_invariance_under_all_relator_moves():
         t = LONGITUDINAL if seed % 2 == 0 else MERIDIAN
         seqs = [build_abstract(inst, t)]
         seqs += [qmove_rider(inst, m, t) for m in _QMOVES]
-        b = make_backend(collect_labels(*seqs), seed=seed + 13)
+        b = make_backend(backend_labels(*seqs), seed=seed + 13)
         for m, rider in zip(_QMOVES, seqs[1:]):
             report = check_inside_invariance(seqs[0], rider, b)
             assert report.verdict == "Pass", (seed, m, report.witness)
@@ -303,7 +303,7 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
         inst = build_instance(seed % 50)
         t = LONGITUDINAL if seed % 2 == 0 else MERIDIAN
         identity_control = seed < 20
-        labels = collect_labels(
+        labels = backend_labels(
             build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN)
         )
         b = make_backend(labels, seed=seed, spel_identity=identity_control)
@@ -446,7 +446,7 @@ def _is_cyclic_rotation(w, base):
 
 
 def test_slicing_readouts_exhaustively_match_the_words():
-    assert str(inverse_trace(parse_word("aabb"))) == "AABB"
+    assert str(Word(-x for x in parse_word("aabb"))) == "AABB"  # the letterwise-inverted reading
     words = _reduced_words(4)
     assert len(words) == 161
     for w in words:
@@ -518,7 +518,7 @@ def test_poly_invariant_chain_fixture_and_rejections():
 def test_stabilization_forces_equality_no_annihilator():
     for seed in range(20):
         inst = build_instance(seed)
-        b = make_backend(collect_labels(build_abstract(inst, LONGITUDINAL)), seed=seed)
+        b = make_backend(backend_labels(build_abstract(inst, LONGITUDINAL)), seed=seed)
         scalar = int(b.sphere[0, 0])
         for v in (1, 2, 3):
             report = stabilization_demo(b, v)

@@ -12,6 +12,8 @@ from smovelab import cli, criterion, slicing
 from smovelab.criterion import build_instance, format_decomposition
 from smovelab.presentations import format_presentation
 
+from helpers import mutate_conjugator
+
 
 def _run(capsys, argv):
     code = cli.main(argv)
@@ -24,8 +26,6 @@ def _write_instance(tmp_path, seed=0, corrupt=False):
     (tmp_path / "L.txt").write_text(format_presentation(inst.l), encoding="utf-8")
     decomp = format_decomposition(inst.factors)
     if corrupt:
-        from smovelab.criterion import mutate_conjugator
-
         decomp = format_decomposition(mutate_conjugator(inst, 7).factors)
     (tmp_path / "d.txt").write_text(decomp, encoding="utf-8")
     path = tmp_path / "inst.txt"
@@ -460,6 +460,42 @@ def test_malformed_backend_value_exits_2(tmp_path, capsys):
     code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(tmp_path / "b.txt")])
     assert code == 2
     assert out.startswith("error: %s: line 2: " % (tmp_path / "b.txt"))
+
+
+def test_backend_entries_load_reduced_mod_p(tmp_path, capsys):
+    """An entry past int64, or a negative one, loads as its residue: the
+    invariant is the one the reduced dump gives."""
+    reduced = tmp_path / "reduced.txt"
+    code, _ = _run(capsys, ["inv", "playground", "--seed", "3", "--dump-backend", str(reduced)])
+    assert code == 0
+    lines = reduced.read_text(encoding="utf-8").splitlines()
+    p = int(lines[0].split()[1])
+    unreduced = [lines[0]]
+    for line in lines[1:]:
+        tok, label, *entries = line.split()
+        shifted = [int(x) + (p * 10**28 if i % 2 else -7 * p) for i, x in enumerate(entries)]
+        unreduced.append(" ".join([tok, label] + [str(x) for x in shifted]))
+    assert any(abs(int(x)) >= 2**63 for x in unreduced[1].split()[2:])
+    assert any(int(x) < 0 for x in unreduced[1].split()[2:])
+    big = tmp_path / "unreduced.txt"
+    big.write_text("\n".join(unreduced) + "\n", encoding="utf-8")
+    code, want = _run(capsys, ["inv", "playground", "--seed", "3", "--backend", str(reduced)])
+    assert code == 0 and want.startswith("invariant: ")
+    assert _run(capsys, ["inv", "playground", "--seed", "3", "--backend", str(big)]) == (0, want)
+
+
+def test_backend_line_one_entry_short_exits_2(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_text("p 101 d 2\ntok S2 2 0 0 2\ntok cell:a 1 0 1\n", encoding="utf-8")
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(path)])
+    assert (code, out) == (2, "error: %s: line 3: bad backend line\n" % path)
+
+
+def test_backend_holding_only_the_sphere_exits_2(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_text("p 101 d 1\ntok S2 2\n", encoding="utf-8")
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(path)])
+    assert (code, out) == (2, "error: token cell:BabaBaBBAbbAbABaBBabbAbabABABababaBABA has no assigned matrix\n")
 
 
 def test_duplicate_backend_label_exits_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -15,10 +16,8 @@ from smovelab.criterion import (
     format_decomposition,
     gauge,
     load_instance,
-    mutate_conjugator,
     nielsen_transport,
     parse_decomposition,
-    parse_instance,
     product_sides,
     residual_commutator_check,
     residual_r,
@@ -34,8 +33,11 @@ from smovelab.presentations import (
     NielsenMove,
     Presentation,
     format_presentation,
+    parse_presentation,
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
+
+from helpers import mutate_conjugator
 
 
 def _hand_instance():
@@ -180,6 +182,22 @@ def test_residual_commutator_check_on_built_instances():
         residual_commutator_check(mutate_conjugator(build_instance(0), 77))
 
 
+def _text_instance(k: str, l: str, decomp: str) -> CriterionInstance:
+    return CriterionInstance(parse_presentation(k), parse_presentation(l), "R", "S", parse_decomposition(decomp))
+
+
+# Valid instances with a factor that conjugates R or S itself: one on R
+# (R·S⁻¹·[y1, R] = 1), its gauge with one on S, and R = S with one factor
+# on both (a conjugated relator commutes with its own inverse).
+_ON_R = _text_instance(
+    "gens 2\nrel R ab\nrel x1 b\n", "gens 2\nrel S aabA\nrel y1 a\n", "factor wR=1 R=R^+1 wS=1 S=y1^+1\n"
+)
+_ON_S = gauge(_ON_R)  # the sides swap, so the factor conjugates the s-side relator, named R
+_ON_BOTH = _text_instance(
+    "gens 2\nrel R ab\nrel x1 b\n", "gens 2\nrel S ab\nrel y1 a\n", "factor wR=b R=R^+1 wS=b S=S^-1\n"
+)
+
+
 @pytest.mark.parametrize(
     "move",
     [
@@ -192,17 +210,29 @@ def test_residual_commutator_check_on_built_instances():
     ],
 )
 def test_transport_qmove_keeps_equation_closed(move):
-    for seed in (0, 7, 19):
-        inst = build_instance(seed)
+    for inst in (build_instance(0), build_instance(7), build_instance(19), _ON_R, _ON_S, _ON_BOTH):
+        assert verify(inst)
+        on_r = move.target == inst.r_name
+        bases = {(f.r if on_r else f.s).base for f in inst.factors}
+        if isinstance(move, MultiplyRight) and move.target in bases:
+            with pytest.raises(InputError, match="^cannot right-multiply %s: " % move.target):
+                transport_qmove(inst, move)
+            continue
         t = transport_qmove(inst, move)
         assert isinstance(t, QMoveTransport)
-        assert t.ok
-        assert t.side == ("R" if move.target == "R" else "S")
+        assert t.side == ("R" if on_r else "S")
+        # every factor expands as before, so the commutator product stands
+        assert t.instance.expanded() == inst.expanded()
+        comm = tuple(commutator_product(t.instance))
         if t.side == "R":
             assert t.residual == residual_r(inst.r_word, t.instance.r_word)
             assert reduce(tuple(t.residual) + tuple(t.instance.r_word)) == inst.r_word
+            moved = tuple(t.residual) + tuple(t.instance.r_word) + tuple(invert(inst.s_word)) + comm
         else:
             assert t.residual == residual_s(inst.s_word, t.instance.s_word)
+            moved = tuple(inst.r_word) + tuple(invert(t.instance.s_word)) + tuple(t.residual) + comm
+        assert reduce(moved) == ()
+        assert verification_word(t.instance, t.residual, t.side.lower()) == ()
 
 
 def test_transport_qmove_rejects_other_targets():
@@ -266,13 +296,16 @@ def test_instance_file_round_trip(tmp_path):
     assert verify(loaded)
 
 
-def test_parse_instance_errors(tmp_path):
-    with pytest.raises(InputError):
-        parse_instance("K a.txt\nL b.txt\nR R\nS S\n")  # missing decomp
-    with pytest.raises(InputError):
-        parse_instance("K a.txt\nK b.txt\nL c.txt\nR R\nS S\ndecomp d.txt\n")
-    with pytest.raises(InputError):
-        parse_instance("Q a.txt\n")
+def test_instance_file_errors(tmp_path):
+    path = tmp_path / "inst.txt"
+    for text, message in (
+        ("K a.txt\nL b.txt\nR R\nS S\n", "instance file missing decomp"),
+        ("K a.txt\nK b.txt\nL c.txt\nR R\nS S\ndecomp d.txt\n", "line 2: duplicate K"),
+        ("Q a.txt\n", "line 1: bad instance directive"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="^%s: %s$" % (re.escape(str(path)), message)):
+            load_instance(path)
 
 
 def test_instance_requires_known_relator_names():

