@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 
 from smovelab.criterion import ConjugatedRelator, CriterionInstance, Factor, InvalidInstance
+from smovelab.playground import label_tokens
 from smovelab.words import Word
 
 
@@ -47,6 +48,4 @@ def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
 
 def backend_labels(*aseqs, alias: bool = True):
     """The sorted backend labels of the sequences' tokens."""
-    from smovelab.playground import label_tokens
-
     return sorted(set(label_tokens(*aseqs, alias=alias).values()))

@@ -198,6 +198,23 @@ _ON_BOTH = _text_instance(
 )
 
 
+def _random_factor_on_r(seed):
+    """A random valid instance whose one factor conjugates R itself: S is
+    solved from R·S⁻¹·[S_1,R_1] = 1 as [S_1,R_1]·R."""
+    rng = random.Random(seed)
+    k = Presentation(3, (("R", _random_reduced(rng)), ("x1", _random_reduced(rng))))
+    l = Presentation(3, (("S", Word()), ("y1", _random_reduced(rng))))
+    f = Factor(
+        r=ConjugatedRelator(_random_reduced(rng, 3), "R", rng.choice((1, -1))),
+        s=ConjugatedRelator(_random_reduced(rng, 3), "y1", rng.choice((1, -1))),
+    )
+    s_word = reduce(tuple(commutator(f.s.expand(l), f.r.expand(k))) + tuple(k.word("R")))
+    return CriterionInstance(k, l.with_relator("S", s_word), "R", "S", (f,))
+
+
+_DRAWN_ON_R = tuple(_random_factor_on_r(seed) for seed in range(6))
+
+
 @pytest.mark.parametrize(
     "move",
     [
@@ -210,7 +227,8 @@ _ON_BOTH = _text_instance(
     ],
 )
 def test_transport_qmove_keeps_equation_closed(move):
-    for inst in (build_instance(0), build_instance(7), build_instance(19), _ON_R, _ON_S, _ON_BOTH):
+    drawn = _DRAWN_ON_R + tuple(map(gauge, _DRAWN_ON_R))
+    for inst in (build_instance(0), build_instance(7), build_instance(19), _ON_R, _ON_S, _ON_BOTH) + drawn:
         assert verify(inst)
         on_r = move.target == inst.r_name
         bases = {(f.r if on_r else f.s).base for f in inst.factors}

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import smovelab
@@ -59,19 +60,18 @@ def _public_definitions(tree: ast.Module):
                     yield n.id, node
 
 
-def _references(node: ast.AST, skip: ast.AST):
-    """Every name loaded, attribute read or imported under ``node``,
-    outside the subtree ``skip``."""
-    if node is skip:
-        return
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        yield node.id
-    elif isinstance(node, ast.Attribute):
-        yield node.attr
-    elif isinstance(node, ast.ImportFrom):
-        yield from (alias.name for alias in node.names)
-    for child in ast.iter_child_nodes(node):
-        yield from _references(child, skip)
+def _references(node: ast.AST) -> Counter:
+    """How often each name is loaded, read as an attribute or imported
+    under ``node``."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            found.update(alias.name for alias in n.names)
+    return found
 
 
 def test_library_code_has_a_library_caller():
@@ -79,11 +79,12 @@ def test_library_code_has_a_library_caller():
     top-level name is referred to somewhere in the library outside its own
     definition, or is on the short list of documented API."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SRC.glob("*.py")}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     uncalled = {
         (module, name)
         for module, tree in trees.items()
         for name, node in _public_definitions(tree)
-        if not any(name in _references(other, node) for other in trees.values())
+        if everywhere[name] == _references(node)[name]
     }
     assert uncalled == _KEPT_WITHOUT_CALLER
 
