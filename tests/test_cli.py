@@ -527,6 +527,36 @@ def test_presentation_instance_and_decomposition_errors_name_their_file(tmp_path
         assert out.startswith("error: %s: line %d: " % (tmp_path / name, lineno)), out
 
 
+@pytest.mark.parametrize(
+    "name, text, lineno, message",
+    [
+        ("p.txt", "gens 2\nrel R a0\n", 2, "bad word token '0' in 'a0'"),
+        ("p.txt", "gens 2\nrel R ac\n", 2, "generator index 3 out of range (alphabet has 2)"),
+        ("m.txt", "conj R 0\n", 1, "bad word token '0' in '0'"),
+        ("m.txt", "inv R\nnielsen rmul a a\n", 2, "substitution needs two distinct generators"),
+        ("d.txt", "factor wR=a0 R=R^+1 wS=1 S=S^+1\n", 1, "bad word token '0' in 'a0'"),
+    ],
+)
+def test_an_error_inside_a_word_or_move_names_its_line(tmp_path, capsys, name, text, lineno, message):
+    inst = _write_instance(tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = {
+        "p.txt": ["pres", "--file", str(tmp_path / "p.txt")],
+        "m.txt": ["pres", "--file", str(tmp_path / "K.txt"), "--moves", str(tmp_path / "m.txt")],
+        "d.txt": ["crit", "verify", "--instance", inst],
+    }[name]
+    assert _run(capsys, argv) == (2, "error: %s: line %d: %s\n" % (tmp_path / name, lineno, message))
+
+
+def test_a_negative_color_in_a_3j_table_exits_2(tmp_path, capsys):
+    (tmp_path / "t.csv").write_text("0,0,0,1\n-1,0,0,5\n", encoding="utf-8")
+    (tmp_path / "theta.txt").write_text("v 0\nv 1\ne 0 1\ne 0 1\ne 0 1\n", encoding="utf-8")
+    argv = ["inv", "statesum", "--graphs", str(tmp_path / "theta.txt"), "--table", str(tmp_path / "t.csv")]
+    code, out = _run(capsys, argv)
+    assert code == 2
+    assert out.startswith("error: %s: line 2: " % (tmp_path / "t.csv")), out
+
+
 # --- the parser: the whole tree, or only the argv's path ---------------------
 
 # (argv, exit code, stdout, stderr) from the parser that built the whole

@@ -89,6 +89,25 @@ def test_library_code_has_a_library_caller():
     assert uncalled == _KEPT_WITHOUT_CALLER
 
 
+def test_every_imported_name_is_used():
+    """A module loads each name it imports; a re-export says so with
+    ``# noqa: F401`` on its import line."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in loaded and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append("%s:%d %s" % (path.name, alias.lineno, name))
+    assert unused == []
+
+
 def _calls_of(name: str, node: ast.AST, where=None):
     """The enclosing function (None at module level) of every call of
     ``name`` under ``node``."""
