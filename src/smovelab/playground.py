@@ -399,9 +399,10 @@ def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: 
     # commuting factors is the product of their inverses
     e_own = _with_inverse(_spel_tokens(own), b)
     e_other = _with_inverse(_spel_tokens(other), b)
-    comm = _with_inverse((t for t in own.slices[4].tokens if isinstance(t, CommutatorToken)), b)
+    k = own.perturbation_index
+    comm = _with_inverse((t for t in own.slices[k + 1].tokens if isinstance(t, CommutatorToken)), b)
     z_empty = b._lookup(CellToken(Word()))[1:]
-    cell = _with_inverse((t for t in own.slices[3].tokens if isinstance(t, CellToken)), b)
+    cell = _with_inverse((t for t in own.slices[k].tokens if isinstance(t, CellToken)), b)
     s2 = b._lookup(SphereToken())[1:]
 
     def m3(x, y, z):

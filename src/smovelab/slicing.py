@@ -20,8 +20,8 @@ bag is read once forward and once fully inverted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import ClassVar, Optional, Tuple, Union
 
 from .words import InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
 from . import criterion as crit
@@ -55,96 +55,9 @@ class Slice:
 # --- local moves ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BirthCircle:
-    marks: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class DeathCircle:
-    index: int
-
-
-@dataclass(frozen=True)
-class SplitCircleToArc:
-    index: int
-    left: str
-    right: str
-
-
-@dataclass(frozen=True)
-class JoinArcsToCircle:
-    index: int
-    other: Optional[int] = None  # None closes a single arc onto itself
-    mark: str = "Q"
-
-
-@dataclass(frozen=True)
-class CirculateStep:
-    index: int
-    letter: int
-    strand: str
-
-
-@dataclass(frozen=True)
-class MergeArcs:
-    index: int
-    other: int
-    mark: str = "M"
-    absorb: bool = False  # keep the first arc's endpoints, swallow the other
-
-
-@dataclass(frozen=True)
-class IdentifyEdges:
-    keep: str
-    drop: str
-
-
-@dataclass(frozen=True)
-class ReorderStep:
-    index: int  # exchange the endpoint order of one arc
-
-
-@dataclass(frozen=True)
-class SaddlePair:
-    index: int  # introduces a pair of saddle points; slice picture unchanged
-
-
-@dataclass(frozen=True)
-class JoinCells:
-    index: int
-    other: int
-
-
-@dataclass(frozen=True)
-class SplitCells:
-    index: int
-    marks_first: Tuple[str, ...]
-    marks_second: Tuple[str, ...]
-
-
-LocalMove = Union[
-    BirthCircle,
-    DeathCircle,
-    SplitCircleToArc,
-    JoinArcsToCircle,
-    CirculateStep,
-    MergeArcs,
-    IdentifyEdges,
-    ReorderStep,
-    SaddlePair,
-    JoinCells,
-    SplitCells,
-]
-
-
 def _need(cond: bool, msg: str):
     if not cond:
         raise SliceError(msg)
-
-
-# Each move handler checks every precondition before it edits the live
-# component list in place.
 
 
 def _at(cs: list, i: int, kind=None) -> Component:
@@ -156,113 +69,147 @@ def _at(cs: list, i: int, kind=None) -> Component:
     return c
 
 
-def _birth_circle(cs: list, m: BirthCircle):
-    cs.append(Circle(tuple(m.marks)))
+class LocalMove:
+    """A local move between consecutive slices.  Each move type is a frozen
+    record whose ``_apply`` checks every precondition before it edits the
+    live component list in place."""
 
 
-def _death_circle(cs: list, m: DeathCircle):
-    _at(cs, m.index, Circle)
-    del cs[m.index]
+@dataclass(frozen=True)
+class BirthCircle(LocalMove):
+    marks: Tuple[str, ...]
+
+    def _apply(self, cs: list):
+        cs.append(Circle(tuple(self.marks)))
 
 
-def _split_circle_to_arc(cs: list, m: SplitCircleToArc):
-    _at(cs, m.index, Circle)
-    cs[m.index] = Arc(m.left, m.right)
+@dataclass(frozen=True)
+class DeathCircle(LocalMove):
+    index: int
+
+    def _apply(self, cs: list):
+        _at(cs, self.index, Circle)
+        del cs[self.index]
 
 
-def _join_arcs_to_circle(cs: list, m: JoinArcsToCircle):
-    a = _at(cs, m.index, Arc)
-    if m.other is None:
-        cs[m.index] = Circle((a.left, a.right))
-        return
-    b = _at(cs, m.other, Arc)
-    _need(m.other != m.index, "join needs two distinct arcs")
-    lo, hi = sorted((m.index, m.other))
-    cs[lo] = Circle((a.left, a.right, b.left, b.right))
-    del cs[hi]
+@dataclass(frozen=True)
+class SplitCircleToArc(LocalMove):
+    index: int
+    left: str
+    right: str
+
+    def _apply(self, cs: list):
+        _at(cs, self.index, Circle)
+        cs[self.index] = Arc(self.left, self.right)
 
 
-def _circulate_step(cs: list, m: CirculateStep):
-    a = _at(cs, m.index, Arc)
-    _need(m.letter != 0, "circulation letter must be nonzero")
-    cs[m.index] = Arc(a.left, a.right, a.trace + (m.letter,))
+@dataclass(frozen=True)
+class JoinArcsToCircle(LocalMove):
+    index: int
+    other: Optional[int] = None  # None closes a single arc onto itself
+    mark: str = "Q"
+
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Arc)
+        if self.other is None:
+            cs[self.index] = Circle((a.left, a.right))
+            return
+        b = _at(cs, self.other, Arc)
+        _need(self.other != self.index, "join needs two distinct arcs")
+        lo, hi = sorted((self.index, self.other))
+        cs[lo] = Circle((a.left, a.right, b.left, b.right))
+        del cs[hi]
 
 
-def _merge_arcs(cs: list, m: MergeArcs):
-    a = _at(cs, m.index, Arc)
-    b = _at(cs, m.other, Arc)
-    _need(m.other != m.index, "merge needs two distinct arcs")
-    lo, hi = sorted((m.index, m.other))
-    cs[lo] = Arc(a.left, a.right if m.absorb else b.right, a.trace + b.trace)
-    del cs[hi]
+@dataclass(frozen=True)
+class CirculateStep(LocalMove):
+    index: int
+    letter: int
+    strand: str
+
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Arc)
+        _need(self.letter != 0, "circulation letter must be nonzero")
+        cs[self.index] = Arc(a.left, a.right, a.trace + (self.letter,))
 
 
-def _identify_edges(cs: list, m: IdentifyEdges):
-    def rn(label):
-        return m.keep if label == m.drop else label
+@dataclass(frozen=True)
+class MergeArcs(LocalMove):
+    index: int
+    other: int
+    mark: str = "M"
+    absorb: bool = False  # keep the first arc's endpoints, swallow the other
 
-    cs[:] = [
-        Circle(tuple(rn(x) for x in c.marks))
-        if isinstance(c, Circle)
-        else Arc(rn(c.left), rn(c.right), c.trace)
-        for c in cs
-    ]
-
-
-def _reorder_step(cs: list, m: ReorderStep):
-    a = _at(cs, m.index, Arc)
-    cs[m.index] = Arc(a.right, a.left, a.trace)
-
-
-def _saddle_pair(cs: list, m: SaddlePair):
-    _at(cs, m.index)
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Arc)
+        b = _at(cs, self.other, Arc)
+        _need(self.other != self.index, "merge needs two distinct arcs")
+        lo, hi = sorted((self.index, self.other))
+        cs[lo] = Arc(a.left, a.right if self.absorb else b.right, a.trace + b.trace)
+        del cs[hi]
 
 
-def _join_cells(cs: list, m: JoinCells):
-    a = _at(cs, m.index, Circle)
-    b = _at(cs, m.other, Circle)
-    _need(m.other != m.index, "cell join needs two distinct circles")
-    lo, hi = sorted((m.index, m.other))
-    cs[lo] = Circle(a.marks + b.marks)
-    del cs[hi]
+@dataclass(frozen=True)
+class IdentifyEdges(LocalMove):
+    keep: str
+    drop: str
+
+    def _apply(self, cs: list):
+        def rn(label):
+            return self.keep if label == self.drop else label
+
+        cs[:] = [
+            Circle(tuple(rn(x) for x in c.marks))
+            if isinstance(c, Circle)
+            else Arc(rn(c.left), rn(c.right), c.trace)
+            for c in cs
+        ]
 
 
-def _split_cells(cs: list, m: SplitCells):
-    a = _at(cs, m.index, Circle)
-    _need(
-        a.marks == tuple(m.marks_first) + tuple(m.marks_second),
-        "cell split must partition the marks in order",
-    )
-    cs[m.index] = Circle(tuple(m.marks_first))
-    cs.append(Circle(tuple(m.marks_second)))
+@dataclass(frozen=True)
+class ReorderStep(LocalMove):
+    index: int  # exchange the endpoint order of one arc
+
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Arc)
+        cs[self.index] = Arc(a.right, a.left, a.trace)
 
 
-_MOVES = {
-    BirthCircle: _birth_circle,
-    DeathCircle: _death_circle,
-    SplitCircleToArc: _split_circle_to_arc,
-    JoinArcsToCircle: _join_arcs_to_circle,
-    CirculateStep: _circulate_step,
-    MergeArcs: _merge_arcs,
-    IdentifyEdges: _identify_edges,
-    ReorderStep: _reorder_step,
-    SaddlePair: _saddle_pair,
-    JoinCells: _join_cells,
-    SplitCells: _split_cells,
-}
+@dataclass(frozen=True)
+class JoinCells(LocalMove):
+    index: int
+    other: int
+
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Circle)
+        b = _at(cs, self.other, Circle)
+        _need(self.other != self.index, "cell join needs two distinct circles")
+        lo, hi = sorted((self.index, self.other))
+        cs[lo] = Circle(a.marks + b.marks)
+        del cs[hi]
 
 
-def _apply(cs: list, m: LocalMove):
-    """Apply ``m`` to the live list ``cs`` through the move table."""
-    handler = _MOVES.get(type(m))
-    if handler is None:
-        raise SliceError("unknown move %r" % (m,))
-    handler(cs, m)
+@dataclass(frozen=True)
+class SplitCells(LocalMove):
+    index: int
+    marks_first: Tuple[str, ...]
+    marks_second: Tuple[str, ...]
+
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Circle)
+        _need(
+            a.marks == tuple(self.marks_first) + tuple(self.marks_second),
+            "cell split must partition the marks in order",
+        )
+        cs[self.index] = Circle(tuple(self.marks_first))
+        cs.append(Circle(tuple(self.marks_second)))
 
 
 def apply_move(components: Tuple[Component, ...], m: LocalMove) -> Tuple[Component, ...]:
+    if not isinstance(m, LocalMove):
+        raise SliceError("unknown move %r" % (m,))
     cs = list(components)
-    _apply(cs, m)
+    m._apply(cs)
     return tuple(cs)
 
 
@@ -348,7 +295,7 @@ class _Builder:
         self.moves: list[LocalMove] = []
 
     def push(self, m: LocalMove):
-        _apply(self._live, m)
+        m._apply(self._live)
         self.components = tuple(self._live)
         self.moves.append(m)
         self.slices.append(Slice(len(self.slices), self.components))
@@ -479,26 +426,12 @@ def slice_product(r, s) -> SliceSequence:
 
 
 def _shift_move(m: LocalMove, off: int, prefix: str) -> LocalMove:
-    if isinstance(m, DeathCircle):
-        return DeathCircle(m.index + off)
-    if isinstance(m, SplitCircleToArc):
-        return SplitCircleToArc(m.index + off, m.left, m.right)
-    if isinstance(m, JoinArcsToCircle):
-        other = None if m.other is None else m.other + off
-        return JoinArcsToCircle(m.index + off, other, m.mark)
+    """``m`` on a slice with ``off`` more components in front, its strand
+    renamed under ``prefix``."""
+    changes = {f: getattr(m, f) + off for f in ("index", "other") if getattr(m, f, None) is not None}
     if isinstance(m, CirculateStep):
-        return CirculateStep(m.index + off, m.letter, prefix + m.strand)
-    if isinstance(m, MergeArcs):
-        return MergeArcs(m.index + off, m.other + off, m.mark, m.absorb)
-    if isinstance(m, ReorderStep):
-        return ReorderStep(m.index + off)
-    if isinstance(m, SaddlePair):
-        return SaddlePair(m.index + off)
-    if isinstance(m, JoinCells):
-        return JoinCells(m.index + off, m.other + off)
-    if isinstance(m, SplitCells):
-        return SplitCells(m.index + off, m.marks_first, m.marks_second)
-    return m  # BirthCircle, IdentifyEdges carry no component indices
+        changes["strand"] = prefix + m.strand
+    return replace(m, **changes)
 
 
 def connect(pieces) -> SliceSequence:
@@ -663,17 +596,14 @@ class AbstractSlice:
     tokens: Tuple[Token, ...]
 
 
-_TRANSITIONS = ("Transform", "Split", "Join", "Transform", "Join", "Split", "Transform")
-
-
 @dataclass(frozen=True)
 class AbstractSequence:
     slices: Tuple[AbstractSlice, ...]
     identification: str
     factor_count: int
-    perturbation_index: int = 3
-    transitions: Tuple[str, ...] = _TRANSITIONS
     residual: Optional[Word] = None  # the leftover cell riding with the product cell
+    perturbation_index: ClassVar[int] = 3
+    transitions: ClassVar[Tuple[str, ...]] = ("Transform", "Split", "Join", "Transform", "Join", "Split", "Transform")
 
 
 def spel_kinds(identification: str) -> Tuple[str, str]:

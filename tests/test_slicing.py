@@ -18,11 +18,11 @@ from smovelab.slicing import (
     JoinArcsToCircle,
     JoinCells,
     LONGITUDINAL,
+    LocalMove,
     MERIDIAN,
     MergeArcs,
     ReadoutStrand,
     ReorderStep,
-    SaddlePair,
     Slice,
     SliceError,
     SliceSequence,
@@ -98,7 +98,6 @@ def test_identify_reorder_saddle_and_cells():
     assert cs == (Circle(("R", "R")), Arc("R", "R", Word([1])))
     cs2 = apply_move(cs, ReorderStep(1))
     assert cs2[1] == Arc("R", "R", Word([1]))
-    assert apply_move(cs, SaddlePair(0)) == cs
     cells = (Circle(("a",)), Circle(("b", "c")))
     joined = apply_move(cells, JoinCells(0, 1))
     assert joined == (Circle(("a", "b", "c")),)
@@ -494,10 +493,10 @@ def test_format_sequence_matches_the_per_arc_formatter_on_built_pieces(name):
 
 def _hand_made(*levels, moves=None):
     """An unbuilt sequence with the given component tuples per level; its
-    moves default to saddles and need not replay."""
+    moves default to endpoint reorders and need not replay."""
     slices = tuple(Slice(k, tuple(cs)) for k, cs in enumerate(levels))
     if moves is None:
-        moves = tuple(SaddlePair(0) for _ in levels[1:])
+        moves = tuple(ReorderStep(0) for _ in levels[1:])
     return SliceSequence(slices, tuple(moves))
 
 
@@ -627,7 +626,7 @@ def test_join_cells_needs_two_distinct_circles():
 
 def test_negative_indices_are_out_of_range():
     cs = (Circle(("a",)), Arc("p", "q", (1,)))
-    for m in (DeathCircle(-2), CirculateStep(-1, 1, "p"), SaddlePair(-1), ReorderStep(-1)):
+    for m in (DeathCircle(-2), CirculateStep(-1, 1, "p"), ReorderStep(-1)):
         with pytest.raises(SliceError, match="out of range"):
             apply_move(cs, m)
 
@@ -644,3 +643,26 @@ def test_failed_moves_leave_the_builder_unchanged():
             b.push(m)
     assert (b.components, b.slices, b.moves) == before
     assert tuple(b._live) == b.components
+
+
+def test_connect_shifts_every_move_type_by_its_component_positions():
+    from smovelab.slicing import _shift_move
+
+    examples = [
+        ((Circle(("a",)),), BirthCircle(("x", "y"))),
+        ((Arc("p", "q", (1,)), Circle(("a",))), DeathCircle(1)),
+        ((Circle(("x", "y")),), SplitCircleToArc(0, "x", "y")),
+        ((Arc("p", "q", (1,)), Circle(("a",)), Arc("u", "v", (2,))), JoinArcsToCircle(2, 0, "Q")),
+        ((Circle(("a",)), Arc("p", "q", (1,))), JoinArcsToCircle(1)),
+        ((Circle(("a",)), Arc("p", "q", (1,))), CirculateStep(1, -2, "R")),
+        ((Arc("p", "q", (1,)), Arc("u", "v", (2,))), MergeArcs(1, 0, absorb=True)),
+        ((Circle(("R", "R^-1")), Arc("R^-1", "q", (1,))), IdentifyEdges("R", "R^-1")),
+        ((Circle(("a",)), Arc("p", "q", (1,))), ReorderStep(1)),
+        ((Circle(("a",)), Circle(("b", "c"))), JoinCells(1, 0)),
+        ((Circle(("a", "b", "c")),), SplitCells(0, ("a",), ("b", "c"))),
+    ]
+    assert {type(m) for _, m in examples} == set(LocalMove.__subclasses__())
+    pad = (Circle(("root",)), Arc("s", "t", (3,)))
+    for cs, m in examples:
+        assert apply_move(pad + cs, _shift_move(m, len(pad), "0:")) == pad + apply_move(cs, m), m
+    assert _shift_move(CirculateStep(1, -2, "R"), 2, "0:").strand == "0:R"
