@@ -35,7 +35,7 @@ from .words import (  # InvalidInstance is defined in words and re-exported here
     InputError,
     InvalidInstance,
     Word,
-    _content_lines,
+    _ContentLines,
     _read,
     commutator,
     equal,
@@ -304,37 +304,38 @@ def nielsen_transport(
 # --- file formats ---------------------------------------------------------
 
 
+def _relator_ref(val: str) -> Tuple[str, int]:
+    if "^" not in val:
+        raise InputError("relator reference needs ^+1 or ^-1")
+    name, exp = val.rsplit("^", 1)
+    if exp not in ("+1", "-1") or not name:
+        raise InputError("bad relator reference %r" % val)
+    return name, 1 if exp == "+1" else -1
+
+
 def parse_decomposition(text: str) -> Tuple[Factor, ...]:
     """Lines: ``factor wR=<word> R=<name>^<+1|-1> wS=<word> S=<name>^<+1|-1>``."""
     factors = []
-    for lineno, parts in _content_lines(text):
-        if parts[0] != "factor" or len(parts) != 5:
-            raise InputError("line %d: bad factor line" % lineno)
-        fields = {}
-        for part in parts[1:]:
-            if "=" not in part:
-                raise InputError("line %d: bad field %r" % (lineno, part))
-            key, val = part.split("=", 1)
-            fields[key] = val
-        if set(fields) != {"wR", "R", "wS", "S"}:
-            raise InputError("line %d: need wR=, R=, wS=, S= fields" % lineno)
-
-        def split_ref(val: str) -> Tuple[str, int]:
-            if "^" not in val:
-                raise InputError("line %d: relator reference needs ^+1 or ^-1" % lineno)
-            name, exp = val.rsplit("^", 1)
-            if exp not in ("+1", "-1") or not name:
-                raise InputError("line %d: bad relator reference %r" % (lineno, val))
-            return name, 1 if exp == "+1" else -1
-
-        r_base, r_exp = split_ref(fields["R"])
-        s_base, s_exp = split_ref(fields["S"])
-        factors.append(
-            Factor(
-                r=ConjugatedRelator(parse_word(fields["wR"]), r_base, r_exp),
-                s=ConjugatedRelator(parse_word(fields["wS"]), s_base, s_exp),
+    with _ContentLines(text) as lines:
+        for parts in lines:
+            if parts[0] != "factor" or len(parts) != 5:
+                raise InputError("bad factor line")
+            fields = {}
+            for part in parts[1:]:
+                if "=" not in part:
+                    raise InputError("bad field %r" % part)
+                key, val = part.split("=", 1)
+                fields[key] = val
+            if set(fields) != {"wR", "R", "wS", "S"}:
+                raise InputError("need wR=, R=, wS=, S= fields")
+            r_base, r_exp = _relator_ref(fields["R"])
+            s_base, s_exp = _relator_ref(fields["S"])
+            factors.append(
+                Factor(
+                    r=ConjugatedRelator(parse_word(fields["wR"]), r_base, r_exp),
+                    s=ConjugatedRelator(parse_word(fields["wS"]), s_base, s_exp),
+                )
             )
-        )
     return tuple(factors)
 
 
@@ -357,12 +358,13 @@ def format_decomposition(factors) -> str:
 
 def _instance_fields(text: str) -> Dict[str, str]:
     fields = {}
-    for lineno, parts in _content_lines(text):
-        if len(parts) != 2 or parts[0] not in ("K", "L", "R", "S", "decomp"):
-            raise InputError("line %d: bad instance directive" % lineno)
-        if parts[0] in fields:
-            raise InputError("line %d: duplicate %s" % (lineno, parts[0]))
-        fields[parts[0]] = parts[1]
+    with _ContentLines(text) as lines:
+        for parts in lines:
+            if len(parts) != 2 or parts[0] not in ("K", "L", "R", "S", "decomp"):
+                raise InputError("bad instance directive")
+            if parts[0] in fields:
+                raise InputError("duplicate %s" % parts[0])
+            fields[parts[0]] = parts[1]
     missing = {"K", "L", "R", "S", "decomp"} - set(fields)
     if missing:
         raise InputError("instance file missing %s" % ", ".join(sorted(missing)))

@@ -33,7 +33,7 @@ from .slicing import (
     build_abstract,
     token_text,
 )
-from .words import InputError, Word, _content_lines, _line_ints, format_word
+from .words import InputError, Word, _ContentLines, _line_ints, format_word
 
 DIAGONAL = "diagonal"
 POLY_IN_M = "poly"
@@ -558,21 +558,18 @@ def dump_backend(b: Backend) -> str:
 
 
 def load_backend(text: str) -> Backend:
-    lines = _content_lines(text)
-    lineno, head = next(lines, (1, []))
-    if len(head) != 4 or head[0] != "p" or head[2] != "d":
-        raise InputError("line %d: backend dump must start with 'p <p> d <d>'" % lineno)
-    p, d = _line_ints(lineno, (head[1], head[3]))
-    try:
-        _check_field(p, d)
-    except InputError as e:
-        raise InputError("line %d: %s" % (lineno, e)) from None
     assignment: Dict[str, np.ndarray] = {}
-    for lineno, parts in lines:
-        if parts[0] != "tok" or len(parts) != 2 + d * d:
-            raise InputError("line %d: bad backend line" % lineno)
-        if parts[1] in assignment:
-            raise InputError("line %d: duplicate token label %s" % (lineno, parts[1]))
-        vals = [x % p for x in _line_ints(lineno, parts[2:])]  # reduced before int64 holds them
-        assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
+    with _ContentLines(text) as lines:
+        head = next(lines, [])
+        if len(head) != 4 or head[0] != "p" or head[2] != "d":
+            raise InputError("backend dump must start with 'p <p> d <d>'")
+        p, d = _line_ints((head[1], head[3]))
+        _check_field(p, d)
+        for parts in lines:
+            if parts[0] != "tok" or len(parts) != 2 + d * d:
+                raise InputError("bad backend line")
+            if parts[1] in assignment:
+                raise InputError("duplicate token label %s" % parts[1])
+            vals = [x % p for x in _line_ints(parts[2:])]  # reduced before int64 holds them
+            assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
     return Backend(p, d, "loaded", assignment, checked_inverses(p, d, assignment))

@@ -22,12 +22,12 @@ Moves file::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 from .words import (
     InputError,
     Word,
-    _content_lines,
+    _ContentLines,
     _read,
     format_word,
     invert,
@@ -201,19 +201,20 @@ def apply_move(p: Presentation, m: Move) -> Presentation:
 def parse_presentation(text: str) -> Presentation:
     n = None
     rels = []
-    for lineno, parts in _content_lines(text):
-        if parts[0] == "gens":
-            if n is not None or len(parts) != 2 or not parts[1].isdigit():
-                raise InputError("line %d: bad gens directive" % lineno)
-            n = int(parts[1])
-        elif parts[0] == "rel":
-            if n is None:
-                raise InputError("line %d: rel before gens" % lineno)
-            if len(parts) != 3:
-                raise InputError("line %d: rel needs a name and a word" % lineno)
-            rels.append((parts[1], parse_word(parts[2], n)))
-        else:
-            raise InputError("line %d: unknown directive %r" % (lineno, parts[0]))
+    with _ContentLines(text) as lines:
+        for parts in lines:
+            if parts[0] == "gens":
+                if n is not None or len(parts) != 2 or not parts[1].isdigit():
+                    raise InputError("bad gens directive")
+                n = int(parts[1])
+            elif parts[0] == "rel":
+                if n is None:
+                    raise InputError("rel before gens")
+                if len(parts) != 3:
+                    raise InputError("rel needs a name and a word")
+                rels.append((parts[1], parse_word(parts[2], n)))
+            else:
+                raise InputError("unknown directive %r" % parts[0])
     if n is None:
         raise InputError("missing gens directive")
     return Presentation(n, tuple(rels))
@@ -229,43 +230,38 @@ def load_presentation(path) -> Presentation:
     return _read(path, parse_presentation)
 
 
-def _one_letter(tok: str, lineno: int, positive=False) -> int:
+def _one_letter(tok: str, positive=False) -> int:
     w = parse_word(tok)
     if len(w) != 1:
-        raise InputError("line %d: expected a single letter, got %r" % (lineno, tok))
+        raise InputError("expected a single letter, got %r" % tok)
     if positive and w[0] < 0:
-        raise InputError("line %d: expected a plain generator letter" % lineno)
+        raise InputError("expected a plain generator letter")
     return w[0]
 
 
 def parse_moves(text: str):
     moves: list[Move] = []
-    for lineno, parts in _content_lines(text):
-        head = parts[0]
-        if head == "inv" and len(parts) == 2:
-            moves.append(InvertRelator(parts[1]))
-        elif head == "mulr" and len(parts) == 3:
-            moves.append(MultiplyRight(parts[1], parts[2]))
-        elif head == "conj" and len(parts) == 3:
-            moves.append(ConjugateRelator(parts[1], _one_letter(parts[2], lineno)))
-        elif head == "nielsen" and len(parts) >= 2:
-            kind = parts[1]
-            if kind == "inv" and len(parts) == 3:
-                moves.append(NielsenMove("inv", _one_letter(parts[2], lineno, True)))
-            elif kind in ("rmul", "lmul") and len(parts) == 4:
-                moves.append(
-                    NielsenMove(
-                        kind,
-                        _one_letter(parts[2], lineno, True),
-                        _one_letter(parts[3], lineno, True),
-                    )
-                )
+    with _ContentLines(text) as lines:
+        for parts in lines:
+            head = parts[0]
+            if head == "inv" and len(parts) == 2:
+                moves.append(InvertRelator(parts[1]))
+            elif head == "mulr" and len(parts) == 3:
+                moves.append(MultiplyRight(parts[1], parts[2]))
+            elif head == "conj" and len(parts) == 3:
+                moves.append(ConjugateRelator(parts[1], _one_letter(parts[2])))
+            elif head == "nielsen" and len(parts) >= 2:
+                kind = parts[1]
+                if kind == "inv" and len(parts) == 3:
+                    moves.append(NielsenMove("inv", _one_letter(parts[2], True)))
+                elif kind in ("rmul", "lmul") and len(parts) == 4:
+                    moves.append(NielsenMove(kind, _one_letter(parts[2], True), _one_letter(parts[3], True)))
+                else:
+                    raise InputError("bad nielsen move")
+            elif head == "prolong" and len(parts) == 1:
+                moves.append(Prolong())
             else:
-                raise InputError("line %d: bad nielsen move" % lineno)
-        elif head == "prolong" and len(parts) == 1:
-            moves.append(Prolong())
-        else:
-            raise InputError("line %d: unknown move %r" % (lineno, " ".join(parts)))
+                raise InputError("unknown move %r" % " ".join(parts))
     return moves
 
 

@@ -8,7 +8,7 @@ modulo a principal ideal.  Everything is Fraction-exact; no floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from .words import InputError
 

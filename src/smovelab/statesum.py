@@ -17,7 +17,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ring import Polynomial, parse_scalar, poly_gcd, poly_inverse_mod, poly_mod
-from .words import InputError, _content_lines, _line_ints, _read
+from .words import InputError, _ContentLines, _line_ints, _read
 
 Value = Union[Fraction, Polynomial]
 Triple = Tuple[int, int, int]
@@ -370,16 +370,15 @@ def parse_table(text: str) -> ThreeJTable:
     an indeterminate name."""
     rows: List[Tuple[Triple, Value]] = []
     top = -1
-    for lineno, parts in _content_lines(text, ","):
-        if len(parts) != 4:
-            raise InputError("line %d: 3j line needs a,b,c,value" % lineno)
-        a, b, c = _line_ints(lineno, parts[:3])
-        try:
-            value = parse_scalar(parts[3])
-        except InputError as e:
-            raise InputError("line %d: %s" % (lineno, e)) from None
-        rows.append(((a, b, c), value))
-        top = max(top, a, b, c)
+    with _ContentLines(text, ",") as lines:
+        for parts in lines:
+            if len(parts) != 4:
+                raise InputError("3j line needs a,b,c,value")
+            a, b, c = _line_ints(parts[:3])
+            if min(a, b, c) < 0:
+                raise InputError("color %d out of range" % min(a, b, c))
+            rows.append(((a, b, c), parse_scalar(parts[3])))
+            top = max(top, a, b, c)
     return complete_table(rows, max(top + 1, 1))
 
 
@@ -392,15 +391,16 @@ def parse_graph(text: str) -> TrivalentGraph:
     vertices: List[int] = []
     edges: List[Tuple[int, int]] = []
     circles = 0
-    for lineno, parts in _content_lines(text):
-        if parts[0] == "v" and len(parts) == 2:
-            vertices += _line_ints(lineno, parts[1:])
-        elif parts[0] == "e" and len(parts) in (3, 5):
-            edges.append(tuple(_line_ints(lineno, parts[1:3])))
-        elif parts[0] == "circle" and len(parts) == 1:
-            circles += 1
-        else:
-            raise InputError("line %d: bad graph line %r" % (lineno, " ".join(parts)))
+    with _ContentLines(text) as lines:
+        for parts in lines:
+            if parts[0] == "v" and len(parts) == 2:
+                vertices += _line_ints(parts[1:])
+            elif parts[0] == "e" and len(parts) in (3, 5):
+                edges.append(tuple(_line_ints(parts[1:3])))
+            elif parts[0] == "circle" and len(parts) == 1:
+                circles += 1
+            else:
+                raise InputError("bad graph line %r" % " ".join(parts))
     return TrivalentGraph(tuple(vertices), tuple(edges), circles)
 
 
@@ -416,10 +416,11 @@ def _load_pairs(path: str, names: Sequence[str]) -> Tuple[MovePair, ...]:
 
 def _parse_moves(text: str) -> List[str]:
     names: List[str] = []
-    for lineno, fields in _content_lines(text):
-        if len(fields) != 2:
-            raise InputError("line %d: move line needs two graph paths" % lineno)
-        names += fields
+    with _ContentLines(text) as lines:
+        for fields in lines:
+            if len(fields) != 2:
+                raise InputError("move line needs two graph paths")
+            names += fields
     return names
 
 
@@ -431,13 +432,14 @@ def load_moves(path: str) -> Tuple[MovePair, ...]:
 
 def _parse_relations(text: str) -> List[Tuple[List[str], List[str]]]:
     relations = []
-    for lineno, sides in _content_lines(text, "="):
-        if len(sides) != 2:
-            raise InputError("line %d: relation line needs one '='" % lineno)
-        names = tuple(side.split() for side in sides)
-        if any(len(side) % 2 for side in names):
-            raise InputError("line %d: need before/after graph path pairs" % lineno)
-        relations.append(names)
+    with _ContentLines(text, "=") as lines:
+        for sides in lines:
+            if len(sides) != 2:
+                raise InputError("relation line needs one '='")
+            names = tuple(side.split() for side in sides)
+            if any(len(side) % 2 for side in names):
+                raise InputError("need before/after graph path pairs")
+            relations.append(names)
     return relations
 
 

@@ -171,13 +171,33 @@ def max_generator(w: Iterable[int]) -> int:
     return max((abs(x) for x in w), default=0)
 
 
-def _content_lines(text: str, sep: Optional[str] = None):
-    """(line number, fields) for each line left nonblank once its ``#``
-    comment is cut; fields split on whitespace, or on ``sep`` if given."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split(sep)
+class _ContentLines:
+    """A text's content lines, as a context: ``with _ContentLines(text) as
+    lines`` gives the fields of each line left nonblank once its ``#``
+    comment is cut, split on whitespace or on ``sep``.  An input error
+    raised inside the block names the line last given (line 1 before the
+    first), so code after the loop that reports on the whole text belongs
+    outside it."""
+
+    def __init__(self, text: str, sep: Optional[str] = None):
+        self._text = text
+        self._sep = sep
+        self.lineno = 1
+
+    def _fields(self):
+        for lineno, raw in enumerate(self._text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                self.lineno = lineno
+                yield line.split(self._sep)
+
+    def __enter__(self):
+        return self._fields()
+
+    def __exit__(self, kind, err, tb):
+        if isinstance(err, InputError):
+            raise InputError("line %d: %s" % (self.lineno, err)) from None
+        return False
 
 
 def _read(path, parse):
@@ -190,8 +210,8 @@ def _read(path, parse):
         raise InputError("%s: %s" % (path, e)) from None
 
 
-def _line_ints(lineno: int, fields: Sequence[str]) -> List[int]:
+def _line_ints(fields: Sequence[str]) -> List[int]:
     try:
         return [int(f) for f in fields]
     except ValueError:
-        raise InputError("line %d: expected integers, got %r" % (lineno, " ".join(fields))) from None
+        raise InputError("expected integers, got %r" % " ".join(fields)) from None

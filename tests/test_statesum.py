@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from smovelab.ring import Polynomial
 from smovelab.statesum import (
     MoveSequence,
-    ThreeJTable,
     TrivalentGraph,
     certificate,
     complete_table,
