@@ -602,7 +602,7 @@ def test_format_sequence_formats_each_letter_a_bounded_number_of_times(monkeypat
         assert text == _oracle_format_sequence(seq)
 
 
-# --- the move table --------------------------------------------------------
+# --- the move records ------------------------------------------------------
 
 
 class _UnknownMove:
