@@ -557,6 +557,26 @@ def test_a_negative_color_in_a_3j_table_exits_2(tmp_path, capsys):
     assert out.startswith("error: %s: line 2: " % (tmp_path / "t.csv")), out
 
 
+def test_a_color_past_the_bound_in_a_3j_table_exits_2(tmp_path, capsys):
+    """``state_sum`` builds k³ keys per vertex template, so one huge
+    colour made a two-line table hang the command.  Colours run from 0
+    to 31; 32 is the first past the bound."""
+    from smovelab import statesum
+    from smovelab.words import InputError
+
+    table = tmp_path / "t.csv"
+    table.write_text("0,0,0,1\n0,0,32,1\n", encoding="utf-8")
+    (tmp_path / "theta.txt").write_text("v 0\nv 1\ne 0 1\ne 0 1\ne 0 1\n", encoding="utf-8")
+    with pytest.raises(InputError, match="^line 2: color 32 out of range$"):
+        statesum.parse_table(table.read_text(encoding="utf-8"))
+    for argv in (
+        ["inv", "statesum", "--graphs", str(tmp_path / "theta.txt"), "--table", str(table)],
+        ["demo", "nonmult", "--table", str(table)],
+    ):
+        assert _run(capsys, argv) == (2, "error: %s: line 2: color 32 out of range\n" % table)
+    assert statesum.parse_table("0,0,31,1\n").color_count == statesum.MAX_COLORS == 32
+
+
 # --- the parser: the whole tree, or only the argv's path ---------------------
 
 # (argv, exit code, stdout, stderr) from the parser that built the whole
