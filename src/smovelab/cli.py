@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .words import (
     InputError,
@@ -427,147 +427,187 @@ def cmd_test_three(args) -> Report:
 _FAMILIES = ("diagonal", "poly")
 
 
-def _add_backend_args(sp):
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--p", type=int, default=101)
-    sp.add_argument("--d", type=int, default=4)
-    sp.add_argument("--family", choices=_FAMILIES, default=_FAMILIES[0])
-    sp.add_argument("--backend", help="load a backend dump instead of drawing one")
-    sp.add_argument("--dump-backend", help="write the backend used to this path")
+class Leaf(NamedTuple):
+    """A command's handler and its arguments: option strings or positional
+    names, each mapped to the keywords ``add_argument`` takes.  Only
+    ``type``, ``choices``, ``default``, ``required``, ``nargs="+"``,
+    ``action="store_true"`` and ``help`` are used, because ``_parse_direct``
+    reads the same table."""
+
+    fn: Callable
+    args: Dict[str, dict]
 
 
-def _word_args(sp):
-    sp.add_argument("op", choices=("reduce", "invert", "multiply", "comm"))
-    sp.add_argument("words", nargs="+")
-    sp.set_defaults(fn=cmd_word)
+_BACKEND_ARGS = {
+    "--seed": {"type": int},
+    "--p": {"type": int, "default": 101},
+    "--d": {"type": int, "default": 4},
+    "--family": {"choices": _FAMILIES, "default": _FAMILIES[0]},
+    "--backend": {"help": "load a backend dump instead of drawing one"},
+    "--dump-backend": {"help": "write the backend used to this path"},
+}
 
+_WORD = Leaf(cmd_word, {"op": {"choices": ("reduce", "invert", "multiply", "comm")}, "words": {"nargs": "+"}})
+_PRES = Leaf(cmd_pres, {"--file": {"required": True}, "--moves": {}})
+_CRIT = Leaf(
+    cmd_crit,
+    {
+        "action": {"choices": ("verify", "residual", "gauge", "check")},
+        "--instance": {},
+        "--R": {"help": "relator word for residual computations"},
+        "--move": {"help": "inv | mulr:<word> | conj:<letter>"},
+    },
+)
+_SLICE_PIECE = Leaf(
+    cmd_slice,
+    {
+        "--type": {"required": True, "choices": ("bag", "invpair", "comm", "prod")},
+        "--R": {"required": True},
+        "--S": {},
+        "--identify": {"action": "store_true"},
+        "--dominant": {"choices": ("R", "S"), "default": "R"},
+    },
+)
+_SMOVE_BUILD = Leaf(
+    cmd_smove,
+    {
+        "--type": {"required": True, "choices": ("long", "mer")},
+        "--instance": {},
+        "--seed": {"type": int},
+        "--factors": {"type": int, "default": 2},
+    },
+)
+_INV_PLAYGROUND = Leaf(
+    cmd_inv_playground,
+    {
+        "--instance": {},
+        "--type": {"choices": ("long", "mer"), "default": "long"},
+        "--factors": {"type": int, "default": 2},
+        "--qmove": {},
+        "--gauge": {"action": "store_true"},
+        "--obstruction": {"action": "store_true"},
+        **_BACKEND_ARGS,
+    },
+)
+_INV_STATESUM = Leaf(
+    cmd_inv_statesum,
+    {"--graphs": {"nargs": "+", "required": True}, "--table": {"required": True}, "--moves": {}, "--relations": {}},
+)
+_DEMO_NONMULT = Leaf(cmd_demo_nonmult, {"--table": {}})
+_DEMO_STABILIZATION = Leaf(cmd_demo_stabilization, {"--v": {"type": int, "default": 1}, **_BACKEND_ARGS})
+_THREE_TESTS = Leaf(
+    cmd_test_three,
+    {
+        "--pairs": {"type": int, "default": 1},
+        "--combine": {"choices": ("product", "permsum"), "default": "product"},
+        **_BACKEND_ARGS,
+    },
+)
 
-def _pres_args(sp):
-    sp.add_argument("--file", required=True)
-    sp.add_argument("--moves")
-    sp.set_defaults(fn=cmd_pres)
-
-
-def _crit_args(sp):
-    sp.add_argument("action", choices=("verify", "residual", "gauge", "check"))
-    sp.add_argument("--instance")
-    sp.add_argument("--R", help="relator word for residual computations")
-    sp.add_argument("--move", help="inv | mulr:<word> | conj:<letter>")
-    sp.set_defaults(fn=cmd_crit)
-
-
-def _slice_piece_args(sp):
-    sp.add_argument("--type", required=True, choices=("bag", "invpair", "comm", "prod"))
-    sp.add_argument("--R", required=True)
-    sp.add_argument("--S")
-    sp.add_argument("--identify", action="store_true")
-    sp.add_argument("--dominant", choices=("R", "S"), default="R")
-    sp.set_defaults(fn=cmd_slice)
-
-
-def _smove_build_args(sp):
-    sp.add_argument("--type", required=True, choices=("long", "mer"))
-    sp.add_argument("--instance")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--factors", type=int, default=2)
-    sp.set_defaults(fn=cmd_smove)
-
-
-def _inv_playground_args(sp):
-    sp.add_argument("--instance")
-    sp.add_argument("--type", choices=("long", "mer"), default="long")
-    sp.add_argument("--factors", type=int, default=2)
-    sp.add_argument("--qmove")
-    sp.add_argument("--gauge", action="store_true")
-    sp.add_argument("--obstruction", action="store_true")
-    _add_backend_args(sp)
-    sp.set_defaults(fn=cmd_inv_playground)
-
-
-def _inv_statesum_args(sp):
-    sp.add_argument("--graphs", nargs="+", required=True)
-    sp.add_argument("--table", required=True)
-    sp.add_argument("--moves")
-    sp.add_argument("--relations")
-    sp.set_defaults(fn=cmd_inv_statesum)
-
-
-def _demo_nonmult_args(sp):
-    sp.add_argument("--table")
-    sp.set_defaults(fn=cmd_demo_nonmult)
-
-
-def _demo_stabilization_args(sp):
-    sp.add_argument("--v", type=int, default=1)
-    _add_backend_args(sp)
-    sp.set_defaults(fn=cmd_demo_stabilization)
-
-
-def _three_tests_args(sp):
-    sp.add_argument("--pairs", type=int, default=1)
-    sp.add_argument("--combine", choices=("product", "permsum"), default="product")
-    _add_backend_args(sp)
-    sp.set_defaults(fn=cmd_test_three)
-
-
-# The command tree: name -> (help, child).  A child is the function that
-# adds a leaf's arguments, or a nested table of subcommands.  Help is
-# None where a subcommand is not listed in its group's help.
+# The command tree: name -> (help, child).  A child is a Leaf or a nested
+# table of subcommands.  Help is None where a subcommand is not listed in
+# its group's help.
 COMMANDS = {
-    "word": ("free word operations", _word_args),
-    "pres": ("load a presentation and apply a moves file", _pres_args),
-    "crit": ("criterion instance checks", _crit_args),
-    "slice": ("piece slicings", {"piece": (None, _slice_piece_args)}),
-    "smove": ("abstract slice sequences", {"build": (None, _smove_build_args)}),
-    "inv": (
-        "invariants",
-        {"playground": (None, _inv_playground_args), "statesum": (None, _inv_statesum_args)},
-    ),
+    "word": ("free word operations", _WORD),
+    "pres": ("load a presentation and apply a moves file", _PRES),
+    "crit": ("criterion instance checks", _CRIT),
+    "slice": ("piece slicings", {"piece": (None, _SLICE_PIECE)}),
+    "smove": ("abstract slice sequences", {"build": (None, _SMOVE_BUILD)}),
+    "inv": ("invariants", {"playground": (None, _INV_PLAYGROUND), "statesum": (None, _INV_STATESUM)}),
     "demo": (
         "executable demonstrations",
-        {"nonmult": (None, _demo_nonmult_args), "stabilization": (None, _demo_stabilization_args)},
+        {"nonmult": (None, _DEMO_NONMULT), "stabilization": (None, _DEMO_STABILIZATION)},
     ),
-    "test": ("multi-part test protocols", {"three-tests": (None, _three_tests_args)}),
+    "test": ("multi-part test protocols", {"three-tests": (None, _THREE_TESTS)}),
 }
 
 
-def _add_commands(parser, table, dest, path, formatter_class):
-    # When only the ``path`` parsers are built, the metavar keeps every
-    # name in the usage line that an unrecognised argument prints.  It is
-    # left unset otherwise: argparse also names a subcommand action by its
-    # metavar in "required" and "invalid choice" errors, which a complete
-    # path cannot raise.
-    metavar = "{%s}" % ",".join(table) if path else None
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
-    for name in path[:1] or table:
-        help_text, child = table[name]
+def _dest(name: str) -> str:
+    """The Namespace attribute argparse stores an argument under."""
+    return name.lstrip("-").replace("-", "_")
+
+
+def _convert(kw: dict, texts: List[str]):
+    """``texts`` as argparse stores them for an argument declared by
+    ``kw``; raises ValueError where argparse reports an error."""
+    values = [kw["type"](t) for t in texts] if "type" in kw else texts
+    if "choices" in kw and any(v not in kw["choices"] for v in values):
+        raise ValueError("invalid choice")
+    return values if kw.get("nargs") == "+" else values[0]
+
+
+def _parse_direct(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The Namespace ``build_parser().parse_args(argv)`` returns, read
+    straight from ``COMMANDS``, or None where argparse must run instead.
+
+    Only exact command and option names, ``--name value``, flags,
+    ``nargs="+"`` lists and positionals are read; a repeated option keeps
+    its last value, as with argparse.  Help, abbreviations,
+    ``--name=value``, any value starting with ``-`` and every conversion,
+    choice, missing-argument or extra-argument error return None, so that
+    argparse parses or reports them."""
+    ns = {}
+    child, dest, i = COMMANDS, "cmd", 0
+    while isinstance(child, dict):
+        if i == len(argv) or argv[i] not in child:
+            return None
+        ns[dest] = argv[i]
+        child, dest, i = child[argv[i]][1], "what", i + 1
+    given, loose = {}, []
+    try:
+        while i < len(argv):
+            arg, i = argv[i], i + 1
+            if not arg.startswith("-"):
+                loose.append(arg)
+                continue
+            if arg not in child.args:
+                return None
+            kw = child.args[arg]
+            if "action" in kw:
+                given[arg] = True
+                continue
+            texts = []
+            while i < len(argv) and not argv[i].startswith("-") and (not texts or kw.get("nargs") == "+"):
+                texts.append(argv[i])
+                i += 1
+            if not texts:
+                return None
+            given[arg] = _convert(kw, texts)
+        for name, kw in child.args.items():
+            if not name.startswith("-") and loose:
+                n = len(loose) if kw.get("nargs") == "+" else 1
+                given[name], loose = _convert(kw, loose[:n]), loose[n:]
+            if name in given:
+                ns[_dest(name)] = given[name]
+            elif kw.get("required") or not name.startswith("-"):
+                return None
+            else:
+                ns[_dest(name)] = kw.get("default", False if "action" in kw else None)
+    except ValueError:
+        return None
+    if loose:
+        return None
+    ns["fn"] = child.fn
+    return argparse.Namespace(**ns)
+
+
+def _add_commands(parser, table, dest, formatter_class):
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, child) in table.items():
         kwargs = {} if help_text is None else {"help": help_text}
         sp = sub.add_parser(name, formatter_class=formatter_class, **kwargs)
-        if callable(child):
-            child(sp)
+        if isinstance(child, Leaf):
+            for arg, kw in child.args.items():
+                sp.add_argument(arg, **kw)
+            sp.set_defaults(fn=child.fn)
         else:
-            _add_commands(sp, child, "what", path[1:], formatter_class)
+            _add_commands(sp, child, "what", formatter_class)
 
 
-def _leaf_path(argv: Sequence[str]) -> Tuple[str, ...]:
-    """The command names that open ``argv`` when they reach a leaf of
-    ``COMMANDS`` (``("inv", "statesum")``), else ``()``."""
-    table, path = COMMANDS, []
-    for arg in argv:
-        if arg not in table:
-            break
-        path.append(arg)
-        child = table[arg][1]
-        if callable(child):
-            return tuple(path)
-        table = child
-    return ()
-
-
-def build_parser(path: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for the whole command tree or, given a leaf ``path``,
-    for the parsers along it only.  Both parse the path's argv alike and
-    print the same usage, help and error text for it."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser for the whole command tree.  ``main`` builds it only for
+    an argv that ``_parse_direct`` declines: help, errors and unusual
+    spellings."""
     import functools
     import shutil
 
@@ -575,14 +615,16 @@ def build_parser(path: Sequence[str] = ()) -> argparse.ArgumentParser:
     # is made, which is on every add_argument; read it once, as it does.
     formatter_class = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     ap = argparse.ArgumentParser(prog="smovelab", description=__doc__, formatter_class=formatter_class)
-    _add_commands(ap, COMMANDS, "cmd", path, formatter_class)
+    _add_commands(ap, COMMANDS, "cmd", formatter_class)
     return ap
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(_leaf_path(argv)).parse_args(argv)
+    args = _parse_direct(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()

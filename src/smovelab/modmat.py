@@ -59,10 +59,12 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     """Gauss-Jordan over GF(p); raises if singular.
 
     Each column is cleared in one numpy step: the pivot is the first
-    nonzero row at or below the diagonal, and only the rows with a nonzero
-    entry in the column are updated.  Entries are residues, so no
-    intermediate exceeds (p-1)² + p.  The column is scanned as a Python
-    list, which at d = 4 costs less than numpy's own index searches."""
+    nonzero row at or below the diagonal, its row is scaled to a leading
+    1, and the outer product of the column (pivot entry zeroed) with that
+    row is subtracted from the whole block.  Entries are residues, so
+    every intermediate lies in (-(p-1)², p).  The column is scanned as a
+    Python list, which at d = 4 costs less than numpy's own index
+    searches."""
     a = _as_mod(a, p)
     n = a.shape[0]
     work = np.concatenate([a, identity(n)], axis=1)
@@ -73,11 +75,11 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
             raise InputError("matrix is singular mod %d" % p)
         if piv != col:
             work[[col, piv]] = work[[piv, col]]
-            column[col], column[piv] = column[piv], column[col]
-        work[col] = (work[col] * pow(column[col], -1, p)) % p
-        rows = [r for r, x in enumerate(column) if x and r != col]
-        if rows:
-            work[rows] = (work[rows] - work[rows, col, None] * work[col]) % p
+        work[col] = (work[col] * pow(column[piv], -1, p)) % p
+        f = work[:, col].copy()
+        f[col] = 0
+        work -= np.outer(f, work[col])
+        work %= p
     return work[:, n:]
 
 

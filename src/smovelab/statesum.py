@@ -365,6 +365,11 @@ def poly_local_invariant(ps: Sequence[Polynomial], g: Polynomial, x3: Fraction) 
 # --- file I/O ----------------------------------------------------------------
 
 
+# A table's colours run from 0 to MAX_COLORS - 1.  ``state_sum`` looks up
+# k³ weights per vertex template, so an unbounded colour could hang it.
+MAX_COLORS = 32
+
+
 def parse_table(text: str) -> ThreeJTable:
     """CSV lines ``a,b,c,value``; value is an integer, a rational p/q, or
     an indeterminate name."""
@@ -375,8 +380,9 @@ def parse_table(text: str) -> ThreeJTable:
             if len(parts) != 4:
                 raise InputError("3j line needs a,b,c,value")
             a, b, c = _line_ints(parts[:3])
-            if min(a, b, c) < 0:
-                raise InputError("color %d out of range" % min(a, b, c))
+            bad = [x for x in (a, b, c) if not 0 <= x < MAX_COLORS]
+            if bad:
+                raise InputError("color %d out of range" % min(bad))
             rows.append(((a, b, c), parse_scalar(parts[3])))
             top = max(top, a, b, c)
     return complete_table(rows, max(top + 1, 1))

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smovelab.playground  # noqa: F401  (binds build_abstract; loaded before counting)
 from smovelab import cli, criterion, slicing
@@ -577,7 +580,7 @@ def test_a_color_past_the_bound_in_a_3j_table_exits_2(tmp_path, capsys):
     assert statesum.parse_table("0,0,31,1\n").color_count == statesum.MAX_COLORS == 32
 
 
-# --- the parser: the whole tree, or only the argv's path ---------------------
+# --- the parser: read directly, or argparse's whole tree ---------------------
 
 # (argv, exit code, stdout, stderr) from the parser that built the whole
 # tree on every call, at COLUMNS=80 with Python 3.11's argparse.
@@ -720,7 +723,7 @@ def test_help_wraps_as_with_argparses_default_formatter(monkeypatch, capsys, col
     """The width is read once per parser build, as argparse reads it."""
     monkeypatch.setenv("COLUMNS", columns)
     reference = argparse.ArgumentParser(prog="smovelab", description=cli.__doc__)
-    cli._add_commands(reference, cli.COMMANDS, "cmd", (), argparse.HelpFormatter)
+    cli._add_commands(reference, cli.COMMANDS, "cmd", argparse.HelpFormatter)
     outputs = []
     for parse in (cli.main, reference.parse_args):
         with pytest.raises(SystemExit) as exc:
@@ -747,23 +750,93 @@ _LEAF_ARGV = {
 
 
 def _leaves(table, prefix=()):
+    """(path, Leaf) for every leaf of the command tree."""
     for name, (_, child) in table.items():
-        if callable(child):
-            yield prefix + (name,)
-        else:
+        if isinstance(child, dict):
             yield from _leaves(child, prefix + (name,))
+        else:
+            yield prefix + (name,), child
 
 
-def test_every_leaf_parses_alike_on_its_own_path():
-    assert sorted(_leaves(cli.COMMANDS)) == sorted(_LEAF_ARGV)
+_LEAVES = dict(_leaves(cli.COMMANDS))
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_tree():
+    return cli.build_parser()
+
+
+def test_every_leaf_argv_parses_directly_as_argparse_parses_it():
+    assert sorted(_LEAVES) == sorted(_LEAF_ARGV)
     for path, argv in _LEAF_ARGV.items():
-        assert cli._leaf_path(argv) == path
-        assert cli.build_parser(path).parse_args(argv) == cli.build_parser().parse_args(argv)
+        args = cli._parse_direct(argv)
+        assert args is not None, argv
+        assert args == _whole_tree().parse_args(argv)
     for argv in ([], ["-h"], ["inv"], ["inv", "-h", "statesum"], ["inv", "statsum"], ["words", "reduce"]):
-        assert cli._leaf_path(argv) == ()
+        assert cli._parse_direct(argv) is None
+    # The direct parse reads only these keywords of the declarations.
+    for leaf in _LEAVES.values():
+        for kw in leaf.args.values():
+            assert set(kw) <= {"type", "choices", "default", "required", "nargs", "action", "help"}
+            assert kw.get("nargs", "+") == "+" and kw.get("action", "store_true") == "store_true"
 
 
-def test_main_builds_only_the_parsers_on_the_argv_path(monkeypatch, capsys):
+def _texts(kw):
+    """Candidate values for one argument: valid ones and near misses."""
+    if "choices" in kw:
+        return list(kw["choices"]) + ["frob", ""]
+    if kw.get("type") is int:
+        return ["0", "7", "12", "+5", " 7", "1_0", "-3", "", "x", "3.5"]
+    return ["ab", "BA", "g3", "x.txt", "inv R", "", "-", "-x y"]
+
+
+_OPTIONS = sorted({name for leaf in _LEAVES.values() for name in leaf.args if name.startswith("-")})
+_SPELLINGS = sorted(
+    set(_OPTIONS)
+    | {name[:k] for name in _OPTIONS for k in range(2, len(name))}  # "--", "--f", "--fam", ...
+    | {name + "=" + value for name in _OPTIONS for value in ("1", "poly", "ab")}
+    | {c for leaf in _LEAVES.values() for kw in leaf.args.values() for c in kw.get("choices", ())}
+    | {name for path in _LEAVES for name in path}
+    | {"-1", "-7", "+5", " 7", "1_0", "", "-", "--", "-h", "--help", "ab", "BA", "g3", "x.txt"}
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A well-formed argv for a random leaf, in a random order, with up to
+    three tokens inserted or replaced by other spellings."""
+    path = draw(st.sampled_from(sorted(_LEAVES)))
+    groups = []
+    for name, kw in _LEAVES[path].args.items():
+        if name.startswith("-") and not kw.get("required") and draw(st.booleans()):
+            continue
+        count = 0 if "action" in kw else draw(st.integers(1, 3)) if kw.get("nargs") == "+" else 1
+        texts = [draw(st.sampled_from(_texts(kw))) for _ in range(count)]
+        groups.append(([name] if name.startswith("-") else []) + texts)
+    if groups and draw(st.booleans()):
+        groups.append(draw(st.sampled_from(groups)))  # a repeat
+    argv = list(path) + [t for g in draw(st.permutations(groups)) for t in g]
+    for _ in range(draw(st.integers(0, 3))):
+        token = draw(st.sampled_from(_SPELLINGS))
+        at = draw(st.integers(0, len(argv)))
+        if at < len(argv) and draw(st.booleans()):
+            argv[at] = token
+        else:
+            argv.insert(at, token)
+    return argv
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None)
+@given(_argvs())
+def test_a_direct_parse_is_the_parse_argparse_makes(argv):
+    """Whenever the direct parse returns, argparse accepts the argv and
+    returns an equal Namespace."""
+    args = cli._parse_direct(argv)
+    if args is not None:
+        assert args == _whole_tree().parse_args(argv)
+
+
+def test_main_builds_no_parser_for_a_well_formed_argv(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -773,15 +846,20 @@ def test_main_builds_only_the_parsers_on_the_argv_path(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert cli.main(["demo", "nonmult"]) == 0
-    assert built == ["smovelab", "smovelab demo", "smovelab demo nonmult"]
-    built.clear()
-    assert cli.main(["word", "reduce", "abBA"]) == 0
-    assert built == ["smovelab", "smovelab word"]
-    built.clear()
-    with pytest.raises(SystemExit):
-        cli.main(["inv", "statsum"])
-    assert len(built) == 16  # a misspelt name gets the whole tree
+    assert cli.main(["slice", "piece", "--type", "bag", "--R", "ab"]) == 0
+    exact = capsys.readouterr().out
+    assert built == []
+    # help, errors and abbreviations get the whole tree
+    for argv in (["inv", "statsum"], ["inv", "statesum", "--graphs", "g.txt"], ["inv", "statesum", "-h"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert len(built) == 16, argv
     capsys.readouterr()
+    built.clear()
+    assert cli.main(["slice", "piece", "--ty", "bag", "--R", "ab"]) == 0
+    assert exact.endswith(capsys.readouterr().out)
+    assert len(built) == 16
 
 
 # Stdout (as a sha256 digest) and exit code of playground commands, captured

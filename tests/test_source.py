@@ -190,7 +190,7 @@ def _option(path, dest):
 
     from smovelab import cli
 
-    parser = cli.build_parser(path)
+    parser = cli.build_parser()
     for name in path:
         parser = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[name]
     return next(a for a in parser._actions if a.dest == dest)
