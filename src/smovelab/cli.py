@@ -596,12 +596,12 @@ def _add_commands(parser, table, dest, formatter_class):
     for name, (help_text, child) in table.items():
         kwargs = {} if help_text is None else {"help": help_text}
         sp = sub.add_parser(name, formatter_class=formatter_class, **kwargs)
-        if isinstance(child, Leaf):
+        if isinstance(child, dict):
+            _add_commands(sp, child, "what", formatter_class)
+        else:
             for arg, kw in child.args.items():
                 sp.add_argument(arg, **kw)
             sp.set_defaults(fn=child.fn)
-        else:
-            _add_commands(sp, child, "what", formatter_class)
 
 
 def build_parser() -> argparse.ArgumentParser:
