@@ -61,6 +61,15 @@ def test_word_input_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["g٣", "G٣", "g2٣", "a g١٠"])
+def test_an_escape_takes_ascii_digits_only(capsys, text):
+    """The word grammar is ``g<k>`` with k in ASCII digits: an Arabic-Indic
+    three after ``g`` is a stray token, not generator 3."""
+    bad = next(ch for ch in text if ch.isdigit() and not ch.isascii())
+    assert _run(capsys, ["word", "reduce", text]) == (2, "error: bad word token %r in %r\n" % (bad, text))
+    assert _run(capsys, ["word", "reduce", "g3"])[1].splitlines()[0] == "c"
+
+
 def test_pres_applies_moves_file(tmp_path, capsys):
     (tmp_path / "p.txt").write_text("gens 2\nrel R aabb\nrel Q b\n", encoding="utf-8")
     (tmp_path / "m.txt").write_text("mulr R Q\nconj Q a\nprolong\n", encoding="utf-8")
