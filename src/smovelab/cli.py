@@ -39,6 +39,7 @@ EXIT_OBSTRUCTED = 3
 
 class Report:
     def __init__(self):
+        self.head = ""  # text written as it is, ahead of the lines
         self.lines: List[str] = []
         self.rows: List[Tuple[str, str]] = []
         self.code = EXIT_PASS
@@ -55,6 +56,8 @@ class Report:
         out.append("key,value")
         for k, v in self.rows:
             out.append("%s,%s" % (k, v.replace("\n", " ")))
+        if self.head:
+            sys.stdout.write(self.head)
         sys.stdout.write("\n".join(out) + "\n")
         return self.code
 
@@ -79,7 +82,7 @@ def cmd_word(args) -> Report:
     if args.op == "reduce":
         if len(words) != 1:
             raise InputError("word reduce takes one word")
-        res = Word(reduce(words[0]))
+        res = reduce(words[0])
     elif args.op == "invert":
         if len(words) != 1:
             raise InputError("word invert takes one word")
@@ -94,9 +97,10 @@ def cmd_word(args) -> Report:
         if len(words) != 2:
             raise InputError("word comm takes two words")
         res = commutator(words[0], words[1])
-    r.say(format_word(res))
+    text = format_word(res)
+    r.say(text)
     r.csv("op", args.op)
-    r.csv("result", format_word(res))
+    r.csv("result", text)
     return r
 
 
@@ -144,8 +148,9 @@ def cmd_crit(args) -> Report:
         base = parse_word(args.R)
         new = _residual_move_word(base, args.move)
         res = crit.residual_r(base, new)
-        r.say(format_word(res))
-        r.csv("residual", format_word(res))
+        text = format_word(res)
+        r.say(text)
+        r.csv("residual", text)
         return r
     if not args.instance:
         raise InputError("crit %s needs --instance" % args.action)
@@ -202,7 +207,7 @@ def cmd_slice(args) -> Report:
         raise InputError("unknown piece type %r" % args.type)
     # The builders apply every move as they record it, so seq is valid.
     trace = slicing.boundary_trace(seq)
-    r.say(slicing.format_sequence(seq).rstrip("\n"))
+    r.head = slicing.format_sequence(seq)
     r.say("validates: true")
     r.say("boundary: %s" % format_word(trace))
     r.csv("validates", "true")

@@ -21,23 +21,25 @@ bag is read once forward and once fully inverted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Optional, Tuple, Union
+from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
-from .words import InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
+from .words import _LETTER_TEXT, InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
 from . import criterion as crit
 from .words import commutator as comm_word
 
 
 # --- components -----------------------------------------------------------
 
+# Named tuples: the builder makes one record per component it changes and
+# one Slice per move, and a tuple is built in half the time of a frozen
+# dataclass.  The three have different lengths, so no two compare equal.
 
-@dataclass(frozen=True)
-class Circle:
+
+class Circle(NamedTuple):
     marks: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     left: str
     right: str
     trace: Tuple[int, ...] = ()
@@ -46,8 +48,7 @@ class Arc:
 Component = Union[Circle, Arc]
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     level: int
     components: Tuple[Component, ...]
 
@@ -72,7 +73,12 @@ def _at(cs: list, i: int, kind=None) -> Component:
 class LocalMove:
     """A local move between consecutive slices.  Each move type is a frozen
     record whose ``_apply`` checks every precondition before it edits the
-    live component list in place."""
+    live component list in place, and whose ``_text`` is its line in the
+    dump: the type name, then each field in order."""
+
+
+def _marks(marks: Tuple[str, ...]) -> str:
+    return ",".join(marks) if marks else "-"
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,9 @@ class BirthCircle(LocalMove):
     def _apply(self, cs: list):
         cs.append(Circle(tuple(self.marks)))
 
+    def _text(self):
+        return "-- BirthCircle " + _marks(self.marks)
+
 
 @dataclass(frozen=True)
 class DeathCircle(LocalMove):
@@ -90,6 +99,9 @@ class DeathCircle(LocalMove):
     def _apply(self, cs: list):
         _at(cs, self.index, Circle)
         del cs[self.index]
+
+    def _text(self):
+        return "-- DeathCircle %s" % self.index
 
 
 @dataclass(frozen=True)
@@ -101,6 +113,9 @@ class SplitCircleToArc(LocalMove):
     def _apply(self, cs: list):
         _at(cs, self.index, Circle)
         cs[self.index] = Arc(self.left, self.right)
+
+    def _text(self):
+        return "-- SplitCircleToArc %s %s %s" % (self.index, self.left, self.right)
 
 
 @dataclass(frozen=True)
@@ -120,6 +135,10 @@ class JoinArcsToCircle(LocalMove):
         cs[lo] = Circle((a.left, a.right, b.left, b.right))
         del cs[hi]
 
+    def _text(self):
+        other = "-" if self.other is None else self.other
+        return "-- JoinArcsToCircle %s %s %s" % (self.index, other, self.mark)
+
 
 @dataclass(frozen=True)
 class CirculateStep(LocalMove):
@@ -131,6 +150,9 @@ class CirculateStep(LocalMove):
         a = _at(cs, self.index, Arc)
         _need(self.letter != 0, "circulation letter must be nonzero")
         cs[self.index] = Arc(a.left, a.right, a.trace + (self.letter,))
+
+    def _text(self):
+        return "-- CirculateStep %s %s %s" % (self.index, self.letter, self.strand)
 
 
 @dataclass(frozen=True)
@@ -147,6 +169,10 @@ class MergeArcs(LocalMove):
         lo, hi = sorted((self.index, self.other))
         cs[lo] = Arc(a.left, a.right if self.absorb else b.right, a.trace + b.trace)
         del cs[hi]
+
+    def _text(self):
+        absorb = "absorb" if self.absorb else "plain"
+        return "-- MergeArcs %s %s %s %s" % (self.index, self.other, self.mark, absorb)
 
 
 @dataclass(frozen=True)
@@ -165,6 +191,9 @@ class IdentifyEdges(LocalMove):
             for c in cs
         ]
 
+    def _text(self):
+        return "-- IdentifyEdges %s %s" % (self.keep, self.drop)
+
 
 @dataclass(frozen=True)
 class ReorderStep(LocalMove):
@@ -173,6 +202,9 @@ class ReorderStep(LocalMove):
     def _apply(self, cs: list):
         a = _at(cs, self.index, Arc)
         cs[self.index] = Arc(a.right, a.left, a.trace)
+
+    def _text(self):
+        return "-- ReorderStep %s" % self.index
 
 
 @dataclass(frozen=True)
@@ -187,6 +219,9 @@ class JoinCells(LocalMove):
         lo, hi = sorted((self.index, self.other))
         cs[lo] = Circle(a.marks + b.marks)
         del cs[hi]
+
+    def _text(self):
+        return "-- JoinCells %s %s" % (self.index, self.other)
 
 
 @dataclass(frozen=True)
@@ -203,6 +238,9 @@ class SplitCells(LocalMove):
         )
         cs[self.index] = Circle(tuple(self.marks_first))
         cs.append(Circle(tuple(self.marks_second)))
+
+    def _text(self):
+        return "-- SplitCells %s %s %s" % (self.index, _marks(self.marks_first), _marks(self.marks_second))
 
 
 def apply_move(components: Tuple[Component, ...], m: LocalMove) -> Tuple[Component, ...]:
@@ -485,57 +523,37 @@ def connect(pieces) -> SliceSequence:
 # --- text dump ------------------------------------------------------------
 
 
-def _move_text(m: LocalMove) -> str:
-    name = type(m).__name__
-    vals = []
-    for f in m.__dataclass_fields__:
-        v = getattr(m, f)
-        if isinstance(v, tuple):
-            vals.append(",".join(v) if v else "-")
-        elif isinstance(v, bool):
-            vals.append("absorb" if v else "plain")
-        elif v is None:
-            vals.append("-")
-        else:
-            vals.append(str(v))
-    return "-- %s %s" % (name, " ".join(vals))
-
-
-def _letters(t: Tuple[int, ...]) -> str:
-    return format_word(t) if t else ""
-
-
 def format_sequence(seq: SliceSequence) -> str:
     """The dump prints every arc's whole trace at every level, so it grows
     quadratically with the word; it is produced in time linear in its
-    length.  Within one call each trace object is formatted once, keyed by
-    identity (``seq`` keeps every trace alive); a trace extending the trace
-    of the arc at the same index one slice up is that arc's text plus its
-    new letters."""
+    length.  Within one call each component object is formatted once,
+    keyed by identity (``seq`` keeps every component alive), and printed
+    at least once.  In a built sequence the arc a ``CirculateStep``
+    extends is not formatted: its line is the line of that arc one slice
+    up with the step's letter added before the closing bracket."""
     lines = []
-    text_of: dict[int, str] = {}  # id(trace) -> its letters, "" when empty
-    above: Tuple[Component, ...] = ()
+    line_of: dict[int, str] = {}  # id(component) -> its line
     for k, s in enumerate(seq.slices):
         lines.append("slice %d" % s.level)
-        for i, c in enumerate(s.components):
-            if isinstance(c, Circle):
-                lines.append("C[%s]" % ",".join(c.marks))
-                continue
-            t = c.trace
-            text = text_of.get(id(t))
-            if text is None:
-                up = above[i] if i < len(above) else None
-                n = len(up.trace) if isinstance(up, Arc) else 0
-                if n and t[:n] == up.trace:
-                    text = text_of[id(up.trace)] + _letters(t[n:])
+        for c in s.components:
+            line = line_of.get(id(c))
+            if line is None:
+                if isinstance(c, Circle):
+                    line = "C[%s]" % ",".join(c.marks)
                 else:
-                    text = _letters(t)
-                text_of[id(t)] = text
-            lines.append("A[%s,%s;trace=%s]" % (c.left, c.right, text or "1"))
-        above = s.components
+                    line = "A[%s,%s;trace=%s]" % (c.left, c.right, format_word(c.trace))
+                line_of[id(c)] = line
+            lines.append(line)
         if k < len(seq.moves):
-            lines.append(_move_text(seq.moves[k]))
-    return "\n".join(lines) + "\n"
+            m = seq.moves[k]
+            lines.append(m._text())
+            if seq._built and isinstance(m, CirculateStep):
+                up = s.components[m.index]
+                if up.trace:  # an empty trace prints as 1
+                    grown = seq.slices[k + 1].components[m.index]
+                    line_of[id(grown)] = line_of[id(up)][:-1] + _LETTER_TEXT[m.letter] + "]"
+    lines.append("")
+    return "\n".join(lines)
 
 
 # --- abstract slice sequences --------------------------------------------

@@ -59,8 +59,13 @@ class Word(tuple):
 EMPTY = Word()
 
 # Escape forms must precede the single-letter alternatives or "g12" would
-# tokenize as the letter g followed by stray digits.
-_TOKEN = re.compile(r"\s+|g(\d+)|G(\d+)|[a-z]|[A-Z]|.", re.DOTALL)
+# tokenize as the letter g followed by stray digits.  An index is ASCII
+# digits only: ``\d`` would also take other scripts' decimal digits.
+_TOKEN = re.compile(r"\s+|g([0-9]+)|G([0-9]+)|[a-z]|[A-Z]|.", re.DOTALL)
+# Only whitespace runs and escapes span more than one character, and
+# neither holds a g or G past its first, so every g or G starts a token:
+# this splits out exactly the escapes that ``_TOKEN`` reads.
+_ESCAPE = re.compile(r"([gG])([0-9]+)")
 
 
 class _LetterText(dict):
@@ -80,10 +85,37 @@ _TEXT_LETTER = {c: x for x, c in _LETTER_TEXT.items()}
 
 
 def parse_word(text: str, n_generators: int | None = None) -> Word:
-    """Parse a word literal; ``1`` (or an all-whitespace string) is empty."""
+    """Parse a word literal; ``1`` (or an all-whitespace string) is empty.
+
+    No token spans whitespace, so each whitespace-free chunk is split at
+    its escapes by one regex, and each plain run between them maps through
+    the letter table in one pass.  Anything else in a run, a zero index or
+    an index out of range sends the text through the token loop, which
+    names the first bad token."""
     stripped = text.strip()
     if stripped == "1" or stripped == "":
         return EMPTY
+    letter = _TEXT_LETTER.__getitem__
+    letters: list[int] = []
+    try:
+        for chunk in stripped.split():
+            parts = _ESCAPE.split(chunk)  # run, then (g or G, index, run) per escape
+            letters += map(letter, parts[0])
+            for sign, index, run in zip(parts[1::3], parts[2::3], parts[3::3]):
+                k = int(index)
+                if k == 0:
+                    return _parse_tokens(text, n_generators)
+                letters.append(k if sign == "g" else -k)
+                letters += map(letter, run)
+    except KeyError:
+        return _parse_tokens(text, n_generators)
+    if n_generators is not None and max(map(abs, letters)) > n_generators:
+        return _parse_tokens(text, n_generators)
+    return Word(letters)
+
+
+def _parse_tokens(text: str, n_generators: int | None) -> Word:
+    """``parse_word`` one token at a time, raising on the first bad one."""
     letters = []
     for m in _TOKEN.finditer(text):
         tok = m.group(0)

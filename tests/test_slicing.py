@@ -57,7 +57,10 @@ def _is_cyclic_rotation(u, v):
 
 
 def test_inverse_trace_flips_letters_in_place():
-    inverse_trace = lambda w: Word(-x for x in w)  # noqa: E731  (flip every letter, keep the order)
+    def inverse_trace(w):
+        """The letters the R^-1 strand circulates in ``slice_inverse_pair``."""
+        return Word(m.letter for m in slice_inverse_pair(w).moves if isinstance(m, CirculateStep) and m.strand == "R^-1")
+
     assert inverse_trace(parse_word("aabb")) == parse_word("AABB")
     assert inverse_trace(parse_word("aB")) == parse_word("Ab")
     assert inverse_trace(()) == Word()
@@ -437,10 +440,24 @@ def _oracle_word(w):
     return "".join(out) if out else "1"
 
 
+def _oracle_move_text(m):
+    """The move's type name, then each field of the record in order."""
+    vals = []
+    for f in m.__dataclass_fields__:
+        v = getattr(m, f)
+        if isinstance(v, tuple):
+            vals.append(",".join(v) if v else "-")
+        elif isinstance(v, bool):
+            vals.append("absorb" if v else "plain")
+        elif v is None:
+            vals.append("-")
+        else:
+            vals.append(str(v))
+    return "-- %s %s" % (type(m).__name__, " ".join(vals))
+
+
 def _oracle_format_sequence(seq):
     """Every arc's trace formatted from scratch, letter by letter."""
-    from smovelab.slicing import _move_text
-
     lines = []
     for k, s in enumerate(seq.slices):
         lines.append("slice %d" % s.level)
@@ -450,7 +467,7 @@ def _oracle_format_sequence(seq):
             else:
                 lines.append("A[%s,%s;trace=%s]" % (c.left, c.right, _oracle_word(c.trace)))
         if k < len(seq.moves):
-            lines.append(_move_text(seq.moves[k]))
+            lines.append(_oracle_move_text(seq.moves[k]))
     return "\n".join(lines) + "\n"
 
 
@@ -593,9 +610,16 @@ def test_format_sequence_matches_the_per_arc_formatter_on_random_hand_made_seque
 def test_format_sequence_formats_each_letter_a_bounded_number_of_times(monkeypatch, dominant, identify):
     import smovelab.slicing as slicing
 
-    handed = []
+    handed = []  # letters per call: whole traces, or one letter a step adds
+
+    class CountingLetters(type(slicing._LETTER_TEXT)):
+        def __getitem__(self, x):
+            handed.append(1)
+            return super().__getitem__(x)
+
     real = slicing.format_word
     monkeypatch.setattr(slicing, "format_word", lambda w: handed.append(len(w)) or real(w))
+    monkeypatch.setattr(slicing, "_LETTER_TEXT", CountingLetters(slicing._LETTER_TEXT))
     for n in (16, 64):
         r = Word((1, 2, -3, 27) * (n // 4))
         s = Word((-2, 30, 1, 1) * (n // 4))
@@ -604,6 +628,39 @@ def test_format_sequence_formats_each_letter_a_bounded_number_of_times(monkeypat
         text = slicing.format_sequence(seq)
         assert sum(handed) <= 4 * (len(r) + len(s)) + 8, (n, sum(handed))
         assert text == _oracle_format_sequence(seq)
+
+
+def test_format_sequence_prints_every_move_type_as_its_fields():
+    moves = (
+        BirthCircle(()),
+        BirthCircle(("x", "y")),
+        DeathCircle(1),
+        SplitCircleToArc(0, "x", "y"),
+        JoinArcsToCircle(2, 0, "Q"),
+        JoinArcsToCircle(1),
+        CirculateStep(1, -2, "0:R"),
+        MergeArcs(1, 0, absorb=True),
+        MergeArcs(0, 1),
+        IdentifyEdges("R", "R^-1"),
+        ReorderStep(1),
+        JoinCells(1, 0),
+        SplitCells(0, ("a",), ("b", "c")),
+        SplitCells(0, (), ()),
+    )
+    assert {type(m) for m in moves} == set(LocalMove.__subclasses__())
+    seq = _hand_made(*[()] * (len(moves) + 1), moves=moves)
+    assert format_sequence(seq) == _oracle_format_sequence(seq)
+
+
+def test_format_sequence_reads_the_traces_of_an_unbuilt_sequence_from_its_slices():
+    """Only a built sequence is known to hold what its steps say."""
+    seq = _hand_made(
+        (Arc("a", "b", (1,)),),
+        (Arc("a", "b", (1, 5)),),
+        moves=(CirculateStep(0, 2, "a"),),
+    )
+    assert "trace=ae]" in format_sequence(seq)
+    assert format_sequence(seq) == _oracle_format_sequence(seq)
 
 
 # --- the move records ------------------------------------------------------

@@ -170,7 +170,9 @@ def test_wedge_randomized_tables():
 
 
 def test_move_value_antisymmetry():
-    move_value = lambda before, after, t: state_sum(after, t) - state_sum(before, t)  # noqa: E731
+    def move_value(before, after, t):
+        return invariant(MoveSequence(((before, after),)), t)
+
     t = _table01()
     assert move_value(_EMPTY, _CIRCLE, t) == 1
     assert move_value(_CIRCLE, _EMPTY, t) == -1

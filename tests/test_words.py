@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smovelab.words import (
+    _TEXT_LETTER,
     EMPTY,
     InputError,
     Word,
@@ -218,3 +222,86 @@ def test_parse_error_messages(text, n_generators, message):
     with pytest.raises(InputError) as info:
         parse_word(text, n_generators)
     assert str(info.value) == message
+
+
+# --- parse_word against the token-by-token parser ---------------------------
+
+_ORACLE_TOKEN = re.compile(r"\s+|g([0-9]+)|G([0-9]+)|[a-z]|[A-Z]|.", re.DOTALL)
+
+
+def _oracle_parse_word(text, n_generators=None):
+    """The parser as it read one token at a time, with escapes taking
+    ASCII digits only."""
+    stripped = text.strip()
+    if stripped == "1" or stripped == "":
+        return EMPTY
+    letters = []
+    for m in _ORACLE_TOKEN.finditer(text):
+        tok = m.group(0)
+        x = _TEXT_LETTER.get(tok)
+        if x is None:
+            if tok.isspace():
+                continue
+            if m.group(1) is not None:
+                x = int(m.group(1))
+            elif m.group(2) is not None:
+                x = -int(m.group(2))
+            else:
+                raise InputError("bad word token %r in %r" % (tok, text))
+        if x == 0:
+            raise InputError("generator index must be >= 1 in %r" % text)
+        if n_generators is not None and abs(x) > n_generators:
+            raise InputError(
+                "generator index %d out of range (alphabet has %d)"
+                % (abs(x), n_generators)
+            )
+        letters.append(x)
+    return Word(letters)
+
+
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\xa0", "\u2003", "\x1c"])
+_ASCII_INDEX = st.text(st.sampled_from("0123456789"), min_size=1, max_size=4) | st.sampled_from(["007", "27", "9" * 30])
+_ESCAPE = st.builds("".join, st.tuples(st.sampled_from("gG"), _ASCII_INDEX))
+_CLEAN = st.one_of(st.text(st.sampled_from("abcgzABCGZ"), min_size=1, max_size=6), _ESCAPE, _SPACES)
+_ODD = st.one_of(
+    st.builds("".join, st.tuples(st.sampled_from("gG"), st.sampled_from(["٣", "2٣", "١٠", "\uff17"]))),
+    st.builds("".join, st.tuples(st.sampled_from("gG"), _SPACES, _ASCII_INDEX)),
+    _ASCII_INDEX,
+    st.sampled_from(["1", "-", "!", "é", "ß", "_", "٣", "\x00"]),
+)
+_TEXTS = st.one_of(
+    st.lists(_CLEAN, max_size=8).map("".join),
+    st.builds(lambda a, odd, b: "".join(a) + odd + "".join(b), st.lists(_CLEAN, max_size=4), _ODD, st.lists(_CLEAN, max_size=4)),
+    st.lists(_CLEAN | _ODD, max_size=8).map("".join),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_TEXTS, st.none() | st.integers(0, 40))
+@example(" 1\t", 3)
+@example("g 27", None)
+@example("g٣", None)
+def test_parse_word_agrees_with_the_token_parser(text, n_generators):
+    """Same word, or the same message for the same first bad token.  The
+    texts are well formed, or hold one odd piece (a non-ASCII digit, a
+    space inside an escape, a stray digit or character), or several."""
+    try:
+        want = _oracle_parse_word(text, n_generators)
+    except InputError as e:
+        with pytest.raises(InputError) as info:
+            parse_word(text, n_generators)
+        assert str(info.value) == str(e)
+    else:
+        got = parse_word(text, n_generators)
+        assert got == want and type(got) is Word
+
+
+def test_a_well_formed_word_never_runs_the_token_loop(monkeypatch):
+    import smovelab.words as words
+
+    def refuse(text, n_generators):
+        raise AssertionError("token loop ran on %r" % text)
+
+    monkeypatch.setattr(words, "_parse_tokens", refuse)
+    assert parse_word(" ab\tg27G30a\xa0G007 zZ\n", 30) == Word([1, 2, 27, -30, 1, -7, 26, -26])
+    assert parse_word("g12345678901234567890") == Word([12345678901234567890])
