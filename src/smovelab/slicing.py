@@ -552,7 +552,7 @@ def format_sequence(seq: SliceSequence) -> str:
                 if up.trace:  # an empty trace prints as 1
                     grown = seq.slices[k + 1].components[m.index]
                     line_of[id(grown)] = line_of[id(up)][:-1] + _LETTER_TEXT[m.letter] + "]"
-    lines.append("")
+    lines.append("")  # a final newline, without copying the joined text
     return "\n".join(lines)
 
 
