@@ -59,7 +59,8 @@ def _is_cyclic_rotation(u, v):
 def test_inverse_trace_flips_letters_in_place():
     def inverse_trace(w):
         """The letters the R^-1 strand circulates in ``slice_inverse_pair``."""
-        return Word(m.letter for m in slice_inverse_pair(w).moves if isinstance(m, CirculateStep) and m.strand == "R^-1")
+        steps = [m for m in slice_inverse_pair(w).moves if isinstance(m, CirculateStep)]
+        return Word(m.letter for m in steps if m.strand == "R^-1")
 
     assert inverse_trace(parse_word("aabb")) == parse_word("AABB")
     assert inverse_trace(parse_word("aB")) == parse_word("Ab")

@@ -269,9 +269,10 @@ _ODD = st.one_of(
     _ASCII_INDEX,
     st.sampled_from(["1", "-", "!", "é", "ß", "_", "٣", "\x00"]),
 )
+_SOME_CLEAN = st.lists(_CLEAN, max_size=4)
 _TEXTS = st.one_of(
     st.lists(_CLEAN, max_size=8).map("".join),
-    st.builds(lambda a, odd, b: "".join(a) + odd + "".join(b), st.lists(_CLEAN, max_size=4), _ODD, st.lists(_CLEAN, max_size=4)),
+    st.builds(lambda a, odd, b: "".join(a + [odd] + b), _SOME_CLEAN, _ODD, _SOME_CLEAN),
     st.lists(_CLEAN | _ODD, max_size=8).map("".join),
 )
 
