@@ -56,8 +56,7 @@ class Report:
         out.append("key,value")
         for k, v in self.rows:
             out.append("%s,%s" % (k, v.replace("\n", " ")))
-        if self.head:
-            sys.stdout.write(self.head)
+        sys.stdout.write(self.head)
         sys.stdout.write("\n".join(out) + "\n")
         return self.code
 
