@@ -70,6 +70,25 @@ def test_an_escape_takes_ascii_digits_only(capsys, text):
     assert _run(capsys, ["word", "reduce", "g3"])[1].splitlines()[0] == "c"
 
 
+_LONG_ESCAPES = ("g" + "1" * 5000, "G" + "0" * 4999 + "1")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [*_LONG_ESCAPES, "ab %s c" % _LONG_ESCAPES[0], "g0%s" % _LONG_ESCAPES[1]],
+    ids=["ones", "leading-zeros", "between-letters", "after-a-zero-index"],
+)
+def test_an_escape_index_past_the_int_digit_limit_exits_2(capsys, text):
+    """``int()`` reads at most 4,300 digits: a longer index is named as a
+    bad token, not raised out of ``cli.main``; a zero index before it is
+    still reported first."""
+    tok = next((t for t in _LONG_ESCAPES if t in text.split()), None)
+    want = "error: generator index has too many digits in token %r\n" % tok
+    if tok is None:
+        want = "error: generator index must be >= 1 in %r\n" % text
+    assert _run(capsys, ["word", "reduce", text]) == (2, want)
+
+
 def test_pres_applies_moves_file(tmp_path, capsys):
     (tmp_path / "p.txt").write_text("gens 2\nrel R aabb\nrel Q b\n", encoding="utf-8")
     (tmp_path / "m.txt").write_text("mulr R Q\nconj Q a\nprolong\n", encoding="utf-8")
