@@ -90,9 +90,9 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
 
     No token spans whitespace, so each whitespace-free chunk is split at
     its escapes by one regex, and each plain run between them maps through
-    the letter table in one pass.  Anything else in a run, a zero index or
-    an index out of range sends the text through the token loop, which
-    names the first bad token."""
+    the letter table in one pass.  Anything else in a run, a zero index,
+    an index past ``int()``'s digit limit or an index out of range sends
+    the text through the token loop, which names the first bad token."""
     stripped = text.strip()
     if stripped == "1" or stripped == "":
         return EMPTY
@@ -104,15 +104,15 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
             letters += map(letter, parts[0])
             for sign, index, run in zip(parts[1::3], parts[2::3], parts[3::3]):
                 k = int(index)
-                if k == 0:
-                    return _parse_tokens(text, n_generators)
                 letters.append(k if sign == "g" else -k)
                 letters += map(letter, run)
-    except KeyError:
-        return _parse_tokens(text, n_generators)
-    if n_generators is not None and max(map(abs, letters)) > n_generators:
-        return _parse_tokens(text, n_generators)
-    return Word(letters)
+        if n_generators is None or max(map(abs, letters)) <= n_generators:
+            return Word(letters)
+    # KeyError: a character no letter spells.  ValueError: an index with
+    # more digits than int() converts, or a zero index, which Word rejects.
+    except (KeyError, ValueError):
+        pass
+    return _parse_tokens(text, n_generators)
 
 
 def _parse_tokens(text: str, n_generators: int | None) -> Word:
@@ -124,12 +124,15 @@ def _parse_tokens(text: str, n_generators: int | None) -> Word:
         if x is None:
             if tok.isspace():
                 continue
-            if m.group(1) is not None:
-                x = int(m.group(1))
-            elif m.group(2) is not None:
-                x = -int(m.group(2))
-            else:
+            index = m.group(1) or m.group(2)
+            if index is None:
                 raise InputError("bad word token %r in %r" % (tok, text))
+            try:
+                x = int(index)
+            except ValueError:  # past the interpreter's limit, 4,300 digits by default
+                raise InputError("generator index has too many digits in token %r" % tok) from None
+            if m.group(2) is not None:
+                x = -x
         if x == 0:
             raise InputError("generator index must be >= 1 in %r" % text)
         if n_generators is not None and abs(x) > n_generators:
