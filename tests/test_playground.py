@@ -231,6 +231,9 @@ _CELLS = tuple("cell:%d" % i for i in range(14))
 # loop that redrew a label as soon as its draw was singular.
 _PINNED_BACKENDS = (
     # d, seed, family, spel_identity, labels, one draw is singular
+    # seeds 86 and 712 draw a singular base first
+    (4, 86, POLY_IN_M, False, _CELLS, True, "6e3c38b266142cca9507cc12cc59b17ea28089b6264ccf9759e334e9c9f339d3"),
+    (4, 712, POLY_IN_M, False, _CELLS, True, "ba22afb3af6a9d3e7e37f7f0e64584d2356593b9d9616ca0e8b4754b0aa3f0e2"),
     (32, 0, POLY_IN_M, False, _CELLS, True, "40ad3a6dd882478d15167ea5ffec59c18fffdbabaccada2e15cfd0eaf6ae0d69"),
     (32, 21, POLY_IN_M, False, _CELLS, True, "91a319a74c7cc8e918891464c875a4d35426041708925d8d68936eed45e9dc2f"),
     (4, 2, POLY_IN_M, False, _CELLS, True, "8e76a5b36e84a0cd58a9bace3a5b322c8f9852da5a195824cddf3d81608cad74"),
@@ -268,15 +271,18 @@ def test_drawn_backends_replay_every_redraw():
     for d, seed, family, spel, labels, _, digest in _PINNED_BACKENDS:
         b = make_backend(labels, p=101, d=d, seed=seed, family=family, spel_identity=spel)
         assert hashlib.sha256(dump_backend(b).encode()).hexdigest() == digest, (d, seed, family)
-    # the pins cover redraws: each flagged draw has a singular polynomial
-    # among the matrices drawn from its seed
+    # the pins cover redraws: each flagged draw has a singular base or a
+    # singular polynomial among the matrices drawn from its seed
     for d, seed, family, spel, labels, redraws, _ in _PINNED_BACKENDS:
         rng = random.Random(seed)
         if family != POLY_IN_M:
             continue
-        base = np.array([[rng.randrange(101) for _ in range(d)] for _ in range(d)], dtype=np.int64)
-        modmat.inverse(base, 101)  # no pinned seed draws a singular base
         singular = False
+        while True:
+            base = np.array([[rng.randrange(101) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+            if not _py_singular(base.tolist(), 101):
+                break
+            singular = True
         for lab in sorted(set(labels) | {SPHERE_LABEL}):
             if lab == SPHERE_LABEL:
                 rng.randrange(2, 101)
