@@ -107,14 +107,18 @@ def commutator_product(inst: CriterionInstance) -> Word:
     return reduce(out)
 
 
-def verification_word(inst: CriterionInstance, residual=(), side: str = "r") -> Word:
+def verification_word(inst: CriterionInstance, residual=(), side: str = "r", commutators=None) -> Word:
     """R.S^-1.[S_1,R_1]...[S_n,R_n], freely reduced; a ``residual`` left
-    by a relator move goes in front of R (side r) or behind S^-1 (side s)."""
+    by a relator move goes in front of R (side r) or behind S^-1 (side s).
+    ``commutators``, the words [S_i,R_i] in decomposition order, are
+    formed from ``inst`` unless a caller that already holds them passes
+    them in."""
     if side not in ("r", "s"):
         raise InputError("residual side must be 'r' or 's'")
     res = tuple(residual)
     head, mid = (res, ()) if side == "r" else ((), res)
-    return reduce(head + inst.r_word + invert(inst.s_word) + mid + commutator_product(inst))
+    comms = commutator_product(inst) if commutators is None else [x for c in commutators for x in c]
+    return reduce(head + inst.r_word + invert(inst.s_word) + mid + tuple(comms))
 
 
 def verify(inst: CriterionInstance) -> bool:

@@ -2,10 +2,12 @@
 
 Everything is kept reduced mod p; inverses run Gauss-Jordan with modular
 scalar inverses, so all arithmetic is exact.  ``inverse_all`` inverts a
-list of matrices with one Gauss-Jordan; a playground backend inverts all
-its matrices that way.  Exactness needs int64 to hold every
-intermediate: one entry of a d×d product of residues sums d terms below
-(p-1)², so d·(p-1)² must stay below 2^63.  Every kernel raises
+list of matrices with one Gauss-Jordan.  A drawn ``poly`` playground
+backend inverts its base matrix and its polynomials that way, in one
+batch; a drawn diagonal backend reads each inverse off the entries and
+runs none.  ``draw`` is the one source of drawn entries.  Exactness
+needs int64 to hold every intermediate: one entry of a d×d product of
+residues sums d terms below (p-1)², so d·(p-1)² must stay below 2^63.  Every kernel raises
 ``InputError`` past that bound instead of wrapping.
 """
 
@@ -117,17 +119,39 @@ def equal(a: np.ndarray, b: np.ndarray, p: int) -> bool:
 
 
 def product(mats, p: int, dim: int) -> np.ndarray:
-    """Left-to-right product; empty product is the identity."""
+    """Left-to-right product, reduced mod p; empty product is the identity."""
     _check_bound(p, dim)
-    out = identity(dim)
+    mats = iter(mats)
+    out = next(mats, None)
+    if out is None:
+        return identity(dim)
+    out = out % p
     for m in mats:
         out = mul(out, m, p)
     return out
 
 
+def draw(rng, count: int, p: int, low: int = 0) -> list:
+    """``count`` residues drawn uniformly from [low, p), the same values,
+    leaving ``rng`` in the same state, as ``count`` calls of
+    ``rng.randrange(low, p)``: that call too rejects every
+    ``getrandbits`` draw of the span's bit length that falls past the
+    span.  It skips randrange's argument checks and call layers, which
+    cost more than the draw itself."""
+    span = p - low
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        out.append(low + r)
+    return out
+
+
 def random_invertible_diagonal(rng, dim: int, p: int) -> np.ndarray:
-    d = [rng.randrange(1, p) for _ in range(dim)]
-    return np.diag(np.array(d, dtype=np.int64))
+    return np.diag(np.array(draw(rng, dim, p, 1), dtype=np.int64))
 
 
 def powers(a: np.ndarray, count: int, p: int):
@@ -143,8 +167,8 @@ def random_poly(rng, powers, p: int) -> np.ndarray:
     order.  Polynomials in one matrix all commute with each other; the
     result may be singular."""
     out = np.zeros_like(powers[0])
-    for power in powers:
-        out = (out + rng.randrange(p) * power) % p
+    for c, power in zip(draw(rng, len(powers), p), powers):
+        out = (out + c * power) % p
     return out
 
 

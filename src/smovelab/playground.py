@@ -177,46 +177,45 @@ def make_backend(
     The backend is valid by construction, so no check is replayed on it:
     diagonal matrices with nonzero entries, or polynomials in one
     invertible base matrix, commute; the sphere is s·I with 2 ≤ s < p,
-    which needs p ≥ 3.  Labels are drawn from one random stream in
-    sorted order.  The sphere's inverse is s⁻¹·I and a pinned identity's
-    is I; every other draw is inverted in one batch.  When a ``poly``
-    draw is singular, the draws before it stand and the stream resumes
-    right after it, with that label drawn again, up to 64 times per
-    label.
+    which needs p ≥ 3.  Every entry comes from one random stream through
+    ``modmat.draw``: a ``poly`` base first, then the labels in sorted
+    order.  Inverses that can be read off the entries are: s⁻¹·I for the
+    sphere, I for a pinned identity, the entrywise inverse for a diagonal
+    draw.  The ``poly`` base and polynomials are inverted in one batch,
+    the base first, so drawing a ``poly`` backend runs one Gauss-Jordan
+    and a diagonal one none.  When a draw in the batch is singular, the
+    draws before it stand and the stream resumes right after it, with
+    that draw and every one after it made again, up to 64 times per
+    draw.
     """
     _check_field(p, d)
     if p < 3:
         raise InputError("a drawn backend needs p >= 3: over GF(2) the only nonzero scalar is the identity")
-    rng = random.Random(seed)
-    if family == POLY_IN_M:
-        for _ in range(64):
-            cand = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
-            try:
-                modmat.inverse(cand, p)
-                break
-            except InputError:
-                pass
-        else:
-            raise InputError("could not draw an invertible base matrix")
-        powers = modmat.powers(cand, 4, p)
-    elif family != DIAGONAL:
+    if family not in (DIAGONAL, POLY_IN_M):
         raise InputError("unknown backend family %r" % family)
-
-    order = sorted(set(labels) | {SPHERE_LABEL})
-    assignment: Dict[str, np.ndarray] = {}
-    inverses: Dict[str, np.ndarray] = {}
-    after = {}  # the stream's state right after each polynomial's draw
+    rng = random.Random(seed)
+    order: List[Optional[str]] = sorted(set(labels) | {SPHERE_LABEL})
+    if family == POLY_IN_M:
+        order.insert(0, None)  # the base matrix, which no label names
+    assignment: Dict[Optional[str], np.ndarray] = {}
+    inverses: Dict[Optional[str], np.ndarray] = {}
+    after = {}  # the stream's state right after each batch draw
     start = tries = 0
     while True:
         for lab in order[start:]:
-            if lab == SPHERE_LABEL:
-                s = rng.randrange(2, p)
+            if lab is None:
+                base = np.array(modmat.draw(rng, d * d, p), dtype=np.int64).reshape(d, d)
+                assignment[lab], powers = base, modmat.powers(base, 4, p)
+                after[lab] = rng.getstate()
+            elif lab == SPHERE_LABEL:
+                (s,) = modmat.draw(rng, 1, p, 2)
                 assignment[lab] = s * modmat.identity(d)
                 inverses[lab] = pow(s, -1, p) * modmat.identity(d)
             elif spel_identity and lab.startswith("spel:"):
                 assignment[lab], inverses[lab] = modmat.identity(d), modmat.identity(d)
             elif family == DIAGONAL:
-                assignment[lab] = modmat.random_invertible_diagonal(rng, d, p)
+                m = assignment[lab] = modmat.random_invertible_diagonal(rng, d, p)
+                inverses[lab] = np.diag(np.array([pow(x, -1, p) for x in m.diagonal().tolist()], dtype=np.int64))
             else:
                 assignment[lab] = modmat.random_poly(rng, powers, p)
                 after[lab] = rng.getstate()
@@ -224,7 +223,7 @@ def make_backend(
         try:
             inverses.update(zip(todo, modmat.inverse_all([assignment[lab] for lab in todo], p)))
             break
-        except InputError:  # some polynomial is singular: keep the ones before it
+        except InputError:  # the base or some polynomial is singular: keep the draws before it
             pass
         for j in range(start, len(order)):
             if order[j] not in inverses:
@@ -236,9 +235,11 @@ def make_backend(
             raise RuntimeError("a batch of invertible matrices failed to invert")
         tries = tries + 1 if j == start else 1
         if tries == 64:
-            raise InputError("could not draw an invertible polynomial")
+            raise InputError("could not draw an invertible %s" % ("base matrix" if order[j] is None else "polynomial"))
         rng.setstate(after[order[j]])
         start = j
+    assignment.pop(None, None)
+    inverses.pop(None, None)
     return Backend(p, d, family, assignment, inverses, alias, token_labels)
 
 

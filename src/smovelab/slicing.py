@@ -651,16 +651,18 @@ def build_abstract(
     """
     if orientation not in (1, -1):
         raise InputError("orientation must be +1 or -1")
-    if crit.verification_word(inst, residual or (), residual_side):
+    expanded = inst.expanded()
+    comm_words = [comm_word(sw, rw) for rw, sw in expanded]
+    if crit.verification_word(inst, residual or (), residual_side, comm_words):
         raise crit.InvalidInstance("instance fails the commutator criterion")
     orient = (lambda w: w) if orientation == 1 else invert
     kind_r, kind_s = spel_kinds(identification)
     spels: list[Token] = []
     comms: list[Token] = []
-    for i, (rw, sw) in enumerate(inst.expanded()):
+    for i, ((rw, sw), cw) in enumerate(zip(expanded, comm_words)):
         spels.append(SpElToken(kind_r, orient(rw), i))
         spels.append(SpElToken(kind_s, orient(sw), i))
-        comms.append(CommutatorToken(orient(comm_word(sw, rw)), i))
+        comms.append(CommutatorToken(orient(cw), i))
     cell_r = CellToken(orient(inst.r_word))
     cell_s_inv = CellToken(orient(invert(inst.s_word)))
     prod = CellToken(orient(reduce(tuple(inst.r_word) + tuple(invert(inst.s_word)))))

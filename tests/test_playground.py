@@ -129,6 +129,27 @@ def test_random_poly_in_commutes_with_base():
     modmat.inverse(m, p)  # must not raise
 
 
+# The three largest primes with (p-1)² < 2^63, the d = 1 bound.
+_UNDER_D1_BOUND = (3037000493, 3037000453, 3037000429)
+
+
+def test_draw_gives_the_values_and_stream_of_randrange():
+    """``modmat.draw`` is the one path to every drawn entry, so a drawn
+    backend stays the same only while it matches ``randrange`` value for
+    value and leaves the stream in the same state; a Python whose
+    ``randrange`` draws otherwise fails here."""
+    for p in (3, 5, 101, 100003) + _UNDER_D1_BOUND:
+        for low in (0, 1, 2):
+            for seed in range(30):
+                n = (0, 1, 2, 7, 16, 33)[seed % 6]
+                mine, theirs = random.Random(seed), random.Random(seed)
+                assert modmat.draw(mine, n, p, low) == [theirs.randrange(low, p) for _ in range(n)], (p, low, seed)
+                assert mine.getstate() == theirs.getstate(), (p, low, seed)
+    # a span of 1 takes one bit and rejects every odd draw
+    rng = random.Random(4)
+    assert modmat.draw(rng, 50, 3, 2) == [2] * 50
+
+
 # p = 4294967311 is prime and (p-1)² alone is past 2^63; 2^31 - 1 is the
 # largest prime with 2·(p-1)² < 2^63, so d = 2 products are still exact.
 _PAST_BOUND = 4294967311
@@ -343,26 +364,43 @@ def test_redrawn_backends_keep_exact_inverses():
 
 
 def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
-    """Stub the coefficient draw to give zero coefficients, so every
+    """Stub the random stream to give zero coefficients, so every
     polynomial is the zero matrix: the label is drawn 64 times, then the
     draw fails."""
-    coeff_calls = []
+    draws = []
 
     class ZeroCoefficients(random.Random):
         base_entries = [1, 0, 0, 1]  # the base matrix is the identity
 
-        def randrange(self, start, stop=None):
-            if stop is not None:  # the sphere's scalar
-                return super().randrange(start, stop)
+        def getrandbits(self, k):
             if self.base_entries:
                 return self.base_entries.pop(0)
-            coeff_calls.append(start)
-            return 0
+            draws.append(k)
+            return 0  # the sphere's scalar is 2 and every coefficient 0
 
     monkeypatch.setattr(pg.random, "Random", ZeroCoefficients)
     with pytest.raises(InputError, match="^could not draw an invertible polynomial$"):
         make_backend(["cell:a"], p=101, d=2, seed=0, family=POLY_IN_M)
-    assert coeff_calls == [101] * (64 * 4)  # 64 draws of four coefficients
+    # S2 sorts before cell:a and is drawn once; 101 and the sphere's span
+    # 99 both take 7 bits.  Then 64 draws of four coefficients.
+    assert draws == [7] * (1 + 64 * 4)
+
+
+def test_base_draw_gives_up_after_64_singular_draws(monkeypatch):
+    """A stream of zeros draws the zero base matrix each time: the base
+    is redrawn, with every label after it, 64 times, then the draw
+    fails."""
+    draws = []
+
+    class Zeros(random.Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return 0
+
+    monkeypatch.setattr(pg.random, "Random", Zeros)
+    with pytest.raises(InputError, match="^could not draw an invertible base matrix$"):
+        make_backend(["cell:a"], p=101, d=2, seed=0, family=POLY_IN_M)
+    assert len(draws) == 64 * (4 + 1 + 4)  # the base, S2's scalar, cell:a's coefficients
 
 
 def test_make_backend_scalar_dimension():
@@ -489,12 +527,13 @@ def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
     checked_inverses(p, 2, commuting)
     assert len(calls) == batch + 2 * 3  # and both orders of each of the three pairs
     # a drawn backend commutes by construction and forms no pairwise
-    # product: three for the powers M, M², M³ and the batch of 14 cells
+    # product: three for the powers M, M², M³ and the batch of the base
+    # and 14 cells
     for d, seed in ((4, 0), (32, 1)):
         calls.clear()
         compared.clear()
         make_backend(_CELLS, d=d, seed=seed, family=POLY_IN_M)
-        assert len(calls) == 3 + 3 * (14 - 1)
+        assert len(calls) == 3 + 3 * (15 - 1)
         assert compared == []
 
 
@@ -542,18 +581,19 @@ def test_backend_keeps_every_inverse():
 
 
 def test_a_backend_runs_one_gauss_jordan_for_all_its_inverses(monkeypatch):
-    """Drawn without a singular draw, a backend inverts its matrices in
-    one batch; the poly family also proves its base matrix invertible."""
+    """Drawn without a singular draw, a poly backend inverts its base and
+    its polynomials in one batch; a diagonal backend reads every inverse
+    off the entries."""
     labels = _labels_for(build_instance(5))
     calls = []
     real = modmat.inverse
     monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(1) or real(a, p))
     for kw, gauss_jordans in (
-        (dict(family=DIAGONAL), 1),
-        (dict(family=POLY_IN_M), 2),
-        (dict(family=POLY_IN_M, d=32), 2),
-        (dict(family=POLY_IN_M, spel_identity=True), 2),
-        (dict(family=DIAGONAL, spel_identity=True), 1),
+        (dict(family=DIAGONAL), 0),
+        (dict(family=POLY_IN_M), 1),
+        (dict(family=POLY_IN_M, d=32), 1),
+        (dict(family=POLY_IN_M, spel_identity=True), 1),
+        (dict(family=DIAGONAL, spel_identity=True), 0),
     ):
         calls.clear()
         b = make_backend(labels, seed=1, **kw)

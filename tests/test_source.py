@@ -131,6 +131,16 @@ def test_backends_enter_only_where_they_are_drawn_or_loaded():
     assert found == [("playground.py", "load_backend"), ("playground.py", "make_backend")]
 
 
+def test_drawn_entries_come_from_one_draw_path():
+    """Every entry a backend draws goes through ``modmat.draw``, which
+    matches ``randrange`` value for value (a test in test_playground
+    checks that); a second path could drift from it.  ``criterion`` draws
+    instances from its own stream and is not covered."""
+    for name in ("modmat.py", "playground.py"):
+        path = SRC / name
+        assert _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))["randrange"] == 0, name
+
+
 def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
     """``python -c code *args`` in a fresh interpreter that imports this
     checkout's smovelab."""
