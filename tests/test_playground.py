@@ -115,6 +115,10 @@ def test_modmat_product_and_text():
     a = np.array([[1, 2], [3, 4]], dtype=np.int64)
     b = np.array([[5, 6], [7, 8]], dtype=np.int64)
     assert modmat.equal(modmat.product([a, b], p, 2), modmat.mul(a, b, p), p)
+    # the product starts from its first factor, reduced, not from I
+    unreduced = a + 2 * p
+    one = modmat.product([unreduced], p, 2)
+    assert np.array_equal(one, a) and one is not unreduced
     assert modmat.to_text(a) == "1,2;3,4"
     ab = modmat.product([a, b], p, 2)
     assert modmat.to_text(ab) == ";".join(",".join(str(x) for x in row) for row in _py_mul(a.tolist(), b.tolist(), p))
