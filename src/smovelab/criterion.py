@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, Tuple
 
 from . import presentations as pres
@@ -117,8 +118,8 @@ def verification_word(inst: CriterionInstance, residual=(), side: str = "r", com
         raise InputError("residual side must be 'r' or 's'")
     res = tuple(residual)
     head, mid = (res, ()) if side == "r" else ((), res)
-    comms = commutator_product(inst) if commutators is None else [x for c in commutators for x in c]
-    return reduce(head + inst.r_word + invert(inst.s_word) + mid + tuple(comms))
+    comms = commutator_product(inst) if commutators is None else tuple(chain.from_iterable(commutators))
+    return reduce(head + inst.r_word + invert(inst.s_word) + mid + comms)
 
 
 def verify(inst: CriterionInstance) -> bool:

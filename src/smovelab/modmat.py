@@ -7,8 +7,8 @@ backend inverts its base matrix and its polynomials that way, in one
 batch; a drawn diagonal backend reads each inverse off the entries and
 runs none.  ``draw`` is the one source of drawn entries.  Exactness
 needs int64 to hold every intermediate: one entry of a d×d product of
-residues sums d terms below (p-1)², so d·(p-1)² must stay below 2^63.  Every kernel raises
-``InputError`` past that bound instead of wrapping.
+residues sums d terms below (p-1)², so d·(p-1)² must stay below 2^63.
+Every kernel raises ``InputError`` past that bound instead of wrapping.
 """
 
 from __future__ import annotations

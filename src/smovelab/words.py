@@ -4,8 +4,7 @@ A word is a sequence of nonzero integers: letter ``k > 0`` is the k-th
 generator, ``-k`` its inverse.  Surface syntax uses ``a``..``z`` for
 generators 1..26, ``A``..``Z`` for their inverses, and the escape forms
 ``g<k>`` / ``G<k>`` (k in ASCII digits, no more of them than ``int()``
-converts) for larger alphabets.  The empty
-word is written ``1``.
+converts) for larger alphabets.  The empty word is written ``1``.
 
 Free reduction cancels adjacent pairs ``x x^-1``; the normal form is
 independent of cancellation order, so a single left-to-right pass with a
