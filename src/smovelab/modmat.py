@@ -43,20 +43,6 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    _check_bound(p, a.shape[0])
-    if e < 0:
-        return matpow(inverse(a, p), -e, p)
-    out = identity(a.shape[0])
-    base = a % p
-    while e:
-        if e & 1:
-            out = mul(out, base, p)
-        base = mul(base, base, p)
-        e >>= 1
-    return out
-
-
 def inverse(a: np.ndarray, p: int) -> np.ndarray:
     """Gauss-Jordan over GF(p); raises if singular.
 

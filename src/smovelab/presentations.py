@@ -21,8 +21,8 @@ Moves file::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, Tuple, Union
 
 from .words import (
     InputError,
@@ -43,40 +43,39 @@ from .words import (
 class Presentation:
     generator_count: int
     relators: Tuple[Tuple[str, Word], ...]
+    _words: Dict[str, Word] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generator_count < 0:
             raise InputError("generator count must be >= 0")
-        seen = set()
-        fixed = []
+        words: Dict[str, Word] = {}
         for name, w in self.relators:
             if not name or any(c.isspace() for c in name):
                 raise InputError("bad relator name %r" % (name,))
-            if name in seen:
+            if name in words:
                 raise InputError("duplicate relator name %r" % name)
-            seen.add(name)
             w = reduce(w)
             if max_generator(w) > self.generator_count:
                 raise InputError(
                     "relator %s uses generator beyond alphabet of %d"
                     % (name, self.generator_count)
                 )
-            fixed.append((name, w))
-        object.__setattr__(self, "relators", tuple(fixed))
+            words[name] = w
+        object.__setattr__(self, "relators", tuple(words.items()))
+        object.__setattr__(self, "_words", words)
 
     def names(self) -> Tuple[str, ...]:
-        return tuple(name for name, _ in self.relators)
+        return tuple(self._words)
 
     def word(self, name: str) -> Word:
-        for n, w in self.relators:
-            if n == name:
-                return w
-        raise InputError("unknown relator %r" % name)
+        try:
+            return self._words[name]
+        except KeyError:
+            raise InputError("unknown relator %r" % name) from None
 
     def with_relator(self, name: str, w: Word) -> "Presentation":
         self.word(name)  # existence check
-        rels = tuple((n, w if n == name else old) for n, old in self.relators)
-        return Presentation(self.generator_count, rels)
+        return Presentation(self.generator_count, tuple({**self._words, name: w}.items()))
 
 
 # --- relator moves (applied to exactly one relator) ---------------------

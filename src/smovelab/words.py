@@ -14,7 +14,7 @@ pushdown suffices.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, NoReturn, Optional, Sequence
 
 
 class InputError(ValueError):
@@ -112,12 +112,11 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
     # more digits than int() converts, or a zero index, which Word rejects.
     except (KeyError, ValueError):
         pass
-    return _parse_tokens(text, n_generators)
+    _parse_tokens(text, n_generators)
 
 
-def _parse_tokens(text: str, n_generators: int | None) -> Word:
-    """``parse_word`` one token at a time, raising on the first bad one."""
-    letters = []
+def _parse_tokens(text: str, n_generators: int | None) -> NoReturn:
+    """Raise on the first bad token of a text ``parse_word`` rejected."""
     for m in _TOKEN.finditer(text):
         tok = m.group(0)
         x = _TEXT_LETTER.get(tok)
@@ -131,17 +130,14 @@ def _parse_tokens(text: str, n_generators: int | None) -> Word:
                 x = int(index)
             except ValueError:  # past the interpreter's limit, 4,300 digits by default
                 raise InputError("generator index has too many digits in token %r" % tok) from None
-            if m.group(2) is not None:
-                x = -x
-        if x == 0:
-            raise InputError("generator index must be >= 1 in %r" % text)
+            if x == 0:
+                raise InputError("generator index must be >= 1 in %r" % text)
         if n_generators is not None and abs(x) > n_generators:
             raise InputError(
                 "generator index %d out of range (alphabet has %d)"
                 % (abs(x), n_generators)
             )
-        letters.append(x)
-    return Word(letters)
+    raise RuntimeError("parse_word rejected %r, which has no bad token" % text)
 
 
 def format_word(w: Iterable[int]) -> str:

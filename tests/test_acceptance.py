@@ -36,14 +36,12 @@ from smovelab.playground import (
     MERIDIAN,
     between_type_obstruction,
     check_inside_invariance,
-    compose,
+    gauged_sequence,
     make_backend,
     other_type,
     perturbed_invariant,
     qmove_rider,
     stabilization_demo,
-    state_modules,
-    transitions,
 )
 from smovelab.presentations import ConjugateRelator, InvertRelator, MultiplyRight, NielsenMove
 from smovelab.ring import Polynomial, poly_inverse_mod, poly_mod
@@ -51,6 +49,7 @@ from smovelab.slicing import (
     CellToken,
     CommutatorToken,
     SpElToken,
+    abstract_ok,
     boundary_trace,
     build_abstract,
     slice_bag,
@@ -70,7 +69,7 @@ from smovelab.statesum import (
 )
 from smovelab.words import InputError, Word, commutator, invert, multiply, parse_word, reduce
 
-from helpers import backend_labels, mutate_conjugator
+from helpers import backend_labels, compose, mutate_conjugator, state_modules, transitions
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -175,42 +174,79 @@ def test_unperturbed_transitions_telescope_to_identity():
         assert modmat.is_identity(compose(maps, b.p, b.dim), b.p)
 
 
+_QMOVES = (
+    InvertRelator("R"),
+    InvertRelator("S"),
+    MultiplyRight("R", "x1"),  # the auxiliary relators live alongside R resp. S
+    MultiplyRight("S", "y1"),
+    ConjugateRelator("R", 1),
+    ConjugateRelator("S", -2),
+)
+
+
+
+
+def _playground_sequences(inst, t):
+    """Every sequence a playground command builds from an instance read
+    with type ``t``: its own, the other type's, the gauged one and a
+    rider for each relator move kind on either side."""
+    seqs = [build_abstract(inst, t), build_abstract(inst, other_type(t)), gauged_sequence(inst, t)]
+    return seqs + [qmove_rider(inst, m, t) for m in _QMOVES]
+
+
+def test_playground_sequences_put_each_commutator_after_its_spherical_elements():
+    """The closed form is the telescoped composition only while the
+    perturbation slice holds the spherical elements of exactly the factor
+    indices whose commutators the next slice holds, on top of the same
+    cells."""
+    for seed in range(50):
+        inst = build_instance(seed)
+        for t in (LONGITUDINAL, MERIDIAN):
+            for aseq in _playground_sequences(inst, t):
+                assert abstract_ok(aseq), (seed, t)
+                k = aseq.perturbation_index
+                spels = [tok.index for tok in aseq.slices[k].tokens if isinstance(tok, SpElToken)]
+                comms = [tok.index for tok in aseq.slices[k + 1].tokens if isinstance(tok, CommutatorToken)]
+                assert sorted(set(spels)) == sorted(comms) == list(range(aseq.factor_count)), (seed, t)
+
+
 def test_perturbed_invariant_matches_brute_force_composition():
     for seed in range(60):
         inst = build_instance(seed)
         for t in (LONGITUDINAL, MERIDIAN):
-            aseq = build_abstract(inst, t)
-            b = make_backend(backend_labels(aseq), seed=seed * 7 + 1)
+            seqs = _playground_sequences(inst, t)
+            b = make_backend(backend_labels(*seqs), seed=seed * 7 + 1)
             p, d = b.p, b.dim
-            got = perturbed_invariant(aseq, b)
+            for aseq in seqs:
+                got = perturbed_invariant(aseq, b)
 
-            # closed form: product of the spherical-element matrices, raw numpy
-            spels = [tok for tok in aseq.slices[3].tokens if isinstance(tok, SpElToken)]
-            ordered = sorted(((token_text(tk, b.alias), b.value(tk)) for tk in spels), key=lambda kv: kv[0])
-            closed = _np_product((m for _, m in ordered), p, d)
+                # closed form: product of the spherical-element matrices, raw numpy
+                spels = [tok for tok in aseq.slices[3].tokens if isinstance(tok, SpElToken)]
+                ordered = sorted(((token_text(tk, b.alias), b.value(tk)) for tk in spels), key=lambda kv: kv[0])
+                closed = _np_product((m for _, m in ordered), p, d)
 
-            # brute force: compose all eight level maps with the third one perturbed
-            endos = [_own_endo(sl, b) for sl in aseq.slices]
-            k = aseq.perturbation_index
-            after = aseq.slices[k + 1].tokens
-            cells = [b.value(tk) for tk in after if isinstance(tk, CellToken)]
-            comms = {tk.index: b.value(tk) for tk in after if isinstance(tk, CommutatorToken)}
-            spels_by = {}
-            for tk in aseq.slices[k].tokens:
-                if isinstance(tk, SpElToken):
-                    spels_by.setdefault(tk.index, []).append(b.value(tk))
-            level = _np_product(cells, p, d)
-            for idx in sorted(comms):
-                level = _np_product([level, comms[idx]] + spels_by.get(idx, []), p, d)
-            invs = [np.array(_py_inverse(e.tolist(), p), dtype=np.int64) for e in endos]
-            maps = [(endos[i + 1] @ invs[i]) % p for i in range(len(endos) - 1)]
-            maps[k] = (level @ invs[k]) % p
-            brute = np.eye(d, dtype=np.int64)
-            for m in maps:
-                brute = (m @ brute) % p
+                # brute force: compose all eight level maps with the third one perturbed
+                endos = [_own_endo(sl, b) for sl in aseq.slices]
+                k = aseq.perturbation_index
+                after = aseq.slices[k + 1].tokens
+                cells = [b.value(tk) for tk in after if isinstance(tk, CellToken)]
+                comms = {tk.index: b.value(tk) for tk in after if isinstance(tk, CommutatorToken)}
+                spels_by = {}
+                for tk in aseq.slices[k].tokens:
+                    if isinstance(tk, SpElToken):
+                        spels_by.setdefault(tk.index, []).append(b.value(tk))
+                level = _np_product(cells, p, d)
+                for idx in sorted(comms):
+                    level = _np_product([level, comms[idx]] + spels_by.get(idx, []), p, d)
+                invs = [np.array(_py_inverse(e.tolist(), p), dtype=np.int64) for e in endos]
+                maps = [(endos[i + 1] @ invs[i]) % p for i in range(len(endos) - 1)]
+                maps[k] = (level @ invs[k]) % p
+                brute = np.eye(d, dtype=np.int64)
+                for m in maps:
+                    brute = (m @ brute) % p
 
-            assert modmat.equal(got, closed, p)
-            assert modmat.equal(got, brute, p)
+                assert modmat.equal(got, closed, p)
+                assert modmat.equal(got, brute, p)
 
 
 def _largest_prime_in_bound(d):
@@ -273,16 +309,6 @@ def test_modmat_inverse_all_matches_python_gauss_jordan(seed):
                     modmat.inverse_all([np.array(r, dtype=np.int64) for r in rows], p)
             with pytest.raises(InputError, match="different shapes"):
                 modmat.inverse_all([modmat.identity(d), modmat.identity(d - 1)], p)
-
-
-_QMOVES = (
-    InvertRelator("R"),
-    InvertRelator("S"),
-    MultiplyRight("R", "x1"),  # the auxiliary relators live alongside R resp. S
-    MultiplyRight("S", "y1"),
-    ConjugateRelator("R", 1),
-    ConjugateRelator("S", -2),
-)
 
 
 def test_inside_type_invariance_under_all_relator_moves():
@@ -518,10 +544,12 @@ def test_poly_invariant_chain_fixture_and_rejections():
 def test_stabilization_forces_equality_no_annihilator():
     for seed in range(20):
         inst = build_instance(seed)
-        b = make_backend(backend_labels(build_abstract(inst, LONGITUDINAL)), seed=seed)
+        seqs = [build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN)]
+        b = make_backend(backend_labels(*seqs), seed=seed)
         scalar = int(b.sphere[0, 0])
+        inv_k, inv_l = (perturbed_invariant(aseq, b) for aseq in seqs)
         for v in (1, 2, 3):
-            report = stabilization_demo(b, v)
+            report = stabilization_demo(b, v, inv_k, inv_l)
             assert report.verdict == "Obstructed"
             assert "Z(S2)^%d is invertible" % v in report.witness
             assert "no nonzero weight annihilates" in report.witness

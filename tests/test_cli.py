@@ -529,6 +529,14 @@ def test_backend_holding_only_the_sphere_exits_2(tmp_path, capsys):
     assert (code, out) == (2, "error: token cell:BabaBaBBAbbAbABaBBabbAbabABABababaBABA has no assigned matrix\n")
 
 
+@pytest.mark.parametrize("form", [["--obstruction"], ["--gauge"], ["--qmove", "inv R"]])
+def test_a_backend_missing_tokens_names_the_first_in_slice_order(tmp_path, capsys, form):
+    path = tmp_path / "b.txt"
+    path.write_text("p 101 d 1\ntok S2 2\n", encoding="utf-8")
+    code, out = _run(capsys, ["inv", "playground", "--seed", "1", "--backend", str(path)] + form)
+    assert (code, out) == (2, "error: token cell:BabaBaBBAbbAbABaBBabbAbabABABababaBABA has no assigned matrix\n")
+
+
 def test_duplicate_backend_label_exits_2(tmp_path, capsys):
     path = tmp_path / "b.txt"
     path.write_text("p 101 d 1\ntok S2 2\ntok S2 3\n", encoding="utf-8")

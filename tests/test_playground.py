@@ -24,7 +24,6 @@ from smovelab.playground import (
     check_gauge,
     check_inside_invariance,
     checked_inverses,
-    compose,
     dump_backend,
     gauged_sequence,
     global_combine,
@@ -36,9 +35,7 @@ from smovelab.playground import (
     qmove_rider,
     spel_product,
     stabilization_demo,
-    state_modules,
     three_tests,
-    transitions,
 )
 from smovelab.slicing import (
     CellToken,
@@ -50,7 +47,14 @@ from smovelab.slicing import (
 )
 from smovelab.words import InputError, Word, invert, parse_word
 
-from helpers import backend_labels
+from helpers import (
+    backend_labels,
+    compose,
+    composed_invariant,
+    matpow,
+    state_modules,
+    transitions,
+)
 
 
 def _labels_for(*instances, types=(LONGITUDINAL, MERIDIAN)):
@@ -83,9 +87,9 @@ def test_modmat_inverse_and_power():
         a = modmat.random_invertible_diagonal(rng, 4, p)
         inv = modmat.inverse(a, p)
         assert modmat.is_identity(modmat.mul(a, inv, p), p)
-        assert modmat.equal(modmat.matpow(a, 3, p), modmat.product([a, a, a], p, 4), p)
-        assert modmat.equal(modmat.matpow(a, -2, p), modmat.mul(inv, inv, p), p)
-    assert modmat.is_identity(modmat.matpow(a, 0, p), p)
+        assert modmat.equal(matpow(a, 3, p), modmat.product([a, a, a], p, 4), p)
+        assert modmat.equal(matpow(a, -2, p), modmat.mul(inv, inv, p), p)
+    assert modmat.is_identity(matpow(a, 0, p), p)
 
 
 def test_modmat_inverse_rejects_singular():
@@ -170,9 +174,9 @@ def test_modmat_raises_past_the_int64_bound():
     rng = random.Random(0)
     for call in (
         lambda: modmat.mul(a, a, p),
-        lambda: modmat.matpow(a, 2, p),
-        lambda: modmat.matpow(a, 0, p),
-        lambda: modmat.matpow(a, -1, p),
+        lambda: matpow(a, 2, p),
+        lambda: matpow(a, 0, p),
+        lambda: matpow(a, -1, p),
         lambda: modmat.product([a, a], p, 2),
         lambda: modmat.product([], p, 2),
         lambda: modmat.inverse(a, p),
@@ -194,11 +198,11 @@ def test_modmat_is_exact_at_the_int64_bound():
     square = _py_mul(rows, rows, p)
     assert square == [[7, 10], [15, 22]]
     assert modmat.mul(a, a, p).tolist() == square
-    assert modmat.matpow(a, 2, p).tolist() == square
+    assert matpow(a, 2, p).tolist() == square
     assert modmat.product([a, a, a], p, 2).tolist() == _py_mul(square, rows, p)
     inv = modmat.inverse(a, p)
     assert _py_mul(rows, inv.tolist(), p) == [[1, 0], [0, 1]]
-    assert modmat.matpow(a, -2, p).tolist() == _py_mul(inv.tolist(), inv.tolist(), p)
+    assert matpow(a, -2, p).tolist() == _py_mul(inv.tolist(), inv.tolist(), p)
 
 
 # --- backends ---------------------------------------------------------------
@@ -313,7 +317,7 @@ def test_drawn_backends_replay_every_redraw():
                 rng.randrange(2, 101)
             elif not (spel and lab.startswith("spel:")):
                 coeffs = [rng.randrange(101) for _ in range(4)]
-                m = sum(c * modmat.matpow(base, e, 101) for e, c in enumerate(coeffs)) % 101
+                m = sum(c * matpow(base, e, 101) for e, c in enumerate(coeffs)) % 101
                 singular = singular or _py_singular(m.tolist(), 101)
                 if singular:
                     break
@@ -616,15 +620,16 @@ def test_invariants_run_no_gauss_jordan(monkeypatch):
     calls = []
     real = modmat.inverse
     monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(1) or real(a, p))
+    invariants = []
     for t in (LONGITUDINAL, MERIDIAN):
         aseq = build_abstract(inst, t)
         sm = state_modules(aseq, b)
         for e, inv in zip(sm.endos, sm.inverses):
             assert modmat.is_identity(modmat.mul(e, inv, b.p), b.p)
-        perturbed_invariant(aseq, b)
+        invariants.append(perturbed_invariant(aseq, b))
         between_type_obstruction(aseq, build_abstract(inst, other_type(t)), b)
         check_gauge(*_readings(inst, t), b)
-        stabilization_demo(b, 2)
+    stabilization_demo(b, 2, *invariants)
     assert calls == []
 
 
@@ -645,7 +650,7 @@ def test_state_modules_of_the_empty_and_sphere_slices():
     inst, b = _backend(8)
     endos = state_modules(build_abstract(inst, LONGITUDINAL), b).endos
     assert modmat.is_identity(endos[0], b.p)
-    assert modmat.equal(endos[1], modmat.matpow(b.sphere, 2, b.p), b.p)
+    assert modmat.equal(endos[1], matpow(b.sphere, 2, b.p), b.p)
 
 
 def test_state_modules_and_telescoping():
@@ -664,6 +669,8 @@ def test_state_modules_and_telescoping():
                 )
             # unperturbed composite telescopes to the identity
             assert modmat.is_identity(compose(maps, b.p, b.dim), b.p)
+            # and the perturbed one to the closed form
+            assert modmat.equal(perturbed_invariant(aseq, b), composed_invariant(aseq, b), b.p)
 
 
 def test_perturbed_invariant_equals_spel_product():
@@ -678,6 +685,30 @@ def test_perturbed_invariant_equals_spel_product():
     inst = build_instance(3)
     b = make_backend(_labels_for(inst), seed=1, spel_identity=True)
     assert modmat.is_identity(perturbed_invariant(build_abstract(inst, MERIDIAN), b), b.p)
+
+
+def test_invariants_read_off_the_spherical_elements_alone(monkeypatch):
+    """Over n factors the perturbation slice holds 2n spherical elements:
+    the invariant is their product, at most 2n - 1 matrix products, and
+    the obstruction adds the commutators and the inverse spherical
+    elements, 5n - 1 in all, whatever the sequence's other slices hold."""
+    calls = []
+    real = modmat.mul
+    monkeypatch.setattr(modmat, "mul", lambda a, b, p: calls.append(1) or real(a, b, p))
+    for n in range(6):
+        inst = build_instance(n, n_factors=n)
+        for family in (DIAGONAL, POLY_IN_M):
+            for spel in (False, True):
+                b = make_backend(_labels_for(inst), seed=n, family=family, spel_identity=spel)
+                for t in (LONGITUDINAL, MERIDIAN):
+                    own, other = build_abstract(inst, t), build_abstract(inst, other_type(t))
+                    calls.clear()
+                    perturbed_invariant(own, b)
+                    assert len(calls) <= max(2 * n - 1, 0), (n, family, spel, t)
+                    calls.clear()
+                    rep = between_type_obstruction(own, other, b)
+                    bound = 5 * n - 1 if rep.verdict == "Obstructed" else max(2 * n - 1, 0)
+                    assert len(calls) <= bound, (n, family, spel, t)
 
 
 def test_identification_types_usually_differ():
@@ -774,6 +805,32 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
     assert between_type_obstruction(lon, mer, b).verdict == "Pass"
 
 
+def test_obstruction_witness_is_the_thread_chain_map():
+    """F2 is the transition a3·a2⁻¹ between the levels z·E_own·cells and
+    z·comm·cells of the joined picture, here multiplied out in slice order
+    and inverted by Gauss-Jordan."""
+    obstructed = 0
+    for seed in range(6):
+        inst = build_instance(seed)
+        for family in (DIAGONAL, POLY_IN_M):
+            b = make_backend(_labels_for(inst), seed=seed + 50, family=family)
+            for t in (LONGITUDINAL, MERIDIAN):
+                own, other = build_abstract(inst, t), build_abstract(inst, other_type(t))
+                rep = between_type_obstruction(own, other, b)
+                if rep.verdict != "Obstructed":
+                    continue
+                obstructed += 1
+                k = own.perturbation_index
+                cells = modmat.product([b.value(x) for x in own.slices[k].tokens if isinstance(x, CellToken)], b.p, b.dim)
+                a2 = modmat.product([b.value(CellToken(Word())), spel_product(own, b), cells], b.p, b.dim)
+                comms = [b.value(x) for x in own.slices[k + 1].tokens if isinstance(x, CommutatorToken)]
+                a3 = modmat.product([b.value(CellToken(Word()))] + comms + [cells], b.p, b.dim)
+                f2 = modmat.mul(a3, modmat.inverse(a2, b.p), b.p)
+                forced = modmat.mul(f2, spel_product(other, b), b.p)
+                assert rep.witness == "forced F'2 = F2: %s != %s" % (modmat.to_text(forced), modmat.to_text(f2))
+    assert obstructed >= 20
+
+
 def test_global_combine_modes():
     p, d = 101, 3
     rng = random.Random(13)
@@ -848,7 +905,7 @@ def test_stabilization_demo():
         assert "Z(S2)^%d is invertible" % v in rep.witness
         assert "no nonzero weight annihilates" in rep.witness
     with pytest.raises(InputError):
-        stabilization_demo(b, 0)
+        stabilization_demo(b, 0, inv, inv)
 
 
 def test_other_type_swaps():
@@ -856,15 +913,3 @@ def test_other_type_swaps():
     assert other_type(MERIDIAN) == LONGITUDINAL
     with pytest.raises(InputError):
         other_type("radial")
-
-
-def test_perturbed_invariant_raises_when_telescoping_fails(monkeypatch):
-    import smovelab.playground as playground
-
-    inst, b = _backend(5)
-    aseq = build_abstract(inst, LONGITUDINAL)
-    right = spel_product(aseq, b)
-    wrong = (right + modmat.identity(b.dim)) % b.p
-    monkeypatch.setattr(playground, "spel_product", lambda seq, backend: wrong)
-    with pytest.raises(RuntimeError, match="telescope"):
-        perturbed_invariant(aseq, b)

@@ -43,8 +43,14 @@ def test_presentation_reduces_and_validates():
         Presentation(1, (("R", parse_word("ab")),))
     with pytest.raises(InputError):
         Presentation(2, (("bad name", Word([1])),))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^unknown relator 'nope'$"):
         _ak3().word("nope")
+    with pytest.raises(InputError, match="^unknown relator 'nope'$"):
+        _ak3().with_relator("nope", Word([1]))
+    # a replaced relator keeps its place, reduced, and the lookup reads it
+    q = _ak3().with_relator("R", Word([2, -2, 1]))
+    assert q.relators == (("R", Word([1])), ("S", parse_word("abaBAB")))
+    assert q.word("R") == Word([1]) and q.names() == ("R", "S")
 
 
 def test_invert_relator_is_an_involution():

@@ -306,3 +306,15 @@ def test_a_well_formed_word_never_runs_the_token_loop(monkeypatch):
     monkeypatch.setattr(words, "_parse_tokens", refuse)
     assert parse_word(" ab\tg27G30a\xa0G007 zZ\n", 30) == Word([1, 2, 27, -30, 1, -7, 26, -26])
     assert parse_word("g12345678901234567890") == Word([12345678901234567890])
+
+
+def test_the_token_loop_only_names_a_bad_token():
+    """``parse_word`` sends a text to the token loop only when some token
+    of it is bad, so a text with none is a broken invariant, not a word."""
+    import smovelab.words as words
+
+    for text, n in (("ab g3", None), ("G12 a", 12), ("", 0)):
+        with pytest.raises(RuntimeError, match="has no bad token"):
+            words._parse_tokens(text, n)
+    with pytest.raises(InputError, match="out of range"):
+        words._parse_tokens("a G3", 2)
