@@ -184,8 +184,6 @@ _QMOVES = (
 )
 
 
-
-
 def _playground_sequences(inst, t):
     """Every sequence a playground command builds from an instance read
     with type ``t``: its own, the other type's, the gauged one and a

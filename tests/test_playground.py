@@ -821,10 +821,11 @@ def test_obstruction_witness_is_the_thread_chain_map():
                     continue
                 obstructed += 1
                 k = own.perturbation_index
-                cells = modmat.product([b.value(x) for x in own.slices[k].tokens if isinstance(x, CellToken)], b.p, b.dim)
-                a2 = modmat.product([b.value(CellToken(Word())), spel_product(own, b), cells], b.p, b.dim)
+                z = b.value(CellToken(Word()))
+                cells = [b.value(x) for x in own.slices[k].tokens if isinstance(x, CellToken)]
                 comms = [b.value(x) for x in own.slices[k + 1].tokens if isinstance(x, CommutatorToken)]
-                a3 = modmat.product([b.value(CellToken(Word()))] + comms + [cells], b.p, b.dim)
+                a2 = modmat.product([z, spel_product(own, b)] + cells, b.p, b.dim)
+                a3 = modmat.product([z] + comms + cells, b.p, b.dim)
                 f2 = modmat.mul(a3, modmat.inverse(a2, b.p), b.p)
                 forced = modmat.mul(f2, spel_product(other, b), b.p)
                 assert rep.witness == "forced F'2 = F2: %s != %s" % (modmat.to_text(forced), modmat.to_text(f2))
