@@ -426,6 +426,57 @@ def test_arc_traces_are_plain_int_tuples():
     assert (1, 2) in traces and (1, 2, -1) in traces
 
 
+def test_building_reading_and_printing_a_piece_hold_traces_linear_in_its_word(monkeypatch):
+    """Building a piece, reading its boundary and printing it make no
+    Slice, and the Arcs made on the way hold a number of int letters
+    linear in the word; the levels are there when ``slices`` is read."""
+    import dataclasses
+
+    import smovelab.slicing as slicing
+
+    held = []  # int letters in the trace of every Arc made
+    made = []  # the level of every Slice made
+
+    class CountingArc(slicing.Arc):
+        __slots__ = ()
+
+        def __new__(cls, left, right, trace=()):
+            held.append(sum(type(x) is int for x in trace))
+            return super().__new__(cls, left, right, trace)
+
+    class CountingSlice(slicing.Slice):
+        __slots__ = ()
+
+        def __new__(cls, level, components):
+            made.append(level)
+            return super().__new__(cls, level, components)
+
+    r = Word((1, 2, -3, 27) * 128)
+    s = Word((-2, 30, 1, 1) * 128)
+    cases = (
+        ("comm", lambda: slice_commutator(r, s), r + s + invert(r) + invert(s), len(r) + len(s)),
+        ("bag", lambda: slice_bag(r), Word(), len(r)),
+    )
+    for name, build, boundary, n in cases:
+        with monkeypatch.context() as mp:
+            mp.setattr(slicing, "Arc", CountingArc)
+            mp.setattr(slicing, "Slice", CountingSlice)
+            held.clear()
+            made.clear()
+            seq = build()
+            assert boundary_trace(seq) == reduce(boundary), name
+            text = format_sequence(seq)
+        assert made == [], name
+        assert sum(held) <= 4 * n, (name, sum(held))
+        levels = [()]
+        for m in seq.moves:
+            levels.append(apply_move(levels[-1], m))
+        assert list(seq.slices) == [Slice(k, cs) for k, cs in enumerate(levels)], name
+        assert len(seq.slices) == len(seq.moves) + 1
+        assert validate(dataclasses.replace(seq)), name
+        assert text == _oracle_format_sequence(seq), name
+
+
 # --- format_sequence against the per-arc formatter --------------------------
 
 
