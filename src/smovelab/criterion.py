@@ -102,10 +102,7 @@ class CriterionInstance:
 
 def commutator_product(inst: CriterionInstance) -> Word:
     """[S_1,R_1]...[S_n,R_n] in decomposition order."""
-    out: tuple = ()
-    for rw, sw in inst.expanded():
-        out = out + tuple(commutator(sw, rw))
-    return reduce(out)
+    return reduce(chain.from_iterable(commutator(sw, rw) for rw, sw in inst.expanded()))
 
 
 def verification_word(inst: CriterionInstance, residual=(), side: str = "r", commutators=None) -> Word:
@@ -129,10 +126,7 @@ def verify(inst: CriterionInstance) -> bool:
 def product_sides(inst: CriterionInstance) -> Tuple[Word, Word]:
     """The product form: (reduce(R.S^-1), [R_n,S_n]...[R_1,S_1])."""
     lhs = reduce(tuple(inst.r_word) + tuple(invert(inst.s_word)))
-    out: tuple = ()
-    for rw, sw in reversed(inst.expanded()):
-        out = out + tuple(commutator(rw, sw))
-    return lhs, reduce(out)
+    return lhs, reduce(chain.from_iterable(commutator(rw, sw) for rw, sw in reversed(inst.expanded())))
 
 
 # --- residuals -----------------------------------------------------------

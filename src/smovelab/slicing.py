@@ -3,12 +3,13 @@
 A slice is the intersection of a height level with the attached cells:
 circles (closed components, carrying the labels fused into them) and arcs
 (relator strands in transit, accumulating circulation letters).  A slice
-sequence records every intermediate slice together with the local move
-taken between consecutive levels; ``validate`` replays every move and
-compares, ``boundary_trace`` reads the attaching word back out of the
-circulation letters.  The piece builders apply each move once as they
-record it, so their output is validated at build time and is not replayed
-again; hand-made or copied sequences are replayed before they are read.
+sequence holds its levels and the local move taken between consecutive
+ones; ``validate`` replays every move and compares, ``boundary_trace``
+reads the attaching word back out of the circulation letters.  The piece
+builders check each move once as they record it, against a live state
+whose arcs carry no trace, so their output needs no replay to be read;
+its levels are replayed from the moves only when ``slices`` is read.
+Hand-made or copied sequences are replayed before they are read.
 
 Readout convention: every builder registers its relator strands in the
 cyclic order of the attaching curve.  A positively labelled strand
@@ -20,6 +21,7 @@ bag is read once forward and once fully inverted.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
@@ -30,8 +32,8 @@ from .words import commutator as comm_word
 
 # --- components -----------------------------------------------------------
 
-# Named tuples: the builder makes one record per component it changes and
-# one Slice per move, and a tuple is built in half the time of a frozen
+# Named tuples: a replay makes one record per component it changes and one
+# Slice per move, and a tuple is built in half the time of a frozen
 # dataclass.  The three have different lengths, so no two compare equal.
 
 
@@ -146,9 +148,13 @@ class CirculateStep(LocalMove):
     letter: int
     strand: str
 
-    def _apply(self, cs: list):
+    def _check(self, cs: list) -> Arc:
         a = _at(cs, self.index, Arc)
         _need(self.letter != 0, "circulation letter must be nonzero")
+        return a
+
+    def _apply(self, cs: list):
+        a = self._check(cs)
         cs[self.index] = Arc(a.left, a.right, a.trace + (self.letter,))
 
     def _text(self):
@@ -260,12 +266,53 @@ class ReadoutStrand:
     transform: str  # "as_is" | "reverse" | "invert"
 
 
+class _Levels(Sequence):
+    """The slices of a built sequence: read-only, and replayed from its
+    moves through ``apply_move`` on first read."""
+
+    __slots__ = ("_moves", "_slices")
+
+    def __init__(self, moves: Tuple[LocalMove, ...]):
+        self._moves = moves
+        self._slices: Optional[Tuple[Slice, ...]] = None
+
+    def _read(self) -> Tuple[Slice, ...]:
+        if self._slices is None:
+            cs: Tuple[Component, ...] = ()
+            out = [Slice(0, cs)]
+            for k, m in enumerate(self._moves, 1):
+                cs = apply_move(cs, m)
+                out.append(Slice(k, cs))
+            self._slices = tuple(out)
+        return self._slices
+
+    def __len__(self):
+        return len(self._moves) + 1
+
+    def __getitem__(self, i):
+        return self._read()[i]
+
+    def __iter__(self):
+        return iter(self._read())
+
+    def __eq__(self, other):
+        if isinstance(other, _Levels):
+            other = other._read()
+        return self._read() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._read())
+
+    def __repr__(self):
+        return repr(self._read())
+
+
 @dataclass(frozen=True)
 class SliceSequence:
-    slices: Tuple[Slice, ...]
+    slices: Sequence[Slice]
     moves: Tuple[LocalMove, ...]
     readout: Tuple[ReadoutStrand, ...] = ()
-    # Set by _Builder.done only: every move was applied as it was recorded.
+    # Set by _Builder.done only: every move was checked as it was recorded.
     _built: bool = field(default=False, init=False, compare=False, repr=False)
 
 
@@ -298,8 +345,9 @@ def validate(seq: SliceSequence) -> ValidationResult:
 
 def boundary_trace(seq: SliceSequence) -> Word:
     """Concatenate the strand contributions in attaching-curve order and
-    freely reduce.  Builder output was validated at build time; any other
-    sequence is replayed first and rejected if it does not validate."""
+    freely reduce.  Builder output was checked move by move at build
+    time; any other sequence is replayed first and rejected if it does not
+    validate."""
     if not seq._built:
         v = validate(seq)
         if not v:
@@ -323,23 +371,25 @@ def boundary_trace(seq: SliceSequence) -> Word:
 
 
 class _Builder:
-    """Applies each move to one live component list as it is recorded and
-    keeps a tuple snapshot per slice."""
+    """Checks each move against one light live component list, whose arcs
+    carry no trace, and records it.  A ``CirculateStep`` only adds a letter
+    to a trace, so it is checked and not applied; every other move runs its
+    ``_apply``, which edits nothing unless every precondition holds."""
 
     def __init__(self):
-        self._live: list[Component] = []
-        self.components: Tuple[Component, ...] = ()
-        self.slices = [Slice(0, ())]
+        self.live: list[Component] = []
         self.moves: list[LocalMove] = []
 
     def push(self, m: LocalMove):
-        m._apply(self._live)
-        self.components = tuple(self._live)
+        if isinstance(m, CirculateStep):
+            m._check(self.live)
+        else:
+            m._apply(self.live)
         self.moves.append(m)
-        self.slices.append(Slice(len(self.slices), self.components))
 
     def done(self, readout=()) -> SliceSequence:
-        seq = SliceSequence(tuple(self.slices), tuple(self.moves), tuple(readout))
+        moves = tuple(self.moves)
+        seq = SliceSequence(_Levels(moves), moves, tuple(readout))
         object.__setattr__(seq, "_built", True)
         return seq
 
@@ -500,22 +550,22 @@ def connect(pieces) -> SliceSequence:
         while moves and isinstance(moves[-1], DeathCircle):
             moves.pop()
             trailing += 1
-        off = len(b.components)
+        off = len(b.live)
         for m in moves:
             b.push(_shift_move(m, off, "%d:" % pid))
-        got = len(b.components) - off
+        got = len(b.live) - off
         if got != trailing:
             raise SliceError("piece %d does not end in its own circles" % pid)
         leftovers += [(pid, off + i) for i in range(got)]
         readout += [ReadoutStrand("%d:%s" % (pid, r.key), r.transform) for r in p.readout]
     # join each piece circle into the root cell, split it back, let it die
     for _ in leftovers:
-        c = b.components[1]
+        c = b.live[1]
         _need(isinstance(c, Circle), "piece leftover must be a circle")
-        root = b.components[0]
+        root = b.live[0]
         b.push(JoinCells(0, 1))
         b.push(SplitCells(0, root.marks, c.marks))
-        b.push(DeathCircle(len(b.components) - 1))
+        b.push(DeathCircle(len(b.live) - 1))
     b.push(DeathCircle(0))
     return b.done(readout)
 
@@ -526,34 +576,64 @@ def connect(pieces) -> SliceSequence:
 def format_sequence(seq: SliceSequence) -> str:
     """The dump prints every arc's whole trace at every level, so it grows
     quadratically with the word; it is produced in time linear in its
-    length.  Within one call each component object is formatted once,
-    keyed by identity (``seq`` keeps every component alive), and printed
-    at least once.  In a built sequence the arc a ``CirculateStep``
-    extends is not formatted: its line is the line of that arc one slice
-    up with the step's letter added before the closing bracket."""
-    lines = []
-    line_of: dict[int, str] = {}  # id(component) -> its line
-    for k, s in enumerate(seq.slices):
-        lines.append("slice %d" % s.level)
-        for c in s.components:
-            line = line_of.get(id(c))
-            if line is None:
-                if isinstance(c, Circle):
-                    line = "C[%s]" % ",".join(c.marks)
-                else:
-                    line = "A[%s,%s;trace=%s]" % (c.left, c.right, format_word(c.trace))
-                line_of[id(c)] = line
-            lines.append(line)
-        if k < len(seq.moves):
-            m = seq.moves[k]
-            lines.append(m._text())
-            if seq._built and isinstance(m, CirculateStep):
-                up = s.components[m.index]
-                if up.trace:  # an empty trace prints as 1
-                    grown = seq.slices[k + 1].components[m.index]
-                    line_of[id(grown)] = line_of[id(up)][:-1] + _LETTER_TEXT[m.letter] + "]"
+    length, and each component's line is made once and printed at every
+    level it lives through.  A built sequence is printed from its moves
+    alone; any other is read from its slices."""
+    lines: list[str] = []
+    if seq._built:
+        _print_moves(seq.moves, lines)
+    else:
+        line_of: dict[int, str] = {}  # id(component) -> its line; ``seq`` keeps each alive
+        for k, s in enumerate(seq.slices):
+            lines.append("slice %d" % s.level)
+            for c in s.components:
+                line = line_of.get(id(c))
+                if line is None:
+                    line = line_of[id(c)] = _line(c, format_word)
+                lines.append(line)
+            if k < len(seq.moves):
+                lines.append(seq.moves[k]._text())
     lines.append("")  # a final newline, without copying the joined text
     return "\n".join(lines)
+
+
+_ARC_LINE = "A[%s,%s;trace=%s]"
+
+
+def _line(c: Component, trace_text) -> str:
+    if isinstance(c, Circle):
+        return "C[%s]" % ",".join(c.marks)
+    return _ARC_LINE % (c.left, c.right, trace_text(c.trace))
+
+
+def _joined(pieces: Tuple[str, ...]) -> str:
+    return "".join(pieces) or "1"
+
+
+def _print_moves(moves: Tuple[LocalMove, ...], lines: list) -> None:
+    """One walk over the moves of a built sequence.  Its live list holds
+    each arc's trace as a tuple of text pieces, so every move but a
+    ``CirculateStep`` runs its own ``_apply`` on it; a step makes the
+    arc's text and line from the text one level up and its letter."""
+    cs: list[Component] = []
+    row: list[str] = []  # the line of each component in ``cs``
+    for level, m in enumerate(moves):
+        lines.append("slice %d" % level)
+        lines += row
+        lines.append(m._text())
+        if isinstance(m, CirculateStep):
+            a = cs[m.index]
+            text = "".join(a.trace) + _LETTER_TEXT[m.letter]
+            cs[m.index] = Arc(a.left, a.right, (text,))
+            row[m.index] = _ARC_LINE % (a.left, a.right, text)
+        else:
+            # ``up`` holds the old components until ``row`` is rebuilt, so
+            # no new component can take the id of one the move dropped
+            up, line_of = cs[:], dict(zip(map(id, cs), row))
+            m._apply(cs)
+            row = [line_of.get(id(c)) or _line(c, _joined) for c in cs]
+    lines.append("slice %d" % len(moves))
+    lines += row
 
 
 # --- abstract slice sequences --------------------------------------------

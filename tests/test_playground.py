@@ -674,13 +674,20 @@ def test_state_modules_and_telescoping():
 
 
 def test_perturbed_invariant_equals_spel_product():
+    """Oracle: the matrices of the spherical elements at the perturbation,
+    looked up by label in ``b.assignment`` and multiplied in Python ints."""
     for seed in range(8):
         inst = build_instance(seed)
         b = make_backend(_labels_for(inst), seed=seed + 100)
         for t in (LONGITUDINAL, MERIDIAN):
             aseq = build_abstract(inst, t)
+            spels = [tok for tok in aseq.slices[3].tokens if isinstance(tok, SpElToken)]
+            assert len(spels) == 2 * len(inst.factors)
+            want = np.identity(b.dim, dtype=object)
+            for tok in spels:
+                want = want.dot(b.assignment[token_text(tok, b.alias)].astype(object)) % b.p
             got = perturbed_invariant(aseq, b)
-            assert modmat.equal(got, spel_product(aseq, b), b.p)
+            assert got.dtype == np.int64 and (got.astype(object) == want).all()
     # identity-spel control collapses the perturbation
     inst = build_instance(3)
     b = make_backend(_labels_for(inst), seed=1, spel_identity=True)

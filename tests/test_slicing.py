@@ -750,12 +750,20 @@ def test_failed_moves_leave_the_builder_unchanged():
     b = _Builder()
     b.push(BirthCircle(("a",)))
     b.push(SplitCircleToArc(0, "a", "b"))
-    before = (b.components, list(b.slices), list(b.moves))
-    for m in (MergeArcs(0, 0), CirculateStep(0, 0, "a"), JoinCells(0, 0), SplitCells(0, ("a",), ())):
+    b.push(CirculateStep(0, 1, "a"))
+    before = (list(b.live), list(b.moves))
+    assert before == ([Arc("a", "b")], [BirthCircle(("a",)), SplitCircleToArc(0, "a", "b"), CirculateStep(0, 1, "a")])
+    for m in (
+        MergeArcs(0, 0),
+        CirculateStep(0, 0, "a"),
+        CirculateStep(1, 1, "a"),
+        JoinCells(0, 0),
+        SplitCells(0, ("a",), ()),
+        DeathCircle(0),
+    ):
         with pytest.raises(SliceError):
             b.push(m)
-    assert (b.components, b.slices, b.moves) == before
-    assert tuple(b._live) == b.components
+    assert (b.live, b.moves) == before
 
 
 def test_connect_shifts_every_move_type_by_its_component_positions():
