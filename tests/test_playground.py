@@ -681,7 +681,7 @@ def test_perturbed_invariant_equals_spel_product():
         b = make_backend(_labels_for(inst), seed=seed + 100)
         for t in (LONGITUDINAL, MERIDIAN):
             aseq = build_abstract(inst, t)
-            spels = [tok for tok in aseq.slices[3].tokens if isinstance(tok, SpElToken)]
+            spels = [tok for tok in aseq.slices[aseq.perturbation_index].tokens if isinstance(tok, SpElToken)]
             assert len(spels) == 2 * len(inst.factors)
             want = np.identity(b.dim, dtype=object)
             for tok in spels:
