@@ -307,6 +307,43 @@ def test_inv_statesum_moves_and_relations(tmp_path, capsys):
     assert "move invariant: -S^2 + 2S - 1" in out
 
 
+def test_a_move_command_sums_each_graph_once(tmp_path, capsys, monkeypatch):
+    """The command's own graph is summed once for the command and the
+    invariant, and a move that starts from a relabelled copy of the last
+    move's end takes that end's sum: three sums for four graph files."""
+    from smovelab import statesum as ss
+
+    files = {
+        "t.csv": "0,0,0,q\n0,1,1,1/2\n1,1,1,1/3\n0,0,1,-1/4\n",
+        "theta.g": "v 0\nv 1\ne 0 1\ne 0 1\ne 0 1\n",
+        "k4.g": "v 0\nv 1\nv 2\nv 3\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n",
+        "k4r.g": "v 13\nv 11\nv 12\nv 10\ne 12 13\ne 10 11\ne 11 13\ne 10 12\ne 11 12\ne 10 13\n",
+        "prism.g": "v 0\nv 1\nv 2\nv 3\nv 4\nv 5\ne 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5\n",
+        "moves.txt": "theta.g k4.g\nk4r.g prism.g\n",
+        "relations.txt": "theta.g prism.g = prism.g theta.g\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    table = ss.load_table(str(tmp_path / "t.csv"))
+    graphs = {n[:-2]: ss.load_graph(str(tmp_path / n)) for n in files if n.endswith(".g")}
+    assert graphs["k4"] != graphs["k4r"] and ss.isomorphic(graphs["k4"], graphs["k4r"])
+    z = {n: ss.state_sum(g, table) for n, g in graphs.items()}
+    want = ss.ideal_reduce(
+        (z["k4"] - z["theta"]) * (z["prism"] - z["k4r"]), [(z["prism"] - z["theta"]) - (z["theta"] - z["prism"])]
+    )
+    assert isinstance(want, ss.Polynomial) and want.degree() > 0
+
+    calls = []
+    real = ss.state_sum
+    monkeypatch.setattr(ss, "state_sum", lambda g, t: calls.append(g) or real(g, t))
+    argv = ["inv", "statesum", "--graphs", str(tmp_path / "theta.g"), "--table", str(tmp_path / "t.csv")]
+    argv += ["--moves", str(tmp_path / "moves.txt"), "--relations", str(tmp_path / "relations.txt")]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[:2] == ["state sum theta.g: %s" % z["theta"], "move invariant: %s" % want]
+    assert len(calls) == 3 and set(calls) == {graphs["theta"], graphs["k4"], graphs["prism"]}
+
+
 def test_demo_nonmult(tmp_path, capsys):
     code, out = _run(capsys, ["demo", "nonmult"])
     assert code == 0

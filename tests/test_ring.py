@@ -141,6 +141,31 @@ def test_inverse_mod():
         poly_inverse_mod(x**2 + 1, g)
 
 
+def test_integer_operands_with_fractional_answers_match_sympy():
+    """Integer-coefficient operands whose quotient, gcd or inverse needs
+    fractions: the answers equal sympy's, in canonical form, with no float."""
+    x = Polynomial.var("x")
+    sx = lambda p: sympy.Poly(_to_sympy(p), _X, domain=sympy.QQ)  # noqa: E731
+    for a, b in ((x, 2 * x + 1), (3 * x**3 - x + 2, 2 * x**2 + 3), (x**2 + 1, 4 * x - 6)):
+        q, r = poly_divmod(a, b)
+        sq, sr = sympy.div(sx(a), sx(b))
+        assert sx(q) == sq and sx(r) == sr
+        for p in (q, r):
+            _assert_canonical(p)
+    assert poly_divmod(x, 2 * x + 1) == (Polynomial.const(Fraction(1, 2)), Polynomial.const(Fraction(-1, 2)))
+    for a, b in ((2 * x**2 + 3 * x + 1, 4 * x + 2), (6 * x**2 - x - 1, 9 * x**2 - 1)):
+        g = poly_gcd(a, b)
+        _assert_canonical(g)
+        assert sx(g) == sympy.gcd(sx(a), sx(b)) and sx(g).LC() == 1
+    assert poly_gcd(2 * x**2 + 3 * x + 1, 4 * x + 2) == x + Fraction(1, 2)
+    for a, g in ((2 * x + 1, x**2 + 1), (3 * x**2 + 2, x**3 - 2 * x + 5)):
+        inv = poly_inverse_mod(a, g)
+        _assert_canonical(inv)
+        assert sx(inv) == sympy.invert(sx(a), sx(g))
+        assert poly_mod(a * inv, g) == Polynomial.const(1)
+    assert poly_inverse_mod(2 * x + 1, x**2 + 1) == Fraction(-2, 5) * x + Fraction(1, 5)
+
+
 def test_poly_mod_reduces_degree():
     x = Polynomial.var("x")
     g = x**2 + 1
@@ -235,7 +260,9 @@ def _naive_pow(a: dict, e: int) -> dict:
 
 def _assert_canonical(p: Polynomial):
     for mono, c in p.terms.items():
-        assert type(c) is Fraction and c != 0
+        # an int when integral, else a Fraction that is not: never a float
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert c != 0
         assert list(mono) == sorted(mono)
         assert len({n for n, _ in mono}) == len(mono)
         assert all(type(e) is int and e > 0 for _, e in mono)

@@ -411,6 +411,22 @@ def test_state_sum_of_a_large_prism_is_exact():
     assert state_sum(g, t) == 2 ** (len(edges) - 2 * n + 1)
 
 
+def test_state_sum_of_a_large_prism_with_fractional_weights_is_exact():
+    # the same cycle space, each vertex weighted 1/3 and one circle added:
+    # every nonzero colouring holds (1/3)^V from its vertices, and the
+    # circle contributes its own sum, |000| + |111| = 1/3
+    n = 16
+    edges = []
+    for i in range(n):
+        edges += [(i, (i + 1) % n), (n + i, n + (i + 1) % n), (i, n + i)]
+    g = TrivalentGraph(tuple(range(2 * n)), tuple(edges), circles=1)
+    third = Fraction(1, 3)
+    t = complete_table([((0, 0, 0), third), ((0, 1, 1), third)], 2)
+    got = state_sum(g, t)
+    assert type(got) is Fraction
+    assert got == 2 ** (len(edges) - 2 * n + 1) * third ** (2 * n) * third
+
+
 def _labelled_trivalent(n):
     """Every degree-3 multigraph on vertices 0..n-1 (loops allowed), each
     once, as a sorted tuple of sorted edges."""
