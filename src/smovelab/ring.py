@@ -2,7 +2,9 @@
 
 Small and purpose-built: multivariate addition/multiplication for the
 symbolic state-sum work, and univariate division/xgcd for reducing
-modulo a principal ideal.  Everything is Fraction-exact; no floats.
+modulo a principal ideal.  Everything is exact: a coefficient is an int
+when it is integral and a Fraction otherwise, never a float, so integer
+polynomials multiply and add without a gcd per operation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,14 @@ from .words import InputError
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
+def _exact(c) -> Scalar:
+    """A coefficient in canonical form: an int when it is integral, else a
+    Fraction; a float is taken at its exact binary value."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -26,36 +35,40 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 class Polynomial:
-    """Canonical form: monomial -> nonzero Fraction coefficient."""
+    """Canonical form: monomial -> nonzero coefficient, an int when it is
+    integral and a Fraction otherwise (see ``_exact``)."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Scalar]] = None):
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, Scalar] = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 mono = tuple(sorted((n, e) for n, e in mono if e))
-                clean[mono] = clean.get(mono, Fraction(0)) + c
-                if not clean[mono]:
+                c = _exact(clean.get(mono, 0) + c)
+                if c:
+                    clean[mono] = c
+                else:
                     del clean[mono]
         self.terms = clean
 
     @classmethod
     def const(cls, c: Scalar) -> "Polynomial":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "Polynomial":
         if exp < 0:
             raise InputError("negative exponent")
-        return cls({((name, exp),): Fraction(1)}) if exp else cls.const(1)
+        return cls({((name, exp),): 1}) if exp else cls.const(1)
 
     @classmethod
-    def _of(cls, terms: Dict[Monomial, Fraction]) -> "Polynomial":
-        """Wrap terms already in canonical form but for zero coefficients."""
+    def _of(cls, terms: Dict[Monomial, Scalar]) -> "Polynomial":
+        """Wrap terms with canonical monomials, dropping zero coefficients
+        and turning integral Fractions into ints."""
         p = object.__new__(cls)
-        p.terms = {m: c for m, c in terms.items() if c}
+        p.terms = {m: c if type(c) is int else _exact(c) for m, c in terms.items() if c}
         return p
 
     # -- ring operations --
@@ -67,9 +80,9 @@ class Polynomial:
         merged = dict(self.terms)
         if isinstance(other, Polynomial):
             for mono, c in other.terms.items():
-                merged[mono] = merged.get(mono, _ZERO) + c
+                merged[mono] = merged.get(mono, 0) + c
         else:
-            merged[()] = merged.get((), _ZERO) + other
+            merged[()] = merged.get((), 0) + other
         return Polynomial._of(merged)
 
     __radd__ = __add__
@@ -87,11 +100,11 @@ class Polynomial:
         other = _operand(other)
         if not isinstance(other, Polynomial):
             return Polynomial._of({m: c * other for m, c in self.terms.items()})
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2) if m1 and m2 else m1 or m2
-                out[m] = out.get(m, _ZERO) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Polynomial._of(out)
 
     __rmul__ = __mul__
@@ -127,7 +140,7 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise InputError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.terms.get((), 0))
 
     def variables(self) -> Tuple[str, ...]:
         names = {n for m in self.terms for n, _ in m}
@@ -142,12 +155,12 @@ class Polynomial:
 
     def coeff(self, var: str, exp: int) -> "Polynomial":
         """Coefficient of var**exp, itself a polynomial in the others."""
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Scalar] = {}
         for m, c in self.terms.items():
             exps = dict(m)
             if exps.get(var, 0) == exp:
                 rest = tuple(sorted((n, e) for n, e in exps.items() if n != var))
-                out[rest] = out.get(rest, Fraction(0)) + c
+                out[rest] = out.get(rest, 0) + c
         return Polynomial(out)
 
     def subs(self, mapping: Mapping[str, Union["Polynomial", Scalar]]) -> "Polynomial":
@@ -228,7 +241,7 @@ def poly_divmod(a: Polynomial, b: Polynomial, var: Optional[str] = None) -> Tupl
     db, lead_b = b.degree(var), b.coeff(var, b.degree(var)).constant_value()
     while not r.is_zero() and r.degree(var) >= db:
         dr = r.degree(var)
-        c = r.coeff(var, dr).constant_value() / lead_b
+        c = Fraction(r.coeff(var, dr).constant_value(), lead_b)
         t = Polynomial({((var, dr - db),) if dr != db else (): c})
         q = q + t
         r = r - t * b

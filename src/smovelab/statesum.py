@@ -14,9 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .ring import Polynomial, parse_scalar, poly_gcd, poly_inverse_mod, poly_mod
+from .ring import Polynomial, _exact, parse_scalar, poly_gcd, poly_inverse_mod, poly_mod
 from .words import InputError, _ContentLines, _line_ints, _read
 
 Value = Union[Fraction, Polynomial]
@@ -48,6 +49,8 @@ def complete_table(partial: Iterable[Tuple[Triple, Value]], color_count: int) ->
         raise InputError("need at least one color")
     entries: Dict[Triple, Value] = {}
     for triple, value in partial:
+        if not isinstance(value, (int, Fraction, Polynomial)):
+            raise InputError("3j value %r is not exact" % (value,))
         key = tuple(sorted(triple))
         if key in entries and not _value_eq(entries[key], value):
             raise InputError(
@@ -132,10 +135,9 @@ def isomorphic(g1: TrivalentGraph, g2: TrivalentGraph) -> bool:
     return certificate(g1) == certificate(g2)
 
 
-def _exact(v: Value) -> Value:
-    """An integral Fraction as an int: sums over integer tables then run
-    on ints, several times faster than Fraction arithmetic."""
-    return v.numerator if isinstance(v, Fraction) and v.denominator == 1 else v
+def _denominator(v: Value) -> int:
+    """The lcm of the denominators of ``v``'s coefficients."""
+    return lcm(*(c.denominator for c in v.terms.values())) if isinstance(v, Polynomial) else v.denominator
 
 
 _Factor = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], Value]]
@@ -173,9 +175,26 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     the colours of its distinct edges to a nonzero weight), then edges
     summed out one at a time, cheapest merged scope first (Markov & Shi,
     arXiv:quant-ph/0511069).  The result is a Polynomial exactly when
-    some coloring meets a polynomial table entry, as with enumeration."""
+    some coloring meets a polynomial table entry, as with enumeration.
+
+    The table's denominators are cleared once: every weight is scaled by
+    the lcm ``d`` of its entries' denominators, so elimination runs on
+    ints or int-coefficient polynomials, with no gcd per operation
+    (the integer-preserving idea of Bareiss, Math. Comp. 22, 1968).
+    Each coloring's product holds one weight per vertex and one per
+    circle, so the scaled sum is divided by d**(vertices + circles)."""
     colors = range(t.color_count)
+    d = lcm(*map(_denominator, t.entries.values()))
     symbolic = False
+
+    def weight(*colours: int) -> Value:
+        nonlocal symbolic
+        w = t.lookup(*colours)
+        if isinstance(w, Polynomial):
+            symbolic = True
+            return w * d
+        return _exact(w * d)
+
     templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Value]] = {}
     factors: List[_Factor] = []
     ends: Dict[int, List[int]] = {v: [] for v in g.vertices}
@@ -188,10 +207,9 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
         if pattern not in templates:
             weights = {}
             for key in product(colors, repeat=len(scope)):
-                w = t.lookup(*(key[j] for j in pattern))
-                symbolic = symbolic or isinstance(w, Polynomial)
+                w = weight(*(key[j] for j in pattern))
                 if w != 0:
-                    weights[key] = _exact(w)
+                    weights[key] = w
             templates[pattern] = weights
         factors.append((scope, templates[pattern]))
     remaining = set(range(len(g.edges)))
@@ -210,13 +228,12 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     if g.circles:
         loop_sum: Value = 0
         for c in colors:
-            w = t.lookup(c, c, c)
-            symbolic = symbolic or isinstance(w, Polynomial)
-            loop_sum = loop_sum + _exact(w)
+            loop_sum = loop_sum + weight(c, c, c)
         total = total * loop_sum**g.circles
+    total = total * Fraction(1, d ** (len(g.vertices) + g.circles))
     if symbolic:
         return total if isinstance(total, Polynomial) else Polynomial.const(total)
-    return Fraction(total)
+    return total
 
 
 def wedge(g1: TrivalentGraph, g2: TrivalentGraph) -> TrivalentGraph:
