@@ -347,7 +347,7 @@ def cmd_inv_statesum(args) -> Report:
     if args.moves:
         moves = ss.load_moves(args.moves)
         relations = ss.load_relations(args.relations) if args.relations else ()
-        value = ss.invariant(ss.MoveSequence(moves, relations), table)
+        value = ss.invariant(ss.MoveSequence(moves, relations), table, dict(zip(graphs, sums)))
         r.say("move invariant: %s" % _fmt_value(value))
         r.csv("move_invariant", _fmt_value(value))
     return r

@@ -281,20 +281,30 @@ def ideal_reduce(value: Value, generators: Sequence[Value]) -> Value:
     return poly_mod(value, modulus)
 
 
-def invariant(ms: MoveSequence, t: ThreeJTable) -> Value:
-    """Product of the move values, reduced modulo the relation ideal."""
+def invariant(ms: MoveSequence, t: ThreeJTable, sums: Optional[Dict[TrivalentGraph, Value]] = None) -> Value:
+    """Product of the move values, reduced modulo the relation ideal.
+    ``sums`` maps graphs to state sums over ``t`` the caller already
+    has; the graphs summed here are added to it."""
     for k in range(len(ms.moves) - 1):
         if not isomorphic(ms.moves[k][1], ms.moves[k + 1][0]):
             raise InputError("move list breaks the chain at step %d" % k)
-    sums: Dict[TrivalentGraph, Value] = {}  # a graph recurs across moves and relations
+    sums = {} if sums is None else sums  # a graph recurs across moves and relations
+
+    def summed(g: TrivalentGraph) -> Value:
+        if g not in sums:
+            sums[g] = state_sum(g, t)
+        return sums[g]
+
+    # A state sum is a relabelling invariant, so a move starts from the
+    # sum its predecessor ended at, even when its graph is a relabelled copy.
+    for (_, after), (before, _) in zip(ms.moves, ms.moves[1:]):
+        if before not in sums:
+            sums[before] = summed(after)
 
     def moves_product(moves: Sequence[MovePair]) -> Value:
         total: Value = Fraction(1)
         for before, after in moves:
-            for g in (before, after):
-                if g not in sums:
-                    sums[g] = state_sum(g, t)
-            total = total * (sums[after] - sums[before])
+            total = total * (summed(after) - summed(before))
         return total
 
     generators = [moves_product(a) - moves_product(b) for a, b in ms.relations]
@@ -305,18 +315,20 @@ def invariant(ms: MoveSequence, t: ThreeJTable) -> Value:
 
 
 def nonmult_expand() -> Polynomial:
-    """Difference between the factored and the direct two-step products,
-    pinned down to one variable.  The result is the exact quartic
+    """Difference between the factored and the direct two-step products
+    (Ks1·Ls1 − Ks·Ls)(Ks2·Ls2 − Ks1·Ls1) and
+    (Ks1 − Ks)(Ks2 − Ks1)(Ls1 − Ls)(Ls2 − Ls1), pinned down to one
+    variable by Ks = Ls = Ks2 = Ls2 = 1 and Ks1 = Ls1 = S.  Substitution
+    is a ring homomorphism, so the values are pinned first and the
+    products expanded in S alone.  The result is the exact quartic
     2S^4 - 4S^3 + 4S^2 - 4S + 2, which has no rational root besides the
     trivial locus S = 1."""
-    ks, ks1, ks2 = (Polynomial.var(n) for n in ("Ks", "Ks1", "Ks2"))
-    ls, ls1, ls2 = (Polynomial.var(n) for n in ("Ls", "Ls1", "Ls2"))
+    s = Polynomial.var("S")
+    ks = ls = ks2 = ls2 = 1
+    ks1 = ls1 = s
     expr1 = (ks1 * ls1 - ks * ls) * (ks2 * ls2 - ks1 * ls1)
     expr2 = (ks1 - ks) * (ks2 - ks1) * (ls1 - ls) * (ls2 - ls1)
-    diff = expr2 - expr1
-    s = Polynomial.var("S")
-    one = Polynomial.const(1)
-    return diff.subs({"Ls": one, "Ls2": one, "Ks": one, "Ks2": one, "Ks1": s, "Ls1": s})
+    return expr2 - expr1
 
 
 @dataclass(frozen=True)
