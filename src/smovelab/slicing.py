@@ -610,13 +610,39 @@ def _joined(pieces: Tuple[str, ...]) -> str:
     return "".join(pieces) or "1"
 
 
+class _Printed(list):
+    """The live components of a printed sequence, with ``row`` holding the
+    line of each.  A move's ``_apply`` edits the list only by item or
+    slice assignment, deletion and ``append``; each is mirrored in
+    ``row``, so a move makes the lines of what it changed and no others.
+    Lines are kept by position, never by ``id``, so a dropped component's
+    id taken by a new one cannot bring back its line."""
+
+    __slots__ = ("row",)
+
+    def __init__(self):
+        self.row: list[str] = []
+
+    def __setitem__(self, i, c):
+        list.__setitem__(self, i, c)
+        self.row[i] = [_line(x, _joined) for x in self[i]] if isinstance(i, slice) else _line(c, _joined)
+
+    def __delitem__(self, i):
+        list.__delitem__(self, i)
+        del self.row[i]
+
+    def append(self, c):
+        list.append(self, c)
+        self.row.append(_line(c, _joined))
+
+
 def _print_moves(moves: Tuple[LocalMove, ...], lines: list) -> None:
     """One walk over the moves of a built sequence.  Its live list holds
     each arc's trace as a tuple of text pieces, so every move but a
     ``CirculateStep`` runs its own ``_apply`` on it; a step makes the
     arc's text and line from the text one level up and its letter."""
-    cs: list[Component] = []
-    row: list[str] = []  # the line of each component in ``cs``
+    cs = _Printed()
+    row = cs.row
     for level, m in enumerate(moves):
         lines.append("slice %d" % level)
         lines += row
@@ -624,14 +650,10 @@ def _print_moves(moves: Tuple[LocalMove, ...], lines: list) -> None:
         if isinstance(m, CirculateStep):
             a = cs[m.index]
             text = "".join(a.trace) + _LETTER_TEXT[m.letter]
-            cs[m.index] = Arc(a.left, a.right, (text,))
+            list.__setitem__(cs, m.index, Arc(a.left, a.right, (text,)))  # its line is made here
             row[m.index] = _ARC_LINE % (a.left, a.right, text)
         else:
-            # ``up`` holds the old components until ``row`` is rebuilt, so
-            # no new component can take the id of one the move dropped
-            up, line_of = cs[:], dict(zip(map(id, cs), row))
             m._apply(cs)
-            row = [line_of.get(id(c)) or _line(c, _joined) for c in cs]
     lines.append("slice %d" % len(moves))
     lines += row
 
