@@ -159,4 +159,4 @@ def random_poly(rng, powers, p: int) -> np.ndarray:
 
 
 def to_text(a: np.ndarray) -> str:
-    return ";".join(",".join(str(int(x)) for x in row) for row in a)
+    return ";".join(",".join(map(str, row)) for row in a.tolist())

@@ -464,7 +464,7 @@ def stabilization_demo(b: Backend, v: int, inv_k: np.ndarray, inv_l: np.ndarray)
 def dump_backend(b: Backend) -> str:
     lines = ["p %d d %d" % (b.p, b.dim)]
     for lab in sorted(b.assignment):
-        flat = " ".join(str(int(x)) for x in b.assignment[lab].ravel())
+        flat = " ".join(map(str, b.assignment[lab].ravel().tolist()))
         lines.append("tok %s %s" % (lab, flat))
     return "\n".join(lines) + "\n"
 
