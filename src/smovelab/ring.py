@@ -17,6 +17,7 @@ from .words import InputError
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
+
 def _exact(c) -> Scalar:
     """A coefficient in canonical form: an int when it is integral, else a
     Fraction; a float is taken at its exact binary value."""

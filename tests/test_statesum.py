@@ -106,6 +106,14 @@ def test_complete_table_conflicts():
     assert t.lookup(1, 0, 2) == 1
 
 
+def test_complete_table_rejects_inexact_values():
+    # a float would reach the sum's coefficients; an int is exact
+    for bad in (0.5, 1.0, "1/2", None):
+        with pytest.raises(InputError, match="is not exact"):
+            complete_table([((0, 0, 0), bad)], 1)
+    assert state_sum(_THETA, complete_table([((0, 0, 0), 2)], 1)) == 4
+
+
 def test_graph_validation():
     with pytest.raises(InputError):
         TrivalentGraph((0,), ((0, 0),))  # degree 2
