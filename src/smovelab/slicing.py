@@ -610,29 +610,40 @@ def _joined(pieces: Tuple[str, ...]) -> str:
     return "".join(pieces) or "1"
 
 
-class _Printed(list):
-    """The live components of a printed sequence, with ``row`` holding the
-    line of each.  A move's ``_apply`` edits the list only by item or
-    slice assignment, deletion and ``append``; each is mirrored in
-    ``row``, so a move makes the lines of what it changed and no others.
-    Lines are kept by position, never by ``id``, so a dropped component's
-    id taken by a new one cannot bring back its line."""
+class _Printed:
+    """The live components of a printed sequence as a move's ``_apply``
+    sees them: ``cs`` holds the components and ``row`` the line of each.
+    ``_apply`` reads by index, length and iteration, and edits only by
+    item or slice assignment, deletion and ``append``; each edit is
+    mirrored in ``row``, so a move makes the lines of what it changed and
+    no others.  Lines are kept by position, never by ``id``, so a dropped
+    component's id taken by a new one cannot bring back its line."""
 
-    __slots__ = ("row",)
+    __slots__ = ("cs", "row")
 
     def __init__(self):
+        self.cs: list[Component] = []
         self.row: list[str] = []
 
+    def __len__(self):
+        return len(self.cs)
+
+    def __getitem__(self, i):
+        return self.cs[i]
+
+    def __iter__(self):
+        return iter(self.cs)
+
     def __setitem__(self, i, c):
-        list.__setitem__(self, i, c)
-        self.row[i] = [_line(x, _joined) for x in self[i]] if isinstance(i, slice) else _line(c, _joined)
+        self.cs[i] = c
+        self.row[i] = [_line(x, _joined) for x in self.cs[i]] if isinstance(i, slice) else _line(c, _joined)
 
     def __delitem__(self, i):
-        list.__delitem__(self, i)
+        del self.cs[i]
         del self.row[i]
 
     def append(self, c):
-        list.append(self, c)
+        self.cs.append(c)
         self.row.append(_line(c, _joined))
 
 
@@ -640,9 +651,10 @@ def _print_moves(moves: Tuple[LocalMove, ...], lines: list) -> None:
     """One walk over the moves of a built sequence.  Its live list holds
     each arc's trace as a tuple of text pieces, so every move but a
     ``CirculateStep`` runs its own ``_apply`` on it; a step makes the
-    arc's text and line from the text one level up and its letter."""
-    cs = _Printed()
-    row = cs.row
+    arc's text and line from the text one level up and its letter, on
+    the plain lists themselves."""
+    live = _Printed()
+    cs, row = live.cs, live.row
     for level, m in enumerate(moves):
         lines.append("slice %d" % level)
         lines += row
@@ -650,10 +662,10 @@ def _print_moves(moves: Tuple[LocalMove, ...], lines: list) -> None:
         if isinstance(m, CirculateStep):
             a = cs[m.index]
             text = "".join(a.trace) + _LETTER_TEXT[m.letter]
-            list.__setitem__(cs, m.index, Arc(a.left, a.right, (text,)))  # its line is made here
+            cs[m.index] = Arc(a.left, a.right, (text,))
             row[m.index] = _ARC_LINE % (a.left, a.right, text)
         else:
-            m._apply(cs)
+            m._apply(live)
     lines.append("slice %d" % len(moves))
     lines += row
 
