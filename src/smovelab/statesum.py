@@ -185,16 +185,10 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     circle, so the scaled sum is divided by d**(vertices + circles)."""
     colors = range(t.color_count)
     d = lcm(*map(_denominator, t.entries.values()))
+    scaled = ThreeJTable(
+        t.color_count, {k: v * d if isinstance(v, Polynomial) else _exact(v * d) for k, v in t.entries.items()}
+    )
     symbolic = False
-
-    def weight(*colours: int) -> Value:
-        nonlocal symbolic
-        w = t.lookup(*colours)
-        if isinstance(w, Polynomial):
-            symbolic = True
-            return w * d
-        return _exact(w * d)
-
     templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Value]] = {}
     factors: List[_Factor] = []
     ends: Dict[int, List[int]] = {v: [] for v in g.vertices}
@@ -207,7 +201,8 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
         if pattern not in templates:
             weights = {}
             for key in product(colors, repeat=len(scope)):
-                w = weight(*(key[j] for j in pattern))
+                w = scaled.lookup(*(key[j] for j in pattern))
+                symbolic = symbolic or isinstance(w, Polynomial)
                 if w != 0:
                     weights[key] = w
             templates[pattern] = weights
@@ -228,7 +223,9 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     if g.circles:
         loop_sum: Value = 0
         for c in colors:
-            loop_sum = loop_sum + weight(c, c, c)
+            w = scaled.lookup(c, c, c)
+            symbolic = symbolic or isinstance(w, Polynomial)
+            loop_sum = loop_sum + w
         total = total * loop_sum**g.circles
     total = total * Fraction(1, d ** (len(g.vertices) + g.circles))
     if symbolic:
