@@ -34,6 +34,8 @@ from smovelab.criterion import (
 from smovelab.playground import (
     LONGITUDINAL,
     MERIDIAN,
+    POLY_IN_M,
+    SPHERE_LABEL,
     between_type_obstruction,
     check_inside_invariance,
     gauged_sequence,
@@ -307,6 +309,73 @@ def test_modmat_inverse_all_matches_python_gauss_jordan(seed):
                     modmat.inverse_all([np.array(r, dtype=np.int64) for r in rows], p)
             with pytest.raises(InputError, match="different shapes"):
                 modmat.inverse_all([modmat.identity(d), modmat.identity(d - 1)], p)
+
+
+@settings(max_examples=4, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_inverse_all_names_the_first_singular_matrix(seed):
+    """A batch that holds a singular matrix raises ``SingularMatrix`` with
+    the index of the first one and the inverses of the matrices before
+    it, whatever prefix is tried first; a batch with none is inverted
+    whole, whatever prefix is tried first."""
+    rng = random.Random(seed)
+    for d in (1, 2, 4):
+        for p in (2, 5, 101, _largest_prime_in_bound(d)):
+            invertible, singular = [], []
+            while len(invertible) < 12 or len(singular) < 2:
+                for rows in _inverse_cases(rng, d, p):
+                    want = _py_inverse(rows, p)
+                    (singular if want is None else invertible).append((rows, want))
+            for probe in (None, 1, 2, 3, 5, 12, 40):
+                mats = [np.array(rows, dtype=np.int64) for rows, _ in invertible[:12]]
+                got = modmat.inverse_all(mats, p, probe)
+                assert [g.tolist() for g in got] == [want for _, want in invertible[:12]], (d, p, probe)
+                for at in (0, 1, 4, 11):
+                    batch = [rows for rows, _ in invertible[:12]]
+                    batch[at] = singular[0][0]
+                    batch[rng.randrange(at, 12)] = singular[1][0]  # a later singular matrix changes nothing
+                    with pytest.raises(modmat.SingularMatrix, match="^matrix is singular mod %d$" % p) as err:
+                        modmat.inverse_all([np.array(r, dtype=np.int64) for r in batch], p, probe)
+                    assert err.value.index == at, (d, p, probe, at)
+                    assert [g.tolist() for g in err.value.inverses] == [w for _, w in invertible[:at]]
+
+
+def _py_poly_backend(labels, p, d, seed):
+    """The matrices of a drawn ``poly`` backend on Python ints, for a
+    stream that draws no singular matrix: the base's d² entries, then for
+    each label in sorted order the sphere's scalar or the coefficients of
+    I, M, M², M³."""
+    rng = random.Random(seed)
+    base = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+    powers = [[[int(i == j) for j in range(d)] for i in range(d)]]
+    for _ in range(3):
+        powers.append([[sum(x * y for x, y in zip(row, col)) % p for col in zip(*base)] for row in powers[-1]])
+    out = {"base": base}
+    for lab in sorted(set(labels) | {SPHERE_LABEL}):
+        if lab == SPHERE_LABEL:
+            s = rng.randrange(2, p)
+            out[lab] = [[s * (i == j) for j in range(d)] for i in range(d)]
+        else:
+            c = [rng.randrange(p) for _ in powers]
+            out[lab] = [[sum(ci * m[i][j] for ci, m in zip(c, powers)) % p for j in range(d)] for i in range(d)]
+    return out
+
+
+def test_drawn_poly_backends_are_exact_at_the_int64_bound():
+    """At the largest p the bound allows, each term c_i·M^i of a drawn
+    polynomial is a residue product just short of 2^63/d, so at d = 1, 2
+    and 3 a sum of its four terms wraps in int64 unless it is reduced
+    first.  Every matrix must equal the same draw made on Python ints."""
+    labels = ["cell:%d" % i for i in range(6)]
+    for d in (1, 2, 3):
+        p = _largest_prime_in_bound(d)
+        assert 4 * (p - 1) ** 2 >= 2**63
+        for seed in range(30):
+            want = _py_poly_backend(labels, p, d, seed)
+            assert all(_py_inverse(m, p) is not None for m in want.values()), (d, seed)
+            b = make_backend(labels, p=p, d=d, seed=seed, family=POLY_IN_M)
+            got = {lab: m.tolist() for lab, m in b.assignment.items()}
+            assert got == {lab: m for lab, m in want.items() if lab != "base"}, (d, seed)
 
 
 def test_inside_type_invariance_under_all_relator_moves():

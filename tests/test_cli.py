@@ -1070,3 +1070,60 @@ def test_slice_piece_outputs_are_unchanged(capsys, argv, code, size, digest):
     assert cli.main(["slice", "piece"] + argv) == code
     out = capsys.readouterr().out.encode()
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+def _count_readings(monkeypatch):
+    """Count ``ConjugatedRelator.expand`` calls and ``words.commutator``
+    calls, under every name a module binds it to."""
+    from smovelab import words
+
+    counts = {"expand": 0, "commutator": 0}
+    real_expand, real_comm = criterion.ConjugatedRelator.expand, words.commutator
+
+    def expand(self, p):
+        counts["expand"] += 1
+        return real_expand(self, p)
+
+    def comm(u, v):
+        counts["commutator"] += 1
+        return real_comm(u, v)
+
+    monkeypatch.setattr(criterion.ConjugatedRelator, "expand", expand)
+    for mod in (words, criterion, slicing, smovelab.playground, cli):
+        for name, obj in list(vars(mod).items()):
+            if obj is real_comm:
+                monkeypatch.setattr(mod, name, comm)
+    return counts
+
+
+# argv, at most (expand calls, commutator calls): an instance of n factors
+# has 2n relators to expand and n commutators to form.
+_READING_COUNTS = [
+    (["inv", "playground", "--type", "long"], (4, 2)),
+    (["inv", "playground", "--type", "mer", "--gauge"], (4, 2)),
+    (["inv", "playground", "--type", "long", "--obstruction"], (4, 2)),
+    (["inv", "playground", "--type", "mer", "--d", "32", "--family", "poly"], (4, 2)),
+    (["inv", "playground", "--type", "long", "--qmove", "inv R"], (8, 4)),
+    (["inv", "playground", "--type", "mer", "--qmove", "conj S B"], (8, 4)),
+    (["inv", "playground", "--type", "long", "--qmove", "mulr S y1"], (8, 4)),
+    (["test", "three-tests", "--pairs", "3", "--combine", "product"], (12, 6)),
+    (["test", "three-tests", "--pairs", "3", "--combine", "permsum"], (12, 6)),
+    (["smove", "build", "--type", "long", "--factors", "6"], (12, 6)),
+    (["smove", "build", "--type", "mer", "--factors", "6"], (12, 6)),
+    (["demo", "stabilization", "--p", "101"], (4, 2)),
+]
+
+
+@pytest.mark.parametrize("argv,most", _READING_COUNTS, ids=[" ".join(a) for a, _ in _READING_COUNTS])
+def test_a_command_reads_each_instance_once(monkeypatch, capsys, argv, most):
+    """Each criterion instance a command builds is expanded and its
+    commutators formed once, however many sequences are read from it: the
+    probe's reading goes to the built instance, a gauge gets its
+    instance's reading rearranged, and only a relator move's rider, a new
+    instance, reads itself."""
+    counts = _count_readings(monkeypatch)
+    for seed in range(4):
+        counts.update(expand=0, commutator=0)
+        assert cli.main(argv + ["--seed", str(seed)]) in (0, 1, 3), (argv, seed)
+        capsys.readouterr()
+        assert counts["expand"] <= most[0] and counts["commutator"] <= most[1], (argv, seed, counts)

@@ -344,3 +344,58 @@ def test_build_instance_raises_if_the_draw_does_not_verify(monkeypatch):
     monkeypatch.setattr(criterion, "verify", lambda inst: False)
     with pytest.raises(RuntimeError):
         criterion.build_instance(0)
+
+
+def _unread(inst):
+    """An instance with the same fields and no reading handed to it."""
+    return CriterionInstance(inst.k, inst.l, inst.r_name, inst.s_name, inst.factors)
+
+
+def _write_instance_files(inst, where):
+    where.mkdir()
+    (where / "K.txt").write_text(format_presentation(inst.k), encoding="utf-8")
+    (where / "L.txt").write_text(format_presentation(inst.l), encoding="utf-8")
+    (where / "d.txt").write_text(format_decomposition(inst.factors), encoding="utf-8")
+    (where / "inst.txt").write_text("K K.txt\nL L.txt\nR R\nS S\ndecomp d.txt\n", encoding="utf-8")
+    return where / "inst.txt"
+
+
+def test_a_handed_reading_is_the_reading_of_a_fresh_instance(tmp_path):
+    """``build_instance`` hands its probe's reading to the instance it
+    returns, and ``gauge`` hands a read instance's reading, rearranged, to
+    the swapped one.  Either must equal what an instance with the same
+    fields reads for itself: the expanded relators and the commutators
+    [S_i,R_i].  A copy made with ``dataclasses.replace`` is not handed the
+    reading of the instance it was copied from."""
+    for seed in range(200):
+        built = build_instance(seed, n_factors=seed % 5)
+        loaded = load_instance(_write_instance_files(built, tmp_path / str(seed)))
+        instances = [built, loaded]
+        if built.factors:
+            instances.append(mutate_conjugator(built, seed))
+        for inst in instances:
+            fresh = _unread(inst).read()
+            assert inst.read() == fresh, seed
+            assert fresh.commutators == tuple(commutator(sw, rw) for rw, sw in fresh.expanded)
+            assert fresh.expanded == tuple((f.r.expand(inst.k), f.s.expand(inst.l)) for f in inst.factors)
+            g = gauge(inst)
+            assert g.read() == _unread(g).read(), seed
+            assert gauge(g) == inst and gauge(g).read() == inst.read(), seed
+        moved = transport_qmove(built, InvertRelator("R")).instance
+        assert moved.read() == _unread(moved).read(), seed
+
+
+def test_the_gauge_verifies_exactly_when_its_instance_does():
+    """R.S^-1 = C^-1 exactly when S.R^-1 = C, so swapping the sides keeps
+    the verdict, failing instances included, whether or not the instance
+    was read before it was swapped."""
+    verdicts = []
+    for seed in range(100):
+        inst = build_instance(seed)
+        for x in (inst, mutate_conjugator(inst, seed + 1), _unread(mutate_conjugator(inst, seed + 2))):
+            unread_gauge = gauge(_unread(x))
+            verdict = verify(x)
+            assert verify(gauge(x)) == verdict == verify(unread_gauge), seed
+            assert verification_word(gauge(x)) == verification_word(unread_gauge), seed
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts

@@ -119,6 +119,29 @@ def _calls_of(name: str, node: ast.AST, where=None):
         yield from _calls_of(name, child, where)
 
 
+def test_only_the_reading_expands_relators_and_forms_commutators():
+    """An instance's reading is computed once and kept on it, so no other
+    library code expands a conjugated relator or forms a commutator,
+    under any name it imports ``commutator`` as.  The ``word comm``
+    command forms the commutator of two words it is given."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names = {"expand", "commutator"} | {
+            alias.asname
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name == "commutator" and alias.asname
+        }
+        found |= {(path.name, name, where) for name in names for where in _calls_of(name, tree)}
+    assert found == {
+        ("criterion.py", "expand", "read"),
+        ("criterion.py", "commutator", "read"),
+        ("cli.py", "commutator", "cmd_word"),
+    }
+
+
 def test_backends_enter_only_where_they_are_drawn_or_loaded():
     """``Backend`` itself checks nothing: a drawn backend is valid by
     construction and a loaded one is proved by ``checked_inverses``, so
