@@ -12,15 +12,19 @@ where R_i, S_i are the expanded conjugated relators of factor i.  The
 residual of a relator move records the leftover cell: replacing R by R'
 leaves L' with L'.R' = R, replacing S by S' leaves M'^-1 with
 S'^-1.M'^-1 = S^-1.
+
+An instance's reading, its expanded relators R_i, S_i and commutators
+[S_i,R_i], is computed once, on first use, and kept on the instance;
+every equation and every slice sequence of the instance reads it there.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, field, replace
 from itertools import chain
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import presentations as pres
 from .presentations import (
@@ -72,20 +76,48 @@ class Factor:
     s: ConjugatedRelator  # resolves in L
 
 
+class Reading(NamedTuple):
+    """Per factor, in decomposition order: the expanded relators
+    (R_i, S_i), and the commutators [S_i,R_i]."""
+
+    expanded: Tuple[Tuple[Word, Word], ...]
+    commutators: Tuple[Word, ...]
+
+
 @dataclass(frozen=True)
 class CriterionInstance:
+    """R in K against S in L, with the decomposition ``factors``.
+
+    The instance's ``Reading`` is computed by ``read`` on first use and
+    kept; it takes no part in comparison, so an instance equals any other
+    with the same fields.  An instance built from one already read can be
+    handed the reading it would compute (``reading``): ``build_instance``
+    and ``gauge`` do.  A copy made with ``dataclasses.replace`` is not
+    handed one, since its fields may change what it reads."""
+
     k: Presentation
     l: Presentation
     r_name: str
     s_name: str
     factors: Tuple[Factor, ...]
+    reading: InitVar[Optional[Reading]] = None
+    _reading: Optional[Reading] = field(init=False, repr=False, compare=False, default=None)
 
-    def __post_init__(self):
+    def __post_init__(self, reading):
         self.k.word(self.r_name)
         self.l.word(self.s_name)
         for f in self.factors:
             self.k.word(f.r.base)
             self.l.word(f.s.base)
+        object.__setattr__(self, "_reading", reading)
+
+    def read(self) -> Reading:
+        """Every factor expanded and its commutator formed, once."""
+        if self._reading is None:
+            expanded = tuple((f.r.expand(self.k), f.s.expand(self.l)) for f in self.factors)
+            reading = Reading(expanded, tuple(commutator(sw, rw) for rw, sw in expanded))
+            object.__setattr__(self, "_reading", reading)
+        return self._reading
 
     @property
     def r_word(self) -> Word:
@@ -97,25 +129,22 @@ class CriterionInstance:
 
     def expanded(self) -> Tuple[Tuple[Word, Word], ...]:
         """Per factor: (expanded r-side word, expanded s-side word)."""
-        return tuple((f.r.expand(self.k), f.s.expand(self.l)) for f in self.factors)
+        return self.read().expanded
 
 
 def commutator_product(inst: CriterionInstance) -> Word:
     """[S_1,R_1]...[S_n,R_n] in decomposition order."""
-    return reduce(chain.from_iterable(commutator(sw, rw) for rw, sw in inst.expanded()))
+    return reduce(chain.from_iterable(inst.read().commutators))
 
 
-def verification_word(inst: CriterionInstance, residual=(), side: str = "r", commutators=None) -> Word:
+def verification_word(inst: CriterionInstance, residual=(), side: str = "r") -> Word:
     """R.S^-1.[S_1,R_1]...[S_n,R_n], freely reduced; a ``residual`` left
-    by a relator move goes in front of R (side r) or behind S^-1 (side s).
-    ``commutators``, the words [S_i,R_i] in decomposition order, are
-    formed from ``inst`` unless a caller that already holds them passes
-    them in."""
+    by a relator move goes in front of R (side r) or behind S^-1 (side s)."""
     if side not in ("r", "s"):
         raise InputError("residual side must be 'r' or 's'")
     res = tuple(residual)
     head, mid = (res, ()) if side == "r" else ((), res)
-    comms = commutator_product(inst) if commutators is None else tuple(chain.from_iterable(commutators))
+    comms = tuple(chain.from_iterable(inst.read().commutators))
     return reduce(head + inst.r_word + invert(inst.s_word) + mid + comms)
 
 
@@ -124,9 +153,10 @@ def verify(inst: CriterionInstance) -> bool:
 
 
 def product_sides(inst: CriterionInstance) -> Tuple[Word, Word]:
-    """The product form: (reduce(R.S^-1), [R_n,S_n]...[R_1,S_1])."""
+    """The product form: (reduce(R.S^-1), [R_n,S_n]...[R_1,S_1]); the
+    right side is the inverse of the commutator product."""
     lhs = reduce(tuple(inst.r_word) + tuple(invert(inst.s_word)))
-    return lhs, reduce(chain.from_iterable(commutator(rw, sw) for rw, sw in reversed(inst.expanded())))
+    return lhs, invert(commutator_product(inst))
 
 
 # --- residuals -----------------------------------------------------------
@@ -167,13 +197,25 @@ def residual_commutator_check(inst: CriterionInstance) -> ResidualCommutatorChec
 
 def gauge(inst: CriterionInstance) -> CriterionInstance:
     """Swap the two sides: compare S against R.  Factors reverse their
-    order and swap their r/s roles (the commutator product inverts)."""
+    order and swap their r/s roles (the commutator product inverts).
+
+    If ``inst`` has been read, the swapped instance is handed its reading
+    rearranged, since [R_i,S_i] is the letter-by-letter inverse of
+    [S_i,R_i]: the pairs swapped and in reverse order, and the
+    commutators inverted and in reverse order."""
+    read = inst._reading
+    if read is not None:
+        read = Reading(
+            tuple((sw, rw) for rw, sw in reversed(read.expanded)),
+            tuple(invert(c) for c in reversed(read.commutators)),
+        )
     return CriterionInstance(
         k=inst.l,
         l=inst.k,
         r_name=inst.s_name,
         s_name=inst.r_name,
         factors=tuple(Factor(r=f.s, s=f.r) for f in reversed(inst.factors)),
+        reading=read,
     )
 
 
@@ -181,9 +223,10 @@ def gauge(inst: CriterionInstance) -> CriterionInstance:
 
 
 def _random_reduced_word(rng: random.Random, n_gens: int, length: int) -> Word:
+    alphabet = [g for g in range(1, n_gens + 1)] + [-g for g in range(1, n_gens + 1)]
     letters: list[int] = []
     while len(letters) < length:
-        x = rng.choice([g for g in range(1, n_gens + 1)] + [-g for g in range(1, n_gens + 1)])
+        x = rng.choice(alphabet)
         if letters and letters[-1] == -x:
             continue
         letters.append(x)
@@ -197,7 +240,9 @@ def build_instance(
     max_conjugator_len: int = 3,
 ) -> CriterionInstance:
     """Deterministically draw a verifying instance: random conjugated
-    relators and S, then R defined by the product form."""
+    relators and S, then R defined by the product form.  No factor
+    conjugates R, so the instance reads what the probe that defined R
+    read, and is handed that reading."""
     if n_generators < 1 or n_factors < 0:
         raise InputError("need at least one generator and a nonnegative factor count")
     rng = random.Random(seed)
@@ -231,7 +276,7 @@ def build_instance(
     probe = CriterionInstance(k_probe, l, "R", "S", tuple(factors))
     r_word = reduce(tuple(product_sides(probe)[1]) + tuple(s_word))
     k = Presentation(n_generators, (("R", r_word),) + tuple(k_aux))
-    inst = CriterionInstance(k, l, "R", "S", tuple(factors))
+    inst = CriterionInstance(k, l, "R", "S", tuple(factors), reading=probe.read())
     if not verify(inst):
         raise RuntimeError("drawn instance fails the commutator criterion")
     return inst

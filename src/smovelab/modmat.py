@@ -2,13 +2,16 @@
 
 Everything is kept reduced mod p; inverses run Gauss-Jordan with modular
 scalar inverses, so all arithmetic is exact.  ``inverse_all`` inverts a
-list of matrices with one Gauss-Jordan.  A drawn ``poly`` playground
-backend inverts its base matrix and its polynomials that way, in one
-batch; a drawn diagonal backend reads each inverse off the entries and
-runs none.  ``draw`` is the one source of drawn entries.  Exactness
-needs int64 to hold every intermediate: one entry of a d×d product of
-residues sums d terms below (p-1)², so d·(p-1)² must stay below 2^63.
-Every kernel raises ``InputError`` past that bound instead of wrapping.
+list of matrices with one Gauss-Jordan, and finds the first singular one
+of a list that holds one by bisecting its prefix products.  A drawn
+``poly`` playground backend inverts its base matrix and its polynomials
+that way, in one batch; a drawn diagonal backend reads each inverse off
+the entries, runs none, and builds its matrices and their inverses as
+two stacks (``diagonals``).  ``draw`` is the one source of drawn
+entries.  Exactness needs int64 to hold every intermediate: one entry of
+a d×d product of residues sums d terms below (p-1)², so d·(p-1)² must
+stay below 2^63.  Every kernel raises ``InputError`` past that bound
+instead of wrapping.
 """
 
 from __future__ import annotations
@@ -71,12 +74,33 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     return work[:, n:]
 
 
-def inverse_all(mats, p: int):
+class SingularMatrix(InputError):
+    """A list handed to ``inverse_all`` holds a singular matrix: ``index``
+    is the first, and ``inverses`` are the inverses of those before it."""
+
+    def __init__(self, p: int, index: int, inverses):
+        super().__init__("matrix is singular mod %d" % p)
+        self.index = index
+        self.inverses = inverses
+
+
+def inverse_all(mats, p: int, probe=None):
     """The inverses of a list of matrices, with one Gauss-Jordan and
     3(k-1) products (Montgomery's trick): invert the product
     P_k = A_1 ⋯ A_k, then walk back from i = k, reading
     A_i⁻¹ = P_i⁻¹·P_(i-1) and P_(i-1)⁻¹ = A_i·P_i⁻¹.  No commutativity
-    is needed.  Raises if any matrix is singular, since then P_k is."""
+    is needed.
+
+    P_i is singular exactly when one of A_1 … A_i is, so the first
+    singular matrix is found from the prefix products alone.  The first
+    prefix inverted is the whole list, or the first ``probe`` matrices;
+    while a prefix inverts, the next is twice as many matrices longer
+    (capped at the whole list), and once one is singular, bisection
+    between the longest prefix known to invert and the shortest known
+    not to finds the first singular A_i.  The walk back from the longest
+    prefix that inverted gives the inverses before it, and
+    ``SingularMatrix`` carries them.  A caller that expects a singular
+    matrix near the front passes a small ``probe``."""
     mats = [_as_mod(m, p) for m in mats]
     if not mats:
         return []
@@ -85,13 +109,31 @@ def inverse_all(mats, p: int):
     prefix = [mats[0]]
     for m in mats[1:]:
         prefix.append(mul(prefix[-1], m, p))
-    inv = inverse(prefix.pop(), p)
+    k = len(mats)
+    lo, lo_inv, hi = 0, None, None  # P_lo inverts to lo_inv (P_0 = I); P_hi is singular
+    step = k if probe is None else max(probe, 1)
+    while hi is None or hi - lo > 1:
+        n = min(lo + step, k) if hi is None else (lo + hi) // 2
+        try:
+            lo_inv, lo = inverse(prefix[n - 1], p), n
+        except InputError:
+            hi = n
+        else:
+            if n == k:
+                return _walk_back(mats, prefix, lo_inv, p)
+            step *= 2
+    raise SingularMatrix(p, lo, _walk_back(mats[:lo], prefix, lo_inv, p))
+
+
+def _walk_back(mats, prefix, inv, p: int):
+    """The inverses of ``mats`` from ``inv``, the inverse of their product,
+    and their prefix products."""
     out = []
-    for m in reversed(mats[1:]):
-        out.append(mul(inv, prefix[-1], p))
-        inv = mul(m, inv, p)
-        prefix.pop()
-    out.append(inv)
+    for i in range(len(mats) - 1, 0, -1):
+        out.append(mul(inv, prefix[i - 1], p))
+        inv = mul(mats[i], inv, p)
+    if mats:
+        out.append(inv)
     out.reverse()
     return out
 
@@ -136,26 +178,33 @@ def draw(rng, count: int, p: int, low: int = 0) -> list:
     return out
 
 
-def random_invertible_diagonal(rng, dim: int, p: int) -> np.ndarray:
-    return np.diag(np.array(draw(rng, dim, p, 1), dtype=np.int64))
+def diagonals(rows) -> np.ndarray:
+    """The diagonal matrices with the given diagonals, as one (k, d, d)
+    array."""
+    rows = np.array(rows, dtype=np.int64)
+    k, d = rows.shape
+    out = np.zeros((k, d * d), dtype=np.int64)
+    out[:, :: d + 1] = rows
+    return out.reshape(k, d, d)
 
 
-def powers(a: np.ndarray, count: int, p: int):
-    """I, a, a², …: the first ``count`` powers of a."""
-    out = [identity(a.shape[0])]
-    for _ in range(count - 1):
-        out.append(mul(out[-1], a, p))
+def powers(a: np.ndarray, count: int, p: int) -> np.ndarray:
+    """I, a, a², …: the first ``count`` powers of a, stacked."""
+    out = np.empty((count,) + a.shape, dtype=np.int64)
+    out[0] = identity(a.shape[0])
+    for i in range(1, count):
+        out[i] = mul(out[i - 1], a, p)
     return out
 
 
-def random_poly(rng, powers, p: int) -> np.ndarray:
+def random_poly(rng, powers: np.ndarray, p: int) -> np.ndarray:
     """Σ c_i·powers[i], the coefficients c_i drawn uniformly mod p in
     order.  Polynomials in one matrix all commute with each other; the
-    result may be singular."""
-    out = np.zeros_like(powers[0])
-    for c, power in zip(draw(rng, len(powers), p), powers):
-        out = (out + c * power) % p
-    return out
+    result may be singular.  Each term is a product of two residues, so
+    the terms are reduced before they are summed: under the bound a term
+    fits in int64, but four of them need not."""
+    c = np.array(draw(rng, len(powers), p), dtype=np.int64)
+    return (c[:, None, None] * powers % p).sum(axis=0) % p
 
 
 def to_text(a: np.ndarray) -> str:

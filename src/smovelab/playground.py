@@ -180,14 +180,22 @@ def make_backend(
     invertible base matrix, commute; the sphere is s·I with 2 ≤ s < p,
     which needs p ≥ 3.  Every entry comes from one random stream through
     ``modmat.draw``: a ``poly`` base first, then the labels in sorted
-    order.  Inverses that can be read off the entries are: s⁻¹·I for the
-    sphere, I for a pinned identity, the entrywise inverse for a diagonal
-    draw.  The ``poly`` base and polynomials are inverted in one batch,
-    the base first, so drawing a ``poly`` backend runs one Gauss-Jordan
-    and a diagonal one none.  When a draw in the batch is singular, the
-    draws before it stand and the stream resumes right after it, with
-    that draw and every one after it made again, up to 64 times per
-    draw.
+    order.  The sphere, a pinned identity and a diagonal draw are
+    diagonal matrices whose inverses are read off the entries: s⁻¹·I,
+    I and the entrywise inverse.  Their diagonals are kept as rows while
+    drawing, and all of them become one (k, d, d) stack, their inverses
+    another (``modmat.diagonals``).  The ``poly`` base and polynomials
+    are inverted in one batch, the base first, so drawing a ``poly``
+    backend runs one Gauss-Jordan and a diagonal one none.
+
+    When a draw in the batch is singular, ``modmat.inverse_all`` finds
+    the first one from the batch's prefix products and hands over the
+    inverses of the draws before it, which stand.  The stream resumes
+    right after the singular draw, with that draw and every one after it
+    made again, up to 64 times per draw.  The next batch first tries a
+    prefix as long as the failed one's was up to its singular draw, so
+    that where singular draws are dense (a small field) its search stays
+    near the front, and where they are rare it inverts the whole batch.
     """
     _check_field(p, d)
     if p < 3:
@@ -198,49 +206,46 @@ def make_backend(
     order: List[Optional[str]] = sorted(set(labels) | {SPHERE_LABEL})
     if family == POLY_IN_M:
         order.insert(0, None)  # the base matrix, which no label names
-    assignment: Dict[Optional[str], np.ndarray] = {}
+    rows: Dict[str, Tuple[List[int], List[int]]] = {}  # a diagonal matrix's diagonal and its inverse's
+    batch: Dict[Optional[str], np.ndarray] = {}  # the base and the polynomials
     inverses: Dict[Optional[str], np.ndarray] = {}
     after = {}  # the stream's state right after each batch draw
     start = tries = 0
+    probe = None
     while True:
         for lab in order[start:]:
             if lab is None:
                 base = np.array(modmat.draw(rng, d * d, p), dtype=np.int64).reshape(d, d)
-                assignment[lab], powers = base, modmat.powers(base, 4, p)
+                batch[lab], powers = base, modmat.powers(base, 4, p)
                 after[lab] = rng.getstate()
             elif lab == SPHERE_LABEL:
                 (s,) = modmat.draw(rng, 1, p, 2)
-                assignment[lab] = s * modmat.identity(d)
-                inverses[lab] = pow(s, -1, p) * modmat.identity(d)
+                rows[lab] = ([s] * d, [pow(s, -1, p)] * d)
             elif spel_identity and lab.startswith("spel:"):
-                assignment[lab], inverses[lab] = modmat.identity(d), modmat.identity(d)
+                rows[lab] = ([1] * d, [1] * d)
             elif family == DIAGONAL:
-                m = assignment[lab] = modmat.random_invertible_diagonal(rng, d, p)
-                inverses[lab] = np.diag(np.array([pow(x, -1, p) for x in m.diagonal().tolist()], dtype=np.int64))
+                row = modmat.draw(rng, d, p, 1)
+                rows[lab] = (row, [pow(x, -1, p) for x in row])
             else:
-                assignment[lab] = modmat.random_poly(rng, powers, p)
+                batch[lab] = modmat.random_poly(rng, powers, p)
                 after[lab] = rng.getstate()
-        todo = [lab for lab in order if lab not in inverses]
+        todo = [lab for lab in order[start:] if lab in batch]
         try:
-            inverses.update(zip(todo, modmat.inverse_all([assignment[lab] for lab in todo], p)))
+            inverses.update(zip(todo, modmat.inverse_all([batch[lab] for lab in todo], p, probe)))
             break
-        except InputError:  # the base or some polynomial is singular: keep the draws before it
-            pass
-        for j in range(start, len(order)):
-            if order[j] not in inverses:
-                try:
-                    inverses[order[j]] = modmat.inverse(assignment[order[j]], p)
-                except InputError:
-                    break
-        else:
-            raise RuntimeError("a batch of invertible matrices failed to invert")
+        except modmat.SingularMatrix as e:  # the base or a polynomial is singular: keep the draws before it
+            inverses.update(zip(todo, e.inverses))
+            j, probe = order.index(todo[e.index]), e.index + 1
         tries = tries + 1 if j == start else 1
         if tries == 64:
             raise InputError("could not draw an invertible %s" % ("base matrix" if order[j] is None else "polynomial"))
         rng.setstate(after[order[j]])
         start = j
-    assignment.pop(None, None)
+    batch.pop(None, None)
     inverses.pop(None, None)
+    assignment = dict(zip(rows, modmat.diagonals([m for m, _ in rows.values()])))
+    inverses.update(zip(rows, modmat.diagonals([inv for _, inv in rows.values()])))
+    assignment.update(batch)
     return Backend(p, d, family, assignment, inverses, alias, token_labels)
 
 

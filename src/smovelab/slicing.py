@@ -27,7 +27,6 @@ from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
 from .words import _LETTER_TEXT, InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
 from . import criterion as crit
-from .words import commutator as comm_word
 
 
 # --- components -----------------------------------------------------------
@@ -765,15 +764,14 @@ def build_abstract(
     """
     if orientation not in (1, -1):
         raise InputError("orientation must be +1 or -1")
-    expanded = inst.expanded()
-    comm_words = [comm_word(sw, rw) for rw, sw in expanded]
-    if crit.verification_word(inst, residual or (), residual_side, comm_words):
+    reading = inst.read()
+    if crit.verification_word(inst, residual or (), residual_side):
         raise crit.InvalidInstance("instance fails the commutator criterion")
     orient = (lambda w: w) if orientation == 1 else invert
     kind_r, kind_s = spel_kinds(identification)
     spels: list[Token] = []
     comms: list[Token] = []
-    for i, ((rw, sw), cw) in enumerate(zip(expanded, comm_words)):
+    for i, ((rw, sw), cw) in enumerate(zip(reading.expanded, reading.commutators)):
         spels.append(SpElToken(kind_r, orient(rw), i))
         spels.append(SpElToken(kind_s, orient(sw), i))
         comms.append(CommutatorToken(orient(cw), i))

@@ -23,6 +23,10 @@ from .words import InputError, _ContentLines, _line_ints, _read
 Value = Union[Fraction, Polynomial]
 Triple = Tuple[int, int, int]
 
+# The weight of a triple a table does not list; Fractions are immutable, so
+# every lookup can return this one.
+_UNLISTED = Fraction(0)
+
 
 def _value_eq(a: Value, b: Value) -> bool:
     if isinstance(a, Polynomial) or isinstance(b, Polynomial):
@@ -39,7 +43,7 @@ class ThreeJTable:
         for x in (a, b, c):
             if not 0 <= x < self.color_count:
                 raise InputError("color %d out of range" % x)
-        return self.entries.get(tuple(sorted((a, b, c))), Fraction(0))
+        return self.entries.get(tuple(sorted((a, b, c))), _UNLISTED)
 
 
 def complete_table(partial: Iterable[Tuple[Triple, Value]], color_count: int) -> ThreeJTable:

@@ -57,6 +57,11 @@ def backend_labels(*aseqs, alias: bool = True):
     return sorted(set(label_tokens(*aseqs, alias=alias).values()))
 
 
+def random_invertible_diagonal(rng, dim: int, p: int) -> np.ndarray:
+    """A diagonal matrix of nonzero entries drawn mod p."""
+    return np.diag(np.array(modmat.draw(rng, dim, p, 1), dtype=np.int64))
+
+
 def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     """a^e mod p by repeated multiplication; a negative e powers the
     inverse."""

@@ -52,6 +52,7 @@ from helpers import (
     compose,
     composed_invariant,
     matpow,
+    random_invertible_diagonal,
     state_modules,
     transitions,
 )
@@ -84,7 +85,7 @@ def test_modmat_inverse_and_power():
     p = 101
     rng = random.Random(1)
     for _ in range(20):
-        a = modmat.random_invertible_diagonal(rng, 4, p)
+        a = random_invertible_diagonal(rng, 4, p)
         inv = modmat.inverse(a, p)
         assert modmat.is_identity(modmat.mul(a, inv, p), p)
         assert modmat.equal(matpow(a, 3, p), modmat.product([a, a, a], p, 4), p)
@@ -131,7 +132,7 @@ def test_modmat_product_and_text():
 def test_random_poly_in_commutes_with_base():
     p = 101
     rng = random.Random(9)
-    base = modmat.random_invertible_diagonal(rng, 4, p)
+    base = random_invertible_diagonal(rng, 4, p)
     m = modmat.random_poly(rng, modmat.powers(base, 4, p), p)
     assert modmat.equal(modmat.mul(m, base, p), modmat.mul(base, m, p), p)
     modmat.inverse(m, p)  # must not raise
@@ -859,7 +860,7 @@ def test_obstruction_witness_is_the_thread_chain_map():
 def test_global_combine_modes():
     p, d = 101, 3
     rng = random.Random(13)
-    mats = [modmat.random_invertible_diagonal(rng, d, p) for _ in range(4)]
+    mats = [random_invertible_diagonal(rng, d, p) for _ in range(4)]
     prod = global_combine(mats, PRODUCT, p, d)
     assert modmat.equal(prod, modmat.product(mats, p, d), p)
     assert modmat.is_identity(global_combine([], PRODUCT, p, d), p)
@@ -868,7 +869,7 @@ def test_global_combine_modes():
     # for commuting matrices the permutation sum collapses to n! copies
     psum = global_combine(mats, PERMUTATION_SUM, p, d)
     assert modmat.equal(psum, math.factorial(len(mats)) * prod % p, p)
-    diag = [modmat.random_invertible_diagonal(rng, d, p) for _ in range(6)]
+    diag = [random_invertible_diagonal(rng, d, p) for _ in range(6)]
     for n in range(7):
         want = math.factorial(n) * modmat.product(diag[:n], p, d) % p
         assert modmat.equal(global_combine(diag[:n], PERMUTATION_SUM, p, d), want, p)
