@@ -127,10 +127,6 @@ class CriterionInstance:
     def s_word(self) -> Word:
         return self.l.word(self.s_name)
 
-    def expanded(self) -> Tuple[Tuple[Word, Word], ...]:
-        """Per factor: (expanded r-side word, expanded s-side word)."""
-        return self.read().expanded
-
 
 def commutator_product(inst: CriterionInstance) -> Word:
     """[S_1,R_1]...[S_n,R_n] in decomposition order."""

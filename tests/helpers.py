@@ -47,7 +47,7 @@ def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
         f2 = Factor(r=c2, s=f.s) if side == "r" else Factor(r=f.r, s=c2)
         factors = tuple(f2 if j == i else g for j, g in enumerate(inst.factors))
         mutated = replace(inst, factors=factors)
-        if mutated.expanded() != inst.expanded():
+        if mutated.read().expanded != inst.read().expanded:
             return mutated
     raise InvalidInstance("could not find a non-absorbed mutation")
 

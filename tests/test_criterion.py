@@ -107,7 +107,7 @@ def test_hand_instance_verifies_in_both_forms():
 
 def test_expanded_conjugation_and_exponent():
     inst = _hand_instance()
-    (rw, sw), = inst.expanded()
+    (rw, sw), = inst.read().expanded
     assert rw == parse_word("baB")
     assert sw == parse_word("b")
     flipped = ConjugatedRelator(parse_word("b"), "x1", -1)
@@ -151,7 +151,7 @@ def test_mutation_breaks_verification():
     for seed in range(total):
         inst = build_instance(seed)
         mut = mutate_conjugator(inst, seed + 1000)
-        assert mut.expanded() != inst.expanded()
+        assert mut.read().expanded != inst.read().expanded
         if not verify(mut):
             broken += 1
     # a genuinely changed decomposition can still cancel by accident,
@@ -240,7 +240,7 @@ def test_transport_qmove_keeps_equation_closed(move):
         assert isinstance(t, QMoveTransport)
         assert t.side == ("R" if on_r else "S")
         # every factor expands as before, so the commutator product stands
-        assert t.instance.expanded() == inst.expanded()
+        assert t.instance.read().expanded == inst.read().expanded
         comm = tuple(commutator_product(t.instance))
         if t.side == "R":
             assert t.residual == residual_r(inst.r_word, t.instance.r_word)
