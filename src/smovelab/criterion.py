@@ -13,9 +13,10 @@ residual of a relator move records the leftover cell: replacing R by R'
 leaves L' with L'.R' = R, replacing S by S' leaves M'^-1 with
 S'^-1.M'^-1 = S^-1.
 
-An instance's reading, its expanded relators R_i, S_i and commutators
-[S_i,R_i], is computed once, on first use, and kept on the instance;
-every equation and every slice sequence of the instance reads it there.
+An instance's reading, its expanded relators R_i, S_i, commutators
+[S_i,R_i] and reduced product R.S^-1, is computed once, on first use, and
+kept on the instance; every equation and every slice sequence of the
+instance reads it there.
 """
 
 from __future__ import annotations
@@ -78,10 +79,11 @@ class Factor:
 
 class Reading(NamedTuple):
     """Per factor, in decomposition order: the expanded relators
-    (R_i, S_i), and the commutators [S_i,R_i]."""
+    (R_i, S_i), and the commutators [S_i,R_i]; then reduce(R.S^-1)."""
 
     expanded: Tuple[Tuple[Word, Word], ...]
     commutators: Tuple[Word, ...]
+    product: Word
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,15 @@ class CriterionInstance:
         object.__setattr__(self, "_reading", reading)
 
     def read(self) -> Reading:
-        """Every factor expanded and its commutator formed, once."""
+        """Every factor expanded and its commutator formed, and R.S^-1
+        reduced, once."""
         if self._reading is None:
             expanded = tuple((f.r.expand(self.k), f.s.expand(self.l)) for f in self.factors)
-            reading = Reading(expanded, tuple(commutator(sw, rw) for rw, sw in expanded))
+            reading = Reading(
+                expanded,
+                tuple(commutator(sw, rw) for rw, sw in expanded),
+                reduce(chain(self.r_word, invert(self.s_word))),
+            )
             object.__setattr__(self, "_reading", reading)
         return self._reading
 
@@ -138,10 +145,10 @@ def verification_word(inst: CriterionInstance, residual=(), side: str = "r") -> 
     by a relator move goes in front of R (side r) or behind S^-1 (side s)."""
     if side not in ("r", "s"):
         raise InputError("residual side must be 'r' or 's'")
-    res = tuple(residual)
-    head, mid = (res, ()) if side == "r" else ((), res)
-    comms = tuple(chain.from_iterable(inst.read().commutators))
-    return reduce(head + inst.r_word + invert(inst.s_word) + mid + comms)
+    head, mid = (residual, ()) if side == "r" else ((), residual)
+    reading = inst.read()
+    # free reduction is confluent, so R.S^-1 may enter reduced
+    return reduce(chain(head, reading.product, mid, chain.from_iterable(reading.commutators)))
 
 
 def verify(inst: CriterionInstance) -> bool:
@@ -151,8 +158,7 @@ def verify(inst: CriterionInstance) -> bool:
 def product_sides(inst: CriterionInstance) -> Tuple[Word, Word]:
     """The product form: (reduce(R.S^-1), [R_n,S_n]...[R_1,S_1]); the
     right side is the inverse of the commutator product."""
-    lhs = reduce(tuple(inst.r_word) + tuple(invert(inst.s_word)))
-    return lhs, invert(commutator_product(inst))
+    return inst.read().product, invert(commutator_product(inst))
 
 
 # --- residuals -----------------------------------------------------------
@@ -178,14 +184,14 @@ class ResidualCommutatorCheck:
 
 def residual_commutator_check(inst: CriterionInstance) -> ResidualCommutatorCheck:
     """For the move replacing R by S itself: the leftover L' must equal the
-    inverse of the commutator product, and the two residual routes agree."""
+    inverse of the commutator product.  The two residual routes,
+    ``residual_r(R, S)`` and ``residual_s(S, R)``, are both reduce(R.S^-1)
+    by definition, which the reading holds."""
     if not verify(inst):
         raise InvalidInstance("instance does not verify")
-    l_prime = residual_r(inst.r_word, inst.s_word)
-    m_prime_inv = residual_s(inst.s_word, inst.r_word)
+    l_prime = m_prime_inv = inst.read().product
     inv_prod = invert(commutator_product(inst))
-    ok = equal(l_prime, inv_prod) and equal(l_prime, m_prime_inv)
-    return ResidualCommutatorCheck(ok, l_prime, inv_prod, m_prime_inv)
+    return ResidualCommutatorCheck(equal(l_prime, inv_prod), l_prime, inv_prod, m_prime_inv)
 
 
 # --- gauge (role swap of the two sides) ----------------------------------
@@ -197,13 +203,14 @@ def gauge(inst: CriterionInstance) -> CriterionInstance:
 
     If ``inst`` has been read, the swapped instance is handed its reading
     rearranged, since [R_i,S_i] is the letter-by-letter inverse of
-    [S_i,R_i]: the pairs swapped and in reverse order, and the
-    commutators inverted and in reverse order."""
+    [S_i,R_i]: the pairs swapped and in reverse order, the commutators
+    inverted and in reverse order, and the product S.R^-1 inverted."""
     read = inst._reading
     if read is not None:
         read = Reading(
             tuple((sw, rw) for rw, sw in reversed(read.expanded)),
             tuple(invert(c) for c in reversed(read.commutators)),
+            invert(read.product),
         )
     return CriterionInstance(
         k=inst.l,
@@ -236,9 +243,10 @@ def build_instance(
     max_conjugator_len: int = 3,
 ) -> CriterionInstance:
     """Deterministically draw a verifying instance: random conjugated
-    relators and S, then R defined by the product form.  No factor
-    conjugates R, so the instance reads what the probe that defined R
-    read, and is handed that reading."""
+    relators and S, then R = C^-1.S defined by the product form, C the
+    commutator product.  No factor conjugates R, so the instance reads
+    what the probe that defined R read, with reduce(R.S^-1) = C^-1, and
+    is handed that reading."""
     if n_generators < 1 or n_factors < 0:
         raise InputError("need at least one generator and a nonnegative factor count")
     rng = random.Random(seed)
@@ -270,9 +278,9 @@ def build_instance(
     l = Presentation(n_generators, (("S", s_word),) + tuple(l_aux))
     k_probe = Presentation(n_generators, (("R", Word()),) + tuple(k_aux))
     probe = CriterionInstance(k_probe, l, "R", "S", tuple(factors))
-    r_word = reduce(tuple(product_sides(probe)[1]) + tuple(s_word))
-    k = Presentation(n_generators, (("R", r_word),) + tuple(k_aux))
-    inst = CriterionInstance(k, l, "R", "S", tuple(factors), reading=probe.read())
+    c_inv = invert(commutator_product(probe))
+    k = Presentation(n_generators, (("R", reduce(chain(c_inv, s_word))),) + tuple(k_aux))
+    inst = CriterionInstance(k, l, "R", "S", tuple(factors), reading=probe.read()._replace(product=c_inv))
     if not verify(inst):
         raise RuntimeError("drawn instance fails the commutator criterion")
     return inst

@@ -3,13 +3,13 @@
 A slice is the intersection of a height level with the attached cells:
 circles (closed components, carrying the labels fused into them) and arcs
 (relator strands in transit, accumulating circulation letters).  A slice
-sequence holds its levels and the local move taken between consecutive
-ones; ``validate`` replays every move and compares, ``boundary_trace``
-reads the attaching word back out of the circulation letters.  The piece
-builders check each move once as they record it, against a live state
-whose arcs carry no trace, so their output needs no replay to be read;
-its levels are replayed from the moves only when ``slices`` is read.
-Hand-made or copied sequences are replayed before they are read.
+sequence is its local moves, taken one after another from the empty
+level, and the readout order of its strands.  Making one checks each move
+once against a live state whose arcs carry no trace, so a bad move fails
+when the sequence is made and every sequence that exists is valid;
+``boundary_trace`` reads the attaching word back out of the circulation
+letters, the dump walks the moves once, and the levels are replayed from
+the moves only when ``slices`` is read.
 
 Readout convention: every builder registers its relator strands in the
 cyclic order of the attaching curve.  A positively labelled strand
@@ -21,8 +21,8 @@ bag is read once forward and once fully inverted.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
 from .words import _LETTER_TEXT, InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
@@ -265,92 +265,45 @@ class ReadoutStrand:
     transform: str  # "as_is" | "reverse" | "invert"
 
 
-class _Levels(Sequence):
-    """The slices of a built sequence: read-only, and replayed from its
-    moves through ``apply_move`` on first read."""
-
-    __slots__ = ("_moves", "_slices")
-
-    def __init__(self, moves: Tuple[LocalMove, ...]):
-        self._moves = moves
-        self._slices: Optional[Tuple[Slice, ...]] = None
-
-    def _read(self) -> Tuple[Slice, ...]:
-        if self._slices is None:
-            cs: Tuple[Component, ...] = ()
-            out = [Slice(0, cs)]
-            for k, m in enumerate(self._moves, 1):
-                cs = apply_move(cs, m)
-                out.append(Slice(k, cs))
-            self._slices = tuple(out)
-        return self._slices
-
-    def __len__(self):
-        return len(self._moves) + 1
-
-    def __getitem__(self, i):
-        return self._read()[i]
-
-    def __iter__(self):
-        return iter(self._read())
-
-    def __eq__(self, other):
-        if isinstance(other, _Levels):
-            other = other._read()
-        return self._read() == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._read())
-
-    def __repr__(self):
-        return repr(self._read())
-
-
 @dataclass(frozen=True)
 class SliceSequence:
-    slices: Sequence[Slice]
+    """Local moves taken one after another from the empty level, and the
+    readout order of the strands.  Making a sequence checks each move once
+    against a live component list whose arcs carry no trace: a
+    ``CirculateStep`` only adds a letter to a trace, so it is checked and
+    not applied, and every other move runs its ``_apply``.  A bad move
+    raises ``SliceError`` naming the slice it starts from."""
+
     moves: Tuple[LocalMove, ...]
     readout: Tuple[ReadoutStrand, ...] = ()
-    # Set by _Builder.done only: every move was checked as it was recorded.
-    _built: bool = field(default=False, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        live: list[Component] = []
+        for k, m in enumerate(self.moves):
+            try:
+                if isinstance(m, CirculateStep):
+                    m._check(live)
+                elif isinstance(m, LocalMove):
+                    m._apply(live)
+                else:
+                    raise SliceError("unknown move %r" % (m,))
+            except SliceError as e:
+                raise SliceError("sequence invalid at slice %d: %s" % (k, e)) from None
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    index: Optional[int] = None
-    reason: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-def validate(seq: SliceSequence) -> ValidationResult:
-    """Replay every move; report the first slice that does not match."""
-    if len(seq.moves) != len(seq.slices) - 1 or not seq.slices:
-        return ValidationResult(False, 0, "need |moves| = |slices| - 1 >= 0")
-    for k, s in enumerate(seq.slices):
-        if s.level != k:
-            return ValidationResult(False, k, "levels must be sequential")
-    for k, m in enumerate(seq.moves):
-        try:
-            got = apply_move(seq.slices[k].components, m)
-        except SliceError as e:
-            return ValidationResult(False, k + 1, str(e))
-        if got != seq.slices[k + 1].components:
-            return ValidationResult(False, k + 1, "move replay mismatch")
-    return ValidationResult(True)
+    @cached_property
+    def slices(self) -> Tuple[Slice, ...]:
+        """Every level, replayed from the moves through ``apply_move``."""
+        cs: Tuple[Component, ...] = ()
+        out = [Slice(0, cs)]
+        for k, m in enumerate(self.moves, 1):
+            cs = apply_move(cs, m)
+            out.append(Slice(k, cs))
+        return tuple(out)
 
 
 def boundary_trace(seq: SliceSequence) -> Word:
     """Concatenate the strand contributions in attaching-curve order and
-    freely reduce.  Builder output was checked move by move at build
-    time; any other sequence is replayed first and rejected if it does not
-    validate."""
-    if not seq._built:
-        v = validate(seq)
-        if not v:
-            raise SliceError("sequence invalid at slice %s: %s" % (v.index, v.reason))
+    freely reduce."""
     collected: dict[str, list[int]] = {}
     for m in seq.moves:
         if isinstance(m, CirculateStep):
@@ -369,30 +322,6 @@ def boundary_trace(seq: SliceSequence) -> Word:
     return reduce(out)
 
 
-class _Builder:
-    """Checks each move against one light live component list, whose arcs
-    carry no trace, and records it.  A ``CirculateStep`` only adds a letter
-    to a trace, so it is checked and not applied; every other move runs its
-    ``_apply``, which edits nothing unless every precondition holds."""
-
-    def __init__(self):
-        self.live: list[Component] = []
-        self.moves: list[LocalMove] = []
-
-    def push(self, m: LocalMove):
-        if isinstance(m, CirculateStep):
-            m._check(self.live)
-        else:
-            m._apply(self.live)
-        self.moves.append(m)
-
-    def done(self, readout=()) -> SliceSequence:
-        moves = tuple(self.moves)
-        seq = SliceSequence(_Levels(moves), moves, tuple(readout))
-        object.__setattr__(seq, "_built", True)
-        return seq
-
-
 # --- piece builders -------------------------------------------------------
 
 
@@ -400,38 +329,33 @@ def slice_bag(w, identify: bool = False) -> SliceSequence:
     """Doubled curve with boundary W.W^-1: two circles split to arcs, the
     relator arc circulates W, everything rejoins and dies at the maximum."""
     w = Word(w)
-    b = _Builder()
-    b.push(BirthCircle(("W^-1", "W")))
-    b.push(BirthCircle(("w^-1", "w")))
-    b.push(SplitCircleToArc(0, "W^-1", "W"))
-    b.push(SplitCircleToArc(1, "w^-1", "w"))
+    moves = [
+        BirthCircle(("W^-1", "W")),
+        BirthCircle(("w^-1", "w")),
+        SplitCircleToArc(0, "W^-1", "W"),
+        SplitCircleToArc(1, "w^-1", "w"),
+    ]
     if identify:
-        b.push(IdentifyEdges("W", "W^-1"))
-        b.push(IdentifyEdges("w", "w^-1"))
-    for x in w:
-        b.push(CirculateStep(0, x, "W"))
-    b.push(JoinArcsToCircle(0, 1, "Q"))
-    b.push(DeathCircle(0))
-    return b.done((ReadoutStrand("W", "as_is"), ReadoutStrand("W", "invert")))
+        moves += [IdentifyEdges("W", "W^-1"), IdentifyEdges("w", "w^-1")]
+    moves += [CirculateStep(0, x, "W") for x in w]
+    moves += [JoinArcsToCircle(0, 1, "Q"), DeathCircle(0)]
+    return SliceSequence(tuple(moves), (ReadoutStrand("W", "as_is"), ReadoutStrand("W", "invert")))
 
 
 def slice_inverse_pair(r) -> SliceSequence:
     """A relator and its inverse, circulating in step in opposite
     directions, each exiting through its own circle."""
     r = Word(r)
-    b = _Builder()
-    b.push(BirthCircle(("R", "r")))
-    b.push(BirthCircle(("R^-1", "r^-1")))
-    b.push(SplitCircleToArc(0, "R", "r"))
-    b.push(SplitCircleToArc(1, "R^-1", "r^-1"))
+    moves = [
+        BirthCircle(("R", "r")),
+        BirthCircle(("R^-1", "r^-1")),
+        SplitCircleToArc(0, "R", "r"),
+        SplitCircleToArc(1, "R^-1", "r^-1"),
+    ]
     for x in r:
-        b.push(CirculateStep(0, x, "R"))
-        b.push(CirculateStep(1, -x, "R^-1"))
-    b.push(JoinArcsToCircle(0))
-    b.push(JoinArcsToCircle(1))
-    b.push(DeathCircle(1))
-    b.push(DeathCircle(0))
-    return b.done((ReadoutStrand("R", "as_is"), ReadoutStrand("R^-1", "reverse")))
+        moves += (CirculateStep(0, x, "R"), CirculateStep(1, -x, "R^-1"))
+    moves += [JoinArcsToCircle(0), JoinArcsToCircle(1), DeathCircle(1), DeathCircle(0)]
+    return SliceSequence(tuple(moves), (ReadoutStrand("R", "as_is"), ReadoutStrand("R^-1", "reverse")))
 
 
 _COMM_READOUT = (
@@ -455,61 +379,55 @@ def slice_commutator(r, s, dominant: str = "R", identify: bool = False) -> Slice
     r, s = Word(r), Word(s)
     if dominant not in ("R", "S"):
         raise InputError("dominant must be 'R' or 'S'")
-    b = _Builder()
-    b.push(BirthCircle(("S^-1", "R")))
-    b.push(BirthCircle(("r", "S")))
-    b.push(BirthCircle(("s", "r^-1")))
-    b.push(BirthCircle(("R^-1", "s^-1")))
-    b.push(SplitCircleToArc(0, "S^-1", "R"))
-    b.push(SplitCircleToArc(1, "r", "S"))
-    b.push(SplitCircleToArc(2, "s", "r^-1"))
-    b.push(SplitCircleToArc(3, "R^-1", "s^-1"))
+    moves = [
+        BirthCircle(("S^-1", "R")),
+        BirthCircle(("r", "S")),
+        BirthCircle(("s", "r^-1")),
+        BirthCircle(("R^-1", "s^-1")),
+        SplitCircleToArc(0, "S^-1", "R"),
+        SplitCircleToArc(1, "r", "S"),
+        SplitCircleToArc(2, "s", "r^-1"),
+        SplitCircleToArc(3, "R^-1", "s^-1"),
+    ]
     if identify:
-        b.push(IdentifyEdges("r", "r^-1"))
-        b.push(IdentifyEdges("s", "s^-1"))
-        b.push(IdentifyEdges("R", "R^-1"))
-        b.push(IdentifyEdges("S", "S^-1"))
-        b.push(ReorderStep(1))
+        moves += [
+            IdentifyEdges("r", "r^-1"),
+            IdentifyEdges("s", "s^-1"),
+            IdentifyEdges("R", "R^-1"),
+            IdentifyEdges("S", "S^-1"),
+            ReorderStep(1),
+        ]
     if dominant == "R":
         for x in r:
-            b.push(CirculateStep(0, x, "R"))
-            b.push(CirculateStep(3, -x, "R^-1"))
-        b.push(MergeArcs(0, 1, "M"))
-        b.push(MergeArcs(1, 2, "M"))
+            moves += (CirculateStep(0, x, "R"), CirculateStep(3, -x, "R^-1"))
+        moves += [MergeArcs(0, 1, "M"), MergeArcs(1, 2, "M")]
         for x in s:
-            b.push(CirculateStep(0, x, "S"))
-            b.push(CirculateStep(0, -x, "S^-1"))
+            moves += (CirculateStep(0, x, "S"), CirculateStep(0, -x, "S^-1"))
     else:
         for x in s:
-            b.push(CirculateStep(1, x, "S"))
-            b.push(CirculateStep(0, -x, "S^-1"))
-        b.push(MergeArcs(1, 2, "M"))
-        b.push(MergeArcs(2, 0, "M"))
+            moves += (CirculateStep(1, x, "S"), CirculateStep(0, -x, "S^-1"))
+        moves += [MergeArcs(1, 2, "M"), MergeArcs(2, 0, "M")]
         for x in r:
-            b.push(CirculateStep(0, x, "R"))
-            b.push(CirculateStep(0, -x, "R^-1"))
-    b.push(JoinArcsToCircle(0, 1, "Q"))
-    b.push(DeathCircle(0))
-    return b.done(_COMM_READOUT)
+            moves += (CirculateStep(0, x, "R"), CirculateStep(0, -x, "R^-1"))
+    moves += [JoinArcsToCircle(0, 1, "Q"), DeathCircle(0)]
+    return SliceSequence(tuple(moves), _COMM_READOUT)
 
 
 def slice_product(r, s) -> SliceSequence:
     """Product cell R.S^-1: the R arc circulates to the midlevel, is
     absorbed into the other arc, and the S^-1 circulation runs to the top."""
     r, s = Word(r), Word(s)
-    b = _Builder()
-    b.push(BirthCircle(("r", "R")))
-    b.push(BirthCircle(("S^-1", "s^-1")))
-    b.push(SplitCircleToArc(0, "r", "R"))
-    b.push(SplitCircleToArc(1, "S^-1", "s^-1"))
-    for x in r:
-        b.push(CirculateStep(0, x, "R"))
-    b.push(MergeArcs(1, 0, "M", absorb=True))
-    for x in s:
-        b.push(CirculateStep(0, -x, "S^-1"))
-    b.push(JoinArcsToCircle(0, mark="Q"))
-    b.push(DeathCircle(0))
-    return b.done((ReadoutStrand("R", "as_is"), ReadoutStrand("S^-1", "reverse")))
+    moves = [
+        BirthCircle(("r", "R")),
+        BirthCircle(("S^-1", "s^-1")),
+        SplitCircleToArc(0, "r", "R"),
+        SplitCircleToArc(1, "S^-1", "s^-1"),
+    ]
+    moves += [CirculateStep(0, x, "R") for x in r]
+    moves.append(MergeArcs(1, 0, "M", absorb=True))
+    moves += [CirculateStep(0, -x, "S^-1") for x in s]
+    moves += [JoinArcsToCircle(0, mark="Q"), DeathCircle(0)]
+    return SliceSequence(tuple(moves), (ReadoutStrand("R", "as_is"), ReadoutStrand("S^-1", "reverse")))
 
 
 def _shift_move(m: LocalMove, off: int, prefix: str) -> LocalMove:
@@ -529,84 +447,61 @@ def connect(pieces) -> SliceSequence:
     pieces = list(pieces)
     if not pieces:
         raise InputError("connect needs at least one piece")
-    for p in pieces:
-        if not p._built and not validate(p):
-            raise SliceError("connect requires validated pieces")
-    b = _Builder()
-    b.push(BirthCircle(("root",)))
+    live: list[Component] = []  # where the pieces sit; arcs carry no trace
+    moves: list[LocalMove] = []
+
+    def push(m: LocalMove):
+        if not isinstance(m, CirculateStep):  # a step moves no component
+            m._apply(live)
+        moves.append(m)
+
+    push(BirthCircle(("root",)))
     readout: list[ReadoutStrand] = []
     if len(pieces) == 1:
         for m in pieces[0].moves:
-            b.push(_shift_move(m, 1, "0:"))
+            push(_shift_move(m, 1, "0:"))
         readout += [ReadoutStrand("0:" + r.key, r.transform) for r in pieces[0].readout]
-        b.push(DeathCircle(0))
-        return b.done(readout)
+        push(DeathCircle(0))
+        return SliceSequence(tuple(moves), tuple(readout))
 
     leftovers: list[tuple[int, int]] = []  # (piece id, live index of its circle)
     for pid, p in enumerate(pieces):
-        moves = list(p.moves)
+        body = list(p.moves)
         trailing = 0
-        while moves and isinstance(moves[-1], DeathCircle):
-            moves.pop()
+        while body and isinstance(body[-1], DeathCircle):
+            body.pop()
             trailing += 1
-        off = len(b.live)
-        for m in moves:
-            b.push(_shift_move(m, off, "%d:" % pid))
-        got = len(b.live) - off
+        off = len(live)
+        for m in body:
+            push(_shift_move(m, off, "%d:" % pid))
+        got = len(live) - off
         if got != trailing:
             raise SliceError("piece %d does not end in its own circles" % pid)
         leftovers += [(pid, off + i) for i in range(got)]
         readout += [ReadoutStrand("%d:%s" % (pid, r.key), r.transform) for r in p.readout]
     # join each piece circle into the root cell, split it back, let it die
     for _ in leftovers:
-        c = b.live[1]
+        c = live[1]
         _need(isinstance(c, Circle), "piece leftover must be a circle")
-        root = b.live[0]
-        b.push(JoinCells(0, 1))
-        b.push(SplitCells(0, root.marks, c.marks))
-        b.push(DeathCircle(len(b.live) - 1))
-    b.push(DeathCircle(0))
-    return b.done(readout)
+        root = live[0]
+        push(JoinCells(0, 1))
+        push(SplitCells(0, root.marks, c.marks))
+        push(DeathCircle(len(live) - 1))
+    push(DeathCircle(0))
+    return SliceSequence(tuple(moves), tuple(readout))
 
 
 # --- text dump ------------------------------------------------------------
 
 
-def format_sequence(seq: SliceSequence) -> str:
-    """The dump prints every arc's whole trace at every level, so it grows
-    quadratically with the word; it is produced in time linear in its
-    length, and each component's line is made once and printed at every
-    level it lives through.  A built sequence is printed from its moves
-    alone; any other is read from its slices."""
-    lines: list[str] = []
-    if seq._built:
-        _print_moves(seq.moves, lines)
-    else:
-        line_of: dict[int, str] = {}  # id(component) -> its line; ``seq`` keeps each alive
-        for k, s in enumerate(seq.slices):
-            lines.append("slice %d" % s.level)
-            for c in s.components:
-                line = line_of.get(id(c))
-                if line is None:
-                    line = line_of[id(c)] = _line(c, format_word)
-                lines.append(line)
-            if k < len(seq.moves):
-                lines.append(seq.moves[k]._text())
-    lines.append("")  # a final newline, without copying the joined text
-    return "\n".join(lines)
-
-
 _ARC_LINE = "A[%s,%s;trace=%s]"
 
 
-def _line(c: Component, trace_text) -> str:
+def _line(c: Component) -> str:
+    """A component's dump line; an arc's trace is a tuple of text pieces."""
     if isinstance(c, Circle):
         return "C[%s]" % ",".join(c.marks)
-    return _ARC_LINE % (c.left, c.right, trace_text(c.trace))
-
-
-def _joined(pieces: Tuple[str, ...]) -> str:
-    return "".join(pieces) or "1"
+    return _ARC_LINE % (c.left, c.right, "".join(c.trace) or "1")
 
 
 class _Printed:
@@ -635,7 +530,7 @@ class _Printed:
 
     def __setitem__(self, i, c):
         self.cs[i] = c
-        self.row[i] = [_line(x, _joined) for x in self.cs[i]] if isinstance(i, slice) else _line(c, _joined)
+        self.row[i] = [_line(x) for x in self.cs[i]] if isinstance(i, slice) else _line(c)
 
     def __delitem__(self, i):
         del self.cs[i]
@@ -643,18 +538,20 @@ class _Printed:
 
     def append(self, c):
         self.cs.append(c)
-        self.row.append(_line(c, _joined))
+        self.row.append(_line(c))
 
 
-def _print_moves(moves: Tuple[LocalMove, ...], lines: list) -> None:
-    """One walk over the moves of a built sequence.  Its live list holds
-    each arc's trace as a tuple of text pieces, so every move but a
-    ``CirculateStep`` runs its own ``_apply`` on it; a step makes the
-    arc's text and line from the text one level up and its letter, on
-    the plain lists themselves."""
+def format_sequence(seq: SliceSequence) -> str:
+    """The dump prints every arc's whole trace at every level, so it grows
+    quadratically with the word; it is made in one walk over the moves, in
+    time linear in its length.  Its live list holds each arc's trace as a
+    tuple of text pieces, so every move but a ``CirculateStep`` runs its
+    own ``_apply`` on it; a step makes the arc's text and line from the
+    text one level up and its letter, on the plain lists themselves."""
     live = _Printed()
     cs, row = live.cs, live.row
-    for level, m in enumerate(moves):
+    lines: list[str] = []
+    for level, m in enumerate(seq.moves):
         lines.append("slice %d" % level)
         lines += row
         lines.append(m._text())
@@ -665,8 +562,10 @@ def _print_moves(moves: Tuple[LocalMove, ...], lines: list) -> None:
             row[m.index] = _ARC_LINE % (a.left, a.right, text)
         else:
             m._apply(live)
-    lines.append("slice %d" % len(moves))
+    lines.append("slice %d" % len(seq.moves))
     lines += row
+    lines.append("")  # a final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 # --- abstract slice sequences --------------------------------------------
@@ -777,7 +676,7 @@ def build_abstract(
         comms.append(CommutatorToken(orient(cw), i))
     cell_r = CellToken(orient(inst.r_word))
     cell_s_inv = CellToken(orient(invert(inst.s_word)))
-    prod = CellToken(orient(reduce(tuple(inst.r_word) + tuple(invert(inst.s_word)))))
+    prod = CellToken(orient(reading.product))
     riders: tuple = (CellToken(orient(Word(residual))),) if residual is not None else ()
     seq = (
         (),

@@ -28,12 +28,6 @@ Triple = Tuple[int, int, int]
 _UNLISTED = Fraction(0)
 
 
-def _value_eq(a: Value, b: Value) -> bool:
-    if isinstance(a, Polynomial) or isinstance(b, Polynomial):
-        return (a - b if isinstance(a, Polynomial) else b - a).is_zero()
-    return a == b
-
-
 @dataclass(frozen=True)
 class ThreeJTable:
     color_count: int
@@ -56,7 +50,7 @@ def complete_table(partial: Iterable[Tuple[Triple, Value]], color_count: int) ->
         if not isinstance(value, (int, Fraction, Polynomial)):
             raise InputError("3j value %r is not exact" % (value,))
         key = tuple(sorted(triple))
-        if key in entries and not _value_eq(entries[key], value):
+        if key in entries and entries[key] != value:
             raise InputError(
                 "3j symmetry conflict on %s: %s vs %s" % (key, entries[key], value)
             )
@@ -261,7 +255,7 @@ def ideal_reduce(value: Value, generators: Sequence[Value]) -> Value:
     """Reduce modulo the ideal the generators span: numeric generators
     collapse everything to 0 unless all vanish; univariate polynomial
     generators reduce by remainder mod their gcd."""
-    gens = [g for g in generators if not _value_eq(g, Fraction(0))]
+    gens = [g for g in generators if g != 0]
     if not gens:
         return value
     polys = [g for g in gens if isinstance(g, Polynomial)]

@@ -156,6 +156,8 @@ def reduce(w: Iterable[int]) -> Word:
 
 
 def invert(w: Iterable[int]) -> Word:
+    if isinstance(w, Word):  # its letters are nonzero ints already
+        return tuple.__new__(Word, [-x for x in reversed(w)])
     return Word(-x for x in reversed(tuple(w)))
 
 

@@ -365,7 +365,7 @@ def test_a_handed_reading_is_the_reading_of_a_fresh_instance(tmp_path):
     returns, and ``gauge`` hands a read instance's reading, rearranged, to
     the swapped one.  Either must equal what an instance with the same
     fields reads for itself: the expanded relators and the commutators
-    [S_i,R_i].  A copy made with ``dataclasses.replace`` is not handed the
+    [S_i,R_i], and reduce(R.S^-1).  A copy made with ``dataclasses.replace`` is not handed the
     reading of the instance it was copied from."""
     for seed in range(200):
         built = build_instance(seed, n_factors=seed % 5)
@@ -376,6 +376,7 @@ def test_a_handed_reading_is_the_reading_of_a_fresh_instance(tmp_path):
         for inst in instances:
             fresh = _unread(inst).read()
             assert inst.read() == fresh, seed
+            assert fresh.product == reduce(tuple(inst.r_word) + tuple(invert(inst.s_word))), seed
             assert fresh.commutators == tuple(commutator(sw, rw) for rw, sw in fresh.expanded)
             assert fresh.expanded == tuple((f.r.expand(inst.k), f.s.expand(inst.l)) for f in inst.factors)
             g = gauge(inst)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from functools import partial
 
@@ -44,7 +45,6 @@ from smovelab.slicing import (
     slice_product,
     spel_kinds,
     token_text,
-    validate,
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
@@ -118,37 +118,28 @@ def test_merge_arcs_concatenates_traces():
     assert absorbed == (Arc("p", "q", Word([1, 2, -1])),)
 
 
-def test_validate_replays_and_localizes_failures():
+def test_a_sequence_starts_empty_and_replays_its_moves():
     seq = slice_bag(parse_word("ab"))
-    assert validate(seq)
-    # tamper with one intermediate slice
-    bad_slices = list(seq.slices)
-    bad_slices[3] = Slice(3, (Circle(("oops",)),) + seq.slices[3].components[1:])
-    bad = SliceSequence(tuple(bad_slices), seq.moves, seq.readout)
-    v = validate(bad)
-    assert not v
-    assert v.index == 3
-    # arity rule
-    assert not validate(SliceSequence(seq.slices, seq.moves[:-1], seq.readout))
-    assert not validate(SliceSequence((), (), ()))
-    # level numbering
-    shifted = (Slice(5, seq.slices[0].components),) + seq.slices[1:]
-    assert not validate(SliceSequence(shifted, seq.moves, seq.readout))
+    assert SliceSequence(seq.moves, seq.readout) == seq
+    assert [s.level for s in seq.slices] == list(range(len(seq.moves) + 1))
+    assert seq.slices[0] == Slice(0, ())
+    assert seq.slices[3] == Slice(3, (Arc("W^-1", "W"), Circle(("w^-1", "w"))))
+    assert SliceSequence(()).slices == (Slice(0, ()),)
+    # a bag without its first move: the second split finds one component
+    with pytest.raises(SliceError, match=r"^sequence invalid at slice 2: component index 1 out of range$"):
+        SliceSequence(seq.moves[1:], seq.readout)
 
 
-def test_boundary_requires_valid_sequence():
+def test_boundary_rejects_an_unknown_readout_transform():
     seq = slice_bag(parse_word("a"))
-    broken = SliceSequence(seq.slices, seq.moves[:-1], seq.readout)
-    with pytest.raises(SliceError):
-        boundary_trace(broken)
-    with pytest.raises(SliceError):
-        boundary_trace(SliceSequence(seq.slices, seq.moves, (ReadoutStrand("W", "mirror"),)))
+    with pytest.raises(SliceError, match="unknown readout transform"):
+        boundary_trace(SliceSequence(seq.moves, (ReadoutStrand("W", "mirror"),)))
 
 
 def test_bag_boundary_is_trivial():
     for text in ("1", "a", "ab", "abA", "aabb"):
         seq = slice_bag(parse_word(text))
-        assert validate(seq)
+        assert seq.slices[-1].components == ()
         assert boundary_trace(seq) == Word()
 
 
@@ -157,13 +148,13 @@ def test_bag_identify_adds_two_moves():
     plain = slice_bag(w)
     glued = slice_bag(w, identify=True)
     assert len(glued.moves) == len(plain.moves) + 2
-    assert validate(glued)
+    assert glued.slices[-1].components == ()
     assert boundary_trace(glued) == Word()
 
 
 def test_inverse_pair_boundary_is_trivial_and_interleaved():
     seq = slice_inverse_pair(parse_word("ab"))
-    assert validate(seq)
+    assert seq.slices[-1].components == ()
     assert boundary_trace(seq) == Word()
     # the two strands circulate in step: letters alternate R, R^-1
     strands = [m.strand for m in seq.moves if isinstance(m, CirculateStep)]
@@ -172,7 +163,7 @@ def test_inverse_pair_boundary_is_trivial_and_interleaved():
 
 def test_product_boundary_reads_r_s_inverse():
     seq = slice_product(parse_word("abA"), parse_word("b"))
-    assert validate(seq)
+    assert seq.slices[-1].components == ()
     assert boundary_trace(seq) == parse_word("abAB")
     assert boundary_trace(slice_product(parse_word("ab"), parse_word("ab"))) == Word()
 
@@ -181,7 +172,7 @@ def test_commutator_boundary_both_dominants():
     r, s = parse_word("a"), parse_word("b")
     for dom in ("R", "S"):
         seq = slice_commutator(r, s, dominant=dom)
-        assert validate(seq)
+        assert seq.slices[-1].components == ()
         assert boundary_trace(seq) == parse_word("abAB")
     r, s = parse_word("ab"), parse_word("ba")
     for dom in ("R", "S"):
@@ -195,7 +186,7 @@ def test_commutator_identify_ladder_is_five_moves():
     plain = slice_commutator(r, s)
     glued = slice_commutator(r, s, identify=True)
     assert len(glued.moves) == len(plain.moves) + 5
-    assert validate(glued)
+    assert glued.slices[-1].components == ()
     assert boundary_trace(glued) == boundary_trace(plain)
 
 
@@ -211,7 +202,7 @@ def test_commutator_boundary_is_cyclic_rotation_of_commutator():
 def test_connect_single_piece_wraps_with_root():
     piece = slice_product(parse_word("abA"), parse_word("b"))
     seq = connect([piece])
-    assert validate(seq)
+    assert seq.slices[-1].components == ()
     assert boundary_trace(seq) == parse_word("abAB")
     assert isinstance(seq.moves[0], BirthCircle)
     assert isinstance(seq.moves[-1], DeathCircle)
@@ -222,7 +213,7 @@ def test_connect_single_piece_wraps_with_root():
 def test_connect_concatenates_piece_boundaries():
     pieces = [slice_commutator(parse_word("a"), parse_word("b")) for _ in range(3)]
     seq = connect(pieces)
-    assert validate(seq)
+    assert seq.slices[-1].components == ()
     assert boundary_trace(seq) == parse_word("abABabABabAB")
     # circulation moves are replayed verbatim (same letter multiset)
     want = sorted(m.letter for p in pieces for m in p.moves if isinstance(m, CirculateStep))
@@ -237,14 +228,15 @@ def test_connect_mixed_pieces_and_errors():
         slice_product(parse_word("ab"), parse_word("b")),
     ]
     seq = connect(pieces)
-    assert validate(seq)
+    assert seq.slices[-1].components == ()
     # trivial bag and pair boundaries, then ab.B from the product piece
     assert boundary_trace(seq) == parse_word("a")
     with pytest.raises(InputError):
         connect([])
-    broken = SliceSequence(pieces[0].slices, pieces[0].moves[:-1], pieces[0].readout)
-    with pytest.raises(SliceError):
-        connect([broken, pieces[1]])
+    # without its final death the bag ends in a circle it does not kill
+    open_bag = dataclasses.replace(pieces[0], moves=pieces[0].moves[:-1])
+    with pytest.raises(SliceError, match="piece 0 does not end in its own circles"):
+        connect([open_bag, pieces[1]])
 
 
 def test_format_sequence_shape():
@@ -376,8 +368,6 @@ def _built_pieces():
 
 
 def test_builder_output_is_read_without_replay(monkeypatch):
-    import dataclasses
-
     import smovelab.slicing as slicing
 
     pieces = _built_pieces()
@@ -390,33 +380,50 @@ def test_builder_output_is_read_without_replay(monkeypatch):
     assert calls == []
 
 
-def test_connect_does_not_revalidate_built_pieces(monkeypatch):
+def test_connect_does_not_replay_its_pieces(monkeypatch):
     import smovelab.slicing as slicing
 
     pieces = [slice_bag(parse_word("ab")), slice_product(parse_word("a"), parse_word("b"))]
 
-    def refuse(seq):
-        raise AssertionError("built piece was replayed")
+    def refuse(cs, m):
+        raise AssertionError("a level was replayed")
 
-    monkeypatch.setattr(slicing, "validate", refuse)
+    monkeypatch.setattr(slicing, "apply_move", refuse)
     assert boundary_trace(connect(pieces)) == parse_word("aB")
 
 
-def test_copies_of_builder_output_are_replayed():
-    import dataclasses
-
+def test_copies_are_checked_when_made():
     seq = slice_commutator(parse_word("ab"), parse_word("b"))
     copy = dataclasses.replace(seq)
-    assert copy == seq and repr(copy) == repr(seq)
-    assert "_built" not in repr(seq)
-    with pytest.raises(SliceError):
-        boundary_trace(dataclasses.replace(seq, moves=seq.moves[:-1]))
-    with pytest.raises(SliceError):
-        connect([dataclasses.replace(seq, moves=seq.moves[:-1])])
-    bad = list(seq.slices)
-    bad[4] = Slice(4, ())
-    with pytest.raises(SliceError):
-        boundary_trace(dataclasses.replace(seq, slices=tuple(bad)))
+    assert copy == seq and repr(copy) == repr(seq) and hash(copy) == hash(seq)
+    assert repr(seq).startswith("SliceSequence(moves=(")
+    with pytest.raises(SliceError, match="^sequence invalid at slice 4: component index 9 out of range$"):
+        dataclasses.replace(seq, moves=seq.moves[:4] + (DeathCircle(9),) + seq.moves[5:])
+    with pytest.raises(TypeError):  # the levels are read from the moves, never given
+        dataclasses.replace(seq, slices=seq.slices)
+
+
+@pytest.mark.parametrize("name", sorted(_built_pieces()))
+def test_making_a_sequence_checks_each_move_once(monkeypatch, name):
+    """A step is checked and not applied; every other move is applied
+    once, on the live list of the sequence being made, and no level is
+    replayed until ``slices`` is read, and then once."""
+    import smovelab.slicing as slicing
+
+    seq = _built_pieces()[name][0]
+    levels = seq.slices
+    seen = []
+    for cls in LocalMove.__subclasses__():
+        meth = "_check" if cls is CirculateStep else "_apply"
+        real = getattr(cls, meth)
+        monkeypatch.setattr(cls, meth, lambda m, cs, real=real: seen.append(m) or real(m, cs))
+    replayed = []
+    real_apply_move = slicing.apply_move
+    monkeypatch.setattr(slicing, "apply_move", lambda cs, m: replayed.append(m) or real_apply_move(cs, m))
+    copy = SliceSequence(seq.moves, seq.readout)
+    assert seen == list(seq.moves) and replayed == []
+    assert copy.slices == levels and copy.slices is copy.slices
+    assert replayed == list(seq.moves)
 
 
 def test_arc_traces_are_plain_int_tuples():
@@ -430,8 +437,6 @@ def test_building_reading_and_printing_a_piece_hold_traces_linear_in_its_word(mo
     """Building a piece, reading its boundary and printing it make no
     Slice, and the Arcs made on the way hold a number of int letters
     linear in the word; the levels are there when ``slices`` is read."""
-    import dataclasses
-
     import smovelab.slicing as slicing
 
     held = []  # int letters in the trace of every Arc made
@@ -473,7 +478,6 @@ def test_building_reading_and_printing_a_piece_hold_traces_linear_in_its_word(mo
             levels.append(apply_move(levels[-1], m))
         assert list(seq.slices) == [Slice(k, cs) for k, cs in enumerate(levels)], name
         assert len(seq.slices) == len(seq.moves) + 1
-        assert validate(dataclasses.replace(seq)), name
         assert text == _oracle_format_sequence(seq), name
 
 
@@ -564,97 +568,79 @@ def test_format_sequence_matches_the_per_arc_formatter_on_built_pieces(name):
     assert format_sequence(seq) == _oracle_format_sequence(seq)
 
 
-def _hand_made(*levels, moves=None):
-    """An unbuilt sequence with the given component tuples per level; its
-    moves default to endpoint reorders and need not replay."""
-    slices = tuple(Slice(k, tuple(cs)) for k, cs in enumerate(levels))
-    if moves is None:
-        moves = tuple(ReorderStep(0) for _ in levels[1:])
-    return SliceSequence(slices, tuple(moves))
+_LETTERS = (1, -1, 2, -2, 26, -26, 27, -27, 40)
+_MARKS = ("a", "b", "R", "R^-1", "0:S")
 
 
-def _fresh(letters):
-    """A trace equal to ``letters`` but a distinct tuple object."""
-    return tuple(list(letters))
+def _random_moves(rng, n):
+    """``n`` moves, each drawn against the level it starts from, so that
+    the list is a valid sequence; every move type can be drawn."""
+    cs, moves = (), []
+    while len(moves) < n:
+        arcs = [i for i, c in enumerate(cs) if isinstance(c, Arc)]
+        circles = [i for i, c in enumerate(cs) if isinstance(c, Circle)]
+        kind = rng.randrange(13)
+        if kind == 0:
+            m = BirthCircle(tuple(rng.sample(_MARKS, rng.randint(0, 3))))
+        elif kind == 1 and circles:
+            m = DeathCircle(rng.choice(circles))
+        elif kind == 2 and circles:
+            m = SplitCircleToArc(rng.choice(circles), *rng.sample(_MARKS, 2))
+        elif kind == 3 and len(arcs) > 1:
+            m = JoinArcsToCircle(*rng.sample(arcs, 2), rng.choice("QM"))
+        elif kind == 4 and arcs:
+            m = JoinArcsToCircle(rng.choice(arcs))
+        elif kind in (5, 6, 7) and arcs:
+            m = CirculateStep(rng.choice(arcs), rng.choice(_LETTERS), rng.choice(("R", "0:S^-1")))
+        elif kind == 8 and len(arcs) > 1:
+            m = MergeArcs(*rng.sample(arcs, 2), "M", rng.random() < 0.5)
+        elif kind == 9:
+            m = IdentifyEdges(*rng.sample(_MARKS, 2))
+        elif kind == 10 and arcs:
+            m = ReorderStep(rng.choice(arcs))
+        elif kind == 11 and len(circles) > 1:
+            m = JoinCells(*rng.sample(circles, 2))
+        elif kind == 12 and circles:
+            i = rng.choice(circles)
+            cut = rng.randint(0, len(cs[i].marks))
+            m = SplitCells(i, cs[i].marks[:cut], cs[i].marks[cut:])
+        else:
+            continue
+        cs = apply_move(cs, m)
+        moves.append(m)
+    return tuple(moves)
 
 
-def test_format_sequence_matches_the_per_arc_formatter_on_hand_made_sequences():
-    t1, t2 = (1, -2), (27, 3)
-    cases = {
-        # the merged arc sits at the higher index, another arc below it
-        "merge kept high": _hand_made(
-            (Arc("p", "q", t1), Arc("u", "v", t2)),
-            (Arc("x", "y", (5,)), Arc("p", "v", t1 + t2)),
-            moves=(MergeArcs(0, 1),),
-        ),
-        # the first operand is at the higher index and the merge lands low
-        "merge from high": _hand_made(
-            (Arc("p", "q", t1), Arc("u", "v", t2)),
-            (Arc("u", "q", t2 + t1),),
-            moves=(MergeArcs(1, 0),),
-        ),
-        "identify renames": _hand_made(
-            (Arc("R", "R^-1", t1), Circle(("R^-1", "x"))),
-            (Arc("R", "R", t1), Circle(("R", "x"))),
-            moves=(IdentifyEdges("R", "R^-1"),),
-        ),
-        "reorder swaps": _hand_made(
-            (Arc("a", "b", t2),),
-            (Arc("b", "a", t2),),
-            (Arc("b", "a", t2 + (-30,)),),
-            moves=(ReorderStep(0), CirculateStep(0, -30, "a")),
-        ),
-        "equal but distinct traces": _hand_made(
-            (Arc("a", "b", t1),),
-            (Arc("a", "b", _fresh(t1)),),
-            (Arc("a", "b", _fresh(t1) + (4,)),),
-        ),
-        "shrink, diverge, empty": _hand_made(
-            (Arc("a", "b", (1, 2, 3)),),
-            (Arc("a", "b", (1, 2)),),
-            (Arc("a", "b", (1, -2, 3)),),
-            (Arc("a", "b", ()),),
-            (Arc("a", "b", (7,)),),
-        ),
-        "arc under a circle or nothing": _hand_made(
-            (Circle(("m",)),),
-            (Arc("a", "b", (1,)), Arc("c", "d", (1, 2))),
-            (Circle(()), Arc("c", "d", (1, 2, 3)), Arc("e", "f", (1, 2, 3, 4))),
-        ),
-    }
-    for name, seq in cases.items():
-        assert format_sequence(seq) == _oracle_format_sequence(seq), name
-
-
-def test_format_sequence_matches_the_per_arc_formatter_on_random_hand_made_sequences():
+def test_format_sequence_matches_the_per_arc_formatter_on_random_move_lists():
     rng = random.Random(2024)
-    letters = (1, -1, 2, -2, 26, -26, 27, -27, 40)
+    drawn = set()
     for _ in range(300):
-        levels = [[]]
-        for _ in range(rng.randint(1, 9)):
-            cs = list(levels[-1])
-            for _ in range(rng.randint(1, 3)):
-                op = rng.randrange(7)
-                i = rng.randrange(len(cs)) if cs else None
-                arc = cs[i] if i is not None and isinstance(cs[i], Arc) else None
-                if op == 0 or arc is None:
-                    cs.insert(rng.randint(0, len(cs)), Arc("l", "r", tuple(rng.choices(letters, k=rng.randint(0, 3)))))
-                elif op == 1:
-                    cs[i] = Arc(arc.left, arc.right, arc.trace + tuple(rng.choices(letters, k=rng.randint(1, 3))))
-                elif op == 2:
-                    cs[i] = Arc(arc.right, arc.left, _fresh(arc.trace))
-                elif op == 3:
-                    cs[i] = Arc(arc.left, arc.right, arc.trace[: rng.randint(0, len(arc.trace))])
-                elif op == 4:
-                    j = rng.randrange(len(cs))
-                    cs[i], cs[j] = cs[j], cs[i]
-                elif op == 5:
-                    cs[i] = Circle((arc.left,))
-                else:
-                    del cs[i]
-            levels.append(cs)
-        seq = _hand_made(*levels)
+        seq = SliceSequence(_random_moves(rng, rng.randint(0, 40)))
+        drawn |= {type(m) for m in seq.moves}
         assert format_sequence(seq) == _oracle_format_sequence(seq)
+    assert drawn == set(LocalMove.__subclasses__())
+
+
+def test_a_bad_move_at_any_level_fails_when_the_sequence_is_made():
+    """The error names the slice the move starts from and carries the
+    reason ``apply_move`` gives on that slice; a copy made with
+    ``dataclasses.replace`` is checked the same way."""
+    bad_moves = (DeathCircle(99), CirculateStep(0, 0, "R"), MergeArcs(0, 0), JoinCells(0, 0), ReorderStep(-1), _UnknownMove())
+    rng = random.Random(7)
+    for _ in range(200):
+        good = SliceSequence(_random_moves(rng, rng.randint(0, 20)))
+        k = rng.randint(0, len(good.moves))
+        bad = rng.choice(bad_moves)
+        with pytest.raises(SliceError) as replayed:
+            apply_move(good.slices[k].components, bad)
+        want = "sequence invalid at slice %d: %s" % (k, replayed.value)
+        moves = good.moves[:k] + (bad,) + good.moves[k:]
+        with pytest.raises(SliceError) as made:
+            SliceSequence(moves)
+        assert str(made.value) == want
+        with pytest.raises(SliceError) as copied:
+            dataclasses.replace(good, moves=moves)
+        assert str(copied.value) == want
 
 
 @pytest.mark.parametrize("dominant", ["R", "S"])
@@ -686,32 +672,36 @@ def test_format_sequence_prints_every_move_type_as_its_fields():
     moves = (
         BirthCircle(()),
         BirthCircle(("x", "y")),
-        DeathCircle(1),
+        DeathCircle(0),
         SplitCircleToArc(0, "x", "y"),
-        JoinArcsToCircle(2, 0, "Q"),
-        JoinArcsToCircle(1),
+        BirthCircle(("R^-1", "u")),
+        SplitCircleToArc(1, "R^-1", "v"),
         CirculateStep(1, -2, "0:R"),
-        MergeArcs(1, 0, absorb=True),
+        CirculateStep(0, 27, "x"),
+        MergeArcs(1, 0, absorb=True),  # from the higher index, landing low
+        BirthCircle(("p", "q")),
+        SplitCircleToArc(1, "p", "q"),
+        CirculateStep(1, -30, "S"),
         MergeArcs(0, 1),
         IdentifyEdges("R", "R^-1"),
-        ReorderStep(1),
+        ReorderStep(0),
+        BirthCircle(("a", "b")),
+        SplitCircleToArc(1, "a", "b"),
+        JoinArcsToCircle(1, 0, "Q"),
+        BirthCircle(("c",)),
         JoinCells(1, 0),
-        SplitCells(0, ("a",), ("b", "c")),
-        SplitCells(0, (), ()),
+        SplitCells(0, ("c",), ("a", "b", "q", "R")),
+        SplitCells(0, (), ("c",)),
+        SplitCircleToArc(2, "c", "d"),
+        JoinArcsToCircle(2),
+        DeathCircle(2),
+        DeathCircle(1),
+        DeathCircle(0),
     )
     assert {type(m) for m in moves} == set(LocalMove.__subclasses__())
-    seq = _hand_made(*[()] * (len(moves) + 1), moves=moves)
-    assert format_sequence(seq) == _oracle_format_sequence(seq)
-
-
-def test_format_sequence_reads_the_traces_of_an_unbuilt_sequence_from_its_slices():
-    """Only a built sequence is known to hold what its steps say."""
-    seq = _hand_made(
-        (Arc("a", "b", (1,)),),
-        (Arc("a", "b", (1, 5)),),
-        moves=(CirculateStep(0, 2, "a"),),
-    )
-    assert "trace=ae]" in format_sequence(seq)
+    seq = SliceSequence(moves)
+    assert seq.slices[9].components == (Arc("R^-1", "v", (-2, 27)),)
+    assert seq.slices[-1].components == ()
     assert format_sequence(seq) == _oracle_format_sequence(seq)
 
 
@@ -725,11 +715,8 @@ class _UnknownMove:
 def test_unknown_move_type_is_a_slice_error():
     with pytest.raises(SliceError, match="unknown move"):
         apply_move((Circle(("x",)),), _UnknownMove())
-    seq = SliceSequence((Slice(0, ()), Slice(1, ())), (_UnknownMove(),))
-    v = validate(seq)
-    assert not v and v.index == 1 and v.reason.startswith("unknown move")
-    with pytest.raises(SliceError, match="unknown move"):
-        boundary_trace(seq)
+    with pytest.raises(SliceError, match="^sequence invalid at slice 0: unknown move"):
+        SliceSequence((_UnknownMove(),))
 
 
 def test_join_cells_needs_two_distinct_circles():
@@ -742,28 +729,6 @@ def test_negative_indices_are_out_of_range():
     for m in (DeathCircle(-2), CirculateStep(-1, 1, "p"), ReorderStep(-1)):
         with pytest.raises(SliceError, match="out of range"):
             apply_move(cs, m)
-
-
-def test_failed_moves_leave_the_builder_unchanged():
-    from smovelab.slicing import _Builder
-
-    b = _Builder()
-    b.push(BirthCircle(("a",)))
-    b.push(SplitCircleToArc(0, "a", "b"))
-    b.push(CirculateStep(0, 1, "a"))
-    before = (list(b.live), list(b.moves))
-    assert before == ([Arc("a", "b")], [BirthCircle(("a",)), SplitCircleToArc(0, "a", "b"), CirculateStep(0, 1, "a")])
-    for m in (
-        MergeArcs(0, 0),
-        CirculateStep(0, 0, "a"),
-        CirculateStep(1, 1, "a"),
-        JoinCells(0, 0),
-        SplitCells(0, ("a",), ()),
-        DeathCircle(0),
-    ):
-        with pytest.raises(SliceError):
-            b.push(m)
-    assert (b.live, b.moves) == before
 
 
 def test_connect_shifts_every_move_type_by_its_component_positions():

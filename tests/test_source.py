@@ -264,12 +264,12 @@ def test_instance_and_slice_errors_exit_2_through_main(tmp_path):
         "smove", "build", "--type", "long", "--instance", str(path),
     )
     assert res.stdout == "error: instance fails the commutator criterion\n2\n"
-    # a slice sequence missing its last move fails validation
+    # a bag without its first move: the second split finds one component
     res = _fresh(
         "import smovelab.cli, smovelab.slicing as s\n"
         "bag = s.slice_bag\n"
-        "s.slice_bag = lambda w, identify=False: s.SliceSequence(bag(w).slices, bag(w).moves[:-1], bag(w).readout)\n"
+        "s.slice_bag = lambda w, identify=False: s.SliceSequence(bag(w).moves[1:], bag(w).readout)\n"
         "print(smovelab.cli.main(['slice', 'piece', '--type', 'bag', '--R', 'ab']))\n"
     )
     first, code = res.stdout.splitlines()
-    assert first.startswith("error: sequence invalid at slice ") and code == "2"
+    assert first.startswith("error: sequence invalid at slice 2: ") and code == "2"

@@ -119,6 +119,23 @@ def test_invert_involution_and_anti_homomorphism():
         assert multiply(u, invert(u)) == EMPTY
 
 
+def test_invert_checks_letters_unless_given_a_word():
+    """A Word's letters are nonzero ints already, so its inverse is built
+    from them unchecked; any other iterable is checked as ``Word`` checks."""
+    with pytest.raises(InputError):
+        invert([1, 0])
+    with pytest.raises(InputError):
+        invert((0,))
+    assert invert([1, -2, 3]) == Word((-3, 2, -1)) and type(invert([1, -2, 3])) is Word
+    rng = random.Random(17)
+    for _ in range(100):
+        w = Word(_random_letters(rng))
+        got = invert(w)
+        assert type(got) is Word
+        assert got == Word(-x for x in reversed(tuple(w)))
+        assert all(type(x) is int and x != 0 for x in got)
+
+
 def test_multiply_associative_on_reduced_forms():
     rng = random.Random(13)
     for _ in range(60):
