@@ -335,3 +335,24 @@ def test_the_token_loop_only_names_a_bad_token():
             words._parse_tokens(text, n)
     with pytest.raises(InputError, match="out of range"):
         words._parse_tokens("a G3", 2)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: reduce([0]),
+        lambda: reduce([0, 0]),
+        lambda: reduce([1, 0, 0, -1]),
+        lambda: multiply([0], [0]),
+        lambda: multiply([1, 0], [0, -1]),
+        lambda: commutator([0], [1]),
+        lambda: equal([0, 0], ()),
+    ],
+    ids=["lone zero", "zero pair", "zero pair inside a word", "zeros across factors",
+         "zeros across a product's seam", "zero in a commutator", "zeros compared"],
+)
+def test_zero_letters_that_would_cancel_are_rejected(make):
+    """A zero letter is its own inverse, so a pushdown that only compares
+    neighbours cancels a pair of them; the letters are checked first."""
+    with pytest.raises(InputError, match="word letters must be nonzero integers"):
+        make()
