@@ -89,9 +89,7 @@ def cmd_word(args) -> Report:
     elif args.op == "multiply":
         if len(words) < 2:
             raise InputError("word multiply takes two or more words")
-        res = words[0]
-        for w in words[1:]:
-            res = multiply(res, w)
+        res = reduce(*words)
     else:  # comm
         if len(words) != 2:
             raise InputError("word comm takes two words")
@@ -133,7 +131,7 @@ def _residual_move_word(base: Word, spec: str) -> Word:
         w = parse_word(spec[5:])
         if len(w) != 1:
             raise InputError("conj takes a single letter")
-        return Word((w[0],)) * base * Word((-w[0],))
+        return reduce(w, base, invert(w))
     raise InputError("move must be inv, mulr:<word>, or conj:<letter>")
 
 

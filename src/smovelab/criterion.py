@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import InitVar, dataclass, field, replace
-from itertools import chain
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import presentations as pres
@@ -38,6 +37,7 @@ from .presentations import (
     apply_qmove,
 )
 from .words import (  # InvalidInstance is defined in words and re-exported here
+    EMPTY,
     InputError,
     InvalidInstance,
     Word,
@@ -67,8 +67,7 @@ class ConjugatedRelator:
         w = p.word(self.base)
         if self.exponent == -1:
             w = invert(w)
-        c = tuple(self.conjugator)
-        return reduce(c + tuple(w) + tuple(invert(Word(c))))
+        return reduce(self.conjugator, w, invert(self.conjugator))
 
 
 @dataclass(frozen=True)
@@ -121,7 +120,7 @@ class CriterionInstance:
             reading = Reading(
                 expanded,
                 tuple(commutator(sw, rw) for rw, sw in expanded),
-                reduce(chain(self.r_word, invert(self.s_word))),
+                reduce(self.r_word, invert(self.s_word)),
             )
             object.__setattr__(self, "_reading", reading)
         return self._reading
@@ -137,18 +136,18 @@ class CriterionInstance:
 
 def commutator_product(inst: CriterionInstance) -> Word:
     """[S_1,R_1]...[S_n,R_n] in decomposition order."""
-    return reduce(chain.from_iterable(inst.read().commutators))
+    return reduce(*inst.read().commutators)
 
 
-def verification_word(inst: CriterionInstance, residual=(), side: str = "r") -> Word:
+def verification_word(inst: CriterionInstance, residual=EMPTY, side: str = "r") -> Word:
     """R.S^-1.[S_1,R_1]...[S_n,R_n], freely reduced; a ``residual`` left
     by a relator move goes in front of R (side r) or behind S^-1 (side s)."""
     if side not in ("r", "s"):
         raise InputError("residual side must be 'r' or 's'")
-    head, mid = (residual, ()) if side == "r" else ((), residual)
+    head, mid = (residual, EMPTY) if side == "r" else (EMPTY, residual)
     reading = inst.read()
     # free reduction is confluent, so R.S^-1 may enter reduced
-    return reduce(chain(head, reading.product, mid, chain.from_iterable(reading.commutators)))
+    return reduce(head, reading.product, mid, *reading.commutators)
 
 
 def verify(inst: CriterionInstance) -> bool:
@@ -166,12 +165,12 @@ def product_sides(inst: CriterionInstance) -> Tuple[Word, Word]:
 
 def residual_r(r: Word, r_new: Word) -> Word:
     """Leftover cell of replacing R by R_new: L' with L'.R_new = R."""
-    return reduce(tuple(r) + tuple(invert(r_new)))
+    return reduce(r, invert(r_new))
 
 
 def residual_s(s: Word, s_new: Word) -> Word:
     """Leftover cell of replacing S by S_new: M'^-1 with S_new^-1.M'^-1 = S^-1."""
-    return reduce(tuple(s_new) + tuple(invert(s)))
+    return reduce(s_new, invert(s))
 
 
 @dataclass(frozen=True)
@@ -279,7 +278,7 @@ def build_instance(
     k_probe = Presentation(n_generators, (("R", Word()),) + tuple(k_aux))
     probe = CriterionInstance(k_probe, l, "R", "S", tuple(factors))
     c_inv = invert(commutator_product(probe))
-    k = Presentation(n_generators, (("R", reduce(chain(c_inv, s_word))),) + tuple(k_aux))
+    k = Presentation(n_generators, (("R", reduce(c_inv, s_word)),) + tuple(k_aux))
     inst = CriterionInstance(k, l, "R", "S", tuple(factors), reading=probe.read()._replace(product=c_inv))
     if not verify(inst):
         raise RuntimeError("drawn instance fails the commutator criterion")
@@ -305,7 +304,7 @@ def _rebased(c: ConjugatedRelator, m: QMove) -> ConjugatedRelator:
     if isinstance(m, InvertRelator):
         return ConjugatedRelator(c.conjugator, c.base, -c.exponent)
     if isinstance(m, ConjugateRelator):
-        return ConjugatedRelator(reduce(c.conjugator + (-m.gen,)), c.base, c.exponent)
+        return ConjugatedRelator(reduce(c.conjugator, (-m.gen,)), c.base, c.exponent)
     raise InputError("cannot right-multiply %s: a decomposition factor conjugates %s itself" % (m.target, m.target))
 
 

@@ -112,7 +112,7 @@ def apply_qmove(p: Presentation, m: QMove) -> Presentation:
     elif isinstance(m, ConjugateRelator):
         if m.gen == 0 or abs(m.gen) > p.generator_count:
             raise InputError("conjugating letter out of range")
-        new = reduce((m.gen,) + tuple(old) + (-m.gen,))
+        new = reduce((m.gen,), old, (-m.gen,))
     else:
         raise InputError("unknown relator move %r" % (m,))
     return p.with_relator(m.target, new)

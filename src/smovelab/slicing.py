@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
-from .words import _LETTER_TEXT, InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
+from .words import _LETTER_TEXT, EMPTY, InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
 from . import criterion as crit
 
 
@@ -616,7 +616,7 @@ def token_text(t: Token, alias: bool = False) -> str:
         raise InputError("unknown token %r" % (t,))
     w = t.word
     if alias:
-        w = min(w, tuple(-x for x in reversed(w)))
+        w = min(w, invert(w))
     return "%s:%s" % (head, format_word(w))
 
 
@@ -664,7 +664,7 @@ def build_abstract(
     if orientation not in (1, -1):
         raise InputError("orientation must be +1 or -1")
     reading = inst.read()
-    if crit.verification_word(inst, residual or (), residual_side):
+    if crit.verification_word(inst, residual or EMPTY, residual_side):
         raise crit.InvalidInstance("instance fails the commutator criterion")
     orient = (lambda w: w) if orientation == 1 else invert
     kind_r, kind_s = spel_kinds(identification)
@@ -684,7 +684,7 @@ def build_abstract(
         (cell_r, cell_s_inv) + tuple(spels),
         (prod,) + riders + tuple(spels),
         (prod,) + riders + tuple(comms),
-        (CellToken(Word()),),
+        (CellToken(EMPTY),),
         (SphereToken(), SphereToken()),
         (),
     )

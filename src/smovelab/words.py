@@ -6,14 +6,23 @@ generators 1..26, ``A``..``Z`` for their inverses, and the escape forms
 ``g<k>`` / ``G<k>`` (k in ASCII digits, no more of them than ``int()``
 converts) for larger alphabets.  The empty word is written ``1``.
 
+Letters are checked once, where they enter from outside: ``Word(w)``
+converts every letter with ``int`` and rejects zero, unless ``w`` is a
+``Word`` already, which it returns as it is.  Every kernel here takes its
+word arguments through that one check and builds its result unchecked:
+a ``Word`` handed in is never looked at again, and the parser builds its
+words from its own table.
+
 Free reduction cancels adjacent pairs ``x x^-1``; the normal form is
-independent of cancellation order, so a single left-to-right pass with a
-pushdown suffices.
+independent of cancellation order, so ``reduce(*parts)`` runs one
+left-to-right pass with a pushdown over all its parts, and a caller hands
+over the pieces of a product as they are rather than joining them.
 """
 
 from __future__ import annotations
 
 import re
+from functools import partial
 from typing import Iterable, List, NoReturn, Optional, Sequence
 
 
@@ -35,9 +44,12 @@ class SliceError(ValueError):
 
 
 class Word(tuple):
-    """An immutable word; not necessarily freely reduced."""
+    """An immutable word; not necessarily freely reduced.  A ``Word`` is
+    returned as it is; any other iterable is converted and checked."""
 
     def __new__(cls, letters: Iterable[int] = ()):
+        if type(letters) is cls:
+            return letters
         letters = tuple(map(int, letters))
         if 0 in letters:
             raise InputError("word letters must be nonzero integers")
@@ -49,13 +61,16 @@ class Word(tuple):
     def __str__(self):
         return format_word(self)
 
-    # Concatenate-then-reduce; use tuple(u) + tuple(v) for raw concatenation.
+    # Concatenate-then-reduce; reduce(u, v) takes the same parts.
     def __mul__(self, other):
         return multiply(self, other)
 
     def __invert__(self):
         return invert(self)
 
+
+# A Word of letters already checked: no conversion, no zero test.
+_checked = partial(tuple.__new__, Word)
 
 EMPTY = Word()
 
@@ -69,20 +84,25 @@ _TOKEN = re.compile(r"\s+|g([0-9]+)|G([0-9]+)|[a-z]|[A-Z]|.", re.DOTALL)
 _ESCAPE = re.compile(r"([gG])([0-9]+)")
 
 
+def _escape_text(x: int) -> str:
+    return ("g%d" if x > 0 else "G%d") % abs(x)
+
+
 class _LetterText(dict):
     """Letter -> surface text; indices past 26 fall through to the escapes."""
 
     def __missing__(self, x):
-        return ("g%d" if x > 0 else "G%d") % abs(x)
+        return _escape_text(x)
 
 
 # One table for both directions: a..z are generators 1..26, A..Z their inverses.
-_LETTER_TEXT = _LetterText(
-    (sign * k, c if sign > 0 else c.upper())
+_PLAIN_TEXT = {
+    sign * k: c if sign > 0 else c.upper()
     for k, c in enumerate("abcdefghijklmnopqrstuvwxyz", start=1)
     for sign in (1, -1)
-)
-_TEXT_LETTER = {c: x for x, c in _LETTER_TEXT.items()}
+}
+_TEXT_LETTER = {c: x for x, c in _PLAIN_TEXT.items()}
+_LETTER_TEXT = _LetterText(_PLAIN_TEXT)
 
 
 def parse_word(text: str, n_generators: int | None = None) -> Word:
@@ -90,9 +110,11 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
 
     No token spans whitespace, so each whitespace-free chunk is split at
     its escapes by one regex, and each plain run between them maps through
-    the letter table in one pass.  Anything else in a run, a zero index,
-    an index past ``int()``'s digit limit or an index out of range sends
-    the text through the token loop, which names the first bad token."""
+    the letter table in one pass.  The letters are the table's own or
+    ``int()`` of an index, so the word is built without a second check.
+    Anything else in a run, a zero index, an index past ``int()``'s digit
+    limit or an index out of range sends the text through the token loop,
+    which names the first bad token."""
     stripped = text.strip()
     if stripped == "1" or stripped == "":
         return EMPTY
@@ -104,12 +126,14 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
             letters += map(letter, parts[0])
             for sign, index, run in zip(parts[1::3], parts[2::3], parts[3::3]):
                 k = int(index)
+                if not k:
+                    raise ValueError("zero index")
                 letters.append(k if sign == "g" else -k)
                 letters += map(letter, run)
         if n_generators is None or max(map(abs, letters)) <= n_generators:
-            return Word(letters)
+            return _checked(letters)
     # KeyError: a character no letter spells.  ValueError: an index with
-    # more digits than int() converts, or a zero index, which Word rejects.
+    # more digits than int() converts, or a zero index.
     except (KeyError, ValueError):
         pass
     _parse_tokens(text, n_generators)
@@ -141,40 +165,48 @@ def _parse_tokens(text: str, n_generators: int | None) -> NoReturn:
 
 
 def format_word(w: Iterable[int]) -> str:
-    return "".join(map(_LETTER_TEXT.__getitem__, w)) or "1"
+    """The surface text.  A word of plain letters is one join over the
+    a..z table; a word with an escape is joined over a table of this
+    call's own, which formats each distinct escape once."""
+    letters = w if isinstance(w, tuple) else tuple(w)
+    try:
+        return "".join(map(_PLAIN_TEXT.__getitem__, letters)) or "1"
+    except KeyError:
+        text = {x: _escape_text(x) for x in set(letters).difference(_PLAIN_TEXT)}
+        text.update(_PLAIN_TEXT)
+        return "".join(map(text.__getitem__, letters))
 
 
-def reduce(w: Iterable[int]) -> Word:
-    """Freely reduce: single left-to-right pass with a pushdown."""
+def reduce(*parts: Iterable[int]) -> Word:
+    """Freely reduce the concatenation of ``parts``: one left-to-right
+    pass with a pushdown.  A part that is not a ``Word`` is checked as
+    ``Word`` checks it, before any of its letters can cancel."""
     stack: list[int] = []
-    for x in w:
-        if stack and stack[-1] == -x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return Word(stack)
+    for part in parts:
+        if type(part) is not Word:
+            part = Word(part)
+        for x in part:
+            if stack and stack[-1] == -x:
+                stack.pop()
+            else:
+                stack.append(x)
+    return _checked(stack)
 
 
 def invert(w: Iterable[int]) -> Word:
-    if isinstance(w, Word):  # its letters are nonzero ints already
-        return tuple.__new__(Word, [-x for x in reversed(w)])
-    return Word(-x for x in reversed(tuple(w)))
+    if type(w) is not Word:
+        w = Word(w)
+    return _checked([-x for x in w[::-1]])
 
 
 def multiply(u: Iterable[int], v: Iterable[int]) -> Word:
-    return reduce(tuple(u) + tuple(v))
-
-
-def conjugate(w: Iterable[int], by: Iterable[int]) -> Word:
-    """reduce(by . w . by^-1)."""
-    by = tuple(by)
-    return reduce(by + tuple(w) + tuple(invert(by)))
+    return reduce(u, v)
 
 
 def commutator(u: Iterable[int], v: Iterable[int]) -> Word:
     """reduce(u . v . u^-1 . v^-1)."""
-    u, v = tuple(u), tuple(v)
-    return reduce(u + v + tuple(invert(u)) + tuple(invert(v)))
+    u, v = Word(u), Word(v)
+    return reduce(u, v, invert(u), invert(v))
 
 
 def equal(u: Iterable[int], v: Iterable[int]) -> bool:
@@ -190,14 +222,14 @@ def substitute(w: Iterable[int], gen: int, repl: Iterable[int]) -> Word:
     repl = Word(repl)
     repl_inv = invert(repl)
     out: list[int] = []
-    for x in w:
+    for x in Word(w):
         if x == gen:
             out.extend(repl)
         elif x == -gen:
             out.extend(repl_inv)
         else:
             out.append(x)
-    return reduce(out)
+    return reduce(_checked(out))
 
 
 def max_generator(w: Iterable[int]) -> int:

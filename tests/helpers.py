@@ -13,7 +13,7 @@ import smovelab.modmat as modmat
 from smovelab.criterion import ConjugatedRelator, CriterionInstance, Factor, InvalidInstance
 from smovelab.playground import label_tokens
 from smovelab.slicing import CellToken, CommutatorToken, SpElToken
-from smovelab.words import Word
+from smovelab.words import Word, invert, reduce
 
 
 def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
@@ -50,6 +50,12 @@ def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
         if mutated.read().expanded != inst.read().expanded:
             return mutated
     raise InvalidInstance("could not find a non-absorbed mutation")
+
+
+def conjugate(w, by) -> Word:
+    """reduce(by . w . by^-1)."""
+    by = Word(by)
+    return reduce(by, w, invert(by))
 
 
 def backend_labels(*aseqs, alias: bool = True):

@@ -423,6 +423,36 @@ def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, argv,
     assert (len(built), len(moved)) == (sequences, transports)
 
 
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["word", "comm", "abg27", "Bg30a"], "abg27Bg30aG27BAAG30b\n"),
+        (["word", "multiply", "abA", "aB", "bcg27", "G27C"], "ab\n"),
+        (["crit", "residual", "--R", "abABg27", "--move", "inv"], "abABg27abABg27\n"),
+        (["crit", "residual", "--R", "abAB", "--move", "conj:c"], "abABcbaBAC\n"),
+    ],
+)
+def test_word_commands_convert_no_letter_after_parsing(monkeypatch, capsys, argv, out):
+    """The parser builds its words from its own letters, and every kernel
+    after it takes ``Word``s as they are, so no letter of a word command
+    goes through ``Word``'s converting path."""
+    from smovelab.words import Word
+
+    converted = []
+    real = Word.__new__
+
+    def counted(cls, letters=()):
+        if type(letters) is not cls:
+            letters = tuple(letters)
+            converted.append(letters)
+        return real(cls, letters)
+
+    monkeypatch.setattr(Word, "__new__", counted)
+    code, got = _run(capsys, argv)
+    assert (code, got.split("---csv---")[0]) == (0, out)
+    assert converted == []
+
+
 def test_csv_block_is_well_formed(capsys):
     code, out = _run(capsys, ["word", "comm", "ab", "ba"])
     text_part, csv_part = out.split("---csv---\n")

@@ -34,7 +34,6 @@ def test_library_has_no_assert_statements():
 # ROADMAP documents, the builder that joins pieces, and the writer of the
 # decomposition format that ``parse_decomposition`` reads.
 _KEPT_WITHOUT_CALLER = {
-    ("words", "conjugate"),
     ("presentations", "inverse_qmoves"),
     ("criterion", "nielsen_transport"),
     ("criterion", "format_decomposition"),

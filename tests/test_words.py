@@ -13,7 +13,6 @@ from smovelab.words import (
     InputError,
     Word,
     commutator,
-    conjugate,
     equal,
     format_word,
     invert,
@@ -23,6 +22,8 @@ from smovelab.words import (
     reduce,
     substitute,
 )
+
+from helpers import conjugate
 
 
 def _reduce_randomly(letters, rng):
@@ -239,6 +240,55 @@ def test_parse_error_messages(text, n_generators, message):
     with pytest.raises(InputError) as info:
         parse_word(text, n_generators)
     assert str(info.value) == message
+
+
+# --- parts of any kind, checked where they enter ----------------------------
+
+_LETTER = st.integers(-40, 40).filter(bool)  # past 26 a letter is an escape
+_PART_KINDS = {
+    "Word": Word,
+    "tuple": tuple,
+    "list": list,
+    "iterator": iter,
+    "floats": lambda letters: [float(x) for x in letters],
+}
+_PARTS = st.lists(st.tuples(st.sampled_from(sorted(_PART_KINDS)), st.lists(_LETTER, max_size=10)), max_size=5)
+
+
+def _all_ints(w):
+    return type(w) is Word and all(type(x) is int for x in w)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_PARTS)
+@example([("iterator", [1, 2]), ("floats", [-2, -1])])
+@example([("Word", [3, 27]), ("list", [-27, -3, 5])])
+def test_reduce_and_invert_take_parts_of_any_kind(parts):
+    """``reduce(*parts)`` is the oracle's reduction of the concatenation,
+    and ``invert`` the letter-by-letter inverse, whatever kind each part
+    is; a result is a ``Word`` of ints, and ``Word`` hands a ``Word``
+    back as it is."""
+    concat = [x for _, letters in parts for x in letters]
+    got = reduce(*(_PART_KINDS[kind](letters) for kind, letters in parts))
+    assert got == _reduce_randomly(concat, random.Random(len(concat))) and _all_ints(got)
+    for kind, letters in parts:
+        inv = invert(_PART_KINDS[kind](letters))
+        assert inv == tuple(-x for x in reversed(letters)) and _all_ints(inv)
+    w = Word(concat)
+    assert Word(w) is w and Word(got) is got
+    assert parse_word(format_word(w)) == w and parse_word(format_word(got)) == got
+
+
+def test_format_word_formats_each_escape_once_per_call(monkeypatch):
+    import smovelab.words as words
+
+    formatted = []
+    real = words._escape_text
+    monkeypatch.setattr(words, "_escape_text", lambda x: formatted.append(x) or real(x))
+    assert format_word(Word((27, 1, 27, -27, 2, 27, -30))) == "g27ag27G27bg27G30"
+    assert sorted(formatted) == [-30, -27, 27]
+    formatted.clear()
+    assert format_word(Word((27, 27))) == "g27g27" and formatted == [27]
 
 
 # --- parse_word against the token-by-token parser ---------------------------
