@@ -192,7 +192,9 @@ def make_backend(
     the first one from the batch's prefix products and hands over the
     inverses of the draws before it, which stand.  The stream resumes
     right after the singular draw, with that draw and every one after it
-    made again, up to 64 times per draw.  The next batch first tries a
+    made again, up to 64 times per draw.  Only a singular draw needs the
+    stream's state, so it is saved once, where a batch starts, and a
+    failed batch restores it and draws again up to its singular draw.  The next batch first tries a
     prefix as long as the failed one's was up to its singular draw, so
     that where singular draws are dense (a small field) its search stays
     near the front, and where they are rare it inverts the whole batch.
@@ -209,15 +211,14 @@ def make_backend(
     rows: Dict[str, Tuple[List[int], List[int]]] = {}  # a diagonal matrix's diagonal and its inverse's
     batch: Dict[Optional[str], np.ndarray] = {}  # the base and the polynomials
     inverses: Dict[Optional[str], np.ndarray] = {}
-    after = {}  # the stream's state right after each batch draw
-    start = tries = 0
-    probe = None
-    while True:
-        for lab in order[start:]:
+    powers = None
+
+    def draw(labs):
+        nonlocal powers
+        for lab in labs:
             if lab is None:
                 base = np.array(modmat.draw(rng, d * d, p), dtype=np.int64).reshape(d, d)
                 batch[lab], powers = base, modmat.powers(base, 4, p)
-                after[lab] = rng.getstate()
             elif lab == SPHERE_LABEL:
                 (s,) = modmat.draw(rng, 1, p, 2)
                 rows[lab] = ([s] * d, [pow(s, -1, p)] * d)
@@ -228,7 +229,12 @@ def make_backend(
                 rows[lab] = (row, [pow(x, -1, p) for x in row])
             else:
                 batch[lab] = modmat.random_poly(rng, powers, p)
-                after[lab] = rng.getstate()
+
+    start = tries = 0
+    probe = None
+    while True:
+        state = rng.getstate()
+        draw(order[start:])
         todo = [lab for lab in order[start:] if lab in batch]
         try:
             inverses.update(zip(todo, modmat.inverse_all([batch[lab] for lab in todo], p, probe)))
@@ -239,7 +245,8 @@ def make_backend(
         tries = tries + 1 if j == start else 1
         if tries == 64:
             raise InputError("could not draw an invertible %s" % ("base matrix" if order[j] is None else "polynomial"))
-        rng.setstate(after[order[j]])
+        rng.setstate(state)
+        draw(order[start : j + 1])  # the same draws again, to leave the stream right after the singular one
         start = j
     batch.pop(None, None)
     inverses.pop(None, None)

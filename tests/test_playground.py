@@ -392,30 +392,42 @@ def test_redrawn_backends_keep_exact_inverses():
 def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
     """Stub the random stream to give zero coefficients, so every
     polynomial is the zero matrix: the label is drawn 64 times, then the
-    draw fails."""
+    draw fails.  The stub's state is the count of its draws, so a
+    restored state gives the same draws again."""
     draws = []
 
     class ZeroCoefficients(random.Random):
-        base_entries = [1, 0, 0, 1]  # the base matrix is the identity
+        def seed(self, a=None, version=2):
+            self.made = 0
+
+        def getstate(self):
+            return self.made
+
+        def setstate(self, made):
+            self.made = made
 
         def getrandbits(self, k):
-            if self.base_entries:
-                return self.base_entries.pop(0)
             draws.append(k)
-            return 0  # the sphere's scalar is 2 and every coefficient 0
+            self.made += 1
+            # the base matrix is the identity, the sphere's scalar 2 and every coefficient 0
+            return (1, 0, 0, 1)[self.made - 1] if self.made <= 4 else 0
 
     monkeypatch.setattr(pg.random, "Random", ZeroCoefficients)
     with pytest.raises(InputError, match="^could not draw an invertible polynomial$"):
         make_backend(["cell:a"], p=101, d=2, seed=0, family=POLY_IN_M)
-    # S2 sorts before cell:a and is drawn once; 101 and the sphere's span
-    # 99 both take 7 bits.  Then 64 draws of four coefficients.
-    assert draws == [7] * (1 + 64 * 4)
+    # The base's four entries, S2's scalar (S2 sorts before cell:a; 101
+    # and the sphere's span 99 both take 7 bits) and cell:a's four
+    # coefficients, then the same nine again to pass the singular draw.
+    # Then cell:a is drawn 63 times more, each failure but the last drawn
+    # again.
+    assert draws == [7] * (2 * (4 + 1 + 4) + (63 + 62) * 4)
 
 
 def test_base_draw_gives_up_after_64_singular_draws(monkeypatch):
     """A stream of zeros draws the zero base matrix each time: the base
     is redrawn, with every label after it, 64 times, then the draw
-    fails."""
+    fails.  Before each redraw the singular base is drawn again from the
+    batch's saved state, to pass it."""
     draws = []
 
     class Zeros(random.Random):
@@ -426,7 +438,7 @@ def test_base_draw_gives_up_after_64_singular_draws(monkeypatch):
     monkeypatch.setattr(pg.random, "Random", Zeros)
     with pytest.raises(InputError, match="^could not draw an invertible base matrix$"):
         make_backend(["cell:a"], p=101, d=2, seed=0, family=POLY_IN_M)
-    assert len(draws) == 64 * (4 + 1 + 4)  # the base, S2's scalar, cell:a's coefficients
+    assert len(draws) == 64 * (4 + 1 + 4) + 63 * 4  # the base, S2's scalar, cell:a's coefficients
 
 
 def test_make_backend_scalar_dimension():
