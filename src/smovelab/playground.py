@@ -192,9 +192,11 @@ def make_backend(
     the first one from the batch's prefix products and hands over the
     inverses of the draws before it, which stand.  The stream resumes
     right after the singular draw, with that draw and every one after it
-    made again, up to 64 times per draw.  Only a singular draw needs the
-    stream's state, so it is saved once, where a batch starts, and a
-    failed batch restores it and draws again up to its singular draw.  The next batch first tries a
+    made again, up to 64 times per draw.  To get there, a failed batch
+    restarts the stream where the batch started, at the seed for the
+    first batch and at a state saved after the last failure for a later
+    one, and draws again up to its singular draw.  So a batch with no
+    singular draw saves no state.  The next batch first tries a
     prefix as long as the failed one's was up to its singular draw, so
     that where singular draws are dense (a small field) its search stays
     near the front, and where they are rare it inverts the whole batch.
@@ -231,9 +233,8 @@ def make_backend(
                 batch[lab] = modmat.random_poly(rng, powers, p)
 
     start = tries = 0
-    probe = None
+    probe = state = None
     while True:
-        state = rng.getstate()
         draw(order[start:])
         todo = [lab for lab in order[start:] if lab in batch]
         try:
@@ -245,8 +246,12 @@ def make_backend(
         tries = tries + 1 if j == start else 1
         if tries == 64:
             raise InputError("could not draw an invertible %s" % ("base matrix" if order[j] is None else "polynomial"))
-        rng.setstate(state)
-        draw(order[start : j + 1])  # the same draws again, to leave the stream right after the singular one
+        if state is None:
+            rng.seed(seed)
+        else:
+            rng.setstate(state)
+        draw(order[start : j + 1])
+        state = rng.getstate()
         start = j
     batch.pop(None, None)
     inverses.pop(None, None)

@@ -61,7 +61,7 @@ class Word(tuple):
     def __str__(self):
         return format_word(self)
 
-    # Concatenate-then-reduce; reduce(u, v) takes the same parts.
+    # Concatenate-then-reduce.
     def __mul__(self, other):
         return multiply(self, other)
 
@@ -168,7 +168,7 @@ def format_word(w: Iterable[int]) -> str:
     """The surface text.  A word of plain letters is one join over the
     a..z table; a word with an escape is joined over a table of this
     call's own, which formats each distinct escape once."""
-    letters = w if isinstance(w, tuple) else tuple(w)
+    letters = w if isinstance(w, tuple) else tuple(w)  # an iterator may be joined twice
     try:
         return "".join(map(_PLAIN_TEXT.__getitem__, letters)) or "1"
     except KeyError:
