@@ -168,11 +168,12 @@ def cmd_crit(args) -> Report:
         r.code = EXIT_PASS if ok else EXIT_FAIL
     elif args.action == "check":
         chk = crit.residual_commutator_check(inst)
-        r.say("L' = %s" % format_word(chk.l_prime))
+        l_prime = format_word(chk.l_prime)
+        r.say("L' = %s" % l_prime)
         r.say("inverse commutator product = %s" % format_word(chk.inverse_commutator_product))
         r.say("M'^-1 = %s" % format_word(chk.m_prime_inv))
         r.say("agree: %s" % str(chk.ok).lower())
-        r.csv("l_prime", format_word(chk.l_prime))
+        r.csv("l_prime", l_prime)
         r.csv("agree", str(chk.ok).lower())
         r.code = EXIT_PASS if chk.ok else EXIT_FAIL
     else:
@@ -203,12 +204,12 @@ def cmd_slice(args) -> Report:
     else:
         raise InputError("unknown piece type %r" % args.type)
     # A sequence checks each move when it is made, so seq is valid.
-    trace = slicing.boundary_trace(seq)
+    boundary = format_word(slicing.boundary_trace(seq))
     r.head = slicing.format_sequence(seq)
     r.say("validates: true")
-    r.say("boundary: %s" % format_word(trace))
+    r.say("boundary: %s" % boundary)
     r.csv("validates", "true")
-    r.csv("boundary", format_word(trace))
+    r.csv("boundary", boundary)
     r.csv("moves", len(seq.moves))
     return r
 

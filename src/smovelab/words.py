@@ -95,6 +95,15 @@ class _LetterText(dict):
         return _escape_text(x)
 
 
+class _EscapesOnce(dict):
+    """One ``format_word`` call's letter table: each escape is formatted
+    the first time it is read, then kept."""
+
+    def __missing__(self, x):
+        self[x] = text = _escape_text(x)
+        return text
+
+
 # One table for both directions: a..z are generators 1..26, A..Z their inverses.
 _PLAIN_TEXT = {
     sign * k: c if sign > 0 else c.upper()
@@ -166,15 +175,13 @@ def _parse_tokens(text: str, n_generators: int | None) -> NoReturn:
 
 def format_word(w: Iterable[int]) -> str:
     """The surface text.  A word of plain letters is one join over the
-    a..z table; a word with an escape is joined over a table of this
-    call's own, which formats each distinct escape once."""
+    a..z table; a word with an escape is joined again over a copy of the
+    table made for this call, which formats each distinct escape once."""
     letters = w if isinstance(w, tuple) else tuple(w)  # an iterator may be joined twice
     try:
         return "".join(map(_PLAIN_TEXT.__getitem__, letters)) or "1"
     except KeyError:
-        text = {x: _escape_text(x) for x in set(letters).difference(_PLAIN_TEXT)}
-        text.update(_PLAIN_TEXT)
-        return "".join(map(text.__getitem__, letters))
+        return "".join(map(_EscapesOnce(_PLAIN_TEXT).__getitem__, letters))
 
 
 def reduce(*parts: Iterable[int]) -> Word:
