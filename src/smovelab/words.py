@@ -10,8 +10,8 @@ Letters are checked once, where they enter from outside: ``Word(w)``
 converts every letter with ``int`` and rejects zero, unless ``w`` is a
 ``Word`` already, which it returns as it is.  Every kernel here takes its
 word arguments through that one check and builds its result unchecked:
-a ``Word`` handed in is never looked at again, and the parser builds its
-words from its own table.
+a ``Word`` handed in is not checked again, and the parser builds its
+words from its own table's letters.
 
 Free reduction cancels adjacent pairs ``x x^-1``; the normal form is
 independent of cancellation order, so ``reduce(*parts)`` runs one

@@ -453,6 +453,22 @@ def test_word_commands_convert_no_letter_after_parsing(monkeypatch, capsys, argv
     assert converted == []
 
 
+@pytest.mark.parametrize("action, formatted", [("slice", 1), ("check", 3)])
+def test_a_word_printed_on_two_lines_is_formatted_once(monkeypatch, capsys, tmp_path, action, formatted):
+    """``slice piece`` prints its boundary word in the text and the CSV
+    block, and ``crit check`` prints L' in both: each is formatted once."""
+    calls = []
+    real = cli.format_word
+    monkeypatch.setattr(cli, "format_word", lambda w: calls.append(w) or real(w))
+    if action == "slice":
+        argv = ["slice", "piece", "--type", "comm", "--R", "abg27", "--S", "Bg30a"]
+    else:
+        argv = ["crit", "check", "--instance", _write_instance(tmp_path)]
+    code, out = _run(capsys, argv)
+    assert code == 0 and "---csv---" in out
+    assert len(calls) == formatted
+
+
 def test_csv_block_is_well_formed(capsys):
     code, out = _run(capsys, ["word", "comm", "ab", "ba"])
     text_part, csv_part = out.split("---csv---\n")

@@ -426,8 +426,8 @@ def test_poly_draw_gives_up_after_64_singular_draws(monkeypatch):
 def test_base_draw_gives_up_after_64_singular_draws(monkeypatch):
     """A stream of zeros draws the zero base matrix each time: the base
     is redrawn, with every label after it, 64 times, then the draw
-    fails.  Before each redraw the singular base is drawn again from the
-    batch's saved state, to pass it."""
+    fails.  Before each redraw the stream restarts where the failed batch
+    started and draws the singular base again, to pass it."""
     draws = []
 
     class Zeros(random.Random):
