@@ -10,10 +10,18 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 import smovelab.modmat as modmat
-from smovelab.criterion import ConjugatedRelator, CriterionInstance, Factor, InvalidInstance
+from smovelab.criterion import (
+    ConjugatedRelator,
+    CriterionInstance,
+    Factor,
+    InvalidInstance,
+    commutator_product,
+    verify,
+)
 from smovelab.playground import label_tokens
 from smovelab.slicing import CellToken, CommutatorToken, SpElToken
-from smovelab.words import Word, invert, reduce
+from smovelab.statesum import TrivalentGraph
+from smovelab.words import Word, equal, invert, reduce
 
 
 def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
@@ -127,3 +135,87 @@ def composed_invariant(aseq, b) -> np.ndarray:
         level = modmat.product([level, b.value(t)] + spels.get(t.index, []), b.p, b.dim)
     maps[k] = modmat.mul(level, sm.inverses[k], b.p)
     return compose(maps, b.p, b.dim)
+
+
+# --- the cross-checks behind verdict lines that hold by construction ---------
+#
+# Each command prints these lines from the fact that makes them true; the
+# computations they once ran are kept here as the oracles that judge it.
+
+
+def abstract_ok(aseq) -> bool:
+    """Structural sanity: empty ends, product cell flanked by the
+    spherical elements before and the commutators after the perturbation."""
+    s = aseq.slices
+    if len(s) != 8 or s[0].tokens or s[-1].tokens:
+        return False
+    if any(sl.level != k for k, sl in enumerate(s)):
+        return False
+    p = aseq.perturbation_index
+    before, after = s[p].tokens, s[p + 1].tokens
+    n = aseq.factor_count
+    spel = [t for t in before if isinstance(t, SpElToken)]
+    comm = [t for t in after if isinstance(t, CommutatorToken)]
+    cells_before = [t for t in before if isinstance(t, CellToken)]
+    cells_after = [t for t in after if isinstance(t, CellToken)]
+    return (
+        len(spel) == 2 * n
+        and len(comm) == n
+        and len(spel) + len(cells_before) == len(before)
+        and len(comm) + len(cells_after) == len(after)
+        and cells_before == cells_after
+    )
+
+
+def product_sides(inst) -> Tuple[Word, Word]:
+    """The product form: (reduce(R.S^-1), [R_n,S_n]...[R_1,S_1]); the
+    right side is the inverse of the commutator product."""
+    return inst.read().product, invert(commutator_product(inst))
+
+
+@dataclass(frozen=True)
+class ResidualCommutatorCheck:
+    ok: bool
+    l_prime: Word
+    inverse_commutator_product: Word
+    m_prime_inv: Word
+
+
+def residual_commutator_check(inst) -> ResidualCommutatorCheck:
+    """For the move replacing R by S itself: the leftover L' must equal the
+    inverse of the commutator product.  The two residual routes,
+    ``residual_r(R, S)`` and ``residual_s(S, R)``, are both reduce(R.S^-1)
+    by definition, which the reading holds."""
+    if not verify(inst):
+        raise InvalidInstance("instance does not verify")
+    l_prime = m_prime_inv = inst.read().product
+    inv_prod = invert(commutator_product(inst))
+    return ResidualCommutatorCheck(equal(l_prime, inv_prod), l_prime, inv_prod, m_prime_inv)
+
+
+def wedge(g1: TrivalentGraph, g2: TrivalentGraph) -> TrivalentGraph:
+    """Disjoint union; the wedge point carries no weight."""
+    offset = max(g1.vertices, default=-1) + 1
+    return TrivalentGraph(
+        g1.vertices + tuple(v + offset for v in g2.vertices),
+        g1.edges + tuple((a + offset, b + offset) for a, b in g2.edges),
+        g1.circles + g2.circles,
+        g1.points + g2.points,
+    )
+
+
+def ordering_sum(mats: Sequence[np.ndarray], p: int, dim: int) -> np.ndarray:
+    """The sum over every ordering of ``mats`` of their product mod p, by
+    brute force: a walk over the orderings that multiplies each prefix
+    once."""
+    total = np.zeros((dim, dim), dtype=np.int64)
+
+    def walk(prefix, rest):
+        nonlocal total
+        if not rest:
+            total = (total + prefix) % p
+        for i, m in enumerate(rest):
+            walk(modmat.mul(prefix, m, p), rest[:i] + rest[i + 1 :])
+
+    walk(modmat.identity(dim), list(mats))
+    return total

@@ -25,8 +25,6 @@ from smovelab.criterion import (
     build_instance,
     gauge,
     nielsen_transport,
-    product_sides,
-    residual_commutator_check,
     residual_r,
     verification_word,
     verify,
@@ -51,7 +49,6 @@ from smovelab.slicing import (
     CellToken,
     CommutatorToken,
     SpElToken,
-    abstract_ok,
     boundary_trace,
     build_abstract,
     slice_bag,
@@ -67,11 +64,20 @@ from smovelab.statesum import (
     nonmult_expand,
     poly_local_invariant,
     state_sum,
-    wedge,
 )
 from smovelab.words import InputError, Word, commutator, invert, multiply, parse_word, reduce
 
-from helpers import backend_labels, compose, mutate_conjugator, state_modules, transitions
+from helpers import (
+    abstract_ok,
+    backend_labels,
+    compose,
+    mutate_conjugator,
+    product_sides,
+    residual_commutator_check,
+    state_modules,
+    transitions,
+    wedge,
+)
 
 
 # --- shared helpers ----------------------------------------------------------

@@ -18,8 +18,6 @@ from smovelab.criterion import (
     load_instance,
     nielsen_transport,
     parse_decomposition,
-    product_sides,
-    residual_commutator_check,
     residual_r,
     residual_s,
     transport_qmove,
@@ -37,7 +35,7 @@ from smovelab.presentations import (
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
-from helpers import mutate_conjugator
+from helpers import mutate_conjugator, product_sides, residual_commutator_check
 
 
 def _hand_instance():
@@ -180,6 +178,29 @@ def test_residual_commutator_check_on_built_instances():
         assert reduce(chk.l_prime) == reduce(chk.m_prime_inv)
     with pytest.raises(InvalidInstance):
         residual_commutator_check(mutate_conjugator(build_instance(0), 77))
+
+
+def test_the_product_form_and_the_residual_check_follow_from_verify():
+    """``crit verify`` prints ``product form agrees: true``: free reduction
+    is unique, so the two sides of the product form are equal exactly when
+    the verification word reduces to 1.  ``crit check`` prints one word
+    three times: on a verifying instance L', the inverse commutator
+    product and M'^-1 are that word, and a failing one is refused."""
+    failing = 0
+    for seed in range(150):
+        inst = build_instance(seed, n_factors=1 + seed % 4)
+        for x in (inst, gauge(inst), _unread(inst), mutate_conjugator(inst, seed)):
+            lhs, rhs = product_sides(x)
+            ok = verify(x)
+            assert (lhs == rhs) == ok, seed
+            if ok:
+                chk = residual_commutator_check(x)
+                assert chk.ok and chk.l_prime == chk.inverse_commutator_product == chk.m_prime_inv == lhs
+            else:
+                failing += 1
+                with pytest.raises(InvalidInstance, match="^instance does not verify$"):
+                    residual_commutator_check(x)
+    assert failing >= 140
 
 
 def _text_instance(k: str, l: str, decomp: str) -> CriterionInstance:

@@ -52,6 +52,7 @@ from helpers import (
     compose,
     composed_invariant,
     matpow,
+    ordering_sum,
     random_invertible_diagonal,
     state_modules,
     transitions,
@@ -820,6 +821,46 @@ def test_gauge_trivial_for_empty_decomposition():
     inst = build_instance(1, n_factors=0)
     b = make_backend(_labels_for(inst), seed=2)
     assert check_gauge(*_readings(inst, LONGITUDINAL), b).verdict == "Pass"
+
+
+def test_a_gauged_sequence_has_its_own_sequences_labels_and_invariant():
+    """``test three-tests`` prints both gauge lines from I_gauge(X) = I(X):
+    every backend the CLI makes, drawn or loaded, aliases a word with its
+    inverse, so a gauged sequence carries its own sequence's labels and
+    has its invariant.  A backend that keys raw words fails the gauge."""
+    rng = random.Random(31)
+    broken_fails = 0
+    for seed in range(60):
+        inst = build_instance(seed, n_factors=1 + seed % 4)
+        for t in (LONGITUDINAL, MERIDIAN):
+            own, gauged = _readings(inst, t)
+            labels = backend_labels(own)
+            assert backend_labels(own, gauged) == labels
+            diagonals = {lab: random_invertible_diagonal(rng, 3, 101) for lab in labels + [SPHERE_LABEL]}
+            for b in (
+                make_backend(labels, d=3, seed=seed),
+                make_backend(labels, d=3, seed=seed, family=POLY_IN_M),
+                load_backend(dump_backend(Backend(101, 3, "direct", diagonals, {}))),
+            ):
+                assert modmat.equal(perturbed_invariant(gauged, b), perturbed_invariant(own, b), b.p), (seed, t)
+            broken = make_backend(backend_labels(own, gauged, alias=False), d=3, seed=seed, alias=False)
+            broken_fails += check_gauge(own, gauged, broken).verdict == "Fail"
+    assert broken_fails >= 110
+
+
+def test_the_permutation_sum_of_commuting_matrices_is_n_factorial_copies():
+    """``--combine permsum`` sums the product of a side's invariants over
+    every ordering; they are products of one backend's matrices, which
+    commute, so the sum is n!·(their product) mod p.  Judged against the
+    brute sum over the orderings, up to 8 factors (7 for diagonal ones)."""
+    inst = build_instance(5, n_factors=4)
+    p, d = 101, 2
+    for family, most in ((DIAGONAL, 7), (POLY_IN_M, 8)):
+        ms = list(make_backend(_labels_for(inst), p=p, d=d, seed=5, family=family).assignment.values())
+        mats = [modmat.mul(ms[i], ms[-1 - i], p) for i in range(most)]
+        for n in range(most + 1):
+            want = math.factorial(n) % p * modmat.product(mats[:n], p, d) % p
+            assert modmat.equal(ordering_sum(mats[:n], p, d), want, p), (family, n)
 
 
 def test_between_type_obstruction_iff_spel_product_nontrivial():
