@@ -2,16 +2,17 @@
 
 A pair of relators R (in presentation K) and S (in presentation L) passes
 the criterion when R.S^-1 equals a product of commutators of conjugated
-relators, one commutator per decomposition factor.  Two equivalent word
-equations are computed:
+relators, one commutator per decomposition factor.  One word equation is
+computed, the verification form
 
-* product form:       R.S^-1 = [R_n,S_n]...[R_1,S_1]   (reversed order)
-* verification form:  R.S^-1.[S_1,R_1]...[S_n,R_n] = 1
+    R.S^-1.[S_1,R_1]...[S_n,R_n] = 1,
 
-where R_i, S_i are the expanded conjugated relators of factor i.  The
-residual of a relator move records the leftover cell: replacing R by R'
-leaves L' with L'.R' = R, replacing S by S' leaves M'^-1 with
-S'^-1.M'^-1 = S^-1.
+where R_i, S_i are the expanded conjugated relators of factor i.  Free
+reduction is unique, so it holds exactly when the product form
+R.S^-1 = [R_n,S_n]...[R_1,S_1] does; the tests keep the product form as
+an oracle.  The residual of a relator move records the leftover cell:
+replacing R by R' leaves L' with L'.R' = R, replacing S by S' leaves
+M'^-1 with S'^-1.M'^-1 = S^-1.
 
 An instance's reading, its expanded relators R_i, S_i, commutators
 [S_i,R_i] and reduced product R.S^-1, is computed once, on first use, and
@@ -30,10 +31,8 @@ from . import presentations as pres
 from .presentations import (
     ConjugateRelator,
     InvertRelator,
-    NielsenMove,
     Presentation,
     QMove,
-    apply_nielsen,
     apply_qmove,
 )
 from .words import (  # InvalidInstance is defined in words and re-exported here
@@ -44,12 +43,9 @@ from .words import (  # InvalidInstance is defined in words and re-exported here
     _ContentLines,
     _read,
     commutator,
-    equal,
-    format_word,
     invert,
     parse_word,
     reduce,
-    substitute,
 )
 
 
@@ -154,12 +150,6 @@ def verify(inst: CriterionInstance) -> bool:
     return len(verification_word(inst)) == 0
 
 
-def product_sides(inst: CriterionInstance) -> Tuple[Word, Word]:
-    """The product form: (reduce(R.S^-1), [R_n,S_n]...[R_1,S_1]); the
-    right side is the inverse of the commutator product."""
-    return inst.read().product, invert(commutator_product(inst))
-
-
 # --- residuals -----------------------------------------------------------
 
 
@@ -171,26 +161,6 @@ def residual_r(r: Word, r_new: Word) -> Word:
 def residual_s(s: Word, s_new: Word) -> Word:
     """Leftover cell of replacing S by S_new: M'^-1 with S_new^-1.M'^-1 = S^-1."""
     return reduce(s_new, invert(s))
-
-
-@dataclass(frozen=True)
-class ResidualCommutatorCheck:
-    ok: bool
-    l_prime: Word
-    inverse_commutator_product: Word
-    m_prime_inv: Word
-
-
-def residual_commutator_check(inst: CriterionInstance) -> ResidualCommutatorCheck:
-    """For the move replacing R by S itself: the leftover L' must equal the
-    inverse of the commutator product.  The two residual routes,
-    ``residual_r(R, S)`` and ``residual_s(S, R)``, are both reduce(R.S^-1)
-    by definition, which the reading holds."""
-    if not verify(inst):
-        raise InvalidInstance("instance does not verify")
-    l_prime = m_prime_inv = inst.read().product
-    inv_prod = invert(commutator_product(inst))
-    return ResidualCommutatorCheck(equal(l_prime, inv_prod), l_prime, inv_prod, m_prime_inv)
 
 
 # --- gauge (role swap of the two sides) ----------------------------------
@@ -285,7 +255,7 @@ def build_instance(
     return inst
 
 
-# --- transport under relator moves and substitutions ---------------------
+# --- transport under relator moves ---------------------------------------
 
 
 @dataclass(frozen=True)
@@ -331,23 +301,6 @@ def transport_qmove(inst: CriterionInstance, m: QMove) -> QMoveTransport:
     )
 
 
-def nielsen_transport(
-    inst: CriterionInstance, m: NielsenMove, one_sided: bool = False
-) -> CriterionInstance:
-    """Substitute a generator in both presentations and in every
-    decomposition conjugator.  ``one_sided`` applies the substitution to K
-    only (deliberately losing the s-side control)."""
-    k2 = apply_nielsen(inst.k, m)
-    l2 = inst.l if one_sided else apply_nielsen(inst.l, m)
-    repl = m.replacement()
-
-    def sub_conj(c: ConjugatedRelator) -> ConjugatedRelator:
-        return ConjugatedRelator(substitute(c.conjugator, m.gen, repl), c.base, c.exponent)
-
-    factors = tuple(Factor(r=sub_conj(f.r), s=sub_conj(f.s)) for f in inst.factors)
-    return replace(inst, k=k2, l=l2, factors=factors)
-
-
 # --- file formats ---------------------------------------------------------
 
 
@@ -384,23 +337,6 @@ def parse_decomposition(text: str) -> Tuple[Factor, ...]:
                 )
             )
     return tuple(factors)
-
-
-def format_decomposition(factors) -> str:
-    lines = []
-    for f in factors:
-        lines.append(
-            "factor wR=%s R=%s^%s wS=%s S=%s^%s"
-            % (
-                format_word(f.r.conjugator),
-                f.r.base,
-                "+1" if f.r.exponent == 1 else "-1",
-                format_word(f.s.conjugator),
-                f.s.base,
-                "+1" if f.s.exponent == 1 else "-1",
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _instance_fields(text: str) -> Dict[str, str]:

@@ -118,21 +118,6 @@ def apply_qmove(p: Presentation, m: QMove) -> Presentation:
     return p.with_relator(m.target, new)
 
 
-def inverse_qmoves(m: QMove) -> Tuple[QMove, ...]:
-    """A move sequence undoing ``m`` letter-for-letter."""
-    if isinstance(m, InvertRelator):
-        return (m,)
-    if isinstance(m, ConjugateRelator):
-        return (ConjugateRelator(m.target, -m.gen),)
-    if isinstance(m, MultiplyRight):
-        return (
-            InvertRelator(m.other),
-            MultiplyRight(m.target, m.other),
-            InvertRelator(m.other),
-        )
-    raise InputError("unknown relator move %r" % (m,))
-
-
 # --- generator substitutions (applied to every relator) -----------------
 
 

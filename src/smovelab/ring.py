@@ -1,7 +1,7 @@
 """Exact polynomial arithmetic with rational coefficients.
 
 Small and purpose-built: multivariate addition/multiplication for the
-symbolic state-sum work, and univariate division/xgcd for reducing
+symbolic state-sum work, and univariate division/gcd for reducing
 modulo a principal ideal.  Everything is exact: a coefficient is an int
 when it is integral and a Fraction otherwise, never a float, so integer
 polynomials multiply and add without a gcd per operation.
@@ -266,32 +266,6 @@ def poly_gcd(a: Polynomial, b: Polynomial, var: Optional[str] = None) -> Polynom
     while not b.is_zero():
         a, b = b, poly_mod(a, b, var)
     return poly_monic(a, var) if not a.is_zero() else a
-
-
-def poly_xgcd(a: Polynomial, b: Polynomial, var: Optional[str] = None):
-    """(g, u, v) with u·a + v·b = g, g monic."""
-    var = _univar(var, a, b)
-    r0, r1 = a, b
-    u0, u1 = Polynomial.const(1), Polynomial()
-    v0, v1 = Polynomial(), Polynomial.const(1)
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1, var)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    lead = r0.coeff(var, r0.degree(var)).constant_value()
-    s = Polynomial.const(Fraction(1) / lead)
-    return r0 * s, u0 * s, v0 * s
-
-
-def poly_inverse_mod(a: Polynomial, g: Polynomial, var: Optional[str] = None) -> Polynomial:
-    var = _univar(var, a, g)
-    d, u, _ = poly_xgcd(a, g, var)
-    if d != Polynomial.const(1):
-        raise InputError("polynomial is not invertible modulo the ideal")
-    return poly_mod(u, g, var)
 
 
 def parse_scalar(text: str):

@@ -21,7 +21,7 @@ bag is read once forward and once fully inverted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
@@ -212,42 +212,6 @@ class ReorderStep(LocalMove):
         return "-- ReorderStep %s" % self.index
 
 
-@dataclass(frozen=True)
-class JoinCells(LocalMove):
-    index: int
-    other: int
-
-    def _apply(self, cs: list):
-        a = _at(cs, self.index, Circle)
-        b = _at(cs, self.other, Circle)
-        _need(self.other != self.index, "cell join needs two distinct circles")
-        lo, hi = sorted((self.index, self.other))
-        cs[lo] = Circle(a.marks + b.marks)
-        del cs[hi]
-
-    def _text(self):
-        return "-- JoinCells %s %s" % (self.index, self.other)
-
-
-@dataclass(frozen=True)
-class SplitCells(LocalMove):
-    index: int
-    marks_first: Tuple[str, ...]
-    marks_second: Tuple[str, ...]
-
-    def _apply(self, cs: list):
-        a = _at(cs, self.index, Circle)
-        _need(
-            a.marks == tuple(self.marks_first) + tuple(self.marks_second),
-            "cell split must partition the marks in order",
-        )
-        cs[self.index] = Circle(tuple(self.marks_first))
-        cs.append(Circle(tuple(self.marks_second)))
-
-    def _text(self):
-        return "-- SplitCells %s %s %s" % (self.index, _marks(self.marks_first), _marks(self.marks_second))
-
-
 def apply_move(components: Tuple[Component, ...], m: LocalMove) -> Tuple[Component, ...]:
     if not isinstance(m, LocalMove):
         raise SliceError("unknown move %r" % (m,))
@@ -428,67 +392,6 @@ def slice_product(r, s) -> SliceSequence:
     moves += [CirculateStep(0, -x, "S^-1") for x in s]
     moves += [JoinArcsToCircle(0, mark="Q"), DeathCircle(0)]
     return SliceSequence(tuple(moves), (ReadoutStrand("R", "as_is"), ReadoutStrand("S^-1", "reverse")))
-
-
-def _shift_move(m: LocalMove, off: int, prefix: str) -> LocalMove:
-    """``m`` on a slice with ``off`` more components in front, its strand
-    renamed under ``prefix``."""
-    changes = {f: getattr(m, f) + off for f in ("index", "other") if getattr(m, f, None) is not None}
-    if isinstance(m, CirculateStep):
-        changes["strand"] = prefix + m.strand
-    return replace(m, **changes)
-
-
-def connect(pieces) -> SliceSequence:
-    """One sequence containing every piece: a single absolute-minimum root
-    circle, each piece entered at its own local minima; with two or more
-    pieces each piece's final circle is joined into the root cell and split
-    back out before dying.  Circulation moves are replayed verbatim."""
-    pieces = list(pieces)
-    if not pieces:
-        raise InputError("connect needs at least one piece")
-    live: list[Component] = []  # where the pieces sit; arcs carry no trace
-    moves: list[LocalMove] = []
-
-    def push(m: LocalMove):
-        if not isinstance(m, CirculateStep):  # a step moves no component
-            m._apply(live)
-        moves.append(m)
-
-    push(BirthCircle(("root",)))
-    readout: list[ReadoutStrand] = []
-    if len(pieces) == 1:
-        for m in pieces[0].moves:
-            push(_shift_move(m, 1, "0:"))
-        readout += [ReadoutStrand("0:" + r.key, r.transform) for r in pieces[0].readout]
-        push(DeathCircle(0))
-        return SliceSequence(tuple(moves), tuple(readout))
-
-    leftovers: list[tuple[int, int]] = []  # (piece id, live index of its circle)
-    for pid, p in enumerate(pieces):
-        body = list(p.moves)
-        trailing = 0
-        while body and isinstance(body[-1], DeathCircle):
-            body.pop()
-            trailing += 1
-        off = len(live)
-        for m in body:
-            push(_shift_move(m, off, "%d:" % pid))
-        got = len(live) - off
-        if got != trailing:
-            raise SliceError("piece %d does not end in its own circles" % pid)
-        leftovers += [(pid, off + i) for i in range(got)]
-        readout += [ReadoutStrand("%d:%s" % (pid, r.key), r.transform) for r in p.readout]
-    # join each piece circle into the root cell, split it back, let it die
-    for _ in leftovers:
-        c = live[1]
-        _need(isinstance(c, Circle), "piece leftover must be a circle")
-        root = live[0]
-        push(JoinCells(0, 1))
-        push(SplitCells(0, root.marks, c.marks))
-        push(DeathCircle(len(live) - 1))
-    push(DeathCircle(0))
-    return SliceSequence(tuple(moves), tuple(readout))
 
 
 # --- text dump ------------------------------------------------------------
@@ -690,30 +593,6 @@ def build_abstract(
     )
     slices = tuple(AbstractSlice(k, toks) for k, toks in enumerate(seq))
     return AbstractSequence(slices, identification, len(inst.factors), residual=residual)
-
-
-def abstract_ok(aseq: AbstractSequence) -> bool:
-    """Structural sanity: empty ends, product cell flanked by the
-    spherical elements before and the commutators after the perturbation."""
-    s = aseq.slices
-    if len(s) != 8 or s[0].tokens or s[-1].tokens:
-        return False
-    if any(sl.level != k for k, sl in enumerate(s)):
-        return False
-    p = aseq.perturbation_index
-    before, after = s[p].tokens, s[p + 1].tokens
-    n = aseq.factor_count
-    spel = [t for t in before if isinstance(t, SpElToken)]
-    comm = [t for t in after if isinstance(t, CommutatorToken)]
-    cells_before = [t for t in before if isinstance(t, CellToken)]
-    cells_after = [t for t in after if isinstance(t, CellToken)]
-    return (
-        len(spel) == 2 * n
-        and len(comm) == n
-        and len(spel) + len(cells_before) == len(before)
-        and len(comm) + len(cells_after) == len(after)
-        and cells_before == cells_after
-    )
 
 
 def format_abstract(aseq: AbstractSequence) -> str:

@@ -17,7 +17,7 @@ from itertools import product
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .ring import Polynomial, _exact, parse_scalar, poly_gcd, poly_inverse_mod, poly_mod
+from .ring import Polynomial, _exact, parse_scalar, poly_gcd, poly_mod
 from .words import InputError, _ContentLines, _line_ints, _read
 
 Value = Union[Fraction, Polynomial]
@@ -231,17 +231,6 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     return total
 
 
-def wedge(g1: TrivalentGraph, g2: TrivalentGraph) -> TrivalentGraph:
-    """Disjoint union; the wedge point carries no weight."""
-    offset = max(g1.vertices, default=-1) + 1
-    return TrivalentGraph(
-        g1.vertices + tuple(v + offset for v in g2.vertices),
-        g1.edges + tuple((a + offset, b + offset) for a, b in g2.edges),
-        g1.circles + g2.circles,
-        g1.points + g2.points,
-    )
-
-
 MovePair = Tuple[TrivalentGraph, TrivalentGraph]
 
 
@@ -350,40 +339,6 @@ def nonmult_check(t: ThreeJTable) -> NonMultReport:
     plain = s_val.constant_value() if isinstance(s_val, Polynomial) else s_val
     value = quartic(S=plain)
     return NonMultReport(plain, value, value == 0)
-
-
-# --- polynomial local invariant ---------------------------------------------
-
-
-def poly_local_invariant(ps: Sequence[Polynomial], g: Polynomial, x3: Fraction) -> Polynomial:
-    """Product of the level-transition quotients Q_k = P_{k+1}/P_k mod g,
-    with the fourth level replaced by its perturbed version P_4(c3·x)."""
-    ps = list(ps)
-    if len(ps) != 6:
-        raise InputError("need exactly six level polynomials")
-    names = set(g.variables())
-    for p in ps:
-        names |= set(p.variables())
-    if len(names) > 1:
-        raise InputError("level polynomials must share one variable")
-    var = names.pop() if names else "x"
-    for k, p in enumerate(ps, start=1):
-        if poly_gcd(p, g, var) != Polynomial.const(1):
-            raise InputError("P_%d is not invertible modulo the ideal" % k)
-    c3 = ps[2].subs({var: Fraction(x3)}).constant_value()
-    if c3 in (0, 1):
-        raise InputError("evaluation point gives c3 = %s; need c3 outside {0, 1}" % c3)
-
-    def quotient(num: Polynomial, den: Polynomial) -> Polynomial:
-        return poly_mod(num * poly_inverse_mod(den, g, var), g, var)
-
-    qs = {k: quotient(ps[k], ps[k - 1]) for k in (1, 2, 3, 5)}
-    perturbed = ps[3].subs({var: Polynomial.var(var) * c3})
-    q4 = quotient(perturbed, ps[3])
-    out = Polynomial.const(1)
-    for q in (qs[1], qs[2], qs[3], q4, qs[5]):
-        out = out * q
-    return poly_mod(out, g, var)
 
 
 # --- file I/O ----------------------------------------------------------------

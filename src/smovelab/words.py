@@ -216,11 +216,6 @@ def commutator(u: Iterable[int], v: Iterable[int]) -> Word:
     return reduce(u, v, invert(u), invert(v))
 
 
-def equal(u: Iterable[int], v: Iterable[int]) -> bool:
-    """Equality in the free group (compare reduced forms)."""
-    return reduce(u) == reduce(v)
-
-
 def substitute(w: Iterable[int], gen: int, repl: Iterable[int]) -> Word:
     """Replace generator ``gen`` by ``repl`` (inverse occurrences get
     the inverted replacement), then reduce."""

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import List, Sequence, Tuple
+from fractions import Fraction
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,9 +20,34 @@ from smovelab.criterion import (
     verify,
 )
 from smovelab.playground import label_tokens
-from smovelab.slicing import CellToken, CommutatorToken, SpElToken
+from smovelab.presentations import (
+    ConjugateRelator,
+    InvertRelator,
+    MultiplyRight,
+    NielsenMove,
+    QMove,
+    apply_nielsen,
+)
+from smovelab.ring import Polynomial, _univar, poly_divmod, poly_gcd, poly_mod
+from smovelab.slicing import (
+    BirthCircle,
+    CellToken,
+    Circle,
+    CirculateStep,
+    CommutatorToken,
+    Component,
+    DeathCircle,
+    LocalMove,
+    ReadoutStrand,
+    SliceError,
+    SliceSequence,
+    SpElToken,
+    _at,
+    _marks,
+    _need,
+)
 from smovelab.statesum import TrivalentGraph
-from smovelab.words import Word, equal, invert, reduce
+from smovelab.words import InputError, Word, format_word, invert, reduce, substitute
 
 
 def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
@@ -219,3 +245,218 @@ def ordering_sum(mats: Sequence[np.ndarray], p: int, dim: int) -> np.ndarray:
 
     walk(modmat.identity(dim), list(mats))
     return total
+
+# --- public names that only the tests run ---------------------------------
+#
+# API with no caller in the library, kept here for the tests that use it:
+# the writer of the decomposition format, the builder that joins slice
+# pieces with the two cell moves only it makes, relator-move inverses, Nielsen transport, the polynomial local
+# invariant with the modular inverse it needs, and free-group equality.
+
+
+def equal(u: Iterable[int], v: Iterable[int]) -> bool:
+    """Equality in the free group (compare reduced forms)."""
+    return reduce(u) == reduce(v)
+
+
+def inverse_qmoves(m: QMove) -> Tuple[QMove, ...]:
+    """A move sequence undoing ``m`` letter-for-letter."""
+    if isinstance(m, InvertRelator):
+        return (m,)
+    if isinstance(m, ConjugateRelator):
+        return (ConjugateRelator(m.target, -m.gen),)
+    if isinstance(m, MultiplyRight):
+        return (
+            InvertRelator(m.other),
+            MultiplyRight(m.target, m.other),
+            InvertRelator(m.other),
+        )
+    raise InputError("unknown relator move %r" % (m,))
+
+
+def nielsen_transport(
+    inst: CriterionInstance, m: NielsenMove, one_sided: bool = False
+) -> CriterionInstance:
+    """Substitute a generator in both presentations and in every
+    decomposition conjugator.  ``one_sided`` applies the substitution to K
+    only (deliberately losing the s-side control)."""
+    k2 = apply_nielsen(inst.k, m)
+    l2 = inst.l if one_sided else apply_nielsen(inst.l, m)
+    repl = m.replacement()
+
+    def sub_conj(c: ConjugatedRelator) -> ConjugatedRelator:
+        return ConjugatedRelator(substitute(c.conjugator, m.gen, repl), c.base, c.exponent)
+
+    factors = tuple(Factor(r=sub_conj(f.r), s=sub_conj(f.s)) for f in inst.factors)
+    return replace(inst, k=k2, l=l2, factors=factors)
+
+
+def format_decomposition(factors) -> str:
+    lines = []
+    for f in factors:
+        lines.append(
+            "factor wR=%s R=%s^%s wS=%s S=%s^%s"
+            % (
+                format_word(f.r.conjugator),
+                f.r.base,
+                "+1" if f.r.exponent == 1 else "-1",
+                format_word(f.s.conjugator),
+                f.s.base,
+                "+1" if f.s.exponent == 1 else "-1",
+            )
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@dataclass(frozen=True)
+class JoinCells(LocalMove):
+    index: int
+    other: int
+
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Circle)
+        b = _at(cs, self.other, Circle)
+        _need(self.other != self.index, "cell join needs two distinct circles")
+        lo, hi = sorted((self.index, self.other))
+        cs[lo] = Circle(a.marks + b.marks)
+        del cs[hi]
+
+    def _text(self):
+        return "-- JoinCells %s %s" % (self.index, self.other)
+
+
+@dataclass(frozen=True)
+class SplitCells(LocalMove):
+    index: int
+    marks_first: Tuple[str, ...]
+    marks_second: Tuple[str, ...]
+
+    def _apply(self, cs: list):
+        a = _at(cs, self.index, Circle)
+        _need(
+            a.marks == tuple(self.marks_first) + tuple(self.marks_second),
+            "cell split must partition the marks in order",
+        )
+        cs[self.index] = Circle(tuple(self.marks_first))
+        cs.append(Circle(tuple(self.marks_second)))
+
+    def _text(self):
+        return "-- SplitCells %s %s %s" % (self.index, _marks(self.marks_first), _marks(self.marks_second))
+
+
+def _shift_move(m: LocalMove, off: int, prefix: str) -> LocalMove:
+    """``m`` on a slice with ``off`` more components in front, its strand
+    renamed under ``prefix``."""
+    changes = {f: getattr(m, f) + off for f in ("index", "other") if getattr(m, f, None) is not None}
+    if isinstance(m, CirculateStep):
+        changes["strand"] = prefix + m.strand
+    return replace(m, **changes)
+
+
+def connect(pieces) -> SliceSequence:
+    """One sequence containing every piece: a single absolute-minimum root
+    circle, each piece entered at its own local minima; with two or more
+    pieces each piece's final circle is joined into the root cell and split
+    back out before dying.  Circulation moves are replayed verbatim."""
+    pieces = list(pieces)
+    if not pieces:
+        raise InputError("connect needs at least one piece")
+    live: list[Component] = []  # where the pieces sit; arcs carry no trace
+    moves: list[LocalMove] = []
+
+    def push(m: LocalMove):
+        if not isinstance(m, CirculateStep):  # a step moves no component
+            m._apply(live)
+        moves.append(m)
+
+    push(BirthCircle(("root",)))
+    readout: list[ReadoutStrand] = []
+    if len(pieces) == 1:
+        for m in pieces[0].moves:
+            push(_shift_move(m, 1, "0:"))
+        readout += [ReadoutStrand("0:" + r.key, r.transform) for r in pieces[0].readout]
+        push(DeathCircle(0))
+        return SliceSequence(tuple(moves), tuple(readout))
+
+    leftovers: list[tuple[int, int]] = []  # (piece id, live index of its circle)
+    for pid, p in enumerate(pieces):
+        body = list(p.moves)
+        trailing = 0
+        while body and isinstance(body[-1], DeathCircle):
+            body.pop()
+            trailing += 1
+        off = len(live)
+        for m in body:
+            push(_shift_move(m, off, "%d:" % pid))
+        got = len(live) - off
+        if got != trailing:
+            raise SliceError("piece %d does not end in its own circles" % pid)
+        leftovers += [(pid, off + i) for i in range(got)]
+        readout += [ReadoutStrand("%d:%s" % (pid, r.key), r.transform) for r in p.readout]
+    # join each piece circle into the root cell, split it back, let it die
+    for _ in leftovers:
+        c = live[1]
+        _need(isinstance(c, Circle), "piece leftover must be a circle")
+        root = live[0]
+        push(JoinCells(0, 1))
+        push(SplitCells(0, root.marks, c.marks))
+        push(DeathCircle(len(live) - 1))
+    push(DeathCircle(0))
+    return SliceSequence(tuple(moves), tuple(readout))
+
+
+def poly_xgcd(a: Polynomial, b: Polynomial, var: Optional[str] = None):
+    """(g, u, v) with u·a + v·b = g, g monic."""
+    var = _univar(var, a, b)
+    r0, r1 = a, b
+    u0, u1 = Polynomial.const(1), Polynomial()
+    v0, v1 = Polynomial(), Polynomial.const(1)
+    while not r1.is_zero():
+        q, r = poly_divmod(r0, r1, var)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero():
+        return r0, u0, v0
+    lead = r0.coeff(var, r0.degree(var)).constant_value()
+    s = Polynomial.const(Fraction(1) / lead)
+    return r0 * s, u0 * s, v0 * s
+
+
+def poly_inverse_mod(a: Polynomial, g: Polynomial, var: Optional[str] = None) -> Polynomial:
+    var = _univar(var, a, g)
+    d, u, _ = poly_xgcd(a, g, var)
+    if d != Polynomial.const(1):
+        raise InputError("polynomial is not invertible modulo the ideal")
+    return poly_mod(u, g, var)
+
+
+def poly_local_invariant(ps: Sequence[Polynomial], g: Polynomial, x3: Fraction) -> Polynomial:
+    """Product of the level-transition quotients Q_k = P_{k+1}/P_k mod g,
+    with the fourth level replaced by its perturbed version P_4(c3·x)."""
+    ps = list(ps)
+    if len(ps) != 6:
+        raise InputError("need exactly six level polynomials")
+    names = set(g.variables())
+    for p in ps:
+        names |= set(p.variables())
+    if len(names) > 1:
+        raise InputError("level polynomials must share one variable")
+    var = names.pop() if names else "x"
+    for k, p in enumerate(ps, start=1):
+        if poly_gcd(p, g, var) != Polynomial.const(1):
+            raise InputError("P_%d is not invertible modulo the ideal" % k)
+    c3 = ps[2].subs({var: Fraction(x3)}).constant_value()
+    if c3 in (0, 1):
+        raise InputError("evaluation point gives c3 = %s; need c3 outside {0, 1}" % c3)
+
+    def quotient(num: Polynomial, den: Polynomial) -> Polynomial:
+        return poly_mod(num * poly_inverse_mod(den, g, var), g, var)
+
+    qs = {k: quotient(ps[k], ps[k - 1]) for k in (1, 2, 3, 5)}
+    perturbed = ps[3].subs({var: Polynomial.var(var) * c3})
+    q4 = quotient(perturbed, ps[3])
+    out = Polynomial.const(1)
+    for q in (qs[1], qs[2], qs[3], q4, qs[5]):
+        out = out * q
+    return poly_mod(out, g, var)

@@ -24,7 +24,6 @@ import smovelab.modmat as modmat
 from smovelab.criterion import (
     build_instance,
     gauge,
-    nielsen_transport,
     residual_r,
     verification_word,
     verify,
@@ -44,7 +43,7 @@ from smovelab.playground import (
     stabilization_demo,
 )
 from smovelab.presentations import ConjugateRelator, InvertRelator, MultiplyRight, NielsenMove
-from smovelab.ring import Polynomial, poly_inverse_mod, poly_mod
+from smovelab.ring import Polynomial, poly_mod
 from smovelab.slicing import (
     CellToken,
     CommutatorToken,
@@ -62,7 +61,6 @@ from smovelab.statesum import (
     complete_table,
     nonmult_check,
     nonmult_expand,
-    poly_local_invariant,
     state_sum,
 )
 from smovelab.words import InputError, Word, commutator, invert, multiply, parse_word, reduce
@@ -72,6 +70,9 @@ from helpers import (
     backend_labels,
     compose,
     mutate_conjugator,
+    nielsen_transport,
+    poly_inverse_mod,
+    poly_local_invariant,
     product_sides,
     residual_commutator_check,
     state_modules,

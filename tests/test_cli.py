@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import smovelab.playground  # noqa: F401  (binds build_abstract; loaded before counting)
 from smovelab import cli, criterion, slicing
-from smovelab.criterion import build_instance, format_decomposition
+from smovelab.criterion import build_instance
 from smovelab.presentations import format_presentation
 
-from helpers import mutate_conjugator
+from helpers import backend_labels, format_decomposition, mutate_conjugator, ordering_sum
 
 
 def _run(capsys, argv):
@@ -344,6 +344,33 @@ def test_a_move_command_sums_each_graph_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 3 and set(calls) == {graphs["theta"], graphs["k4"], graphs["prism"]}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_inv_statesum_sums_each_graph_once(tmp_path, capsys, monkeypatch, k):
+    """k graphs make k sums: multiplicativity over their disjoint union is
+    printed from the fact that a sum over colourings factorises.  The
+    graphs' vertex ids overlap, and the second's run below the first's."""
+    from smovelab import statesum as ss
+
+    files = {
+        "t.csv": "0,0,0,2\n0,1,1,-1\n1,1,1,1/3\n",
+        "theta.g": "v 0\nv 1\ne 0 1\ne 0 1\ne 0 1\n",
+        "dumbbell.g": "v -1\nv 0\ne -1 -1\ne -1 0\ne 0 0\n",
+        "circle.g": "circle\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = [str(tmp_path / n) for n in ("theta.g", "dumbbell.g", "circle.g")[:k]]
+    table = ss.load_table(str(tmp_path / "t.csv"))
+    want = ["state sum %s: %s" % (p.rsplit("/", 1)[-1], ss.state_sum(ss.load_graph(p), table)) for p in paths]
+    calls = []
+    real = ss.state_sum
+    monkeypatch.setattr(ss, "state_sum", lambda g, t: calls.append(g) or real(g, t))
+    code, out = _run(capsys, ["inv", "statesum", "--graphs", *paths, "--table", str(tmp_path / "t.csv")])
+    assert code == 0
+    assert out.split("---csv---")[0].splitlines() == want + (["multiplicativity: PASS"] if k > 1 else [])
+    assert len(calls) == k
+
+
 def test_demo_nonmult(tmp_path, capsys):
     code, out = _run(capsys, ["demo", "nonmult"])
     assert code == 0
@@ -391,6 +418,24 @@ def test_three_tests_protocol(capsys):
         assert code == 0
 
 
+def test_three_tests_permsum_answers_for_seven_pairs(capsys):
+    """The permutation sum is n!·(the product), with no factor limit, so
+    seven pairs answer.  The expected verdict comes from the brute sum
+    over every ordering of each side's invariants."""
+    from smovelab import playground as pg
+
+    code, out = _run(capsys, ["test", "three-tests", "--seed", "3", "--pairs", "7", "--combine", "permsum"])
+    instances = [build_instance(3 + i) for i in range(7)]
+    sides = [[slicing.build_abstract(inst, t) for inst in instances] for t in (slicing.LONGITUDINAL, slicing.MERIDIAN)]
+    b = pg.make_backend(backend_labels(*sides[0], *sides[1]), seed=3)
+    i_k, i_l = (ordering_sum([pg.perturbed_invariant(s, b) for s in side], b.p, b.dim) for side in sides)
+    same = str(bool((i_k == i_l).all())).lower()
+    lines = out.splitlines()
+    assert lines[:3] == ["I(K)=I(L): %s" % same, "I_gauge(K)=I(L): %s" % same, "I(K)=I_gauge(L): %s" % same]
+    assert code == (0 if same == "true" else 1)
+    assert (lines[3] == pg.COUNTEREXAMPLE_FLAG) == (same == "false")
+
+
 def _count_calls(monkeypatch, fn):
     """Count the calls to ``fn`` made through any smovelab module that binds it."""
     calls = []
@@ -412,7 +457,7 @@ def _count_calls(monkeypatch, fn):
         (["inv", "playground", "--seed", "4", "--gauge"], 3, 0),
         (["inv", "playground", "--seed", "4", "--obstruction"], 3, 0),
         (["inv", "playground", "--seed", "4", "--qmove", "inv R"], 4, 1),
-        (["test", "three-tests", "--seed", "4", "--pairs", "3"], 12, 0),
+        (["test", "three-tests", "--seed", "4", "--pairs", "3"], 6, 0),
     ],
 )
 def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, argv, sequences, transports):
@@ -421,6 +466,26 @@ def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, argv,
     code, out = _run(capsys, argv)
     assert code in (0, 1, 3) and "---csv---" in out
     assert (len(built), len(moved)) == (sequences, transports)
+
+
+def test_three_tests_builds_no_gauged_sequence(monkeypatch, capsys):
+    """Every backend aliases a word with its inverse, so the gauge lines
+    repeat the direct comparison and no instance is gauged."""
+    gauged = _count_calls(monkeypatch, criterion.gauge)
+    code, out = _run(capsys, ["test", "three-tests", "--seed", "4", "--pairs", "3"])
+    assert code in (0, 1) and "I_gauge(K)=I(L): " in out
+    assert gauged == []
+
+
+@pytest.mark.parametrize("action, corrupt, code", [("verify", False, 0), ("verify", True, 1), ("check", False, 0)])
+def test_crit_verify_and_check_form_no_inverse_commutator_product(monkeypatch, capsys, tmp_path, action, corrupt, code):
+    """The product form and the residual check hold by construction, so
+    neither command multiplies out the commutator product again."""
+    path = _write_instance(tmp_path, seed=3, corrupt=corrupt)
+    formed = _count_calls(monkeypatch, criterion.commutator_product)
+    got, out = _run(capsys, ["crit", action, "--instance", path])
+    assert got == code and "---csv---" in out
+    assert formed == []
 
 
 @pytest.mark.parametrize(
@@ -453,10 +518,11 @@ def test_word_commands_convert_no_letter_after_parsing(monkeypatch, capsys, argv
     assert converted == []
 
 
-@pytest.mark.parametrize("action, formatted", [("slice", 1), ("check", 3)])
+@pytest.mark.parametrize("action, formatted", [("slice", 1), ("check", 1)])
 def test_a_word_printed_on_two_lines_is_formatted_once(monkeypatch, capsys, tmp_path, action, formatted):
     """``slice piece`` prints its boundary word in the text and the CSV
-    block, and ``crit check`` prints L' in both: each is formatted once."""
+    block, and ``crit check`` prints one word on three lines and in the
+    CSV block: each is formatted once."""
     calls = []
     real = cli.format_word
     monkeypatch.setattr(cli, "format_word", lambda w: calls.append(w) or real(w))

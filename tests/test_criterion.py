@@ -13,10 +13,8 @@ from smovelab.criterion import (
     QMoveTransport,
     build_instance,
     commutator_product,
-    format_decomposition,
     gauge,
     load_instance,
-    nielsen_transport,
     parse_decomposition,
     residual_r,
     residual_s,
@@ -35,7 +33,13 @@ from smovelab.presentations import (
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
-from helpers import mutate_conjugator, product_sides, residual_commutator_check
+from helpers import (
+    format_decomposition,
+    mutate_conjugator,
+    nielsen_transport,
+    product_sides,
+    residual_commutator_check,
+)
 
 
 def _hand_instance():

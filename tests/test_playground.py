@@ -919,16 +919,26 @@ def test_global_combine_modes():
     assert modmat.is_identity(global_combine([], PRODUCT, p, d), p)
     # appending a unit local invariant changes nothing
     assert modmat.equal(global_combine(mats + [modmat.identity(d)], PRODUCT, p, d), prod, p)
-    # for commuting matrices the permutation sum collapses to n! copies
+    # for commuting matrices the permutation sum collapses to n! copies,
+    # with no limit on the factor count
     psum = global_combine(mats, PERMUTATION_SUM, p, d)
     assert modmat.equal(psum, math.factorial(len(mats)) * prod % p, p)
-    diag = [random_invertible_diagonal(rng, d, p) for _ in range(6)]
-    for n in range(7):
+    diag = [random_invertible_diagonal(rng, d, p) for _ in range(10)]
+    for n in range(11):
         want = math.factorial(n) * modmat.product(diag[:n], p, d) % p
         assert modmat.equal(global_combine(diag[:n], PERMUTATION_SUM, p, d), want, p)
-    # in general it is the sum over every ordering, multiplied out by brute force
-    full = [[[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(6)]
-    assert _py_mul(full[0], full[1], p) != _py_mul(full[1], full[0], p)
+    seven = global_combine([modmat.identity(2)] * 7, PERMUTATION_SUM, p, 2)
+    assert modmat.equal(seven, 5040 % p * modmat.identity(2), p)
+    # it is the sum over every ordering, multiplied out by brute force, on
+    # commuting matrices that are not diagonal: polynomials in one matrix
+    base = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+    square = _py_mul(base, base, p)
+    full = []
+    for _ in range(6):
+        c0, c1, c2 = (rng.randrange(p) for _ in range(3))
+        full.append([[(c0 * (i == j) + c1 * base[i][j] + c2 * square[i][j]) % p for j in range(d)] for i in range(d)])
+    assert any(full[0][i][j] for i in range(d) for j in range(d) if i != j)
+    assert _py_mul(full[0], full[1], p) == _py_mul(full[1], full[0], p)
     for n in range(7):
         brute = [[0] * d for _ in range(d)]
         for order in itertools.permutations(full[:n]):
@@ -938,40 +948,29 @@ def test_global_combine_modes():
             brute = [[(x + y) % p for x, y in zip(u, v)] for u, v in zip(brute, term)]
         got = global_combine([np.array(m, dtype=np.int64) for m in full[:n]], PERMUTATION_SUM, p, d)
         assert got.tolist() == brute
+    # from p factors on, n! is 0 mod p
+    assert not global_combine(diag[:5], PERMUTATION_SUM, 5, d).any()
     with pytest.raises(InputError):
         global_combine([modmat.identity(2), modmat.identity(3)], PRODUCT, p)
     with pytest.raises(InputError):
         global_combine(mats, "median", p, d)
-    with pytest.raises(InputError):
-        global_combine([modmat.identity(2)] * 7, PERMUTATION_SUM, p, 2)
 
 
 def test_three_tests_identical_sides():
-    inst = build_instance(4)
-    b = make_backend(_labels_for(inst), seed=4)
-    side = [_readings(inst, LONGITUDINAL)]
-    res = three_tests(side, side, b)
-    assert res.matches == (True, True, True)
-    assert res.report is None
+    for seed, t in ((4, LONGITUDINAL), (7, MERIDIAN)):
+        inst = build_instance(seed)
+        b = make_backend(_labels_for(inst), seed=seed)
+        side = [build_abstract(inst, t)]
+        assert three_tests(side, side, b) is True
+        assert three_tests(side, side, b, mode=PERMUTATION_SUM) is True
 
 
 def test_three_tests_distinct_types_flags():
     inst = build_instance(4)
     b = make_backend(_labels_for(inst), seed=4)
-    res = three_tests([_readings(inst, LONGITUDINAL)], [_readings(inst, MERIDIAN)], b)
-    t1, t2, t3 = res
-    assert not t1
-    if not any(res.matches):
-        assert "counterexample" in res.report
+    assert three_tests([build_abstract(inst, LONGITUDINAL)], [build_abstract(inst, MERIDIAN)], b) is False
     with pytest.raises(InputError):
-        three_tests([_readings(inst, LONGITUDINAL)], [], b)
-
-
-def test_three_tests_gauge_matches_direct_for_compliant_backend():
-    inst = build_instance(7)
-    b = make_backend(_labels_for(inst), seed=7)
-    res = three_tests([_readings(inst, MERIDIAN)], [_readings(inst, MERIDIAN)], b, mode=PERMUTATION_SUM)
-    assert res.matches == (True, True, True)
+        three_tests([build_abstract(inst, LONGITUDINAL)], [], b)
 
 
 def test_stabilization_demo():

@@ -15,13 +15,14 @@ from smovelab.presentations import (
     apply_nielsen,
     apply_qmove,
     format_presentation,
-    inverse_qmoves,
     load_presentation,
     parse_moves,
     parse_presentation,
     prolong,
 )
 from smovelab.words import InputError, Word, invert, parse_word, reduce
+
+from helpers import inverse_qmoves
 
 
 def _ak3():

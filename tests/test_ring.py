@@ -13,12 +13,12 @@ from smovelab.ring import (
     parse_scalar,
     poly_divmod,
     poly_gcd,
-    poly_inverse_mod,
     poly_mod,
     poly_monic,
-    poly_xgcd,
 )
 from smovelab.words import InputError
+
+from helpers import poly_inverse_mod, poly_xgcd
 
 _X = sympy.symbols("x")
 

@@ -18,7 +18,6 @@ from smovelab.slicing import (
     DeathCircle,
     IdentifyEdges,
     JoinArcsToCircle,
-    JoinCells,
     LONGITUDINAL,
     LocalMove,
     MERIDIAN,
@@ -30,12 +29,10 @@ from smovelab.slicing import (
     SliceSequence,
     SpElToken,
     SphereToken,
-    SplitCells,
     SplitCircleToArc,
     apply_move,
     boundary_trace,
     build_abstract,
-    connect,
     format_abstract,
     format_sequence,
     slice_bag,
@@ -47,7 +44,7 @@ from smovelab.slicing import (
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
-from helpers import abstract_ok, mutate_conjugator
+from helpers import JoinCells, SplitCells, _shift_move, abstract_ok, connect, mutate_conjugator
 
 
 def _is_cyclic_rotation(u, v):
@@ -745,7 +742,6 @@ def test_negative_indices_are_out_of_range():
 
 
 def test_connect_shifts_every_move_type_by_its_component_positions():
-    from smovelab.slicing import _shift_move
 
     examples = [
         ((Circle(("a",)),), BirthCircle(("x", "y"))),

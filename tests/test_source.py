@@ -12,7 +12,7 @@ from pathlib import Path
 
 import smovelab
 
-from helpers import mutate_conjugator
+from helpers import format_decomposition, mutate_conjugator
 
 SRC = Path(smovelab.__file__).resolve().parent
 
@@ -28,18 +28,6 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
-
-
-# Public names kept with no caller in the library: API the README or the
-# ROADMAP documents, the builder that joins pieces, and the writer of the
-# decomposition format that ``parse_decomposition`` reads.
-_KEPT_WITHOUT_CALLER = {
-    ("presentations", "inverse_qmoves"),
-    ("criterion", "nielsen_transport"),
-    ("criterion", "format_decomposition"),
-    ("slicing", "connect"),
-    ("statesum", "poly_local_invariant"),
-}
 
 
 def _public_definitions(tree: ast.Module):
@@ -76,7 +64,7 @@ def _references(node: ast.AST) -> Counter:
 def test_library_code_has_a_library_caller():
     """Code that only the tests run belongs in the tests: every public
     top-level name is referred to somewhere in the library outside its own
-    definition, or is on the short list of documented API."""
+    definition."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SRC.glob("*.py")}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     uncalled = {
@@ -85,7 +73,7 @@ def test_library_code_has_a_library_caller():
         for name, node in _public_definitions(tree)
         if everywhere[name] == _references(node)[name]
     }
-    assert uncalled == _KEPT_WITHOUT_CALLER
+    assert uncalled == set()
 
 
 def test_every_imported_name_is_used():
@@ -252,7 +240,7 @@ def test_instance_and_slice_errors_exit_2_through_main(tmp_path):
     inst = criterion.build_instance(0)
     (tmp_path / "K.txt").write_text(format_presentation(inst.k), encoding="utf-8")
     (tmp_path / "L.txt").write_text(format_presentation(inst.l), encoding="utf-8")
-    decomp = criterion.format_decomposition(mutate_conjugator(inst, 7).factors)
+    decomp = format_decomposition(mutate_conjugator(inst, 7).factors)
     (tmp_path / "d.txt").write_text(decomp, encoding="utf-8")
     path = tmp_path / "inst.txt"
     path.write_text("K K.txt\nL L.txt\nR R\nS S\ndecomp d.txt\n", encoding="utf-8")

@@ -26,12 +26,11 @@ from smovelab.statesum import (
     nonmult_expand,
     parse_graph,
     parse_table,
-    poly_local_invariant,
     state_sum,
 )
 from smovelab.words import InputError
 
-from helpers import wedge
+from helpers import poly_local_invariant, wedge
 
 _EMPTY = TrivalentGraph()
 _CIRCLE = TrivalentGraph(circles=1)
@@ -411,8 +410,11 @@ def test_a_disjoint_union_sums_to_the_product_of_its_parts():
     q = Polynomial.var("q")
     for case in range(40):
         k = rng.randint(1, 3)
-        value = lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) + (rng.randint(-1, 1) * q if case % 3 == 0 else 0)
-        t = complete_table([(tr, value()) for tr in combinations_with_replacement(range(k), 3)], k)
+        rows = []
+        for tr in combinations_with_replacement(range(k), 3):
+            v = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows.append((tr, v + rng.randint(-1, 1) * q if case % 3 == 0 else v))
+        t = complete_table(rows, k)
         budget = {1: 11, 2: 10, 3: 6}[k]
         parts = []
         for _ in range(rng.randint(2, 3)):

@@ -13,7 +13,6 @@ from smovelab.words import (
     InputError,
     Word,
     commutator,
-    equal,
     format_word,
     invert,
     max_generator,
@@ -23,7 +22,7 @@ from smovelab.words import (
     substitute,
 )
 
-from helpers import conjugate
+from helpers import conjugate, equal
 
 
 def _reduce_randomly(letters, rng):
