@@ -165,8 +165,8 @@ def composed_invariant(aseq, b) -> np.ndarray:
 
 # --- the cross-checks behind verdict lines that hold by construction ---------
 #
-# Each command prints these lines from the fact that makes them true; the
-# computations they once ran are kept here as the oracles that judge it.
+# Each command prints these lines from the fact that makes them true; these
+# computations are the oracles that judge the fact.
 
 
 def abstract_ok(aseq) -> bool:

@@ -15,7 +15,7 @@ from smovelab import cli, criterion, slicing
 from smovelab.criterion import build_instance
 from smovelab.presentations import format_presentation
 
-from helpers import backend_labels, format_decomposition, mutate_conjugator, ordering_sum
+from helpers import backend_labels, format_decomposition, mutate_conjugator, ordering_sum, residual_commutator_check
 
 
 def _run(capsys, argv):
@@ -132,13 +132,21 @@ def test_crit_verify_and_check(tmp_path, capsys):
 
     code, out = _run(capsys, ["crit", "check", "--instance", path])
     assert code == 0 and "agree: true" in out
+    chk = residual_commutator_check(build_instance(3))
+    assert out.splitlines()[:3] == [
+        "L' = %s" % (chk.l_prime,),
+        "inverse commutator product = %s" % (chk.inverse_commutator_product,),
+        "M'^-1 = %s" % (chk.m_prime_inv,),
+    ]
 
 
 def test_crit_verify_corrupted_exit_1(tmp_path, capsys):
     path = _write_instance(tmp_path, seed=3, corrupt=True)
     code, out = _run(capsys, ["crit", "verify", "--instance", path])
     assert code == 1
-    assert "verify: false" in out
+    assert out.splitlines()[:2] == ["verify: false", "product form agrees: true"]
+    code, out = _run(capsys, ["crit", "check", "--instance", path])
+    assert (code, out) == (2, "error: instance does not verify\n")
 
 
 def test_slice_piece_commands(capsys):

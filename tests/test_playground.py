@@ -845,7 +845,7 @@ def test_a_gauged_sequence_has_its_own_sequences_labels_and_invariant():
                 assert modmat.equal(perturbed_invariant(gauged, b), perturbed_invariant(own, b), b.p), (seed, t)
             broken = make_backend(backend_labels(own, gauged, alias=False), d=3, seed=seed, alias=False)
             broken_fails += check_gauge(own, gauged, broken).verdict == "Fail"
-    assert broken_fails >= 110
+    assert broken_fails == 120
 
 
 def test_the_permutation_sum_of_commuting_matrices_is_n_factorial_copies():
