@@ -218,6 +218,34 @@ def test_inv_playground_backend_round_trip(tmp_path, capsys):
     assert out1.splitlines()[-3:] == out2.splitlines()[-3:]  # same invariant rows
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["inv", "playground", "--seed", "5", "--family", "poly"],
+        ["test", "three-tests", "--seed", "5", "--pairs", "2"],
+        ["demo", "stabilization", "--seed", "5", "--family", "poly", "--d", "3"],
+    ),
+    ids=("inv-playground", "three-tests", "stabilization"),
+)
+def test_every_backend_command_writes_the_backend_it_used(tmp_path, capsys, monkeypatch, argv):
+    """``--dump-backend`` is an option of every backend command, and each
+    writes the backend it drew; the file loads back to its assignment."""
+    from smovelab import playground as pg
+
+    drawn = []
+    real = pg.make_backend
+    monkeypatch.setattr(pg, "make_backend", lambda *a, **kw: drawn.append(real(*a, **kw)) or drawn[-1])
+    path = tmp_path / "backend.txt"
+    code, out = _run(capsys, argv + ["--dump-backend", str(path)])
+    assert code in (0, 1, 3) and "backend written to %s" % path in out.splitlines()
+    (b,) = drawn
+    loaded = pg.load_backend(path.read_text(encoding="utf-8"))
+    assert (loaded.p, loaded.dim) == (b.p, b.dim)
+    assert {lab: m.tolist() for lab, m in loaded.assignment.items()} == {
+        lab: m.tolist() for lab, m in b.assignment.items()
+    }
+
+
 def test_inv_playground_instance_file(tmp_path, capsys):
     path = _write_instance(tmp_path, seed=6)
     code, out = _run(capsys, ["inv", "playground", "--instance", path, "--seed", "2"])
