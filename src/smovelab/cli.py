@@ -262,14 +262,21 @@ def _parse_qmove_spec(spec: str):
     return moves[0]
 
 
-def _backend_for(args, *aseqs):
-    """The ``--backend`` file's backend, or one drawn for the sequences' labels."""
+def _backend_for(args, r: Report, *aseqs):
+    """The ``--backend`` file's backend, or one drawn for the sequences'
+    labels; written to the ``--dump-backend`` file, if one is named."""
     from . import playground as pg
 
-    if getattr(args, "backend", None):
-        return _read(args.backend, pg.load_backend)
-    tokens = pg.label_tokens(*aseqs)
-    return pg.make_backend(tokens.values(), p=args.p, d=args.d, seed=args.seed, family=args.family, token_labels=tokens)
+    if args.backend:
+        b = _read(args.backend, pg.load_backend)
+    else:
+        tokens = pg.label_tokens(*aseqs)
+        b = pg.make_backend(tokens.values(), p=args.p, d=args.d, seed=args.seed, family=args.family, token_labels=tokens)
+    if args.dump_backend:
+        with open(args.dump_backend, "w", encoding="utf-8") as fh:
+            fh.write(pg.dump_backend(b))
+        r.say("backend written to %s" % args.dump_backend)
+    return b
 
 
 def cmd_inv_playground(args) -> Report:
@@ -284,11 +291,7 @@ def cmd_inv_playground(args) -> Report:
     other = slicing.build_abstract(inst, pg.other_type(ident))
     gauged = pg.gauged_sequence(inst, ident)
     rider = pg.qmove_rider(inst, _parse_qmove_spec(args.qmove), ident) if args.qmove else None
-    b = _backend_for(args, *(seq for seq in (base, other, gauged, rider) if seq is not None))
-    if args.dump_backend:
-        with open(args.dump_backend, "w", encoding="utf-8") as fh:
-            fh.write(pg.dump_backend(b))
-        r.say("backend written to %s" % args.dump_backend)
+    b = _backend_for(args, r, *(seq for seq in (base, other, gauged, rider) if seq is not None))
 
     if args.obstruction:
         rep = pg.between_type_obstruction(base, other, b)
@@ -368,7 +371,7 @@ def cmd_demo_stabilization(args) -> Report:
         slicing.build_abstract(inst, slicing.LONGITUDINAL),
         slicing.build_abstract(inst, slicing.MERIDIAN),
     ]
-    b = _backend_for(args, *seqs)
+    b = _backend_for(args, r, *seqs)
     inv_k = pg.perturbed_invariant(seqs[0], b)
     inv_l = pg.perturbed_invariant(seqs[1], b)
     rep = pg.stabilization_demo(b, args.v, inv_k, inv_l)
@@ -393,7 +396,7 @@ def cmd_test_three(args) -> Report:
     k_side, l_side = (
         [slicing.build_abstract(inst, t) for inst in instances] for t in (slicing.LONGITUDINAL, slicing.MERIDIAN)
     )
-    b = _backend_for(args, *k_side, *l_side)
+    b = _backend_for(args, r, *k_side, *l_side)
     mode = pg.PRODUCT if args.combine == "product" else pg.PERMUTATION_SUM
     same = pg.three_tests(k_side, l_side, b, mode)
     # Every backend aliases a word with its inverse, so a gauged sequence

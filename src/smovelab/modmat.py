@@ -1,17 +1,22 @@
 """Small exact matrices over a prime field, on top of numpy int64.
 
 Everything is kept reduced mod p; inverses run Gauss-Jordan with modular
-scalar inverses, so all arithmetic is exact.  ``inverse_all`` inverts a
-list of matrices with one Gauss-Jordan, and finds the first singular one
-of a list that holds one by bisecting its prefix products.  A drawn
-``poly`` playground backend inverts its base matrix and its polynomials
-that way, in one batch; a drawn diagonal backend reads each inverse off
-the entries, runs none, and builds its matrices and their inverses as
-two stacks (``diagonals``).  ``draw`` is the one source of drawn
-entries.  Exactness needs int64 to hold every intermediate: one entry of
-a d×d product of residues sums d terms below (p-1)², so d·(p-1)² must
-stay below 2^63.  Every kernel raises ``InputError`` past that bound
-instead of wrapping.
+scalar inverses, so all arithmetic is exact, and a diagonal matrix's
+inverse is read off its entries.  ``first_singular`` finds the first
+singular matrix of a list, if any, from its prefix products, with one
+Gauss-Jordan when there is none: a drawn ``poly`` playground backend
+proves its base matrix and its polynomials invertible that way, in one
+batch, and a loaded backend all its matrices.  No backend keeps an
+inverse; the one a command reads is computed where it is needed.
+``diagonals`` builds diagonal matrices as one stack, and ``draw`` is the
+one source of drawn entries.
+
+Exactness needs int64 to hold every intermediate: one entry of a d×d
+product of residues sums d terms below (p-1)², so d·(p-1)² must stay
+below 2^63.  Every kernel raises ``InputError`` past that bound instead
+of wrapping.  From d = 16 on, where BLAS beats numpy's int64 loop, a
+product whose inner length n has n·(p-1)² < 2^53 runs in float64: every
+partial sum is then an integer below 2^53, which float64 holds exactly.
 """
 
 from __future__ import annotations
@@ -41,8 +46,27 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.int64)
 
 
+# The least dimension at which a float64 product beats numpy's int64 one;
+# below it int64 is faster (d ≤ 8) or as fast (d = 12).
+_FLOAT_DIM = 16
+
+
+def _exact_in_float(n: int, p: int, d: int) -> bool:
+    """Whether a product of d×d residue matrices over an inner length n
+    runs in float64: from ``_FLOAT_DIM`` on, when every partial sum, at
+    most n·(p-1)², is an integer below 2^53 and so exact."""
+    return d >= _FLOAT_DIM and n * (p - 1) ** 2 < 2**53
+
+
+def _float_dot(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+
+
 def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    _check_bound(p, a.shape[1])
+    n = a.shape[1]
+    _check_bound(p, n)
+    if _exact_in_float(n, p, n):
+        return _float_dot(a, b, p)
     return (a @ b) % p
 
 
@@ -55,9 +79,14 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     row is subtracted from the whole block.  Entries are residues, so
     every intermediate lies in (-(p-1)², p).  The column is scanned as a
     Python list, which at d = 4 costs less than numpy's own index
-    searches."""
+    searches.  A diagonal matrix is inverted entry by entry."""
     a = _as_mod(a, p)
     n = a.shape[0]
+    diagonal = a.diagonal().tolist()
+    if np.count_nonzero(a) == n - diagonal.count(0):
+        if 0 in diagonal:
+            raise InputError("matrix is singular mod %d" % p)
+        return np.diag(np.array([pow(x, -1, p) for x in diagonal], dtype=np.int64))
     work = np.concatenate([a, identity(n)], axis=1)
     for col in range(n):
         column = work[:, col].tolist()
@@ -74,68 +103,45 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     return work[:, n:]
 
 
-class SingularMatrix(InputError):
-    """A list handed to ``inverse_all`` holds a singular matrix: ``index``
-    is the first, and ``inverses`` are the inverses of those before it."""
+def first_singular(mats, p: int, probe=None):
+    """The index of the first singular matrix of a list, or None when
+    every one is invertible, with one Gauss-Jordan when none is.
 
-    def __init__(self, p: int, index: int, inverses):
-        super().__init__("matrix is singular mod %d" % p)
-        self.index = index
-        self.inverses = inverses
-
-
-def inverse_all(mats, p: int, probe=None):
-    """The inverses of a list of matrices, with one Gauss-Jordan and
-    3(k-1) products (Montgomery's trick): invert the product
-    P_k = A_1 ⋯ A_k, then walk back from i = k, reading
-    A_i⁻¹ = P_i⁻¹·P_(i-1) and P_(i-1)⁻¹ = A_i·P_i⁻¹.  No commutativity
-    is needed.
-
-    P_i is singular exactly when one of A_1 … A_i is, so the first
-    singular matrix is found from the prefix products alone.  The first
-    prefix inverted is the whole list, or the first ``probe`` matrices;
-    while a prefix inverts, the next is twice as many matrices longer
-    (capped at the whole list), and once one is singular, bisection
-    between the longest prefix known to invert and the shortest known
-    not to finds the first singular A_i.  The walk back from the longest
-    prefix that inverted gives the inverses before it, and
-    ``SingularMatrix`` carries them.  A caller that expects a singular
-    matrix near the front passes a small ``probe``."""
+    The prefix product P_i = A_1 ⋯ A_i is singular exactly when one of
+    A_1 … A_i is, so prefix products alone find the first singular
+    matrix.  The first prefix tried is the whole list, or the first
+    ``probe`` matrices; while a prefix inverts, the next is twice as many
+    matrices longer (capped at the whole list), and once one is singular,
+    bisection between the longest prefix known to invert and the
+    shortest known not to finds the first singular A_i.  Prefix products
+    are formed as far as a tried prefix reaches.  A caller that expects
+    a singular matrix near the front passes a small ``probe``."""
     mats = [_as_mod(m, p) for m in mats]
-    if not mats:
-        return []
     if any(m.shape != mats[0].shape for m in mats):
         raise InputError("matrices of different shapes")
-    prefix = [mats[0]]
-    for m in mats[1:]:
-        prefix.append(mul(prefix[-1], m, p))
+    prefix = mats[:1]
+
+    def singular(n):
+        while len(prefix) < n:
+            prefix.append(mul(prefix[-1], mats[len(prefix)], p))
+        try:
+            inverse(prefix[n - 1], p)
+        except InputError:
+            return True
+        return False
+
     k = len(mats)
-    lo, lo_inv, hi = 0, None, None  # P_lo inverts to lo_inv (P_0 = I); P_hi is singular
+    lo, hi = 0, None  # P_lo inverts (P_0 = I); P_hi is singular
     step = k if probe is None else max(probe, 1)
     while hi is None or hi - lo > 1:
+        if hi is None and lo == k:
+            return None
         n = min(lo + step, k) if hi is None else (lo + hi) // 2
-        try:
-            lo_inv, lo = inverse(prefix[n - 1], p), n
-        except InputError:
+        if singular(n):
             hi = n
         else:
-            if n == k:
-                return _walk_back(mats, prefix, lo_inv, p)
-            step *= 2
-    raise SingularMatrix(p, lo, _walk_back(mats[:lo], prefix, lo_inv, p))
-
-
-def _walk_back(mats, prefix, inv, p: int):
-    """The inverses of ``mats`` from ``inv``, the inverse of their product,
-    and their prefix products."""
-    out = []
-    for i in range(len(mats) - 1, 0, -1):
-        out.append(mul(inv, prefix[i - 1], p))
-        inv = mul(mats[i], inv, p)
-    if mats:
-        out.append(inv)
-    out.reverse()
-    return out
+            lo, step = n, step * 2
+    return lo
 
 
 def is_identity(a: np.ndarray, p: int) -> bool:
@@ -200,10 +206,15 @@ def powers(a: np.ndarray, count: int, p: int) -> np.ndarray:
 def random_poly(rng, powers: np.ndarray, p: int) -> np.ndarray:
     """Σ c_i·powers[i], the coefficients c_i drawn uniformly mod p in
     order.  Polynomials in one matrix all commute with each other; the
-    result may be singular.  Each term is a product of two residues, so
-    the terms are reduced before they are summed: under the bound a term
-    fits in int64, but four of them need not."""
-    c = np.array(draw(rng, len(powers), p), dtype=np.int64)
+    result may be singular.  In float64 (see ``_exact_in_float``) the
+    sum is one product of the coefficient row with the stacked powers.  In
+    int64 each term, a product of two residues, is reduced before the
+    terms are summed: under the bound a term fits in int64, but four of
+    them need not."""
+    k, d = len(powers), powers.shape[1]
+    c = np.array(draw(rng, k, p), dtype=np.int64)
+    if _exact_in_float(k, p, d):
+        return _float_dot(c, powers.reshape(k, d * d), p).reshape(d, d)
     return (c[:, None, None] * powers % p).sum(axis=0) % p
 
 

@@ -10,8 +10,10 @@ the product of the spherical-element matrices at the perturbation.  The
 tests compose the maps by brute force as an oracle.
 
 A backend is checked where it enters: ``make_backend`` draws one that is
-valid by construction, with every inverse in hand, and ``load_backend``
-proves a dump valid with ``checked_inverses``, the one validation path.
+valid by construction, and ``load_backend`` proves a dump valid with
+``check_assignment``, the one validation path.  A backend keeps no
+inverse: the only one a command reads is the obstruction's, of one
+product, and it is computed there.
 """
 
 from __future__ import annotations
@@ -95,28 +97,24 @@ def _check_field(p: int, d: int):
 
 @dataclass(frozen=True)
 class Backend:
-    """A commuting assignment of invertible matrices over GF(p), with
-    every matrix's inverse in ``inverses``; it checks nothing itself
-    (see the module docstring).  Tokens are resolved to (label, matrix,
-    inverse) once per backend; ``token_labels`` hands over labels already
-    formatted with this backend's ``alias``, so those tokens are not
-    labelled again."""
+    """A commuting assignment of invertible matrices over GF(p); it
+    checks nothing itself (see the module docstring).  Tokens are
+    resolved to (label, matrix) once per backend; ``token_labels`` hands
+    over labels already formatted with this backend's ``alias``, so those
+    tokens are not labelled again."""
 
     p: int
     dim: int
     family: str
     assignment: Dict[str, np.ndarray]
-    inverses: Dict[str, np.ndarray] = field(repr=False, compare=False)
     alias: bool = True
     token_labels: InitVar[Optional[Dict[Token, str]]] = None
-    _resolved: Dict[Token, Tuple[str, np.ndarray, np.ndarray]] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    _resolved: Dict[Token, Tuple[str, np.ndarray]] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, token_labels):
         for t, lab in (token_labels or {}).items():
-            if lab in self.inverses:
-                self._resolved[t] = (lab, self.assignment[lab], self.inverses[lab])
+            if lab in self.assignment:
+                self._resolved[t] = (lab, self.assignment[lab])
 
     @property
     def sphere(self) -> np.ndarray:
@@ -125,38 +123,37 @@ class Backend:
     def value(self, t: Token) -> np.ndarray:
         return self._lookup(t)[1]
 
-    def _lookup(self, t: Token) -> Tuple[str, np.ndarray, np.ndarray]:
-        """A token's label, matrix and inverse; its label is formatted on
-        the first lookup only, unless it was handed over."""
+    def _lookup(self, t: Token) -> Tuple[str, np.ndarray]:
+        """A token's label and matrix; its label is formatted on the first
+        lookup only, unless it was handed over."""
         hit = self._resolved.get(t)
         if hit is None:
             lab = token_text(t, self.alias)
             if lab not in self.assignment:
                 raise InputError("token %s has no assigned matrix" % lab)
-            hit = self._resolved[t] = (lab, self.assignment[lab], self.inverses[lab])
+            hit = self._resolved[t] = (lab, self.assignment[lab])
         return hit
 
 
-def checked_inverses(p: int, d: int, assignment: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    """Prove that an assignment read from outside is a valid backend and
-    return its inverses: field bound, then ``S2`` present, then every matrix
-    invertible (so ``S2`` is nonzero), then pairwise commutation.  All
-    matrices are inverted together in one ``modmat.inverse_all`` call,
-    one Gauss-Jordan for all of them.  Diagonal matrices commute over
-    any commutative ring, so the pairwise products are only formed when
-    some matrix has a nonzero entry off its diagonal."""
+def check_assignment(p: int, d: int, assignment: Dict[str, np.ndarray]) -> None:
+    """Prove that an assignment read from outside is a valid backend:
+    field bound, then ``S2`` present, then every matrix invertible (so
+    ``S2`` is nonzero), then pairwise commutation.  ``modmat.first_singular``
+    proves all the matrices invertible together, with one Gauss-Jordan.
+    Diagonal matrices commute over any commutative ring, so the pairwise
+    products are only formed when some matrix has a nonzero entry off its
+    diagonal."""
     _check_field(p, d)
     if SPHERE_LABEL not in assignment:
         raise InputError("backend dump has no %s token" % SPHERE_LABEL)
-    labels = sorted(assignment)
-    mats = [assignment[k] for k in labels]
-    inverses = dict(zip(labels, modmat.inverse_all(mats, p)))
+    mats = [assignment[k] for k in sorted(assignment)]
+    if modmat.first_singular(mats, p) is not None:
+        raise InputError("matrix is singular mod %d" % p)
     if any(np.count_nonzero(m) != np.count_nonzero(m.diagonal()) for m in mats):
         for i, a in enumerate(mats):
             for b in mats[i + 1 :]:
                 if not modmat.equal(modmat.mul(a, b, p), modmat.mul(b, a, p), p):
                     raise InputError("assigned matrices do not commute")
-    return inverses
 
 
 def make_backend(
@@ -182,17 +179,16 @@ def make_backend(
     which needs p ≥ 3.  Every entry comes from one random stream through
     ``modmat.draw``: a ``poly`` base first, then the labels in sorted
     order.  The sphere, a pinned identity and a diagonal draw are
-    diagonal matrices whose inverses are read off the entries: s⁻¹·I,
-    I and the entrywise inverse.  Their diagonals are kept as rows while
-    drawing, and all of them become one (k, d, d) stack, their inverses
-    another (``modmat.diagonals``).  The ``poly`` base and polynomials
-    are inverted in one batch, the base first, so drawing a ``poly``
-    backend runs one Gauss-Jordan and a diagonal one none.
+    diagonal matrices with nonzero entries, so they are invertible.
+    Their diagonals are kept as rows while drawing, and all of them
+    become one (k, d, d) stack (``modmat.diagonals``).  The ``poly`` base
+    and polynomials are proved invertible in one batch, the base first,
+    so drawing a ``poly`` backend runs one Gauss-Jordan and a diagonal
+    one none.
 
-    When a draw in the batch is singular, ``modmat.inverse_all`` finds
-    the first one from the batch's prefix products and hands over the
-    inverses of the draws before it, which stand.  The stream resumes
-    right after the singular draw, with that draw and every one after it
+    When a draw in the batch is singular, ``modmat.first_singular`` finds
+    the first one from the batch's prefix products; the draws before it
+    stand.  The stream resumes right after the singular draw, with that draw and every one after it
     made again, up to 64 times per draw.  To get there, a failed batch
     restarts the stream where the batch started, at the seed for the
     first batch and at a state saved after the last failure for a later
@@ -200,7 +196,7 @@ def make_backend(
     singular draw saves no state.  The next batch first tries a
     prefix as long as the failed one's was up to its singular draw, so
     that where singular draws are dense (a small field) its search stays
-    near the front, and where they are rare it inverts the whole batch.
+    near the front, and where they are rare it tries the whole batch.
     """
     _check_field(p, d)
     if p < 3:
@@ -211,9 +207,8 @@ def make_backend(
     order: List[Optional[str]] = sorted(set(labels) | {SPHERE_LABEL})
     if family == POLY_IN_M:
         order.insert(0, None)  # the base matrix, which no label names
-    rows: Dict[str, Tuple[List[int], List[int]]] = {}  # a diagonal matrix's diagonal and its inverse's
+    rows: Dict[str, List[int]] = {}  # a diagonal matrix's diagonal
     batch: Dict[Optional[str], np.ndarray] = {}  # the base and the polynomials
-    inverses: Dict[Optional[str], np.ndarray] = {}
     powers = None
 
     def draw(labs):
@@ -223,13 +218,11 @@ def make_backend(
                 base = np.array(modmat.draw(rng, d * d, p), dtype=np.int64).reshape(d, d)
                 batch[lab], powers = base, modmat.powers(base, 4, p)
             elif lab == SPHERE_LABEL:
-                (s,) = modmat.draw(rng, 1, p, 2)
-                rows[lab] = ([s] * d, [pow(s, -1, p)] * d)
+                rows[lab] = modmat.draw(rng, 1, p, 2) * d
             elif spel_identity and lab.startswith("spel:"):
-                rows[lab] = ([1] * d, [1] * d)
+                rows[lab] = [1] * d
             elif family == DIAGONAL:
-                row = modmat.draw(rng, d, p, 1)
-                rows[lab] = (row, [pow(x, -1, p) for x in row])
+                rows[lab] = modmat.draw(rng, d, p, 1)
             else:
                 batch[lab] = modmat.random_poly(rng, powers, p)
 
@@ -238,12 +231,11 @@ def make_backend(
     while True:
         draw(order[start:])
         todo = [lab for lab in order[start:] if lab in batch]
-        try:
-            inverses.update(zip(todo, modmat.inverse_all([batch[lab] for lab in todo], p, probe)))
+        at = modmat.first_singular([batch[lab] for lab in todo], p, probe)
+        if at is None:
             break
-        except modmat.SingularMatrix as e:  # the base or a polynomial is singular: keep the draws before it
-            inverses.update(zip(todo, e.inverses))
-            j, probe = order.index(todo[e.index]), e.index + 1
+        # the base or a polynomial is singular: the draws before it stand
+        j, probe = order.index(todo[at]), at + 1
         tries = tries + 1 if j == start else 1
         if tries == 64:
             raise InputError("could not draw an invertible %s" % ("base matrix" if order[j] is None else "polynomial"))
@@ -255,11 +247,9 @@ def make_backend(
         state = rng.getstate()
         start = j
     batch.pop(None, None)
-    inverses.pop(None, None)
-    assignment = dict(zip(rows, modmat.diagonals([m for m, _ in rows.values()])))
-    inverses.update(zip(rows, modmat.diagonals([inv for _, inv in rows.values()])))
+    assignment = dict(zip(rows, modmat.diagonals(list(rows.values()))))
     assignment.update(batch)
-    return Backend(p, d, family, assignment, inverses, alias, token_labels)
+    return Backend(p, d, family, assignment, alias, token_labels)
 
 
 # --- the invariant ------------------------------------------------------------
@@ -273,13 +263,10 @@ def _resolve(aseq: AbstractSequence, b: Backend) -> None:
             b._lookup(t)
 
 
-def _product(tokens: Iterable[Token], b: Backend, inverse: bool = False) -> np.ndarray:
-    """The product of the tokens' matrices, or of their inverses, in
-    sorted-label order: the inverse of a product of commuting matrices is
-    the product of their inverses."""
+def _product(tokens: Iterable[Token], b: Backend) -> np.ndarray:
+    """The product of the tokens' matrices in sorted-label order."""
     entries = sorted((b._lookup(t) for t in tokens), key=itemgetter(0))
-    part = 2 if inverse else 1
-    return modmat.product((e[part] for e in entries), b.p, b.dim)
+    return modmat.product((m for _, m in entries), b.p, b.dim)
 
 
 def _spel_tokens(aseq: AbstractSequence) -> List[SpElToken]:
@@ -376,7 +363,7 @@ def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: 
     if modmat.is_identity(e_other, b.p):
         return InvarianceReport("Pass", detail="switched spherical elements are trivial")
     comms = (t for t in own.slices[own.perturbation_index + 1].tokens if isinstance(t, CommutatorToken))
-    f2 = modmat.mul(_product(comms, b), _product(_spel_tokens(own), b, inverse=True), b.p)
+    f2 = modmat.mul(_product(comms, b), modmat.inverse(spel_product(own, b), b.p), b.p)
     return InvarianceReport(
         "Obstructed",
         witness=_eq_witness("forced F'2 = F2", modmat.mul(f2, e_other, b.p), f2),
@@ -437,7 +424,7 @@ def stabilization_demo(b: Backend, v: int, inv_k: np.ndarray, inv_l: np.ndarray)
     stabilization forces equality before it; and over a field no nonzero
     weight annihilates Z(S²).  Neither fact needs a computation: every
     backend has p prime and Z(S²) invertible, a drawn one by
-    construction and a loaded one as ``checked_inverses`` proves."""
+    construction and a loaded one as ``check_assignment`` proves."""
     if v < 1:
         raise InputError("stabilization count must be >= 1")
     witness = (
@@ -476,4 +463,5 @@ def load_backend(text: str) -> Backend:
                 raise InputError("duplicate token label %s" % parts[1])
             vals = [x % p for x in _line_ints(parts[2:])]  # reduced before int64 holds them
             assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
-    return Backend(p, d, "loaded", assignment, checked_inverses(p, d, assignment))
+    check_assignment(p, d, assignment)
+    return Backend(p, d, "loaded", assignment)

@@ -123,14 +123,12 @@ class StateModuleSeq:
 
 def state_modules(aseq, b) -> StateModuleSeq:
     """Each slice's endomorphism A_k, the product of its tokens' matrices
-    in sorted-label order, with its inverse, the product of their
-    inverses."""
-    endos, inverses = [], []
+    in sorted-label order, with its inverse by ``modmat.inverse``."""
+    endos = []
     for sl in aseq.slices:
         entries = sorted((b._lookup(t) for t in sl.tokens), key=itemgetter(0))
-        endos.append(modmat.product((m for _, m, _ in entries), b.p, b.dim))
-        inverses.append(modmat.product((i for _, _, i in entries), b.p, b.dim))
-    return StateModuleSeq(tuple(endos), b.p, b.dim, tuple(inverses))
+        endos.append(modmat.product((m for _, m in entries), b.p, b.dim))
+    return StateModuleSeq(tuple(endos), b.p, b.dim, tuple(modmat.inverse(e, b.p) for e in endos))
 
 
 def transitions(sm: StateModuleSeq) -> List[np.ndarray]:

@@ -29,6 +29,7 @@ from smovelab.criterion import (
     verify,
 )
 from smovelab.playground import (
+    DIAGONAL,
     LONGITUDINAL,
     MERIDIAN,
     POLY_IN_M,
@@ -295,56 +296,49 @@ def test_modmat_inverse_matches_python_gauss_jordan(seed):
 
 @settings(max_examples=4, derandomize=True, deadline=None, database=None)
 @given(st.integers(0, 2**32))
-def test_modmat_inverse_all_matches_python_gauss_jordan(seed):
+def test_modmat_first_singular_matches_python_gauss_jordan(seed):
     rng = random.Random(seed)
     for d in (1, 2, 3, 4, 5, 6, 7, 8, 32):
         for p in (2, 101, 100003, _largest_prime_in_bound(d)):
             invertible, singular = [], []
             while len(invertible) < 7 or not singular:
                 for rows in _inverse_cases(rng, d, p):
-                    want = _py_inverse(rows, p)
-                    (singular if want is None else invertible).append((rows, want))
+                    (singular if _py_inverse(rows, p) is None else invertible).append(rows)
             for k in (0, 1, 2, 7):
-                mats = [np.array(rows, dtype=np.int64) for rows, _ in invertible[:k]]
-                got = modmat.inverse_all(mats, p)
-                assert [g.tolist() for g in got] == [want for _, want in invertible[:k]]
-                assert [m.tolist() for m in mats] == [rows for rows, _ in invertible[:k]]  # left alone
+                mats = [np.array(rows, dtype=np.int64) for rows in invertible[:k]]
+                assert modmat.first_singular(mats, p) is None
+                assert [m.tolist() for m in mats] == invertible[:k]  # left alone
             for at in (0, 3, 6):
-                rows = [rows for rows, _ in invertible[:6]]
-                rows.insert(at, singular[0][0])
-                with pytest.raises(InputError, match="singular"):
-                    modmat.inverse_all([np.array(r, dtype=np.int64) for r in rows], p)
+                rows = invertible[:6]
+                rows.insert(at, singular[0])
+                assert modmat.first_singular([np.array(r, dtype=np.int64) for r in rows], p) == at
             with pytest.raises(InputError, match="different shapes"):
-                modmat.inverse_all([modmat.identity(d), modmat.identity(d - 1)], p)
+                modmat.first_singular([modmat.identity(d), modmat.identity(d - 1)], p)
 
 
 @settings(max_examples=4, derandomize=True, deadline=None, database=None)
 @given(st.integers(0, 2**32))
-def test_inverse_all_names_the_first_singular_matrix(seed):
-    """A batch that holds a singular matrix raises ``SingularMatrix`` with
-    the index of the first one and the inverses of the matrices before
-    it, whatever prefix is tried first; a batch with none is inverted
-    whole, whatever prefix is tried first."""
+def test_first_singular_names_the_first_singular_matrix(seed):
+    """A batch of 12 with no singular matrix, one, or several gives the
+    index of the first one, or None, whatever prefix is tried first."""
     rng = random.Random(seed)
     for d in (1, 2, 4):
         for p in (2, 5, 101, _largest_prime_in_bound(d)):
             invertible, singular = [], []
-            while len(invertible) < 12 or len(singular) < 2:
+            while len(invertible) < 12 or len(singular) < 3:
                 for rows in _inverse_cases(rng, d, p):
-                    want = _py_inverse(rows, p)
-                    (singular if want is None else invertible).append((rows, want))
-            for probe in (None, 1, 2, 3, 5, 12, 40):
-                mats = [np.array(rows, dtype=np.int64) for rows, _ in invertible[:12]]
-                got = modmat.inverse_all(mats, p, probe)
-                assert [g.tolist() for g in got] == [want for _, want in invertible[:12]], (d, p, probe)
-                for at in (0, 1, 4, 11):
-                    batch = [rows for rows, _ in invertible[:12]]
-                    batch[at] = singular[0][0]
-                    batch[rng.randrange(at, 12)] = singular[1][0]  # a later singular matrix changes nothing
-                    with pytest.raises(modmat.SingularMatrix, match="^matrix is singular mod %d$" % p) as err:
-                        modmat.inverse_all([np.array(r, dtype=np.int64) for r in batch], p, probe)
-                    assert err.value.index == at, (d, p, probe, at)
-                    assert [g.tolist() for g in err.value.inverses] == [w for _, w in invertible[:at]]
+                    (singular if _py_inverse(rows, p) is None else invertible).append(rows)
+            for probe in [None] + list(range(1, 14)) + [40]:
+                mats = [np.array(rows, dtype=np.int64) for rows in invertible[:12]]
+                assert modmat.first_singular(mats, p, probe) is None, (d, p, probe)
+                for at in (0, 1, 4, 7, 11):
+                    for later in (0, 2):  # one singular matrix, or three
+                        batch = invertible[:12]
+                        batch[at] = singular[0]
+                        for s in singular[1 : 1 + later]:
+                            batch[rng.randrange(at, 12)] = s
+                        got = modmat.first_singular([np.array(r, dtype=np.int64) for r in batch], p, probe)
+                        assert got == at, (d, p, probe, at, later)
 
 
 def _py_poly_backend(labels, p, d, seed):
@@ -422,6 +416,51 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
             obstructed += 1
     assert controls == 20
     assert obstructed >= 170  # the generic draw must actually obstruct
+
+
+def _py_product(mats, p, d):
+    out = [[int(i == j) for j in range(d)] for i in range(d)]
+    for m in mats:
+        out = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*m)] for row in out]
+    return out
+
+
+@pytest.mark.parametrize("family, d, seeds", [(DIAGONAL, 4, 8), (POLY_IN_M, 4, 8), (POLY_IN_M, 32, 3)])
+def test_obstruction_witness_is_f2_from_oracle_inverses(tmp_path, capsys, family, d, seeds):
+    """``inv playground --obstruction`` prints F2 = C·E_own⁻¹ and the
+    forced F'2 = F2·E_other, where C is the commutator product after the
+    perturbation and E_own, E_other the two types' spherical-element
+    products at it.  Here each is built on Python ints from the backend
+    the command dumps, with E_own⁻¹ the product of its matrices'
+    Gauss-Jordan inverses."""
+    from smovelab import cli
+
+    path = tmp_path / "backend.txt"
+    obstructed = 0
+    for seed in range(seeds):
+        inst = build_instance(seed)
+        for t, flag in ((LONGITUDINAL, "long"), (MERIDIAN, "mer")):
+            argv = ["inv", "playground", "--seed", str(seed), "--type", flag, "--family", family, "--d", str(d)]
+            code = cli.main(argv + ["--obstruction", "--dump-backend", str(path)])
+            out = capsys.readouterr().out.splitlines()
+            head, *toks = (line.split() for line in path.read_text(encoding="utf-8").splitlines())
+            p = int(head[1])
+            mats = {tok[1]: [[int(x) for x in tok[2 + i * d : 2 + (i + 1) * d]] for i in range(d)] for tok in toks}
+            own, other = build_abstract(inst, t), build_abstract(inst, other_type(t))
+
+            def at(aseq, kind, after=0):
+                tokens = aseq.slices[aseq.perturbation_index + after].tokens
+                return [mats[token_text(x, True)] for x in tokens if isinstance(x, kind)]
+
+            f2 = _py_product(at(own, CommutatorToken, 1) + [_py_inverse(m, p) for m in at(own, SpElToken)], p, d)
+            forced = _py_product([f2] + at(other, SpElToken), p, d)
+            if forced == f2:
+                assert (code, out[1]) == (0, "verdict: Pass"), (family, d, seed, t)
+                continue
+            obstructed += 1
+            text = [";".join(",".join(map(str, row)) for row in m) for m in (forced, f2)]
+            assert code == 3 and out[2] == "witness: forced F'2 = F2: %s != %s" % tuple(text), (family, d, seed, t)
+    assert obstructed >= seeds
 
 
 # --- state sums ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
 import smovelab.modmat as modmat
 import smovelab.playground as pg
@@ -23,7 +24,7 @@ from smovelab.playground import (
     between_type_obstruction,
     check_gauge,
     check_inside_invariance,
-    checked_inverses,
+    check_assignment,
     dump_backend,
     gauged_sequence,
     global_combine,
@@ -207,6 +208,73 @@ def test_modmat_is_exact_at_the_int64_bound():
     assert matpow(a, -2, p).tolist() == _py_mul(inv.tolist(), inv.tolist(), p)
 
 
+def _float_bound_primes(n):
+    """The largest prime p with n·(p-1)² < 2^53, where a float64 product
+    over an inner length n is exact, and the next prime above it."""
+    p = sympy.prevprime(math.isqrt((2**53 - 1) // n) + 2)
+    assert n * (p - 1) ** 2 < 2**53 <= n * (sympy.nextprime(p) - 1) ** 2
+    return p, sympy.nextprime(p)
+
+
+def test_mul_is_exact_on_both_sides_of_the_float64_bound():
+    """From d = 16 on a product runs in float64 while d·(p-1)² < 2^53,
+    and in int64 past it.  All-(p-1) matrices reach the largest partial
+    sum, d·(p-1)²; random ones are checked on Python ints, at d = 256 on
+    five rows."""
+    rng = random.Random(23)
+    for d in (15, 16, 32, 256):
+        for p in _float_bound_primes(d):
+            top = np.full((d, d), p - 1, dtype=np.int64)
+            assert modmat.mul(top, top, p).tolist() == [[d * (p - 1) ** 2 % p] * d] * d, (d, p)
+            a, b = ([[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(2))
+            rows = sorted({0, d - 1} | set(rng.sample(range(d), min(d, 3))))
+            got = modmat.mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+            assert got.dtype == np.int64
+            assert [got[i].tolist() for i in rows] == _py_mul([a[i] for i in rows], b, p), (d, p)
+
+
+def test_random_poly_is_exact_on_both_sides_of_the_float64_bound():
+    """Σ c_i·M^i sums four products of residues: at d ≥ 16 one float64
+    product while 4·(p-1)² < 2^53, and in int64 past it or below d = 16,
+    where p may take 4·(p-1)² past 2^53 (and, at d < 4, past 2^63)."""
+    p53, past53 = _float_bound_primes(4)
+    cases = [(d, p) for d in (16, 32) for p in (p53, past53)]
+    cases += [(d, p) for d in (1, 2, 3) for p in (past53, sympy.prevprime(math.isqrt((2**63 - 1) // d) + 2))]
+    for d, p in cases:
+        assert 4 * (p - 1) ** 2 >= 2**53 or d >= 16
+        for seed in range(3):
+            rng = random.Random(seed)
+            base = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+            powers = modmat.powers(np.array(base, dtype=np.int64), 4, p)
+            want = [[int(i == j) for j in range(d)] for i in range(d)]
+            for i in range(4):
+                assert powers[i].tolist() == want, (d, p, i)
+                want = _py_mul(want, base, p)
+            got = modmat.random_poly(random.Random(seed), powers, p)
+            stream = random.Random(seed)
+            c = [stream.randrange(p) for _ in range(4)]
+            want = [[sum(ci * m[i][j] for ci, m in zip(c, powers.tolist())) % p for j in range(d)] for i in range(d)]
+            assert got.dtype == np.int64 and got.tolist() == want, (d, p, seed)
+
+
+def test_diagonal_inverse_is_read_off_the_entries():
+    """A diagonal matrix is inverted entry by entry; one zero on the
+    diagonal makes it singular."""
+    rng = random.Random(29)
+    for d in (1, 2, 4, 32):
+        for p in (2, 101, sympy.prevprime(math.isqrt((2**63 - 1) // d) + 2)):
+            entries = [rng.randrange(1, p) for _ in range(d)]
+            a = np.diag(np.array(entries, dtype=np.int64))
+            inv = modmat.inverse(a, p)
+            assert inv.dtype == np.int64 and inv.tolist() == np.diag([pow(x, -1, p) for x in entries]).tolist()
+            assert _py_mul(a.tolist(), inv.tolist(), p) == np.eye(d, dtype=int).tolist()
+            entries[rng.randrange(d)] = 0
+            a = np.diag(np.array(entries, dtype=np.int64))
+            assert _py_singular(a.tolist(), p)
+            with pytest.raises(InputError, match="^matrix is singular mod %d$" % p):
+                modmat.inverse(a, p)
+
+
 # --- backends ---------------------------------------------------------------
 
 
@@ -349,13 +417,12 @@ def test_the_64_draw_limit_holds_per_label():
     b = make_backend(["cell:%d" % i for i in range(200)], p=5, d=2, seed=1, family=POLY_IN_M)
     digest = hashlib.sha256(dump_backend(b).encode()).hexdigest()
     assert digest == "66291099a7d3f13c82dec0bbaa32b979ddb8c3b6f9cbefa7d4031ad6e802b18c"
-    _assert_inverses(b)
+    _assert_invertible(b)
 
 
 def test_a_failed_batch_bisects_for_its_first_singular_draw(monkeypatch):
     """A batch with a singular draw finds the first one from its prefix
-    products and inverts the draws before it from the same products, so
-    no draw is inverted on its own.  Over GF(5), where about a third of
+    products, so no draw is inverted on its own.  Over GF(5), where about a third of
     the 2×2 polynomials are singular, inverting each draw up to the
     singular one ran 410 Gauss-Jordans for 200 labels; a d = 32 backend
     with one singular draw ran 11."""
@@ -369,19 +436,19 @@ def test_a_failed_batch_bisects_for_its_first_singular_draw(monkeypatch):
     assert len(calls) <= 6
 
 
-def _assert_inverses(b):
+def _assert_invertible(b):
     for lab, m in b.assignment.items():
-        assert modmat.is_identity(modmat.mul(m, b.inverses[lab], b.p), b.p), lab
+        assert not _py_singular(m.tolist(), b.p), lab
 
 
-def test_redrawn_backends_keep_exact_inverses():
+def test_redrawn_backends_are_invertible_and_commute():
     """A drawn backend is valid by construction and is not checked when
     drawn: the proof that its matrices commute and that its sphere is a
     non-identity scalar is made here."""
     small = [(d, seed, family, False, _CELLS) for d in (1, 2) for seed in (0, 1) for family in (DIAGONAL, POLY_IN_M)]
     for d, seed, family, spel, labels in [pin[:5] for pin in _PINNED_BACKENDS] + small:
         b = make_backend(labels, p=101, d=d, seed=seed, family=family, spel_identity=spel)
-        _assert_inverses(b)
+        _assert_invertible(b)
         mats = [b.assignment[lab] for lab in sorted(b.assignment)]
         for i, a in enumerate(mats):
             for c in mats[i + 1 :]:
@@ -532,16 +599,16 @@ def test_backend_is_checked_when_built():
     )
     for assignment, message in cases:
         with pytest.raises(InputError, match=message):
-            checked_inverses(p, 2, assignment)
+            check_assignment(p, 2, assignment)
         text = "p 5 d 2\n" + "".join(
             "tok %s %s\n" % (lab, " ".join(str(int(x)) for x in m.ravel())) for lab, m in assignment.items()
         )
         with pytest.raises(InputError, match=message):
             load_backend(text)
     with pytest.raises(InputError, match="p must be prime"):
-        checked_inverses(4, 2, {SPHERE_LABEL: i})
+        check_assignment(4, 2, {SPHERE_LABEL: i})
     with pytest.raises(InputError, match="no S2"):
-        checked_inverses(5, 2, {"cell:a": i})
+        check_assignment(5, 2, {"cell:a": i})
 
 
 def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
@@ -550,29 +617,29 @@ def test_commutation_is_proved_unless_every_matrix_is_diagonal(monkeypatch):
     monkeypatch.setattr(modmat, "mul", lambda a, b, p: calls.append(1) or real_mul(a, b, p))
     monkeypatch.setattr(modmat, "equal", lambda a, b, p: compared.append(1) or real_equal(a, b, p))
     p, i = 5, modmat.identity(2)
-    # inverting k matrices in one batch takes 3·(k-1) products
-    batch = 3 * (3 - 1)
+    # proving k matrices invertible in one batch takes their k-1 prefix products
+    batch = 3 - 1
     diagonal = {SPHERE_LABEL: 2 * i, "cell:a": np.diag([1, 2]), "cell:b": np.diag([3, 4])}
-    checked_inverses(p, 2, diagonal)
+    check_assignment(p, 2, diagonal)
     assert len(calls) == batch  # diagonal matrices commute: no pairwise products
     assert compared == []
     # one non-diagonal matrix among diagonal ones brings the proof back
     calls.clear()
     with pytest.raises(InputError, match="^assigned matrices do not commute$"):
-        checked_inverses(p, 2, dict(diagonal, **{"cell:c": np.array([[1, 1], [0, 1]])}))
-    assert len(calls) > 3 * (4 - 1) and compared
+        check_assignment(p, 2, dict(diagonal, **{"cell:c": np.array([[1, 1], [0, 1]])}))
+    assert len(calls) > 4 - 1 and compared
     calls.clear()
     commuting = {SPHERE_LABEL: 2 * i, "cell:a": np.array([[1, 1], [0, 1]]), "cell:b": np.array([[1, 2], [0, 1]])}
-    checked_inverses(p, 2, commuting)
+    check_assignment(p, 2, commuting)
     assert len(calls) == batch + 2 * 3  # and both orders of each of the three pairs
     # a drawn backend commutes by construction and forms no pairwise
-    # product: three for the powers M, M², M³ and the batch of the base
-    # and 14 cells
+    # product: three for the powers M, M², M³ and the prefix products of
+    # the batch of the base and 14 cells
     for d, seed in ((4, 0), (32, 1)):
         calls.clear()
         compared.clear()
         make_backend(_CELLS, d=d, seed=seed, family=POLY_IN_M)
-        assert len(calls) == 3 + 3 * (15 - 1)
+        assert len(calls) == 3 + (15 - 1)
         assert compared == []
 
 
@@ -602,27 +669,11 @@ def test_backend_formats_each_token_label_once(monkeypatch):
     assert sorted(map(repr, labelled)) == sorted(map(repr, tokens))
 
 
-def test_backend_keeps_every_inverse():
-    inst = build_instance(3)
-    labels = _labels_for(inst)
-    for family, d in ((DIAGONAL, 4), (POLY_IN_M, 6)):
-        b = make_backend(labels, d=d, seed=5, family=family)
-        assert set(b.inverses) == set(b.assignment)
-        for lab, m in b.assignment.items():
-            assert modmat.is_identity(modmat.mul(m, b.inverses[lab], b.p), b.p)
-            assert modmat.equal(b.inverses[lab], modmat.inverse(m, b.p), b.p)
-    # a handed-over inverse is kept as it is, not computed again
-    m = np.array([[2, 1], [0, 2]], dtype=np.int64)
-    inv = modmat.inverse(m, 5)
-    assignment = {SPHERE_LABEL: 2 * modmat.identity(2), "cell:a": m}
-    b = Backend(5, 2, "direct", assignment, inverses={SPHERE_LABEL: 3 * modmat.identity(2), "cell:a": inv})
-    assert b.inverses["cell:a"] is inv
-
-
 def test_a_backend_runs_one_gauss_jordan_for_all_its_inverses(monkeypatch):
-    """Drawn without a singular draw, a poly backend inverts its base and
-    its polynomials in one batch; a diagonal backend reads every inverse
-    off the entries."""
+    """Drawn without a singular draw, a poly backend proves its base and
+    its polynomials invertible in one batch, with one Gauss-Jordan; a
+    diagonal backend has nonzero entries and runs none.  A loaded backend
+    runs one for all its matrices."""
     labels = _labels_for(build_instance(5))
     calls = []
     real = modmat.inverse
@@ -637,31 +688,36 @@ def test_a_backend_runs_one_gauss_jordan_for_all_its_inverses(monkeypatch):
         calls.clear()
         b = make_backend(labels, seed=1, **kw)
         assert len(calls) == gauss_jordans, kw
-        assert set(b.inverses) == set(b.assignment)
         calls.clear()
-        loaded = load_backend(dump_backend(b))
+        load_backend(dump_backend(b))
         assert len(calls) == 1, kw
-        for lab, inv in loaded.inverses.items():
-            assert np.array_equal(inv, b.inverses[lab]), (kw, lab)
 
 
 def test_invariants_run_no_gauss_jordan(monkeypatch):
+    """The invariants, the gauge and the stabilization demo invert
+    nothing; an obstruction inverts one matrix, its own spherical-element
+    product."""
     inst = build_instance(6)
     b = make_backend(_labels_for(inst), d=5, seed=6, family=POLY_IN_M)
     calls = []
     real = modmat.inverse
-    monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(1) or real(a, p))
-    invariants = []
+    monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(a) or real(a, p))
+    invariants, obstructed = [], 0
     for t in (LONGITUDINAL, MERIDIAN):
         aseq = build_abstract(inst, t)
-        sm = state_modules(aseq, b)
-        for e, inv in zip(sm.endos, sm.inverses):
-            assert modmat.is_identity(modmat.mul(e, inv, b.p), b.p)
         invariants.append(perturbed_invariant(aseq, b))
-        between_type_obstruction(aseq, build_abstract(inst, other_type(t)), b)
         check_gauge(*_readings(inst, t), b)
+        assert calls == []
+        rep = between_type_obstruction(aseq, build_abstract(inst, other_type(t)), b)
+        if rep.verdict == "Obstructed":
+            obstructed += 1
+            (inverted,) = calls
+            assert np.array_equal(inverted, spel_product(aseq, b))
+        else:
+            assert calls == []
+        calls.clear()
     stabilization_demo(b, 2, *invariants)
-    assert calls == []
+    assert calls == [] and obstructed == 2
 
 
 def test_load_backend_rejects_noncommuting_or_singular():
@@ -840,7 +896,7 @@ def test_a_gauged_sequence_has_its_own_sequences_labels_and_invariant():
             for b in (
                 make_backend(labels, d=3, seed=seed),
                 make_backend(labels, d=3, seed=seed, family=POLY_IN_M),
-                load_backend(dump_backend(Backend(101, 3, "direct", diagonals, {}))),
+                load_backend(dump_backend(Backend(101, 3, "direct", diagonals))),
             ):
                 assert modmat.equal(perturbed_invariant(gauged, b), perturbed_invariant(own, b), b.p), (seed, t)
             broken = make_backend(backend_labels(own, gauged, alias=False), d=3, seed=seed, alias=False)
