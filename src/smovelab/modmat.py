@@ -81,12 +81,12 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     Python list, which at d = 4 costs less than numpy's own index
     searches.  A diagonal matrix is inverted entry by entry."""
     a = _as_mod(a, p)
-    n = a.shape[0]
-    diagonal = a.diagonal().tolist()
-    if np.count_nonzero(a) == n - diagonal.count(0):
+    if is_diagonal(a):
+        diagonal = a.diagonal().tolist()
         if 0 in diagonal:
             raise InputError("matrix is singular mod %d" % p)
         return np.diag(np.array([pow(x, -1, p) for x in diagonal], dtype=np.int64))
+    n = a.shape[0]
     work = np.concatenate([a, identity(n)], axis=1)
     for col in range(n):
         column = work[:, col].tolist()
@@ -142,6 +142,10 @@ def first_singular(mats, p: int, probe=None):
         else:
             lo, step = n, step * 2
     return lo
+
+
+def is_diagonal(a: np.ndarray) -> bool:
+    return np.count_nonzero(a) == np.count_nonzero(a.diagonal())
 
 
 def is_identity(a: np.ndarray, p: int) -> bool:

@@ -149,7 +149,7 @@ def check_assignment(p: int, d: int, assignment: Dict[str, np.ndarray]) -> None:
     mats = [assignment[k] for k in sorted(assignment)]
     if modmat.first_singular(mats, p) is not None:
         raise InputError("matrix is singular mod %d" % p)
-    if any(np.count_nonzero(m) != np.count_nonzero(m.diagonal()) for m in mats):
+    if not all(map(modmat.is_diagonal, mats)):
         for i, a in enumerate(mats):
             for b in mats[i + 1 :]:
                 if not modmat.equal(modmat.mul(a, b, p), modmat.mul(b, a, p), p):
@@ -188,15 +188,16 @@ def make_backend(
 
     When a draw in the batch is singular, ``modmat.first_singular`` finds
     the first one from the batch's prefix products; the draws before it
-    stand.  The stream resumes right after the singular draw, with that draw and every one after it
-    made again, up to 64 times per draw.  To get there, a failed batch
-    restarts the stream where the batch started, at the seed for the
-    first batch and at a state saved after the last failure for a later
-    one, and draws again up to its singular draw.  So a batch with no
-    singular draw saves no state.  The next batch first tries a
-    prefix as long as the failed one's was up to its singular draw, so
-    that where singular draws are dense (a small field) its search stays
-    near the front, and where they are rare it tries the whole batch.
+    stand.  The stream resumes right after the singular draw, with that
+    draw and every one after it made again, up to 64 times per draw.  To
+    get there, a failed batch restarts the stream where the batch
+    started, at the seed for the first batch and at a state saved after
+    the last failure for a later one, and draws again up to its singular
+    draw.  So a batch with no singular draw saves no state.  The next
+    batch first tries a prefix as long as the failed one's was up to its
+    singular draw, so that where singular draws are dense (a small field)
+    its search stays near the front, and where they are rare it tries the
+    whole batch.
     """
     _check_field(p, d)
     if p < 3:
