@@ -218,14 +218,16 @@ def _float_bound_primes(n):
 
 def test_mul_is_exact_on_both_sides_of_the_float64_bound():
     """From d = 16 on a product runs in float64 while d·(p-1)² < 2^53,
-    and in int64 past it.  All-(p-1) matrices reach the largest partial
-    sum, d·(p-1)²; random ones are checked on Python ints, at d = 256 on
-    five rows."""
+    and in int64 past it.  Rows and columns of p-1 ending in p-2 give
+    every entry the odd sum (d-1)·(p-1)² + (p-2)², which float64 holds
+    only below 2^53 and which passes 2^53 at the prime above the bound;
+    random matrices are checked on Python ints, at d = 256 on five rows."""
     rng = random.Random(23)
     for d in (15, 16, 32, 256):
         for p in _float_bound_primes(d):
-            top = np.full((d, d), p - 1, dtype=np.int64)
-            assert modmat.mul(top, top, p).tolist() == [[d * (p - 1) ** 2 % p] * d] * d, (d, p)
+            a, b = np.full((d, d), p - 1, dtype=np.int64), np.full((d, d), p - 1, dtype=np.int64)
+            a[:, -1] = b[-1, :] = p - 2
+            assert modmat.mul(a, b, p).tolist() == [[((d - 1) * (p - 1) ** 2 + (p - 2) ** 2) % p] * d] * d, (d, p)
             a, b = ([[rng.randrange(p) for _ in range(d)] for _ in range(d)] for _ in range(2))
             rows = sorted({0, d - 1} | set(rng.sample(range(d), min(d, 3))))
             got = modmat.mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
