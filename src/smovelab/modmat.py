@@ -1,22 +1,18 @@
 """Small exact matrices over a prime field, on top of numpy int64.
 
-Everything is kept reduced mod p; inverses run Gauss-Jordan with modular
-scalar inverses, so all arithmetic is exact, and a diagonal matrix's
-inverse is read off its entries.  ``first_singular`` finds the first
-singular matrix of a list, if any, from its prefix products, with one
-Gauss-Jordan when there is none: a drawn ``poly`` playground backend
-proves its base matrix and its polynomials invertible that way, in one
-batch, and a loaded backend all its matrices.  No backend keeps an
-inverse; the one a command reads is computed where it is needed.
-``diagonals`` builds diagonal matrices as one stack, and ``draw`` is the
-one source of drawn entries.
+Everything is kept reduced mod p, so all arithmetic is exact: inverses
+run Gauss-Jordan with modular scalar inverses, or read a diagonal
+matrix's inverse off its entries.  ``first_singular`` proves a list of
+matrices invertible, or finds its first singular one, from its prefix
+products with one Gauss-Jordan; playground backends keep no inverses.
+``draw`` is the one source of drawn entries.
 
-Exactness needs int64 to hold every intermediate: one entry of a d×d
-product of residues sums d terms below (p-1)², so d·(p-1)² must stay
-below 2^63.  Every kernel raises ``InputError`` past that bound instead
-of wrapping.  From d = 16 on, where BLAS beats numpy's int64 loop, a
-product whose inner length n has n·(p-1)² < 2^53 runs in float64: every
-partial sum is then an integer below 2^53, which float64 holds exactly.
+Exactness needs int64 to hold every intermediate: an entry of a d×d
+product of residues sums d terms below (p-1)², so d·(p-1)² < 2^63, and
+every kernel raises ``InputError`` past that bound instead of wrapping.
+From d = 16 on, where BLAS beats numpy's int64 loop, a product over an
+inner length n with n·(p-1)² < 2^53 runs in float64, exact because every
+partial sum is then an integer below 2^53.
 """
 
 from __future__ import annotations
@@ -46,15 +42,14 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=np.int64)
 
 
-# The least dimension at which a float64 product beats numpy's int64 one;
-# below it int64 is faster (d ≤ 8) or as fast (d = 12).
+# From this dimension on a float64 product beats numpy's int64 one; below
+# it int64 is faster (up to d = 8) or as fast (d = 12).
 _FLOAT_DIM = 16
 
 
 def _exact_in_float(n: int, p: int, d: int) -> bool:
-    """Whether a product of d×d residue matrices over an inner length n
-    runs in float64: from ``_FLOAT_DIM`` on, when every partial sum, at
-    most n·(p-1)², is an integer below 2^53 and so exact."""
+    """Whether d×d products over an inner length n run in float64: every
+    partial sum, at most n·(p-1)², is then an integer below 2^53."""
     return d >= _FLOAT_DIM and n * (p - 1) ** 2 < 2**53
 
 
@@ -108,36 +103,28 @@ def first_singular(mats, p: int, probe=None):
     every one is invertible, with one Gauss-Jordan when none is.
 
     The prefix product P_i = A_1 ⋯ A_i is singular exactly when one of
-    A_1 … A_i is, so prefix products alone find the first singular
-    matrix.  The first prefix tried is the whole list, or the first
+    A_1 … A_i is.  The first prefix tried is the whole list, or the first
     ``probe`` matrices; while a prefix inverts, the next is twice as many
     matrices longer (capped at the whole list), and once one is singular,
     bisection between the longest prefix known to invert and the
-    shortest known not to finds the first singular A_i.  Prefix products
-    are formed as far as a tried prefix reaches.  A caller that expects
-    a singular matrix near the front passes a small ``probe``."""
+    shortest known not to finds the first singular A_i.  Prefixes are
+    multiplied out only as far as one is tried.  A caller that expects a
+    singular matrix near the front passes a small ``probe``."""
     mats = [_as_mod(m, p) for m in mats]
     if any(m.shape != mats[0].shape for m in mats):
         raise InputError("matrices of different shapes")
-    prefix = mats[:1]
-
-    def singular(n):
-        while len(prefix) < n:
-            prefix.append(mul(prefix[-1], mats[len(prefix)], p))
-        try:
-            inverse(prefix[n - 1], p)
-        except InputError:
-            return True
-        return False
-
-    k = len(mats)
+    k, prefix = len(mats), mats[:1]
     lo, hi = 0, None  # P_lo inverts (P_0 = I); P_hi is singular
     step = k if probe is None else max(probe, 1)
     while hi is None or hi - lo > 1:
         if hi is None and lo == k:
             return None
         n = min(lo + step, k) if hi is None else (lo + hi) // 2
-        if singular(n):
+        while len(prefix) < n:
+            prefix.append(mul(prefix[-1], mats[len(prefix)], p))
+        try:
+            inverse(prefix[n - 1], p)
+        except InputError:
             hi = n
         else:
             lo, step = n, step * 2

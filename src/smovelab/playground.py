@@ -12,8 +12,7 @@ tests compose the maps by brute force as an oracle.
 A backend is checked where it enters: ``make_backend`` draws one that is
 valid by construction, and ``load_backend`` proves a dump valid with
 ``check_assignment``, the one validation path.  A backend keeps no
-inverse: the only one a command reads is the obstruction's, of one
-product, and it is computed there.
+inverse; the obstruction inverts the one product it reads.
 """
 
 from __future__ import annotations
