@@ -205,19 +205,16 @@ def _random_reduced_word(rng: random.Random, n_gens: int, length: int) -> Word:
     return Word(letters)
 
 
-def build_instance(
-    seed: int,
-    n_generators: int = 2,
-    n_factors: int = 2,
-    max_conjugator_len: int = 3,
-) -> CriterionInstance:
-    """Deterministically draw a verifying instance: random conjugated
-    relators and S, then R = C^-1.S defined by the product form, C the
-    commutator product.  No factor conjugates R, so the instance reads
-    what the probe that defined R read, with reduce(R.S^-1) = C^-1, and
-    is handed that reading."""
-    if n_generators < 1 or n_factors < 0:
-        raise InputError("need at least one generator and a nonnegative factor count")
+def build_instance(seed: int, n_factors: int = 2) -> CriterionInstance:
+    """Deterministically draw a verifying instance on two generators:
+    random conjugated relators, with conjugators of at most three letters,
+    and S, then R = C^-1.S defined by the product form, C the commutator
+    product.  No factor conjugates R, so the instance reads what the probe
+    that defined R read, with reduce(R.S^-1) = C^-1, and is handed that
+    reading."""
+    if n_factors < 0:
+        raise InputError("need a nonnegative factor count")
+    n_generators, max_conjugator_len = 2, 3
     rng = random.Random(seed)
     k_aux = [
         ("x%d" % (i + 1), _random_reduced_word(rng, n_generators, rng.randint(1, 3)))

@@ -108,12 +108,12 @@ def first_singular(mats, p: int, probe=None):
     matrices longer (capped at the whole list), and once one is singular,
     bisection between the longest prefix known to invert and the
     shortest known not to finds the first singular A_i.  Prefixes are
-    multiplied out only as far as one is tried.  A caller that expects a
+    multiplied out only as far as one is tried, and each matrix is
+    reduced and shape-checked when a prefix first reaches it, so matrices
+    past the last prefix tried are not read.  A caller that expects a
     singular matrix near the front passes a small ``probe``."""
-    mats = [_as_mod(m, p) for m in mats]
-    if any(m.shape != mats[0].shape for m in mats):
-        raise InputError("matrices of different shapes")
-    k, prefix = len(mats), mats[:1]
+    mats = list(mats)
+    k, prefix = len(mats), []
     lo, hi = 0, None  # P_lo inverts (P_0 = I); P_hi is singular
     step = k if probe is None else max(probe, 1)
     while hi is None or hi - lo > 1:
@@ -121,7 +121,10 @@ def first_singular(mats, p: int, probe=None):
             return None
         n = min(lo + step, k) if hi is None else (lo + hi) // 2
         while len(prefix) < n:
-            prefix.append(mul(prefix[-1], mats[len(prefix)], p))
+            m = _as_mod(mats[len(prefix)], p)
+            if prefix and m.shape != prefix[0].shape:
+                raise InputError("matrices of different shapes")
+            prefix.append(mul(prefix[-1], m, p) if prefix else m)
         try:
             inverse(prefix[n - 1], p)
         except InputError:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import InitVar, dataclass, field
-from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,11 +56,11 @@ def other_type(identification: str) -> str:
     raise InputError("unknown identification type %r" % identification)
 
 
-def label_tokens(*aseqs: AbstractSequence, alias: bool = True) -> Dict[Token, str]:
-    """Every distinct token of the sequences with its label, each
+def label_tokens(*aseqs: AbstractSequence) -> Dict[Token, str]:
+    """Every distinct token of the sequences with its backend label, each
     labelled once."""
     tokens = {t for aseq in aseqs for sl in aseq.slices for t in sl.tokens}
-    return {t: token_text(t, alias) for t in tokens}
+    return {t: token_text(t, True) for t in tokens}
 
 
 def is_prime(n: int) -> bool:
@@ -96,41 +95,33 @@ def _check_field(p: int, d: int):
 
 @dataclass(frozen=True)
 class Backend:
-    """A commuting assignment of invertible matrices over GF(p); it
-    checks nothing itself (see the module docstring).  Tokens are
-    resolved to (label, matrix) once per backend; ``token_labels`` hands
-    over labels already formatted with this backend's ``alias``, so those
+    """A commuting assignment of invertible matrices over GF(p), keyed by
+    backend label: a word and its inverse share one label, so Z(V) =
+    Z(V⁻¹).  It checks nothing itself (see the module docstring).  Each
+    token is resolved to its matrix once per backend; ``token_labels``
+    hands over labels already formatted (``label_tokens``), so those
     tokens are not labelled again."""
 
     p: int
     dim: int
-    family: str
     assignment: Dict[str, np.ndarray]
-    alias: bool = True
     token_labels: InitVar[Optional[Dict[Token, str]]] = None
-    _resolved: Dict[Token, Tuple[str, np.ndarray]] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _resolved: Dict[Token, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self, token_labels):
         for t, lab in (token_labels or {}).items():
             if lab in self.assignment:
-                self._resolved[t] = (lab, self.assignment[lab])
-
-    @property
-    def sphere(self) -> np.ndarray:
-        return self.assignment[SPHERE_LABEL]
+                self._resolved[t] = self.assignment[lab]
 
     def value(self, t: Token) -> np.ndarray:
-        return self._lookup(t)[1]
-
-    def _lookup(self, t: Token) -> Tuple[str, np.ndarray]:
-        """A token's label and matrix; its label is formatted on the first
-        lookup only, unless it was handed over."""
+        """A token's matrix; its label is formatted on the first lookup
+        only, unless it was handed over."""
         hit = self._resolved.get(t)
         if hit is None:
-            lab = token_text(t, self.alias)
+            lab = token_text(t, True)
             if lab not in self.assignment:
                 raise InputError("token %s has no assigned matrix" % lab)
-            hit = self._resolved[t] = (lab, self.assignment[lab])
+            hit = self._resolved[t] = self.assignment[lab]
         return hit
 
 
@@ -161,26 +152,23 @@ def make_backend(
     d: int = 4,
     seed: int = 0,
     family: str = DIAGONAL,
-    spel_identity: bool = False,
-    alias: bool = True,
     token_labels: Optional[Dict[Token, str]] = None,
 ) -> Backend:
     """Deterministic commuting assignment for a finite label set.
 
-    ``spel_identity`` pins every spherical-element label to the identity
-    (the vacuous-perturbation control); ``alias=False`` keys matrices by
-    raw words, deliberately breaking Z(V) = Z(V⁻¹) for negative tests.
-    ``token_labels`` is handed to the backend (see ``Backend``).
+    ``family`` draws each label's matrix as a diagonal or as a polynomial
+    in one base matrix.  ``token_labels`` is handed to the backend (see
+    ``Backend``).
 
     The backend is valid by construction, so no check is replayed on it:
     diagonal matrices with nonzero entries, or polynomials in one
     invertible base matrix, commute; the sphere is s·I with 2 ≤ s < p,
     which needs p ≥ 3.  Every entry comes from one random stream through
     ``modmat.draw``: a ``poly`` base first, then the labels in sorted
-    order.  The sphere, a pinned identity and a diagonal draw are
-    diagonal matrices with nonzero entries, so they are invertible.
-    Their diagonals are kept as rows while drawing, and all of them
-    become one (k, d, d) stack (``modmat.diagonals``).  The ``poly`` base
+    order.  The sphere and a diagonal draw are diagonal matrices with
+    nonzero entries, so they are invertible.  Their diagonals are kept as
+    rows while drawing, and all of them become one (k, d, d) stack
+    (``modmat.diagonals``).  The ``poly`` base
     and polynomials are proved invertible in one batch, the base first,
     so drawing a ``poly`` backend runs one Gauss-Jordan and a diagonal
     one none.
@@ -219,8 +207,6 @@ def make_backend(
                 batch[lab], powers = base, modmat.powers(base, 4, p)
             elif lab == SPHERE_LABEL:
                 rows[lab] = modmat.draw(rng, 1, p, 2) * d
-            elif spel_identity and lab.startswith("spel:"):
-                rows[lab] = [1] * d
             elif family == DIAGONAL:
                 rows[lab] = modmat.draw(rng, d, p, 1)
             else:
@@ -249,7 +235,7 @@ def make_backend(
     batch.pop(None, None)
     assignment = dict(zip(rows, modmat.diagonals(list(rows.values()))))
     assignment.update(batch)
-    return Backend(p, d, family, assignment, alias, token_labels)
+    return Backend(p, d, assignment, token_labels)
 
 
 # --- the invariant ------------------------------------------------------------
@@ -260,13 +246,14 @@ def _resolve(aseq: AbstractSequence, b: Backend) -> None:
     backend missing one names the first."""
     for sl in aseq.slices:
         for t in sl.tokens:
-            b._lookup(t)
+            b.value(t)
 
 
 def _product(tokens: Iterable[Token], b: Backend) -> np.ndarray:
-    """The product of the tokens' matrices in sorted-label order."""
-    entries = sorted((b._lookup(t) for t in tokens), key=itemgetter(0))
-    return modmat.product((m for _, m in entries), b.p, b.dim)
+    """The product of the tokens' matrices in token order.  Every backend
+    commutes and products mod p are exact, so the order does not change
+    the result."""
+    return modmat.product(map(b.value, tokens), b.p, b.dim)
 
 
 def _spel_tokens(aseq: AbstractSequence) -> List[SpElToken]:
@@ -298,9 +285,6 @@ class InvarianceReport:
     verdict: str  # "Pass" | "Fail" | "Obstructed"
     witness: Optional[str] = None
     detail: str = ""
-
-    def __bool__(self):
-        return self.verdict == "Pass"
 
 
 def _eq_witness(name: str, a: np.ndarray, b_mat: np.ndarray) -> str:
@@ -374,17 +358,13 @@ def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: 
 # --- global combination and the three tests ---------------------------------
 
 
-def global_combine(mats: Sequence[np.ndarray], mode: str, p: int, dim: Optional[int] = None) -> np.ndarray:
+def global_combine(mats: Sequence[np.ndarray], mode: str, p: int, dim: int) -> np.ndarray:
     """The product of ``mats``, or its sum over every ordering of them.
 
     The matrices must commute, as products of one backend's matrices do,
     so every ordering has the same product and the sum is n! copies of it.
     """
     mats = list(mats)
-    if dim is None:
-        if not mats:
-            raise InputError("empty list needs an explicit dimension")
-        dim = mats[0].shape[0]
     if any(m.shape != (dim, dim) for m in mats):
         raise InputError("dimension mismatch in global combination")
     if mode == PRODUCT:
@@ -404,8 +384,9 @@ def three_tests(k_side, l_side, b: Backend, mode: str = PRODUCT) -> bool:
     """Whether the two presentations' combined invariants are equal.
 
     Each side holds one sequence per relator pair.  The protocol also
-    compares each side through its gauge, but with an aliasing backend a
-    ``gauged_sequence`` has its own sequence's invariant (``check_gauge``
+    compares each side through its gauge, but every backend aliases a
+    word with its inverse, so a ``gauged_sequence`` has its own sequence's
+    invariant (``check_gauge``
     is the command that checks this), so all three comparisons are this one.
     """
     k_side, l_side = list(k_side), list(l_side)
@@ -464,4 +445,4 @@ def load_backend(text: str) -> Backend:
             vals = [x % p for x in _line_ints(parts[2:])]  # reduced before int64 holds them
             assignment[parts[1]] = np.array(vals, dtype=np.int64).reshape(d, d)
     check_assignment(p, d, assignment)
-    return Backend(p, d, "loaded", assignment)
+    return Backend(p, d, assignment)

@@ -59,10 +59,8 @@ class Polynomial:
         return cls({(): c})
 
     @classmethod
-    def var(cls, name: str, exp: int = 1) -> "Polynomial":
-        if exp < 0:
-            raise InputError("negative exponent")
-        return cls({((name, exp),): 1}) if exp else cls.const(1)
+    def var(cls, name: str) -> "Polynomial":
+        return cls({((name, 1),): 1})
 
     @classmethod
     def _of(cls, terms: Dict[Monomial, Scalar]) -> "Polynomial":
@@ -261,8 +259,8 @@ def poly_monic(a: Polynomial, var: Optional[str] = None) -> Polynomial:
     return a * (Fraction(1) / lead)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial, var: Optional[str] = None) -> Polynomial:
-    var = _univar(var, a, b)
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    var = _univar(None, a, b)
     while not b.is_zero():
         a, b = b, poly_mod(a, b, var)
     return poly_monic(a, var) if not a.is_zero() else a

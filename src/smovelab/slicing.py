@@ -536,7 +536,6 @@ class AbstractSequence:
     factor_count: int
     residual: Optional[Word] = None  # the leftover cell riding with the product cell
     perturbation_index: ClassVar[int] = 3
-    transitions: ClassVar[Tuple[str, ...]] = ("Transform", "Split", "Join", "Transform", "Join", "Split", "Transform")
 
 
 def spel_kinds(identification: str) -> Tuple[str, str]:

@@ -80,9 +80,6 @@ class TrivalentGraph:
         if self.circles < 0 or self.points < 0:
             raise InputError("negative component count")
 
-    def slots(self) -> int:
-        return len(self.edges) + self.circles
-
 
 def _refine(adj: Sequence[Sequence[int]], colour: Sequence[int]) -> List[int]:
     """Colour refinement to a stable partition.  A vertex's new colour is
@@ -183,9 +180,7 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     circle, so the scaled sum is divided by d**(vertices + circles)."""
     colors = range(t.color_count)
     d = lcm(*map(_denominator, t.entries.values()))
-    scaled = ThreeJTable(
-        t.color_count, {k: v * d if isinstance(v, Polynomial) else _exact(v * d) for k, v in t.entries.items()}
-    )
+    scaled = {k: v * d if isinstance(v, Polynomial) else _exact(v * d) for k, v in t.entries.items()}
     symbolic = False
     templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Value]] = {}
     factors: List[_Factor] = []
@@ -199,7 +194,7 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
         if pattern not in templates:
             weights = {}
             for key in product(colors, repeat=len(scope)):
-                w = scaled.lookup(*(key[j] for j in pattern))
+                w = scaled.get(tuple(sorted(key[j] for j in pattern)), 0)
                 symbolic = symbolic or isinstance(w, Polynomial)
                 if w != 0:
                     weights[key] = w
@@ -221,7 +216,7 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     if g.circles:
         loop_sum: Value = 0
         for c in colors:
-            w = scaled.lookup(c, c, c)
+            w = scaled.get((c, c, c), 0)
             symbolic = symbolic or isinstance(w, Polynomial)
             loop_sum = loop_sum + w
         total = total * loop_sum**g.circles

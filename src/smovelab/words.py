@@ -61,13 +61,6 @@ class Word(tuple):
     def __str__(self):
         return format_word(self)
 
-    # Concatenate-then-reduce.
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __invert__(self):
-        return invert(self)
-
 
 # A Word of letters already checked: no conversion, no zero test.
 _checked = partial(tuple.__new__, Word)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,7 @@ from smovelab.criterion import (
     commutator_product,
     verify,
 )
-from smovelab.playground import label_tokens
+from smovelab.playground import Backend, label_tokens
 from smovelab.presentations import (
     ConjugateRelator,
     InvertRelator,
@@ -45,6 +44,7 @@ from smovelab.slicing import (
     _at,
     _marks,
     _need,
+    token_text,
 )
 from smovelab.statesum import TrivalentGraph
 from smovelab.words import InputError, Word, format_word, invert, reduce, substitute
@@ -92,9 +92,16 @@ def conjugate(w, by) -> Word:
     return reduce(by, w, invert(by))
 
 
-def backend_labels(*aseqs, alias: bool = True):
+def backend_labels(*aseqs):
     """The sorted backend labels of the sequences' tokens."""
-    return sorted(set(label_tokens(*aseqs, alias=alias).values()))
+    return sorted(set(label_tokens(*aseqs).values()))
+
+
+def identity_spels(b: Backend) -> Backend:
+    """``b`` with every spherical-element matrix set to the identity: the
+    control whose perturbation is vacuous."""
+    eye = modmat.identity(b.dim)
+    return Backend(b.p, b.dim, {lab: eye if lab.startswith("spel:") else m for lab, m in b.assignment.items()})
 
 
 def random_invertible_diagonal(rng, dim: int, p: int) -> np.ndarray:
@@ -126,8 +133,8 @@ def state_modules(aseq, b) -> StateModuleSeq:
     in sorted-label order, with its inverse by ``modmat.inverse``."""
     endos = []
     for sl in aseq.slices:
-        entries = sorted((b._lookup(t) for t in sl.tokens), key=itemgetter(0))
-        endos.append(modmat.product((m for _, m in entries), b.p, b.dim))
+        tokens = sorted(sl.tokens, key=lambda t: token_text(t, True))
+        endos.append(modmat.product([b.value(t) for t in tokens], b.p, b.dim))
     return StateModuleSeq(tuple(endos), b.p, b.dim, tuple(modmat.inverse(e, b.p) for e in endos))
 
 
@@ -215,6 +222,12 @@ def residual_commutator_check(inst) -> ResidualCommutatorCheck:
     l_prime = m_prime_inv = inst.read().product
     inv_prod = invert(commutator_product(inst))
     return ResidualCommutatorCheck(equal(l_prime, inv_prod), l_prime, inv_prod, m_prime_inv)
+
+
+def slots(g: TrivalentGraph) -> int:
+    """How many colours a colouring of ``g`` assigns: one per edge and one
+    per circle."""
+    return len(g.edges) + g.circles
 
 
 def wedge(g1: TrivalentGraph, g2: TrivalentGraph) -> TrivalentGraph:
@@ -442,7 +455,7 @@ def poly_local_invariant(ps: Sequence[Polynomial], g: Polynomial, x3: Fraction) 
         raise InputError("level polynomials must share one variable")
     var = names.pop() if names else "x"
     for k, p in enumerate(ps, start=1):
-        if poly_gcd(p, g, var) != Polynomial.const(1):
+        if poly_gcd(p, g) != Polynomial.const(1):
             raise InputError("P_%d is not invertible modulo the ideal" % k)
     c3 = ps[2].subs({var: Fraction(x3)}).constant_value()
     if c3 in (0, 1):

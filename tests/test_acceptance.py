@@ -70,12 +70,14 @@ from helpers import (
     abstract_ok,
     backend_labels,
     compose,
+    identity_spels,
     mutate_conjugator,
     nielsen_transport,
     poly_inverse_mod,
     poly_local_invariant,
     product_sides,
     residual_commutator_check,
+    slots,
     state_modules,
     transitions,
     wedge,
@@ -123,7 +125,7 @@ def _py_inverse(rows, p):
 
 def _own_endo(aslice, b):
     # sorted-label product of the token matrices, in raw numpy
-    pairs = sorted(((token_text(t, b.alias), b.value(t)) for t in aslice.tokens), key=lambda kv: kv[0])
+    pairs = sorted(((token_text(t, True), b.value(t)) for t in aslice.tokens), key=lambda kv: kv[0])
     return _np_product((m for _, m in pairs), b.p, b.dim)
 
 
@@ -230,7 +232,7 @@ def test_perturbed_invariant_matches_brute_force_composition():
 
                 # closed form: product of the spherical-element matrices, raw numpy
                 spels = [tok for tok in aseq.slices[3].tokens if isinstance(tok, SpElToken)]
-                ordered = sorted(((token_text(tk, b.alias), b.value(tk)) for tk in spels), key=lambda kv: kv[0])
+                ordered = sorted(((token_text(tk, True), b.value(tk)) for tk in spels), key=lambda kv: kv[0])
                 closed = _np_product((m for _, m in ordered), p, d)
 
                 # brute force: compose all eight level maps with the third one perturbed
@@ -400,7 +402,9 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
         labels = backend_labels(
             build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN)
         )
-        b = make_backend(labels, seed=seed, spel_identity=identity_control)
+        b = make_backend(labels, seed=seed)
+        if identity_control:
+            b = identity_spels(b)
         report = between_type_obstruction(build_abstract(inst, t), build_abstract(inst, other_type(t)), b)
 
         other = build_abstract(inst, other_type(t))
@@ -511,7 +515,7 @@ def _all_trivalent_graphs():
 def _einsum_state_sum(g, weights):
     """Independent exact evaluation: contract one weight tensor per vertex
     (loops repeat an index) and one diagonal vector per circle."""
-    if not g.vertices and g.slots() == 0:
+    if not g.vertices and slots(g) == 0:
         return 1
     letters = iter(string.ascii_letters)
     edge_idx = [next(letters) for _ in g.edges]
@@ -659,7 +663,7 @@ def test_stabilization_forces_equality_no_annihilator():
         inst = build_instance(seed)
         seqs = [build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN)]
         b = make_backend(backend_labels(*seqs), seed=seed)
-        scalar = int(b.sphere[0, 0])
+        scalar = int(b.assignment["S2"][0, 0])
         inv_k, inv_l = (perturbed_invariant(aseq, b) for aseq in seqs)
         for v in (1, 2, 3):
             report = stabilization_demo(b, v, inv_k, inv_l)

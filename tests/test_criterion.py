@@ -130,11 +130,9 @@ def test_build_instance_is_deterministic_and_verifies():
 
 
 def test_build_instance_parameter_ranges():
-    inst = build_instance(3, n_generators=3, n_factors=4, max_conjugator_len=2)
+    inst = build_instance(3, n_factors=4)
     assert len(inst.factors) == 4
     assert verify(inst)
-    with pytest.raises(InputError):
-        build_instance(0, n_generators=0)
     with pytest.raises(InputError):
         build_instance(0, n_factors=-1)
 

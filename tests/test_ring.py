@@ -27,7 +27,7 @@ def _random_poly(rng, max_deg=4):
     p = Polynomial()
     for e in range(rng.randint(0, max_deg) + 1):
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        p = p + Polynomial.const(c) * Polynomial.var("x", e)
+        p = p + Polynomial.const(c) * Polynomial.var("x") ** e
     return p
 
 
@@ -47,10 +47,7 @@ def test_constructors_and_equality():
     x = Polynomial.var("x")
     assert x != five
     assert x - x == zero
-    assert Polynomial.var("x", 3) == x * x * x
     assert (x + 1) * (x - 1) == x**2 - 1
-    with pytest.raises(InputError):
-        Polynomial.var("x", -1)
 
 
 def test_arithmetic_matches_sympy():

@@ -265,7 +265,6 @@ def test_build_abstract_structure():
     assert abstract_ok(aseq)
     assert len(aseq.slices) == 8
     assert aseq.perturbation_index == 3
-    assert len(aseq.transitions) == 7
     assert aseq.factor_count == len(inst.factors)
     s = aseq.slices
     assert s[0].tokens == () and s[7].tokens == ()

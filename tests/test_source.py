@@ -30,6 +30,10 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _library_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SRC.glob("*.py")}
+
+
 def _public_definitions(tree: ast.Module):
     """(name, node) for each public top-level def, class and assignment."""
     for node in tree.body:
@@ -88,7 +92,7 @@ def test_library_code_has_a_library_caller():
     """Code that only the tests run belongs in the tests: every public
     top-level name is referred to in the library outside its own
     definition, through its own module."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in SRC.glob("*.py")}
+    trees = _library_trees()
     references = _library_references(trees)
     uncalled = {
         (module, name)
@@ -117,6 +121,94 @@ def test_every_imported_name_is_used():
                 if name not in loaded and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append("%s:%d %s" % (path.name, alias.lineno, name))
     assert unused == []
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, bound: int):
+    """(name, position) for each parameter of ``fn`` with a default.  The
+    position counts a call's positional arguments, so a bound ``self`` or
+    ``cls`` (``bound`` = 1) is left out; it is None for a keyword-only
+    parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
+def _signatures(trees):
+    """(module.name, called name, defaulted parameters) for each public
+    top-level function and each public method or ``__init__`` of a public
+    class; a class is called by its own name."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield "%s.%s" % (module, node.name), node.name, _defaulted_parameters(node, 0)
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("_")):
+                        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                        called = node.name if fn.name == "__init__" else fn.name
+                        qual = "%s.%s.%s" % (module, node.name, fn.name)
+                        yield qual, called, _defaulted_parameters(fn, 0 if static else 1)
+
+
+def _passes(call: ast.Call, name: str, position) -> bool:
+    """Whether ``call`` may set the parameter: by keyword or ``**kw``,
+    or, for a positional parameter, by position or through ``*args``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+# The console script calls ``main()`` with no ``argv``; only the tests pass one.
+_SET_FROM_OUTSIDE = {"cli.main(argv)"}
+
+
+def test_every_defaulted_parameter_is_set_by_a_library_call():
+    """An option only the tests set is a second configuration the library
+    must support for no caller: every defaulted parameter of a public
+    function, method or constructor is passed by some library call of
+    that name.  Names are matched, not resolved, so a call of any
+    ``value`` counts for every ``value``.  Dataclass fields are not
+    covered: their ``__init__`` is generated, with no def to read."""
+    trees = _library_trees()
+    by_name = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                by_name.setdefault(getattr(n.func, "id", None) or getattr(n.func, "attr", None), []).append(n)
+    unset = {
+        "%s(%s)" % (qual, name)
+        for qual, called, params in _signatures(trees)
+        for name, position in params
+        if not any(_passes(call, name, position) for call in by_name.get(called, ()))
+    }
+    assert unset == _SET_FROM_OUTSIDE
+
+
+def test_every_method_is_read_in_the_library():
+    """Every public method or property of a library class is read as an
+    attribute somewhere in the library outside its own body.  Names are
+    not resolved per class: a read of ``x.slices`` counts for every class
+    with a ``slices`` member, so ``SliceSequence.slices`` passes because
+    ``AbstractSequence.slices`` is read."""
+    trees = _library_trees()
+    reads = {}
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute):
+                reads.setdefault(n.attr, []).append(n)
+    unread = set()
+    for module, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    own = set(map(id, ast.walk(fn)))
+                    if all(id(r) in own for r in reads.get(fn.name, ())):
+                        unread.add("%s.%s.%s" % (module, cls.name, fn.name))
+    assert unread == set()
 
 
 def _calls_of(name: str, node: ast.AST, where=None):

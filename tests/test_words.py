@@ -143,14 +143,6 @@ def test_multiply_associative_on_reduced_forms():
         assert multiply(multiply(u, v), w) == multiply(u, multiply(v, w))
 
 
-def test_word_operators_match_functions():
-    u = parse_word("abA")
-    v = parse_word("aB")
-    assert u * v == multiply(u, v)
-    assert ~u == invert(u)
-    assert str(u * v) == "a"
-    assert str(parse_word("ab") * parse_word("Bc")) == "ac"
-
 
 def test_conjugate_and_commutator():
     a, b = parse_word("a"), parse_word("b")
