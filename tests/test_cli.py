@@ -722,6 +722,35 @@ def test_a_backend_missing_tokens_names_the_first_in_slice_order(tmp_path, capsy
     assert (code, out) == (2, "error: token cell:BabaBaBBAbbAbABaBBabbAbabABABababaBABA has no assigned matrix\n")
 
 
+_VERDICT_PASS = "verdict: Pass\n---csv---\nkey,value\nverdict,Pass\n"
+
+
+def test_a_backend_for_the_base_labels_only_answers_the_gauge_but_not_a_rider(tmp_path, capsys):
+    """With a loaded backend, ``--gauge`` looks up the base sequence, whose
+    labels a gauged sequence shares, and ``--qmove`` the base and then the
+    rider, which a backend drawn for the base labels alone does not cover:
+    it names the rider's first missing label.  With ``--gauge`` and
+    ``--qmove`` together the gauge answers, and the rider is still built."""
+    from smovelab import playground as pg
+    from smovelab.presentations import InvertRelator
+
+    inst = build_instance(4)
+    base = slicing.build_abstract(inst, slicing.LONGITUDINAL)
+    b = pg.make_backend(backend_labels(base), seed=4)
+    path = tmp_path / "b.txt"
+    path.write_text(pg.dump_backend(b), encoding="utf-8")
+    rider = pg.qmove_rider(inst, InvertRelator("R"), slicing.LONGITUDINAL)
+    labels = (slicing.token_text(t, True) for sl in rider.slices for t in sl.tokens)
+    missing = next(lab for lab in labels if lab not in b.assignment)
+    loaded = ["inv", "playground", "--seed", "4", "--backend", str(path)]
+    assert _run(capsys, loaded + ["--qmove", "inv R"]) == (2, "error: token %s has no assigned matrix\n" % missing)
+    assert _run(capsys, loaded + ["--gauge"]) == (0, _VERDICT_PASS)
+    assert _run(capsys, loaded + ["--gauge", "--qmove", "inv S"]) == (0, _VERDICT_PASS)
+    assert _run(capsys, ["inv", "playground", "--seed", "4", "--gauge", "--qmove", "inv S"]) == (0, _VERDICT_PASS)
+    code, out = _run(capsys, loaded + ["--gauge", "--qmove", "conj S ab"])
+    assert code == 2 and out.startswith("error: ")
+
+
 def test_duplicate_backend_label_exits_2(tmp_path, capsys):
     path = tmp_path / "b.txt"
     path.write_text("p 101 d 1\ntok S2 2\ntok S2 3\n", encoding="utf-8")
