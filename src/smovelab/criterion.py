@@ -88,9 +88,9 @@ class CriterionInstance:
     The instance's ``Reading`` is computed by ``read`` on first use and
     kept; it takes no part in comparison, so an instance equals any other
     with the same fields.  An instance built from one already read can be
-    handed the reading it would compute (``reading``): ``build_instance``
-    and ``gauge`` do.  A copy made with ``dataclasses.replace`` is not
-    handed one, since its fields may change what it reads."""
+    handed the reading it would compute (``reading``), as
+    ``build_instance`` does.  A copy made with ``dataclasses.replace`` is
+    not handed one, since its fields may change what it reads."""
 
     k: Presentation
     l: Presentation
@@ -161,34 +161,6 @@ def residual_r(r: Word, r_new: Word) -> Word:
 def residual_s(s: Word, s_new: Word) -> Word:
     """Leftover cell of replacing S by S_new: M'^-1 with S_new^-1.M'^-1 = S^-1."""
     return reduce(s_new, invert(s))
-
-
-# --- gauge (role swap of the two sides) ----------------------------------
-
-
-def gauge(inst: CriterionInstance) -> CriterionInstance:
-    """Swap the two sides: compare S against R.  Factors reverse their
-    order and swap their r/s roles (the commutator product inverts).
-
-    If ``inst`` has been read, the swapped instance is handed its reading
-    rearranged, since [R_i,S_i] is the letter-by-letter inverse of
-    [S_i,R_i]: the pairs swapped and in reverse order, the commutators
-    inverted and in reverse order, and the product S.R^-1 inverted."""
-    read = inst._reading
-    if read is not None:
-        read = Reading(
-            tuple((sw, rw) for rw, sw in reversed(read.expanded)),
-            tuple(invert(c) for c in reversed(read.commutators)),
-            invert(read.product),
-        )
-    return CriterionInstance(
-        k=inst.l,
-        l=inst.k,
-        r_name=inst.s_name,
-        s_name=inst.r_name,
-        factors=tuple(Factor(r=f.s, s=f.r) for f in reversed(inst.factors)),
-        reading=read,
-    )
 
 
 # --- seeded instance generation ------------------------------------------

@@ -66,7 +66,12 @@ def mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def inverse(a: np.ndarray, p: int) -> np.ndarray:
-    """Gauss-Jordan over GF(p); raises if singular.
+    """Gauss-Jordan over GF(p); raises if singular (``_invert``)."""
+    return _invert(_as_mod(a, p), p)
+
+
+def _invert(a: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of a square matrix already reduced mod p.
 
     Each column is cleared in one numpy step: the pivot is the first
     nonzero row at or below the diagonal, its row is scaled to a leading
@@ -75,7 +80,6 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
     every intermediate lies in (-(p-1)², p).  The column is scanned as a
     Python list, which at d = 4 costs less than numpy's own index
     searches.  A diagonal matrix is inverted entry by entry."""
-    a = _as_mod(a, p)
     if is_diagonal(a):
         diagonal = a.diagonal().tolist()
         if 0 in diagonal:
@@ -110,7 +114,8 @@ def first_singular(mats, p: int, probe=None):
     shortest known not to finds the first singular A_i.  Prefixes are
     multiplied out only as far as one is tried, and each matrix is
     reduced and shape-checked when a prefix first reaches it, so matrices
-    past the last prefix tried are not read.  A caller that expects a
+    past the last prefix tried are not read, and a tried prefix, reduced
+    as it was formed, is not reduced again.  A caller that expects a
     singular matrix near the front passes a small ``probe``."""
     mats = list(mats)
     k, prefix = len(mats), []
@@ -126,7 +131,7 @@ def first_singular(mats, p: int, probe=None):
                 raise InputError("matrices of different shapes")
             prefix.append(mul(prefix[-1], m, p) if prefix else m)
         try:
-            inverse(prefix[n - 1], p)
+            _invert(prefix[n - 1], p)
         except InputError:
             hi = n
         else:

@@ -37,7 +37,7 @@ from .slicing import (
     build_abstract,
     token_text,
 )
-from .words import InputError, _ContentLines, _line_ints, format_word
+from .words import InputError, _ContentLines, _line_ints
 
 DIAGONAL = "diagonal"
 POLY_IN_M = "poly"
@@ -241,9 +241,10 @@ def make_backend(
 # --- the invariant ------------------------------------------------------------
 
 
-def _resolve(aseq: AbstractSequence, b: Backend) -> None:
+def resolve(aseq: AbstractSequence, b: Backend) -> None:
     """Look up every token of the sequence in slice order, so that a
-    backend missing one names the first."""
+    backend missing one names the first.  A verdict printed from a fact
+    first resolves the sequences its comparison would read."""
     for sl in aseq.slices:
         for t in sl.tokens:
             b.value(t)
@@ -273,7 +274,7 @@ def perturbed_invariant(aseq: AbstractSequence, b: Backend) -> np.ndarray:
     telescopes to exactly the product of the spherical-element matrices
     at the perturbation, which is returned.
     """
-    _resolve(aseq, b)
+    resolve(aseq, b)
     return spel_product(aseq, b)
 
 
@@ -282,19 +283,9 @@ def perturbed_invariant(aseq: AbstractSequence, b: Backend) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    verdict: str  # "Pass" | "Fail" | "Obstructed"
+    verdict: str  # "Pass" | "Obstructed"
     witness: Optional[str] = None
     detail: str = ""
-
-
-def _eq_witness(name: str, a: np.ndarray, b_mat: np.ndarray) -> str:
-    return "%s: %s != %s" % (name, modmat.to_text(a), modmat.to_text(b_mat))
-
-
-def gauged_sequence(inst, identification: str) -> AbstractSequence:
-    """The side-swapped instance read with the opposite identification
-    and reversed orientation: the gauge of ``identification``'s reading."""
-    return build_abstract(crit.gauge(inst), other_type(identification), orientation=-1)
 
 
 def qmove_rider(inst, qmove, identification: str) -> AbstractSequence:
@@ -302,28 +293,6 @@ def qmove_rider(inst, qmove, identification: str) -> AbstractSequence:
     leftover cell riding; it carries that cell as ``residual``."""
     t = crit.transport_qmove(inst, qmove)
     return build_abstract(t.instance, identification, residual=t.residual, residual_side=t.side.lower())
-
-
-def check_inside_invariance(base: AbstractSequence, rider: AbstractSequence, b: Backend) -> InvarianceReport:
-    """Compare the perturbed invariants of an instance's sequence and of
-    its ``qmove_rider``: without and with the residual token riding."""
-    if rider.residual is None:
-        raise InputError("the rider sequence carries no residual")
-    plain = perturbed_invariant(base, b)
-    carried = perturbed_invariant(rider, b)
-    if modmat.equal(plain, carried, b.p):
-        return InvarianceReport("Pass", detail="residual %s cancels" % format_word(rider.residual))
-    return InvarianceReport("Fail", _eq_witness("invariant", plain, carried))
-
-
-def check_gauge(own: AbstractSequence, gauged: AbstractSequence, b: Backend) -> InvarianceReport:
-    """Compare a sequence with its ``gauged_sequence``; their invariants
-    are equal exactly when the backend aliases inverse words."""
-    own_inv = perturbed_invariant(own, b)
-    gauged_inv = perturbed_invariant(gauged, b)
-    if modmat.equal(own_inv, gauged_inv, b.p):
-        return InvarianceReport("Pass")
-    return InvarianceReport("Fail", _eq_witness("gauge", own_inv, gauged_inv))
 
 
 def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: Backend) -> InvarianceReport:
@@ -341,8 +310,8 @@ def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: 
     """
     if other.identification != other_type(own.identification):
         raise InputError("the two sequences must have different identification types")
-    _resolve(own, b)
-    _resolve(other, b)
+    resolve(own, b)
+    resolve(other, b)
     e_other = spel_product(other, b)
     if modmat.is_identity(e_other, b.p):
         return InvarianceReport("Pass", detail="switched spherical elements are trivial")
@@ -350,7 +319,7 @@ def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: 
     f2 = modmat.mul(_product(comms, b), modmat.inverse(spel_product(own, b), b.p), b.p)
     return InvarianceReport(
         "Obstructed",
-        witness=_eq_witness("forced F'2 = F2", modmat.mul(f2, e_other, b.p), f2),
+        witness="forced F'2 = F2: %s != %s" % (modmat.to_text(modmat.mul(f2, e_other, b.p)), modmat.to_text(f2)),
         detail="switched spherical-element product is not the identity",
     )
 
@@ -385,9 +354,9 @@ def three_tests(k_side, l_side, b: Backend, mode: str = PRODUCT) -> bool:
 
     Each side holds one sequence per relator pair.  The protocol also
     compares each side through its gauge, but every backend aliases a
-    word with its inverse, so a ``gauged_sequence`` has its own sequence's
-    invariant (``check_gauge``
-    is the command that checks this), so all three comparisons are this one.
+    word with its inverse, so a gauged sequence carries its own
+    sequence's labels and invariant, and all three comparisons are this
+    one.
     """
     k_side, l_side = list(k_side), list(l_side)
     if len(k_side) != len(l_side):

@@ -548,38 +548,28 @@ def spel_kinds(identification: str) -> Tuple[str, str]:
 
 
 def build_abstract(
-    inst,
-    identification: str,
-    residual: Optional[Word] = None,
-    residual_side: str = "r",
-    orientation: int = 1,
+    inst, identification: str, residual: Optional[Word] = None, residual_side: str = "r"
 ) -> AbstractSequence:
     """Canonical eight-slice sequence for a verified instance.
 
     ``residual`` adds the leftover cell riding with the product cell on
     both sides of the perturbation transition; the instance then only has
     to satisfy the residual-corrected criterion for the stated side.
-    ``orientation = -1`` reads every 2-cell with reversed boundary
-    orientation (all token words inverted), which is how the swapped-side
-    comparison is built.
     """
-    if orientation not in (1, -1):
-        raise InputError("orientation must be +1 or -1")
     reading = inst.read()
     if crit.verification_word(inst, residual or EMPTY, residual_side):
         raise crit.InvalidInstance("instance fails the commutator criterion")
-    orient = (lambda w: w) if orientation == 1 else invert
     kind_r, kind_s = spel_kinds(identification)
     spels: list[Token] = []
     comms: list[Token] = []
     for i, ((rw, sw), cw) in enumerate(zip(reading.expanded, reading.commutators)):
-        spels.append(SpElToken(kind_r, orient(rw), i))
-        spels.append(SpElToken(kind_s, orient(sw), i))
-        comms.append(CommutatorToken(orient(cw), i))
-    cell_r = CellToken(orient(inst.r_word))
-    cell_s_inv = CellToken(orient(invert(inst.s_word)))
-    prod = CellToken(orient(reading.product))
-    riders: tuple = (CellToken(orient(Word(residual))),) if residual is not None else ()
+        spels.append(SpElToken(kind_r, rw, i))
+        spels.append(SpElToken(kind_s, sw, i))
+        comms.append(CommutatorToken(cw, i))
+    cell_r = CellToken(inst.r_word)
+    cell_s_inv = CellToken(invert(inst.s_word))
+    prod = CellToken(reading.product)
+    riders: tuple = (CellToken(Word(residual)),) if residual is not None else ()
     seq = (
         (),
         (SphereToken(), SphereToken()),

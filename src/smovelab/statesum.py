@@ -63,7 +63,6 @@ class TrivalentGraph:
     vertices: Tuple[int, ...] = ()
     edges: Tuple[Tuple[int, int], ...] = ()
     circles: int = 0
-    points: int = 0
 
     def __post_init__(self):
         degree = {v: 0 for v in self.vertices}
@@ -77,7 +76,7 @@ class TrivalentGraph:
         bad = [v for v, d in degree.items() if d != 3]
         if bad:
             raise InputError("vertices %s do not have degree 3" % bad)
-        if self.circles < 0 or self.points < 0:
+        if self.circles < 0:
             raise InputError("negative component count")
 
 
@@ -123,7 +122,7 @@ def certificate(g: TrivalentGraph):
         for v in range(n):
             if colour[v] == split:
                 stack.append(_refine(adj, [2 * c + (u != v) for u, c in enumerate(colour)]))
-    return (n, best or (), g.circles, g.points)
+    return (n, best or (), g.circles)
 
 
 def isomorphic(g1: TrivalentGraph, g2: TrivalentGraph) -> bool:

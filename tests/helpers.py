@@ -15,10 +15,11 @@ from smovelab.criterion import (
     CriterionInstance,
     Factor,
     InvalidInstance,
+    Reading,
     commutator_product,
     verify,
 )
-from smovelab.playground import Backend, label_tokens
+from smovelab.playground import Backend, label_tokens, other_type
 from smovelab.presentations import (
     ConjugateRelator,
     InvertRelator,
@@ -29,6 +30,8 @@ from smovelab.presentations import (
 )
 from smovelab.ring import Polynomial, _univar, poly_divmod, poly_gcd, poly_mod
 from smovelab.slicing import (
+    AbstractSequence,
+    AbstractSlice,
     BirthCircle,
     CellToken,
     Circle,
@@ -44,6 +47,7 @@ from smovelab.slicing import (
     _at,
     _marks,
     _need,
+    build_abstract,
     token_text,
 )
 from smovelab.statesum import TrivalentGraph
@@ -224,6 +228,48 @@ def residual_commutator_check(inst) -> ResidualCommutatorCheck:
     return ResidualCommutatorCheck(equal(l_prime, inv_prod), l_prime, inv_prod, m_prime_inv)
 
 
+def gauge(inst: CriterionInstance) -> CriterionInstance:
+    """Swap the two sides: compare S against R.  Factors reverse their
+    order and swap their r/s roles (the commutator product inverts).
+
+    If ``inst`` has been read, the swapped instance is handed its reading
+    rearranged, since [R_i,S_i] is the letter-by-letter inverse of
+    [S_i,R_i]: the pairs swapped and in reverse order, the commutators
+    inverted and in reverse order, and the product S.R^-1 inverted."""
+    read = inst._reading
+    if read is not None:
+        read = Reading(
+            tuple((sw, rw) for rw, sw in reversed(read.expanded)),
+            tuple(invert(c) for c in reversed(read.commutators)),
+            invert(read.product),
+        )
+    return CriterionInstance(
+        k=inst.l,
+        l=inst.k,
+        r_name=inst.s_name,
+        s_name=inst.r_name,
+        factors=tuple(Factor(r=f.s, s=f.r) for f in reversed(inst.factors)),
+        reading=read,
+    )
+
+
+def inverted_tokens(aseq: AbstractSequence) -> AbstractSequence:
+    """``aseq`` with every 2-cell read with reversed boundary orientation:
+    each token's word inverted."""
+    def flip(t):
+        return replace(t, word=invert(t.word)) if hasattr(t, "word") else t
+
+    return replace(aseq, slices=tuple(AbstractSlice(sl.level, tuple(map(flip, sl.tokens))) for sl in aseq.slices))
+
+
+def gauged_sequence(inst: CriterionInstance, identification: str) -> AbstractSequence:
+    """The side-swapped instance read with the opposite identification
+    and reversed orientation: the gauge of ``identification``'s reading.
+    ``crit gauge``, ``inv playground --gauge`` and ``test three-tests``
+    print their gauge lines from the facts this oracle judges."""
+    return inverted_tokens(build_abstract(gauge(inst), other_type(identification)))
+
+
 def slots(g: TrivalentGraph) -> int:
     """How many colours a colouring of ``g`` assigns: one per edge and one
     per circle."""
@@ -237,7 +283,6 @@ def wedge(g1: TrivalentGraph, g2: TrivalentGraph) -> TrivalentGraph:
         g1.vertices + tuple(v + offset for v in g2.vertices),
         g1.edges + tuple((a + offset, b + offset) for a, b in g2.edges),
         g1.circles + g2.circles,
-        g1.points + g2.points,
     )
 
 

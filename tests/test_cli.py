@@ -15,7 +15,14 @@ from smovelab import cli, criterion, slicing
 from smovelab.criterion import build_instance
 from smovelab.presentations import format_presentation
 
-from helpers import backend_labels, format_decomposition, mutate_conjugator, ordering_sum, residual_commutator_check
+from helpers import (
+    backend_labels,
+    format_decomposition,
+    gauge,
+    mutate_conjugator,
+    ordering_sum,
+    residual_commutator_check,
+)
 
 
 def _run(capsys, argv):
@@ -489,10 +496,10 @@ def _count_calls(monkeypatch, fn):
 @pytest.mark.parametrize(
     "argv, sequences, transports",
     [
-        (["inv", "playground", "--seed", "4"], 3, 0),
-        (["inv", "playground", "--seed", "4", "--gauge"], 3, 0),
-        (["inv", "playground", "--seed", "4", "--obstruction"], 3, 0),
-        (["inv", "playground", "--seed", "4", "--qmove", "inv R"], 4, 1),
+        (["inv", "playground", "--seed", "4"], 2, 0),
+        (["inv", "playground", "--seed", "4", "--gauge"], 2, 0),
+        (["inv", "playground", "--seed", "4", "--obstruction"], 2, 0),
+        (["inv", "playground", "--seed", "4", "--qmove", "inv R"], 3, 1),
         (["test", "three-tests", "--seed", "4", "--pairs", "3"], 6, 0),
     ],
 )
@@ -504,13 +511,42 @@ def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, argv,
     assert (len(built), len(moved)) == (sequences, transports)
 
 
-def test_three_tests_builds_no_gauged_sequence(monkeypatch, capsys):
-    """Every backend aliases a word with its inverse, so the gauge lines
-    repeat the direct comparison and no instance is gauged."""
-    gauged = _count_calls(monkeypatch, criterion.gauge)
-    code, out = _run(capsys, ["test", "three-tests", "--seed", "4", "--pairs", "3"])
-    assert code in (0, 1) and "I_gauge(K)=I(L): " in out
-    assert gauged == []
+_SWAP_FREE = [
+    (["test", "three-tests", "--seed", "4", "--pairs", "3"], "I_gauge(K)=I(L): "),
+    (["inv", "playground", "--seed", "4", "--gauge"], "verdict: Pass"),
+    (["inv", "playground", "--seed", "4", "--gauge", "--type", "mer", "--backend", "<backend>"], "verdict: Pass"),
+    (["inv", "playground", "--seed", "4", "--qmove", "inv R"], "verdict: Pass"),
+    (["crit", "gauge", "--instance", "<instance>"], "gauge verifies: true"),
+    (["crit", "gauge", "--instance", "<corrupt>"], "gauge verifies: false"),
+]
+
+
+@pytest.mark.parametrize("argv, printed", _SWAP_FREE, ids=[" ".join(a) for a, _ in _SWAP_FREE])
+def test_no_command_builds_a_swapped_instance(monkeypatch, capsys, tmp_path, argv, printed):
+    """Every gauge line holds by construction, so no command constructs a
+    swapped instance.  Every backend aliases a word with its inverse, so
+    the gauge lines of ``test three-tests`` and ``inv playground
+    --gauge`` repeat the direct comparison; a swapped instance verifies
+    exactly when its own instance does, which ``crit gauge`` prints."""
+    backend = str(tmp_path / "b.txt")
+    assert cli.main(["inv", "playground", "--seed", "4", "--dump-backend", backend]) == 0
+    capsys.readouterr()
+    (tmp_path / "corrupt").mkdir()
+    made = {
+        "<backend>": backend,
+        "<instance>": _write_instance(tmp_path, seed=3),
+        "<corrupt>": _write_instance(tmp_path / "corrupt", seed=3, corrupt=True),
+    }
+    argv = [made.get(a, a) for a in argv]
+    built = []
+    init = criterion.CriterionInstance.__post_init__
+    monkeypatch.setattr(
+        criterion.CriterionInstance, "__post_init__", lambda self, reading: built.append(self) or init(self, reading)
+    )
+    code, out = _run(capsys, argv)
+    monkeypatch.undo()
+    assert code in (0, 1) and printed in out
+    assert built and not set(built) & set(map(gauge, built))
 
 
 @pytest.mark.parametrize("action, corrupt, code", [("verify", False, 0), ("verify", True, 1), ("check", False, 0)])
@@ -1295,9 +1331,8 @@ _READING_COUNTS = [
 def test_a_command_reads_each_instance_once(monkeypatch, capsys, argv, most):
     """Each criterion instance a command builds is expanded and its
     commutators formed once, however many sequences are read from it: the
-    probe's reading goes to the built instance, a gauge gets its
-    instance's reading rearranged, and only a relator move's rider, a new
-    instance, reads itself."""
+    probe's reading goes to the built instance, and only a relator move's
+    rider, a new instance, reads itself."""
     counts = _count_readings(monkeypatch)
     for seed in range(4):
         counts.update(expand=0, commutator=0)

@@ -13,7 +13,6 @@ from smovelab.criterion import (
     QMoveTransport,
     build_instance,
     commutator_product,
-    gauge,
     load_instance,
     parse_decomposition,
     residual_r,
@@ -35,6 +34,7 @@ from smovelab.words import InputError, Word, commutator, invert, parse_word, red
 
 from helpers import (
     format_decomposition,
+    gauge,
     mutate_conjugator,
     nielsen_transport,
     product_sides,
@@ -410,8 +410,10 @@ def test_a_handed_reading_is_the_reading_of_a_fresh_instance(tmp_path):
 
 
 def test_the_gauge_verifies_exactly_when_its_instance_does():
-    """R.S^-1 = C^-1 exactly when S.R^-1 = C, so swapping the sides keeps
-    the verdict, failing instances included, whether or not the instance
+    """``crit gauge`` prints ``verify`` of the instance itself: the swapped
+    instance's verification word is C.w^-1.C^-1, where w is the
+    instance's and C its commutator product, so it reduces to 1 exactly
+    when w does, failing instances included, whether or not the instance
     was read before it was swapped."""
     verdicts = []
     for seed in range(100):
@@ -421,5 +423,7 @@ def test_the_gauge_verifies_exactly_when_its_instance_does():
             verdict = verify(x)
             assert verify(gauge(x)) == verdict == verify(unread_gauge), seed
             assert verification_word(gauge(x)) == verification_word(unread_gauge), seed
+            c = commutator_product(x)
+            assert verification_word(gauge(x)) == reduce(c, invert(verification_word(x)), invert(c)), seed
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts

@@ -10,7 +10,7 @@ import sympy
 
 import smovelab.modmat as modmat
 import smovelab.playground as pg
-from smovelab.criterion import build_instance, gauge, transport_qmove
+from smovelab.criterion import build_instance, transport_qmove
 from smovelab.presentations import ConjugateRelator, InvertRelator, MultiplyRight
 from smovelab.playground import (
     DIAGONAL,
@@ -22,11 +22,8 @@ from smovelab.playground import (
     SPHERE_LABEL,
     Backend,
     between_type_obstruction,
-    check_gauge,
-    check_inside_invariance,
     check_assignment,
     dump_backend,
-    gauged_sequence,
     global_combine,
     is_prime,
     load_backend,
@@ -52,6 +49,8 @@ from helpers import (
     backend_labels,
     compose,
     composed_invariant,
+    gauge,
+    gauged_sequence,
     identity_spels,
     matpow,
     ordering_sum,
@@ -66,7 +65,7 @@ def _labels_for(*instances, types=(LONGITUDINAL, MERIDIAN)):
     for inst in instances:
         for t in types:
             seqs.append(build_abstract(inst, t))
-            seqs.append(build_abstract(gauge(inst), other_type(t), orientation=-1))
+            seqs.append(gauged_sequence(inst, t))
     return backend_labels(*seqs)
 
 
@@ -85,6 +84,10 @@ def _backend(seed=0, **kw):
     inst = build_instance(seed)
     b = make_backend(_labels_for(inst), seed=seed, **kw)
     return inst, b
+
+
+def _same_invariant(aseq, other, b) -> bool:
+    return modmat.equal(perturbed_invariant(aseq, b), perturbed_invariant(other, b), b.p)
 
 
 # --- exact matrix arithmetic ----------------------------------------------
@@ -427,8 +430,8 @@ def test_a_failed_batch_bisects_for_its_first_singular_draw(monkeypatch):
     singular one ran 410 Gauss-Jordans for 200 labels; a d = 32 backend
     with one singular draw ran 11."""
     calls = []
-    real = modmat.inverse
-    monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(1) or real(a, p))
+    real = modmat._invert
+    monkeypatch.setattr(modmat, "_invert", lambda a, p: calls.append(1) or real(a, p))
     make_backend(["cell:%d" % i for i in range(200)], p=5, d=2, seed=1, family=POLY_IN_M)
     assert len(calls) < 410
     calls.clear()
@@ -441,12 +444,14 @@ def test_first_singular_reduces_only_the_matrices_its_prefixes_reach(monkeypatch
     first reaches it, so a short ``probe`` reduces a short prefix.  Over
     GF(5), where batches fail often, reducing every matrix of each batch
     up front made 30,384 reductions in three 200-label builds, for about
-    632 products per build."""
+    632 products per build.  A tried prefix is reduced as it is formed, so
+    the elimination does not reduce it again: the reductions are exactly
+    the matrices reached."""
     import hashlib
 
-    counts = {"_as_mod": 0, "mul": 0, "inverse": 0}
+    counts = {"_as_mod": 0, "mul": 0}
     batches = []
-    real = {name: getattr(modmat, name) for name in ("_as_mod", "mul", "inverse", "first_singular")}
+    real = {name: getattr(modmat, name) for name in ("_as_mod", "mul", "first_singular")}
 
     def counted(name):
         def call(*args):
@@ -461,11 +466,11 @@ def test_first_singular_reduces_only_the_matrices_its_prefixes_reach(monkeypatch
         at = real["first_singular"](mats, p, probe)
         # the first matrix is reached without a product, each later one by one
         reached = counts["mul"] - before["mul"] + (1 if mats else 0)
-        reductions = counts["_as_mod"] - before["_as_mod"] - (counts["inverse"] - before["inverse"])
+        reductions = counts["_as_mod"] - before["_as_mod"]
         batches.append((len(mats), reached, reductions))
         return at
 
-    for name in ("_as_mod", "mul", "inverse"):
+    for name in ("_as_mod", "mul"):
         monkeypatch.setattr(modmat, name, counted(name))
     monkeypatch.setattr(modmat, "first_singular", first_singular)
     b = make_backend(["cell:%d" % i for i in range(200)], p=5, d=2, seed=1, family=POLY_IN_M)
@@ -473,7 +478,7 @@ def test_first_singular_reduces_only_the_matrices_its_prefixes_reach(monkeypatch
         "66291099a7d3f13c82dec0bbaa32b979ddb8c3b6f9cbefa7d4031ad6e802b18c"
     )
     assert len(batches) > 50
-    assert all(reductions <= reached for _, reached, reductions in batches), batches
+    assert all(reductions == reached for _, reached, reductions in batches), batches
 
 
 def _assert_invertible(b):
@@ -705,7 +710,7 @@ def test_backend_formats_each_token_label_once(monkeypatch):
 
     labelled.clear()
     assert cli.main(["inv", "playground", "--seed", "4", "--type", "long", "--obstruction"]) == 3  # Obstructed
-    seqs = (build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN), gauged_sequence(inst, LONGITUDINAL))
+    seqs = (build_abstract(inst, LONGITUDINAL), build_abstract(inst, MERIDIAN))
     tokens = {t for seq in seqs for sl in seq.slices for t in sl.tokens} | {SphereToken(), CellToken(Word())}
     assert sorted(map(repr, labelled)) == sorted(map(repr, tokens))
 
@@ -717,8 +722,8 @@ def test_a_backend_runs_one_gauss_jordan_for_all_its_inverses(monkeypatch):
     runs one for all its matrices."""
     labels = _labels_for(build_instance(5))
     calls = []
-    real = modmat.inverse
-    monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(1) or real(a, p))
+    real = modmat._invert
+    monkeypatch.setattr(modmat, "_invert", lambda a, p: calls.append(1) or real(a, p))
     for kw, gauss_jordans in (
         (dict(family=DIAGONAL), 0),
         (dict(family=POLY_IN_M), 1),
@@ -733,19 +738,19 @@ def test_a_backend_runs_one_gauss_jordan_for_all_its_inverses(monkeypatch):
 
 
 def test_invariants_run_no_gauss_jordan(monkeypatch):
-    """The invariants, the gauge and the stabilization demo invert
-    nothing; an obstruction inverts one matrix, its own spherical-element
-    product."""
+    """The invariants, a gauged sequence's among them, and the
+    stabilization demo invert nothing; an obstruction inverts one matrix,
+    its own spherical-element product."""
     inst = build_instance(6)
     b = make_backend(_labels_for(inst), d=5, seed=6, family=POLY_IN_M)
     calls = []
-    real = modmat.inverse
-    monkeypatch.setattr(modmat, "inverse", lambda a, p: calls.append(a) or real(a, p))
+    real = modmat._invert
+    monkeypatch.setattr(modmat, "_invert", lambda a, p: calls.append(a) or real(a, p))
     invariants, obstructed = [], 0
     for t in (LONGITUDINAL, MERIDIAN):
         aseq = build_abstract(inst, t)
         invariants.append(perturbed_invariant(aseq, b))
-        check_gauge(*_readings(inst, t), b)
+        perturbed_invariant(gauged_sequence(inst, t), b)
         assert calls == []
         rep = between_type_obstruction(aseq, build_abstract(inst, other_type(t)), b)
         if rep.verdict == "Obstructed":
@@ -899,14 +904,18 @@ def test_identification_types_usually_differ():
     ],
 )
 def test_inside_invariance_all_qmove_kinds(qmove):
+    """``inv playground --qmove`` prints Pass from this fact: the rider's
+    factors expand as before, so its spherical elements at the
+    perturbation are its base's."""
     for seed in (0, 5, 11):
         inst = build_instance(seed)
         for t in (LONGITUDINAL, MERIDIAN):
             base, rider = build_abstract(inst, t), qmove_rider(inst, qmove, t)
             labels = backend_labels(base, rider)
             b = make_backend(labels, seed=seed)
-            rep = check_inside_invariance(base, rider, b)
-            assert rep.verdict == "Pass", rep.witness
+            assert _same_invariant(rider, base, b), (seed, t)
+            spels = [[x for x in seq.slices[3].tokens if isinstance(x, SpElToken)] for seq in (base, rider)]
+            assert spels[0] == spels[1], (seed, t)
 
 
 def test_analyses_check_the_sequences_they_are_handed():
@@ -915,8 +924,6 @@ def test_analyses_check_the_sequences_they_are_handed():
     rider = qmove_rider(inst, InvertRelator("R"), LONGITUDINAL)
     assert rider.residual == transport_qmove(inst, InvertRelator("R")).residual
     assert lon.residual is None
-    with pytest.raises(InputError, match="carries no residual"):
-        check_inside_invariance(lon, lon, b)
     with pytest.raises(InputError, match="different identification types"):
         between_type_obstruction(lon, lon, b)
     assert between_type_obstruction(mer, lon, b).verdict in ("Pass", "Obstructed")
@@ -925,34 +932,26 @@ def test_analyses_check_the_sequences_they_are_handed():
 def test_gauge_equality_and_negative_control(monkeypatch):
     inst = build_instance(9)
     b = make_backend(_labels_for(inst), seed=9)
-    assert check_gauge(*_readings(inst, LONGITUDINAL), b).verdict == "Pass"
-    assert check_gauge(*_readings(inst, MERIDIAN), b).verdict == "Pass"
+    assert _same_invariant(*_readings(inst, LONGITUDINAL), b)
+    assert _same_invariant(*_readings(inst, MERIDIAN), b)
     # broken backend: no inverse aliasing, so Z(V) != Z(V^-1) in general
-    seqs = [
-        build_abstract(inst, t)
-        for t in (LONGITUDINAL, MERIDIAN)
-    ] + [
-        build_abstract(gauge(inst), t, orientation=-1)
-        for t in (LONGITUDINAL, MERIDIAN)
-    ]
     monkeypatch.setattr(pg, "token_text", _unaliased)
-    broken = make_backend(backend_labels(*seqs), seed=9)
-    rep = check_gauge(*_readings(inst, LONGITUDINAL), broken)
-    assert rep.verdict == "Fail"
-    assert rep.witness
+    broken = make_backend(_labels_for(inst), seed=9)
+    assert not _same_invariant(*_readings(inst, LONGITUDINAL), broken)
 
 
 def test_gauge_trivial_for_empty_decomposition():
     inst = build_instance(1, n_factors=0)
     b = make_backend(_labels_for(inst), seed=2)
-    assert check_gauge(*_readings(inst, LONGITUDINAL), b).verdict == "Pass"
+    assert _same_invariant(*_readings(inst, LONGITUDINAL), b)
 
 
 def test_a_gauged_sequence_has_its_own_sequences_labels_and_invariant(monkeypatch):
     """``test three-tests`` prints both gauge lines from I_gauge(X) = I(X):
     every backend the CLI makes, drawn or loaded, aliases a word with its
     inverse, so a gauged sequence carries its own sequence's labels and
-    has its invariant.  A backend that keys raw words fails the gauge."""
+    has its invariant.  A backend that keys raw words fails the gauge.
+    ``inv playground --gauge`` prints its verdict from the same fact."""
     rng = random.Random(31)
     broken_fails = 0
     for seed in range(60):
@@ -971,7 +970,7 @@ def test_a_gauged_sequence_has_its_own_sequences_labels_and_invariant(monkeypatc
             with monkeypatch.context() as m:
                 m.setattr(pg, "token_text", _unaliased)
                 broken = make_backend(backend_labels(own, gauged), d=3, seed=seed)
-                broken_fails += check_gauge(own, gauged, broken).verdict == "Fail"
+                broken_fails += not _same_invariant(own, gauged, broken)
     assert broken_fails == 120
 
 

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from smovelab.criterion import InvalidInstance, build_instance, gauge, transport_qmove
+from smovelab.criterion import InvalidInstance, build_instance, transport_qmove
 from smovelab.presentations import InvertRelator, ConjugateRelator
 from smovelab.slicing import (
     Arc,
@@ -44,7 +44,7 @@ from smovelab.slicing import (
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
-from helpers import JoinCells, SplitCells, _shift_move, abstract_ok, connect, mutate_conjugator
+from helpers import JoinCells, SplitCells, _shift_move, abstract_ok, connect, gauge, gauged_sequence, mutate_conjugator
 
 
 def _is_cyclic_rotation(u, v):
@@ -292,16 +292,16 @@ def test_build_abstract_spel_kinds_swap_between_types():
     ]
 
 
-def test_build_abstract_orientation_inverts_every_word():
+def test_a_gauged_sequence_inverts_every_word():
     inst = build_instance(8)
-    fwd = build_abstract(inst, LONGITUDINAL)
-    rev = build_abstract(inst, LONGITUDINAL, orientation=-1)
+    fwd = build_abstract(gauge(inst), MERIDIAN)
+    rev = gauged_sequence(inst, LONGITUDINAL)
+    assert [len(sl.tokens) for sl in fwd.slices] == [len(sl.tokens) for sl in rev.slices]
     for a, b in zip(fwd.slices, rev.slices):
         for ta, tb in zip(a.tokens, b.tokens):
+            assert type(ta) is type(tb)
             if hasattr(ta, "word"):
                 assert tb.word == invert(ta.word)
-    with pytest.raises(InputError):
-        build_abstract(inst, LONGITUDINAL, orientation=0)
 
 
 def test_build_abstract_rejects_broken_instance():
@@ -331,7 +331,7 @@ def test_build_abstract_residual_riders():
 
 def test_gauged_instance_with_reversed_orientation_builds():
     inst = build_instance(10)
-    aseq = build_abstract(gauge(inst), MERIDIAN, orientation=-1)
+    aseq = gauged_sequence(inst, LONGITUDINAL)
     assert abstract_ok(aseq)
     assert aseq.identification == MERIDIAN
 
@@ -340,14 +340,15 @@ def test_every_built_sequence_has_the_abstract_structure():
     """``smove build`` prints ``structure ok: true`` from the fact that
     ``build_abstract`` either builds this structure or raises; the old
     check judges it over 16,000 built sequences: seeds 0-399, 0-4 factors,
-    both types and orientations, plain and gauged."""
+    both types and orientations, plain and swapped: a gauged sequence is
+    a swapped instance read with every word inverted."""
     for seed in range(400):
         for n in range(5):
             inst = build_instance(seed, n_factors=n)
             for side in (inst, gauge(inst)):
                 for t in (LONGITUDINAL, MERIDIAN):
-                    for orientation in (1, -1):
-                        assert abstract_ok(build_abstract(side, t, orientation=orientation)), (seed, n, t, orientation)
+                    assert abstract_ok(build_abstract(side, t)), (seed, n, t)
+                    assert abstract_ok(gauged_sequence(side, t)), (seed, n, t)
 
 
 def test_format_abstract_marks_perturbation():

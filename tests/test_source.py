@@ -135,15 +135,40 @@ def _defaulted_parameters(fn: ast.FunctionDef, bound: int):
     return found + [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        "dataclass" in (getattr(d, "id", None), getattr(getattr(d, "func", None), "id", None)) for d in cls.decorator_list
+    )
+
+
+def _defaulted_fields(cls: ast.ClassDef):
+    """(name, position) for each ``__init__`` field of a dataclass with a
+    default, as ``_defaulted_parameters`` gives them; a ``ClassVar`` and a
+    ``field(init=False)`` are not fields of ``__init__``.  A base class's
+    fields would shift the positions, but no library dataclass has a base
+    with fields."""
+    fields = [
+        node
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and "ClassVar" not in ast.unparse(node.annotation)
+        and not (isinstance(node.value, ast.Call) and "init=False" in ast.unparse(node.value))
+    ]
+    return [(node.target.id, position) for position, node in enumerate(fields) if node.value is not None]
+
+
 def _signatures(trees):
     """(module.name, called name, defaulted parameters) for each public
-    top-level function and each public method or ``__init__`` of a public
-    class; a class is called by its own name."""
+    top-level function, each public method or ``__init__`` of a public
+    class and each field of a public dataclass; a class is called by its
+    own name."""
     for module, tree in trees.items():
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 yield "%s.%s" % (module, node.name), node.name, _defaulted_parameters(node, 0)
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _is_dataclass(node):
+                    yield "%s.%s" % (module, node.name), node.name, _defaulted_fields(node)
                 for fn in node.body:
                     if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("_")):
                         static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
@@ -170,9 +195,9 @@ def test_every_defaulted_parameter_is_set_by_a_library_call():
     """An option only the tests set is a second configuration the library
     must support for no caller: every defaulted parameter of a public
     function, method or constructor is passed by some library call of
-    that name.  Names are matched, not resolved, so a call of any
-    ``value`` counts for every ``value``.  Dataclass fields are not
-    covered: their ``__init__`` is generated, with no def to read."""
+    that name, and so is every defaulted field of a public dataclass,
+    whose ``__init__`` is generated.  Names are matched, not resolved, so
+    a call of any ``value`` counts for every ``value``."""
     trees = _library_trees()
     by_name = {}
     for tree in trees.values():
