@@ -253,21 +253,18 @@ def gauge(inst: CriterionInstance) -> CriterionInstance:
     )
 
 
-def inverted_tokens(aseq: AbstractSequence) -> AbstractSequence:
-    """``aseq`` with every 2-cell read with reversed boundary orientation:
-    each token's word inverted."""
+def gauged_sequence(inst: CriterionInstance, identification: str) -> AbstractSequence:
+    """The side-swapped instance read with the opposite identification
+    and every 2-cell's boundary orientation reversed, each token's word
+    inverted: the gauge of ``identification``'s reading.  ``inv playground
+    --gauge`` and ``test three-tests`` print their gauge lines from the
+    facts this oracle judges."""
+
     def flip(t):
         return replace(t, word=invert(t.word)) if hasattr(t, "word") else t
 
+    aseq = build_abstract(gauge(inst), other_type(identification))
     return replace(aseq, slices=tuple(AbstractSlice(sl.level, tuple(map(flip, sl.tokens))) for sl in aseq.slices))
-
-
-def gauged_sequence(inst: CriterionInstance, identification: str) -> AbstractSequence:
-    """The side-swapped instance read with the opposite identification
-    and reversed orientation: the gauge of ``identification``'s reading.
-    ``crit gauge``, ``inv playground --gauge`` and ``test three-tests``
-    print their gauge lines from the facts this oracle judges."""
-    return inverted_tokens(build_abstract(gauge(inst), other_type(identification)))
 
 
 def slots(g: TrivalentGraph) -> int:
