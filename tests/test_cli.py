@@ -208,6 +208,14 @@ def test_inv_playground_qmove_and_gauge(capsys):
         assert code == 2 and out.startswith("error: ")
 
 
+def test_an_empty_qmove_spec_exits_2(capsys):
+    """``--qmove`` names one relator move; an empty spec names none, so it
+    is an error like a blank one, not a request for the plain invariant."""
+    error = "error: qmove spec must be 'inv <rel>', 'mulr <rel> <rel>' or 'conj <rel> <letter>'\n"
+    for spec in ("", "  ", "# no move"):
+        assert _run(capsys, ["inv", "playground", "--seed", "4", "--qmove", spec]) == (2, error), spec
+
+
 def test_inv_playground_obstruction_exit_3(capsys):
     code, out = _run(capsys, ["inv", "playground", "--seed", "4", "--obstruction"])
     assert code == 3
