@@ -290,10 +290,12 @@ def cmd_inv_playground(args) -> Report:
     inst = _load_or_build_instance(args)
     ident = _TYPES[args.type]
     base = slicing.build_abstract(inst, ident)
-    # other and the rider are built for every form, as their labels enter a
-    # drawn backend's random stream, and the rider's build rejects bad moves.
-    other = slicing.build_abstract(inst, pg.other_type(ident))
-    rider = pg.qmove_rider(inst, _parse_qmove_spec(args.qmove), ident) if args.qmove else None
+    # A drawn backend's random stream reads the labels of other and the
+    # rider, so for it both are built for every form; a loaded backend
+    # reads other only for --obstruction.  The rider's build rejects bad
+    # moves either way.
+    other = slicing.build_abstract(inst, pg.other_type(ident)) if args.obstruction or not args.backend else None
+    rider = None if args.qmove is None else pg.qmove_rider(inst, _parse_qmove_spec(args.qmove), ident)
     b = _backend_for(args, r, *(seq for seq in (base, other, rider) if seq is not None))
 
     # --gauge and --qmove compare invariants equal by construction: a gauged
@@ -310,9 +312,9 @@ def cmd_inv_playground(args) -> Report:
         pg.resolve(rider, b)
         rep = pg.InvarianceReport("Pass", detail="residual %s cancels" % format_word(rider.residual))
     else:
-        inv = pg.perturbed_invariant(base, b)
-        r.say("invariant: %s" % modmat.to_text(inv))
-        r.csv("invariant", modmat.to_text(inv))
+        inv = modmat.to_text(pg.perturbed_invariant(base, b))
+        r.say("invariant: %s" % inv)
+        r.csv("invariant", inv)
         r.csv("p", b.p)
         r.csv("d", b.dim)
         return r

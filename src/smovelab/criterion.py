@@ -43,6 +43,7 @@ from .words import (  # InvalidInstance is defined in words and re-exported here
     _ContentLines,
     _read,
     commutator,
+    draw,
     invert,
     parse_word,
     reduce,
@@ -59,8 +60,9 @@ class ConjugatedRelator:
         if self.exponent not in (1, -1):
             raise InputError("exponent must be +1 or -1")
 
-    def expand(self, p: Presentation) -> Word:
-        w = p.word(self.base)
+    def expand(self, w: Word) -> Word:
+        """The base relator's word ``w`` raised to the exponent and
+        conjugated."""
         if self.exponent == -1:
             w = invert(w)
         return reduce(self.conjugator, w, invert(self.conjugator))
@@ -79,6 +81,13 @@ class Reading(NamedTuple):
     expanded: Tuple[Tuple[Word, Word], ...]
     commutators: Tuple[Word, ...]
     product: Word
+
+
+def _read_factors(factors, k_word, l_word):
+    """A reading's expanded relators and commutators, the base relators'
+    words looked up by name with ``k_word`` and ``l_word``."""
+    expanded = tuple((f.r.expand(k_word(f.r.base)), f.s.expand(l_word(f.s.base))) for f in factors)
+    return expanded, tuple(commutator(sw, rw) for rw, sw in expanded)
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,8 @@ class CriterionInstance:
         """Every factor expanded and its commutator formed, and R.S^-1
         reduced, once."""
         if self._reading is None:
-            expanded = tuple((f.r.expand(self.k), f.s.expand(self.l)) for f in self.factors)
-            reading = Reading(
-                expanded,
-                tuple(commutator(sw, rw) for rw, sw in expanded),
-                reduce(self.r_word, invert(self.s_word)),
-            )
+            expanded, commutators = _read_factors(self.factors, self.k.word, self.l.word)
+            reading = Reading(expanded, commutators, reduce(self.r_word, invert(self.s_word)))
             object.__setattr__(self, "_reading", reading)
         return self._reading
 
@@ -128,11 +133,6 @@ class CriterionInstance:
     @property
     def s_word(self) -> Word:
         return self.l.word(self.s_name)
-
-
-def commutator_product(inst: CriterionInstance) -> Word:
-    """[S_1,R_1]...[S_n,R_n] in decomposition order."""
-    return reduce(*inst.read().commutators)
 
 
 def verification_word(inst: CriterionInstance, residual=EMPTY, side: str = "r") -> Word:
@@ -167,13 +167,17 @@ def residual_s(s: Word, s_new: Word) -> Word:
 
 
 def _random_reduced_word(rng: random.Random, n_gens: int, length: int) -> Word:
+    """A reduced word of ``length`` letters, each drawn uniformly from the
+    2·n_gens letters and drawn again while it would cancel the one before.
+    The letters still missing are drawn together: the loop makes as many
+    draws as drawing one letter at a time, so the stream is the same."""
     alphabet = [g for g in range(1, n_gens + 1)] + [-g for g in range(1, n_gens + 1)]
     letters: list[int] = []
     while len(letters) < length:
-        x = rng.choice(alphabet)
-        if letters and letters[-1] == -x:
-            continue
-        letters.append(x)
+        for i in draw(rng, length - len(letters), len(alphabet)):
+            x = alphabet[i]
+            if not (letters and letters[-1] == -x):
+                letters.append(x)
     return Word(letters)
 
 
@@ -181,44 +185,33 @@ def build_instance(seed: int, n_factors: int = 2) -> CriterionInstance:
     """Deterministically draw a verifying instance on two generators:
     random conjugated relators, with conjugators of at most three letters,
     and S, then R = C^-1.S defined by the product form, C the commutator
-    product.  No factor conjugates R, so the instance reads what the probe
-    that defined R read, with reduce(R.S^-1) = C^-1, and is handed that
-    reading."""
+    product.  No factor conjugates R, so the reading is formed before R
+    is known, from the auxiliary relators' words, with reduce(R.S^-1) =
+    C^-1, and the instance is handed it.  Every value comes from ``draw``:
+    a choice from k items is a draw below k, and a length in [a, b] one in
+    [a, b + 1)."""
     if n_factors < 0:
         raise InputError("need a nonnegative factor count")
     n_generators, max_conjugator_len = 2, 3
     rng = random.Random(seed)
-    k_aux = [
-        ("x%d" % (i + 1), _random_reduced_word(rng, n_generators, rng.randint(1, 3)))
-        for i in range(max(n_factors, 1))
-    ]
-    l_aux = [
-        ("y%d" % (i + 1), _random_reduced_word(rng, n_generators, rng.randint(1, 3)))
-        for i in range(max(n_factors, 1))
-    ]
-    factors = []
-    for _ in range(n_factors):
-        factors.append(
-            Factor(
-                r=ConjugatedRelator(
-                    _random_reduced_word(rng, n_generators, rng.randint(0, max_conjugator_len)),
-                    rng.choice(k_aux)[0],
-                    rng.choice((1, -1)),
-                ),
-                s=ConjugatedRelator(
-                    _random_reduced_word(rng, n_generators, rng.randint(0, max_conjugator_len)),
-                    rng.choice(l_aux)[0],
-                    rng.choice((1, -1)),
-                ),
-            )
-        )
-    s_word = _random_reduced_word(rng, n_generators, rng.randint(1, 4))
+
+    def word(low, high):
+        return _random_reduced_word(rng, n_generators, draw(rng, 1, high + 1, low)[0])
+
+    def conjugated(aux):
+        conjugator = word(0, max_conjugator_len)
+        base = aux[draw(rng, 1, len(aux))[0]][0]
+        return ConjugatedRelator(conjugator, base, (1, -1)[draw(rng, 1, 2)[0]])
+
+    k_aux = [("x%d" % (i + 1), word(1, 3)) for i in range(max(n_factors, 1))]
+    l_aux = [("y%d" % (i + 1), word(1, 3)) for i in range(max(n_factors, 1))]
+    factors = tuple(Factor(r=conjugated(k_aux), s=conjugated(l_aux)) for _ in range(n_factors))
+    s_word = word(1, 4)
     l = Presentation(n_generators, (("S", s_word),) + tuple(l_aux))
-    k_probe = Presentation(n_generators, (("R", Word()),) + tuple(k_aux))
-    probe = CriterionInstance(k_probe, l, "R", "S", tuple(factors))
-    c_inv = invert(commutator_product(probe))
+    expanded, commutators = _read_factors(factors, dict(k_aux).__getitem__, l.word)
+    c_inv = invert(reduce(*commutators))
     k = Presentation(n_generators, (("R", reduce(c_inv, s_word)),) + tuple(k_aux))
-    inst = CriterionInstance(k, l, "R", "S", tuple(factors), reading=probe.read()._replace(product=c_inv))
+    inst = CriterionInstance(k, l, "R", "S", factors, reading=Reading(expanded, commutators, c_inv))
     if not verify(inst):
         raise RuntimeError("drawn instance fails the commutator criterion")
     return inst

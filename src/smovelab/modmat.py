@@ -1,17 +1,22 @@
 """Small exact matrices over a prime field, on top of numpy int64.
 
-Everything is kept reduced mod p, so all arithmetic is exact: inverses
-run Gauss-Jordan with modular scalar inverses, or read a diagonal
-matrix's inverse off its entries.  ``first_singular`` proves a list of
-matrices invertible, or finds its first singular one, from its prefix
-products with one Gauss-Jordan; playground backends keep no inverses.
-``draw`` is the one source of drawn entries.
+Results are reduced mod p and all arithmetic is exact: inverses run
+Gauss-Jordan with modular scalar inverses and delayed reduction, or read
+a diagonal matrix's inverse off its entries.  ``first_singular`` proves a
+list of matrices invertible, or finds its first singular one, from its
+prefix products with one Gauss-Jordan; playground backends keep no
+inverses.  ``random_polys`` draws a run of polynomials in one matrix with
+one draw and one product.
 
 Exactness needs int64 to hold every intermediate: an entry of a d×d
 product of residues sums d terms below (p-1)², so d·(p-1)² < 2^63, and
 every kernel raises ``InputError`` past that bound instead of wrapping.
-From d = 16 on, where BLAS beats numpy's int64 loop, a product over an
-inner length n with n·(p-1)² < 2^53 runs in float64, exact because every
+The same bound lets Gauss-Jordan leave its block unreduced between steps
+(the delayed modular reduction of FFLAS-FFPACK: Dumas, Giorgi & Pernet,
+ACM TOMS 34(4), 2008): a row takes fewer than d subtractions of residue
+products between reductions, so no entry falls below -d·(p-1)².  From
+d = 16 on, where BLAS beats numpy's int64 loop, a product over an inner
+length n with n·(p-1)² < 2^53 runs in float64, exact because every
 partial sum is then an integer below 2^53.
 """
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import InputError
+from .words import InputError, draw
 
 
 def _check_bound(p: int, d: int) -> None:
@@ -73,12 +78,18 @@ def inverse(a: np.ndarray, p: int) -> np.ndarray:
 def _invert(a: np.ndarray, p: int) -> np.ndarray:
     """The inverse of a square matrix already reduced mod p.
 
-    Each column is cleared in one numpy step: the pivot is the first
-    nonzero row at or below the diagonal, its row is scaled to a leading
-    1, and the outer product of the column (pivot entry zeroed) with that
-    row is subtracted from the whole block.  Entries are residues, so
-    every intermediate lies in (-(p-1)², p).  The column is scanned as a
-    Python list, which at d = 4 costs less than numpy's own index
+    Gauss-Jordan with delayed reduction: each step reduces only what it
+    must read exactly.  It reduces the pivot column, to find the first
+    nonzero row at or below the diagonal, and the pivot row, before
+    scaling it to a leading 1.  It then subtracts the outer product of
+    the column (pivot entry zeroed) with that row from the whole block,
+    unreduced, and the block is reduced once, at the end.  Entries start
+    as residues; a row is reduced when it is the pivot row, and besides
+    takes at most d-1 subtractions of products of two residues, so every
+    entry lies in [-(d-1)·(p-1)², p).  The int64 bound d·(p-1)² < 2^63,
+    checked where the matrix entered, keeps every step exact; scaling the
+    pivot row before reducing it would not be.  The column is scanned as
+    a Python list, which at d = 4 costs less than numpy's own index
     searches.  A diagonal matrix is inverted entry by entry."""
     if is_diagonal(a):
         diagonal = a.diagonal().tolist()
@@ -88,18 +99,19 @@ def _invert(a: np.ndarray, p: int) -> np.ndarray:
     n = a.shape[0]
     work = np.concatenate([a, identity(n)], axis=1)
     for col in range(n):
-        column = work[:, col].tolist()
+        f = work[:, col] % p
+        column = f.tolist()
         piv = next((r for r in range(col, n) if column[r]), None)
         if piv is None:
             raise InputError("matrix is singular mod %d" % p)
         if piv != col:
             work[[col, piv]] = work[[piv, col]]
-        work[col] = (work[col] * pow(column[piv], -1, p)) % p
-        f = work[:, col].copy()
+            f[[col, piv]] = f[[piv, col]]
+        row = work[col] % p * pow(column[piv], -1, p) % p
+        work[col] = row
         f[col] = 0
-        work -= np.outer(f, work[col])
-        work %= p
-    return work[:, n:]
+        work -= f[:, None] * row
+    return work[:, n:] % p
 
 
 def first_singular(mats, p: int, probe=None):
@@ -164,25 +176,6 @@ def product(mats, p: int, dim: int) -> np.ndarray:
     return out
 
 
-def draw(rng, count: int, p: int, low: int = 0) -> list:
-    """``count`` residues drawn uniformly from [low, p), the same values,
-    leaving ``rng`` in the same state, as ``count`` calls of
-    ``rng.randrange(low, p)``: that call too rejects every
-    ``getrandbits`` draw of the span's bit length that falls past the
-    span.  It skips randrange's argument checks and call layers, which
-    cost more than the draw itself."""
-    span = p - low
-    bits = span.bit_length()
-    getrandbits = rng.getrandbits
-    out = []
-    for _ in range(count):
-        r = getrandbits(bits)
-        while r >= span:
-            r = getrandbits(bits)
-        out.append(low + r)
-    return out
-
-
 def diagonals(rows) -> np.ndarray:
     """The diagonal matrices with the given diagonals, as one (k, d, d)
     array."""
@@ -202,19 +195,24 @@ def powers(a: np.ndarray, count: int, p: int) -> np.ndarray:
     return out
 
 
-def random_poly(rng, powers: np.ndarray, p: int) -> np.ndarray:
-    """Σ c_i·powers[i], the coefficients c_i drawn uniformly mod p in
-    order.  Polynomials in one matrix all commute with each other; the
-    result may be singular.  In float64 (see ``_exact_in_float``) the
-    sum is one product of the coefficient row with the stacked powers.  In
-    int64 each term, a product of two residues, is reduced before the
-    terms are summed: under the bound a term fits in int64, but four of
-    them need not."""
+def random_polys(rng, powers: np.ndarray, p: int, m: int) -> np.ndarray:
+    """m polynomials Σ c_i·powers[i], as one (m, d, d) stack, their
+    coefficients drawn uniformly mod p in order, one polynomial after
+    another.  Polynomials in one matrix all commute with each other; any
+    of them may be singular.  The k·m coefficients come from one ``draw``,
+    the same values and stream as m draws of k.  In float64 (see
+    ``_exact_in_float``) the stack is one product of the (m×k)
+    coefficients with the (k×d²) stacked powers.  In int64 each term, a
+    product of two residues, is reduced before the terms are summed:
+    under the bound a term fits in int64, but four of them need not."""
     k, d = len(powers), powers.shape[1]
-    c = np.array(draw(rng, k, p), dtype=np.int64)
+    c = np.array(draw(rng, k * m, p), dtype=np.int64).reshape(m, k)
+    flat = powers.reshape(k, d * d)
     if _exact_in_float(k, p, d):
-        return _float_dot(c, powers.reshape(k, d * d), p).reshape(d, d)
-    return (c[:, None, None] * powers % p).sum(axis=0) % p
+        out = _float_dot(c, flat, p)
+    else:
+        out = sum(c[:, i, None] * flat[i] % p for i in range(k)) % p
+    return out.reshape(m, d, d)
 
 
 def to_text(a: np.ndarray) -> str:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import InitVar, dataclass, field
+from itertools import groupby
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from .slicing import (
     build_abstract,
     token_text,
 )
-from .words import InputError, _ContentLines, _line_ints
+from .words import InputError, _ContentLines, _line_ints, draw
 
 DIAGONAL = "diagonal"
 POLY_IN_M = "poly"
@@ -164,14 +165,16 @@ def make_backend(
     diagonal matrices with nonzero entries, or polynomials in one
     invertible base matrix, commute; the sphere is s·I with 2 ≤ s < p,
     which needs p ≥ 3.  Every entry comes from one random stream through
-    ``modmat.draw``: a ``poly`` base first, then the labels in sorted
+    ``words.draw``: a ``poly`` base first, then the labels in sorted
     order.  The sphere and a diagonal draw are diagonal matrices with
     nonzero entries, so they are invertible.  Their diagonals are kept as
     rows while drawing, and all of them become one (k, d, d) stack
-    (``modmat.diagonals``).  The ``poly`` base
-    and polynomials are proved invertible in one batch, the base first,
-    so drawing a ``poly`` backend runs one Gauss-Jordan and a diagonal
-    one none.
+    (``modmat.diagonals``).  The polynomial labels on either side of the
+    sphere form at most two runs, and each run is drawn with one draw of
+    its coefficients and one product (``modmat.random_polys``), the same
+    stream as one draw per label.  The ``poly`` base and polynomials are
+    proved invertible in one batch, the base first, so drawing a ``poly``
+    backend runs one Gauss-Jordan and a diagonal one none.
 
     When a draw in the batch is singular, ``modmat.first_singular`` finds
     the first one from the batch's prefix products; the draws before it
@@ -199,23 +202,26 @@ def make_backend(
     batch: Dict[Optional[str], np.ndarray] = {}  # the base and the polynomials
     powers = None
 
-    def draw(labs):
+    def draw_labels(labs):
         nonlocal powers
-        for lab in labs:
-            if lab is None:
-                base = np.array(modmat.draw(rng, d * d, p), dtype=np.int64).reshape(d, d)
-                batch[lab], powers = base, modmat.powers(base, 4, p)
-            elif lab == SPHERE_LABEL:
-                rows[lab] = modmat.draw(rng, 1, p, 2) * d
-            elif family == DIAGONAL:
-                rows[lab] = modmat.draw(rng, d, p, 1)
+        # the base and the sphere stand alone; labels between them form runs
+        for which, run in groupby(labs, lambda lab: lab if lab in (None, SPHERE_LABEL) else family):
+            if which is None:
+                base = np.array(draw(rng, d * d, p), dtype=np.int64).reshape(d, d)
+                batch[None], powers = base, modmat.powers(base, 4, p)
+            elif which == SPHERE_LABEL:
+                rows[SPHERE_LABEL] = draw(rng, 1, p, 2) * d
+            elif which == DIAGONAL:
+                for lab in run:
+                    rows[lab] = draw(rng, d, p, 1)
             else:
-                batch[lab] = modmat.random_poly(rng, powers, p)
+                run = list(run)
+                batch.update(zip(run, modmat.random_polys(rng, powers, p, len(run))))
 
     start = tries = 0
     probe = state = None
     while True:
-        draw(order[start:])
+        draw_labels(order[start:])
         todo = [lab for lab in order[start:] if lab in batch]
         at = modmat.first_singular([batch[lab] for lab in todo], p, probe)
         if at is None:
@@ -229,7 +235,7 @@ def make_backend(
             rng.seed(seed)
         else:
             rng.setstate(state)
-        draw(order[start : j + 1])
+        draw_labels(order[start : j + 1])
         state = rng.getstate()
         start = j
     batch.pop(None, None)

@@ -276,3 +276,29 @@ def _line_ints(fields: Sequence[str]) -> List[int]:
         return [int(f) for f in fields]
     except ValueError:
         raise InputError("expected integers, got %r" % " ".join(fields)) from None
+
+
+# The one drawer of seeded values, for instances and backends alike.  It
+# lives here, beside the other shared helpers, so that ``criterion`` can
+# draw without importing numpy.
+
+
+def draw(rng, count: int, p: int, low: int = 0) -> list:
+    """``count`` integers drawn uniformly from [low, p), the same values,
+    leaving ``rng`` in the same state, as ``count`` calls of
+    ``rng.randrange(low, p)``: that call too rejects every
+    ``getrandbits`` draw of the span's bit length that falls past the
+    span.  ``rng.randint(a, b)`` is ``randrange(a, b + 1)``, and
+    ``rng.choice(seq)`` is ``seq[randrange(len(seq))]``, so they draw
+    this way too.  It skips randrange's argument checks and call layers,
+    which cost more than the draw itself."""
+    span = p - low
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        out.append(low + r)
+    return out

@@ -16,7 +16,6 @@ from smovelab.criterion import (
     Factor,
     InvalidInstance,
     Reading,
-    commutator_product,
     verify,
 )
 from smovelab.playground import Backend, label_tokens, other_type
@@ -25,6 +24,7 @@ from smovelab.presentations import (
     InvertRelator,
     MultiplyRight,
     NielsenMove,
+    Presentation,
     QMove,
     apply_nielsen,
 )
@@ -51,7 +51,12 @@ from smovelab.slicing import (
     token_text,
 )
 from smovelab.statesum import TrivalentGraph
-from smovelab.words import InputError, Word, format_word, invert, reduce, substitute
+from smovelab.words import InputError, Word, draw, format_word, invert, reduce, substitute
+
+
+def commutator_product(inst: CriterionInstance) -> Word:
+    """[S_1,R_1]...[S_n,R_n] in decomposition order."""
+    return reduce(*inst.read().commutators)
 
 
 def mutate_conjugator(inst: CriterionInstance, seed: int) -> CriterionInstance:
@@ -110,7 +115,7 @@ def identity_spels(b: Backend) -> Backend:
 
 def random_invertible_diagonal(rng, dim: int, p: int) -> np.ndarray:
     """A diagonal matrix of nonzero entries drawn mod p."""
-    return np.diag(np.array(modmat.draw(rng, dim, p, 1), dtype=np.int64))
+    return np.diag(np.array(draw(rng, dim, p, 1), dtype=np.int64))
 
 
 def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -513,3 +518,56 @@ def poly_local_invariant(ps: Sequence[Polynomial], g: Polynomial, x3: Fraction) 
     for q in (qs[1], qs[2], qs[3], q4, qs[5]):
         out = out * q
     return poly_mod(out, g, var)
+
+
+# --- seeded instances drawn with ``random.Random``'s own methods -------------
+
+
+def _rng_reduced_word(rng: random.Random, n_gens: int, length: int) -> Word:
+    alphabet = [g for g in range(1, n_gens + 1)] + [-g for g in range(1, n_gens + 1)]
+    letters: list[int] = []
+    while len(letters) < length:
+        x = rng.choice(alphabet)
+        if letters and letters[-1] == -x:
+            continue
+        letters.append(x)
+    return Word(letters)
+
+
+def rng_build_instance(seed: int, n_factors: int = 2) -> CriterionInstance:
+    """``criterion.build_instance`` drawn one value at a time with
+    ``rng.randint`` and ``rng.choice``, through a probe instance whose R is
+    the empty word: the oracle for the library's drawer."""
+    n_generators, max_conjugator_len = 2, 3
+    rng = random.Random(seed)
+    k_aux = [
+        ("x%d" % (i + 1), _rng_reduced_word(rng, n_generators, rng.randint(1, 3)))
+        for i in range(max(n_factors, 1))
+    ]
+    l_aux = [
+        ("y%d" % (i + 1), _rng_reduced_word(rng, n_generators, rng.randint(1, 3)))
+        for i in range(max(n_factors, 1))
+    ]
+    factors = []
+    for _ in range(n_factors):
+        factors.append(
+            Factor(
+                r=ConjugatedRelator(
+                    _rng_reduced_word(rng, n_generators, rng.randint(0, max_conjugator_len)),
+                    rng.choice(k_aux)[0],
+                    rng.choice((1, -1)),
+                ),
+                s=ConjugatedRelator(
+                    _rng_reduced_word(rng, n_generators, rng.randint(0, max_conjugator_len)),
+                    rng.choice(l_aux)[0],
+                    rng.choice((1, -1)),
+                ),
+            )
+        )
+    s_word = _rng_reduced_word(rng, n_generators, rng.randint(1, 4))
+    l = Presentation(n_generators, (("S", s_word),) + tuple(l_aux))
+    k_probe = Presentation(n_generators, (("R", Word()),) + tuple(k_aux))
+    probe = CriterionInstance(k_probe, l, "R", "S", tuple(factors))
+    c_inv = invert(commutator_product(probe))
+    k = Presentation(n_generators, (("R", reduce(c_inv, s_word)),) + tuple(k_aux))
+    return CriterionInstance(k, l, "R", "S", tuple(factors))

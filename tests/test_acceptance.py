@@ -295,6 +295,70 @@ def test_modmat_inverse_matches_python_gauss_jordan(seed):
                 assert a.tolist() == rows  # the input is left alone
 
 
+def _rank_deficient(rng, d, p, rank):
+    """A d×d product of a d×rank and a rank×d matrix mod p: its rank is
+    at most ``rank``."""
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(d)]
+    right = [[rng.randrange(p) for _ in range(d)] for _ in range(rank)]
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+
+
+def _py_delayed_low(rows, p):
+    """The lowest entry the delayed-reduction Gauss-Jordan of
+    ``modmat._invert`` holds in its block, computed on Python ints, which
+    cannot wrap; None when the rows are singular mod p."""
+    n = len(rows)
+    work = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    low = 0
+    for col in range(n):
+        f = [row[col] % p for row in work]
+        piv = next((r for r in range(col, n) if f[r]), None)
+        if piv is None:
+            return None
+        work[col], work[piv], f[col], f[piv] = work[piv], work[col], f[piv], f[col]
+        scale = pow(f[col], -1, p)
+        pivot_row = work[col] = [x % p * scale % p for x in work[col]]
+        f[col] = 0
+        work = [[x - fr * y for x, y in zip(row, pivot_row)] for fr, row in zip(f, work)]
+        low = min(low, min(map(min, work)))
+    return low
+
+
+@settings(max_examples=2, derandomize=True, deadline=None, database=None)
+@given(st.integers(0, 2**32))
+def test_delayed_reduction_gauss_jordan_is_exact_up_to_the_int64_bound(seed):
+    """Gauss-Jordan reduces only the pivot column and the pivot row in each
+    step, and its block once, at the end.  A row is reduced when it is the
+    pivot row and takes at most d-1 subtractions of residue products
+    besides, so its entries sink no lower than -(d-1)·(p-1)², which the
+    int64 bound keeps above -2^63.  At d = 4 and 32, at the largest p under
+    the bound, they sink past -(p-1)², the floor when each step reduced
+    the whole block, so the delayed entries are in use; at d = 2 that
+    floor is the bound.  On dense, diagonal, permuted triangular, singular
+    and rank-deficient matrices at d = 2, 4 and 32, from p = 3 to that
+    largest p, every inverse and every singular verdict, of ``inverse``
+    and of ``first_singular``, equals Gauss-Jordan on Python ints."""
+    rng = random.Random(seed)
+    for d in (2, 4, 32):
+        top = _largest_prime_in_bound(d)
+        for p in (3, 101, 100003, top):
+            lows = []
+            for rows in list(_inverse_cases(rng, d, p)) + [_rank_deficient(rng, d, p, d // 2)]:
+                want, low = _py_inverse(rows, p), _py_delayed_low(rows, p)
+                assert (want is None) == (low is None), (d, p)
+                a = np.array(rows, dtype=np.int64)
+                if want is None:
+                    with pytest.raises(InputError, match="singular"):
+                        modmat.inverse(a, p)
+                else:
+                    assert -(d - 1) * (p - 1) ** 2 <= low, (d, p)
+                    lows.append(low)
+                    assert modmat.inverse(a, p).tolist() == want, (d, p)
+                assert modmat.first_singular([a], p) == (0 if want is None else None), (d, p)
+            if p == top and d > 2:
+                assert min(lows) < -((p - 1) ** 2), (d, p, lows)
+
+
 @settings(max_examples=4, derandomize=True, deadline=None, database=None)
 @given(st.integers(0, 2**32))
 def test_modmat_first_singular_matches_python_gauss_jordan(seed):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smovelab.playground  # noqa: F401  (binds build_abstract; loaded before counting)
-from smovelab import cli, criterion, slicing
+from smovelab import cli, criterion, slicing, words
 from smovelab.criterion import build_instance
 from smovelab.presentations import format_presentation
 
@@ -509,9 +509,19 @@ def _count_calls(monkeypatch, fn):
         (["inv", "playground", "--seed", "4", "--obstruction"], 2, 0),
         (["inv", "playground", "--seed", "4", "--qmove", "inv R"], 3, 1),
         (["test", "three-tests", "--seed", "4", "--pairs", "3"], 6, 0),
+        # a loaded backend reads no labels: the other type only for the obstruction
+        (["inv", "playground", "--seed", "4", "--backend", "<backend>"], 1, 0),
+        (["inv", "playground", "--seed", "4", "--backend", "<backend>", "--gauge"], 1, 0),
+        (["inv", "playground", "--seed", "4", "--backend", "<backend>", "--obstruction"], 2, 0),
+        (["inv", "playground", "--seed", "4", "--backend", "<backend>", "--qmove", "inv R"], 2, 1),
     ],
 )
-def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, argv, sequences, transports):
+def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, tmp_path, argv, sequences, transports):
+    if "<backend>" in argv:
+        backend = str(tmp_path / "b.txt")
+        assert cli.main(["inv", "playground", "--seed", "4", "--qmove", "inv R", "--dump-backend", backend]) == 0
+        capsys.readouterr()
+        argv = [backend if a == "<backend>" else a for a in argv]
     built = _count_calls(monkeypatch, slicing.build_abstract)
     moved = _count_calls(monkeypatch, criterion.transport_qmove)
     code, out = _run(capsys, argv)
@@ -562,10 +572,11 @@ def test_crit_verify_and_check_form_no_inverse_commutator_product(monkeypatch, c
     """The product form and the residual check hold by construction, so
     neither command multiplies out the commutator product again."""
     path = _write_instance(tmp_path, seed=3, corrupt=corrupt)
-    formed = _count_calls(monkeypatch, criterion.commutator_product)
+    commutators = criterion.load_instance(path).read().commutators
+    reduced = _count_calls(monkeypatch, words.reduce)
     got, out = _run(capsys, ["crit", action, "--instance", path])
     assert got == code and "---csv---" in out
-    assert formed == []
+    assert commutators and commutators not in reduced
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from smovelab.criterion import (
     InvalidInstance,
     QMoveTransport,
     build_instance,
-    commutator_product,
     load_instance,
     parse_decomposition,
     residual_r,
@@ -33,12 +32,14 @@ from smovelab.presentations import (
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
 from helpers import (
+    commutator_product,
     format_decomposition,
     gauge,
     mutate_conjugator,
     nielsen_transport,
     product_sides,
     residual_commutator_check,
+    rng_build_instance,
 )
 
 
@@ -113,7 +114,7 @@ def test_expanded_conjugation_and_exponent():
     assert rw == parse_word("baB")
     assert sw == parse_word("b")
     flipped = ConjugatedRelator(parse_word("b"), "x1", -1)
-    assert flipped.expand(inst.k) == parse_word("bAB")
+    assert flipped.expand(inst.k.word(flipped.base)) == parse_word("bAB")
     with pytest.raises(InputError):
         ConjugatedRelator(Word(), "x1", 2)
 
@@ -127,6 +128,18 @@ def test_build_instance_is_deterministic_and_verifies():
         lhs, rhs = product_sides(a)
         assert lhs == rhs
     assert build_instance(1) != build_instance(2)
+
+
+def test_build_instance_draws_what_random_methods_draw():
+    """Every value of a drawn instance comes from ``words.draw``: over 300
+    seeds and 0-6 factors the instance equals the one drawn with
+    ``randint`` and ``choice`` through a probe instance, and so does the
+    reading it is handed, which an unread copy computes again."""
+    for n in range(7):
+        for seed in range(300):
+            inst, want = build_instance(seed, n), rng_build_instance(seed, n)
+            assert inst == want, (seed, n)
+            assert inst.read() == want.read() == _unread(inst).read(), (seed, n)
 
 
 def test_build_instance_parameter_ranges():
@@ -231,7 +244,7 @@ def _random_factor_on_r(seed):
         r=ConjugatedRelator(_random_reduced(rng, 3), "R", rng.choice((1, -1))),
         s=ConjugatedRelator(_random_reduced(rng, 3), "y1", rng.choice((1, -1))),
     )
-    s_word = reduce(tuple(commutator(f.s.expand(l), f.r.expand(k))) + tuple(k.word("R")))
+    s_word = reduce(tuple(commutator(f.s.expand(l.word(f.s.base)), f.r.expand(k.word(f.r.base)))) + tuple(k.word("R")))
     return CriterionInstance(k, l.with_relator("S", s_word), "R", "S", (f,))
 
 
@@ -401,7 +414,10 @@ def test_a_handed_reading_is_the_reading_of_a_fresh_instance(tmp_path):
             assert inst.read() == fresh, seed
             assert fresh.product == reduce(tuple(inst.r_word) + tuple(invert(inst.s_word))), seed
             assert fresh.commutators == tuple(commutator(sw, rw) for rw, sw in fresh.expanded)
-            assert fresh.expanded == tuple((f.r.expand(inst.k), f.s.expand(inst.l)) for f in inst.factors)
+            k_word, l_word = inst.k.word, inst.l.word
+            assert fresh.expanded == tuple(
+                (f.r.expand(k_word(f.r.base)), f.s.expand(l_word(f.s.base))) for f in inst.factors
+            )
             g = gauge(inst)
             assert g.read() == _unread(g).read(), seed
             assert gauge(g) == inst and gauge(g).read() == inst.read(), seed

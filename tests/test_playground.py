@@ -43,7 +43,7 @@ from smovelab.slicing import (
     build_abstract,
     token_text,
 )
-from smovelab.words import InputError, Word, invert, parse_word
+from smovelab.words import InputError, Word, draw, invert, parse_word
 
 from helpers import (
     backend_labels,
@@ -141,11 +141,11 @@ def test_modmat_product_and_text():
     assert modmat.to_text(ab) == ";".join(",".join(str(x) for x in row) for row in _py_mul(a.tolist(), b.tolist(), p))
 
 
-def test_random_poly_in_commutes_with_base():
+def test_random_polys_commute_with_base():
     p = 101
     rng = random.Random(9)
     base = random_invertible_diagonal(rng, 4, p)
-    m = modmat.random_poly(rng, modmat.powers(base, 4, p), p)
+    (m,) = modmat.random_polys(rng, modmat.powers(base, 4, p), p, 1)
     assert modmat.equal(modmat.mul(m, base, p), modmat.mul(base, m, p), p)
     modmat.inverse(m, p)  # must not raise
 
@@ -155,20 +155,29 @@ _UNDER_D1_BOUND = (3037000493, 3037000453, 3037000429)
 
 
 def test_draw_gives_the_values_and_stream_of_randrange():
-    """``modmat.draw`` is the one path to every drawn entry, so a drawn
-    backend stays the same only while it matches ``randrange`` value for
-    value and leaves the stream in the same state; a Python whose
-    ``randrange`` draws otherwise fails here."""
+    """``words.draw`` is the one path to every drawn entry and instance
+    value, so drawn backends and instances stay the same only while it
+    matches ``randrange``, ``randint`` and ``choice`` value for value and
+    leaves the stream in the same state; a Python whose ``randrange``
+    draws otherwise fails here."""
     for p in (3, 5, 101, 100003) + _UNDER_D1_BOUND:
         for low in (0, 1, 2):
             for seed in range(30):
                 n = (0, 1, 2, 7, 16, 33)[seed % 6]
                 mine, theirs = random.Random(seed), random.Random(seed)
-                assert modmat.draw(mine, n, p, low) == [theirs.randrange(low, p) for _ in range(n)], (p, low, seed)
+                assert draw(mine, n, p, low) == [theirs.randrange(low, p) for _ in range(n)], (p, low, seed)
                 assert mine.getstate() == theirs.getstate(), (p, low, seed)
     # a span of 1 takes one bit and rejects every odd draw
     rng = random.Random(4)
-    assert modmat.draw(rng, 50, 3, 2) == [2] * 50
+    assert draw(rng, 50, 3, 2) == [2] * 50
+    # randint(a, b) and choice(seq), as build_instance draws them
+    for seed in range(30):
+        mine, theirs = random.Random(seed), random.Random(seed)
+        for a, b in ((0, 3), (1, 3), (1, 4)):
+            assert draw(mine, 1, b + 1, a) == [theirs.randint(a, b)], seed
+        for seq in ((1, -1), (1, 2, -1, -2), ("x1", "x2", "x3")):
+            assert seq[draw(mine, 1, len(seq))[0]] == theirs.choice(seq), seed
+        assert mine.getstate() == theirs.getstate(), seed
 
 
 # p = 4294967311 is prime and (p-1)² alone is past 2^63; 2^31 - 1 is the
@@ -193,7 +202,7 @@ def test_modmat_raises_past_the_int64_bound():
         lambda: modmat.product([a, a], p, 2),
         lambda: modmat.product([], p, 2),
         lambda: modmat.inverse(a, p),
-        lambda: modmat.random_poly(rng, modmat.powers(modmat.identity(2), 4, p), p),
+        lambda: modmat.random_polys(rng, modmat.powers(modmat.identity(2), 4, p), p, 1),
     ):
         with pytest.raises(InputError, match=r"p = 4294967311 with d = 2 overflows int64"):
             call()
@@ -245,7 +254,7 @@ def test_mul_is_exact_on_both_sides_of_the_float64_bound():
             assert [got[i].tolist() for i in rows] == _py_mul([a[i] for i in rows], b, p), (d, p)
 
 
-def test_random_poly_is_exact_on_both_sides_of_the_float64_bound():
+def test_random_polys_are_exact_on_both_sides_of_the_float64_bound():
     """Σ c_i·M^i sums four products of residues: at d ≥ 16 one float64
     product while 4·(p-1)² < 2^53, and in int64 past it or below d = 16,
     where p may take 4·(p-1)² past 2^53 (and, at d < 4, past 2^63)."""
@@ -262,11 +271,35 @@ def test_random_poly_is_exact_on_both_sides_of_the_float64_bound():
             for i in range(4):
                 assert powers[i].tolist() == want, (d, p, i)
                 want = _py_mul(want, base, p)
-            got = modmat.random_poly(random.Random(seed), powers, p)
+            (got,) = modmat.random_polys(random.Random(seed), powers, p, 1)
             stream = random.Random(seed)
             c = [stream.randrange(p) for _ in range(4)]
             want = [[sum(ci * m[i][j] for ci, m in zip(c, powers.tolist())) % p for j in range(d)] for i in range(d)]
             assert got.dtype == np.int64 and got.tolist() == want, (d, p, seed)
+
+
+def test_random_polys_equal_one_draw_per_polynomial():
+    """A run of m polynomials draws its k·m coefficients at once: the
+    stack must equal m polynomials drawn one after another, coefficient
+    by coefficient with ``randrange`` and summed on Python ints, and leave
+    the stream where they leave it, in int64 and in float64 alike."""
+    p53, past53 = _float_bound_primes(4)
+    cases = [(1, _UNDER_D1_BOUND[0]), (2, 5), (3, past53), (4, 101), (16, 101), (16, past53), (32, 100003), (32, p53)]
+    for d, p in cases:
+        rng = random.Random(d)
+        base = np.array([[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64)
+        powers = modmat.powers(base, 4, p)
+        flat = [m.ravel().tolist() for m in powers]
+        for m in (1, 2, 5):
+            mine, theirs = random.Random(m), random.Random(m)
+            got = modmat.random_polys(mine, powers, p, m)
+            want = []
+            for _ in range(m):
+                c = [theirs.randrange(p) for _ in range(4)]
+                want.append([sum(ci * f[e] for ci, f in zip(c, flat)) % p for e in range(d * d)])
+            assert got.shape == (m, d, d) and got.dtype == np.int64, (d, p, m)
+            assert got.reshape(m, d * d).tolist() == want, (d, p, m)
+            assert mine.getstate() == theirs.getstate(), (d, p, m)
 
 
 def test_diagonal_inverse_is_read_off_the_entries():

@@ -264,8 +264,8 @@ def test_only_the_reading_expands_relators_and_forms_commutators():
         }
         found |= {(path.name, name, where) for name in names for where in _calls_of(name, tree)}
     assert found == {
-        ("criterion.py", "expand", "read"),
-        ("criterion.py", "commutator", "read"),
+        ("criterion.py", "expand", "_read_factors"),
+        ("criterion.py", "commutator", "_read_factors"),
         ("cli.py", "commutator", "cmd_word"),
     }
 
@@ -283,13 +283,14 @@ def test_backends_enter_only_where_they_are_drawn_or_loaded():
 
 
 def test_drawn_entries_come_from_one_draw_path():
-    """Every entry a backend draws goes through ``modmat.draw``, which
-    matches ``randrange`` value for value (a test in test_playground
-    checks that); a second path could drift from it.  ``criterion`` draws
-    instances from its own stream and is not covered."""
-    for name in ("modmat.py", "playground.py"):
+    """Every entry a backend draws and every value of a drawn instance goes
+    through ``words.draw``, which matches ``randrange``, ``randint`` and
+    ``choice`` value for value (a test in test_playground checks that); a
+    second path could drift from it."""
+    for name in ("modmat.py", "playground.py", "criterion.py"):
         path = SRC / name
-        assert _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))["randrange"] == 0, name
+        found = _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        assert [found[m] for m in ("randrange", "randint", "choice", "getrandbits")] == [0] * 4, name
 
 
 def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -335,6 +336,14 @@ def _loaded_after(*argv: str):
 
 def test_word_commands_load_no_other_layer_and_no_numpy():
     assert _loaded_after("word", "reduce", "ab") == (0, {"smovelab", "smovelab.words", "smovelab.cli"})
+
+
+def test_the_cli_criterion_and_slicing_import_no_numpy():
+    """``smove build``, ``crit`` and the word commands run on these
+    modules, so numpy's import would add to every one of them; the
+    drawer they share with the playground lives in ``words``."""
+    code = "import sys, smovelab.cli, smovelab.criterion, smovelab.slicing\nprint('numpy' in sys.modules)\n"
+    assert _fresh(code).stdout == "False\n"
 
 
 def test_only_the_playground_commands_load_numpy():
