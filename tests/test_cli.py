@@ -439,6 +439,16 @@ def test_demo_stabilization_exit_3(capsys):
     assert "Z(S2)^2 is invertible" in out
 
 
+@pytest.mark.parametrize("v", ["0", "-1"])
+def test_demo_stabilization_rejects_the_count_before_drawing(tmp_path, capsys, v):
+    """A count below 1 is bad input, rejected before the instance and the
+    backend are drawn, so no ``--dump-backend`` file is written."""
+    dump = tmp_path / "b.txt"
+    code, out = _run(capsys, ["demo", "stabilization", "--v", v, "--dump-backend", str(dump)])
+    assert (code, out) == (2, "error: stabilization count must be >= 1\n")
+    assert not dump.exists()
+
+
 def test_a_drawn_backend_needs_p_at_least_3(capsys):
     """Over GF(2) the only nonzero scalar is the identity, so no drawn
     backend has a non-identity sphere: bad input, not a traceback."""
