@@ -68,8 +68,16 @@ def _default_seed() -> int:
         raise InputError("SMOVE_SEED must be an integer") from None
 
 
-def _verdict_code(verdict: str) -> int:
-    return {"Pass": EXIT_PASS, "Obstructed": EXIT_OBSTRUCTED}[verdict]
+def _say_verdict(r: Report, rep) -> None:
+    """An ``InvarianceReport``: its verdict, witness and detail lines, its
+    verdict row and its exit code."""
+    r.say("verdict: %s" % rep.verdict)
+    if rep.witness:
+        r.say("witness: %s" % rep.witness)
+    if rep.detail:
+        r.say("detail: %s" % rep.detail)
+    r.csv("verdict", rep.verdict)
+    r.code = {"Pass": EXIT_PASS, "Obstructed": EXIT_OBSTRUCTED}[rep.verdict]
 
 
 # --- word -------------------------------------------------------------------
@@ -318,13 +326,7 @@ def cmd_inv_playground(args) -> Report:
         r.csv("p", b.p)
         r.csv("d", b.dim)
         return r
-    r.say("verdict: %s" % rep.verdict)
-    if rep.witness:
-        r.say("witness: %s" % rep.witness)
-    if rep.detail:
-        r.say("detail: %s" % rep.detail)
-    r.csv("verdict", rep.verdict)
-    r.code = _verdict_code(rep.verdict)
+    _say_verdict(r, rep)
     return r
 
 
@@ -378,6 +380,7 @@ def cmd_demo_stabilization(args) -> Report:
     from . import slicing
 
     r = Report()
+    pg.check_stabilization_count(args.v)
     inst = crit.build_instance(args.seed)
     seqs = [
         slicing.build_abstract(inst, slicing.LONGITUDINAL),
@@ -386,13 +389,8 @@ def cmd_demo_stabilization(args) -> Report:
     b = _backend_for(args, r, *seqs)
     inv_k = pg.perturbed_invariant(seqs[0], b)
     inv_l = pg.perturbed_invariant(seqs[1], b)
-    rep = pg.stabilization_demo(b, args.v, inv_k, inv_l)
-    r.say("verdict: %s" % rep.verdict)
-    r.say("witness: %s" % rep.witness)
-    r.say("detail: %s" % rep.detail)
-    r.csv("verdict", rep.verdict)
+    _say_verdict(r, pg.stabilization_demo(b, args.v, inv_k, inv_l))
     r.csv("v", args.v)
-    r.code = _verdict_code(rep.verdict)
     return r
 
 

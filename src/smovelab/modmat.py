@@ -5,8 +5,8 @@ Gauss-Jordan with modular scalar inverses and delayed reduction, or read
 a diagonal matrix's inverse off its entries.  ``first_singular`` proves a
 list of matrices invertible, or finds its first singular one, from its
 prefix products with one Gauss-Jordan; playground backends keep no
-inverses.  ``random_polys`` draws a run of polynomials in one matrix with
-one draw and one product.
+inverses.  ``polynomials`` forms a run of polynomials in one matrix with
+one product.
 
 Exactness needs int64 to hold every intermediate: an entry of a d×d
 product of residues sums d terms below (p-1)², so d·(p-1)² < 2^63, and
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import InputError, draw
+from .words import InputError
 
 
 def _check_bound(p: int, d: int) -> None:
@@ -195,24 +195,23 @@ def powers(a: np.ndarray, count: int, p: int) -> np.ndarray:
     return out
 
 
-def random_polys(rng, powers: np.ndarray, p: int, m: int) -> np.ndarray:
-    """m polynomials Σ c_i·powers[i], as one (m, d, d) stack, their
-    coefficients drawn uniformly mod p in order, one polynomial after
-    another.  Polynomials in one matrix all commute with each other; any
-    of them may be singular.  The k·m coefficients come from one ``draw``,
-    the same values and stream as m draws of k.  In float64 (see
-    ``_exact_in_float``) the stack is one product of the (m×k)
-    coefficients with the (k×d²) stacked powers.  In int64 each term, a
-    product of two residues, is reduced before the terms are summed:
-    under the bound a term fits in int64, but four of them need not."""
+def polynomials(coeffs, powers: np.ndarray, p: int) -> np.ndarray:
+    """The polynomials Σ c_i·powers[i], as one (m, d, d) stack, from their
+    k·m coefficients in order, one polynomial after another.  Polynomials
+    in one matrix all commute with each other; any of them may be
+    singular.  In float64 (see ``_exact_in_float``) the stack is one
+    product of the (m×k) coefficients with the (k×d²) stacked powers.  In
+    int64 each term, a product of two residues, is reduced before the
+    terms are summed: under the bound a term fits in int64, but four of
+    them need not."""
     k, d = len(powers), powers.shape[1]
-    c = np.array(draw(rng, k * m, p), dtype=np.int64).reshape(m, k)
+    c = np.array(coeffs, dtype=np.int64).reshape(-1, k)
     flat = powers.reshape(k, d * d)
     if _exact_in_float(k, p, d):
         out = _float_dot(c, flat, p)
     else:
         out = sum(c[:, i, None] * flat[i] % p for i in range(k)) % p
-    return out.reshape(m, d, d)
+    return out.reshape(len(c), d, d)
 
 
 def to_text(a: np.ndarray) -> str:

@@ -171,8 +171,8 @@ def make_backend(
     rows while drawing, and all of them become one (k, d, d) stack
     (``modmat.diagonals``).  The polynomial labels on either side of the
     sphere form at most two runs, and each run is drawn with one draw of
-    its coefficients and one product (``modmat.random_polys``), the same
-    stream as one draw per label.  The ``poly`` base and polynomials are
+    its coefficients, the same stream as one draw per label, and formed
+    with one product (``modmat.polynomials``).  The ``poly`` base and polynomials are
     proved invertible in one batch, the base first, so drawing a ``poly``
     backend runs one Gauss-Jordan and a diagonal one none.
 
@@ -182,8 +182,8 @@ def make_backend(
     draw and every one after it made again, up to 64 times per draw.  To
     get there, a failed batch restarts the stream where the batch
     started, at the seed for the first batch and at a state saved after
-    the last failure for a later one, and draws again up to its singular
-    draw.  So a batch with no singular draw saves no state.  The next
+    the last failure for a later one, and draws the values again up to
+    its singular draw, forming no matrix from them.  So a batch with no singular draw saves no state.  The next
     batch first tries a prefix as long as the failed one's was up to its
     singular draw, so that where singular draws are dense (a small field)
     its search stays near the front, and where they are rare it tries the
@@ -200,28 +200,33 @@ def make_backend(
         order.insert(0, None)  # the base matrix, which no label names
     rows: Dict[str, List[int]] = {}  # a diagonal matrix's diagonal
     batch: Dict[Optional[str], np.ndarray] = {}  # the base and the polynomials
-    powers = None
 
-    def draw_labels(labs):
-        nonlocal powers
-        # the base and the sphere stand alone; labels between them form runs
+    # per label: how many values it draws, and their least value
+    layout = {None: (d * d, 0), SPHERE_LABEL: (1, 2), DIAGONAL: (d, 1), POLY_IN_M: (4, 0)}
+
+    def draw_labels(labs) -> list:
+        """Each group of labels with its values, in stream order.  The base
+        and the sphere stand alone; the labels between them form runs."""
+        drawn = []
         for which, run in groupby(labs, lambda lab: lab if lab in (None, SPHERE_LABEL) else family):
-            if which is None:
-                base = np.array(draw(rng, d * d, p), dtype=np.int64).reshape(d, d)
-                batch[None], powers = base, modmat.powers(base, 4, p)
-            elif which == SPHERE_LABEL:
-                rows[SPHERE_LABEL] = draw(rng, 1, p, 2) * d
-            elif which == DIAGONAL:
-                for lab in run:
-                    rows[lab] = draw(rng, d, p, 1)
-            else:
-                run = list(run)
-                batch.update(zip(run, modmat.random_polys(rng, powers, p, len(run))))
+            run = list(run)
+            n, low = layout[which]
+            drawn.append((which, run, draw(rng, n * len(run), p, low)))
+        return drawn
 
     start = tries = 0
     probe = state = None
     while True:
-        draw_labels(order[start:])
+        for which, run, values in draw_labels(order[start:]):
+            if which is None:
+                base = np.array(values, dtype=np.int64).reshape(d, d)
+                batch[None], powers = base, modmat.powers(base, layout[POLY_IN_M][0], p)
+            elif which == SPHERE_LABEL:
+                rows[SPHERE_LABEL] = values * d
+            elif which == DIAGONAL:
+                rows.update((lab, values[i * d : (i + 1) * d]) for i, lab in enumerate(run))
+            else:
+                batch.update(zip(run, modmat.polynomials(values, powers, p)))
         todo = [lab for lab in order[start:] if lab in batch]
         at = modmat.first_singular([batch[lab] for lab in todo], p, probe)
         if at is None:
@@ -235,7 +240,7 @@ def make_backend(
             rng.seed(seed)
         else:
             rng.setstate(state)
-        draw_labels(order[start : j + 1])
+        draw_labels(order[start : j + 1])  # the draws alone move the stream on
         state = rng.getstate()
         start = j
     batch.pop(None, None)
@@ -374,6 +379,12 @@ def three_tests(k_side, l_side, b: Backend, mode: str = PRODUCT) -> bool:
     return modmat.equal(combined(k_side), combined(l_side), b.p)
 
 
+def check_stabilization_count(v: int) -> None:
+    """Stabilizing means adding at least one sphere."""
+    if v < 1:
+        raise InputError("stabilization count must be >= 1")
+
+
 def stabilization_demo(b: Backend, v: int, inv_k: np.ndarray, inv_l: np.ndarray) -> InvarianceReport:
     """Why sphere stabilization cannot rescue the invariant: both sides
     pick up the same invertible factor Z(S²)^v, so equality after
@@ -381,8 +392,7 @@ def stabilization_demo(b: Backend, v: int, inv_k: np.ndarray, inv_l: np.ndarray)
     weight annihilates Z(S²).  Neither fact needs a computation: every
     backend has p prime and Z(S²) invertible, a drawn one by
     construction and a loaded one as ``check_assignment`` proves."""
-    if v < 1:
-        raise InputError("stabilization count must be >= 1")
+    check_stabilization_count(v)
     witness = (
         "I_K.Z(S2)^%d = I_L.Z(S2)^%d forces I_K = I_L since Z(S2)^%d is invertible; "
         "no nonzero weight annihilates Z(S2) over GF(%d)" % (v, v, v, b.p)

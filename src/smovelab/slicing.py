@@ -407,52 +407,18 @@ def _line(c: Component) -> str:
     return _ARC_LINE % (c.left, c.right, "".join(c.trace) or "1")
 
 
-class _Printed:
-    """The live components of a printed sequence as a move's ``_apply``
-    sees them: ``cs`` holds the components and ``row`` the line of each.
-    ``_apply`` reads by index, length and iteration, and edits only by
-    item or slice assignment, deletion and ``append``; each edit is
-    mirrored in ``row``, so a move makes the lines of what it changed and
-    no others.  Lines are kept by position, never by ``id``, so a dropped
-    component's id taken by a new one cannot bring back its line."""
-
-    __slots__ = ("cs", "row")
-
-    def __init__(self):
-        self.cs: list[Component] = []
-        self.row: list[str] = []
-
-    def __len__(self):
-        return len(self.cs)
-
-    def __getitem__(self, i):
-        return self.cs[i]
-
-    def __iter__(self):
-        return iter(self.cs)
-
-    def __setitem__(self, i, c):
-        self.cs[i] = c
-        self.row[i] = [_line(x) for x in self.cs[i]] if isinstance(i, slice) else _line(c)
-
-    def __delitem__(self, i):
-        del self.cs[i]
-        del self.row[i]
-
-    def append(self, c):
-        self.cs.append(c)
-        self.row.append(_line(c))
-
-
 def format_sequence(seq: SliceSequence) -> str:
     """The dump prints every arc's whole trace at every level, so it grows
     quadratically with the word; it is made in one walk over the moves, in
-    time linear in its length.  Its live list holds each arc's trace as a
-    tuple of text pieces, so every move but a ``CirculateStep`` runs its
-    own ``_apply`` on it; a step makes the arc's text and line from the
-    text one level up and its letter, on the plain lists themselves."""
-    live = _Printed()
-    cs, row = live.cs, live.row
+    time linear in its length.  It keeps the live components and their
+    lines in two plain lists, each arc's trace as a tuple of text pieces.
+    A ``CirculateStep`` makes the arc's text and line from the text one
+    level up and its letter.  Every other move runs its own ``_apply`` on
+    the components, and the level's lines are made again; a piece has few
+    such moves, and each copies at most one level's text, which the dump
+    prints anyway."""
+    cs: list[Component] = []
+    row: list[str] = []
     lines: list[str] = []
     for level, m in enumerate(seq.moves):
         lines.append("slice %d" % level)
@@ -464,7 +430,8 @@ def format_sequence(seq: SliceSequence) -> str:
             cs[m.index] = Arc(a.left, a.right, (text,))
             row[m.index] = _ARC_LINE % (a.left, a.right, text)
         else:
-            m._apply(live)
+            m._apply(cs)
+            row = [_line(c) for c in cs]
     lines.append("slice %d" % len(seq.moves))
     lines += row
     lines.append("")  # a final newline, without copying the joined text

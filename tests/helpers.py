@@ -126,6 +126,49 @@ def matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return modmat.product([a] * e, p, a.shape[0])
 
 
+# --- oracles on Python ints, apart from numpy and modmat --------------------
+
+
+def py_mul(a, b, p: int) -> List[List[int]]:
+    """The product of two matrices, given as lists of rows, mod p."""
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def py_product(mats, p: int, d: int) -> List[List[int]]:
+    """The left-to-right product of d×d matrices mod p; the identity when
+    there are none."""
+    out = [[int(i == j) for j in range(d)] for i in range(d)]
+    for m in mats:
+        out = py_mul(out, m, p)
+    return out
+
+
+def py_inverse(rows, p: int) -> Optional[List[List[int]]]:
+    """Gauss-Jordan on Python ints, row by row; None when singular mod p."""
+    n = len(rows)
+    work = [[int(x) % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col]), None)
+        if piv is None:
+            return None
+        work[col], work[piv] = work[piv], work[col]
+        scale = pow(work[col][col], -1, p)
+        work[col] = [x * scale % p for x in work[col]]
+        for r in range(n):
+            f = work[r][col]
+            if r != col and f:
+                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def is_cyclic_rotation(w, base) -> bool:
+    """Whether the letters of ``w`` are a cyclic rotation of ``base``'s."""
+    w, base = tuple(w), tuple(base)
+    if len(w) != len(base):
+        return False
+    return any(base[i:] + base[:i] == w for i in range(len(base) or 1))
+
+
 # --- the telescoping composition, an oracle for the closed forms -------------
 
 

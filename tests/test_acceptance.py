@@ -70,11 +70,14 @@ from helpers import (
     gauge,
     gauged_sequence,
     identity_spels,
+    is_cyclic_rotation,
     mutate_conjugator,
     nielsen_transport,
     poly_inverse_mod,
     poly_local_invariant,
     product_sides,
+    py_inverse,
+    py_product,
     residual_commutator_check,
     slots,
     state_modules,
@@ -102,25 +105,6 @@ def _np_product(mats, p, d):
     for m in mats:
         out = (out @ m) % p
     return out
-
-
-def _py_inverse(rows, p):
-    """Gauss-Jordan on Python ints, row by row; None when singular mod p."""
-    n = len(rows)
-    work = [[int(x) % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        scale = pow(work[col][col], -1, p)
-        work[col] = [x * scale % p for x in work[col]]
-        for r in range(n):
-            f = work[r][col]
-            if r != col and f:
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
 
 def _own_endo(aslice, b):
     # sorted-label product of the token matrices, in raw numpy
@@ -247,7 +231,7 @@ def test_perturbed_invariant_matches_brute_force_composition():
                 level = _np_product(cells, p, d)
                 for idx in sorted(comms):
                     level = _np_product([level, comms[idx]] + spels_by.get(idx, []), p, d)
-                invs = [np.array(_py_inverse(e.tolist(), p), dtype=np.int64) for e in endos]
+                invs = [np.array(py_inverse(e.tolist(), p), dtype=np.int64) for e in endos]
                 maps = [(endos[i + 1] @ invs[i]) % p for i in range(len(endos) - 1)]
                 maps[k] = (level @ invs[k]) % p
                 brute = np.eye(d, dtype=np.int64)
@@ -285,7 +269,7 @@ def test_modmat_inverse_matches_python_gauss_jordan(seed):
     for d in (1, 2, 3, 4, 5, 6, 7, 8, 32):
         for p in (2, 101, 100003, _largest_prime_in_bound(d)):
             for rows in _inverse_cases(rng, d, p):
-                want = _py_inverse(rows, p)
+                want = py_inverse(rows, p)
                 a = np.array(rows, dtype=np.int64)
                 if want is None:
                     with pytest.raises(InputError, match="singular"):
@@ -344,7 +328,7 @@ def test_delayed_reduction_gauss_jordan_is_exact_up_to_the_int64_bound(seed):
         for p in (3, 101, 100003, top):
             lows = []
             for rows in list(_inverse_cases(rng, d, p)) + [_rank_deficient(rng, d, p, d // 2)]:
-                want, low = _py_inverse(rows, p), _py_delayed_low(rows, p)
+                want, low = py_inverse(rows, p), _py_delayed_low(rows, p)
                 assert (want is None) == (low is None), (d, p)
                 a = np.array(rows, dtype=np.int64)
                 if want is None:
@@ -368,7 +352,7 @@ def test_modmat_first_singular_matches_python_gauss_jordan(seed):
             invertible, singular = [], []
             while len(invertible) < 7 or not singular:
                 for rows in _inverse_cases(rng, d, p):
-                    (singular if _py_inverse(rows, p) is None else invertible).append(rows)
+                    (singular if py_inverse(rows, p) is None else invertible).append(rows)
             for k in (0, 1, 2, 7):
                 mats = [np.array(rows, dtype=np.int64) for rows in invertible[:k]]
                 assert modmat.first_singular(mats, p) is None
@@ -392,7 +376,7 @@ def test_first_singular_names_the_first_singular_matrix(seed):
             invertible, singular = [], []
             while len(invertible) < 12 or len(singular) < 3:
                 for rows in _inverse_cases(rng, d, p):
-                    (singular if _py_inverse(rows, p) is None else invertible).append(rows)
+                    (singular if py_inverse(rows, p) is None else invertible).append(rows)
             for probe in [None] + list(range(1, 14)) + [40]:
                 mats = [np.array(rows, dtype=np.int64) for rows in invertible[:12]]
                 assert modmat.first_singular(mats, p, probe) is None, (d, p, probe)
@@ -438,7 +422,7 @@ def test_drawn_poly_backends_are_exact_at_the_int64_bound():
         assert 4 * (p - 1) ** 2 >= 2**63
         for seed in range(30):
             want = _py_poly_backend(labels, p, d, seed)
-            assert all(_py_inverse(m, p) is not None for m in want.values()), (d, seed)
+            assert all(py_inverse(m, p) is not None for m in want.values()), (d, seed)
             b = make_backend(labels, p=p, d=d, seed=seed, family=POLY_IN_M)
             got = {lab: m.tolist() for lab, m in b.assignment.items()}
             assert got == {lab: m for lab, m in want.items() if lab != "base"}, (d, seed)
@@ -484,14 +468,6 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
     assert controls == 20
     assert obstructed >= 170  # the generic draw must actually obstruct
 
-
-def _py_product(mats, p, d):
-    out = [[int(i == j) for j in range(d)] for i in range(d)]
-    for m in mats:
-        out = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*m)] for row in out]
-    return out
-
-
 @pytest.mark.parametrize("family, d, seeds", [(DIAGONAL, 4, 8), (POLY_IN_M, 4, 8), (POLY_IN_M, 32, 3)])
 def test_obstruction_witness_is_f2_from_oracle_inverses(tmp_path, capsys, family, d, seeds):
     """``inv playground --obstruction`` prints F2 = C·E_own⁻¹ and the
@@ -519,8 +495,8 @@ def test_obstruction_witness_is_f2_from_oracle_inverses(tmp_path, capsys, family
                 tokens = aseq.slices[aseq.perturbation_index + after].tokens
                 return [mats[token_text(x, True)] for x in tokens if isinstance(x, kind)]
 
-            f2 = _py_product(at(own, CommutatorToken, 1) + [_py_inverse(m, p) for m in at(own, SpElToken)], p, d)
-            forced = _py_product([f2] + at(other, SpElToken), p, d)
+            f2 = py_product(at(own, CommutatorToken, 1) + [py_inverse(m, p) for m in at(own, SpElToken)], p, d)
+            forced = py_product([f2] + at(other, SpElToken), p, d)
             if forced == f2:
                 assert (code, out[1]) == (0, "verdict: Pass"), (family, d, seed, t)
                 continue
@@ -643,14 +619,6 @@ def _reduced_words(max_len, gens=2):
         frontier = nxt
     return [Word(w) for w in out]
 
-
-def _is_cyclic_rotation(w, base):
-    w, base = tuple(w), tuple(base)
-    if len(w) != len(base):
-        return False
-    return any(base[i:] + base[:i] == w for i in range(len(base) or 1))
-
-
 def test_slicing_readouts_exhaustively_match_the_words():
     assert str(Word(-x for x in parse_word("aabb"))) == "AABB"  # the letterwise-inverted reading
     words = _reduced_words(4)
@@ -665,7 +633,7 @@ def test_slicing_readouts_exhaustively_match_the_words():
         for s in words:
             base = commutator(r, s)
             for dom in ("R", "S"):
-                assert _is_cyclic_rotation(boundary_trace(slice_commutator(r, s, dom)), base)
+                assert is_cyclic_rotation(boundary_trace(slice_commutator(r, s, dom)), base)
 
 
 # --- generator substitutions ----------------------------------------------------

@@ -53,6 +53,8 @@ from helpers import (
     gauged_sequence,
     identity_spels,
     matpow,
+    py_inverse,
+    py_mul,
     ordering_sum,
     random_invertible_diagonal,
     state_modules,
@@ -138,14 +140,14 @@ def test_modmat_product_and_text():
     assert np.array_equal(one, a) and one is not unreduced
     assert modmat.to_text(a) == "1,2;3,4"
     ab = modmat.product([a, b], p, 2)
-    assert modmat.to_text(ab) == ";".join(",".join(str(x) for x in row) for row in _py_mul(a.tolist(), b.tolist(), p))
+    assert modmat.to_text(ab) == ";".join(",".join(str(x) for x in row) for row in py_mul(a.tolist(), b.tolist(), p))
 
 
 def test_random_polys_commute_with_base():
     p = 101
     rng = random.Random(9)
     base = random_invertible_diagonal(rng, 4, p)
-    (m,) = modmat.random_polys(rng, modmat.powers(base, 4, p), p, 1)
+    (m,) = modmat.polynomials(draw(rng, 4, p), modmat.powers(base, 4, p), p)
     assert modmat.equal(modmat.mul(m, base, p), modmat.mul(base, m, p), p)
     modmat.inverse(m, p)  # must not raise
 
@@ -185,11 +187,6 @@ def test_draw_gives_the_values_and_stream_of_randrange():
 _PAST_BOUND = 4294967311
 _AT_BOUND_D2 = 2147483647
 
-
-def _py_mul(a, b, p):
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
-
-
 def test_modmat_raises_past_the_int64_bound():
     p = _PAST_BOUND
     a = np.array([[p - 1, p - 2], [p - 3, p - 4]], dtype=np.int64)
@@ -202,7 +199,7 @@ def test_modmat_raises_past_the_int64_bound():
         lambda: modmat.product([a, a], p, 2),
         lambda: modmat.product([], p, 2),
         lambda: modmat.inverse(a, p),
-        lambda: modmat.random_polys(rng, modmat.powers(modmat.identity(2), 4, p), p, 1),
+        lambda: modmat.polynomials(draw(rng, 4, p), modmat.powers(modmat.identity(2), 4, p), p),
     ):
         with pytest.raises(InputError, match=r"p = 4294967311 with d = 2 overflows int64"):
             call()
@@ -217,14 +214,14 @@ def test_modmat_is_exact_at_the_int64_bound():
     p = _AT_BOUND_D2
     rows = [[p - 1, p - 2], [p - 3, p - 4]]
     a = np.array(rows, dtype=np.int64)
-    square = _py_mul(rows, rows, p)
+    square = py_mul(rows, rows, p)
     assert square == [[7, 10], [15, 22]]
     assert modmat.mul(a, a, p).tolist() == square
     assert matpow(a, 2, p).tolist() == square
-    assert modmat.product([a, a, a], p, 2).tolist() == _py_mul(square, rows, p)
+    assert modmat.product([a, a, a], p, 2).tolist() == py_mul(square, rows, p)
     inv = modmat.inverse(a, p)
-    assert _py_mul(rows, inv.tolist(), p) == [[1, 0], [0, 1]]
-    assert matpow(a, -2, p).tolist() == _py_mul(inv.tolist(), inv.tolist(), p)
+    assert py_mul(rows, inv.tolist(), p) == [[1, 0], [0, 1]]
+    assert matpow(a, -2, p).tolist() == py_mul(inv.tolist(), inv.tolist(), p)
 
 
 def _float_bound_primes(n):
@@ -251,7 +248,7 @@ def test_mul_is_exact_on_both_sides_of_the_float64_bound():
             rows = sorted({0, d - 1} | set(rng.sample(range(d), min(d, 3))))
             got = modmat.mul(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
             assert got.dtype == np.int64
-            assert [got[i].tolist() for i in rows] == _py_mul([a[i] for i in rows], b, p), (d, p)
+            assert [got[i].tolist() for i in rows] == py_mul([a[i] for i in rows], b, p), (d, p)
 
 
 def test_random_polys_are_exact_on_both_sides_of_the_float64_bound():
@@ -270,8 +267,8 @@ def test_random_polys_are_exact_on_both_sides_of_the_float64_bound():
             want = [[int(i == j) for j in range(d)] for i in range(d)]
             for i in range(4):
                 assert powers[i].tolist() == want, (d, p, i)
-                want = _py_mul(want, base, p)
-            (got,) = modmat.random_polys(random.Random(seed), powers, p, 1)
+                want = py_mul(want, base, p)
+            (got,) = modmat.polynomials(draw(random.Random(seed), 4, p), powers, p)
             stream = random.Random(seed)
             c = [stream.randrange(p) for _ in range(4)]
             want = [[sum(ci * m[i][j] for ci, m in zip(c, powers.tolist())) % p for j in range(d)] for i in range(d)]
@@ -292,7 +289,7 @@ def test_random_polys_equal_one_draw_per_polynomial():
         flat = [m.ravel().tolist() for m in powers]
         for m in (1, 2, 5):
             mine, theirs = random.Random(m), random.Random(m)
-            got = modmat.random_polys(mine, powers, p, m)
+            got = modmat.polynomials(draw(mine, 4 * m, p), powers, p)
             want = []
             for _ in range(m):
                 c = [theirs.randrange(p) for _ in range(4)]
@@ -312,10 +309,10 @@ def test_diagonal_inverse_is_read_off_the_entries():
             a = np.diag(np.array(entries, dtype=np.int64))
             inv = modmat.inverse(a, p)
             assert inv.dtype == np.int64 and inv.tolist() == np.diag([pow(x, -1, p) for x in entries]).tolist()
-            assert _py_mul(a.tolist(), inv.tolist(), p) == np.eye(d, dtype=int).tolist()
+            assert py_mul(a.tolist(), inv.tolist(), p) == np.eye(d, dtype=int).tolist()
             entries[rng.randrange(d)] = 0
             a = np.diag(np.array(entries, dtype=np.int64))
-            assert _py_singular(a.tolist(), p)
+            assert py_inverse(a.tolist(), p) is None
             with pytest.raises(InputError, match="^matrix is singular mod %d$" % p):
                 modmat.inverse(a, p)
 
@@ -415,7 +412,7 @@ def test_drawn_backends_replay_every_redraw():
         singular = False
         while True:
             base = np.array([[rng.randrange(101) for _ in range(d)] for _ in range(d)], dtype=np.int64)
-            if not _py_singular(base.tolist(), 101):
+            if py_inverse(base.tolist(), 101) is not None:
                 break
             singular = True
         for lab in sorted(set(labels) | {SPHERE_LABEL}):
@@ -424,26 +421,10 @@ def test_drawn_backends_replay_every_redraw():
             else:
                 coeffs = [rng.randrange(101) for _ in range(4)]
                 m = sum(c * matpow(base, e, 101) for e, c in enumerate(coeffs)) % 101
-                singular = singular or _py_singular(m.tolist(), 101)
+                singular = singular or py_inverse(m.tolist(), 101) is None
                 if singular:
                     break
         assert singular == redraws, (d, seed)
-
-
-def _py_singular(rows, p):
-    """Row reduction on Python ints: True when the rows are dependent mod p."""
-    rows = [[x % p for x in row] for row in rows]
-    for col in range(len(rows)):
-        piv = next((r for r in range(col, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            return True
-        rows[col], rows[piv] = rows[piv], rows[col]
-        scale = pow(rows[col][col], -1, p)
-        for r in range(col + 1, len(rows)):
-            f = rows[r][col] * scale % p
-            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[col])]
-    return False
-
 
 def test_the_64_draw_limit_holds_per_label():
     """Over GF(5) about half of the 2×2 draws are singular: 200 labels
@@ -470,6 +451,33 @@ def test_a_failed_batch_bisects_for_its_first_singular_draw(monkeypatch):
     calls.clear()
     make_backend(_CELLS, p=101, d=32, seed=0, family=POLY_IN_M)
     assert len(calls) <= 6
+
+
+def test_a_failed_batch_replays_only_its_draws(monkeypatch):
+    """A failed batch draws again up to its singular draw only to move the
+    stream on, so it forms no matrix from those values.  The pinned d = 32
+    backend of seed 0 has one singular polynomial: its base's powers are
+    formed once, and its polynomial stack once per batch.  Replaying the
+    matrices formed them twice and three times."""
+    import hashlib
+
+    counts = {"powers": 0, "polynomials": 0}
+
+    def counted(name):
+        real = getattr(modmat, name)
+
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(modmat, name, counted(name))
+    ((d, seed, family, _, labels, redraws, digest),) = [pin for pin in _PINNED_BACKENDS if pin[:3] == (32, 0, POLY_IN_M)]
+    b = make_backend(labels, p=101, d=d, seed=seed, family=family)
+    assert redraws and hashlib.sha256(dump_backend(b).encode()).hexdigest() == digest
+    assert counts == {"powers": 1, "polynomials": 2}
 
 
 def test_first_singular_reduces_only_the_matrices_its_prefixes_reach(monkeypatch):
@@ -516,7 +524,7 @@ def test_first_singular_reduces_only_the_matrices_its_prefixes_reach(monkeypatch
 
 def _assert_invertible(b):
     for lab, m in b.assignment.items():
-        assert not _py_singular(m.tolist(), b.p), lab
+        assert py_inverse(m.tolist(), b.p) is not None, lab
 
 
 def test_redrawn_backends_are_invertible_and_commute():
@@ -530,7 +538,7 @@ def test_redrawn_backends_are_invertible_and_commute():
         mats = [b.assignment[lab] for lab in sorted(b.assignment)]
         for i, a in enumerate(mats):
             for c in mats[i + 1 :]:
-                assert _py_mul(a.tolist(), c.tolist(), 101) == _py_mul(c.tolist(), a.tolist(), 101)
+                assert py_mul(a.tolist(), c.tolist(), 101) == py_mul(c.tolist(), a.tolist(), 101)
         sphere = b.assignment[SPHERE_LABEL]
         s = int(sphere[0, 0])
         assert np.array_equal(sphere, s * np.eye(d, dtype=np.int64)) and 2 <= s < b.p, (d, seed, family)
@@ -1091,19 +1099,19 @@ def test_global_combine_modes():
     # it is the sum over every ordering, multiplied out by brute force, on
     # commuting matrices that are not diagonal: polynomials in one matrix
     base = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
-    square = _py_mul(base, base, p)
+    square = py_mul(base, base, p)
     full = []
     for _ in range(6):
         c0, c1, c2 = (rng.randrange(p) for _ in range(3))
         full.append([[(c0 * (i == j) + c1 * base[i][j] + c2 * square[i][j]) % p for j in range(d)] for i in range(d)])
     assert any(full[0][i][j] for i in range(d) for j in range(d) if i != j)
-    assert _py_mul(full[0], full[1], p) == _py_mul(full[1], full[0], p)
+    assert py_mul(full[0], full[1], p) == py_mul(full[1], full[0], p)
     for n in range(7):
         brute = [[0] * d for _ in range(d)]
         for order in itertools.permutations(full[:n]):
             term = [[int(i == j) for j in range(d)] for i in range(d)]
             for m in order:
-                term = _py_mul(term, m, p)
+                term = py_mul(term, m, p)
             brute = [[(x + y) % p for x, y in zip(u, v)] for u, v in zip(brute, term)]
         got = global_combine([np.array(m, dtype=np.int64) for m in full[:n]], PERMUTATION_SUM, p, d)
         assert got.tolist() == brute

@@ -44,12 +44,17 @@ from smovelab.slicing import (
 )
 from smovelab.words import InputError, Word, commutator, invert, parse_word, reduce
 
-from helpers import JoinCells, SplitCells, _shift_move, abstract_ok, connect, gauge, gauged_sequence, mutate_conjugator
-
-
-def _is_cyclic_rotation(u, v):
-    u, v = tuple(u), tuple(v)
-    return len(u) == len(v) and (u == v or u in tuple(v + v[i:] + v[:i] for i in range(len(v))) or any(v[i:] + v[:i] == u for i in range(len(v))))
+from helpers import (
+    JoinCells,
+    SplitCells,
+    _shift_move,
+    abstract_ok,
+    connect,
+    gauge,
+    gauged_sequence,
+    is_cyclic_rotation,
+    mutate_conjugator,
+)
 
 
 def test_inverse_trace_flips_letters_in_place():
@@ -192,7 +197,7 @@ def test_commutator_boundary_is_cyclic_rotation_of_commutator():
         want = commutator(r, s)
         for dom in ("R", "S"):
             got = boundary_trace(slice_commutator(r, s, dominant=dom))
-            assert _is_cyclic_rotation(got, want)
+            assert is_cyclic_rotation(got, want)
 
 
 def test_connect_single_piece_wraps_with_root():

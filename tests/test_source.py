@@ -410,3 +410,103 @@ def test_instance_and_slice_errors_exit_2_through_main(tmp_path):
     )
     first, code = res.stdout.splitlines()
     assert first.startswith("error: sequence invalid at slice 2: ") and code == "2"
+
+
+BENCH = SRC.parents[1] / "bench"
+
+# Hooks in bench/tracer.py that match nothing in the library (ROADMAP item
+# 4b): ``Backend.check`` and ``connect`` left the library, and no layer has
+# a ``validate`` scope.  (None, name) stands for a name hooked in any layer.
+_STALE_HOOKS = {("playground", "Backend.check"), ("slicing", "connect"), (None, "validate")}
+
+
+def _bench_tree(name: str) -> ast.Module:
+    path = BENCH / name
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def _selftest_reads():
+    """(module, attribute) for every attribute bench/selftest.py reads off
+    a library module it imports as ``import smovelab.<module> as <alias>``."""
+    tree = _bench_tree("selftest.py")
+    aliases = {
+        alias.asname: alias.name.split(".")[1]
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import)
+        for alias in n.names
+        if alias.name.startswith("smovelab.") and alias.asname
+    }
+    return {
+        (aliases[n.value.id], n.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in aliases
+    }
+
+
+def _tracer_hooks():
+    """(layer, name) for every call bench/tracer.py hooks: the keys of its
+    ``post`` table, spelled out or looped over a tuple of names, and the
+    names its ``scope`` argument marks in any layer (``validate``)."""
+    tree = _bench_tree("tracer.py")
+    tuples = {
+        n.targets[0].id: ast.literal_eval(n.value)
+        for n in tree.body
+        if isinstance(n, ast.Assign) and isinstance(n.value, ast.Tuple)
+    }
+    layers = set(tuples["LAYERS"])
+    bound = {}  # a loop variable -> the names it runs over
+    for n in ast.walk(tree):
+        if isinstance(n, ast.For) and isinstance(n.target, ast.Name):
+            if isinstance(n.iter, ast.Name) and n.iter.id in tuples:
+                bound[n.target.id] = tuples[n.iter.id]
+            elif isinstance(n.iter, ast.Tuple):
+                bound[n.target.id] = ast.literal_eval(n.iter)
+    hooks = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Tuple) and len(n.elts) == 2 and isinstance(n.elts[0], ast.Constant):
+            layer, name = n.elts
+            if layer.value not in layers:
+                continue
+            if isinstance(name, ast.Constant):
+                hooks.add((layer.value, name.value))
+            elif isinstance(name, ast.Name) and name.id in bound:
+                hooks.update((layer.value, x) for x in bound[name.id])
+        elif isinstance(n, ast.keyword) and n.arg == "scope":
+            hooks.update((None, c.value) for c in ast.walk(n.value) if isinstance(c, ast.Constant))
+    return layers, hooks
+
+
+def _traced(layer: str, name: str) -> bool:
+    """Whether the tracer finds ``name`` to wrap in the layer's module: a
+    function the module defines, or a method of a class it defines."""
+    import importlib
+    import inspect
+
+    mod = importlib.import_module("smovelab." + layer)
+    owner, _, attr = name.rpartition(".")
+    if owner:
+        cls = vars(mod).get(owner)
+        return inspect.isclass(cls) and cls.__module__ == mod.__name__ and inspect.isfunction(vars(cls).get(attr))
+    fn = vars(mod).get(name)
+    return inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+
+def test_the_names_the_benchmark_uses_exist():
+    """No change outside the benchmark may edit ``bench/``, so a library
+    name that bench/selftest.py reads or bench/tracer.py hooks must not
+    disappear: a missing read breaks the selftest, and a missing hook
+    silently counts nothing.  The hooks already stale are pinned."""
+    import importlib
+
+    reads = _selftest_reads()
+    assert {("words", "reduce"), ("slicing", "reduce"), ("slicing", "apply_move")} <= reads
+    missing = {(m, a) for m, a in reads if not hasattr(importlib.import_module("smovelab." + m), a)}
+    assert missing == set()
+    layers, hooks = _tracer_hooks()
+    assert {("modmat", "mul"), ("ring", "Polynomial.__rmul__"), ("slicing", "slice_bag")} <= hooks
+    stale = {
+        (layer, name)
+        for layer, name in hooks
+        if not any(_traced(l, name) for l in ([layer] if layer else layers))
+    }
+    assert stale == _STALE_HOOKS
