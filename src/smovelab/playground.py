@@ -172,9 +172,10 @@ def make_backend(
     (``modmat.diagonals``).  The polynomial labels on either side of the
     sphere form at most two runs, and each run is drawn with one draw of
     its coefficients, the same stream as one draw per label, and formed
-    with one product (``modmat.polynomials``).  The ``poly`` base and polynomials are
-    proved invertible in one batch, the base first, so drawing a ``poly``
-    backend runs one Gauss-Jordan and a diagonal one none.
+    with one product (``modmat.polynomials``).  The ``poly`` base and
+    polynomials are proved invertible in one batch, the base first, so
+    drawing a ``poly`` backend runs one Gauss-Jordan and a diagonal one
+    none.
 
     When a draw in the batch is singular, ``modmat.first_singular`` finds
     the first one from the batch's prefix products; the draws before it
@@ -183,11 +184,11 @@ def make_backend(
     get there, a failed batch restarts the stream where the batch
     started, at the seed for the first batch and at a state saved after
     the last failure for a later one, and draws the values again up to
-    its singular draw, forming no matrix from them.  So a batch with no singular draw saves no state.  The next
-    batch first tries a prefix as long as the failed one's was up to its
-    singular draw, so that where singular draws are dense (a small field)
-    its search stays near the front, and where they are rare it tries the
-    whole batch.
+    its singular draw, forming no matrix from them.  So a batch with no
+    singular draw saves no state.  The next batch first tries a prefix as
+    long as the failed one's was up to its singular draw, so that where
+    singular draws are dense (a small field) its search stays near the
+    front, and where they are rare it tries the whole batch.
     """
     _check_field(p, d)
     if p < 3:

@@ -106,6 +106,7 @@ def _np_product(mats, p, d):
         out = (out @ m) % p
     return out
 
+
 def _own_endo(aslice, b):
     # sorted-label product of the token matrices, in raw numpy
     pairs = sorted(((token_text(t, True), b.value(t)) for t in aslice.tokens), key=lambda kv: kv[0])
@@ -468,6 +469,7 @@ def test_between_type_obstruction_iff_spel_product_nontrivial():
     assert controls == 20
     assert obstructed >= 170  # the generic draw must actually obstruct
 
+
 @pytest.mark.parametrize("family, d, seeds", [(DIAGONAL, 4, 8), (POLY_IN_M, 4, 8), (POLY_IN_M, 32, 3)])
 def test_obstruction_witness_is_f2_from_oracle_inverses(tmp_path, capsys, family, d, seeds):
     """``inv playground --obstruction`` prints F2 = C·E_own⁻¹ and the
@@ -618,6 +620,7 @@ def _reduced_words(max_len, gens=2):
         out += nxt
         frontier = nxt
     return [Word(w) for w in out]
+
 
 def test_slicing_readouts_exhaustively_match_the_words():
     assert str(Word(-x for x in parse_word("aabb"))) == "AABB"  # the letterwise-inverted reading

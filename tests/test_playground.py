@@ -187,6 +187,7 @@ def test_draw_gives_the_values_and_stream_of_randrange():
 _PAST_BOUND = 4294967311
 _AT_BOUND_D2 = 2147483647
 
+
 def test_modmat_raises_past_the_int64_bound():
     p = _PAST_BOUND
     a = np.array([[p - 1, p - 2], [p - 3, p - 4]], dtype=np.int64)
@@ -425,6 +426,7 @@ def test_drawn_backends_replay_every_redraw():
                 if singular:
                     break
         assert singular == redraws, (d, seed)
+
 
 def test_the_64_draw_limit_holds_per_label():
     """Over GF(5) about half of the 2×2 draws are singular: 200 labels

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -479,9 +481,6 @@ def _tracer_hooks():
 def _traced(layer: str, name: str) -> bool:
     """Whether the tracer finds ``name`` to wrap in the layer's module: a
     function the module defines, or a method of a class it defines."""
-    import importlib
-    import inspect
-
     mod = importlib.import_module("smovelab." + layer)
     owner, _, attr = name.rpartition(".")
     if owner:
@@ -492,12 +491,11 @@ def _traced(layer: str, name: str) -> bool:
 
 
 def test_the_names_the_benchmark_uses_exist():
-    """No change outside the benchmark may edit ``bench/``, so a library
+    """``bench/`` changes only together with the benchmark, so a library
     name that bench/selftest.py reads or bench/tracer.py hooks must not
-    disappear: a missing read breaks the selftest, and a missing hook
-    silently counts nothing.  The hooks already stale are pinned."""
-    import importlib
-
+    disappear in any other change: a missing read breaks the selftest,
+    and a missing hook silently counts nothing.  The hooks already stale
+    are pinned."""
     reads = _selftest_reads()
     assert {("words", "reduce"), ("slicing", "reduce"), ("slicing", "apply_move")} <= reads
     missing = {(m, a) for m, a in reads if not hasattr(importlib.import_module("smovelab." + m), a)}
