@@ -216,6 +216,32 @@ def test_an_empty_qmove_spec_exits_2(capsys):
         assert _run(capsys, ["inv", "playground", "--seed", "4", "--qmove", spec]) == (2, error), spec
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["inv", "playground", "--seed", "1", "--backend", ""],
+        ["demo", "stabilization", "--seed", "1", "--backend", ""],
+        ["test", "three-tests", "--seed", "1", "--backend", ""],
+        ["inv", "playground", "--seed", "1", "--dump-backend", ""],
+        ["smove", "build", "--type", "long", "--instance", ""],
+        ["inv", "playground", "--seed", "1", "--instance", ""],
+        ["demo", "nonmult", "--table", ""],
+        ["pres", "--file", "{K.txt}", "--moves", ""],
+        ["inv", "statesum", "--graphs", "{circle.txt}", "--table", "{t.csv}", "--moves", ""],
+        ["inv", "statesum", "--graphs", "{circle.txt}", "--table", "{t.csv}", "--moves", "{moves.txt}", "--relations", ""],
+    ],
+)
+def test_an_empty_path_names_no_file(tmp_path, capsys, argv):
+    """An option that names a file is read whenever it is given: an empty
+    path is a file that cannot be opened, not a request to skip it."""
+    _write_instance(tmp_path)
+    (tmp_path / "t.csv").write_text("0,0,0,S\n", encoding="utf-8")
+    (tmp_path / "circle.txt").write_text("circle\n", encoding="utf-8")
+    (tmp_path / "moves.txt").write_text("circle.txt circle.txt\n", encoding="utf-8")
+    argv = [str(tmp_path / a[1:-1]) if a.startswith("{") else a for a in argv]
+    assert _run(capsys, argv) == (2, "error: [Errno 2] No such file or directory: ''\n")
+
+
 def test_inv_playground_obstruction_exit_3(capsys):
     code, out = _run(capsys, ["inv", "playground", "--seed", "4", "--obstruction"])
     assert code == 3
