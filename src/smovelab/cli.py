@@ -117,7 +117,7 @@ def cmd_pres(args) -> Report:
 
     r = Report()
     p = pres.load_presentation(args.file)
-    moves = pres.load_moves(args.moves) if args.moves else []
+    moves = pres.load_moves(args.moves) if args.moves is not None else []
     for m in moves:
         p = pres.apply_move(p, m)
     r.say(pres.format_presentation(p).rstrip("\n"))
@@ -157,7 +157,7 @@ def cmd_crit(args) -> Report:
         r.say(text)
         r.csv("residual", text)
         return r
-    if not args.instance:
+    if args.instance is None:
         raise InputError("crit %s needs --instance" % args.action)
     inst = crit.load_instance(args.instance)
     if args.action == "verify":
@@ -236,12 +236,17 @@ _TYPES = {"long": "longitudinal", "mer": "meridian"}
 
 
 def _load_or_build_instance(args):
-    """The ``--instance`` file's criterion instance, or one built from the seed."""
+    """The ``--instance`` file's criterion instance, verified here, where
+    it enters, or one built from the seed, which ``build_instance``
+    verifies."""
     from . import criterion as crit
 
-    if getattr(args, "instance", None):
-        return crit.load_instance(args.instance)
-    return crit.build_instance(args.seed, n_factors=getattr(args, "factors", 2))
+    if args.instance is None:
+        return crit.build_instance(args.seed, n_factors=args.factors)
+    inst = crit.load_instance(args.instance)
+    if not crit.verify(inst):
+        raise InvalidInstance("instance fails the commutator criterion")
+    return inst
 
 
 def cmd_smove(args) -> Report:
@@ -277,12 +282,12 @@ def _backend_for(args, r: Report, *aseqs):
     labels; written to the ``--dump-backend`` file, if one is named."""
     from . import playground as pg
 
-    if args.backend:
+    if args.backend is not None:
         b = _read(args.backend, pg.load_backend)
     else:
         tokens = pg.label_tokens(*aseqs)
         b = pg.make_backend(tokens.values(), p=args.p, d=args.d, seed=args.seed, family=args.family, token_labels=tokens)
-    if args.dump_backend:
+    if args.dump_backend is not None:
         with open(args.dump_backend, "w", encoding="utf-8") as fh:
             fh.write(pg.dump_backend(b))
         r.say("backend written to %s" % args.dump_backend)
@@ -302,7 +307,7 @@ def cmd_inv_playground(args) -> Report:
     # rider, so for it both are built for every form; a loaded backend
     # reads other only for --obstruction.  The rider's build rejects bad
     # moves either way.
-    other = slicing.build_abstract(inst, pg.other_type(ident)) if args.obstruction or not args.backend else None
+    other = slicing.build_abstract(inst, pg.other_type(ident)) if args.obstruction or args.backend is None else None
     rider = None if args.qmove is None else pg.qmove_rider(inst, _parse_qmove_spec(args.qmove), ident)
     b = _backend_for(args, r, *(seq for seq in (base, other, rider) if seq is not None))
 
@@ -347,9 +352,9 @@ def cmd_inv_statesum(args) -> Report:
         # A sum over colourings factorises over the graphs' disjoint union.
         r.say("multiplicativity: PASS")
         r.csv("multiplicativity", "PASS")
-    if args.moves:
+    if args.moves is not None:
         moves = ss.load_moves(args.moves)
-        relations = ss.load_relations(args.relations) if args.relations else ()
+        relations = ss.load_relations(args.relations) if args.relations is not None else ()
         value = ss.invariant(ss.MoveSequence(moves, relations), table, dict(zip(graphs, sums)))
         r.say("move invariant: %s" % value)
         r.csv("move_invariant", value)
@@ -366,7 +371,7 @@ def cmd_demo_nonmult(args) -> Report:
     quartic = ss.nonmult_expand()
     r.say(str(quartic))
     r.csv("quartic", str(quartic))
-    if args.table:
+    if args.table is not None:
         rep = ss.nonmult_check(ss.load_table(args.table))
         r.say(str(rep))
         r.csv("s_value", rep.s_value)

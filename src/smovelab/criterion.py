@@ -14,6 +14,12 @@ an oracle.  The residual of a relator move records the leftover cell:
 replacing R by R' leaves L' with L'.R' = R, replacing S by S' leaves
 M'^-1 with S'^-1.M'^-1 = S^-1.
 
+An instance is verified once, where it enters: ``build_instance`` checks
+its own draw, the CLI verifies a loaded one, and a relator move's
+transport satisfies the residual-corrected equation by construction.
+``load_instance`` looks up every relator name where it is read, so a
+``CriterionInstance`` checks nothing itself.
+
 An instance's reading, its expanded relators R_i, S_i, commutators
 [S_i,R_i] and reduced product R.S^-1, is computed once, on first use, and
 kept on the instance; every equation and every slice sequence of the
@@ -36,7 +42,6 @@ from .presentations import (
     apply_qmove,
 )
 from .words import (  # InvalidInstance is defined in words and re-exported here
-    EMPTY,
     InputError,
     InvalidInstance,
     Word,
@@ -54,11 +59,7 @@ from .words import (  # InvalidInstance is defined in words and re-exported here
 class ConjugatedRelator:
     conjugator: Word
     base: str
-    exponent: int = 1
-
-    def __post_init__(self):
-        if self.exponent not in (1, -1):
-            raise InputError("exponent must be +1 or -1")
+    exponent: int = 1  # +1 or -1: parse_decomposition reads no other
 
     def expand(self, w: Word) -> Word:
         """The base relator's word ``w`` raised to the exponent and
@@ -99,7 +100,9 @@ class CriterionInstance:
     with the same fields.  An instance built from one already read can be
     handed the reading it would compute (``reading``), as
     ``build_instance`` does.  A copy made with ``dataclasses.replace`` is
-    not handed one, since its fields may change what it reads."""
+    not handed one, since its fields may change what it reads.  It
+    checks nothing: ``load_instance`` looks up the relator names it reads,
+    and ``build_instance`` draws existing ones."""
 
     k: Presentation
     l: Presentation
@@ -110,11 +113,6 @@ class CriterionInstance:
     _reading: Optional[Reading] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self, reading):
-        self.k.word(self.r_name)
-        self.l.word(self.s_name)
-        for f in self.factors:
-            self.k.word(f.r.base)
-            self.l.word(f.s.base)
         object.__setattr__(self, "_reading", reading)
 
     def read(self) -> Reading:
@@ -135,15 +133,11 @@ class CriterionInstance:
         return self.l.word(self.s_name)
 
 
-def verification_word(inst: CriterionInstance, residual=EMPTY, side: str = "r") -> Word:
-    """R.S^-1.[S_1,R_1]...[S_n,R_n], freely reduced; a ``residual`` left
-    by a relator move goes in front of R (side r) or behind S^-1 (side s)."""
-    if side not in ("r", "s"):
-        raise InputError("residual side must be 'r' or 's'")
-    head, mid = (residual, EMPTY) if side == "r" else (EMPTY, residual)
+def verification_word(inst: CriterionInstance) -> Word:
+    """R.S^-1.[S_1,R_1]...[S_n,R_n], freely reduced."""
     reading = inst.read()
     # free reduction is confluent, so R.S^-1 may enter reduced
-    return reduce(head, reading.product, mid, *reading.commutators)
+    return reduce(reading.product, *reading.commutators)
 
 
 def verify(inst: CriterionInstance) -> bool:
@@ -224,7 +218,6 @@ def build_instance(seed: int, n_factors: int = 2) -> CriterionInstance:
 class QMoveTransport:
     instance: CriterionInstance  # carries the moved relator
     residual: Word  # L' (move on R) or M'^-1 (move on S)
-    side: str  # "R" | "S"
 
 
 def _rebased(c: ConjugatedRelator, m: QMove) -> ConjugatedRelator:
@@ -245,19 +238,21 @@ def transport_qmove(inst: CriterionInstance, m: QMove) -> QMoveTransport:
 
     Every factor that conjugates the moved relator itself is rewritten to
     expand as before, so the moved instance satisfies the criterion with
-    the residual spliced in (``verification_word`` with its side) by
-    construction.  A right-multiplied relator cannot be rewritten that way.
+    the residual in front of R' (a move on R: L'.R'.S^-1 times the
+    commutators is 1) or behind S'^-1 (a move on S) by construction, and
+    is not verified again.  A right-multiplied relator cannot be
+    rewritten that way.
     """
     if m.target == inst.r_name:
         k2 = apply_qmove(inst.k, m)
         factors = tuple(Factor(r=_rebased(f.r, m), s=f.s) for f in inst.factors)
         res = residual_r(inst.r_word, k2.word(inst.r_name))
-        return QMoveTransport(replace(inst, k=k2, factors=factors), res, "R")
+        return QMoveTransport(replace(inst, k=k2, factors=factors), res)
     if m.target == inst.s_name:
         l2 = apply_qmove(inst.l, m)
         factors = tuple(Factor(r=f.r, s=_rebased(f.s, m)) for f in inst.factors)
         res = residual_s(inst.s_word, l2.word(inst.s_name))
-        return QMoveTransport(replace(inst, l=l2, factors=factors), res, "S")
+        return QMoveTransport(replace(inst, l=l2, factors=factors), res)
     raise InvalidInstance(
         "move target %r is neither %s nor %s" % (m.target, inst.r_name, inst.s_name)
     )
@@ -266,17 +261,20 @@ def transport_qmove(inst: CriterionInstance, m: QMove) -> QMoveTransport:
 # --- file formats ---------------------------------------------------------
 
 
-def _relator_ref(val: str) -> Tuple[str, int]:
+def _relator_ref(val: str, p: Presentation) -> Tuple[str, int]:
+    """A ``<name>^<+1|-1>`` field; the name must be one of ``p``'s relators."""
     if "^" not in val:
         raise InputError("relator reference needs ^+1 or ^-1")
     name, exp = val.rsplit("^", 1)
     if exp not in ("+1", "-1") or not name:
         raise InputError("bad relator reference %r" % val)
+    p.word(name)  # an unknown name raises here, on its line
     return name, 1 if exp == "+1" else -1
 
 
-def parse_decomposition(text: str) -> Tuple[Factor, ...]:
-    """Lines: ``factor wR=<word> R=<name>^<+1|-1> wS=<word> S=<name>^<+1|-1>``."""
+def parse_decomposition(text: str, k: Presentation, l: Presentation) -> Tuple[Factor, ...]:
+    """Lines: ``factor wR=<word> R=<name>^<+1|-1> wS=<word> S=<name>^<+1|-1>``,
+    each R= naming a relator of ``k`` and each S= one of ``l``."""
     factors = []
     with _ContentLines(text) as lines:
         for parts in lines:
@@ -290,8 +288,8 @@ def parse_decomposition(text: str) -> Tuple[Factor, ...]:
                 fields[key] = val
             if set(fields) != {"wR", "R", "wS", "S"}:
                 raise InputError("need wR=, R=, wS=, S= fields")
-            r_base, r_exp = _relator_ref(fields["R"])
-            s_base, s_exp = _relator_ref(fields["S"])
+            r_base, r_exp = _relator_ref(fields["R"], k)
+            s_base, s_exp = _relator_ref(fields["S"], l)
             factors.append(
                 Factor(
                     r=ConjugatedRelator(parse_word(fields["wR"]), r_base, r_exp),
@@ -301,15 +299,17 @@ def parse_decomposition(text: str) -> Tuple[Factor, ...]:
     return tuple(factors)
 
 
-def _instance_fields(text: str) -> Dict[str, str]:
+def _instance_fields(text: str) -> Dict[str, Tuple[str, int]]:
+    """Each directive's value and the line it is on."""
     fields = {}
-    with _ContentLines(text) as lines:
-        for parts in lines:
+    lines = _ContentLines(text)
+    with lines as directives:
+        for parts in directives:
             if len(parts) != 2 or parts[0] not in ("K", "L", "R", "S", "decomp"):
                 raise InputError("bad instance directive")
             if parts[0] in fields:
                 raise InputError("duplicate %s" % parts[0])
-            fields[parts[0]] = parts[1]
+            fields[parts[0]] = parts[1], lines.lineno
     missing = {"K", "L", "R", "S", "decomp"} - set(fields)
     if missing:
         raise InputError("instance file missing %s" % ", ".join(sorted(missing)))
@@ -320,10 +320,16 @@ def load_instance(path) -> CriterionInstance:
     """An instance file: ``K <path>``, ``L <path>``, ``R <name>``,
     ``S <name>``, ``decomp <path>``, its paths resolved against the file's
     directory.  Each named file is read on its own, so an error names the
-    file that holds it."""
+    file that holds it.  Every relator name is looked up here, where it
+    arrives, so an unknown one is reported with its file and line; the
+    instance is not verified."""
     fields = _read(path, _instance_fields)
     base_dir = os.path.dirname(os.path.abspath(path))
-    k = pres.load_presentation(os.path.join(base_dir, fields["K"]))
-    l = pres.load_presentation(os.path.join(base_dir, fields["L"]))
-    factors = _read(os.path.join(base_dir, fields["decomp"]), parse_decomposition)
-    return CriterionInstance(k, l, fields["R"], fields["S"], factors)
+    k = pres.load_presentation(os.path.join(base_dir, fields["K"][0]))
+    l = pres.load_presentation(os.path.join(base_dir, fields["L"][0]))
+    for key, p in (("R", k), ("S", l)):
+        name, lineno = fields[key]
+        if name not in p.names():
+            raise InputError("%s: line %d: unknown relator %r" % (path, lineno, name))
+    factors = _read(os.path.join(base_dir, fields["decomp"][0]), lambda text: parse_decomposition(text, k, l))
+    return CriterionInstance(k, l, fields["R"][0], fields["S"][0], factors)

@@ -304,7 +304,7 @@ def qmove_rider(inst, qmove, identification: str) -> AbstractSequence:
     """The sequence of the instance a relator move transports, with the
     leftover cell riding; it carries that cell as ``residual``."""
     t = crit.transport_qmove(inst, qmove)
-    return build_abstract(t.instance, identification, residual=t.residual, residual_side=t.side.lower())
+    return build_abstract(t.instance, identification, residual=t.residual)
 
 
 def between_type_obstruction(own: AbstractSequence, other: AbstractSequence, b: Backend) -> InvarianceReport:

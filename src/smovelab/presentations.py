@@ -31,7 +31,6 @@ from .words import (
     _read,
     format_word,
     invert,
-    max_generator,
     multiply,
     parse_word,
     reduce,
@@ -41,28 +40,18 @@ from .words import (
 
 @dataclass(frozen=True)
 class Presentation:
+    """Named relators over ``generator_count`` generators: the names
+    distinct, each word freely reduced and in the alphabet.  Nothing here
+    checks that.  ``parse_presentation`` checks a presentation where it
+    enters, and the moves below and ``criterion.build_instance`` build
+    theirs valid."""
+
     generator_count: int
     relators: Tuple[Tuple[str, Word], ...]
     _words: Dict[str, Word] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.generator_count < 0:
-            raise InputError("generator count must be >= 0")
-        words: Dict[str, Word] = {}
-        for name, w in self.relators:
-            if not name or any(c.isspace() for c in name):
-                raise InputError("bad relator name %r" % (name,))
-            if name in words:
-                raise InputError("duplicate relator name %r" % name)
-            w = reduce(w)
-            if max_generator(w) > self.generator_count:
-                raise InputError(
-                    "relator %s uses generator beyond alphabet of %d"
-                    % (name, self.generator_count)
-                )
-            words[name] = w
-        object.__setattr__(self, "relators", tuple(words.items()))
-        object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_words", dict(self.relators))
 
     def names(self) -> Tuple[str, ...]:
         return tuple(self._words)
@@ -183,8 +172,10 @@ def apply_move(p: Presentation, m: Move) -> Presentation:
 
 
 def parse_presentation(text: str) -> Presentation:
+    """A presentation file, its relator names checked distinct and its
+    words range-checked and stored reduced."""
     n = None
-    rels = []
+    rels = {}
     with _ContentLines(text) as lines:
         for parts in lines:
             if parts[0] == "gens":
@@ -196,12 +187,14 @@ def parse_presentation(text: str) -> Presentation:
                     raise InputError("rel before gens")
                 if len(parts) != 3:
                     raise InputError("rel needs a name and a word")
-                rels.append((parts[1], parse_word(parts[2], n)))
+                if parts[1] in rels:
+                    raise InputError("duplicate relator name %r" % parts[1])
+                rels[parts[1]] = reduce(parse_word(parts[2], n))
             else:
                 raise InputError("unknown directive %r" % parts[0])
     if n is None:
         raise InputError("missing gens directive")
-    return Presentation(n, tuple(rels))
+    return Presentation(n, tuple(rels.items()))
 
 
 def format_presentation(p: Presentation) -> str:

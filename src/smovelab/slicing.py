@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import ClassVar, NamedTuple, Optional, Tuple, Union
 
 from .words import _LETTER_TEXT, EMPTY, InputError, SliceError, Word, format_word, invert, reduce  # SliceError is re-exported
-from . import criterion as crit
 
 
 # --- components -----------------------------------------------------------
@@ -514,18 +513,17 @@ def spel_kinds(identification: str) -> Tuple[str, str]:
     raise InputError("unknown identification type %r" % identification)
 
 
-def build_abstract(
-    inst, identification: str, residual: Optional[Word] = None, residual_side: str = "r"
-) -> AbstractSequence:
-    """Canonical eight-slice sequence for a verified instance.
+def build_abstract(inst, identification: str, residual: Optional[Word] = None) -> AbstractSequence:
+    """Canonical eight-slice sequence for an instance that satisfies the
+    criterion, which is checked where the instance enters, not here:
+    ``criterion.build_instance`` checks its own draw, the CLI verifies a
+    loaded instance, and a relator move's transport satisfies the
+    residual-corrected criterion by construction.
 
     ``residual`` adds the leftover cell riding with the product cell on
-    both sides of the perturbation transition; the instance then only has
-    to satisfy the residual-corrected criterion for the stated side.
+    both sides of the perturbation transition.
     """
     reading = inst.read()
-    if crit.verification_word(inst, residual or EMPTY, residual_side):
-        raise crit.InvalidInstance("instance fails the commutator criterion")
     kind_r, kind_s = spel_kinds(identification)
     spels: list[Token] = []
     comms: list[Token] = []

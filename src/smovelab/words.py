@@ -227,11 +227,6 @@ def substitute(w: Iterable[int], gen: int, repl: Iterable[int]) -> Word:
     return reduce(_checked(out))
 
 
-def max_generator(w: Iterable[int]) -> int:
-    """Largest generator index used (0 for the empty word)."""
-    return max((abs(x) for x in w), default=0)
-
-
 class _ContentLines:
     """A text's content lines, as a context: ``with _ContentLines(text) as
     lines`` gives the fields of each line left nonblank once its ``#``

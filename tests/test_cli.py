@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
+import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +228,7 @@ def test_an_empty_qmove_spec_exits_2(capsys):
         ["test", "three-tests", "--seed", "1", "--backend", ""],
         ["inv", "playground", "--seed", "1", "--dump-backend", ""],
         ["smove", "build", "--type", "long", "--instance", ""],
+        ["crit", "verify", "--instance", ""],
         ["inv", "playground", "--seed", "1", "--instance", ""],
         ["demo", "nonmult", "--table", ""],
         ["pres", "--file", "{K.txt}", "--moves", ""],
@@ -563,6 +568,57 @@ def test_a_command_builds_each_abstract_sequence_once(monkeypatch, capsys, tmp_p
     code, out = _run(capsys, argv)
     assert code in (0, 1, 3) and "---csv---" in out
     assert (len(built), len(moved)) == (sequences, transports)
+
+
+@pytest.mark.parametrize(
+    "argv, verified",
+    [
+        (["inv", "playground", "--seed", "3"], 1),
+        (["inv", "playground", "--seed", "3", "--gauge"], 1),
+        (["inv", "playground", "--seed", "3", "--obstruction"], 1),
+        (["inv", "playground", "--seed", "3", "--qmove", "inv R"], 1),
+        (["test", "three-tests", "--seed", "3", "--pairs", "3"], 3),
+        (["smove", "build", "--type", "long", "--seed", "3"], 1),
+        (["demo", "stabilization", "--seed", "3"], 1),
+        (["smove", "build", "--type", "mer", "--instance", "<instance>"], 1),
+        (["inv", "playground", "--seed", "3", "--instance", "<instance>", "--qmove", "conj S a"], 1),
+    ],
+)
+def test_each_instance_is_verified_once_where_it_enters(monkeypatch, capsys, tmp_path, argv, verified):
+    """``build_instance`` verifies its own draw and the CLI a loaded
+    instance; no sequence builder and no relator move verifies again."""
+    argv = [_write_instance(tmp_path, seed=3) if a == "<instance>" else a for a in argv]
+    calls = _count_calls(monkeypatch, criterion.verification_word)
+    code, out = _run(capsys, argv)
+    assert code in (0, 1, 3) and "---csv---" in out
+    assert len(calls) == verified
+
+
+@pytest.mark.parametrize("what", [["smove", "build", "--type", "long"], ["inv", "playground", "--seed", "3"]])
+def test_a_loaded_instance_that_fails_the_criterion_exits_2(capsys, tmp_path, what):
+    path = _write_instance(tmp_path, seed=3, corrupt=True)
+    assert _run(capsys, what + ["--instance", path]) == (2, "error: instance fails the commutator criterion\n")
+
+
+@pytest.mark.parametrize(
+    "name, text, lineno, message",
+    [
+        ("K.txt", "gens 2\nrel R a\n\nrel R b\n", 4, "duplicate relator name 'R'"),
+        ("inst.txt", "K K.txt\nL L.txt\nR Q\nS S\ndecomp d.txt\n", 3, "unknown relator 'Q'"),
+        ("inst.txt", "decomp d.txt\nS x1\nR R\nK K.txt\nL L.txt\n", 2, "unknown relator 'x1'"),
+        ("d.txt", "factor wR=1 R=x1^+1 wS=1 S=y1^+1\nfactor wR=1 R=Q^-1 wS=1 S=y1^+1\n", 2, "unknown relator 'Q'"),
+        ("d.txt", "factor wR=1 R=x1^+1 wS=1 S=x1^+1\n", 1, "unknown relator 'x1'"),
+    ],
+)
+def test_a_relator_name_error_names_its_file_and_line(tmp_path, capsys, name, text, lineno, message):
+    """Names are checked where they are parsed: a repeated relator in its
+    presentation file, and an unknown one in the instance or
+    decomposition file that names it."""
+    inst = _write_instance(tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    expected = (2, "error: %s: line %d: %s\n" % (tmp_path / name, lineno, message))
+    for command in (["crit", "verify"], ["smove", "build", "--type", "long"]):
+        assert _run(capsys, command + ["--instance", inst]) == expected
 
 
 _SWAP_FREE = [
@@ -1394,3 +1450,25 @@ def test_a_command_reads_each_instance_once(monkeypatch, capsys, argv, most):
         assert cli.main(argv + ["--seed", str(seed)]) in (0, 1, 3), (argv, seed)
         capsys.readouterr()
         assert counts["expand"] <= most[0] and counts["commutator"] <= most[1], (argv, seed, counts)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_every_benchmark_digest_replays(monkeypatch):
+    """Every command the crit_playground workload can draw gives the exit
+    code and stdout digest ``bench/digests.json`` records for it, run in
+    this process through ``cli.main`` as the benchmark runs it."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracles
+    import workloads
+
+    recorded = json.loads((BENCH / "digests.json").read_text(encoding="utf-8"))
+    got = {}
+    for _, argv in workloads.digest_pool():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        got[" ".join(argv)] = [code, oracles.digest(out.getvalue())]
+    assert len(got) == len(recorded) == 1040
+    assert {k: v for k, v in got.items() if recorded.get(k) != v} == {}

@@ -115,8 +115,9 @@ def test_expanded_conjugation_and_exponent():
     assert sw == parse_word("b")
     flipped = ConjugatedRelator(parse_word("b"), "x1", -1)
     assert flipped.expand(inst.k.word(flipped.base)) == parse_word("bAB")
-    with pytest.raises(InputError):
-        ConjugatedRelator(Word(), "x1", 2)
+    # an exponent other than +1 or -1 cannot enter: the decomposition parser rejects it
+    with pytest.raises(InputError, match=r"^line 1: bad relator reference 'x1\^2'$"):
+        parse_decomposition("factor wR=1 R=x1^2 wS=1 S=y1^+1\n", inst.k, inst.l)
 
 
 def test_build_instance_is_deterministic_and_verifies():
@@ -219,7 +220,8 @@ def test_the_product_form_and_the_residual_check_follow_from_verify():
 
 
 def _text_instance(k: str, l: str, decomp: str) -> CriterionInstance:
-    return CriterionInstance(parse_presentation(k), parse_presentation(l), "R", "S", parse_decomposition(decomp))
+    k, l = parse_presentation(k), parse_presentation(l)
+    return CriterionInstance(k, l, "R", "S", parse_decomposition(decomp, k, l))
 
 
 # Valid instances with a factor that conjugates R or S itself: one on R
@@ -274,19 +276,20 @@ def test_transport_qmove_keeps_equation_closed(move):
             continue
         t = transport_qmove(inst, move)
         assert isinstance(t, QMoveTransport)
-        assert t.side == ("R" if on_r else "S")
         # every factor expands as before, so the commutator product stands
         assert t.instance.read().expanded == inst.read().expanded
         comm = tuple(commutator_product(t.instance))
-        if t.side == "R":
+        if on_r:
+            assert t.instance.l == inst.l
             assert t.residual == residual_r(inst.r_word, t.instance.r_word)
             assert reduce(tuple(t.residual) + tuple(t.instance.r_word)) == inst.r_word
             moved = tuple(t.residual) + tuple(t.instance.r_word) + tuple(invert(inst.s_word)) + comm
         else:
+            assert t.instance.k == inst.k
             assert t.residual == residual_s(inst.s_word, t.instance.s_word)
             moved = tuple(inst.r_word) + tuple(invert(t.instance.s_word)) + tuple(t.residual) + comm
+        # the residual-corrected equation, spelled out by hand
         assert reduce(moved) == ()
-        assert verification_word(t.instance, t.residual, t.side.lower()) == ()
 
 
 def test_transport_qmove_rejects_other_targets():
@@ -319,12 +322,13 @@ def test_nielsen_transport_one_sided_loses_control():
 def test_decomposition_text_round_trip():
     inst = build_instance(4)
     text = format_decomposition(inst.factors)
-    assert parse_decomposition(text) == inst.factors
-    assert parse_decomposition("") == ()
+    assert parse_decomposition(text, inst.k, inst.l) == inst.factors
+    assert parse_decomposition("", inst.k, inst.l) == ()
     assert format_decomposition(()) == ""
 
 
 def test_parse_decomposition_errors():
+    inst = _hand_instance()
     for bad in (
         "factor wR=a R=x1^+1 wS=b",
         "factor wR=a R=x1 wS=b S=y1^+1",
@@ -332,8 +336,17 @@ def test_parse_decomposition_errors():
         "factor wR=a R=x1^+1 wS=b S=y1^+1 extra=1",
         "notfactor wR=a R=x1^+1 wS=b S=y1^+1",
     ):
-        with pytest.raises(InputError):
-            parse_decomposition(bad)
+        with pytest.raises(InputError, match="^line 1: "):
+            parse_decomposition(bad, inst.k, inst.l)
+    # R= names a relator of K and S= one of L, each looked up on its line
+    good = "factor wR=a R=x1^+1 wS=b S=y1^+1\n"
+    for bad, name in (
+        ("factor wR=a R=y1^+1 wS=b S=y1^+1\n", "y1"),
+        ("factor wR=a R=x1^+1 wS=b S=x1^-1\n", "x1"),
+        ("factor wR=a R=R^+1 wS=b S=Q^+1\n", "Q"),
+    ):
+        with pytest.raises(InputError, match="^line 2: unknown relator '%s'$" % name):
+            parse_decomposition(good + bad, inst.k, inst.l)
 
 
 def test_instance_file_round_trip(tmp_path):
@@ -362,16 +375,40 @@ def test_instance_file_errors(tmp_path):
             load_instance(path)
 
 
-def test_instance_requires_known_relator_names():
+def test_instance_requires_known_relator_names(tmp_path):
+    """Relator names arrive from outside only in an instance file and its
+    decomposition; each unknown one is reported with its file and line."""
     inst = _hand_instance()
-    with pytest.raises(InputError):
-        CriterionInstance(inst.k, inst.l, "missing", "S", inst.factors)
-    bad_factor = Factor(
-        r=ConjugatedRelator(Word(), "missing", 1),
-        s=ConjugatedRelator(Word(), "y1", 1),
+    (tmp_path / "K.txt").write_text(format_presentation(inst.k), encoding="utf-8")
+    (tmp_path / "L.txt").write_text(format_presentation(inst.l), encoding="utf-8")
+    (tmp_path / "d.txt").write_text(format_decomposition(inst.factors), encoding="utf-8")
+    (tmp_path / "bad_d.txt").write_text(
+        format_decomposition(inst.factors) + "factor wR=1 R=missing^+1 wS=1 S=y1^+1\n", encoding="utf-8"
     )
-    with pytest.raises(InputError):
-        CriterionInstance(inst.k, inst.l, "R", "S", (bad_factor,))
+    path = tmp_path / "inst.txt"
+    for text, where, message in (
+        ("K K.txt\nL L.txt\nR missing\nS S\ndecomp d.txt\n", path, "line 3: unknown relator 'missing'"),
+        ("K K.txt\nL L.txt\n\nS R\nR R\ndecomp d.txt\n", path, "line 4: unknown relator 'R'"),
+        ("K K.txt\nL L.txt\nR R\nS S\ndecomp bad_d.txt\n", tmp_path / "bad_d.txt", "line 2: unknown relator 'missing'"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(InputError, match="^%s: %s$" % (re.escape(str(where)), message)):
+            load_instance(path)
+
+
+def test_build_instance_reduces_no_presentation_word_again(monkeypatch):
+    """The drawn words are reduced as they are made, so building the two
+    presentations reduces nothing; the draw is verified once."""
+    import smovelab.criterion as criterion
+    import smovelab.presentations as presentations
+
+    reduced, verified = [], []
+    real_reduce, real_word = presentations.reduce, criterion.verification_word
+    monkeypatch.setattr(presentations, "reduce", lambda *parts: reduced.append(parts) or real_reduce(*parts))
+    monkeypatch.setattr(criterion, "verification_word", lambda inst: verified.append(inst) or real_word(inst))
+    inst = criterion.build_instance(5)
+    assert (reduced, verified) == ([], [inst])
+    assert all(w == reduce(w) for p in (inst.k, inst.l) for _, w in p.relators)
 
 
 def test_build_instance_raises_if_the_draw_does_not_verify(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -36,20 +37,26 @@ def _ak3():
 
 
 def test_presentation_reduces_and_validates():
-    p = Presentation(2, (("R", Word([1, -1, 2])),))
-    assert p.word("R") == parse_word("b")
-    with pytest.raises(InputError):
-        Presentation(2, (("R", Word([1])), ("R", Word([2]))))
-    with pytest.raises(InputError):
-        Presentation(1, (("R", parse_word("ab")),))
-    with pytest.raises(InputError):
-        Presentation(2, (("bad name", Word([1])),))
+    """A presentation is checked where it is parsed: its words are stored
+    reduced, and a repeated name or a letter past the alphabet is an
+    error on its line.  A name never holds whitespace, since the fields
+    are split on it."""
+    p = parse_presentation("gens 2\nrel R aAb\nrel S 1\n")
+    assert p.relators == (("R", parse_word("b")), ("S", Word()))
+    for text, message in (
+        ("gens 2\nrel R a\n# S\nrel R b\n", "line 4: duplicate relator name 'R'"),
+        ("gens 1\nrel R ab\n", "line 2: generator index 2 out of range (alphabet has 1)"),
+        ("gens 2\nrel bad name a\n", "line 2: rel needs a name and a word"),
+        ("gens -1\n", "line 1: bad gens directive"),
+    ):
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
+            parse_presentation(text)
     with pytest.raises(InputError, match="^unknown relator 'nope'$"):
         _ak3().word("nope")
     with pytest.raises(InputError, match="^unknown relator 'nope'$"):
         _ak3().with_relator("nope", Word([1]))
-    # a replaced relator keeps its place, reduced, and the lookup reads it
-    q = _ak3().with_relator("R", Word([2, -2, 1]))
+    # a replaced relator keeps its place, and the lookup reads it
+    q = _ak3().with_relator("R", Word([1]))
     assert q.relators == (("R", Word([1])), ("S", parse_word("abaBAB")))
     assert q.word("R") == Word([1]) and q.names() == ("R", "S")
 

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from smovelab.criterion import InvalidInstance, build_instance, transport_qmove
+from smovelab.criterion import build_instance, transport_qmove
 from smovelab.presentations import InvertRelator, ConjugateRelator
 from smovelab.slicing import (
     Arc,
@@ -49,11 +49,11 @@ from helpers import (
     SplitCells,
     _shift_move,
     abstract_ok,
+    commutator_product,
     connect,
     gauge,
     gauged_sequence,
     is_cyclic_rotation,
-    mutate_conjugator,
 )
 
 
@@ -309,29 +309,26 @@ def test_a_gauged_sequence_inverts_every_word():
                 assert tb.word == invert(ta.word)
 
 
-def test_build_abstract_rejects_broken_instance():
-    inst = build_instance(4)
-    with pytest.raises(InvalidInstance):
-        build_abstract(mutate_conjugator(inst, 99), LONGITUDINAL)
-    with pytest.raises(InputError):
-        build_abstract(inst, "sideways")
+def test_build_abstract_rejects_an_unknown_identification():
+    """A broken instance is rejected where it enters, not here: the CLI
+    verifies a loaded one (``test_cli``) and ``build_instance`` its own."""
+    with pytest.raises(InputError, match="^unknown identification type 'sideways'$"):
+        build_abstract(build_instance(4), "sideways")
 
 
 def test_build_abstract_residual_riders():
     inst = build_instance(6)
-    t = transport_qmove(inst, InvertRelator("R"))
-    aseq = build_abstract(t.instance, LONGITUDINAL, residual=t.residual, residual_side="r")
-    assert abstract_ok(aseq)
-    rider = CellToken(Word(t.residual))
-    assert rider in aseq.slices[3].tokens and rider in aseq.slices[4].tokens
-    t2 = transport_qmove(inst, ConjugateRelator("S", 1))
-    aseq2 = build_abstract(t2.instance, LONGITUDINAL, residual=t2.residual, residual_side="s")
-    assert abstract_ok(aseq2)
-    # the wrong side rejects the residual-corrected equation
-    with pytest.raises(InvalidInstance):
-        build_abstract(t.instance, LONGITUDINAL, residual=t.residual, residual_side="s")
-    with pytest.raises(InputError):
-        build_abstract(t.instance, LONGITUDINAL, residual=t.residual, residual_side="q")
+    for move in (InvertRelator("R"), ConjugateRelator("S", 1)):
+        t = transport_qmove(inst, move)
+        aseq = build_abstract(t.instance, LONGITUDINAL, residual=t.residual)
+        assert abstract_ok(aseq)
+        rider = CellToken(Word(t.residual))
+        assert rider in aseq.slices[3].tokens and rider in aseq.slices[4].tokens
+        # the residual closes the equation in front of R for a move on R
+        # and behind S^-1 for a move on S, and not on the other side
+        r, s_inv, comm = t.instance.r_word, invert(t.instance.s_word), commutator_product(t.instance)
+        closes = (reduce(t.residual, r, s_inv, comm) == (), reduce(r, s_inv, t.residual, comm) == ())
+        assert closes == ((True, False) if move.target == inst.r_name else (False, True))
 
 
 def test_gauged_instance_with_reversed_orientation_builds():

@@ -284,6 +284,34 @@ def test_backends_enter_only_where_they_are_drawn_or_loaded():
     assert found == [("playground.py", "load_backend"), ("playground.py", "make_backend")]
 
 
+def test_presentations_and_instances_enter_only_where_they_are_checked_or_built_valid():
+    """Neither ``Presentation`` nor ``CriterionInstance`` checks itself.
+    A parsed presentation and a loaded instance's names are checked where
+    they are read; the relator and generator moves, prolongation and the
+    instance drawer build theirs valid, and a transported instance is a
+    ``replace`` of a valid one.  A new construction site must show that
+    it builds its object valid, too."""
+    found = {
+        name: sorted(
+            (path.name, where)
+            for path in SRC.glob("*.py")
+            for where in _calls_of(name, ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        )
+        for name in ("Presentation", "CriterionInstance")
+    }
+    assert found == {
+        "Presentation": [
+            ("criterion.py", "build_instance"),
+            ("criterion.py", "build_instance"),
+            ("presentations.py", "apply_nielsen"),
+            ("presentations.py", "parse_presentation"),
+            ("presentations.py", "prolong"),
+            ("presentations.py", "with_relator"),
+        ],
+        "CriterionInstance": [("criterion.py", "build_instance"), ("criterion.py", "load_instance")],
+    }
+
+
 def test_drawn_entries_come_from_one_draw_path():
     """Every entry a backend draws and every value of a drawn instance goes
     through ``words.draw``, which matches ``randrange``, ``randint`` and

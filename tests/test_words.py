@@ -15,7 +15,6 @@ from smovelab.words import (
     commutator,
     format_word,
     invert,
-    max_generator,
     multiply,
     parse_word,
     reduce,
@@ -175,12 +174,6 @@ def test_substitute_replaces_generator_and_inverse():
         assert substitute(u, 1, (1,)) == u
     with pytest.raises(InputError):
         substitute(w, -1, (1,))
-
-
-def test_max_generator():
-    assert max_generator(EMPTY) == 0
-    assert max_generator(parse_word("aBc")) == 3
-    assert max_generator(parse_word("g40a")) == 40
 
 
 @pytest.mark.parametrize(
