@@ -379,17 +379,13 @@ def test_instance_requires_known_relator_names(tmp_path):
     """Relator names arrive from outside only in an instance file and its
     decomposition; each unknown one is reported with its file and line."""
     inst = _hand_instance()
-    (tmp_path / "K.txt").write_text(format_presentation(inst.k), encoding="utf-8")
-    (tmp_path / "L.txt").write_text(format_presentation(inst.l), encoding="utf-8")
-    (tmp_path / "d.txt").write_text(format_decomposition(inst.factors), encoding="utf-8")
-    (tmp_path / "bad_d.txt").write_text(
-        format_decomposition(inst.factors) + "factor wR=1 R=missing^+1 wS=1 S=y1^+1\n", encoding="utf-8"
-    )
-    path = tmp_path / "inst.txt"
+    path = _write_instance_files(inst, tmp_path / "i")
+    bad_d = tmp_path / "i" / "bad_d.txt"
+    bad_d.write_text(format_decomposition(inst.factors) + "factor wR=1 R=missing^+1 wS=1 S=y1^+1\n", encoding="utf-8")
     for text, where, message in (
         ("K K.txt\nL L.txt\nR missing\nS S\ndecomp d.txt\n", path, "line 3: unknown relator 'missing'"),
         ("K K.txt\nL L.txt\n\nS R\nR R\ndecomp d.txt\n", path, "line 4: unknown relator 'R'"),
-        ("K K.txt\nL L.txt\nR R\nS S\ndecomp bad_d.txt\n", tmp_path / "bad_d.txt", "line 2: unknown relator 'missing'"),
+        ("K K.txt\nL L.txt\nR R\nS S\ndecomp bad_d.txt\n", bad_d, "line 2: unknown relator 'missing'"),
     ):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(InputError, match="^%s: %s$" % (re.escape(str(where)), message)):
