@@ -148,7 +148,7 @@ def cmd_crit(args) -> Report:
 
     r = Report()
     if args.action == "residual":
-        if not args.R or not args.move:
+        if args.R is None or args.move is None:
             raise InputError("crit residual needs --R and --move")
         base = parse_word(args.R)
         new = _residual_move_word(base, args.move)
@@ -344,7 +344,12 @@ def cmd_inv_statesum(args) -> Report:
     r = Report()
     table = ss.load_table(args.table)
     graphs = [ss.load_graph(p) for p in args.graphs]
-    sums = [ss.state_sum(g, table) for g in graphs]
+    sums = []
+    for path, g in zip(args.graphs, graphs):
+        try:
+            sums.append(ss.state_sum(g, table))
+        except InputError as e:  # a plan past its limits names its graph
+            raise InputError("%s: %s" % (path, e)) from None
     for path, value in zip(args.graphs, sums):
         r.say("state sum %s: %s" % (os.path.basename(path), value))
         r.csv("sum:%s" % os.path.basename(path), value)

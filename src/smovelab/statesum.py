@@ -13,11 +13,13 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import lcm
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, product
+from math import lcm, prod
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .ring import Polynomial, _exact, parse_scalar, poly_gcd, poly_mod
+from .ring import Polynomial, parse_scalar, poly_gcd, poly_mod
 from .words import InputError, _ContentLines, _line_ints, _read
 
 Value = Union[Fraction, Polynomial]
@@ -134,95 +136,266 @@ def _denominator(v: Value) -> int:
     return lcm(*(c.denominator for c in v.terms.values())) if isinstance(v, Polynomial) else v.denominator
 
 
-_Factor = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], Value]]
+# The largest plan ``state_sum`` runs (see ``plan``).  MAX_DENSE_ENTRIES
+# bounds k**width, the entries a dense table on one step's merged scope
+# would hold: the most that step can loop over, and k times the most the
+# factor it leaves can hold.  On random cubic graphs, one CPU of a
+# shared x86 machine and CPython 3.11, a sum just under it took 3 s and
+# 200 MB (3 colours, width 13) or 10 s and 680 MB (2 colours, width 21);
+# the next 3-colour width, 14, took 10-13 s and 600-780 MB.
+# MAX_PACKED_BITS bounds one packed value: one product of two values of
+# that size takes 1 s there.  Random tables in 2-4 indeterminates on
+# graphs of up to 12 vertices took 0.05-11 s with values of 2^20 to 2^22
+# bits, and 3-46 s past 2^22.
+MAX_DENSE_ENTRIES = 1 << 21
+MAX_PACKED_BITS = 1 << 22
 
 
-def _multiply(f: _Factor, h: _Factor) -> _Factor:
-    """Pointwise product over the union of the two scopes."""
-    (fs, ft), (hs, ht) = f, h
-    shared = [j for j, e in enumerate(hs) if e in fs]
-    at = [fs.index(hs[j]) for j in shared]
-    rest = [j for j, e in enumerate(hs) if e not in fs]
-    by_shared: Dict[Tuple[int, ...], list] = {}
-    for key, val in ht.items():
-        by_shared.setdefault(tuple(key[j] for j in shared), []).append((tuple(key[j] for j in rest), val))
-    out = {}
-    for key, val in ft.items():
-        for tail, other in by_shared.get(tuple(key[i] for i in at), ()):
-            out[key + tail] = val * other
-    return fs + tuple(hs[j] for j in rest), out
+@dataclass(frozen=True)
+class Plan:
+    """How ``state_sum`` runs on one graph and table, worked out from
+    scopes and the table before any factor is built.
+
+    Elimination: factors are numbered, the graph's vertices first, in
+    their order, then one per step.  Step s sums edge ``order[s]`` out of
+    the product of the factors ``inputs[s]`` (one, or two), whose merged
+    scope is ``scopes[s]``, and leaves factor ``len(vertices) + s``.
+
+    Packing (Kronecker substitution): every weight is multiplied by
+    ``scale``, the lcm of the table's denominators, and indeterminate
+    ``names[j]`` becomes X**(radices[0]···radices[j-1]), where
+    X = 2**bits, so that every value is one int.  A radix exceeds its
+    indeterminate's degree in any product of one weight per vertex and
+    circle, and X/2 exceeds the L1 norm of the scaled sum, so the scaled
+    sum's coefficients are the balanced base-X digits of its int."""
+
+    order: Tuple[int, ...]
+    inputs: Tuple[Tuple[int, ...], ...]
+    scopes: Tuple[Tuple[int, ...], ...]
+    scale: int
+    names: Tuple[str, ...]
+    radices: Tuple[int, ...]
+    bits: int
 
 
-def _sum_out(f: _Factor, e: int) -> _Factor:
-    scope, table = f
-    i = scope.index(e)
-    out: Dict[Tuple[int, ...], Value] = {}
-    for key, val in table.items():
-        k = key[:i] + key[i + 1 :]
-        out[k] = out[k] + val if k in out else val
-    return scope[:i] + scope[i + 1 :], {k: v for k, v in out.items() if v != 0}
+def _scaled(c: Union[int, Fraction], scale: int) -> int:
+    """``c * scale``, for a ``scale`` that ``c``'s denominator divides."""
+    return c.numerator * (scale // c.denominator)
+
+
+def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
+    """The plan ``state_sum`` runs on ``g`` and ``t``.  The order is the
+    one state sums have always used: next, the edge whose merged scope is
+    smallest, the lowest edge on a tie.  A plan past MAX_DENSE_ENTRIES or
+    MAX_PACKED_BITS is an input error, raised at the step or indeterminate
+    that first passes its limit."""
+    k = t.color_count
+    scale = lcm(*map(_denominator, t.entries.values()))
+    degree: Dict[str, int] = {}
+    norm = 0
+    for v in t.entries.values():
+        if isinstance(v, Polynomial):
+            for mono in v.terms:
+                for name, e in mono:
+                    degree[name] = max(degree.get(name, 0), e)
+            norm = max(norm, sum(abs(_scaled(c, scale)) for c in v.terms.values()))
+        else:
+            norm = max(norm, abs(_scaled(v, scale)))
+    names = tuple(sorted(degree))
+    slots = len(g.vertices) + g.circles
+    radices = tuple(slots * degree[name] + 1 for name in names)
+    # Each colouring's product holds one weight per vertex and circle.
+    bits = (k ** (len(g.edges) + g.circles) * norm**slots).bit_length() + 1
+    digits = 1
+    for r in radices:
+        digits *= r
+        if bits * digits > MAX_PACKED_BITS:
+            raise InputError(
+                "packing %d indeterminates for %d vertices and circles needs over %d bits a value, the limit"
+                % (len(names), slots, MAX_PACKED_BITS)
+            )
+
+    n = len(g.vertices)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[a], index[b]) for a, b in g.edges]
+    parent = list(range(n))  # union-find: the vertices each factor covers
+    held = list(range(n))  # the factor a root's vertices are in
+    scope: List[set] = [set() for _ in range(n)]  # its edges left, at a root
+    for e, (a, b) in enumerate(ends):
+        scope[a].add(e)
+        scope[b].add(e)
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def merged(e: int) -> set:
+        a, b = ends[e]
+        return scope[root(a)] | scope[root(b)]
+
+    cost = {e: len(merged(e)) for e in range(len(ends))}
+    heap = [(c, e) for e, c in cost.items()]
+    heapify(heap)
+    order: List[int] = []
+    inputs: List[Tuple[int, ...]] = []
+    scopes: List[Tuple[int, ...]] = []
+    while heap:
+        width, e = heappop(heap)
+        if cost.get(e) != width:
+            continue  # superseded by a later entry
+        if k**width > MAX_DENSE_ENTRIES:
+            raise InputError(
+                "elimination width %d needs %d^%d dense entries, over the limit %d"
+                % (width, k, width, MAX_DENSE_ENTRIES)
+            )
+        a, b = root(ends[e][0]), root(ends[e][1])
+        joint = scope[a] | scope[b]
+        order.append(e)
+        inputs.append((held[a],) if a == b else (held[a], held[b]))
+        scopes.append(tuple(sorted(joint)))
+        del cost[e]
+        joint.discard(e)
+        parent[b] = a
+        held[a] = n + len(order) - 1
+        scope[a] = joint
+        for x in joint:
+            cost[x] = len(merged(x))
+            heappush(heap, (cost[x], x))
+    return Plan(tuple(order), tuple(inputs), tuple(scopes), scale, names, radices, bits)
+
+
+_Factor = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]
+
+
+def _project(at: Sequence[int]):
+    """The function taking a key to the tuple of its entries at ``at``; a
+    slice stands for one entry or none, so that it too returns a tuple."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+
+
+def _eliminate(e: int, factors: Sequence[_Factor]) -> _Factor:
+    """Edge ``e`` summed out of the product of one or two factors, in one
+    pass over their entries; the product itself is never stored.  The
+    second factor's entries are grouped by the colours of the edges it
+    shares with the first, and each entry of the first meets its group."""
+    fs, ft = factors[0]
+    keep = [i for i, x in enumerate(fs) if x != e]
+    head = _project(keep)
+    out: Dict[Tuple[int, ...], int] = {}
+    get = out.get
+    if len(factors) == 1:
+        for key, val in ft.items():
+            k = head(key)
+            out[k] = get(k, 0) + val
+        scope = tuple(fs[i] for i in keep)
+    else:
+        hs, ht = factors[1]
+        shared = [j for j, x in enumerate(hs) if x in fs]
+        rest = [j for j, x in enumerate(hs) if x not in fs]
+        match, tail = _project(shared), _project(rest)
+        groups: Dict[Tuple[int, ...], list] = {}
+        for key, val in ht.items():
+            groups.setdefault(match(key), []).append((tail(key), val))
+        match = _project([fs.index(hs[j]) for j in shared])
+        for key, val in ft.items():
+            group = groups.get(match(key))
+            if group:
+                base = head(key)
+                for end, other in group:
+                    k = base + end
+                    out[k] = get(k, 0) + val * other
+        scope = tuple(fs[i] for i in keep) + tuple(hs[j] for j in rest)
+    return scope, {key: val for key, val in out.items() if val}
+
+
+def _unpack(n: int, p: Plan, scale: int) -> Polynomial:
+    """The polynomial packed as ``n`` under ``p``, divided by ``scale``.
+    Adding X/2 at every digit makes each balanced digit nonnegative, so
+    the digits are read off the binary form, ``p.bits`` at a time."""
+    digits = prod(p.radices)
+    half = "1" + "0" * (p.bits - 1)
+    offset = 1 << (p.bits - 1)
+    text = format(n + int(half * digits, 2), "b").zfill(digits * p.bits)
+    terms: Dict[Tuple[Tuple[str, int], ...], Fraction] = {}
+    top = len(text)
+    for i in range(digits):
+        chunk = text[top - p.bits : top]
+        top -= p.bits
+        if chunk != half:
+            mono, rest = [], i
+            for name, r in zip(p.names, p.radices):
+                rest, e = divmod(rest, r)
+                if e:
+                    mono.append((name, e))
+            terms[tuple(mono)] = Fraction(int(chunk, 2) - offset, scale)
+    return Polynomial._of(terms)
 
 
 def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     """Sum over all edge/circle colorings of the vertex-weight product,
     by variable elimination: one sparse factor per vertex (a dict from
     the colours of its distinct edges to a nonzero weight), then edges
-    summed out one at a time, cheapest merged scope first (Markov & Shi,
-    arXiv:quant-ph/0511069).  The result is a Polynomial exactly when
-    some coloring meets a polynomial table entry, as with enumeration.
+    summed out one at a time, in the order ``plan`` fixes from scopes
+    alone (cheapest merged scope first; Markov & Shi,
+    arXiv:quant-ph/0511069).  Each step multiplies the factors that hold
+    its edge and sums the edge out in one pass.  The result is a
+    Polynomial exactly when some coloring meets a polynomial table entry,
+    as with enumeration.
 
-    The table's denominators are cleared once: every weight is scaled by
-    the lcm ``d`` of its entries' denominators, so elimination runs on
-    ints or int-coefficient polynomials, with no gcd per operation
-    (the integer-preserving idea of Bareiss, Math. Comp. 22, 1968).
-    Each coloring's product holds one weight per vertex and one per
-    circle, so the scaled sum is divided by d**(vertices + circles)."""
+    Values are ints throughout: the table's denominators are cleared
+    once by their lcm ``d`` (the integer-preserving idea of Bareiss,
+    Math. Comp. 22, 1968), and each indeterminate becomes a power of
+    2**bits (Kronecker substitution, see ``Plan``), so elimination does no
+    gcd and no polynomial arithmetic.  Each coloring's product holds one
+    weight per vertex and one per circle, so the scaled sum is divided
+    by d**(vertices + circles), and a symbolic sum is unpacked once."""
+    p = plan(g, t)
+    strides = dict(zip(p.names, accumulate(p.radices, mul, initial=1)))
+
+    def pack(v: Value) -> int:
+        if not isinstance(v, Polynomial):
+            return _scaled(v, p.scale)
+        return sum(
+            _scaled(c, p.scale) << p.bits * sum(e * strides[name] for name, e in mono)
+            for mono, c in v.terms.items()
+        )
+
+    packed = {key: pack(v) for key, v in t.entries.items()}
+    polynomial = {key for key, v in t.entries.items() if isinstance(v, Polynomial)}
     colors = range(t.color_count)
-    d = lcm(*map(_denominator, t.entries.values()))
-    scaled = {k: v * d if isinstance(v, Polynomial) else _exact(v * d) for k, v in t.entries.items()}
     symbolic = False
-    templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Value]] = {}
-    factors: List[_Factor] = []
+    templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    factors: Dict[int, _Factor] = {}
     ends: Dict[int, List[int]] = {v: [] for v in g.vertices}
     for i, (a, b) in enumerate(g.edges):
         ends[a].append(i)
         ends[b].append(i)
-    for v in g.vertices:
+    for i, v in enumerate(g.vertices):
         scope = tuple(sorted(set(ends[v])))
         pattern = tuple(scope.index(e) for e in sorted(ends[v]))  # a loop repeats an index
         if pattern not in templates:
             weights = {}
             for key in product(colors, repeat=len(scope)):
-                w = scaled.get(tuple(sorted(key[j] for j in pattern)), 0)
-                symbolic = symbolic or isinstance(w, Polynomial)
-                if w != 0:
+                triple = tuple(sorted(itemgetter(*pattern)(key)))
+                symbolic = symbolic or triple in polynomial
+                w = packed.get(triple, 0)
+                if w:
                     weights[key] = w
             templates[pattern] = weights
-        factors.append((scope, templates[pattern]))
-    remaining = set(range(len(g.edges)))
-    while remaining:
-        e = min(remaining, key=lambda e: (len({x for s, _ in factors if e in s for x in s}), e))
-        remaining.discard(e)
-        touching = [f for f in factors if e in f[0]]
-        factors = [f for f in factors if e not in f[0]]
-        joint = touching[0]
-        for f in touching[1:]:
-            joint = _multiply(joint, f)
-        factors.append(_sum_out(joint, e))
-    total: Value = 1
-    for _, table in factors:
-        total = total * table.get((), 0)
+        factors[i] = (scope, templates[pattern])
+    for s, (e, ins) in enumerate(zip(p.order, p.inputs)):
+        factors[len(g.vertices) + s] = _eliminate(e, [factors.pop(f) for f in ins])
+    total = 1
+    for _, table in factors.values():
+        total *= table.get((), 0)
     if g.circles:
-        loop_sum: Value = 0
-        for c in colors:
-            w = scaled.get((c, c, c), 0)
-            symbolic = symbolic or isinstance(w, Polynomial)
-            loop_sum = loop_sum + w
-        total = total * loop_sum**g.circles
-    total = total * Fraction(1, d ** (len(g.vertices) + g.circles))
-    if symbolic:
-        return total if isinstance(total, Polynomial) else Polynomial.const(total)
-    return total
+        symbolic = symbolic or any((c, c, c) in polynomial for c in colors)
+        total *= sum(packed.get((c, c, c), 0) for c in colors) ** g.circles
+    scale = p.scale ** (len(g.vertices) + g.circles)
+    return _unpack(total, p, scale) if symbolic else Fraction(total, scale)
 
 
 MovePair = Tuple[TrivalentGraph, TrivalentGraph]

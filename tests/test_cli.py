@@ -7,7 +7,9 @@ import hashlib
 import io
 import json
 import random
+import re
 import sys
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -129,6 +131,15 @@ def test_crit_residual_golden(capsys):
     assert code == 0 and out.splitlines()[0] == "aBA"
     code, out = _run(capsys, ["crit", "residual", "--R", "ab"])
     assert code == 2
+
+
+def test_crit_residual_takes_the_empty_word(capsys):
+    """``--R ''`` is the empty word, as everywhere a word is read, not a
+    missing option; the residual of inverting it is the empty word."""
+    code, out = _run(capsys, ["crit", "residual", "--R", "", "--move", "inv"])
+    assert (code, out) == (0, "1\n---csv---\nkey,value\nresidual,1\n")
+    code, out = _run(capsys, ["crit", "residual", "--R", "ab", "--move", ""])
+    assert (code, out) == (2, "error: move must be inv, mulr:<word>, or conj:<letter>\n")
 
 
 def test_crit_verify_and_check(tmp_path, capsys):
@@ -975,6 +986,40 @@ def test_a_color_past_the_bound_in_a_3j_table_exits_2(tmp_path, capsys):
     ):
         assert _run(capsys, argv) == (2, "error: %s: line 2: color 32 out of range\n" % table)
     assert statesum.parse_table("0,0,31,1\n").color_count == statesum.MAX_COLORS == 32
+
+
+def test_a_graph_past_the_dense_limit_exits_2_before_any_elimination(tmp_path, capsys, monkeypatch):
+    """A 60-vertex random cubic graph with a dense 3-colour table: the
+    usual order reaches a merged scope of 14 edges, so one step would
+    loop over 3^14 keys and keep a third of them.  The plan sees that
+    from scopes alone, and the command exits 2 naming the graph file,
+    the width and the limit, before any factor is built."""
+    import time
+
+    from smovelab import statesum
+
+    rng = random.Random(1)
+    while True:
+        stubs = [v for v in range(60) for _ in range(3)]
+        rng.shuffle(stubs)
+        if all(a != b for a, b in zip(stubs[0::2], stubs[1::2])):
+            break
+    graph = tmp_path / "big.g"
+    lines = ["v %d\n" % v for v in range(60)] + ["e %d %d\n" % e for e in zip(stubs[0::2], stubs[1::2])]
+    graph.write_text("".join(lines), encoding="utf-8")
+    triples = combinations_with_replacement(range(3), 3)
+    rows = ["%d,%d,%d,%d\n" % (*tr, (1, 2, 3, -1, -2)[i % 5]) for i, tr in enumerate(triples)]
+    (tmp_path / "t.csv").write_text("".join(rows), encoding="utf-8")
+    eliminated = []
+    real = statesum._eliminate
+    monkeypatch.setattr(statesum, "_eliminate", lambda e, fs: eliminated.append(e) or real(e, fs))
+    start = time.perf_counter()
+    code, out = _run(capsys, ["inv", "statesum", "--graphs", str(graph), "--table", str(tmp_path / "t.csv")])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and "Traceback" not in out and eliminated == []
+    want = r"error: %s: elimination width (\d+) needs 3\^\1 dense entries, over the limit %d\n"
+    width = int(re.fullmatch(want % (re.escape(str(graph)), statesum.MAX_DENSE_ENTRIES), out).group(1))
+    assert 3**width > statesum.MAX_DENSE_ENTRIES
 
 
 # --- the parser: read directly, or argparse's whole tree ---------------------

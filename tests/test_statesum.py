@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smovelab import statesum
 from smovelab.ring import Polynomial
 from smovelab.statesum import (
     MoveSequence,
@@ -361,8 +362,12 @@ def test_load_moves_and_relations(tmp_path):
 def _graph_and_table(draw):
     """A trivalent multigraph (loops, multi-edges, circles, scattered
     vertex ids) from a random pairing of half-edges, with a table of
-    1-3 colours holding rationals, zeros, or polynomials in q.  The
-    slot count is capped so the brute-force sum stays near 10^3 colorings."""
+    1-3 colours holding rationals, zeros, or polynomials in none, one or
+    two indeterminates, up to the square of each.  Half the polynomial
+    tables hold one monomial in every entry: every colouring then adds
+    the same term, so the sum's one coefficient is as large as the L1
+    bound ``state_sum`` packs its values under.  The slot count is capped
+    so the brute-force sum stays near 10^3 colorings."""
     k = draw(st.integers(1, 3))
     budget = {1: 11, 2: 10, 3: 6}[k]
     n = draw(st.sampled_from([n for n in (0, 2, 4, 6) if 3 * n // 2 <= budget]))
@@ -370,11 +375,19 @@ def _graph_and_table(draw):
     ends = draw(st.permutations(range(3 * n)))
     ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
     edges = tuple((ids[ends[i] // 3], ids[ends[i + 1] // 3]) for i in range(0, 3 * n, 2))
-    value = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
-    if draw(st.booleans()):
-        q = Polynomial.var("q")
-        value = st.one_of(value, st.builds(lambda a, b: a + b * q, value, value))
-    rows = [(tr, draw(value)) for tr in combinations_with_replacement(range(k), 3)]
+    triples = list(combinations_with_replacement(range(k), 3))
+    scalar = st.one_of(st.just(Fraction(0)), st.fractions(-3, 3, max_denominator=4))
+    xs = [Polynomial.var(name) for name in draw(st.sampled_from(((), ("q",), ("q", "r"))))]
+    if not xs:
+        rows = [(tr, draw(scalar)) for tr in triples]
+    else:
+        monomial = st.builds(lambda i, j: xs[0] ** i * xs[-1] ** j, st.integers(0, 2), st.integers(0, 2))
+        if draw(st.booleans()):
+            one = draw(st.fractions(-3, 3, max_denominator=4).filter(bool)) * draw(monomial)
+            rows = [(tr, one) for tr in triples]
+        else:
+            value = st.one_of(scalar, st.builds(lambda a, b, m: a + b * m, scalar, scalar, monomial))
+            rows = [(tr, draw(value)) for tr in triples]
     return TrivalentGraph(tuple(ids), edges, circles), complete_table(rows, k)
 
 
@@ -385,6 +398,123 @@ def test_state_sum_matches_enumeration_in_value_and_type(case):
     got, want = state_sum(g, t), _brute_state_sum(g, t)
     assert isinstance(got, Fraction) == isinstance(want, Fraction)
     assert got == want
+
+
+def _greedy_order(g):
+    """Oracle: the order edges are summed out in, by the rule state sums
+    have always used, on scopes held as sets: each step takes the edge
+    whose merged scope (the union of every scope holding it) is smallest,
+    the lowest edge on a tie.  Returns the order and each merged scope."""
+    ends = {v: set() for v in g.vertices}
+    for i, (a, b) in enumerate(g.edges):
+        ends[a].add(i)
+        ends[b].add(i)
+    scopes = [frozenset(s) for s in ends.values()]
+
+    def merged(e):
+        return frozenset().union(*(s for s in scopes if e in s))
+
+    remaining = set(range(len(g.edges)))
+    order, joints = [], []
+    while remaining:
+        e = min(remaining, key=lambda e: (len(merged(e)), e))
+        joint = merged(e)
+        scopes = [s for s in scopes if e not in s] + [joint - {e}]
+        remaining.discard(e)
+        order.append(e)
+        joints.append(tuple(sorted(joint)))
+    return tuple(order), tuple(joints)
+
+
+def test_the_plan_keeps_the_smallest_merged_scope_order_and_the_execution_builds_its_scopes(monkeypatch):
+    """``plan`` fixes the order from scopes alone; the execution then sums
+    out exactly those edges, each over exactly the planned merged scope,
+    so the plan's widest scope is the widest the execution builds."""
+    built = []
+    real = statesum._eliminate
+
+    def eliminate(e, factors):
+        built.append((e, tuple(sorted({x for scope, _ in factors for x in scope}))))
+        return real(e, factors)
+
+    monkeypatch.setattr(statesum, "_eliminate", eliminate)
+    rng = random.Random(29)
+    t = complete_table([(tr, Fraction(1)) for tr in combinations_with_replacement(range(2), 3)], 2)
+    graphs = [_PRISM3, _K33, _DUMBBELL, wedge(_THETA, _DUMBBELL)]
+    for n in (2, 4, 6, 8, 10, 12) * 4:  # random pairings: loops and multi-edges too
+        ends = rng.sample(range(3 * n), 3 * n)
+        edges = tuple((ends[i] // 3, ends[i + 1] // 3) for i in range(0, 3 * n, 2))
+        graphs.append(TrivalentGraph(tuple(range(n)), edges))
+    for g in graphs:
+        p = statesum.plan(g, t)
+        assert (p.order, p.scopes) == _greedy_order(g)
+        built.clear()
+        state_sum(g, t)
+        assert built == list(zip(p.order, p.scopes))
+        assert max(map(len, p.scopes), default=0) == max((len(s) for _, s in built), default=0)
+
+
+def test_a_plan_at_a_limit_runs_and_one_past_it_is_bad_input(monkeypatch):
+    """Both limits are inclusive: k**width and the packed bits may equal
+    them.  A plan past either raises before any factor is built."""
+    q, r = Polynomial.var("q"), Polynomial.var("r")
+    t = complete_table([((0, 0, 0), q), ((0, 1, 1), r - Fraction(1, 2)), ((1, 1, 1), Fraction(3))], 2)
+    p = statesum.plan(_K33, t)
+    width = max(map(len, p.scopes))
+    packed = p.bits * p.radices[0] * p.radices[1]
+    assert p.names == ("q", "r") and p.radices == (7, 7) and p.scale == 2
+    want = _brute_state_sum(_K33, t)
+    eliminated = []
+    real = statesum._eliminate
+    monkeypatch.setattr(statesum, "_eliminate", lambda e, fs: eliminated.append(e) or real(e, fs))
+    monkeypatch.setattr(statesum, "MAX_DENSE_ENTRIES", 2**width)
+    monkeypatch.setattr(statesum, "MAX_PACKED_BITS", packed)
+    assert state_sum(_K33, t) == want
+    eliminated.clear()
+    monkeypatch.setattr(statesum, "MAX_DENSE_ENTRIES", 2**width - 1)
+    want = r"^elimination width %d needs 2\^%d dense entries, over the limit %d$"
+    with pytest.raises(InputError, match=want % (width, width, 2**width - 1)):
+        state_sum(_K33, t)
+    monkeypatch.setattr(statesum, "MAX_DENSE_ENTRIES", 2**width)
+    monkeypatch.setattr(statesum, "MAX_PACKED_BITS", packed - 1)
+    want = "^packing 2 indeterminates for 6 vertices and circles needs over %d bits a value, the limit$"
+    with pytest.raises(InputError, match=want % (packed - 1)):
+        state_sum(_K33, t)
+    assert eliminated == []
+
+
+def test_a_generic_table_packs_on_a_theta_but_not_on_k4():
+    """One indeterminate per entry of a 3-colour table: ten, each of
+    degree up to the slot count, so the packed width grows as
+    (slots + 1)**10.  The theta graph (two slots) fits under the limit,
+    K4 (four) does not."""
+    rows = [(tr, Polynomial.var("x%d%d%d" % tr)) for tr in combinations_with_replacement(range(3), 3)]
+    t = complete_table(rows, 3)
+    assert state_sum(_THETA, t) == _brute_state_sum(_THETA, t)
+    k4 = TrivalentGraph(tuple(range(4)), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    with pytest.raises(InputError, match="^packing 10 indeterminates for 4 vertices and circles needs over"):
+        state_sum(k4, t)
+
+
+def test_state_sum_on_a_q_table_makes_no_polynomial_products(monkeypatch):
+    """Values are packed into ints once and unpacked once: elimination
+    multiplies no polynomials."""
+    q = Polynomial.var("q")
+    rows = [((0, 0, 0), q), ((0, 1, 1), Fraction(1, 2)), ((0, 0, 1), Fraction(-2, 3)), ((1, 1, 1), 2 * q - 1)]
+    t = complete_table(rows, 2)
+    g = wedge(wedge(_PRISM3, _DUMBBELL), _CIRCLE)
+    calls = []
+    real = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    monkeypatch.setattr(Polynomial, "__rmul__", counted)
+    got = state_sum(g, t)
+    assert calls == []
+    assert isinstance(got, Polynomial) and got == _brute_state_sum(g, t)
 
 
 def _random_part(rng, slots):
