@@ -188,8 +188,12 @@ def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
     one state sums have always used: next, the edge whose merged scope is
     smallest, the lowest edge on a tie.  A plan past MAX_DENSE_ENTRIES or
     MAX_PACKED_BITS is an input error, raised at the step or indeterminate
-    that first passes its limit."""
-    k = t.color_count
+    that first passes its limit.
+
+    k counts the colours some nonzero entry holds: a colouring that puts
+    any other colour on an edge weighs 0, so no factor keys it and no
+    colouring with it adds to the L1 bound."""
+    k = len({c for triple, v in t.entries.items() if v != 0 for c in triple})
     scale = lcm(*map(_denominator, t.entries.values()))
     degree: Dict[str, int] = {}
     norm = 0
@@ -218,17 +222,16 @@ def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
     ends = [(index[a], index[b]) for a, b in g.edges]
-    parent = list(range(n))  # union-find: the vertices each factor covers
-    held = list(range(n))  # the factor a root's vertices are in
-    scope: List[set] = [set() for _ in range(n)]  # its edges left, at a root
+    parent = list(range(n))  # union-find on factor numbers; a step's factor roots its inputs
+    scope: List[set] = [set() for _ in range(n)]  # each factor's edges left
     for e, (a, b) in enumerate(ends):
         scope[a].add(e)
         scope[b].add(e)
 
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
+    def root(f: int) -> int:
+        while parent[f] != f:
+            parent[f] = f = parent[parent[f]]
+        return f
 
     def merged(e: int) -> set:
         a, b = ends[e]
@@ -252,13 +255,13 @@ def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
         a, b = root(ends[e][0]), root(ends[e][1])
         joint = scope[a] | scope[b]
         order.append(e)
-        inputs.append((held[a],) if a == b else (held[a], held[b]))
+        inputs.append((a,) if a == b else (a, b))
         scopes.append(tuple(sorted(joint)))
         del cost[e]
         joint.discard(e)
-        parent[b] = a
-        held[a] = n + len(order) - 1
-        scope[a] = joint
+        parent[a] = parent[b] = len(parent)
+        parent.append(len(parent))
+        scope.append(joint)
         for x in joint:
             cost[x] = len(merged(x))
             heappush(heap, (cost[x], x))

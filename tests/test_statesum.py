@@ -483,6 +483,19 @@ def test_a_plan_at_a_limit_runs_and_one_past_it_is_bad_input(monkeypatch):
     assert eliminated == []
 
 
+def test_only_colours_in_use_count_towards_the_limits():
+    """A colour that no nonzero entry holds weighs every colouring that
+    uses it 0, so it adds no dense entries: K4 on 32 colours with two in
+    use runs, although 32**5 is past the limit, and sums as the same
+    table on those two colours does."""
+    q = Polynomial.var("q")
+    k4 = TrivalentGraph(tuple(range(4)), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    wide = complete_table([((0, 0, 31), Fraction(2, 3)), ((31, 31, 31), q), ((0, 5, 9), Fraction(0))], 32)
+    narrow = complete_table([((0, 0, 1), Fraction(2, 3)), ((1, 1, 1), q)], 2)
+    assert 32**5 > statesum.MAX_DENSE_ENTRIES
+    assert state_sum(k4, wide) == state_sum(k4, narrow) == _brute_state_sum(k4, narrow)
+
+
 def test_a_generic_table_packs_on_a_theta_but_not_on_k4():
     """One indeterminate per entry of a 3-colour table: ten, each of
     degree up to the slot count, so the packed width grows as
