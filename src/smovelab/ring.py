@@ -1,8 +1,10 @@
 """Exact polynomial arithmetic with rational coefficients.
 
-Small and purpose-built: multivariate addition/multiplication for the
-symbolic state-sum work, and univariate division/gcd for reducing
-modulo a principal ideal.  Everything is exact: a coefficient is an int
+Small and purpose-built: multivariate addition/multiplication for table
+values, move products and the non-multiplicativity quartic, and
+univariate division/gcd for reducing modulo a principal ideal.  State
+sums hold their values as packed ints (see ``statesum.Plan``) and build
+a polynomial only for the result.  Everything is exact: a coefficient is an int
 when it is integral and a Fraction otherwise, never a float, so integer
 polynomials multiply and add without a gcd per operation.
 """
