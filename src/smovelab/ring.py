@@ -132,6 +132,9 @@ class Polynomial:
 
     # -- queries --
 
+    def __bool__(self):  # zero is false, as the scalars are
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 

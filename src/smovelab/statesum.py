@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
-from itertools import accumulate, product
-from math import lcm, prod
-from operator import itemgetter, mul
+from itertools import product
+from math import lcm
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ring import Polynomial, parse_scalar, poly_gcd, poly_mod
@@ -65,6 +64,8 @@ class TrivalentGraph:
     vertices: Tuple[int, ...] = ()
     edges: Tuple[Tuple[int, int], ...] = ()
     circles: int = 0
+    # The file the graph was read from, for errors; not part of its identity.
+    source: str = field(default="", compare=False, repr=False)
 
     def __post_init__(self):
         degree = {v: 0 for v in self.vertices}
@@ -143,10 +144,9 @@ def _denominator(v: Value) -> int:
 # shared x86 machine and CPython 3.11, a sum just under it took 3 s and
 # 200 MB (3 colours, width 13) or 10 s and 680 MB (2 colours, width 21);
 # the next 3-colour width, 14, took 10-13 s and 600-780 MB.
-# MAX_PACKED_BITS bounds one packed value: one product of two values of
-# that size takes 1 s there.  Random tables in 2-4 indeterminates on
-# graphs of up to 12 vertices took 0.05-11 s with values of 2^20 to 2^22
-# bits, and 3-46 s past 2^22.
+# MAX_PACKED_BITS bounds one packed value (see ``Plan``): one product of
+# two values of that size takes 1 s there.  A plan past it is run on
+# polynomials instead.
 MAX_DENSE_ENTRIES = 1 << 21
 MAX_PACKED_BITS = 1 << 22
 
@@ -161,20 +161,25 @@ class Plan:
     the product of the factors ``inputs[s]`` (one, or two), whose merged
     scope is ``scopes[s]``, and leaves factor ``len(vertices) + s``.
 
-    Packing (Kronecker substitution): every weight is multiplied by
-    ``scale``, the lcm of the table's denominators, and indeterminate
-    ``names[j]`` becomes X**(radices[0]···radices[j-1]), where
-    X = 2**bits, so that every value is one int.  A radix exceeds its
-    indeterminate's degree in any product of one weight per vertex and
-    circle, and X/2 exceeds the L1 norm of the scaled sum, so the scaled
-    sum's coefficients are the balanced base-X digits of its int."""
+    Values: every weight is multiplied by ``scale``, the lcm of the
+    table's denominators.  When ``packed``, each value is then one int
+    (Kronecker substitution): the table's one indeterminate ``name``, if
+    it has one, becomes X = 2**bits.  ``digits`` exceeds its degree in
+    any product of one weight per vertex and circle, and X/2 exceeds the
+    L1 norm of the scaled sum, so the scaled sum's coefficients are the
+    balanced base-X digits of its int.  A table in two or more
+    indeterminates is not packed, since each would need its own run of
+    digits: (slots + 1)**m digits for m of them, however few terms the
+    sum has.  Nor is one whose packed values would pass MAX_PACKED_BITS.
+    Unpacked values stay polynomials."""
 
     order: Tuple[int, ...]
     inputs: Tuple[Tuple[int, ...], ...]
     scopes: Tuple[Tuple[int, ...], ...]
     scale: int
-    names: Tuple[str, ...]
-    radices: Tuple[int, ...]
+    packed: bool
+    name: Optional[str]
+    digits: int
     bits: int
 
 
@@ -186,89 +191,67 @@ def _scaled(c: Union[int, Fraction], scale: int) -> int:
 def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
     """The plan ``state_sum`` runs on ``g`` and ``t``.  The order is the
     one state sums have always used: next, the edge whose merged scope is
-    smallest, the lowest edge on a tie.  A plan past MAX_DENSE_ENTRIES or
-    MAX_PACKED_BITS is an input error, raised at the step or indeterminate
-    that first passes its limit.
+    smallest, the lowest edge on a tie.  A plan past MAX_DENSE_ENTRIES is
+    an input error, raised at the step that first passes it, naming
+    ``g``'s file when it was read from one.
 
     k counts the colours some nonzero entry holds: a colouring that puts
     any other colour on an edge weighs 0, so no factor keys it and no
     colouring with it adds to the L1 bound."""
     k = len({c for triple, v in t.entries.items() if v != 0 for c in triple})
     scale = lcm(*map(_denominator, t.entries.values()))
-    degree: Dict[str, int] = {}
-    norm = 0
+    names = set()
+    degree = norm = 0
     for v in t.entries.values():
         if isinstance(v, Polynomial):
             for mono in v.terms:
                 for name, e in mono:
-                    degree[name] = max(degree.get(name, 0), e)
+                    names.add(name)
+                    degree = max(degree, e)
             norm = max(norm, sum(abs(_scaled(c, scale)) for c in v.terms.values()))
         else:
             norm = max(norm, abs(_scaled(v, scale)))
-    names = tuple(sorted(degree))
     slots = len(g.vertices) + g.circles
-    radices = tuple(slots * degree[name] + 1 for name in names)
+    digits = slots * degree + 1
     # Each colouring's product holds one weight per vertex and circle.
     bits = (k ** (len(g.edges) + g.circles) * norm**slots).bit_length() + 1
-    digits = 1
-    for r in radices:
-        digits *= r
-        if bits * digits > MAX_PACKED_BITS:
-            raise InputError(
-                "packing %d indeterminates for %d vertices and circles needs over %d bits a value, the limit"
-                % (len(names), slots, MAX_PACKED_BITS)
-            )
+    packed = len(names) <= 1 and bits * digits <= MAX_PACKED_BITS
 
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[a], index[b]) for a, b in g.edges]
-    parent = list(range(n))  # union-find on factor numbers; a step's factor roots its inputs
-    scope: List[set] = [set() for _ in range(n)]  # each factor's edges left
-    for e, (a, b) in enumerate(ends):
-        scope[a].add(e)
-        scope[b].add(e)
-
-    def root(f: int) -> int:
-        while parent[f] != f:
-            parent[f] = f = parent[parent[f]]
-        return f
+    live: Dict[int, set] = {i: set() for i in range(n)}  # factor number -> its edges left
+    for e, (a, b) in enumerate(g.edges):
+        live[index[a]].add(e)
+        live[index[b]].add(e)
 
     def merged(e: int) -> set:
-        a, b = ends[e]
-        return scope[root(a)] | scope[root(b)]
+        return set().union(*(s for s in live.values() if e in s))
 
-    cost = {e: len(merged(e)) for e in range(len(ends))}
-    heap = [(c, e) for e, c in cost.items()]
-    heapify(heap)
     order: List[int] = []
     inputs: List[Tuple[int, ...]] = []
     scopes: List[Tuple[int, ...]] = []
-    while heap:
-        width, e = heappop(heap)
-        if cost.get(e) != width:
-            continue  # superseded by a later entry
-        if k**width > MAX_DENSE_ENTRIES:
+    remaining = set(range(len(g.edges)))
+    while remaining:
+        e = min(remaining, key=lambda e: (len(merged(e)), e))
+        joint = merged(e)
+        if k ** len(joint) > MAX_DENSE_ENTRIES:
             raise InputError(
-                "elimination width %d needs %d^%d dense entries, over the limit %d"
-                % (width, k, width, MAX_DENSE_ENTRIES)
+                "%selimination width %d needs %d^%d dense entries, over the limit %d"
+                % ("%s: " % g.source if g.source else "", len(joint), k, len(joint), MAX_DENSE_ENTRIES)
             )
-        a, b = root(ends[e][0]), root(ends[e][1])
-        joint = scope[a] | scope[b]
+        ins = tuple(f for f, s in live.items() if e in s)
+        for f in ins:
+            del live[f]
         order.append(e)
-        inputs.append((a,) if a == b else (a, b))
+        inputs.append(ins)
         scopes.append(tuple(sorted(joint)))
-        del cost[e]
-        joint.discard(e)
-        parent[a] = parent[b] = len(parent)
-        parent.append(len(parent))
-        scope.append(joint)
-        for x in joint:
-            cost[x] = len(merged(x))
-            heappush(heap, (cost[x], x))
-    return Plan(tuple(order), tuple(inputs), tuple(scopes), scale, names, radices, bits)
+        remaining.remove(e)
+        joint.remove(e)
+        live[n + len(order) - 1] = joint
+    return Plan(tuple(order), tuple(inputs), tuple(scopes), scale, packed, min(names, default=None), digits, bits)
 
 
-_Factor = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], int]]
+_Factor = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], Value]]
 
 
 def _project(at: Sequence[int]):
@@ -287,7 +270,7 @@ def _eliminate(e: int, factors: Sequence[_Factor]) -> _Factor:
     fs, ft = factors[0]
     keep = [i for i, x in enumerate(fs) if x != e]
     head = _project(keep)
-    out: Dict[Tuple[int, ...], int] = {}
+    out: Dict[Tuple[int, ...], Value] = {}
     get = out.get
     if len(factors) == 1:
         for key, val in ft.items():
@@ -317,23 +300,16 @@ def _eliminate(e: int, factors: Sequence[_Factor]) -> _Factor:
 def _unpack(n: int, p: Plan, scale: int) -> Polynomial:
     """The polynomial packed as ``n`` under ``p``, divided by ``scale``.
     Adding X/2 at every digit makes each balanced digit nonnegative, so
-    the digits are read off the binary form, ``p.bits`` at a time."""
-    digits = prod(p.radices)
+    the digits are read off the binary form, ``p.bits`` at a time, the
+    lowest power last."""
     half = "1" + "0" * (p.bits - 1)
     offset = 1 << (p.bits - 1)
-    text = format(n + int(half * digits, 2), "b").zfill(digits * p.bits)
+    text = format(n + int(half * p.digits, 2), "b").zfill(p.digits * p.bits)
     terms: Dict[Tuple[Tuple[str, int], ...], Fraction] = {}
-    top = len(text)
-    for i in range(digits):
-        chunk = text[top - p.bits : top]
-        top -= p.bits
+    for e in range(p.digits):
+        chunk = text[len(text) - (e + 1) * p.bits : len(text) - e * p.bits]
         if chunk != half:
-            mono, rest = [], i
-            for name, r in zip(p.names, p.radices):
-                rest, e = divmod(rest, r)
-                if e:
-                    mono.append((name, e))
-            terms[tuple(mono)] = Fraction(int(chunk, 2) - offset, scale)
+            terms[((p.name, e),) if e else ()] = Fraction(int(chunk, 2) - offset, scale)
     return Polynomial._of(terms)
 
 
@@ -348,29 +324,29 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     Polynomial exactly when some coloring meets a polynomial table entry,
     as with enumeration.
 
-    Values are ints throughout: the table's denominators are cleared
-    once by their lcm ``d`` (the integer-preserving idea of Bareiss,
-    Math. Comp. 22, 1968), and each indeterminate becomes a power of
-    2**bits (Kronecker substitution, see ``Plan``), so elimination does no
-    gcd and no polynomial arithmetic.  Each coloring's product holds one
-    weight per vertex and one per circle, so the scaled sum is divided
-    by d**(vertices + circles), and a symbolic sum is unpacked once."""
+    The table's denominators are cleared once by their lcm ``d`` (the
+    integer-preserving idea of Bareiss, Math. Comp. 22, 1968), so
+    elimination does no gcd.  A table in at most one indeterminate is
+    packed (Kronecker substitution, see ``Plan``): every value is one
+    int, elimination does no polynomial arithmetic, and a symbolic sum is
+    unpacked once.  Other tables are eliminated on int-coefficient
+    polynomials.  Each coloring's product holds one weight per vertex and
+    one per circle, so the scaled sum is divided by
+    d**(vertices + circles)."""
     p = plan(g, t)
-    strides = dict(zip(p.names, accumulate(p.radices, mul, initial=1)))
 
-    def pack(v: Value) -> int:
+    def weight(v: Value) -> Value:
         if not isinstance(v, Polynomial):
             return _scaled(v, p.scale)
-        return sum(
-            _scaled(c, p.scale) << p.bits * sum(e * strides[name] for name, e in mono)
-            for mono, c in v.terms.items()
-        )
+        if not p.packed:
+            return v * p.scale
+        return sum(_scaled(c, p.scale) << p.bits * sum(e for _, e in mono) for mono, c in v.terms.items())
 
-    packed = {key: pack(v) for key, v in t.entries.items()}
+    weights = {key: weight(v) for key, v in t.entries.items()}
     polynomial = {key for key, v in t.entries.items() if isinstance(v, Polynomial)}
     colors = range(t.color_count)
     symbolic = False
-    templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Value]] = {}
     factors: Dict[int, _Factor] = {}
     ends: Dict[int, List[int]] = {v: [] for v in g.vertices}
     for i, (a, b) in enumerate(g.edges):
@@ -380,25 +356,29 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
         scope = tuple(sorted(set(ends[v])))
         pattern = tuple(scope.index(e) for e in sorted(ends[v]))  # a loop repeats an index
         if pattern not in templates:
-            weights = {}
+            table = {}
             for key in product(colors, repeat=len(scope)):
                 triple = tuple(sorted(itemgetter(*pattern)(key)))
                 symbolic = symbolic or triple in polynomial
-                w = packed.get(triple, 0)
+                w = weights.get(triple, 0)
                 if w:
-                    weights[key] = w
-            templates[pattern] = weights
+                    table[key] = w
+            templates[pattern] = table
         factors[i] = (scope, templates[pattern])
     for s, (e, ins) in enumerate(zip(p.order, p.inputs)):
         factors[len(g.vertices) + s] = _eliminate(e, [factors.pop(f) for f in ins])
-    total = 1
+    total: Value = 1
     for _, table in factors.values():
         total *= table.get((), 0)
     if g.circles:
         symbolic = symbolic or any((c, c, c) in polynomial for c in colors)
-        total *= sum(packed.get((c, c, c), 0) for c in colors) ** g.circles
+        total *= sum(weights.get((c, c, c), 0) for c in colors) ** g.circles
     scale = p.scale ** (len(g.vertices) + g.circles)
-    return _unpack(total, p, scale) if symbolic else Fraction(total, scale)
+    if not symbolic:
+        return Fraction(total, scale)
+    if p.packed:
+        return _unpack(total, p, scale)
+    return total * Fraction(1, scale) if isinstance(total, Polynomial) else Polynomial.const(Fraction(total, scale))
 
 
 MovePair = Tuple[TrivalentGraph, TrivalentGraph]
@@ -541,8 +521,9 @@ def load_table(path: str) -> ThreeJTable:
     return _read(path, parse_table)
 
 
-def parse_graph(text: str) -> TrivalentGraph:
-    """Lines: ``v <id>``, ``e <v1> <v2> [ports...]``, ``circle``."""
+def parse_graph(text: str, source: str = "") -> TrivalentGraph:
+    """Lines: ``v <id>``, ``e <v1> <v2> [ports...]``, ``circle``;
+    ``source`` names the file the text was read from."""
     vertices: List[int] = []
     edges: List[Tuple[int, int]] = []
     circles = 0
@@ -556,11 +537,11 @@ def parse_graph(text: str) -> TrivalentGraph:
                 circles += 1
             else:
                 raise InputError("bad graph line %r" % " ".join(parts))
-    return TrivalentGraph(tuple(vertices), tuple(edges), circles)
+    return TrivalentGraph(tuple(vertices), tuple(edges), circles, source)
 
 
 def load_graph(path: str) -> TrivalentGraph:
-    return _read(path, parse_graph)
+    return _read(path, lambda text: parse_graph(text, path))
 
 
 def _load_pairs(path: str, names: Sequence[str]) -> Tuple[MovePair, ...]:

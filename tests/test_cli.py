@@ -988,14 +988,12 @@ def test_a_color_past_the_bound_in_a_3j_table_exits_2(tmp_path, capsys):
     assert statesum.parse_table("0,0,31,1\n").color_count == statesum.MAX_COLORS == 32
 
 
-def test_a_graph_past_the_dense_limit_exits_2_before_any_elimination(tmp_path, capsys, monkeypatch):
-    """A 60-vertex random cubic graph with a dense 3-colour table: the
-    usual order reaches a merged scope of 14 edges, so one step would
-    loop over 3^14 keys and keep a third of them.  The plan sees that
-    from scopes alone, and the command exits 2 naming the graph file,
-    the width and the limit, before any factor is built."""
-    import time
-
+def _past_the_dense_limit(tmp_path):
+    """A 60-vertex random cubic graph and a dense 3-colour table, written
+    to ``big.g`` and ``t.csv``: the usual order reaches a merged scope of
+    14 edges, so one step would loop over 3^14 keys and keep a third of
+    them.  Returns the two paths and the error ``inv statesum`` should
+    print, as a pattern."""
     from smovelab import statesum
 
     rng = random.Random(1)
@@ -1010,16 +1008,40 @@ def test_a_graph_past_the_dense_limit_exits_2_before_any_elimination(tmp_path, c
     triples = combinations_with_replacement(range(3), 3)
     rows = ["%d,%d,%d,%d\n" % (*tr, (1, 2, 3, -1, -2)[i % 5]) for i, tr in enumerate(triples)]
     (tmp_path / "t.csv").write_text("".join(rows), encoding="utf-8")
+    want = r"error: %s: elimination width (\d+) needs 3\^\1 dense entries, over the limit %d\n"
+    return str(graph), str(tmp_path / "t.csv"), want % (re.escape(str(graph)), statesum.MAX_DENSE_ENTRIES)
+
+
+def test_a_graph_past_the_dense_limit_exits_2_before_any_elimination(tmp_path, capsys, monkeypatch):
+    """The plan sees the width from scopes alone, and the command exits 2
+    naming the graph file, the width and the limit, before any factor is
+    built."""
+    from smovelab import statesum
+
+    graph, table, want = _past_the_dense_limit(tmp_path)
     eliminated = []
     real = statesum._eliminate
     monkeypatch.setattr(statesum, "_eliminate", lambda e, fs: eliminated.append(e) or real(e, fs))
-    start = time.perf_counter()
-    code, out = _run(capsys, ["inv", "statesum", "--graphs", str(graph), "--table", str(tmp_path / "t.csv")])
-    assert time.perf_counter() - start < 1.0
+    code, out = _run(capsys, ["inv", "statesum", "--graphs", graph, "--table", table])
     assert code == 2 and "Traceback" not in out and eliminated == []
-    want = r"error: %s: elimination width (\d+) needs 3\^\1 dense entries, over the limit %d\n"
-    width = int(re.fullmatch(want % (re.escape(str(graph)), statesum.MAX_DENSE_ENTRIES), out).group(1))
+    width = int(re.fullmatch(want, out).group(1))
     assert 3**width > statesum.MAX_DENSE_ENTRIES
+
+
+def test_a_move_or_relation_graph_past_the_dense_limit_names_its_file(tmp_path, capsys):
+    """``invariant`` sums the graphs of ``--moves`` and ``--relations``
+    itself; the error names the graph file there too, resolved against
+    the directory of the file that lists it."""
+    graph, table, want = _past_the_dense_limit(tmp_path)
+    (tmp_path / "theta.g").write_text("v 0\nv 1\ne 0 1\ne 0 1\ne 0 1\n", encoding="utf-8")
+    (tmp_path / "moves.txt").write_text("theta.g big.g\n", encoding="utf-8")
+    (tmp_path / "same.txt").write_text("theta.g theta.g\n", encoding="utf-8")
+    (tmp_path / "rels.txt").write_text("theta.g big.g = theta.g theta.g\n", encoding="utf-8")
+    argv = ["inv", "statesum", "--graphs", str(tmp_path / "theta.g"), "--table", table, "--moves"]
+    moves, same, rels = (str(tmp_path / f) for f in ("moves.txt", "same.txt", "rels.txt"))
+    for extra in ([moves], [same, "--relations", rels]):
+        code, out = _run(capsys, argv + extra)
+        assert code == 2 and re.fullmatch(want, out), extra
 
 
 # --- the parser: read directly, or argparse's whole tree ---------------------

@@ -48,6 +48,7 @@ def test_constructors_and_equality():
     assert x != five
     assert x - x == zero
     assert (x + 1) * (x - 1) == x**2 - 1
+    assert not zero and not x - x and x and five  # zero is false, as the scalars are
 
 
 def test_arithmetic_matches_sympy():

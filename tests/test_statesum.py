@@ -454,31 +454,29 @@ def test_the_plan_keeps_the_smallest_merged_scope_order_and_the_execution_builds
         assert max(map(len, p.scopes), default=0) == max((len(s) for _, s in built), default=0)
 
 
-def test_a_plan_at_a_limit_runs_and_one_past_it_is_bad_input(monkeypatch):
+def test_the_dense_limit_refuses_a_plan_and_the_packed_limit_unpacks_it(monkeypatch):
     """Both limits are inclusive: k**width and the packed bits may equal
-    them.  A plan past either raises before any factor is built."""
-    q, r = Polynomial.var("q"), Polynomial.var("r")
-    t = complete_table([((0, 0, 0), q), ((0, 1, 1), r - Fraction(1, 2)), ((1, 1, 1), Fraction(3))], 2)
+    them.  A plan past the dense limit raises before any factor is built;
+    one past the packed limit sums the same value on polynomials."""
+    q = Polynomial.var("q")
+    t = complete_table([((0, 0, 0), q), ((0, 1, 1), q**2 - Fraction(1, 2)), ((1, 1, 1), Fraction(3))], 2)
     p = statesum.plan(_K33, t)
-    width = max(map(len, p.scopes))
-    packed = p.bits * p.radices[0] * p.radices[1]
-    assert p.names == ("q", "r") and p.radices == (7, 7) and p.scale == 2
+    width, packed = max(map(len, p.scopes)), p.bits * p.digits
+    assert p.packed and p.name == "q" and p.digits == 13 and p.scale == 2
     want = _brute_state_sum(_K33, t)
     eliminated = []
     real = statesum._eliminate
     monkeypatch.setattr(statesum, "_eliminate", lambda e, fs: eliminated.append(e) or real(e, fs))
     monkeypatch.setattr(statesum, "MAX_DENSE_ENTRIES", 2**width)
-    monkeypatch.setattr(statesum, "MAX_PACKED_BITS", packed)
-    assert state_sum(_K33, t) == want
+    for limit in (packed, packed - 1):
+        monkeypatch.setattr(statesum, "MAX_PACKED_BITS", limit)
+        assert statesum.plan(_K33, t).packed == (limit == packed)
+        got = state_sum(_K33, t)
+        assert isinstance(got, Polynomial) and got == want
     eliminated.clear()
     monkeypatch.setattr(statesum, "MAX_DENSE_ENTRIES", 2**width - 1)
     want = r"^elimination width %d needs 2\^%d dense entries, over the limit %d$"
     with pytest.raises(InputError, match=want % (width, width, 2**width - 1)):
-        state_sum(_K33, t)
-    monkeypatch.setattr(statesum, "MAX_DENSE_ENTRIES", 2**width)
-    monkeypatch.setattr(statesum, "MAX_PACKED_BITS", packed - 1)
-    want = "^packing 2 indeterminates for 6 vertices and circles needs over %d bits a value, the limit$"
-    with pytest.raises(InputError, match=want % (packed - 1)):
         state_sum(_K33, t)
     assert eliminated == []
 
@@ -496,17 +494,17 @@ def test_only_colours_in_use_count_towards_the_limits():
     assert state_sum(k4, wide) == state_sum(k4, narrow) == _brute_state_sum(k4, narrow)
 
 
-def test_a_generic_table_packs_on_a_theta_but_not_on_k4():
-    """One indeterminate per entry of a 3-colour table: ten, each of
-    degree up to the slot count, so the packed width grows as
-    (slots + 1)**10.  The theta graph (two slots) fits under the limit,
-    K4 (four) does not."""
+def test_a_table_in_several_indeterminates_is_summed_on_polynomials():
+    """One indeterminate per entry of a 3-colour table, ten in all:
+    packing them would take (slots + 1)**10 digits, so the plan leaves
+    the values polynomials, and K4 sums as enumeration does."""
     rows = [(tr, Polynomial.var("x%d%d%d" % tr)) for tr in combinations_with_replacement(range(3), 3)]
     t = complete_table(rows, 3)
-    assert state_sum(_THETA, t) == _brute_state_sum(_THETA, t)
     k4 = TrivalentGraph(tuple(range(4)), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-    with pytest.raises(InputError, match="^packing 10 indeterminates for 4 vertices and circles needs over"):
-        state_sum(k4, t)
+    for g in (_THETA, k4):
+        assert not statesum.plan(g, t).packed
+        got = state_sum(g, t)
+        assert isinstance(got, Polynomial) and got == _brute_state_sum(g, t)
 
 
 def test_state_sum_on_a_q_table_makes_no_polynomial_products(monkeypatch):
@@ -583,6 +581,13 @@ def test_state_sum_with_zero_entries_and_parity_table():
     q = Polynomial.var("q")
     symbolic_zero = complete_table([((0, 0, 0), q - q), ((1, 1, 1), Fraction(0))], 2)
     got = state_sum(_THETA, symbolic_zero)
+    assert isinstance(got, Polynomial) and got.is_zero()
+    # so does a sum in two indeterminates whose every term cancels: the
+    # dumbbell sums (w(0,0,b) + w(1,1,b))**2 over b
+    r = Polynomial.var("r")
+    cancelling = complete_table([((0, 0, 0), q), ((0, 1, 1), -q), ((0, 0, 1), -r), ((1, 1, 1), r)], 2)
+    assert not statesum.plan(_DUMBBELL, cancelling).packed
+    got = state_sum(_DUMBBELL, cancelling)
     assert isinstance(got, Polynomial) and got.is_zero()
 
 
