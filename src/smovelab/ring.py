@@ -2,11 +2,13 @@
 
 Small and purpose-built: multivariate addition/multiplication for table
 values, move products and the non-multiplicativity quartic, and
-univariate division/gcd for reducing modulo a principal ideal.  State
-sums hold their values as packed ints (see ``statesum.Plan``) and build
-a polynomial only for the result.  Everything is exact: a coefficient is an int
-when it is integral and a Fraction otherwise, never a float, so integer
-polynomials multiply and add without a gcd per operation.
+univariate division/gcd for reducing modulo a principal ideal.  A
+state sum over a table in at most one indeterminate holds its values as
+packed ints (see ``statesum.Plan``) and builds a polynomial only for the
+result; one over a table in more eliminates on these polynomials.
+Everything is exact: a coefficient is an int when it is integral and a
+Fraction otherwise, never a float, so integer polynomials multiply and
+add without a gcd per operation.
 """
 
 from __future__ import annotations

@@ -385,19 +385,21 @@ def test_only_the_playground_commands_load_numpy():
 
 
 def test_a_symbolic_state_sum_loads_no_numpy(tmp_path):
-    """``inv statesum`` packs polynomial values into ints and unpacks the
-    sum once, with no array library: on a table with two indeterminates
-    it loads ``statesum`` and ``ring`` and no numpy."""
+    """``inv statesum`` sums with no array library, whether it packs the
+    values of a table in one indeterminate into ints or keeps those of a
+    table in two as polynomials: it loads ``statesum`` and ``ring`` and
+    no numpy."""
     (tmp_path / "prism.g").write_text(
         "".join("v %d\n" % v for v in range(6))
         + "e 0 1\ne 1 2\ne 2 0\ne 3 4\ne 4 5\ne 5 3\ne 0 3\ne 1 4\ne 2 5\ncircle\n",
         encoding="utf-8",
     )
-    (tmp_path / "t.csv").write_text("0,0,0,q\n0,1,1,1/2\n1,1,1,r\n", encoding="utf-8")
-    argv = ("inv", "statesum", "--graphs", str(tmp_path / "prism.g"), "--table", str(tmp_path / "t.csv"))
-    code, mods = _loaded_after(*argv)
-    assert code == 0 and "numpy" not in mods
-    assert {"smovelab.statesum", "smovelab.ring"} <= mods
+    for last in ("q", "r"):
+        (tmp_path / "t.csv").write_text("0,0,0,q\n0,1,1,1/2\n1,1,1,%s\n" % last, encoding="utf-8")
+        argv = ("inv", "statesum", "--graphs", str(tmp_path / "prism.g"), "--table", str(tmp_path / "t.csv"))
+        code, mods = _loaded_after(*argv)
+        assert code == 0 and "numpy" not in mods
+        assert {"smovelab.statesum", "smovelab.ring"} <= mods
 
 
 def _option(path, dest):
