@@ -274,9 +274,14 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 def parse_scalar(text: str):
-    """CSV cell: integer, rational p/q, or an indeterminate name."""
+    """CSV cell: integer, rational p/q, or an indeterminate name.  An
+    integer cell (ASCII digits with an optional sign) is read by ``int``,
+    and any other number by ``Fraction``'s regular expression."""
     text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
     try:
+        if digits.isdigit() and digits.isascii():
+            return Fraction(int(text))
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass

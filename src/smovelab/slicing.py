@@ -288,6 +288,23 @@ def boundary_trace(seq: SliceSequence) -> Word:
 # --- piece builders -------------------------------------------------------
 
 
+def _circulate(w: Word, *lanes: Tuple[int, str, int]) -> list:
+    """The steps that carry ``w`` round each lane ``(index, strand, sign)``
+    in turn, letter by letter; a lane of sign -1 circulates each letter
+    inverted.  Step records are frozen, so a piece makes one per distinct
+    (index, letter, strand) here, and every later letter reuses it."""
+    made: dict[int, list] = {}
+    moves: list = []
+    for x in w:
+        steps = made.get(x)
+        if steps is None:
+            steps = made[x] = []
+            for index, strand, sign in lanes:
+                steps.append(CirculateStep(index, sign * x, strand))
+        moves += steps
+    return moves
+
+
 def slice_bag(w, identify: bool = False) -> SliceSequence:
     """Doubled curve with boundary W.W^-1: two circles split to arcs, the
     relator arc circulates W, everything rejoins and dies at the maximum."""
@@ -300,7 +317,7 @@ def slice_bag(w, identify: bool = False) -> SliceSequence:
     ]
     if identify:
         moves += [IdentifyEdges("W", "W^-1"), IdentifyEdges("w", "w^-1")]
-    moves += [CirculateStep(0, x, "W") for x in w]
+    moves += _circulate(w, (0, "W", 1))
     moves += [JoinArcsToCircle(0, 1, "Q"), DeathCircle(0)]
     return SliceSequence(tuple(moves), (ReadoutStrand("W", "as_is"), ReadoutStrand("W", "invert")))
 
@@ -315,8 +332,7 @@ def slice_inverse_pair(r) -> SliceSequence:
         SplitCircleToArc(0, "R", "r"),
         SplitCircleToArc(1, "R^-1", "r^-1"),
     ]
-    for x in r:
-        moves += (CirculateStep(0, x, "R"), CirculateStep(1, -x, "R^-1"))
+    moves += _circulate(r, (0, "R", 1), (1, "R^-1", -1))
     moves += [JoinArcsToCircle(0), JoinArcsToCircle(1), DeathCircle(1), DeathCircle(0)]
     return SliceSequence(tuple(moves), (ReadoutStrand("R", "as_is"), ReadoutStrand("R^-1", "reverse")))
 
@@ -361,17 +377,13 @@ def slice_commutator(r, s, dominant: str = "R", identify: bool = False) -> Slice
             ReorderStep(1),
         ]
     if dominant == "R":
-        for x in r:
-            moves += (CirculateStep(0, x, "R"), CirculateStep(3, -x, "R^-1"))
+        moves += _circulate(r, (0, "R", 1), (3, "R^-1", -1))
         moves += [MergeArcs(0, 1, "M"), MergeArcs(1, 2, "M")]
-        for x in s:
-            moves += (CirculateStep(0, x, "S"), CirculateStep(0, -x, "S^-1"))
+        moves += _circulate(s, (0, "S", 1), (0, "S^-1", -1))
     else:
-        for x in s:
-            moves += (CirculateStep(1, x, "S"), CirculateStep(0, -x, "S^-1"))
+        moves += _circulate(s, (1, "S", 1), (0, "S^-1", -1))
         moves += [MergeArcs(1, 2, "M"), MergeArcs(2, 0, "M")]
-        for x in r:
-            moves += (CirculateStep(0, x, "R"), CirculateStep(0, -x, "R^-1"))
+        moves += _circulate(r, (0, "R", 1), (0, "R^-1", -1))
     moves += [JoinArcsToCircle(0, 1, "Q"), DeathCircle(0)]
     return SliceSequence(tuple(moves), _COMM_READOUT)
 
@@ -386,9 +398,9 @@ def slice_product(r, s) -> SliceSequence:
         SplitCircleToArc(0, "r", "R"),
         SplitCircleToArc(1, "S^-1", "s^-1"),
     ]
-    moves += [CirculateStep(0, x, "R") for x in r]
+    moves += _circulate(r, (0, "R", 1))
     moves.append(MergeArcs(1, 0, "M", absorb=True))
-    moves += [CirculateStep(0, -x, "S^-1") for x in s]
+    moves += _circulate(s, (0, "S^-1", -1))
     moves += [JoinArcsToCircle(0, mark="Q"), DeathCircle(0)]
     return SliceSequence(tuple(moves), (ReadoutStrand("R", "as_is"), ReadoutStrand("S^-1", "reverse")))
 
@@ -396,41 +408,58 @@ def slice_product(r, s) -> SliceSequence:
 # --- text dump ------------------------------------------------------------
 
 
-_ARC_LINE = "A[%s,%s;trace=%s]"
-
-
-def _line(c: Component) -> str:
-    """A component's dump line; an arc's trace is a tuple of text pieces."""
-    if isinstance(c, Circle):
-        return "C[%s]" % ",".join(c.marks)
-    return _ARC_LINE % (c.left, c.right, "".join(c.trace) or "1")
-
-
 def format_sequence(seq: SliceSequence) -> str:
     """The dump prints every arc's whole trace at every level, so it grows
     quadratically with the word; it is made in one walk over the moves, in
-    time linear in its length.  It keeps the live components and their
-    lines in two plain lists, each arc's trace as a tuple of text pieces.
-    A ``CirculateStep`` makes the arc's text and line from the text one
-    level up and its letter.  Every other move runs its own ``_apply`` on
-    the components, and the level's lines are made again; a piece has few
-    such moves, and each copies at most one level's text, which the dump
-    prints anyway."""
+    time linear in its length.  It keeps the live components and the
+    level's lines, and for each component its line head (an arc's
+    ``A[left,right;trace=``, a circle's whole line) and its trace text
+    (None for a circle).  A ``CirculateStep`` appends its letter's text to
+    the arc's and makes that one line as head + text + ``]``, with no
+    ``Arc`` built; each distinct step's letter text and move line are made
+    once.  Every other move writes the arcs' texts back, runs its own
+    ``_apply`` on the components and makes the level's heads, texts and
+    lines again in one pass; a piece has few such moves, and each copies at
+    most one level's text, which the dump prints anyway."""
     cs: list[Component] = []
+    heads: list[str] = []
+    texts: list[Optional[str]] = []
     row: list[str] = []
     lines: list[str] = []
+    steps: dict[int, tuple] = {}  # id of a step -> (index, letter text, move line)
+    stepped = False  # whether texts have grown since the components were last written
     for level, m in enumerate(seq.moves):
         lines.append("slice %d" % level)
         lines += row
-        lines.append(m._text())
         if isinstance(m, CirculateStep):
-            a = cs[m.index]
-            text = "".join(a.trace) + _LETTER_TEXT[m.letter]
-            cs[m.index] = Arc(a.left, a.right, (text,))
-            row[m.index] = _ARC_LINE % (a.left, a.right, text)
-        else:
-            m._apply(cs)
-            row = [_line(c) for c in cs]
+            step = steps.get(id(m))
+            if step is None:
+                step = steps[id(m)] = (m.index, _LETTER_TEXT[m.letter], m._text())
+            i, letter, line = step
+            lines.append(line)
+            texts[i] = text = texts[i] + letter
+            row[i] = heads[i] + text + "]"
+            stepped = True
+            continue
+        lines.append(m._text())
+        if stepped:
+            for i, text in enumerate(texts):
+                if text is not None:
+                    cs[i] = Arc(cs[i].left, cs[i].right, (text,))
+            stepped = False
+        m._apply(cs)
+        heads, texts, row = [], [], []
+        for c in cs:
+            if isinstance(c, Circle):
+                head = "C[%s]" % ",".join(c.marks)
+                text = None
+                row.append(head)
+            else:
+                head = "A[%s,%s;trace=" % (c.left, c.right)
+                text = "".join(c.trace)
+                row.append(head + (text or "1") + "]")
+            heads.append(head)
+            texts.append(text)
     lines.append("slice %d" % len(seq.moves))
     lines += row
     lines.append("")  # a final newline, without copying the joined text

@@ -182,6 +182,54 @@ def test_parse_scalar():
         parse_scalar("")
 
 
+def _parse_scalar_oracle(text):
+    """Every cell through ``Fraction`` first, as the parser read it before
+    integer cells skipped the regular expression."""
+    text = text.strip()
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    if text.isidentifier():
+        return Polynomial.var(text)
+    raise InputError("cannot parse ring value %r" % text)
+
+
+def _same_parse(text):
+    try:
+        want = _parse_scalar_oracle(text)
+    except InputError as e:
+        with pytest.raises(InputError) as got:
+            parse_scalar(text)
+        assert str(got.value) == str(e)
+        return
+    got = parse_scalar(text)
+    assert type(got) is type(want) and got == want, text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+7", "-0", "007", " 3 ", "1_000", "\u0663", "1/2", "3/0", "2.5", "1e3", "--5", "-", "+", "q", "", "9" * 5000],
+)
+def test_parse_scalar_reads_every_cell_as_fraction_first(text):
+    _same_parse(text)
+
+
+_CELL_CHARS = "0123456789+-/._e xq\u0663\u00b2"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.text(st.sampled_from(_CELL_CHARS), max_size=8),
+        st.from_regex(r"\A\s*[+-]?[0-9]{1,30}\s*\Z"),
+        st.integers(-(10**40), 10**40).map(str),
+    )
+)
+def test_parse_scalar_matches_the_fraction_first_oracle(text):
+    _same_parse(text)
+
+
 def test_zero_operand_keeps_the_other_operands_variable():
     t = Polynomial.var("t")
     assert poly_divmod(Polynomial(), t - 1) == (Polynomial(), Polynomial())

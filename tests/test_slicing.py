@@ -493,6 +493,42 @@ def test_building_reading_and_printing_a_piece_hold_traces_linear_in_its_word(mo
         assert text == _oracle_format_sequence(seq), name
 
 
+_READOUT_LETTERS = (1, 2, 3, 4, 27)  # the slice_readout benchmark's alphabet
+
+
+def _readout_pieces(n):
+    """A piece of each type the slice_readout benchmark prints, on
+    ``n``-letter words drawn over its alphabet."""
+    rng = random.Random(n)
+
+    def word():
+        return Word(rng.choice(_READOUT_LETTERS) * rng.choice((1, -1)) for _ in range(n))
+
+    r, s = word(), word()
+    return {
+        "bag": slice_bag(r),
+        "bag identify": slice_bag(r, identify=True),
+        "inverse pair": slice_inverse_pair(r),
+        "commutator R": slice_commutator(r, s),
+        "commutator S": slice_commutator(r, s, dominant="S", identify=True),
+        "product": slice_product(r, s),
+    }
+
+
+def test_a_piece_makes_one_step_record_per_distinct_step():
+    """A step record is frozen, so a piece shares one among every letter
+    that makes the same step; the sequence is the one made of a fresh
+    record per move."""
+    for name, seq in _readout_pieces(512).items():
+        steps = [m for m in seq.moves if isinstance(m, CirculateStep)]
+        distinct = {(m.index, m.letter, m.strand) for m in steps}
+        assert len(steps) >= 512 and len({id(m) for m in steps}) <= len(distinct) <= 40, name
+        fresh = SliceSequence(tuple(dataclasses.replace(m) for m in seq.moves), seq.readout)
+        assert len({id(m) for m in fresh.moves if isinstance(m, CirculateStep)}) == len(steps), name
+        assert fresh == seq and hash(fresh) == hash(seq) and repr(fresh) == repr(seq), name
+        assert format_sequence(fresh) == format_sequence(seq), name
+
+
 # --- format_sequence against the per-arc formatter --------------------------
 
 

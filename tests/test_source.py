@@ -312,6 +312,15 @@ def test_presentations_and_instances_enter_only_where_they_are_checked_or_built_
     }
 
 
+def test_piece_builders_make_steps_only_through_the_step_helper():
+    """A builder's steps come from ``_circulate``, which makes one record
+    per distinct (index, letter, strand), so no builder can go back to a
+    record per letter."""
+    path = SRC / "slicing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert list(_calls_of("CirculateStep", tree)) == ["_circulate"]
+
+
 def test_drawn_entries_come_from_one_draw_path():
     """Every entry a backend draws and every value of a drawn instance goes
     through ``words.draw``, which matches ``randrange``, ``randint`` and
