@@ -9,7 +9,9 @@ once against a live state whose arcs carry no trace, so a bad move fails
 when the sequence is made and every sequence that exists is valid;
 ``boundary_trace`` reads the attaching word back out of the circulation
 letters, the dump walks the moves once, and the levels are replayed from
-the moves only when ``slices`` is read.
+the moves only when ``slices`` is read.  Move records are frozen, so a
+builder makes one step record per distinct (arc, letter, strand) and
+shares it among the letters that repeat it.
 
 Readout convention: every builder registers its relator strands in the
 cyclic order of the attaching curve.  A positively labelled strand
@@ -307,7 +309,9 @@ def _circulate(w: Word, *lanes: Tuple[int, str, int]) -> list:
 
 def slice_bag(w, identify: bool = False) -> SliceSequence:
     """Doubled curve with boundary W.W^-1: two circles split to arcs, the
-    relator arc circulates W, everything rejoins and dies at the maximum."""
+    relator arc circulates W, everything rejoins and dies at the maximum.
+    Like every builder, it takes its steps from ``_circulate``, one shared
+    record per distinct step."""
     w = Word(w)
     moves = [
         BirthCircle(("W^-1", "W")),
@@ -324,7 +328,8 @@ def slice_bag(w, identify: bool = False) -> SliceSequence:
 
 def slice_inverse_pair(r) -> SliceSequence:
     """A relator and its inverse, circulating in step in opposite
-    directions, each exiting through its own circle."""
+    directions, each exiting through its own circle: ``_circulate`` makes
+    one step record per distinct letter on each of the two arcs."""
     r = Word(r)
     moves = [
         BirthCircle(("R", "r")),
@@ -353,7 +358,8 @@ def slice_commutator(r, s, dominant: str = "R", identify: bool = False) -> Slice
     ``identify`` inserts the fixed identification ladder (edge-path pairs,
     then the relator pairs, then one endpoint reorder) right after the
     splits; the midlevel and top identifications coincide with the merges
-    already present.
+    already present.  Each pair's steps come from one ``_circulate`` call,
+    one shared record per distinct step.
     """
     r, s = Word(r), Word(s)
     if dominant not in ("R", "S"):
@@ -390,7 +396,9 @@ def slice_commutator(r, s, dominant: str = "R", identify: bool = False) -> Slice
 
 def slice_product(r, s) -> SliceSequence:
     """Product cell R.S^-1: the R arc circulates to the midlevel, is
-    absorbed into the other arc, and the S^-1 circulation runs to the top."""
+    absorbed into the other arc, and the S^-1 circulation runs to the top;
+    each circulation's steps come from ``_circulate``, one shared record
+    per distinct step."""
     r, s = Word(r), Word(s)
     moves = [
         BirthCircle(("r", "R")),
@@ -417,10 +425,11 @@ def format_sequence(seq: SliceSequence) -> str:
     (None for a circle).  A ``CirculateStep`` appends its letter's text to
     the arc's and makes that one line as head + text + ``]``, with no
     ``Arc`` built; each distinct step's letter text and move line are made
-    once.  Every other move writes the arcs' texts back, runs its own
-    ``_apply`` on the components and makes the level's heads, texts and
-    lines again in one pass; a piece has few such moves, and each copies at
-    most one level's text, which the dump prints anyway."""
+    once.  Every other move writes the arcs' texts back (when a step has
+    grown one since the last write), runs its own ``_apply`` on the
+    components and makes the level's heads, texts and lines again in one
+    pass; a piece has few such moves, and each copies at most one level's
+    text, which the dump prints anyway."""
     cs: list[Component] = []
     heads: list[str] = []
     texts: list[Optional[str]] = []
@@ -438,7 +447,7 @@ def format_sequence(seq: SliceSequence) -> str:
             i, letter, line = step
             lines.append(line)
             texts[i] = text = texts[i] + letter
-            row[i] = heads[i] + text + "]"
+            row[i] = f"{heads[i]}{text}]"
             stepped = True
             continue
         lines.append(m._text())
@@ -457,7 +466,7 @@ def format_sequence(seq: SliceSequence) -> str:
             else:
                 head = "A[%s,%s;trace=" % (c.left, c.right)
                 text = "".join(c.trace)
-                row.append(head + (text or "1") + "]")
+                row.append(f"{head}{text or '1'}]")
             heads.append(head)
             texts.append(text)
     lines.append("slice %d" % len(seq.moves))
