@@ -493,19 +493,14 @@ def test_building_reading_and_printing_a_piece_hold_traces_linear_in_its_word(mo
         assert text == _oracle_format_sequence(seq), name
 
 
-_READOUT_LETTERS = (1, 2, 3, 4, 27)  # the slice_readout benchmark's alphabet
-
-
-def _readout_pieces(n):
-    """A piece of each type the slice_readout benchmark prints, on
-    ``n``-letter words drawn over its alphabet."""
-    rng = random.Random(n)
-
-    def word():
-        return Word(rng.choice(_READOUT_LETTERS) * rng.choice((1, -1)) for _ in range(n))
-
-    r, s = word(), word()
-    return {
+def test_a_piece_makes_one_step_record_per_distinct_step():
+    """A step record is frozen, so a piece shares one among every letter
+    that makes the same step; the sequence is the one made of a fresh
+    record per move.  The words are drawn over the slice_readout
+    benchmark's alphabet."""
+    rng = random.Random(512)
+    r, s = (Word(rng.choice((1, 2, 3, 4, 27)) * rng.choice((1, -1)) for _ in range(512)) for _ in range(2))
+    pieces = {
         "bag": slice_bag(r),
         "bag identify": slice_bag(r, identify=True),
         "inverse pair": slice_inverse_pair(r),
@@ -513,13 +508,7 @@ def _readout_pieces(n):
         "commutator S": slice_commutator(r, s, dominant="S", identify=True),
         "product": slice_product(r, s),
     }
-
-
-def test_a_piece_makes_one_step_record_per_distinct_step():
-    """A step record is frozen, so a piece shares one among every letter
-    that makes the same step; the sequence is the one made of a fresh
-    record per move."""
-    for name, seq in _readout_pieces(512).items():
+    for name, seq in pieces.items():
         steps = [m for m in seq.moves if isinstance(m, CirculateStep)]
         distinct = {(m.index, m.letter, m.strand) for m in steps}
         assert len(steps) >= 512 and len({id(m) for m in steps}) <= len(distinct) <= 40, name
