@@ -634,14 +634,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parse_direct(argv)
     if args is None:
         args = build_parser().parse_args(argv)
+    stage = "computing its result"
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
-        report = args.fn(args)
-    except (InputError, InvalidInstance, SliceError, OSError) as e:
-        sys.stdout.write("error: %s\n" % e)
-        return EXIT_INPUT
-    return report.emit()
+        try:
+            if hasattr(args, "seed") and args.seed is None:
+                args.seed = _default_seed()
+            report = args.fn(args)
+        except (InputError, InvalidInstance, SliceError, OSError) as e:
+            sys.stdout.write("error: %s\n" % e)
+            return EXIT_INPUT
+        stage = "printing its report"
+        return report.emit()
+    except MemoryError:
+        pass
+    # Written once the handler is left, and with it the frames that held
+    # the memory.  An input too large for the memory at hand exits as an
+    # input error.
+    command = " ".join(filter(None, (args.cmd, getattr(args, "what", None))))
+    sys.stdout.write("error: %s ran out of memory while %s\n" % (command, stage))
+    return EXIT_INPUT
 
 
 if __name__ == "__main__":

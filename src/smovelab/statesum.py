@@ -13,9 +13,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from heapq import heapify, heappop, heappush
+from itertools import chain, islice, product
 from math import lcm
-from operator import itemgetter
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ring import Polynomial, parse_scalar, poly_gcd, poly_mod
@@ -138,12 +139,14 @@ def _denominator(v: Value) -> int:
 
 
 # The largest plan ``state_sum`` runs (see ``plan``).  MAX_DENSE_ENTRIES
-# bounds k**width, the entries a dense table on one step's merged scope
-# would hold: the most that step can loop over, and k times the most the
-# factor it leaves can hold.  On random cubic graphs, one CPU of a
-# shared x86 machine and CPython 3.11, a sum just under it took 3 s and
-# 200 MB (3 colours, width 13) or 10 s and 680 MB (2 colours, width 21);
-# the next 3-colour width, 14, took 10-13 s and 600-780 MB.
+# bounds k**width, the values on one step's merged scope: the most that
+# step spreads and multiplies, and k times the most the factor it leaves
+# holds.  On random cubic graphs with the dense table a,b,c -> 1+a+b+c,
+# one CPU of a shared x86 machine and CPython 3.11, a sum just under it
+# took 0.8 s and 80 MB peak RSS (3 colours, width 13, 36 vertices) or
+# 0.8 s and 123 MB (2 colours, width 21, 64 vertices); the next 3-colour
+# width, 14, took 1.5 s and 184 MB.  The limit is kept at 2**21 all the
+# same, so that no graph changes its exit code.
 # MAX_PACKED_BITS bounds one packed value (see ``Plan``): one product of
 # two values of that size takes 1 s there.  A plan past it is run on
 # polynomials instead.
@@ -161,6 +164,12 @@ class Plan:
     the product of the factors ``inputs[s]`` (one, or two), whose merged
     scope is ``scopes[s]``, and leaves factor ``len(vertices) + s``.
 
+    Colours: ``colours`` are the colours some nonzero entry holds, in
+    order, and factors number them 0 to k - 1, k = len(colours).  A
+    colouring that puts any other colour on an edge weighs 0.  An
+    all-zero table keeps colour 0, so that every factor still holds its
+    one value, 0, per colouring.
+
     Values: every weight is multiplied by ``scale``, the lcm of the
     table's denominators.  When ``packed``, each value is then one int
     (Kronecker substitution): the table's one indeterminate ``name``, if
@@ -176,6 +185,7 @@ class Plan:
     order: Tuple[int, ...]
     inputs: Tuple[Tuple[int, ...], ...]
     scopes: Tuple[Tuple[int, ...], ...]
+    colours: Tuple[int, ...]
     scale: int
     packed: bool
     name: Optional[str]
@@ -188,6 +198,16 @@ def _scaled(c: Union[int, Fraction], scale: int) -> int:
     return c.numerator * (scale // c.denominator)
 
 
+def _bits(m: int) -> Tuple[int, ...]:
+    """The positions of the bits set in ``m``, lowest first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return tuple(out)
+
+
 def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
     """The plan ``state_sum`` runs on ``g`` and ``t``.  The order is the
     one state sums have always used: next, the edge whose merged scope is
@@ -195,10 +215,17 @@ def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
     an input error, raised at the step that first passes it, naming
     ``g``'s file when it was read from one.
 
+    Each edge keeps the one or two live factors that hold it, and a heap
+    keeps (merged scope size, edge) for every edge left.  A step changes
+    the merged scopes of the edges its new factor holds, and only theirs,
+    so only they are pushed again; an entry whose size is stale is
+    dropped when it comes up.
+
     k counts the colours some nonzero entry holds: a colouring that puts
-    any other colour on an edge weighs 0, so no factor keys it and no
+    any other colour on an edge weighs 0, so no factor holds it and no
     colouring with it adds to the L1 bound."""
-    k = len({c for triple, v in t.entries.items() if v != 0 for c in triple})
+    colours = tuple(sorted({c for triple, v in t.entries.items() if v != 0 for c in triple})) or (0,)
+    k = len(colours)
     scale = lcm(*map(_denominator, t.entries.values()))
     names = set()
     degree = norm = 0
@@ -219,82 +246,135 @@ def plan(g: TrivalentGraph, t: ThreeJTable) -> Plan:
 
     n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
-    live: Dict[int, set] = {i: set() for i in range(n)}  # factor number -> its edges left
+    live = dict.fromkeys(range(n), 0)  # factor number -> its edges left, as a bit set
+    holders: Dict[int, Tuple[int, ...]] = {}  # edge left -> the live factors holding it, in order
     for e, (a, b) in enumerate(g.edges):
-        live[index[a]].add(e)
-        live[index[b]].add(e)
+        a, b = sorted((index[a], index[b]))
+        live[a] |= 1 << e
+        live[b] |= 1 << e
+        holders[e] = (a, b) if a != b else (a,)
 
-    def merged(e: int) -> set:
-        return set().union(*(s for s in live.values() if e in s))
+    def merged(e: int) -> int:
+        h = holders[e]
+        return live[h[0]] | live[h[-1]]
 
+    size = {e: merged(e).bit_count() for e in holders}
+    heap = [(s, e) for e, s in size.items()]
+    heapify(heap)
     order: List[int] = []
     inputs: List[Tuple[int, ...]] = []
     scopes: List[Tuple[int, ...]] = []
-    remaining = set(range(len(g.edges)))
-    while remaining:
-        e = min(remaining, key=lambda e: (len(merged(e)), e))
-        joint = merged(e)
-        if k ** len(joint) > MAX_DENSE_ENTRIES:
+    while heap:
+        s, e = heappop(heap)
+        if e not in holders or s != size[e]:
+            continue
+        if k**s > MAX_DENSE_ENTRIES:
             raise InputError(
                 "%selimination width %d needs %d^%d dense entries, over the limit %d"
-                % ("%s: " % g.source if g.source else "", len(joint), k, len(joint), MAX_DENSE_ENTRIES)
+                % ("%s: " % g.source if g.source else "", s, k, s, MAX_DENSE_ENTRIES)
             )
-        ins = tuple(f for f, s in live.items() if e in s)
+        joint = merged(e)
+        ins = holders.pop(e)
         for f in ins:
             del live[f]
+        scope = _bits(joint)
         order.append(e)
         inputs.append(ins)
-        scopes.append(tuple(sorted(joint)))
-        remaining.remove(e)
-        joint.remove(e)
-        live[n + len(order) - 1] = joint
-    return Plan(tuple(order), tuple(inputs), tuple(scopes), scale, packed, min(names, default=None), digits, bits)
+        scopes.append(scope)
+        new = n + len(order) - 1  # the highest factor number, so each holders tuple stays in order
+        live[new] = joint ^ 1 << e
+        for x in scope:
+            if x != e:
+                h = holders[x]
+                other = h[-1] if h[0] in ins else h[0]  # the holder the step leaves, if any
+                holders[x] = (new,) if other in ins else (other, new)
+                s = merged(x).bit_count()
+                if s != size[x]:
+                    size[x] = s
+                    heappush(heap, (s, x))
+    return Plan(
+        tuple(order), tuple(inputs), tuple(scopes), colours, scale, packed, min(names, default=None), digits, bits
+    )
 
 
-_Factor = Tuple[Tuple[int, ...], Dict[Tuple[int, ...], Value]]
+# A factor: its scope, the sorted tuple of its edges, and its k**len(scope)
+# values, the value of colours c_0 .. c_{m-1} on the scope's m edges at
+# index sum(c_i * k**(m - 1 - i)) (the order of ``itertools.product``).
+_Factor = Tuple[Tuple[int, ...], List[Value]]
 
 
-def _project(at: Sequence[int]):
-    """The function taking a key to the tuple of its entries at ``at``; a
-    slice stands for one entry or none, so that it too returns a tuple."""
-    if len(at) > 1:
-        return itemgetter(*at)
-    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
+def _runs(values: List[Value], size: int) -> List[List[Value]]:
+    """``values`` cut into consecutive runs of ``size``."""
+    ends = range(size, len(values) + size, size)
+    return list(map(values.__getitem__, map(slice, range(0, len(values), size), ends)))
+
+
+def _repeat(values: List[Value], run: int, reps: int) -> List[Value]:
+    """Each run of ``run`` consecutive values repeated ``reps`` times."""
+    if reps == 1:
+        return values
+    if run == len(values):
+        return values * reps
+    if run == 1:
+        return list(chain.from_iterable(zip(*[values] * reps)))
+    return list(chain.from_iterable(chain.from_iterable(zip(*[_runs(values, run)] * reps))))
+
+
+def _spread(f: _Factor, onto: Tuple[int, ...], k: int) -> List[Value]:
+    """The values of ``f`` on ``onto``, a scope holding ``f``'s edges in
+    the same order: each value repeated over the colours of the edges
+    ``f`` lacks.  From the last edge of ``onto`` to the first, each gap
+    of m edges that ``f`` lacks repeats every run of the values spread
+    so far k**m times."""
+    scope, values = f
+    run = reps = 1
+    for x in reversed(onto):
+        if x not in scope:
+            reps *= k
+        elif reps == 1:
+            run *= k
+        else:
+            values = _repeat(values, run, reps)
+            run *= reps * k
+            reps = 1
+    return _repeat(values, run, reps)
+
+
+def _first(f: _Factor, e: int, k: int) -> _Factor:
+    """``f`` with edge ``e`` moved to the front of its scope: the k
+    blocks of values that differ only in ``e``'s colour, one after
+    another.  Block c is every k-th run of k**(edges after ``e``) values,
+    from the c-th on."""
+    scope, values = f
+    i = scope.index(e)
+    if i == 0:
+        return f
+    runs = _runs(values, k ** (len(scope) - 1 - i))
+    blocks = (chain.from_iterable(runs[c::k]) for c in range(k))
+    return (e,) + scope[:i] + scope[i + 1 :], list(chain.from_iterable(blocks))
 
 
 def _eliminate(e: int, factors: Sequence[_Factor]) -> _Factor:
-    """Edge ``e`` summed out of the product of one or two factors, in one
-    pass over their entries; the product itself is never stored.  The
-    second factor's entries are grouped by the colours of the edges it
-    shares with the first, and each entry of the first meets its group."""
-    fs, ft = factors[0]
-    keep = [i for i, x in enumerate(fs) if x != e]
-    head = _project(keep)
-    out: Dict[Tuple[int, ...], Value] = {}
-    get = out.get
+    """Edge ``e`` summed out of the product of one or two factors.  Each
+    factor is reordered so that ``e`` comes first, which it already
+    does in most steps, and two factors are spread onto their merged
+    scope, ``e`` first.  The values then fall into k contiguous blocks,
+    one per colour of ``e``, and the sum adds the blocks entry by entry,
+    multiplying two factors' blocks as it goes, so the product itself is
+    never stored.  All of it runs in C-level list and iterator
+    operations, with no Python loop over entries."""
+    scope, values = factors[0]
+    k = round(len(values) ** (1 / len(scope)))  # a factor holds k**len(scope) values
     if len(factors) == 1:
-        for key, val in ft.items():
-            k = head(key)
-            out[k] = get(k, 0) + val
-        scope = tuple(fs[i] for i in keep)
+        scope, values = _first(factors[0], e, k)
+        n = len(values) // k
+        blocks = [islice(values, c * n, (c + 1) * n) for c in range(k)]
     else:
-        hs, ht = factors[1]
-        shared = [j for j, x in enumerate(hs) if x in fs]
-        rest = [j for j, x in enumerate(hs) if x not in fs]
-        match, tail = _project(shared), _project(rest)
-        groups: Dict[Tuple[int, ...], list] = {}
-        for key, val in ht.items():
-            groups.setdefault(match(key), []).append((tail(key), val))
-        match = _project([fs.index(hs[j]) for j in shared])
-        for key, val in ft.items():
-            group = groups.get(match(key))
-            if group:
-                base = head(key)
-                for end, other in group:
-                    k = base + end
-                    out[k] = get(k, 0) + val * other
-        scope = tuple(fs[i] for i in keep) + tuple(hs[j] for j in rest)
-    return scope, {key: val for key, val in out.items() if val}
+        scope = (e,) + tuple(sorted(set(scope).union(factors[1][0]) - {e}))
+        a, b = (_spread(_first(f, e, k), scope, k) for f in factors)
+        n = len(a) // k
+        blocks = [map(mul, islice(a, c * n, (c + 1) * n), islice(b, c * n, (c + 1) * n)) for c in range(k)]
+    return scope[1:], list(map(sum, zip(*blocks)))
 
 
 def _unpack(n: int, p: Plan, scale: int) -> Polynomial:
@@ -315,14 +395,15 @@ def _unpack(n: int, p: Plan, scale: int) -> Polynomial:
 
 def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
     """Sum over all edge/circle colorings of the vertex-weight product,
-    by variable elimination: one sparse factor per vertex (a dict from
-    the colours of its distinct edges to a nonzero weight), then edges
-    summed out one at a time, in the order ``plan`` fixes from scopes
-    alone (cheapest merged scope first; Markov & Shi,
-    arXiv:quant-ph/0511069).  Each step multiplies the factors that hold
-    its edge and sums the edge out in one pass.  The result is a
-    Polynomial exactly when some coloring meets a polynomial table entry,
-    as with enumeration.
+    by variable elimination: one flat factor per vertex (see ``_Factor``:
+    a value for every colouring of its distinct edges with the k colours
+    in use, zero weights kept as 0), then edges summed out one at a time,
+    in the order ``plan`` fixes from scopes alone (cheapest merged scope
+    first; Markov & Shi, arXiv:quant-ph/0511069).  Each step spreads the
+    factors that hold its edge onto their merged scope and sums the edge
+    out as it multiplies them (see ``_eliminate``).  The result is
+    a Polynomial exactly when some coloring, with any of the table's
+    colours, meets a polynomial table entry, as with enumeration.
 
     The table's denominators are cleared once by their lcm ``d`` (the
     integer-preserving idea of Bareiss, Math. Comp. 22, 1968), so
@@ -343,10 +424,9 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
         return sum(_scaled(c, p.scale) << p.bits * sum(e for _, e in mono) for mono, c in v.terms.items())
 
     weights = {key: weight(v) for key, v in t.entries.items()}
-    polynomial = {key for key, v in t.entries.items() if isinstance(v, Polynomial)}
-    colors = range(t.color_count)
+    polynomial = [key for key, v in t.entries.items() if isinstance(v, Polynomial)]
     symbolic = False
-    templates: Dict[Tuple[int, ...], Dict[Tuple[int, ...], Value]] = {}
+    templates: Dict[Tuple[int, ...], List[Value]] = {}
     factors: Dict[int, _Factor] = {}
     ends: Dict[int, List[int]] = {v: [] for v in g.vertices}
     for i, (a, b) in enumerate(g.edges):
@@ -356,23 +436,22 @@ def state_sum(g: TrivalentGraph, t: ThreeJTable) -> Value:
         scope = tuple(sorted(set(ends[v])))
         pattern = tuple(scope.index(e) for e in sorted(ends[v]))  # a loop repeats an index
         if pattern not in templates:
-            table = {}
-            for key in product(colors, repeat=len(scope)):
-                triple = tuple(sorted(itemgetter(*pattern)(key)))
-                symbolic = symbolic or triple in polynomial
-                w = weights.get(triple, 0)
-                if w:
-                    table[key] = w
-            templates[pattern] = table
+            # A loop puts one colour on two ends, so it meets only the
+            # triples that repeat a colour.
+            symbolic = symbolic or any(len(scope) == 3 or len(set(tr)) < 3 for tr in polynomial)
+            templates[pattern] = [
+                weights.get(tuple(sorted(map(key.__getitem__, pattern))), 0)
+                for key in product(p.colours, repeat=len(scope))
+            ]
         factors[i] = (scope, templates[pattern])
     for s, (e, ins) in enumerate(zip(p.order, p.inputs)):
         factors[len(g.vertices) + s] = _eliminate(e, [factors.pop(f) for f in ins])
     total: Value = 1
-    for _, table in factors.values():
-        total *= table.get((), 0)
+    for _, (value,) in factors.values():
+        total *= value
     if g.circles:
-        symbolic = symbolic or any((c, c, c) in polynomial for c in colors)
-        total *= sum(weights.get((c, c, c), 0) for c in colors) ** g.circles
+        symbolic = symbolic or any(len(set(tr)) == 1 for tr in polynomial)
+        total *= sum(weights.get((c, c, c), 0) for c in range(t.color_count)) ** g.circles
     scale = p.scale ** (len(g.vertices) + g.circles)
     if not symbolic:
         return Fraction(total, scale)

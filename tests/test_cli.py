@@ -1044,6 +1044,65 @@ def test_a_move_or_relation_graph_past_the_dense_limit_names_its_file(tmp_path, 
         assert code == 2 and re.fullmatch(want, out), extra
 
 
+_PEAK_ADDRESS_SPACE = """
+import sys
+from smovelab import cli, statesum
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    peak = [line.split()[1] for line in fh if line.startswith("VmPeak:")][0]
+print("peak_kb", peak, "exit", code)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmPeak from /proc and caps RLIMIT_AS")
+def test_a_sum_that_runs_out_of_memory_prints_one_error_line_and_no_traceback(tmp_path):
+    """A 40-vertex random cubic graph of plan width 12 and a dense
+    3-colour table: uncapped, ``inv statesum`` answers in well under a
+    second, with about 20 MB more address space than a theta needs.
+    With the child's address space capped 8 MB above what a theta needs,
+    it exits 2 with one ``error:`` line naming the command and its
+    stage, and no traceback."""
+    import os
+    import resource
+    import subprocess
+
+    from smovelab import statesum
+
+    rng = random.Random(12)
+    rows = ["%d,%d,%d,%d\n" % (*tr, 1 + sum(tr)) for tr in combinations_with_replacement(range(3), 3)]
+    (tmp_path / "t.csv").write_text("".join(rows), encoding="utf-8")
+    table = statesum.load_table(str(tmp_path / "t.csv"))
+    while True:
+        stubs = [v for v in range(40) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[0::2], stubs[1::2]))
+        g = statesum.TrivalentGraph(tuple(range(40)), tuple(edges))
+        if max(map(len, statesum.plan(g, table).scopes)) == 12:
+            break
+    lines = ["v %d\n" % v for v in range(40)] + ["e %d %d\n" % e for e in edges]
+    (tmp_path / "big.g").write_text("".join(lines), encoding="utf-8")
+    (tmp_path / "theta.g").write_text("v 0\nv 1\ne 0 1\ne 0 1\ne 0 1\n", encoding="utf-8")
+    src = str(Path(statesum.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(graph, cap=None):
+        argv = ["inv", "statesum", "--graphs", str(tmp_path / graph), "--table", str(tmp_path / "t.csv")]
+        limit = None if cap is None else lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        return subprocess.run(
+            [sys.executable, "-c", _PEAK_ADDRESS_SPACE, *argv], capture_output=True, text=True, env=env, preexec_fn=limit
+        )
+
+    small, big = run("theta.g"), run("big.g")
+    assert small.returncode == big.returncode == 0 and small.stdout.startswith("state sum theta.g: 486\n")
+    base, need = (int(p.stdout.split()[-3]) << 10 for p in (small, big))
+    assert need - base > 16 << 20
+    capped = run("big.g", base + (8 << 20))
+    assert "Traceback" not in capped.stdout + capped.stderr, capped.stderr[-2000:]
+    assert capped.stderr == ""
+    want = r"error: inv statesum ran out of memory while computing its result\npeak_kb \d+ exit 2\n"
+    assert re.fullmatch(want, capped.stdout), capped.stdout
+
+
 # --- the parser: read directly, or argparse's whole tree ---------------------
 
 # (argv, exit code, stdout, stderr) from the parser that built the whole

@@ -454,6 +454,84 @@ def test_the_plan_keeps_the_smallest_merged_scope_order_and_the_execution_builds
         assert max(map(len, p.scopes), default=0) == max((len(s) for _, s in built), default=0)
 
 
+def _random_pairing(rng, n):
+    """A trivalent multigraph on vertices 0..n-1 from a random pairing of
+    half-edges: loops and multi-edges are kept."""
+    ends = rng.sample(range(3 * n), 3 * n)
+    return TrivalentGraph(tuple(range(n)), tuple((ends[i] // 3, ends[i + 1] // 3) for i in range(0, 3 * n, 2)))
+
+
+def test_the_plan_keeps_the_greedy_order_on_large_random_pairings():
+    """``plan`` finds each step's edge through an edge -> live factors
+    index and a heap; on 60- and 100-vertex pairings it still takes the
+    edges in the greedy oracle's order, over the same merged scopes.  A
+    one-colour table, which no dense limit stops, sums to its weight to
+    the number of vertices."""
+    rng = random.Random(31)
+    t = complete_table([((0, 0, 0), Fraction(2))], 1)
+    loops = multi = 0
+    for n in (60, 60, 60, 100, 100, 100):
+        g = _random_pairing(rng, n)
+        loops += sum(a == b for a, b in g.edges)
+        multi += len(g.edges) - len({tuple(sorted(e)) for e in g.edges})
+        p = statesum.plan(g, t)
+        assert (p.order, p.scopes) == _greedy_order(g)
+        assert state_sum(g, t) == 2**n
+    assert loops and multi
+
+
+def test_a_sum_holds_a_bounded_number_of_bytes_per_dense_entry():
+    """A factor is a flat list of values: no key per entry.  Summing a
+    3-colour integer table over a random cubic graph of plan width w
+    (8, 9, 10) peaks, at the Python level, at no more than 64 * 3**w
+    bytes: about 8 bytes for each of the merged scope's list slots held
+    at once and one int for each entry the step leaves."""
+    import tracemalloc
+
+    rng = random.Random(8)
+    t = complete_table([(tr, Fraction(1 + sum(tr))) for tr in combinations_with_replacement(range(3), 3)], 3)
+    for width in (8, 9, 10):
+        while True:
+            g = _random_pairing(rng, 20)
+            if max(map(len, statesum.plan(g, t).scopes)) == width:
+                break
+        tracemalloc.start()
+        try:
+            state_sum(g, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 3**width, (width, peak)
+
+
+def test_the_empty_graph_on_an_all_zero_table_sums_to_one():
+    """The empty graph has one colouring, the empty one, with the empty
+    product 1, whatever the table; one circle on the same table sums to 0."""
+    for t in (complete_table([], 2), complete_table([((0, 0, 0), Fraction(0)), ((0, 1, 1), Fraction(0))], 2)):
+        for g, want in ((_EMPTY, 1), (_CIRCLE, 0), (_THETA, 0), (_DUMBBELL, 0)):
+            got = state_sum(g, t)
+            assert type(got) is Fraction and got == want == _brute_state_sum(g, t)
+
+
+def test_a_colour_only_a_zero_polynomial_entry_holds_still_makes_the_sum_a_polynomial():
+    """Factors hold only the colours some nonzero entry holds, but the
+    result's type is judged over all the table's colours, as enumeration
+    does: a colouring that meets a polynomial entry, even a zero one,
+    makes the sum a Polynomial.  A vertex with a loop meets only the
+    triples that repeat a colour."""
+    q = Polynomial.var("q")
+    held = complete_table([((0, 0, 0), Fraction(3)), ((1, 1, 1), q - q)], 2)
+    distinct = complete_table([((0, 0, 0), Fraction(3)), ((0, 1, 2), q - q)], 3)
+    assert statesum.plan(_THETA, held).colours == statesum.plan(_THETA, distinct).colours == (0,)
+    for t in (held, distinct):
+        for g in (_THETA, _DUMBBELL, _CIRCLE, _PRISM3, wedge(_DUMBBELL, _CIRCLE)):
+            got, want = state_sum(g, t), _brute_state_sum(g, t)
+            assert type(got) is type(want) and got == want, (t, g)
+    assert isinstance(state_sum(_THETA, distinct), Polynomial)
+    assert isinstance(state_sum(_DUMBBELL, held), Polynomial)
+    assert type(state_sum(_DUMBBELL, distinct)) is Fraction
+
+
 def test_the_dense_limit_refuses_a_plan_and_the_packed_limit_unpacks_it(monkeypatch):
     """Both limits are inclusive: k**width and the packed bits may equal
     them.  A plan past the dense limit raises before any factor is built;
