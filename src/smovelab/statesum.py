@@ -311,10 +311,6 @@ def _runs(values: List[Value], size: int) -> List[List[Value]]:
 
 def _repeat(values: List[Value], run: int, reps: int) -> List[Value]:
     """Each run of ``run`` consecutive values repeated ``reps`` times."""
-    if reps == 1:
-        return values
-    if run == len(values):
-        return values * reps
     if run == 1:
         return list(chain.from_iterable(zip(*[values] * reps)))
     return list(chain.from_iterable(chain.from_iterable(zip(*[_runs(values, run)] * reps))))
@@ -322,10 +318,10 @@ def _repeat(values: List[Value], run: int, reps: int) -> List[Value]:
 
 def _spread(f: _Factor, onto: Tuple[int, ...], k: int) -> List[Value]:
     """The values of ``f`` on ``onto``, a scope holding ``f``'s edges in
-    the same order: each value repeated over the colours of the edges
-    ``f`` lacks.  From the last edge of ``onto`` to the first, each gap
-    of m edges that ``f`` lacks repeats every run of the values spread
-    so far k**m times."""
+    the same order and starting with one of them: each value repeated
+    over the colours of the edges ``f`` lacks.  From the last edge of
+    ``onto`` to the first, each gap of m edges that ``f`` lacks repeats
+    every run of the values spread so far k**m times."""
     scope, values = f
     run = reps = 1
     for x in reversed(onto):
@@ -337,7 +333,7 @@ def _spread(f: _Factor, onto: Tuple[int, ...], k: int) -> List[Value]:
             values = _repeat(values, run, reps)
             run *= reps * k
             reps = 1
-    return _repeat(values, run, reps)
+    return values
 
 
 def _first(f: _Factor, e: int, k: int) -> _Factor:

@@ -1046,7 +1046,7 @@ def test_a_move_or_relation_graph_past_the_dense_limit_names_its_file(tmp_path, 
 
 _PEAK_ADDRESS_SPACE = """
 import sys
-from smovelab import cli, statesum
+from smovelab import cli
 code = cli.main(sys.argv[1:])
 with open("/proc/self/status", encoding="ascii") as fh:
     peak = [line.split()[1] for line in fh if line.startswith("VmPeak:")][0]
