@@ -150,7 +150,9 @@ def cmd_crit(args) -> Report:
     if args.action == "residual":
         if args.R is None or args.move is None:
             raise InputError("crit residual needs --R and --move")
-        base = parse_word(args.R)
+        # R is reduced once, here, so that the move and the residual
+        # cancel its letters only at their joins.
+        base = reduce(parse_word(args.R))
         new = _residual_move_word(base, args.move)
         res = crit.residual_r(base, new)
         text = format_word(res)

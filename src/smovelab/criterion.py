@@ -148,7 +148,9 @@ def verify(inst: CriterionInstance) -> bool:
 
 
 def residual_r(r: Word, r_new: Word) -> Word:
-    """Leftover cell of replacing R by R_new: L' with L'.R_new = R."""
+    """Leftover cell of replacing R by R_new: L' with L'.R_new = R.  When
+    both are ``Reduced``, as ``crit residual`` hands them over, they cancel
+    only at their join."""
     return reduce(r, invert(r_new))
 
 

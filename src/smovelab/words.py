@@ -7,22 +7,29 @@ generators 1..26, ``A``..``Z`` for their inverses, and the escape forms
 converts) for larger alphabets.  The empty word is written ``1``.
 
 Letters are checked once, where they enter from outside: ``Word(w)``
-converts every letter with ``int`` and rejects zero, unless ``w`` is a
-``Word`` already, which it returns as it is.  Every kernel here takes its
-word arguments through that one check and builds its result unchecked:
-a ``Word`` handed in is not checked again, and the parser builds its
-words from its own table's letters.
+converts every letter to an ``int``, rejecting zero and any value
+``int()`` would truncate, unless ``w`` is a ``Word`` already (a
+``Reduced`` too), which it returns as it is.  Every kernel here takes its
+word arguments through that one check and builds its result unchecked: a
+``Word`` handed in is not checked again, and the parser builds its words
+from its own table's letters.
 
 Free reduction cancels adjacent pairs ``x x^-1``; the normal form is
-independent of cancellation order, so ``reduce(*parts)`` runs one
-left-to-right pass with a pushdown over all its parts, and a caller hands
-over the pieces of a product as they are rather than joining them.
+independent of cancellation order, so ``reduce(*parts)`` makes one
+left-to-right pass over all its parts, and a caller hands over the pieces
+of a product as they are rather than joining them.  Its result is a
+``Reduced``, a ``Word`` whose type records that it is reduced, so a
+product of reduced parts cancels only at their joins; ``invert`` of a
+``Reduced`` is one too.  A parsed word stays a plain ``Word``, since
+``slice piece`` circulates its letters as written.
 """
 
 from __future__ import annotations
 
 import re
 from functools import partial
+from itertools import chain
+from operator import index
 from typing import Iterable, List, NoReturn, Optional, Sequence
 
 
@@ -48,9 +55,13 @@ class Word(tuple):
     returned as it is; any other iterable is converted and checked."""
 
     def __new__(cls, letters: Iterable[int] = ()):
-        if type(letters) is cls:
+        if isinstance(letters, Word):
             return letters
-        letters = tuple(map(int, letters))
+        letters = tuple(letters)
+        try:
+            letters = tuple(map(index, letters))  # ints only; int() would truncate 1.5
+        except TypeError:
+            letters = tuple(map(_integral, letters))
         if 0 in letters:
             raise InputError("word letters must be nonzero integers")
         return super().__new__(cls, letters)
@@ -62,8 +73,26 @@ class Word(tuple):
         return format_word(self)
 
 
-# A Word of letters already checked: no conversion, no zero test.
+def _integral(x) -> int:
+    """``int(x)``, for a letter that is not an int: a text ``int()`` reads,
+    or a number equal to its ``int()``."""
+    k = int(x)
+    if k != x and not isinstance(x, (str, bytes, bytearray)):
+        raise InputError("word letter %r is not an integer" % (x,))
+    return k
+
+
+class Reduced(Word):
+    """A freely reduced word: no letter stands next to its inverse.
+    ``reduce`` makes them, so ``Reduced(w)`` is ``reduce(w)``."""
+
+    def __new__(cls, letters: Iterable[int] = ()):
+        return reduce(letters)
+
+
+# A Word, or a Reduced, of letters already checked: no conversion, no zero test.
 _checked = partial(tuple.__new__, Word)
+_reduced = partial(tuple.__new__, Reduced)
 
 EMPTY = Word()
 
@@ -74,11 +103,25 @@ _TOKEN = re.compile(r"\s+|g([0-9]+)|G([0-9]+)|[a-z]|[A-Z]|.", re.DOTALL)
 # Only whitespace runs and escapes span more than one character, and
 # neither holds a g or G past its first, so every g or G starts a token:
 # this splits out exactly the escapes that ``_TOKEN`` reads.
-_ESCAPE = re.compile(r"([gG])([0-9]+)")
+_ESCAPE = re.compile(r"([gG][0-9]+)")
 
 
 def _escape_text(x: int) -> str:
     return ("g%d" if x > 0 else "G%d") % abs(x)
+
+
+class _EscapeLetters(dict):
+    """One ``parse_word`` call's token table, a copy of the letters': each
+    escape is converted the first time it is read, then kept.  A zero
+    index, an index past ``int()``'s digit limit, and a lone character no
+    letter spells (its index is empty) raise ``ValueError``."""
+
+    def __missing__(self, token):
+        k = int(token[1:])
+        if not k:
+            raise ValueError("zero index")
+        self[token] = x = k if token[0] == "g" else -k
+        return x
 
 
 class _LetterText(dict):
@@ -111,31 +154,35 @@ def parse_word(text: str, n_generators: int | None = None) -> Word:
     """Parse a word literal; ``1`` (or an all-whitespace string) is empty.
 
     No token spans whitespace, so each whitespace-free chunk is split at
-    its escapes by one regex, and each plain run between them maps through
-    the letter table in one pass.  The letters are the table's own or
-    ``int()`` of an index, so the word is built without a second check.
-    Anything else in a run, a zero index, an index past ``int()``'s digit
-    limit or an index out of range sends the text through the token loop,
-    which names the first bad token."""
+    its escapes by one regex.  A chunk with no escape maps through the
+    letter table in one pass; a chunk with one is read as one stream of
+    tokens, its runs' characters with each escape between them, through a
+    copy of the table made for this call that converts each distinct
+    escape once.  The letters are the table's own, so the word is built
+    without a second check.  Anything else in a run, a zero index, an
+    index past ``int()``'s digit limit or an index out of range sends the
+    text through the token loop, which names the first bad token."""
     stripped = text.strip()
     if stripped == "1" or stripped == "":
         return EMPTY
     letter = _TEXT_LETTER.__getitem__
+    token = None
     letters: list[int] = []
     try:
         for chunk in stripped.split():
-            parts = _ESCAPE.split(chunk)  # run, then (g or G, index, run) per escape
-            letters += map(letter, parts[0])
-            for sign, index, run in zip(parts[1::3], parts[2::3], parts[3::3]):
-                k = int(index)
-                if not k:
-                    raise ValueError("zero index")
-                letters.append(k if sign == "g" else -k)
-                letters += map(letter, run)
+            parts = _ESCAPE.split(chunk)  # runs, with the escapes between them
+            if len(parts) == 1:
+                letters += map(letter, chunk)
+                continue
+            if token is None:
+                token = _EscapeLetters(_TEXT_LETTER).__getitem__
+            parts[1::2] = zip(parts[1::2])  # an escape is one token
+            letters += map(token, chain.from_iterable(parts))
         if n_generators is None or max(map(abs, letters)) <= n_generators:
             return _checked(letters)
-    # KeyError: a character no letter spells.  ValueError: an index with
-    # more digits than int() converts, or a zero index.
+    # KeyError: a character no letter spells.  ValueError: the same beside
+    # an escape, an index with more digits than int() converts, or a zero
+    # index.
     except (KeyError, ValueError):
         pass
     _parse_tokens(text, n_generators)
@@ -177,24 +224,39 @@ def format_word(w: Iterable[int]) -> str:
         return "".join(map(_EscapesOnce(_PLAIN_TEXT).__getitem__, letters))
 
 
-def reduce(*parts: Iterable[int]) -> Word:
-    """Freely reduce the concatenation of ``parts``: one left-to-right
-    pass with a pushdown.  A part that is not a ``Word`` is checked as
-    ``Word`` checks it, before any of its letters can cancel."""
+def reduce(*parts: Iterable[int]) -> Reduced:
+    """Freely reduce the concatenation of ``parts`` in one left-to-right
+    pass.  The letters of a ``Reduced`` part cannot cancel each other, so
+    it is cancelled only at its join, against the letters before it, and
+    the rest is copied.  Any other part goes through a pushdown letter by
+    letter; if it is not a ``Word``, it is checked as ``Word`` checks it,
+    before any of its letters can cancel."""
     stack: list[int] = []
     for part in parts:
-        if type(part) is not Word:
+        if type(part) is Reduced:
+            n = 0
+            for x in part:
+                if not stack or stack[-1] != -x:
+                    break
+                stack.pop()
+                n += 1
+            stack += part[n:] if n else part
+            continue
+        if not isinstance(part, Word):
             part = Word(part)
         for x in part:
             if stack and stack[-1] == -x:
                 stack.pop()
             else:
                 stack.append(x)
-    return _checked(stack)
+    return _reduced(stack)
 
 
 def invert(w: Iterable[int]) -> Word:
-    if type(w) is not Word:
+    """The inverse word; the inverse of a ``Reduced`` is one too."""
+    if type(w) is Reduced:
+        return _reduced([-x for x in w[::-1]])
+    if not isinstance(w, Word):
         w = Word(w)
     return _checked([-x for x in w[::-1]])
 
@@ -203,9 +265,14 @@ def multiply(u: Iterable[int], v: Iterable[int]) -> Word:
     return reduce(u, v)
 
 
-def commutator(u: Iterable[int], v: Iterable[int]) -> Word:
-    """reduce(u . v . u^-1 . v^-1)."""
-    u, v = Word(u), Word(v)
+def commutator(u: Iterable[int], v: Iterable[int]) -> Reduced:
+    """reduce(u . v . u^-1 . v^-1), with u and v reduced first unless they
+    are ``Reduced`` already, so that the four parts cancel only at their
+    joins."""
+    if type(u) is not Reduced:
+        u = reduce(u)
+    if type(v) is not Reduced:
+        v = reduce(v)
     return reduce(u, v, invert(u), invert(v))
 
 

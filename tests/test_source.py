@@ -272,6 +272,36 @@ def test_only_the_reading_expands_relators_and_forms_commutators():
     }
 
 
+def _exact_word_type_tests(tree: ast.AST):
+    """The line of every comparison that tests an object against ``Word``
+    itself (``is``, ``is not``, ``==``, ``!=``, ``in``, ``not in``), as
+    ``type(w) is Word`` does."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(
+                (getattr(n, "id", None) or getattr(n, "attr", None)) == "Word"
+                for operand in operands
+                for n in ([*operand.elts] if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand])
+            ):
+                yield node.lineno
+
+
+def test_no_exact_type_test_sends_a_reduced_word_back_to_the_pushdown():
+    """A ``Reduced`` is a ``Word``, so a test of ``type(w) is Word`` would
+    take it for some other iterable and convert, check or reduce it
+    again.  The library asks ``isinstance(w, Word)``, or whether
+    ``type(w) is Reduced``."""
+    found = [
+        "%s:%d" % (path.name, line)
+        for path in sorted(SRC.glob("*.py"))
+        for line in _exact_word_type_tests(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert found == []
+    assert list(_exact_word_type_tests(ast.parse("type(w) is not Word or type(v) in (Word, list)"))) == [1, 1]
+    assert list(_exact_word_type_tests(ast.parse("isinstance(w, Word) and type(w) is Reduced"))) == []
+
+
 def test_backends_enter_only_where_they_are_drawn_or_loaded():
     """``Backend`` itself checks nothing: a drawn backend is valid by
     construction and a loaded one is proved by ``check_assignment``, so

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from smovelab.words import (
     _TEXT_LETTER,
     EMPTY,
     InputError,
+    Reduced,
     Word,
     commutator,
     format_word,
@@ -239,8 +242,8 @@ _PART_KINDS = {
 _PARTS = st.lists(st.tuples(st.sampled_from(sorted(_PART_KINDS)), st.lists(_LETTER, max_size=10)), max_size=5)
 
 
-def _all_ints(w):
-    return type(w) is Word and all(type(x) is int for x in w)
+def _all_ints(w, kind=Word):
+    return type(w) is kind and all(type(x) is int for x in w)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -250,11 +253,11 @@ def _all_ints(w):
 def test_reduce_and_invert_take_parts_of_any_kind(parts):
     """``reduce(*parts)`` is the oracle's reduction of the concatenation,
     and ``invert`` the letter-by-letter inverse, whatever kind each part
-    is; a result is a ``Word`` of ints, and ``Word`` hands a ``Word``
-    back as it is."""
+    is; a result is a ``Reduced`` or a ``Word`` of ints, and ``Word`` hands
+    a ``Word`` back as it is."""
     concat = [x for _, letters in parts for x in letters]
     got = reduce(*(_PART_KINDS[kind](letters) for kind, letters in parts))
-    assert got == _reduce_randomly(concat, random.Random(len(concat))) and _all_ints(got)
+    assert got == _reduce_randomly(concat, random.Random(len(concat))) and _all_ints(got, Reduced)
     for kind, letters in parts:
         inv = invert(_PART_KINDS[kind](letters))
         assert inv == tuple(-x for x in reversed(letters)) and _all_ints(inv)
@@ -333,10 +336,21 @@ _TEXTS = st.one_of(
 @example(" 1\t", 3)
 @example("g 27", None)
 @example("g٣", None)
+@example("g2g27G275a", None)
+@example("g2g27G275a", 274)
+@example("g27 5", None)
+@example("G0", None)
+@example("g00", None)
+@example("ag27G00b", None)
+@example("g27é", None)
+@example("G27g" + "9" * 30 + "a", None)
 def test_parse_word_agrees_with_the_token_parser(text, n_generators):
     """Same word, or the same message for the same first bad token.  The
     texts are well formed, or hold one odd piece (a non-ASCII digit, a
-    space inside an escape, a stray digit or character), or several."""
+    space inside an escape, a stray digit or character), or several.  The
+    examples hold escapes that share a prefix, a zero index, and a stray
+    character beside an escape, which a chunk read as one token stream
+    must still send to the token loop."""
     try:
         want = _oracle_parse_word(text, n_generators)
     except InputError as e:
@@ -346,6 +360,18 @@ def test_parse_word_agrees_with_the_token_parser(text, n_generators):
     else:
         got = parse_word(text, n_generators)
         assert got == want and type(got) is Word
+
+
+def test_a_parse_converts_each_distinct_escape_once(monkeypatch):
+    import smovelab.words as words
+
+    read = []
+    real = words._EscapeLetters.__missing__
+    monkeypatch.setattr(words._EscapeLetters, "__missing__", lambda self, t: read.append(t) or real(self, t))
+    assert parse_word("g27aG27 g27g2 bG27") == Word([27, 1, -27, 27, 2, 2, -27])
+    assert sorted(read) == ["G27", "g2", "g27"]
+    read.clear()
+    assert parse_word("abc AB") == Word([1, 2, 3, -1, -2]) and read == []
 
 
 def test_a_well_formed_word_never_runs_the_token_loop(monkeypatch):
@@ -390,3 +416,84 @@ def test_zero_letters_that_would_cancel_are_rejected(make):
     neighbours cancels a pair of them; the letters are checked first."""
     with pytest.raises(InputError, match="word letters must be nonzero integers"):
         make()
+
+
+# --- non-integral letters ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [[1.5, -2.7], [Fraction(3, 2)], [2, -0.5], [Decimal("-1.5"), 1]],
+    ids=["floats", "fraction", "a half that int() makes zero", "decimal"],
+)
+def test_a_letter_int_would_truncate_is_rejected(letters):
+    """``int()`` truncates 1.5 to 1, so ``Word([1.5, -2.7])`` read as
+    ``aB`` and ``reduce([1.5], [-1])`` cancelled to the empty word.  A
+    letter whose ``int()`` differs from its value is not a letter; a text
+    that ``int()`` reads, and an integral float, Fraction or Decimal,
+    still are."""
+    with pytest.raises(InputError, match="is not an integer"):
+        Word(letters)
+    with pytest.raises(InputError, match="is not an integer"):
+        reduce(letters, [-1])
+    with pytest.raises(InputError, match="is not an integer"):
+        invert(iter(letters))
+    assert Word(["3", -2.0, Fraction(4, 2), Decimal("5")]) == (3, -2, 2, 5)
+
+
+# --- reduced parts cancel only at their joins -------------------------------
+
+_MIXED_KINDS = {"Reduced": Reduced, "Word": Word, "list": list, "iterator": iter}
+_MIXED_LETTER = st.sampled_from([1, 2, 3, 27, -1, -2, -3, -27])
+_MIXED_PARTS = st.lists(st.tuples(st.sampled_from(sorted(_MIXED_KINDS)), st.lists(_MIXED_LETTER, max_size=12)), max_size=6)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_MIXED_PARTS)
+@example([("Reduced", [1, 2, 3]), ("Reduced", [-3, -2, -1])])  # full cancellation
+@example([("Reduced", [1, 2, 27]), ("iterator", [-27, -2, -1])])
+@example([])  # empty parts
+@example([("Reduced", []), ("Reduced", [1, -2]), ("list", []), ("iterator", []), ("Word", [])])
+@example([("list", [1, 2, 2]), ("Reduced", [-2, -2, -1, 3]), ("iterator", [-3, 1])])  # between unreduced
+@example([("list", [1, 2, 3]), ("Reduced", [-3, -2]), ("Reduced", [-1, 27])])  # cancels wholly, then further
+def test_reduce_of_mixed_parts_matches_the_random_order_oracle(parts):
+    """A ``Reduced`` part is cancelled only at its join and any other part
+    letter by letter; together they give the oracle's reduction of the
+    concatenation of the parts' letters, as a ``Reduced``.  ``Reduced(w)``
+    is ``reduce(w)``, and the inverse of a ``Reduced`` is one."""
+    made = [_MIXED_KINDS[kind](letters) for kind, letters in parts]
+    concat = [x for (kind, letters), part in zip(parts, made) for x in (part if kind == "Reduced" else letters)]
+    got = reduce(*made)
+    assert got == _reduce_randomly(concat, random.Random(len(concat))) and _all_ints(got, Reduced)
+    assert Word(got) is got and _all_ints(invert(got), Reduced)
+
+
+class _Counted(int):
+    """A letter that counts how often it is negated."""
+
+    negations = 0
+
+    def __neg__(self):
+        _Counted.negations += 1
+        return _Counted(-int(self))
+
+
+@pytest.mark.parametrize("k", [0, 1, 17, 5000])
+def test_a_join_of_reduced_parts_negates_only_the_letters_it_cancels(k):
+    """Two 10^4-letter ``Reduced`` parts whose join cancels k letters:
+    ``reduce`` negates at most k + 1 letters, where a pushdown over the
+    same letters as plain ``Word``s negates about one per letter."""
+    import smovelab.words as words
+
+    n = 10_000
+    head = [_Counted(1 + i % 2) for i in range(n - k)]  # abab...
+    rest = [_Counted(2 - i % 2) for i in range(n - k)]  # baba...
+    u = words._reduced(head + [_Counted(3)] * k)
+    v = words._reduced([_Counted(-3)] * k + rest)
+    _Counted.negations = 0
+    got = reduce(u, v)
+    assert _Counted.negations <= k + 1
+    assert got == tuple(head + rest) and type(got) is Reduced
+    _Counted.negations = 0
+    assert reduce(words._checked(u), words._checked(v)) == got
+    assert _Counted.negations >= n
